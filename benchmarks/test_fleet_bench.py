@@ -4,18 +4,39 @@ The streaming fleet path exists so a 1000-node / 200-job simulation runs
 in bounded memory: node traces are rendered in fixed-size chunks and
 folded into the system-power accumulator without ever being retained.
 ``test_fleet_traced_stream`` times that path; ``test_fleet_memory_gate``
-measures its tracemalloc peak against the dense reference
-(``retain_traces=True``) and fails unless streaming uses at least
-``MEMORY_REDUCTION_FLOOR`` times less peak memory while producing
-bit-identical statistics.  ``scripts/bench_compare.py`` reuses
-:func:`measure_fleet_memory` to record the peaks in the baseline.
+measures its tracemalloc peak against a dense reference
+(:func:`_run_dense`: every scheduled job rendered whole with
+``PowerEngine.run`` and retained, then folded) and fails unless
+streaming uses at least ``MEMORY_REDUCTION_FLOOR`` times less peak
+memory while producing bit-identical statistics.
+``scripts/bench_compare.py`` reuses :func:`measure_fleet_memory` to
+record the peaks in the baseline.
 """
 
+import heapq
 import tracemalloc
 
-from repro.capping.fleet import FleetTraceReport, job_stream, simulate_fleet_traced
+from repro.capping.fleet import (
+    FleetTraceReport,
+    _job_seed,
+    job_stream,
+    simulate_fleet_traced,
+)
 from repro.capping.policy import CapPolicy
-from repro.runner.engine import EngineConfig
+from repro.capping.scheduler import PowerAwareScheduler, SchedulerConfig
+from repro.hardware.system import (
+    JobPowerPartial,
+    PerlmutterSystem,
+    RunningMoments,
+    SystemPowerAccumulator,
+)
+from repro.runner.engine import (
+    DEFAULT_STREAM_CHUNK,
+    EngineConfig,
+    PowerEngine,
+    render_chunk_samples,
+)
+from repro.vasp.parallel import layout_for
 
 #: The ISSUE-scale fleet: 200 jobs streamed across a 1000-node pool.
 FLEET_NODES = 1000
@@ -31,7 +52,7 @@ def _fleet_jobs():
     return job_stream(n_jobs=FLEET_JOBS, mean_interarrival_s=60.0, seed=11)
 
 
-def _run(jobs, retain_traces: bool = False) -> FleetTraceReport:
+def _run(jobs) -> FleetTraceReport:
     return simulate_fleet_traced(
         jobs,
         CapPolicy.half_tdp(),
@@ -39,7 +60,83 @@ def _run(jobs, retain_traces: bool = False) -> FleetTraceReport:
         n_nodes=FLEET_NODES,
         engine_config=ENGINE,
         seed=11,
-        retain_traces=retain_traces,
+    )
+
+
+def _run_dense(jobs) -> FleetTraceReport:
+    """The O(sum-of-traces) reference for :func:`_run`'s statistics.
+
+    Replays the same schedule and node allocation, renders each job
+    whole with ``PowerEngine.run`` and keeps every result, then folds
+    the retained traces in the streaming path's chunk order — so the
+    statistics are bit-identical and only the peak memory differs.
+    """
+    policy_name = "50% TDP policy"
+    pool = PerlmutterSystem(n_nodes=FLEET_NODES)
+    specs = pool.node_specs()
+    config = SchedulerConfig(
+        n_nodes=FLEET_NODES,
+        power_budget_w=sum(spec.tdp_w for spec in specs),
+        policy=CapPolicy.half_tdp(),
+    )
+    schedule = PowerAwareScheduler(config).schedule(list(jobs))
+    workloads = {job.job_id: job.workload for job in jobs}
+    phases: dict[tuple[int, int], list] = {}
+    releases: list[tuple[float, str]] = []
+    retained = []
+    for record in schedule.records_chronological():
+        while releases and releases[0][0] <= record.start_s + 1e-9:
+            pool.release(heapq.heappop(releases)[1])
+        names = pool.allocate_names(record.job_id, record.n_nodes)
+        heapq.heappush(releases, (record.end_s, record.job_id))
+        nodes = [pool.nodes[name] for name in names]
+        for node in nodes:
+            node.set_gpu_power_limit(record.cap_w)
+        workload = workloads[record.job_id]
+        key = (id(workload), record.n_nodes)
+        if key not in phases:
+            phases[key] = workload.phases(layout_for(workload, record.n_nodes))
+        result = PowerEngine(nodes, ENGINE).run(
+            phases[key], label=record.job_id, seed=_job_seed(record.job_id, 11)
+        )
+        retained.append((record, result))
+
+    accumulator = SystemPowerAccumulator(
+        n_nodes=FLEET_NODES,
+        bin_s=1.0,
+        idle_node_w=sum(spec.idle_node_w for spec in specs) / len(specs),
+    )
+    moments = RunningMoments()
+    step = render_chunk_samples() or DEFAULT_STREAM_CHUNK
+    chunks = nbytes = 0
+    for record, result in retained:
+        power = JobPowerPartial(start_s=record.start_s, bin_s=1.0)
+        for trace in result.traces:
+            times, values = trace.times, trace.node_power
+            for lo in range(0, len(times), step):
+                hi = min(lo + step, len(times))
+                power.add_samples(
+                    record.start_s, times[lo:hi], values[lo:hi], trace.sample_interval_s
+                )
+                moments.merge(RunningMoments.from_batch(values[lo:hi]))
+                chunks += 1
+                nbytes += int(values[lo:hi].nbytes)
+        power.trim()
+        accumulator.merge_partial(power)
+        accumulator.add_busy_interval(
+            record.start_s, record.start_s + result.runtime_s, record.n_nodes
+        )
+    return FleetTraceReport(
+        policy_name=policy_name,
+        schedule=schedule,
+        system=accumulator.finalize(),
+        node_power_mean_w=moments.mean,
+        node_power_std_w=moments.std,
+        node_power_peak_w=moments.peak,
+        jobs_completed=len(schedule.records),
+        samples_streamed=accumulator.samples_added,
+        chunks_streamed=chunks,
+        bytes_streamed=nbytes,
     )
 
 
@@ -55,7 +152,7 @@ def measure_fleet_memory() -> tuple[FleetTraceReport, FleetTraceReport, int, int
     _, stream_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     tracemalloc.start()
-    dense = _run(jobs, retain_traces=True)
+    dense = _run_dense(jobs)
     _, dense_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return stream, dense, stream_peak, dense_peak

@@ -5,8 +5,8 @@ being the bottleneck: a 100k-node simulation should cost little more
 than a 1k-node one when the job stream is the same (only allocated
 nodes are built, and rendering shards across workers).  The gate
 compares the new path (``workers=SHARD_WORKERS``, lazy pool) against
-the pre-sharding reference behaviour (``eager_pool=True``: every node
-constructed up front, serial rendering) at the 100k-node point and
+the pre-sharding reference behaviour (:func:`_run_eager`: every pool
+node constructed up front, then a serial run) at the 100k-node point and
 fails unless the new path clears ``SPEEDUP_FLOOR`` in nodes/sec while
 producing bit-identical statistics.
 
@@ -21,6 +21,7 @@ import time
 
 from repro.capping.fleet import FleetTraceReport, job_stream, simulate_fleet_traced
 from repro.capping.policy import CapPolicy
+from repro.hardware.system import PerlmutterSystem
 from repro.runner.engine import EngineConfig
 from repro.runner.sweep import available_cpus
 
@@ -51,6 +52,12 @@ def _run(jobs, n_nodes: int, **kwargs) -> FleetTraceReport:
         seed=11,
         **kwargs,
     )
+
+
+def _run_eager(jobs, n_nodes: int) -> FleetTraceReport:
+    """The pre-sharding reference: materialize the whole pool, run serially."""
+    PerlmutterSystem(n_nodes=n_nodes).materialize()
+    return _run(jobs, n_nodes)
 
 
 def _timed(fn) -> tuple[FleetTraceReport, float]:
@@ -85,10 +92,7 @@ def measure_shard_scaling() -> dict:
     large_sharded, large_sharded_s = _timed(
         lambda: _run(jobs, LARGE_NODES, workers=SHARD_WORKERS)
     )
-    # The pre-sharding reference: every pool node constructed up front.
-    large_eager, large_eager_s = _timed(
-        lambda: _run(jobs, LARGE_NODES, eager_pool=True)
-    )
+    large_eager, large_eager_s = _timed(lambda: _run_eager(jobs, LARGE_NODES))
     return {
         "reports": {
             "small_serial": small_serial,

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 tests, then the guarded benchmark comparison
 # (timing drift on the sweep benches plus the fleet memory gate —
-# streaming must beat the dense path's tracemalloc peak by >= 3x).
+# streaming must beat the bench's dense reference tracemalloc peak by
+# >= 3x).
 #
 # Usage:
 #   scripts/ci.sh                 # full gate: pytest + bench compare
@@ -75,16 +76,20 @@ print(
 )
 PY
 
-echo "== sharded fleet smoke (bit-identity vs serial) =="
+echo "== sharded fleet smoke (bit-identity vs serial, health dashboards included) =="
 FLEET_ARGS=(fleet --jobs 4 --nodes 6 --seed 3 --resolution 1.0)
 # Cache/sweep summary lines vary with worker count (each worker process
 # has its own cache); every simulation statistic above them must not.
 filter_summaries() { grep -v '^\[' "$1" > "$2"; }
 python -m repro "${FLEET_ARGS[@]}" > "$SMOKE_DIR/serial.out"
-python -m repro "${FLEET_ARGS[@]}" --workers 2 > "$SMOKE_DIR/sharded.out"
 filter_summaries "$SMOKE_DIR/serial.out" "$SMOKE_DIR/serial.txt"
+# Monitored on both sides: one diff covers the fleet report and the
+# monitor dashboards, which must match across execution modes too.
+python -m repro "${FLEET_ARGS[@]}" --monitor > "$SMOKE_DIR/serial-monitor.out"
+python -m repro "${FLEET_ARGS[@]}" --monitor --workers 2 > "$SMOKE_DIR/sharded.out"
+filter_summaries "$SMOKE_DIR/serial-monitor.out" "$SMOKE_DIR/serial-monitor.txt"
 filter_summaries "$SMOKE_DIR/sharded.out" "$SMOKE_DIR/sharded.txt"
-diff "$SMOKE_DIR/serial.txt" "$SMOKE_DIR/sharded.txt" \
+diff "$SMOKE_DIR/serial-monitor.txt" "$SMOKE_DIR/sharded.txt" \
     || { echo "sharded fleet output diverged from serial"; exit 1; }
 
 echo "== scenario smoke (workload registry + named scenario bit-identity) =="
@@ -144,7 +149,7 @@ assert record["wall_s"] > 0, record
 assert record["workers"] == 2, record
 print(f"ledger ok: run {record['run_id']} recorded {record['kind']}")
 PY
-python -m repro runs check
+python -m repro sentinel check
 
 echo "== profiler smoke (sharded --profile merges to one speedscope) =="
 # A tight sampling interval makes worker-batch samples a certainty even

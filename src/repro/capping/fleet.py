@@ -44,23 +44,15 @@ from repro.capping.scheduler import (
 )
 from repro.hardware.platform import NodeSpec, Platform, get_platform
 from repro.hardware.system import (
-    JobPowerPartial,
     PerlmutterSystem,
     RunningMoments,
     SystemPowerAccumulator,
     SystemPowerStats,
 )
 from repro.runner.cache import fingerprint
-from repro.runner.engine import (
-    DEFAULT_STREAM_CHUNK,
-    EngineConfig,
-    PowerEngine,
-    render_chunk_samples,
-)
+from repro.runner.engine import EngineConfig
 from repro.runner.sweep import SweepExecutor
-from repro.runner.trace import RunResult
 from repro.vasp.benchmarks import BENCHMARKS
-from repro.vasp.parallel import layout_for
 from repro.workloads.registry import workload_model_id
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -273,12 +265,10 @@ def simulate_fleet_traced(
     chunk_samples: int | None = None,
     engine_config: EngineConfig | None = None,
     seed: int = 0,
-    retain_traces: bool = False,
     monitor: "FleetMonitor | None" = None,
     platform: "str | Platform | None" = None,
     node_platforms: "list[str | Platform | NodeSpec] | None" = None,
     workers: int | None = None,
-    eager_pool: bool = False,
     checkpoint: "str | Path | None" = None,
     checkpoint_every: int = 64,
     resume: bool = False,
@@ -292,11 +282,13 @@ def simulate_fleet_traced(
     pass as :func:`simulate_fleet`; the report's power statistics come
     from replaying that schedule against a real node pool
     (:class:`PerlmutterSystem` allocations, per-node variability, cap
-    state).  Every execution mode reduces each job to a compact
-    :class:`repro.capping.shard.JobPartial` and folds the partials in
-    chronological job order through one shared fold (accumulator bins,
-    node moments, busy intervals, monitor state) — which is why the modes
-    below are bit-identical to each other.
+    state).  Every job is rendered by one routine,
+    :func:`repro.capping.shard.render_task_job` — in-process job by job
+    on the serial path, inside worker processes on the sharded one —
+    into a compact :class:`repro.capping.shard.JobPartial`, and the
+    partials fold in chronological job order through one shared fold
+    (accumulator bins, node moments, busy intervals, monitor state) —
+    which is why the modes below are bit-identical to each other.
 
     ``workers`` > 1 (or ``REPRO_SWEEP_WORKERS``) shards the schedule
     across worker processes (:func:`repro.capping.shard.run_sharded`):
@@ -310,8 +302,7 @@ def simulate_fleet_traced(
     ``resume=True`` restores the snapshot — after validating a content
     fingerprint of the simulation inputs — and continues from the next
     chronological job, producing the same bits as an uninterrupted run.
-    Incompatible with ``retain_traces`` and ``monitor`` (dense traces
-    and monitor state are not checkpointed).
+    Incompatible with ``monitor`` (monitor state is not checkpointed).
 
     ``heartbeat`` (or ``REPRO_FLEET_HEARTBEAT``) publishes a live,
     atomically-replaced JSON progress snapshot — jobs folded,
@@ -327,18 +318,11 @@ def simulate_fleet_traced(
     registry — the merged Chrome trace carries one row per worker pid,
     and merged counter totals equal a serial run's exactly.
 
-    ``retain_traces=True`` is the dense reference path: it renders and
-    retains every job's full trace before re-chunking it through the
-    same per-job fold, producing bit-identical statistics at
-    O(sum-of-traces) memory.  The memory-gated fleet bench compares the
-    two.  Always in-process (``workers`` must stay unset or 1).
-
-    ``monitor`` attaches a :class:`repro.monitor.FleetMonitor`: on the
-    serial path as a live engine-stream tap, on the sharded path by
-    replaying worker-recorded :class:`repro.monitor.JobMonitorPartial`
-    summaries in chronological order — both yield the same report.  It
-    never writes back; the fleet report is bit-identical with or without
-    it.  The caller finalizes the monitor.
+    ``monitor`` attaches a :class:`repro.monitor.FleetMonitor`: each job
+    renders with a :class:`repro.monitor.collector.JobProbe` on its
+    engine stream, and the fold replays the probe's partial in
+    chronological order — the same way in every mode.  It never writes back; the fleet report is
+    bit-identical with or without it.  The caller finalizes the monitor.
 
     ``platform`` selects the hardware platform for the whole pool;
     ``node_platforms`` instead builds a *mixed* pool, cycling the given
@@ -349,33 +333,14 @@ def simulate_fleet_traced(
 
     The node pool is lazy: only nodes that jobs actually touch are
     constructed (a 100k-node pool with a handful of jobs builds a
-    handful of nodes).  ``eager_pool=True`` forces up-front construction
-    of every node — the pre-sharding reference behaviour the scaling
-    bench compares against.  Monitored runs always materialize the pool
-    (the monitor surveys every node's idle band).
+    handful of nodes); serial runs reuse each built node across jobs.
+    Monitored runs materialize the whole pool (the monitor surveys every
+    node's idle band).
     """
-    if monitor is not None and retain_traces:
-        raise ValueError(
-            "monitor= requires the streaming path; retain_traces=True "
-            "renders dense traces (monitor them with observe_run instead)"
-        )
-    explicit_workers = workers is not None
     resolved_workers = shard.resolve_fleet_workers(len(jobs), workers)
-    if retain_traces and resolved_workers > 1:
-        if explicit_workers:
-            raise ValueError(
-                "retain_traces=True is the dense in-process reference "
-                "path; workers > 1 is unsupported"
-            )
-        # An ambient REPRO_SWEEP_WORKERS should not break the dense path.
-        resolved_workers = 1
     checkpoint_path = (
         Path(checkpoint) if checkpoint is not None else shard.checkpoint_path_from_env()
     )
-    if checkpoint_path is not None and retain_traces:
-        raise ValueError(
-            "checkpointing requires the streaming path (retain_traces=False)"
-        )
     if checkpoint_path is not None and monitor is not None:
         raise ValueError(
             "monitor state is not checkpointable; run monitored fleets "
@@ -418,12 +383,9 @@ def simulate_fleet_traced(
     with obs.span("fleet.schedule_traced", policy=policy_name, jobs=len(jobs)):
         schedule = PowerAwareScheduler(config).schedule(list(jobs))
     workloads = {job.job_id: job.workload for job in jobs}
-    if monitor is not None or eager_pool:
-        # The monitor surveys every node's idle band up front; eager_pool
-        # is the pre-sharding reference behaviour the scaling bench times.
-        built = pool.materialize()
-        if monitor is not None:
-            monitor.attach_pool(built)
+    if monitor is not None:
+        # The monitor surveys every node's idle band up front.
+        monitor.attach_pool(pool.materialize())
     idle_node_w = sum(spec.idle_node_w for spec in pool_specs) / len(pool_specs)
     accumulator = SystemPowerAccumulator(
         n_nodes=n_nodes, bin_s=bin_s, idle_node_w=idle_node_w
@@ -432,12 +394,8 @@ def simulate_fleet_traced(
     chunks_streamed = 0
     bytes_streamed = 0
     jobs_done = 0
-    retained: list[tuple[shard.ShardJobTask, RunResult]] = []
     #: (analytic end time, job id) release queue for pool bookkeeping.
     release_queue: list[tuple[float, str]] = []
-    #: Jobs of the same benchmark at the same width share a phase list;
-    #: building one is ~25 ms of SCF modelling, so memoize by content.
-    phase_cache: dict[str, list] = {}
     #: Uncapped runtime per (workload, width) for the monitor's slowdown
     #: accounting.  cached_estimate_run is itself memoized, but its key
     #: canonicalizes the whole workload (~1 ms/call) — at one call per
@@ -445,8 +403,9 @@ def simulate_fleet_traced(
     nominal_cache: dict[str, float] = {}
 
     # ---- plan: replay allocations, binding each job to node *names* ----
-    # No nodes are built here; workers (or the serial renderer) construct
-    # exactly the nodes their jobs touch from the deduplicated spec table.
+    # No nodes are built here; the per-job renderer touches exactly the
+    # nodes its job holds (the lazy pool in-process, a per-worker memo
+    # when sharded), specs coming from the deduplicated spec table.
     spec_table: list[NodeSpec] = []
     spec_ids: dict[int, int] = {}
     tasks: list[shard.ShardJobTask] = []
@@ -564,11 +523,7 @@ def simulate_fleet_traced(
         nodes_folded += partial.n_nodes
         obs.inc("repro_fleet_jobs_rendered_total")
         obs.inc("repro_fleet_partials_merged_total")
-        obs.gauge_set(
-            "repro_fleet_resident_bytes",
-            accumulator.resident_bytes
-            + sum(r.resident_bytes() for _, r in retained),
-        )
+        obs.gauge_set("repro_fleet_resident_bytes", accumulator.resident_bytes)
         if checkpoint_path is not None and (
             jobs_done % checkpoint_every == 0 or jobs_done == total_jobs
         ):
@@ -589,134 +544,42 @@ def simulate_fleet_traced(
         if beat is not None:
             beat.update(jobs_done, nodes_folded)
 
-    def phases_for(workload, width: int):
-        phase_key = fingerprint(
-            "fleet_phases", workload_model_id(workload), workload, width
-        )
-        phases = phase_cache.get(phase_key)
-        if phases is None:
-            parallel = layout_for(workload, width)
-            phases = phase_cache[phase_key] = workload.phases(parallel)
-        return phases
-
-    def run_serial(serial_tasks: "list[shard.ShardJobTask]") -> None:
-        for task in serial_tasks:
-            nodes = [pool.nodes[name] for name in task.node_names]
-            for node in nodes:
-                # A mixed pool may contain GPUs whose supported cap range
-                # does not include the policy's cap; clamp per node.
-                node.set_gpu_power_limit(shard.clamped_cap_w(task.cap_w, node.spec))
-            phases = phases_for(task.workload, task.n_nodes)
-            tap_factories: tuple = ()
-            if monitor is not None:
-                monitor.on_job_start(
-                    task.job_id,
-                    n_nodes=task.n_nodes,
-                    cap_w=task.cap_w,
-                    start_s=task.start_s,
-                    end_s=task.end_s,
-                    nominal_runtime_s=task.nominal_runtime_s,
-                )
-                tap_factories = (
-                    lambda dt, job_id=task.job_id: monitor.tap(job_id, dt),
-                )
-            fold(
-                shard.render_job_partial(
-                    nodes,
-                    phases,
-                    index=task.index,
-                    job_id=task.job_id,
-                    start_s=task.start_s,
-                    n_nodes=task.n_nodes,
-                    bin_s=bin_s,
-                    seed=task.seed,
-                    chunk_samples=chunk_samples,
-                    engine_config=engine_config,
-                    tap_factories=tap_factories,
-                )
-            )
-            if monitor is not None:
-                monitor.on_job_end(task.job_id)
-
+    monitor_config = monitor.config if monitor is not None else None
     with obs.span(
         "fleet.stream_traces",
         policy=policy_name,
         jobs=total_jobs,
-        dense=retain_traces,
         workers=resolved_workers,
     ):
-        if retain_traces:
-            step = chunk_samples or render_chunk_samples() or DEFAULT_STREAM_CHUNK
-            for task in tasks:
-                nodes = [pool.nodes[name] for name in task.node_names]
-                for node in nodes:
-                    node.set_gpu_power_limit(
-                        shard.clamped_cap_w(task.cap_w, node.spec)
-                    )
-                engine = PowerEngine(nodes, engine_config)
-                result = engine.run(
-                    phases_for(task.workload, task.n_nodes),
-                    label=task.job_id,
-                    seed=task.seed,
-                )
-                retained.append((task, result))
-                obs.gauge_set(
-                    "repro_fleet_resident_bytes",
-                    accumulator.resident_bytes
-                    + sum(r.resident_bytes() for _, r in retained),
-                )
-            # Dense reference: re-chunk the retained traces through the
-            # same per-job partial fold the streaming path uses —
-            # identical chunk boundaries, identical fold, bit-identical
-            # statistics; the paths differ only in peak resident memory.
-            for task, result in retained:
-                power = JobPowerPartial(start_s=task.start_s, bin_s=bin_s)
-                moment_rows: list[tuple] = []
-                chunks = 0
-                nbytes = 0
-                for trace in result.traces:
-                    dt = trace.sample_interval_s
-                    powers = trace.node_power
-                    times = trace.times
-                    for start in range(0, len(times), step):
-                        stop = min(start + step, len(times))
-                        power.add_samples(
-                            task.start_s, times[start:stop], powers[start:stop], dt
-                        )
-                        moment_rows.append(
-                            RunningMoments.from_batch(powers[start:stop]).state()
-                        )
-                        chunks += 1
-                        nbytes += int(powers[start:stop].nbytes)
-                power.trim()
-                fold(
-                    shard.JobPartial(
-                        index=task.index,
-                        job_id=task.job_id,
-                        start_s=task.start_s,
-                        n_nodes=task.n_nodes,
-                        runtime_s=result.runtime_s,
-                        power=power,
-                        moment_rows=moment_rows,
-                        chunks=chunks,
-                        nbytes=nbytes,
-                    )
-                )
-        elif resolved_workers > 1 and tasks:
-            pooled = shard.run_sharded(
-                tasks,
-                spec_table,
-                workers=resolved_workers,
+        pooled = resolved_workers > 1 and shard.run_sharded(
+            tasks,
+            spec_table,
+            workers=resolved_workers,
+            engine_config=engine_config,
+            bin_s=bin_s,
+            chunk_samples=chunk_samples,
+            monitor_config=monitor_config,
+            fold=fold,
+        )
+        if not pooled:
+            batch = shard.ShardTask(
+                shard_index=0,
+                specs=tuple(spec_table),
                 engine_config=engine_config,
                 bin_s=bin_s,
                 chunk_samples=chunk_samples,
-                monitor_config=monitor.config if monitor is not None else None,
-                fold=fold,
+                monitor_config=monitor_config,
+                jobs=tuple(tasks),
             )
-            if not pooled:
-                run_serial(tasks)
-        else:
-            run_serial(tasks)
+            #: Jobs of one benchmark at one width share a phase list;
+            #: building one is ~25 ms of SCF modelling, so memoize.
+            phases: dict[str, list] = {}
+            for job in batch.jobs:
+                fold(
+                    shard.render_task_job(
+                        job, batch, lambda name, _spec: pool.nodes[name], phases
+                    )
+                )
     if beat is not None:
         beat.finish(jobs_done, nodes_folded)
     system = accumulator.finalize()
@@ -772,7 +635,6 @@ def compare_fleet_policies_traced(
     bin_s: float = 1.0,
     chunk_samples: int | None = None,
     engine_config: EngineConfig | None = None,
-    retain_traces: bool = False,
     monitors: "tuple[FleetMonitor | None, FleetMonitor | None] | None" = None,
     platform: "str | Platform | None" = None,
     node_platforms: "list[str | Platform | NodeSpec] | None" = None,
@@ -835,7 +697,6 @@ def compare_fleet_policies_traced(
                 chunk_samples=chunk_samples,
                 engine_config=engine_config,
                 seed=seed,
-                retain_traces=retain_traces,
                 monitor=monitors[index] if monitors is not None else None,
                 platform=platform,
                 node_platforms=node_platforms,

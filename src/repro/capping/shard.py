@@ -10,7 +10,8 @@ machinery of :mod:`repro.runner.sweep` to the fleet path:
   across shards by per-node render cost (platform-aware, so mixed
   ``node_platforms`` pools split evenly), and each worker process
   rebuilds its jobs' nodes from (name, spec) and renders them through
-  :meth:`repro.runner.engine.PowerEngine.stream`.
+  :func:`render_task_job` — the same per-job routine serial runs call
+  in-process.
 * Workers never ship raw trace chunks.  Each job comes back as a
   compact :class:`JobPartial`: an origin-offset
   :class:`~repro.hardware.system.JobPowerPartial` energy array, one
@@ -53,7 +54,6 @@ from repro.vasp.workload import VaspWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.monitor.collector import JobMonitorPartial, MonitorConfig
-    from repro.vasp.phases import MacroPhase
 
 logger = logging.getLogger(__name__)
 
@@ -109,7 +109,11 @@ class ShardJobTask:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One worker's batch of the schedule plus shared render parameters."""
+    """A batch of scheduled jobs plus their shared render parameters.
+
+    One worker batch on the sharded path; the whole schedule on the
+    serial path, which renders it in-process job by job.
+    """
 
     shard_index: int
     specs: tuple[NodeSpec, ...]
@@ -157,40 +161,70 @@ class ShardResult:
 # ----------------------------------------------------------------------
 # Rendering (shared by the serial path and the shard workers)
 # ----------------------------------------------------------------------
-def render_job_partial(
-    nodes: list[GpuNode],
-    phases: "list[MacroPhase]",
-    *,
-    index: int,
-    job_id: str,
-    start_s: float,
-    n_nodes: int,
-    bin_s: float,
-    seed: int,
-    chunk_samples: int | None,
-    engine_config: EngineConfig | None,
-    tap_factories: Sequence[Callable[[float], Callable]] = (),
-) -> JobPartial:
-    """Render one job's traces and reduce them to a :class:`JobPartial`.
+def clamped_cap_w(cap_w: float, spec: NodeSpec) -> float:
+    """A policy cap clamped to one node's supported GPU cap range."""
+    gpu = spec.gpu
+    return min(max(cap_w, gpu.cap_min_w), gpu.cap_max_w)
 
-    This is the single render-and-reduce routine every execution mode
-    runs — in-process for serial fleets, inside a worker for sharded
-    ones — which is what makes the modes bit-identical.  Each
-    ``tap_factories`` entry receives the engine's sample interval and
-    returns an ``on_chunk`` tap (live monitor or worker probe).
+
+def render_task_job(
+    job: ShardJobTask,
+    task: ShardTask,
+    node_for: Callable[[str, NodeSpec], GpuNode],
+    phase_cache: dict[str, list],
+) -> JobPartial:
+    """Render one scheduled job's traces and reduce them to a :class:`JobPartial`.
+
+    The only way a fleet job is rendered: serial runs call it in-process
+    job by job, shard workers call it for every job of a batch — which
+    is what makes the modes bit-identical.  ``node_for(name, spec)``
+    supplies the job's nodes (the pool's lazy map in-process, the
+    per-process memo in workers); a node's only per-job state, its GPU
+    cap, is set here before every render.  ``phase_cache`` memoizes
+    phase lists by content.  Monitored runs (``task.monitor_config``)
+    observe the stream through a :class:`repro.monitor.collector.JobProbe`
+    whose partial rides home on the job partial.
     """
-    engine = PowerEngine(nodes, engine_config)
-    taps = tuple(
-        factory(engine.config.base_interval_s) for factory in tap_factories
+    specs = [task.specs[i] for i in job.spec_indices]
+    nodes = [node_for(name, spec) for name, spec in zip(job.node_names, specs)]
+    for node in nodes:
+        # A mixed pool may contain GPUs whose supported cap range does
+        # not include the policy's cap; clamp per node.
+        node.set_gpu_power_limit(clamped_cap_w(job.cap_w, node.spec))
+    phase_key = fingerprint(
+        "fleet_phases", workload_model_id(job.workload), job.workload, job.n_nodes
     )
+    phases = phase_cache.get(phase_key)
+    if phases is None:
+        parallel = layout_for(job.workload, job.n_nodes)
+        phases = phase_cache[phase_key] = job.workload.phases(parallel)
+    engine = PowerEngine(nodes, task.engine_config)
+    probe = None
+    if task.monitor_config is not None:
+        from repro.monitor.collector import JobProbe, node_idle_bands
+
+        probe = JobProbe(
+            task.monitor_config,
+            job_id=job.job_id,
+            n_nodes=job.n_nodes,
+            cap_w=job.cap_w,
+            start_s=job.start_s,
+            end_s=job.end_s,
+            nominal_runtime_s=job.nominal_runtime_s,
+            node_bands=node_idle_bands(
+                task.monitor_config, zip(job.node_names, specs)
+            ),
+        )
     streamed = engine.stream(
         phases,
-        label=job_id,
-        seed=seed,
-        chunk_samples=chunk_samples,
-        on_chunk=taps or None,
+        label=job.job_id,
+        seed=job.seed,
+        chunk_samples=task.chunk_samples,
+        on_chunk=(
+            probe.tap(engine.config.base_interval_s) if probe is not None else None
+        ),
     )
-    power = JobPowerPartial(start_s=start_s, bin_s=bin_s)
+    power = JobPowerPartial(start_s=job.start_s, bin_s=task.bin_s)
     moment_rows: list[tuple] = []
     chunks = 0
     nbytes = 0
@@ -198,28 +232,23 @@ def render_job_partial(
     for chunk in streamed.chunks:
         if chunk.component != "node":
             continue
-        power.add_samples(start_s, chunk.times, chunk.values, dt)
+        power.add_samples(job.start_s, chunk.times, chunk.values, dt)
         moment_rows.append(RunningMoments.from_batch(chunk.values).state())
         chunks += 1
         nbytes += int(chunk.values.nbytes)
     power.trim()
     return JobPartial(
-        index=index,
-        job_id=job_id,
-        start_s=start_s,
-        n_nodes=n_nodes,
+        index=job.index,
+        job_id=job.job_id,
+        start_s=job.start_s,
+        n_nodes=job.n_nodes,
         runtime_s=streamed.runtime_s,
         power=power,
         moment_rows=moment_rows,
         chunks=chunks,
         nbytes=nbytes,
+        monitor=probe.partial if probe is not None else None,
     )
-
-
-def clamped_cap_w(cap_w: float, spec: NodeSpec) -> float:
-    """A policy cap clamped to one node's supported GPU cap range."""
-    gpu = spec.gpu
-    return min(max(cap_w, gpu.cap_min_w), gpu.cap_max_w)
 
 
 #: Worker-process-global phase memo: batched submission sends several
@@ -227,6 +256,17 @@ def clamped_cap_w(cap_w: float, spec: NodeSpec) -> float:
 #: width) must not re-run ~25 ms of SCF modelling per batch.  Keyed by
 #: content fingerprint, so it is safe across batches of different runs.
 _WORKER_PHASE_CACHE: dict[str, list] = {}
+#: Worker-process-global node memo, keyed by (name, spec): construction
+#: (~0.45 ms per node) is deterministic in both, so a node is built once
+#: per process however many jobs and batches touch it.
+_WORKER_NODES: dict[tuple[str, NodeSpec], GpuNode] = {}
+
+
+def _worker_node(name: str, spec: NodeSpec) -> GpuNode:
+    node = _WORKER_NODES.get((name, spec))
+    if node is None:
+        node = _WORKER_NODES[(name, spec)] = GpuNode(name=name, spec=spec)
+    return node
 
 
 def _render_shard(task: ShardTask) -> ShardResult:
@@ -253,7 +293,7 @@ def _render_shard(task: ShardTask) -> ShardResult:
             "shard.render_batch", shard=task.shard_index, jobs=len(task.jobs)
         ):
             partials = [
-                _render_task_job(job, task, _WORKER_PHASE_CACHE)
+                render_task_job(job, task, _worker_node, _WORKER_PHASE_CACHE)
                 for job in task.jobs
             ]
     finally:
@@ -261,56 +301,6 @@ def _render_shard(task: ShardTask) -> ShardResult:
             obs_merge.finish_worker_capture(token) if token is not None else None
         )
     return ShardResult(jobs=partials, obs=captured)
-
-
-def _render_task_job(
-    job: ShardJobTask, task: ShardTask, phase_cache: dict[str, list]
-) -> JobPartial:
-    specs = [task.specs[i] for i in job.spec_indices]
-    nodes = [
-        GpuNode(name=name, spec=spec) for name, spec in zip(job.node_names, specs)
-    ]
-    for node in nodes:
-        node.set_gpu_power_limit(clamped_cap_w(job.cap_w, node.spec))
-    phase_key = fingerprint(
-        "fleet_phases", workload_model_id(job.workload), job.workload, job.n_nodes
-    )
-    phases = phase_cache.get(phase_key)
-    if phases is None:
-        parallel = layout_for(job.workload, job.n_nodes)
-        phases = phase_cache[phase_key] = job.workload.phases(parallel)
-    probe = None
-    tap_factories: tuple = ()
-    if task.monitor_config is not None:
-        from repro.monitor.collector import JobProbe
-
-        probe = JobProbe(
-            task.monitor_config,
-            job_id=job.job_id,
-            n_nodes=job.n_nodes,
-            cap_w=job.cap_w,
-            start_s=job.start_s,
-            end_s=job.end_s,
-            nominal_runtime_s=job.nominal_runtime_s,
-            node_specs=dict(zip(job.node_names, specs)),
-        )
-        tap_factories = (probe.tap,)
-    partial = render_job_partial(
-        nodes,
-        phases,
-        index=job.index,
-        job_id=job.job_id,
-        start_s=job.start_s,
-        n_nodes=job.n_nodes,
-        bin_s=task.bin_s,
-        seed=job.seed,
-        chunk_samples=task.chunk_samples,
-        engine_config=task.engine_config,
-        tap_factories=tap_factories,
-    )
-    if probe is not None:
-        partial.monitor = probe.partial
-    return partial
 
 
 # ----------------------------------------------------------------------

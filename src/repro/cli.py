@@ -18,7 +18,6 @@ Installed as ``repro`` (also ``python -m repro``)::
     repro reproduce fig10 --trace t.json --metrics m.prom
     repro runs list                    # durable run ledger (.repro_runs/)
     repro runs show last               # one run's full JSON record
-    repro runs check                   # regression-check vs ledger history
     repro sentinel check               # robust-baseline regression sentinel
     repro sentinel report              # per-fingerprint health + change points
     repro sentinel baseline            # the mined baselines themselves
@@ -859,15 +858,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
     monitors = None
     if args.monitor or monitoring_requested():
-        if args.retain_traces:
-            print("--monitor requires the streaming path; ignoring with --retain-traces")
-        else:
-            monitors = (
-                FleetMonitor(
-                    MonitorConfig(platform=platform), label="50% TDP policy"
-                ),
-                FleetMonitor(MonitorConfig(platform=platform), label="uncapped"),
-            )
+        monitors = (
+            FleetMonitor(MonitorConfig(platform=platform), label="50% TDP policy"),
+            FleetMonitor(MonitorConfig(platform=platform), label="uncapped"),
+        )
     with obs.span("cli.fleet", jobs=n_jobs, nodes=n_nodes):
         capped, uncapped = compare_fleet_policies_traced(
             n_jobs=n_jobs,
@@ -877,7 +871,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             bin_s=args.bin_s,
             chunk_samples=args.chunk,
             engine_config=engine_config,
-            retain_traces=args.retain_traces,
             monitors=monitors,
             platform=platform,
             node_platforms=node_platforms,
@@ -890,14 +883,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         )
     run_ledger.annotate_run(
         # Execution mode (workers, live capture) is part of the
-        # fingerprint: `repro runs check` compares wall time, and a
+        # fingerprint: `repro sentinel check` compares wall time, and a
         # sharded or traced run is only comparable to its own kind.
         # Scenario runs are their own kind too; default runs keep the
-        # historical fingerprint (no trailing None) so ledger history
-        # stays comparable across this change.
+        # historical fingerprint (no trailing None, and a literal False
+        # where the removed dense-trace flag sat) so ledger history
+        # stays comparable.
         fingerprint=fingerprint(
             "cli.fleet", n_jobs, n_nodes, budget, args.seed, args.bin_s,
-            args.chunk, args.resolution, args.platform, args.retain_traces,
+            args.chunk, args.resolution, args.platform, False,
             args.workers, args.trace is not None, args.metrics is not None,
             *((scenario.id,) if scenario is not None else ()),
         ),
@@ -1039,7 +1033,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs(args: argparse.Namespace) -> int:
-    """Query the durable run ledger: list / show / last / diff / check."""
+    """Query the durable run ledger: list / show / last / diff."""
     ledger = run_ledger.RunLedger()
     records = ledger.records()
     action = args.runs_command
@@ -1090,42 +1084,20 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             return 2
         print(json.dumps(record.to_json(), indent=2, sort_keys=True))
         return 0
-    if action == "diff":
-        try:
-            record_a = ledger.find(args.ref_a)
-            record_b = ledger.find(args.ref_b)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}")
-            return 2
-        changed = run_ledger.diff_records(record_a, record_b)
-        print(f"diff {record_a.run_id} -> {record_b.run_id}")
-        if not changed:
-            print("  records are equivalent (identity fields excluded)")
-            return 0
-        for key, value_a, value_b in changed:
-            print(f"  {key:36s} {value_a!r} -> {value_b!r}")
-        return 0
-    # action == "check"
+    # action == "diff"
     try:
-        target = ledger.find(args.ref)
+        record_a = ledger.find(args.ref_a)
+        record_b = ledger.find(args.ref_b)
     except KeyError as exc:
         print(f"error: {exc.args[0]}")
         return 2
-    if target.fingerprint is None:
-        print(f"run {target.run_id} has no config fingerprint; nothing to check")
+    changed = run_ledger.diff_records(record_a, record_b)
+    print(f"diff {record_a.run_id} -> {record_b.run_id}")
+    if not changed:
+        print("  records are equivalent (identity fields excluded)")
         return 0
-    findings, history = run_ledger.check_regression(
-        records, target, tolerance=args.tolerance, min_history=args.min_history
-    )
-    print(
-        f"checked {target.run_id} ({target.kind}) against {history} "
-        f"comparable run(s)"
-    )
-    if findings:
-        for finding in findings:
-            print(f"  REGRESSION: {finding}")
-        return 1
-    print("  no regressions found")
+    for key, value_a, value_b in changed:
+        print(f"  {key:36s} {value_a!r} -> {value_b!r}")
     return 0
 
 
@@ -1496,11 +1468,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace sample interval (coarser = faster; 0.1 matches the paper)",
     )
     p_fleet.add_argument(
-        "--retain-traces",
-        action="store_true",
-        help="dense reference path: retain all traces (O(fleet) memory)",
-    )
-    p_fleet.add_argument(
         "--monitor",
         action="store_true",
         help="attach a live health monitor per policy and print its dashboard",
@@ -1638,33 +1605,6 @@ def build_parser() -> argparse.ArgumentParser:
     r_diff.add_argument("ref_a", help="run id prefix or 'last'")
     r_diff.add_argument("ref_b", nargs="?", default="last")
     r_diff.set_defaults(func=_cmd_runs)
-    r_check = runs_sub.add_parser(
-        "check", help="regression-check a run against its ledger history"
-    )
-    r_check.add_argument("ref", nargs="?", default="last")
-    r_check.add_argument(
-        "--tolerance",
-        "--threshold",
-        dest="tolerance",
-        type=float,
-        default=sentinel.DEFAULT_TOLERANCE,
-        metavar="FRACTION",
-        help=(
-            "relative wall-time slowdown tolerated vs the robust baseline "
-            f"median (default {sentinel.DEFAULT_TOLERANCE:+.0%})"
-        ),
-    )
-    r_check.add_argument(
-        "--min-history",
-        type=int,
-        default=sentinel.DEFAULT_MIN_HISTORY,
-        metavar="N",
-        help=(
-            "comparable runs required before statistical checks judge "
-            f"(default {sentinel.DEFAULT_MIN_HISTORY})"
-        ),
-    )
-    r_check.set_defaults(func=_cmd_runs)
 
     p_sentinel = sub.add_parser(
         "sentinel",

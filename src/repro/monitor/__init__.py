@@ -9,10 +9,11 @@ with debounce/hysteresis and a JSON log sink
 (:mod:`~repro.monitor.alerts`), and per-job energy accounting rendered
 as text/JSON power reports (:mod:`~repro.monitor.energy`).
 
-:class:`FleetMonitor` ties it together and subscribes to the engine's
-chunk streams, ``simulate_fleet_traced(monitor=...)``, or OmniStore
-ingest.  The collector is observation-only: monitored runs are
-bit-identical to unmonitored ones.
+:class:`FleetMonitor` ties it together.  Engine chunk streams reach it
+one way — per-job ``JobProbe`` partials, from
+``simulate_fleet_traced(monitor=...)`` or ``FleetMonitor.observe_run`` —
+and stored telemetry through OmniStore ingest.  The collector is
+observation-only: monitored runs are bit-identical to unmonitored ones.
 
 Environment variables: ``REPRO_MONITOR`` (ambient CLI monitoring),
 ``REPRO_MONITOR_WINDOW`` (ring-buffer samples per node),

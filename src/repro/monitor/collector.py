@@ -1,14 +1,18 @@
 """The live telemetry collector: streams in, health signals out.
 
 :class:`FleetMonitor` is the OMNI/LDMS-style standing pipeline the paper's
-methodology presumes: it subscribes to chunk streams
-(:meth:`repro.runner.engine.PowerEngine.stream` taps,
-:func:`repro.capping.fleet.simulate_fleet_traced`, or
-:class:`repro.telemetry.omni.OmniStore` ingest), maintains per-node ring
-buffers plus incremental :class:`~repro.hardware.system.RunningMoments`,
-and derives the health signals of :mod:`repro.monitor.health`.  On top
-sit the declarative alert rules (:mod:`repro.monitor.alerts`) and the
-per-job energy ledger (:mod:`repro.monitor.energy`).
+methodology presumes.  Engine chunk streams reach it one way: a per-job
+:class:`JobProbe` observes the chunks — tapped onto
+:meth:`repro.runner.engine.PowerEngine.stream` by
+:func:`repro.capping.fleet.simulate_fleet_traced` (serial or sharded), or
+fed retained traces by :meth:`FleetMonitor.observe_run` — and the
+monitor replays its :class:`JobMonitorPartial` in chronological job
+order.  :class:`repro.telemetry.omni.OmniStore` ingest feeds per-node
+ring buffers.  The monitor keeps incremental
+:class:`~repro.hardware.system.RunningMoments` and derives the health
+signals of :mod:`repro.monitor.health`.  On top sit the declarative
+alert rules (:mod:`repro.monitor.alerts`) and the per-job energy ledger
+(:mod:`repro.monitor.energy`).
 
 The collector is strictly an observer: it reads sample values and never
 writes back into the data path, so a monitored run is bit-identical to
@@ -22,12 +26,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from repro import obs
 from repro.hardware.node import GpuNode
-from repro.hardware.platform import Platform, get_platform
+from repro.hardware.platform import NodeSpec, Platform, get_platform
 from repro.hardware.system import RunningMoments
 from repro.monitor.alerts import AlertManager, AlertRule
 from repro.monitor.buffers import RingBuffer
@@ -71,6 +76,19 @@ def monitoring_requested() -> bool:
     """True when ``REPRO_MONITOR`` asks for ambient monitoring."""
     value = os.environ.get(MONITOR_ENV, "").strip().lower()
     return value not in ("", "0", "false", "off")
+
+
+def node_idle_bands(
+    config: "MonitorConfig", named_specs: "Iterable[tuple[str, NodeSpec]]"
+) -> dict[str, tuple[float, float]]:
+    """Per-node idle bands from (name, spec) pairs, for mixed pools.
+
+    Empty when the config pins an explicit band: that band then applies
+    to every node.
+    """
+    if config.idle_min_w is not None or config.idle_max_w is not None:
+        return {}
+    return {name: (spec.idle_min_w, spec.idle_max_w) for name, spec in named_specs}
 
 
 @dataclass(frozen=True)
@@ -124,26 +142,17 @@ class MonitorConfig:
 
 
 @dataclass
-class _JobState:
-    """Per-open-job monitor state (cap usage shared across its GPUs)."""
-
-    cap_w: float
-    start_s: float
-    usage: CapUsage = field(default_factory=CapUsage)
-
-
-@dataclass
 class JobMonitorPartial:
     """One job's monitor observations, compact enough to cross IPC.
 
-    Produced by :class:`JobProbe` inside a shard worker; replayed — in
-    chronological job order — through
-    :meth:`FleetMonitor.absorb_job_partial` at the coordinator.  Events
-    preserve the exact signal sequence the live tap path would have
-    emitted, so debounce/hysteresis state in the alert engine evolves
-    identically; moments and gap decisions that need cross-job state
-    (drift, staleness ``_last_seen``) ship as per-chunk summaries the
-    coordinator's detectors fold with their own state.
+    Produced by :class:`JobProbe` while the job renders (in-process or
+    inside a shard worker); replayed — in chronological job order —
+    through :meth:`FleetMonitor.absorb_job_partial`.  Events keep the
+    job's signals in observation order, so debounce/hysteresis state in
+    the alert engine evolves the same way in every execution mode;
+    moments and gap decisions that need cross-job state (drift,
+    staleness ``_last_seen``) ship as per-chunk summaries the monitor's
+    detectors fold with their own state.
     """
 
     job_id: str
@@ -166,14 +175,17 @@ class JobMonitorPartial:
 
 
 class JobProbe:
-    """Worker-side monitor observer for a single job.
+    """The monitor's chunk observer for a single job.
 
-    Mirrors :meth:`FleetMonitor.observe_chunk` float-for-float, but
-    instead of mutating shared monitor state it records a
-    :class:`JobMonitorPartial` for the coordinator to replay.  Detectors
-    that are stateless within a job (cap, idle) run here; detectors
-    whose state spans jobs (staleness, drift, alerts) are summarized per
-    chunk and resolved at the coordinator.
+    Every monitored chunk — fleet streams, serial or sharded, and
+    ``observe_run`` replays — passes through a probe.  Instead of
+    mutating shared monitor state it records a
+    :class:`JobMonitorPartial` for :meth:`FleetMonitor.absorb_job_partial`
+    to replay.  Detectors that are stateless within a job (cap, idle)
+    run here; detectors whose state spans jobs (staleness, drift,
+    alerts) are summarized per chunk and resolved by the monitor.
+    ``node_bands`` holds per-node idle bands (see
+    :func:`node_idle_bands`); nodes without one use the platform band.
     """
 
     def __init__(
@@ -185,7 +197,7 @@ class JobProbe:
         start_s: float,
         end_s: float,
         nominal_runtime_s: float | None,
-        node_specs: "dict[str, object]",
+        node_bands: dict[str, tuple[float, float]],
     ) -> None:
         platform = get_platform(config.platform)
         self._idle = IdleOutlierDetector(
@@ -198,12 +210,7 @@ class JobProbe:
             throttle_band=config.throttle_band,
             gpu_spec=platform.gpu,
         )
-        # Same rule as attach_pool: per-node bands only when the config
-        # pins no explicit band.
-        self._node_bands: dict[str, tuple[float, float]] = {}
-        if config.idle_min_w is None and config.idle_max_w is None:
-            for name, spec in node_specs.items():
-                self._node_bands[name] = (spec.idle_min_w, spec.idle_max_w)
+        self._node_bands = node_bands
         self.partial = JobMonitorPartial(
             job_id=job_id,
             n_nodes=n_nodes,
@@ -309,11 +316,6 @@ class FleetMonitor:
         #: Per-node idle bands learned from the attached pool (mixed
         #: pools); empty when the config pins an explicit band.
         self._node_bands: dict[str, tuple[float, float]] = {}
-        self._caps = CapMonitor(
-            violation_tolerance=self.config.violation_tolerance,
-            throttle_band=self.config.throttle_band,
-            gpu_spec=platform.gpu,
-        )
         self._staleness = StalenessDetector(max_gap_s=self.config.max_gap_s)
         self._drift = DriftDetector(
             z_threshold=self.config.drift_z_threshold,
@@ -329,10 +331,9 @@ class FleetMonitor:
         if stream_path is not None:
             self.alerts.stream_to(stream_path)
         self.ledger = EnergyLedger()
-        self._jobs: dict[str, _JobState] = {}
-        #: Node -> time of its most recent sample; maintained by both the
-        #: live tap path and partial replay (ring buffers exist only on
-        #: the live path, so reports read this instead).
+        #: Node -> time of its most recent sample; maintained by partial
+        #: replay and store ingest (ring buffers exist only for ingest,
+        #: so reports read this instead).
         self._last_times: dict[str, float] = {}
         self.signals: list[HealthSignal] = []
         self.signal_counts: dict[str, int] = {}
@@ -373,147 +374,41 @@ class FleetMonitor:
         later streaming idle checks in a mixed-platform pool judge every
         node against the right envelope (an explicit config band wins).
         """
-        if self.config.idle_min_w is None and self.config.idle_max_w is None:
-            for node in nodes:
-                self._node_bands[node.name] = (
-                    node.spec.idle_min_w,
-                    node.spec.idle_max_w,
-                )
+        self._node_bands.update(
+            node_idle_bands(self.config, ((node.name, node.spec) for node in nodes))
+        )
         with obs.span("monitor.attach_pool", nodes=len(nodes)):
             self._emit(self._idle.scan_pool(nodes, time_s=time_s))
 
-    def on_job_start(
-        self,
-        job_id: str,
-        n_nodes: int,
-        cap_w: float,
-        start_s: float,
-        end_s: float,
-        nominal_runtime_s: float | None = None,
-    ) -> None:
-        """Open accounting and cap tracking for a scheduled job."""
+    def absorb_job_partial(self, partial: JobMonitorPartial) -> None:
+        """Replay one job's :class:`JobProbe` partial into this monitor.
+
+        Opens the job's energy account, replays its events, then closes
+        the account and judges throttle residency.  Must be called in
+        chronological job order, so detectors whose state spans jobs
+        (staleness ``_last_seen``, alert debounce/hysteresis, the drift
+        moments) evolve through one sequence whichever process rendered
+        the job — a sharded monitored run finalizes to the same report
+        as a serial one.
+        """
+        job_id = partial.job_id
         self.ledger.open_job(
             job_id,
-            n_nodes=n_nodes,
-            cap_w=cap_w,
-            start_s=start_s,
-            end_s=end_s,
-            nominal_runtime_s=nominal_runtime_s,
-        )
-        self._jobs[job_id] = _JobState(cap_w=cap_w, start_s=start_s)
-
-    def observe_chunk(
-        self,
-        job_id: str,
-        node_name: str,
-        component: str,
-        times: np.ndarray,
-        values: np.ndarray,
-        interval_s: float,
-    ) -> None:
-        """Fold one streamed chunk of one component into the monitor.
-
-        ``times`` are job-relative sample midpoints; the job's start
-        offset (from :meth:`on_job_start`) places them on the system
-        clock.  Only ``node`` and GPU components carry health semantics;
-        other components return immediately.
-        """
-        is_gpu = component in _GPU_COMPONENTS
-        if component != "node" and not is_gpu:
-            return
-        if values.size == 0:
-            return
-        state = self._jobs[job_id]
-        absolute = state.start_s + np.asarray(times, dtype=float)
-        self.chunks_observed += 1
-        self.samples_observed += int(values.size)
-        obs.inc("repro_monitor_chunks_total")
-        horizon = float(absolute[-1]) + interval_s / 2.0
-        if horizon > self._horizon_s:
-            self._horizon_s = horizon
-        if is_gpu:
-            self._emit(
-                self._caps.check_chunk(
-                    node_name,
-                    state.cap_w,
-                    absolute,
-                    np.asarray(values, dtype=float),
-                    interval_s,
-                    state.usage,
-                )
-            )
-            return
-        values = np.asarray(values, dtype=float)
-        self.ledger.add_node_samples(job_id, values, interval_s)
-        self._buffer(node_name).push_batch(absolute, values)
-        self._last_times[node_name] = float(absolute[-1])
-        self._drift.update(node_name, values)
-        self._emit(self._staleness.observe(node_name, absolute))
-        band = self._node_bands.get(node_name)
-        self._emit(
-            self._idle.check_samples(
-                node_name,
-                absolute,
-                values,
-                idle_min_w=band[0] if band is not None else None,
-                idle_max_w=band[1] if band is not None else None,
-            )
-        )
-
-    def on_job_end(self, job_id: str) -> None:
-        """Close a job: settle its ledger and judge throttle residency."""
-        state = self._jobs.pop(job_id)
-        self.ledger.add_gpu_time(
-            job_id, state.usage.gpu_seconds, state.usage.cap_limited_s
-        )
-        account = self.ledger.close_job(job_id)
-        residency = state.usage.throttle_residency
-        if residency >= self.config.throttle_residency_threshold:
-            self._emit(
-                [
-                    HealthSignal(
-                        kind="throttle_residency",
-                        node_name=job_id,
-                        time_s=account.end_s,
-                        value=residency,
-                        threshold=self.config.throttle_residency_threshold,
-                        detail=(
-                            f"{residency:.0%} of GPU time at cap "
-                            f"{state.cap_w:.0f} W "
-                            f"(est. slowdown {account.cap_slowdown:.2f}x)"
-                        ),
-                    )
-                ]
-            )
-
-    def absorb_job_partial(self, partial: JobMonitorPartial) -> None:
-        """Replay one worker-produced job partial into this monitor.
-
-        Must be called in chronological job order — the same order the
-        live tap path observes jobs — so detectors whose state spans
-        jobs (staleness ``_last_seen``, alert debounce/hysteresis, the
-        drift moments) evolve through the identical sequence.  A sharded
-        monitored run finalizes to the same report as a serial one.
-        """
-        self.on_job_start(
-            partial.job_id,
             n_nodes=partial.n_nodes,
             cap_w=partial.cap_w,
             start_s=partial.start_s,
             end_s=partial.end_s,
             nominal_runtime_s=partial.nominal_runtime_s,
         )
-        state = self._jobs[partial.job_id]
         self.chunks_observed += partial.chunks_observed
         self.samples_observed += partial.samples_observed
         if partial.chunks_observed:
             obs.inc("repro_monitor_chunks_total", partial.chunks_observed)
         if partial.horizon_s > self._horizon_s:
             self._horizon_s = partial.horizon_s
-        # Job-level ledger scalars accumulate from zero inside the
-        # worker with the same operations the live path uses, so adding
-        # the totals once is fold-exact.
-        account = self.ledger.account(partial.job_id)
+        # Job-level ledger scalars accumulate from zero in the probe, so
+        # adding the totals to the fresh account once is fold-exact.
+        account = self.ledger.account(job_id)
         account.energy_j += partial.energy_j
         account.samples += partial.energy_samples
         account.peak_node_w = max(account.peak_node_w, partial.peak_node_w)
@@ -529,23 +424,27 @@ class FleetMonitor:
                     )
                 )
                 self._last_times[name] = last_s
-        state.usage = partial.usage
-        self.on_job_end(partial.job_id)
-
-    def tap(self, job_id: str, interval_s: float):
-        """A :meth:`PowerEngine.stream` ``on_chunk`` callback for a job."""
-
-        def _on_chunk(chunk) -> None:
-            self.observe_chunk(
-                job_id,
-                chunk.node_name,
-                chunk.component,
-                chunk.times,
-                chunk.values,
-                interval_s,
+        usage = partial.usage
+        self.ledger.add_gpu_time(job_id, usage.gpu_seconds, usage.cap_limited_s)
+        account = self.ledger.close_job(job_id)
+        residency = usage.throttle_residency
+        if residency >= self.config.throttle_residency_threshold:
+            self._emit(
+                [
+                    HealthSignal(
+                        kind="throttle_residency",
+                        node_name=job_id,
+                        time_s=account.end_s,
+                        value=residency,
+                        threshold=self.config.throttle_residency_threshold,
+                        detail=(
+                            f"{residency:.0%} of GPU time at cap "
+                            f"{partial.cap_w:.0f} W "
+                            f"(est. slowdown {account.cap_slowdown:.2f}x)"
+                        ),
+                    )
+                ]
             )
-
-        return _on_chunk
 
     def observe_run(
         self,
@@ -557,18 +456,21 @@ class FleetMonitor:
     ) -> None:
         """Post-hoc monitoring of a completed run's retained traces.
 
-        Replays the node and GPU rows of every trace through the same
-        streaming path ``observe_chunk`` serves — what ``cap-sweep
-        --monitor`` uses, since sweeps retain whole traces.
+        Replays the node and GPU rows of every trace through a
+        :class:`JobProbe` — the observer fleet streams use — and absorbs
+        its partial; what ``cap-sweep --monitor`` uses, since sweeps
+        retain whole traces.
         """
         label = job_id if job_id is not None else result.label
-        self.on_job_start(
-            label,
+        probe = JobProbe(
+            self.config,
+            job_id=label,
             n_nodes=result.n_nodes,
             cap_w=result.gpu_power_cap_w,
             start_s=start_s,
             end_s=start_s + result.runtime_s,
             nominal_runtime_s=nominal_runtime_s,
+            node_bands=self._node_bands,
         )
         with obs.span("monitor.observe_run", job=label, nodes=result.n_nodes):
             for trace in result.traces:
@@ -578,15 +480,14 @@ class FleetMonitor:
                     series = trace.components[component]
                     for lo in range(0, len(times), chunk_samples):
                         hi = min(lo + chunk_samples, len(times))
-                        self.observe_chunk(
-                            label,
+                        probe.observe_chunk(
                             trace.node_name,
                             component,
                             times[lo:hi],
                             series[lo:hi],
                             dt,
                         )
-        self.on_job_end(label)
+        self.absorb_job_partial(probe.partial)
 
     def ingest_series(self, series: SampledSeries) -> None:
         """OmniStore subscription hook: watch an ingested sampled series.
@@ -632,8 +533,6 @@ class FleetMonitor:
             return self._finalized
         now = now_s if now_s is not None else self._horizon_s
         with obs.span("monitor.finalize", label=self.label):
-            for job_id in sorted(self._jobs):
-                self.on_job_end(job_id)
             self._emit(self._staleness.sweep(now))
             self._emit(self._drift.finalize(now))
             self.alerts.sweep(now + max(
@@ -677,7 +576,7 @@ class FleetMonitor:
 
     @property
     def resident_bytes(self) -> int:
-        """Bytes held by the per-node ring buffers."""
+        """Bytes held by the per-node ring buffers (store ingest)."""
         return sum(buffer.nbytes for buffer in self._buffers.values())
 
 

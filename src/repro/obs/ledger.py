@@ -6,8 +6,8 @@ run.  This module gives the reproduction harness the same property: each
 ``repro`` engine/fleet/sweep/monitor invocation appends one structured
 record (config fingerprint, platform ids, worker count, wall time,
 energy totals, cache/dedupe stats, alert counts, checkpoint lineage) to
-``.repro_runs/ledger.jsonl``, and the ``repro runs`` CLI lists, shows,
-diffs and regression-checks the history.
+``.repro_runs/ledger.jsonl``; the ``repro runs`` CLI lists, shows and
+diffs the history, and ``repro sentinel`` regression-checks it.
 
 Durability contract: appends are a **single ``O_APPEND`` write** of one
 newline-terminated line — the kernel serializes concurrent appenders, so
@@ -102,7 +102,7 @@ class RunRecord:
 
     Dict-valued fields are free-form per ``kind`` (e.g. ``fleet`` holds
     per-policy power/energy/checkpoint lineage); scalar fields are the
-    cross-kind spine ``repro runs list``/``check`` query.
+    cross-kind spine ``repro runs list`` and ``repro sentinel`` query.
     """
 
     run_id: str
@@ -301,38 +301,6 @@ def diff_records(
         if va != vb:
             changed.append((key, va, vb))
     return changed
-
-
-def check_regression(
-    records: list[RunRecord],
-    target: RunRecord,
-    *,
-    tolerance: float = 0.25,
-    min_history: int | None = None,
-    energy_rel_tol: float = 1e-9,
-) -> tuple[list[str], int]:
-    """Regression findings for ``target`` against its ledger history.
-
-    Thin compatibility wrapper over the sentinel's baseline check
-    (:func:`repro.obs.sentinel.check_target`) so ``repro runs check``
-    and ``repro sentinel check`` agree on what a regression is: wall
-    time judged against the robust (median/MAD) baseline of comparable
-    runs, energy held to bit-determinism, cache hit rate and surrogate
-    drift judged when recorded.  Returns (finding messages, history
-    size).
-    """
-    from repro.obs import sentinel  # local import: sentinel imports us
-
-    findings, history = sentinel.check_target(
-        records,
-        target,
-        tolerance=tolerance,
-        min_history=(
-            min_history if min_history is not None else sentinel.DEFAULT_MIN_HISTORY
-        ),
-        energy_rel_tol=energy_rel_tol,
-    )
-    return [finding.message for finding in findings], history
 
 
 # ----------------------------------------------------------------------

@@ -28,9 +28,7 @@ Three analyses, all advisory by default and CI-gateable via exit code:
   accuracy gate the surrogate has drifted from the engine and needs
   retraining.
 
-``repro sentinel check`` supersedes the single-point best-of-history
-``repro runs check`` gate; the latter now routes through
-:func:`check_target` so both paths agree on what a regression is.
+``repro sentinel check`` is the one regression gate over the ledger.
 Everything here is stdlib + the ledger — no numpy, so the sentinel can
 run in CI before anything heavy imports.
 """

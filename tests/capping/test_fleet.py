@@ -108,22 +108,6 @@ class TestTracedFleet:
     def jobs(self):
         return job_stream(n_jobs=5, seed=7)
 
-    def test_streaming_matches_dense_bit_identical(self, jobs):
-        """The O(chunk) streaming path equals the O(fleet) dense path."""
-        kwargs = dict(
-            n_nodes=8, bin_s=2.0, chunk_samples=23, engine_config=self.ENGINE, seed=7
-        )
-        stream = simulate_fleet_traced(jobs, CapPolicy.half_tdp(), "capped", **kwargs)
-        dense = simulate_fleet_traced(
-            jobs, CapPolicy.half_tdp(), "capped", retain_traces=True, **kwargs
-        )
-        assert stream.system == dense.system
-        assert stream.node_power_mean_w == dense.node_power_mean_w
-        assert stream.node_power_std_w == dense.node_power_std_w
-        assert stream.node_power_peak_w == dense.node_power_peak_w
-        assert stream.samples_streamed == dense.samples_streamed
-        assert stream.chunks_streamed == dense.chunks_streamed
-
     def test_capping_reduces_peak_and_variability(self, jobs):
         kwargs = dict(n_nodes=8, engine_config=self.ENGINE, seed=7)
         capped = simulate_fleet_traced(jobs, CapPolicy.half_tdp(), "capped", **kwargs)

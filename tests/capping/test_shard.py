@@ -8,6 +8,7 @@ the same chronological order.
 """
 
 import pickle
+from concurrent.futures import Future
 
 import pytest
 
@@ -61,11 +62,6 @@ class TestShardedBitIdentity:
         serial = _run(chunk_samples=chunk_samples)
         sharded = _run(chunk_samples=chunk_samples, workers=workers)
         _assert_identical(serial, sharded)
-
-    def test_sharded_matches_dense(self):
-        dense = _run(retain_traces=True)
-        sharded = _run(workers=2)
-        _assert_identical(dense, sharded)
 
     def test_mixed_platform_pool(self):
         mixed = ["a100-40g", "h100-sxm"]
@@ -259,20 +255,6 @@ class TestCheckpointResume:
 
 
 class TestGuardRails:
-    def test_retain_traces_rejects_explicit_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            _run(retain_traces=True, workers=2)
-
-    def test_retain_traces_ignores_env_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "4")
-        dense = _run(retain_traces=True)
-        monkeypatch.delenv("REPRO_SWEEP_WORKERS")
-        _assert_identical(dense, _run())
-
-    def test_checkpoint_rejects_retain_traces(self, tmp_path):
-        with pytest.raises(ValueError, match="streaming path"):
-            _run(retain_traces=True, checkpoint=tmp_path / "c.ckpt")
-
     def test_checkpoint_rejects_monitor(self, tmp_path):
         with pytest.raises(ValueError, match="monitor"):
             _run(monitor=FleetMonitor(MonitorConfig()), checkpoint=tmp_path / "c.ckpt")
@@ -298,9 +280,6 @@ class TestLazyPool:
         assert pool.nodes.built_count == 4
         assert [node.name for node in nodes] == names
 
-    def test_lazy_and_eager_reports_identical(self):
-        _assert_identical(_run(), _run(eager_pool=True))
-
     def test_lazy_nodes_match_eager_nodes(self):
         from repro.hardware.system import PerlmutterSystem
 
@@ -311,3 +290,83 @@ class TestLazyPool:
             a, b = lazy.nodes[name], eager.nodes[name]
             assert a.name == b.name
             assert a.gpus == b.gpus
+
+
+class _InlinePool:
+    """A ``ProcessPoolExecutor`` stand-in that runs batches in-process."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestNodeReuse:
+    """The shared per-job render builds each node once, not once per job."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        from repro.hardware.node import GpuNode
+
+        built = []
+        original = GpuNode.__post_init__
+
+        def counting_post_init(node):
+            original(node)
+            built.append((node.name, node.spec))
+
+        monkeypatch.setattr(GpuNode, "__post_init__", counting_post_init)
+        return built
+
+    @pytest.fixture
+    def allocations(self, monkeypatch):
+        from repro.capping import fleet
+        from repro.hardware.system import PerlmutterSystem
+
+        seen = {"names": []}
+
+        class RecordingPool(PerlmutterSystem):
+            def allocate_names(self, job_id, n_nodes):
+                granted = super().allocate_names(job_id, n_nodes)
+                seen["pool"] = self
+                seen["names"].extend(granted)
+                return granted
+
+        monkeypatch.setattr(fleet, "PerlmutterSystem", RecordingPool)
+        return seen
+
+    def test_serial_run_builds_each_allocated_node_once(
+        self, constructions, allocations
+    ):
+        _run()
+        distinct = set(allocations["names"])
+        # Jobs share nodes, so a per-job rebuild would overshoot.
+        assert len(allocations["names"]) > len(distinct)
+        assert allocations["pool"].nodes.built_count == len(distinct)
+        assert len(constructions) == len(distinct)
+
+    def test_worker_builds_each_name_spec_once(
+        self, monkeypatch, constructions, allocations
+    ):
+        monkeypatch.setattr(shard, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(shard, "_WORKER_NODES", {})
+        monkeypatch.setattr(shard, "_WORKER_PHASE_CACHE", {})
+        mixed = ["a100-40g", "h100-sxm"]
+        sharded = _run(workers=2, node_platforms=mixed)
+        distinct = set(allocations["names"])
+        assert len(allocations["names"]) > len(distinct)
+        # Every batch ran through the worker memo, never the pool.
+        assert allocations["pool"].nodes.built_count == 0
+        assert len(constructions) == len(set(constructions)) == len(distinct)
+        assert set(shard._WORKER_NODES) == set(constructions)
+        monkeypatch.undo()
+        _assert_identical(sharded, _run(node_platforms=mixed))

@@ -54,16 +54,6 @@ class TestMonitorFlags:
         assert "fleet monitor: 50% TDP policy" in out
         assert "fleet monitor: uncapped" in out
 
-    def test_fleet_monitor_ignored_with_retained_traces(self, capsys):
-        rc = main(
-            ["fleet", "--jobs", "2", "--nodes", "4", "--resolution", "1.0",
-             "--monitor", "--retain-traces"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "ignoring" in out
-        assert "fleet monitor" not in out
-
     def test_cap_sweep_monitor_flag(self, capsys):
         rc = main(
             ["cap-sweep", "PdO2", "--caps", "400", "200", "--nodes", "1",

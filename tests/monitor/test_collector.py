@@ -56,10 +56,6 @@ class TestBitIdentity:
         assert report.chunks_observed > 0
         assert report.samples_observed > 0
 
-    def test_monitor_rejects_dense_path(self):
-        with pytest.raises(ValueError, match="streaming"):
-            run_fleet(monitor=FleetMonitor(), retain_traces=True)
-
 
 class TestHealthCoverage:
     def test_emits_at_least_four_signal_kinds(self):

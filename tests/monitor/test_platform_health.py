@@ -6,6 +6,7 @@ import pytest
 from repro.experiments.common import make_nodes
 from repro.hardware.platform import get_platform
 from repro.monitor import CapMonitor, FleetMonitor, IdleOutlierDetector, MonitorConfig
+from repro.monitor.collector import JobProbe
 
 
 class TestSpecDerivedIdleBand:
@@ -86,5 +87,15 @@ class TestSpecDerivedCapTolerance:
         assert mon.tolerance_for(spec.tdp_w) == 0.02
 
     def test_monitor_config_threads_platform_to_cap_monitor(self):
-        monitor = FleetMonitor(MonitorConfig(platform="h100-sxm"))
-        assert monitor._caps.gpu_spec.name == "NVIDIA H100-SXM5-80GB"
+        # Cap checks run in the per-job probe every monitored stream uses.
+        probe = JobProbe(
+            MonitorConfig(platform="h100-sxm"),
+            job_id="j",
+            n_nodes=1,
+            cap_w=350.0,
+            start_s=0.0,
+            end_s=1.0,
+            nominal_runtime_s=None,
+            node_bands={},
+        )
+        assert probe._caps.gpu_spec.name == "NVIDIA H100-SXM5-80GB"

@@ -11,10 +11,10 @@ from repro.obs.ledger import (
     RUNS_ENABLE_ENV,
     RunLedger,
     RunRecord,
-    check_regression,
     diff_records,
     flatten_record,
 )
+from repro.obs.sentinel import check_target
 
 
 @pytest.fixture(autouse=True)
@@ -161,9 +161,11 @@ class TestDiffAndFlatten:
 
 
 class TestCheckRegression:
+    """Ledger histories judged by the one regression gate (the sentinel)."""
+
     def test_no_history_no_findings(self):
         target = record(run_id="t")
-        findings, history = check_regression([target], target)
+        findings, history = check_target([target], target)
         assert findings == [] and history == 0
 
     def test_wall_time_regression_vs_median_baseline(self):
@@ -172,10 +174,10 @@ class TestCheckRegression:
             for i, w in enumerate((1.0, 1.02, 0.98))
         ]
         target = record(run_id="t", wall_s=2.0)
-        findings, n = check_regression(history + [target], target)
+        findings, n = check_target(history + [target], target)
         assert n == 3
         assert len(findings) == 1
-        assert "wall time" in findings[0]
+        assert "wall time" in str(findings[0])
 
     def test_jitter_within_tolerance_passes(self):
         history = [
@@ -183,25 +185,25 @@ class TestCheckRegression:
             for i, w in enumerate((1.0, 1.05, 0.95))
         ]
         target = record(run_id="t", wall_s=1.1)
-        findings, _ = check_regression(history + [target], target)
+        findings, _ = check_target(history + [target], target)
         assert findings == []
 
     def test_wall_time_within_threshold_passes(self):
         history = [record(run_id="h", wall_s=1.0)]
         target = record(run_id="t", wall_s=1.2)
-        findings, _ = check_regression(history + [target], target)
+        findings, _ = check_target(history + [target], target)
         assert findings == []
 
     def test_energy_drift_is_a_finding(self):
         history = [record(run_id="h", energy_j=100.0)]
         target = record(run_id="t", energy_j=100.1)
-        findings, _ = check_regression(history + [target], target)
-        assert any("determinism" in f for f in findings)
+        findings, _ = check_target(history + [target], target)
+        assert any("determinism" in str(f) for f in findings)
 
     def test_different_fingerprint_not_compared(self):
         history = [record(run_id="h", wall_s=0.1, fingerprint="other")]
         target = record(run_id="t", wall_s=99.0)
-        findings, n = check_regression(history + [target], target)
+        findings, n = check_target(history + [target], target)
         assert findings == [] and n == 0
 
 
@@ -302,10 +304,9 @@ class TestRunsCli:
             line.strip().startswith("cache.") or "equivalent" in line
             for line in body
         )
-        assert main(["runs", "check"]) == 0
+        assert main(["sentinel", "check"]) == 0
         out = capsys.readouterr().out
-        assert "1 comparable run(s)" in out
-        assert "no regressions" in out
+        assert "1 comparable run(s) — ok" in out
 
     def test_check_flags_wall_regression(self, capsys, monkeypatch):
         self.run_schedule()
@@ -324,7 +325,7 @@ class TestRunsCli:
                     wall_s=target.wall_s / 100.0,
                 )
             )
-        assert main(["runs", "check", target.run_id]) == 1
+        assert main(["sentinel", "check", target.run_id]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_show_unknown_ref_errors(self, capsys):

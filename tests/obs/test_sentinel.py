@@ -304,11 +304,3 @@ class TestSentinelCli:
         assert "no checkable history" in capsys.readouterr().out
         assert main(["sentinel", "baseline"]) == 0
         assert "no baselines" in capsys.readouterr().out
-
-    def test_runs_check_agrees_with_sentinel(self, capsys):
-        # Both entry points route through check_target: same verdict.
-        self.seed((1.0, 1.02, 0.98, 2.0))
-        assert main(["runs", "check"]) == 1
-        capsys.readouterr()
-        assert main(["sentinel", "check"]) == 1
-        capsys.readouterr()
