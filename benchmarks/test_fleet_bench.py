@@ -8,9 +8,10 @@ measures its tracemalloc peak against a dense reference
 (:func:`_run_dense`: every scheduled job rendered whole with
 ``PowerEngine.run`` and retained, then folded) and fails unless
 streaming uses at least ``MEMORY_REDUCTION_FLOOR`` times less peak
-memory while producing bit-identical statistics.
-``scripts/bench_compare.py`` reuses :func:`measure_fleet_memory` to
-record the peaks in the baseline.
+memory while producing bit-identical statistics.  The peaks are
+recorded in ``benchmark.extra_info["memory"]``, where
+``scripts/bench_compare.py`` gates the streaming peak's growth against
+the committed baseline.
 """
 
 import heapq
@@ -182,6 +183,13 @@ def test_fleet_memory_gate(benchmark):
         measure_fleet_memory, rounds=1, iterations=1, warmup_rounds=0
     )
     ratio = dense_peak / stream_peak
+    benchmark.extra_info["memory"] = {
+        "fleet_nodes": FLEET_NODES,
+        "fleet_jobs": FLEET_JOBS,
+        "streaming_peak_bytes": int(stream_peak),
+        "dense_peak_bytes": int(dense_peak),
+        "rss_reduction": round(ratio, 4),
+    }
     print(
         f"\n  peak allocated: streaming {stream_peak / 1e6:.2f} MB, "
         f"dense {dense_peak / 1e6:.2f} MB ({ratio:.1f}x reduction)"

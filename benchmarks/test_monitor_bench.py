@@ -3,9 +3,8 @@
 The telemetry collector rides the streaming fleet path as a pure
 observer (``PowerEngine.stream``'s ``on_chunk`` tap), so a monitored run
 must (a) produce bit-identical fleet statistics and (b) cost at most
-``MONITOR_OVERHEAD_THRESHOLD`` extra wall time.  ``scripts/bench_compare.py``
-reuses :func:`measure_monitor_overhead` to record the ratio in the
-baseline.
+``MONITOR_OVERHEAD_THRESHOLD`` extra wall time.  The ratio and the
+seeded collector counts are recorded in ``benchmark.extra_info["monitor"]``.
 
 Plain and monitored runs are interleaved per round and judged on the
 best per-round paired ratio, so uniform host slowdown cancels out of
@@ -136,6 +135,16 @@ def test_monitor_overhead_gate(benchmark):
         measure_monitor_overhead, rounds=1, iterations=1, warmup_rounds=0
     )
     overhead = paired_overhead(plain_times, monitored_times)
+    benchmark.extra_info["monitor"] = {
+        "fleet_nodes": MONITOR_NODES,
+        "fleet_jobs": MONITOR_JOBS,
+        "overhead": round(overhead, 4),
+        "samples_observed": report.samples_observed,
+        "signals_total": report.total_signals,
+        "signal_kinds": report.distinct_signal_kinds,
+        "alerts_fired": report.alerts_fired,
+        "energy_mj": round(report.energy["totals"]["energy_mj"], 3),
+    }
     print(
         f"\n  plain best {min(plain_times):.3f} s, "
         f"monitored best {min(monitored_times):.3f} s "

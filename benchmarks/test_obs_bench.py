@@ -5,8 +5,8 @@ counters and ships them back with its job partials; the coordinator
 rebases and folds them (``repro.obs.merge``).  That capture must (a)
 leave the fleet statistics bit-identical and (b) cost at most
 ``OBS_OVERHEAD_THRESHOLD`` extra wall time over the same sharded run
-with observability off.  ``scripts/bench_compare.py`` reuses
-:func:`measure_obs_overhead` to record the ratio in the baseline.
+with observability off.  The ratio and the merged span count are
+recorded in ``benchmark.extra_info["obs"]``.
 
 Plain and obs-on runs are interleaved per round and judged on the best
 per-round paired ratio (see ``test_monitor_bench`` for the rationale:
@@ -97,6 +97,13 @@ def test_obs_overhead_gate(benchmark):
         measure_obs_overhead, rounds=1, iterations=1, warmup_rounds=0
     )
     overhead = paired_overhead(plain_times, obs_times)
+    benchmark.extra_info["obs"] = {
+        "fleet_nodes": OBS_NODES,
+        "fleet_jobs": OBS_JOBS,
+        "workers": OBS_WORKERS,
+        "overhead": round(overhead, 4),
+        "merged_spans": span_count,
+    }
     print(
         f"\n  plain best {min(plain_times):.3f} s, "
         f"obs-on best {min(obs_times):.3f} s "

@@ -5,9 +5,8 @@ With ``--profile`` on, a daemon thread walks every Python stack each
 (:mod:`repro.obs.profile`).  That sampling must (a) leave the fleet
 statistics bit-identical — the profiler only ever *reads* interpreter
 state — and (b) cost at most ``PROFILE_OVERHEAD_THRESHOLD`` extra wall
-time over the same sharded run with observability off.
-``scripts/bench_compare.py`` reuses :func:`measure_profile_overhead` to
-record the ratio in the baseline.
+time over the same sharded run with observability off.  The ratio and
+the sample count are recorded in ``benchmark.extra_info["profile"]``.
 
 Plain and profiled runs are interleaved per round and judged on the
 best per-round paired ratio (see ``test_monitor_bench`` for the
@@ -114,6 +113,13 @@ def test_profile_overhead_gate(benchmark):
         )
     )
     overhead = paired_overhead(plain_times, profile_times)
+    benchmark.extra_info["profile"] = {
+        "fleet_nodes": PROFILE_NODES,
+        "fleet_jobs": PROFILE_JOBS,
+        "workers": PROFILE_WORKERS,
+        "overhead": round(overhead, 4),
+        "samples": samples,
+    }
     print(
         f"\n  plain best {min(plain_times):.3f} s, "
         f"profiled best {min(profile_times):.3f} s "

@@ -27,13 +27,11 @@ ENGINE = EngineConfig(base_interval_s=1.0)
 
 
 def measure_scenarios() -> dict:
-    """Scenario metrics for the committed baseline.
+    """Build throughput, job counts and replay identity of the scenarios.
 
     Returns build throughput over every registered scenario, the job
     counts per scenario (deterministic), and whether the serial and
     sharded fleet replays of ``BENCH_SCENARIO`` are bit-identical.
-    ``scripts/bench_compare.py`` records these fields and gates on the
-    floor and the identity bit.
     """
     start = time.perf_counter()
     for _ in range(BUILD_ROUNDS):
@@ -75,6 +73,12 @@ def test_scenario_gate(benchmark):
     stats = benchmark.pedantic(
         measure_scenarios, rounds=1, iterations=1, warmup_rounds=0
     )
+    benchmark.extra_info["scenario"] = {
+        "scenarios": stats["scenarios"],
+        "builds_per_s": round(stats["builds_per_s"], 1),
+        "fleet_s": round(stats["fleet_s"], 4),
+        "total_jobs": sum(stats["job_counts"].values()),
+    }
     print(
         f"\n  {stats['scenarios']} scenarios, "
         f"{stats['builds_per_s']:,.0f} builds/sec, "

@@ -83,8 +83,7 @@ def measure_shard_scaling() -> dict:
 
     Returns wall times, nodes/sec throughputs, the eager->sharded
     speedup at the 100k point, and whether all paths produced
-    bit-identical reports.  ``scripts/bench_compare.py`` records these
-    fields in the baseline and gates on them.
+    bit-identical reports.
     """
     jobs = _shard_jobs()
     small_serial, small_serial_s = _timed(lambda: _run(jobs, SMALL_NODES))
@@ -120,6 +119,16 @@ def test_shard_scaling_gate(benchmark):
     scaling = benchmark.pedantic(
         measure_shard_scaling, rounds=1, iterations=1, warmup_rounds=0
     )
+    benchmark.extra_info["shard"] = {
+        "small_nodes": SMALL_NODES,
+        "large_nodes": LARGE_NODES,
+        "fleet_jobs": SHARD_JOBS,
+        "workers": SHARD_WORKERS,
+        "small_nodes_per_s": round(scaling["small_nodes_per_s"], 1),
+        "sharded_nodes_per_s": round(scaling["sharded_nodes_per_s"], 1),
+        "eager_nodes_per_s": round(scaling["eager_nodes_per_s"], 1),
+        "speedup_vs_eager": round(scaling["speedup_vs_eager"], 2),
+    }
     print(
         f"\n  nodes/sec: {SMALL_NODES:,} nodes serial "
         f"{scaling['small_nodes_per_s']:,.0f}; {LARGE_NODES:,} nodes "

@@ -3,9 +3,8 @@
 Gates the headline contract of the surrogate subsystem: a trained
 prediction must beat a single exact simulation of the same point by at
 least :data:`SPEEDUP_FLOOR` (the issue's >= 100x), while held-out
-workload x cap accuracy stays under the MAPE ceilings.  The measurement
-is shared with ``scripts/bench_compare.py`` (``collect_surrogate``) so
-the committed baseline records the same numbers this bench asserts on.
+workload x cap accuracy stays under the MAPE ceilings.  The numbers
+this bench asserts on are recorded in ``benchmark.extra_info["surrogate"]``.
 """
 
 import time
@@ -41,7 +40,6 @@ def trained_surrogate():
     return samples, surrogate, train_s
 
 
-@lru_cache(maxsize=1)
 def measure_surrogate():
     """Speedup and held-out accuracy of the default-corpus surrogate."""
     samples, surrogate, train_s = trained_surrogate()
@@ -78,6 +76,16 @@ def test_surrogate_predict_speedup(benchmark):
         lambda: surrogate.predict(workload, n_nodes=1, cap_w=PROBE_CAP_W)
     )
     stats = measure_surrogate()
+    benchmark.extra_info["surrogate"] = {
+        "corpus_size": stats["corpus_size"],
+        "train_s": round(stats["train_s"], 4),
+        "predict_us": round(stats["predict_s"] * 1.0e6, 1),
+        "engine_s": round(stats["engine_s"], 4),
+        "speedup": round(stats["speedup"], 1),
+        "mape": round(stats["mape"], 4),
+        "worst_ape": round(stats["worst_ape"], 4),
+        "cap_mape": round(stats["cap_mape"], 4),
+    }
     print(
         f"\nsurrogate: {stats['corpus_size']} samples, "
         f"{stats['predict_s'] * 1e6:.0f} us/prediction vs "

@@ -1,12 +1,20 @@
-"""Compare benchmark timings against the committed baseline.
+"""Compare a benchmark run against the committed baseline.
 
-Runs the benchmark suite with pytest-benchmark's JSON output, then diffs
-each bench's **minimum** time against ``BENCH_BASELINE.json`` at the
-repo root (min-of-rounds is far more robust to host load than the mean:
-background load only ever adds time).  Grid-sweep benches (names
-containing ``sweep``) are the guarded series: any of them regressing by
-more than the threshold (20 % by default) fails the script.  Other
-benches are reported but only warn.
+Runs the benchmark suite once with pytest-benchmark's JSON output and
+reads everything from that one file: each bench's **minimum** time
+(min-of-rounds is far more robust to host load than the mean:
+background load only ever adds time) and the fields the gate benches
+record in ``benchmark.extra_info``, one section per gate bench
+(``efficiency``, ``memory``, ``monitor``, ``obs``, ``profile``,
+``shard``, ``surrogate``, ``scenario``).  This script measures nothing
+itself.
+
+Absolute floors and ceilings (memory reduction, overhead ratios,
+speedups, accuracy, build throughput) are asserted inside the benches:
+a violated one fails the pytest run, and with it this script.  What is
+left here are the gates that need the baseline (:data:`GATES`), plus a
+failure for any baseline section the run did not record.  Every
+section's baseline -> now diff is printed.
 
 Usage::
 
@@ -22,12 +30,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC = REPO_ROOT / "src"
+sys.path.insert(0, str(SRC))
+
 BASELINE_PATH = REPO_ROOT / "BENCH_BASELINE.json"
 #: Benches guarded against regression (substring match on the test name).
 GUARDED_SUBSTRING = "sweep"
@@ -38,296 +51,18 @@ GUARDED_SUBSTRING = "sweep"
 #: executed == distinct specs — are asserted inside the benches
 #: themselves and fail the run directly.
 DEFAULT_THRESHOLD = 0.50
-#: Hard floor on the fleet dense/streaming peak-memory ratio.
-MEMORY_REDUCTION_FLOOR = 3.0
-#: Relative growth of the streaming peak that fails the memory gate.
-#: Allocation peaks are deterministic (seeded run, tracemalloc), so a
-#: wide band only has to absorb allocator/version noise, not host load.
-MEMORY_GROWTH_THRESHOLD = 0.50
-#: Wall-time overhead of a monitored fleet run that fails the gate.
-#: The interleaved min-of-rounds ratio cancels uniform host slowdown,
-#: so this band absorbs only scheduling jitter, not load.
-MONITOR_OVERHEAD_THRESHOLD = 0.10
-#: Wall-time overhead of a sharded run with trace+metric capture on.
-#: Same interleaved min-of-rounds construction as the monitor gate.
-OBS_OVERHEAD_THRESHOLD = 0.10
-#: Wall-time overhead of a run with the sampling profiler attached.
-#: Same interleaved min-of-rounds construction as the obs gate.
-PROFILE_OVERHEAD_THRESHOLD = 0.10
-#: Hard floor on the 100k-node sharded/eager nodes-per-second ratio.
-#: The ratio is load-invariant (eager pays O(pool) construction the
-#: sharded lazy path skips entirely), so it gates on any host.
-SHARD_SPEEDUP_FLOOR = 2.0
-#: Hard floor on the surrogate's per-point speedup over exact simulation.
-#: The ratio compares a ~100 us ridge evaluation against a full engine
-#: run of the same point on the same host, so it is load-invariant and
-#: sits orders of magnitude above the floor when the fast path is intact.
-SURROGATE_SPEEDUP_FLOOR = 100.0
-#: Held-out-workload HPM MAPE that fails the surrogate accuracy gate
-#: (deterministic: seeded corpus, seeded k-means, exact ridge solve).
-SURROGATE_MAPE_CEILING = 0.25
-#: Held-out-cap HPM MAPE ceiling (same determinism).
-SURROGATE_CAP_MAPE_CEILING = 0.25
-#: Hard floor on scenario job-list builds per second.  Building a
-#: scenario is rng sampling plus workload prototyping — hundreds per
-#: second when intact — so the floor only catches a pathological
-#: slowdown, on any host.
-SCENARIO_BUILD_FLOOR = 5.0
-
-
-def collect_efficiency() -> dict[str, float | int]:
-    """Deterministic dedupe/cache effectiveness fields for the baseline.
-
-    Runs the Fig 12 estimator sweep twice against cleared caches: the
-    first pass measures within-grid dedupe (the shared 400 W baseline),
-    the second the cache hit path.  Both are content-keyed and seedless,
-    so these ratios are machine-independent — they record the perf
-    *trajectory* (how much work the executor avoids) per PR, alongside
-    the host-dependent timings.
-    """
-    import sys as _sys
-
-    _sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.capping.scheduler import estimate_cache
-    from repro.experiments import fig12_cap_performance
-    from repro.runner.sweep import reset_sweep_stats, sweep_stats
-
-    estimate_cache().clear()
-    reset_sweep_stats()
-    fig12_cap_performance.run()
-    fig12_cap_performance.run()
-    sweeps = sweep_stats()
-    cache = estimate_cache().stats()
-    return {
-        "specs_submitted": sweeps.specs_submitted,
-        "specs_executed": sweeps.specs_executed,
-        "dedupe_ratio": round(sweeps.dedupe_ratio, 6),
-        "cache_hits": cache.hits,
-        "cache_misses": cache.misses,
-        "cache_hit_rate": round(cache.hit_rate, 6),
-    }
-
-
-def collect_memory() -> dict[str, float | int]:
-    """Peak allocated-bytes fields for the fleet streaming/dense paths.
-
-    Reuses the benchmark suite's measurement (tracemalloc high-water
-    marks over the ISSUE-scale 1000-node / 200-job traced fleet run) so
-    the baseline records the same numbers the memory-gated bench
-    asserts on.  Deterministic: same seeds, same allocation pattern.
-    """
-    import sys as _sys
-
-    _sys.path.insert(0, str(REPO_ROOT / "src"))
-    _sys.path.insert(0, str(REPO_ROOT))
-    from benchmarks.test_fleet_bench import (
-        FLEET_JOBS,
-        FLEET_NODES,
-        measure_fleet_memory,
-    )
-
-    stream, dense, stream_peak, dense_peak = measure_fleet_memory()
-    if stream.system != dense.system:
-        raise SystemExit("fleet streaming and dense statistics diverged")
-    return {
-        "fleet_nodes": FLEET_NODES,
-        "fleet_jobs": FLEET_JOBS,
-        "streaming_peak_bytes": int(stream_peak),
-        "dense_peak_bytes": int(dense_peak),
-        "rss_reduction": round(dense_peak / stream_peak, 4),
-    }
-
-
-def collect_monitor() -> dict[str, float | int]:
-    """Monitor overhead and collector effectiveness for the baseline.
-
-    Reuses the benchmark suite's interleaved measurement: the overhead
-    ratio is host-jitter-bound (gated wide at 10 %), while the signal
-    and energy fields are seeded-deterministic and record what the
-    collector actually observed — a silent detector regression shows up
-    as a changed count even when timings are clean.
-    """
-    import sys as _sys
-
-    _sys.path.insert(0, str(REPO_ROOT / "src"))
-    _sys.path.insert(0, str(REPO_ROOT))
-    from benchmarks.test_monitor_bench import (
-        MONITOR_JOBS,
-        MONITOR_NODES,
-        measure_monitor_overhead,
-        paired_overhead,
-    )
-
-    plain, watched, report, plain_times, monitored_times = measure_monitor_overhead()
-    if watched.system != plain.system:
-        raise SystemExit("monitored fleet statistics diverged from plain run")
-    return {
-        "fleet_nodes": MONITOR_NODES,
-        "fleet_jobs": MONITOR_JOBS,
-        "overhead": round(paired_overhead(plain_times, monitored_times), 4),
-        "samples_observed": report.samples_observed,
-        "signals_total": report.total_signals,
-        "signal_kinds": report.distinct_signal_kinds,
-        "alerts_fired": report.alerts_fired,
-        "energy_mj": round(report.energy["totals"]["energy_mj"], 3),
-    }
-
-
-def collect_obs() -> dict[str, float | int]:
-    """Sharded observability overhead and merge effectiveness fields.
-
-    Reuses the benchmark suite's interleaved measurement.  The overhead
-    ratio is host-jitter-bound (gated wide at 10 %); the span count is
-    seeded-deterministic and records how much worker telemetry actually
-    made it back through the merge — a silently dropped capture shows
-    up as a changed count even when timings are clean.
-    """
-    import sys as _sys
-
-    _sys.path.insert(0, str(REPO_ROOT / "src"))
-    _sys.path.insert(0, str(REPO_ROOT))
-    from benchmarks.test_obs_bench import (
-        OBS_JOBS,
-        OBS_NODES,
-        OBS_WORKERS,
-        measure_obs_overhead,
-    )
-    from benchmarks.test_monitor_bench import paired_overhead
-
-    plain, traced, span_count, plain_times, obs_times = measure_obs_overhead()
-    if traced.system != plain.system:
-        raise SystemExit("obs-on sharded fleet statistics diverged from plain run")
-    return {
-        "fleet_nodes": OBS_NODES,
-        "fleet_jobs": OBS_JOBS,
-        "workers": OBS_WORKERS,
-        "overhead": round(paired_overhead(plain_times, obs_times), 4),
-        "merged_spans": span_count,
-    }
-
-
-def collect_profile() -> dict[str, float | int]:
-    """Sampling-profiler overhead fields for the baseline.
-
-    Reuses the benchmark suite's interleaved measurement.  The overhead
-    ratio is host-jitter-bound (gated wide at 10 %); the sample count is
-    load-dependent and recorded informationally — the gate only demands
-    that sampling happened at all (a silently dead sampler thread shows
-    up as zero samples even when timings are clean).
-    """
-    import sys as _sys
-
-    _sys.path.insert(0, str(REPO_ROOT / "src"))
-    _sys.path.insert(0, str(REPO_ROOT))
-    from benchmarks.test_monitor_bench import paired_overhead
-    from benchmarks.test_profile_bench import (
-        PROFILE_JOBS,
-        PROFILE_NODES,
-        PROFILE_WORKERS,
-        measure_profile_overhead,
-    )
-
-    plain, profiled, samples, _state, plain_times, profile_times = (
-        measure_profile_overhead()
-    )
-    if profiled.system != plain.system:
-        raise SystemExit("profiled fleet statistics diverged from plain run")
-    return {
-        "fleet_nodes": PROFILE_NODES,
-        "fleet_jobs": PROFILE_JOBS,
-        "workers": PROFILE_WORKERS,
-        "overhead": round(paired_overhead(plain_times, profile_times), 4),
-        "samples": samples,
-    }
-
-
-def collect_shard() -> dict[str, float | int]:
-    """Fleet scaling fields: nodes/sec at 1k vs 100k, sharded vs eager.
-
-    Reuses the benchmark suite's measurement so the baseline records the
-    same numbers the scaling-gated bench asserts on.  The speedup ratio
-    compares the sharded lazy-pool path against the pre-sharding eager
-    reference at the 100k-node point; bit-identity across all paths is
-    re-checked here and diverging statistics abort the script.
-    """
-    import sys as _sys
-
-    _sys.path.insert(0, str(REPO_ROOT / "src"))
-    _sys.path.insert(0, str(REPO_ROOT))
-    from benchmarks.test_shard_bench import (
-        LARGE_NODES,
-        SHARD_JOBS,
-        SHARD_WORKERS,
-        SMALL_NODES,
-        measure_shard_scaling,
-    )
-
-    scaling = measure_shard_scaling()
-    if not scaling["bit_identical"]:
-        raise SystemExit("sharded fleet statistics diverged from serial run")
-    return {
-        "small_nodes": SMALL_NODES,
-        "large_nodes": LARGE_NODES,
-        "fleet_jobs": SHARD_JOBS,
-        "workers": SHARD_WORKERS,
-        "small_nodes_per_s": round(scaling["small_nodes_per_s"], 1),
-        "sharded_nodes_per_s": round(scaling["sharded_nodes_per_s"], 1),
-        "eager_nodes_per_s": round(scaling["eager_nodes_per_s"], 1),
-        "speedup_vs_eager": round(scaling["speedup_vs_eager"], 2),
-    }
-
-
-def collect_surrogate() -> dict[str, float | int]:
-    """Surrogate speedup and held-out accuracy fields for the baseline.
-
-    Reuses the benchmark suite's measurement (default training corpus,
-    per-prediction latency vs one exact engine run, leave-one-out
-    workload x cap evaluation).  The accuracy numbers are deterministic
-    — seeded corpus, seeded k-means, exact ridge solve — so any drift is
-    a real model change; the speedup ratio is same-host and only gated
-    against its (far-away) floor.
-    """
-    import sys as _sys
-
-    _sys.path.insert(0, str(REPO_ROOT / "src"))
-    _sys.path.insert(0, str(REPO_ROOT))
-    from benchmarks.test_surrogate_bench import measure_surrogate
-
-    stats = measure_surrogate()
-    return {
-        "corpus_size": stats["corpus_size"],
-        "train_s": round(stats["train_s"], 4),
-        "predict_us": round(stats["predict_s"] * 1.0e6, 1),
-        "engine_s": round(stats["engine_s"], 4),
-        "speedup": round(stats["speedup"], 1),
-        "mape": round(stats["mape"], 4),
-        "worst_ape": round(stats["worst_ape"], 4),
-        "cap_mape": round(stats["cap_mape"], 4),
-    }
-
-
-def collect_scenario() -> dict[str, float | int]:
-    """Scenario-layer fields: build throughput + replay bit-identity.
-
-    Job counts per scenario are deterministic (seeded builds), so any
-    drift there is a real scenario or registry change; the build
-    throughput is gated only against its far-away floor.
-    """
-    import sys as _sys
-
-    _sys.path.insert(0, str(REPO_ROOT / "src"))
-    _sys.path.insert(0, str(REPO_ROOT))
-    from benchmarks.test_scenario_bench import measure_scenarios
-
-    stats = measure_scenarios()
-    if not stats["bit_identical"]:
-        raise SystemExit("scenario fleet replay diverged across worker counts")
-    return {
-        "scenarios": stats["scenarios"],
-        "builds_per_s": round(stats["builds_per_s"], 1),
-        "fleet_s": round(stats["fleet_s"], 4),
-        "total_jobs": sum(stats["job_counts"].values()),
-    }
+#: Gates only a comparison against the baseline can apply, as
+#: ``(section, field, rule, bound)`` rows.  ``timing`` judges the min
+#: time of every bench whose name contains *field*, beyond the host
+#: drift, against ``--threshold``; ``growth`` judges one recorded
+#: field.  Both fail when the value grew by more than *bound*
+#: or is missing from the run.  Allocation peaks are deterministic
+#: (seeded run, tracemalloc), so the memory band only has to absorb
+#: allocator/version noise, not host load.
+GATES = (
+    ("benchmarks", GUARDED_SUBSTRING, "timing", None),
+    ("memory", "streaming_peak_bytes", "growth", 0.50),
+)
 
 
 def run_benchmarks(json_path: Path) -> None:
@@ -341,21 +76,25 @@ def run_benchmarks(json_path: Path) -> None:
         f"--benchmark-json={json_path}",
         "-q",
     ]
-    result = subprocess.run(cmd, cwd=REPO_ROOT)
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run(cmd, cwd=REPO_ROOT, env=env)
     if result.returncode != 0:
         raise SystemExit(f"benchmark run failed (exit {result.returncode})")
 
 
-def extract_times(json_path: Path) -> dict[str, float]:
-    """Bench name -> min seconds from a pytest-benchmark JSON file."""
+def load_run(json_path: Path) -> tuple[dict[str, float], dict[str, dict]]:
+    """(bench name -> min seconds, section -> recorded fields) of one run."""
     data = json.loads(json_path.read_text())
-    return {
-        bench["name"]: float(bench["stats"]["min"])
-        for bench in data.get("benchmarks", [])
-    }
+    times: dict[str, float] = {}
+    sections: dict[str, dict] = {}
+    for bench in data.get("benchmarks", []):
+        times[bench["name"]] = float(bench["stats"]["min"])
+        sections.update(bench.get("extra_info") or {})
+    return times, sections
 
 
-def write_baseline(times: dict[str, float], machine_note: str = "") -> None:
+def write_baseline(times: dict[str, float], sections: dict[str, dict]) -> None:
     """Write the committed baseline file."""
     from repro.hardware.platform import DEFAULT_PLATFORM_ID
 
@@ -364,22 +103,21 @@ def write_baseline(times: dict[str, float], machine_note: str = "") -> None:
             "Benchmark baseline for scripts/bench_compare.py. Min seconds "
             "per bench; regenerate with --update when hardware changes."
         ),
-        "machine": machine_note,
+        "machine": (
+            f"{platform.platform()}, {os.cpu_count()} CPUs, "
+            f"Python {platform.python_version()}"
+        ),
         "platform": DEFAULT_PLATFORM_ID,
         "threshold": DEFAULT_THRESHOLD,
         "guarded_substring": GUARDED_SUBSTRING,
-        "efficiency": collect_efficiency(),
-        "memory": collect_memory(),
-        "monitor": collect_monitor(),
-        "obs": collect_obs(),
-        "profile": collect_profile(),
-        "shard": collect_shard(),
-        "surrogate": collect_surrogate(),
-        "scenario": collect_scenario(),
+        **{name: sections[name] for name in sorted(sections)},
         "benchmarks": {name: {"min_s": value} for name, value in sorted(times.items())},
     }
     BASELINE_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {BASELINE_PATH} ({len(times)} benches)")
+    print(
+        f"wrote {BASELINE_PATH} ({len(times)} benches; "
+        f"sections: {', '.join(sorted(sections))})"
+    )
 
 
 def host_drift(deltas: dict[str, float]) -> float:
@@ -403,8 +141,55 @@ def host_drift(deltas: dict[str, float]) -> float:
     return (control[mid - 1] + control[mid]) / 2
 
 
-def compare(times: dict[str, float], threshold: float) -> int:
-    """Diff current min times against the baseline; return the exit code."""
+def print_timings(
+    base_times: dict[str, float], times: dict[str, float], drift: float, threshold: float
+) -> None:
+    """Print every bench's baseline -> now min time, drift-adjusted."""
+    print(f"host drift (median of unguarded benches): {drift:+.0%}")
+    print(f"{'bench':<42} {'base (s)':>10} {'now (s)':>10} {'delta':>8} {'adj':>8}")
+    for name in sorted(set(base_times) | set(times)):
+        base = base_times.get(name)
+        now = times.get(name)
+        if base is None:
+            print(f"{name:<42} {'-':>10} {now:>10.4f}   (new)")
+            continue
+        if now is None:
+            print(f"{name:<42} {base:>10.4f} {'-':>10}   (missing)")
+            continue
+        delta = now / base - 1.0
+        adjusted = (1.0 + delta) / (1.0 + drift) - 1.0
+        marker = ""
+        if adjusted > threshold:
+            guarded = GUARDED_SUBSTRING in name
+            marker = " REGRESSION" if guarded else " (slower; unguarded)"
+        print(
+            f"{name:<42} {base:>10.4f} {now:>10.4f} {delta:>+7.0%} "
+            f"{adjusted:>+7.0%}{marker}"
+        )
+
+
+def print_sections(base_sections: dict[str, dict], sections: dict[str, dict]) -> None:
+    """Print every recorded section's baseline -> now field diff."""
+    for name in [*base_sections, *(s for s in sections if s not in base_sections)]:
+        base = base_sections.get(name, {})
+        now = sections.get(name)
+        if now is None:
+            print(f"\n{name}: not recorded by this run")
+            continue
+        print(f"\n{name} (baseline -> now):")
+        for key in sorted(set(base) | set(now)):
+            base_v = base.get(key, "-")
+            now_v = now.get(key, "-")
+            changed = "" if base_v == now_v else "  (changed)"
+            print(f"  {key:22s} {base_v!s:>12} -> {now_v!s:>12}{changed}")
+
+
+def compare(
+    times: dict[str, float],
+    sections: dict[str, dict],
+    threshold: float = DEFAULT_THRESHOLD,
+) -> int:
+    """Diff a run against the baseline and apply the gates; the exit code."""
     if not BASELINE_PATH.is_file():
         print(f"no baseline at {BASELINE_PATH}; run with --update to create one")
         return 1
@@ -412,197 +197,45 @@ def compare(times: dict[str, float], threshold: float) -> int:
     base_times = {
         name: entry["min_s"] for name, entry in baseline["benchmarks"].items()
     }
-    deltas = {
-        name: (times[name] - base) / base
-        for name, base in base_times.items()
-        if name in times
+    base_sections = {
+        name: fields
+        for name, fields in baseline.items()
+        if isinstance(fields, dict) and name != "benchmarks"
     }
-    drift = host_drift(deltas)
-    failures = []
-    print(f"host drift (median of unguarded benches): {drift:+.0%}")
-    print(f"{'bench':<42} {'base (s)':>10} {'now (s)':>10} {'delta':>8} {'adj':>8}")
-    for name in sorted(set(base_times) | set(times)):
-        base = base_times.get(name)
-        now = times.get(name)
-        guarded = GUARDED_SUBSTRING in name
-        if base is None:
-            print(f"{name:<42} {'-':>10} {now:>10.4f}   (new)")
-            continue
-        if now is None:
-            print(f"{name:<42} {base:>10.4f} {'-':>10}   (missing)")
-            if guarded:
-                failures.append(f"{name}: guarded bench missing from this run")
-            continue
-        delta = deltas[name]
-        adjusted = (1.0 + delta) / (1.0 + drift) - 1.0
-        marker = ""
-        if adjusted > threshold:
-            marker = " REGRESSION" if guarded else " (slower; unguarded)"
-            if guarded:
-                failures.append(
-                    f"{name}: {adjusted:+.0%} beyond host drift (> {threshold:.0%})"
-                )
-        print(
-            f"{name:<42} {base:>10.4f} {now:>10.4f} {delta:>+7.0%} "
-            f"{adjusted:>+7.0%}{marker}"
-        )
-    # Effectiveness trajectory: deterministic, so any drift is a real
-    # behaviour change (informational — timings are the pass/fail gate).
-    base_eff = baseline.get("efficiency")
-    if base_eff is not None:
-        now_eff = collect_efficiency()
-        print("\nefficiency (deterministic; baseline -> now):")
-        for key in sorted(set(base_eff) | set(now_eff)):
-            base_v = base_eff.get(key, "-")
-            now_v = now_eff.get(key, "-")
-            drift = "" if base_v == now_v else "  (changed)"
-            print(f"  {key:18s} {base_v!s:>10} -> {now_v!s:>10}{drift}")
-    # Memory gate: streaming the fleet must keep beating the dense path
-    # by the floor ratio, and its own peak must not balloon.
-    base_mem = baseline.get("memory")
-    if base_mem is not None:
-        now_mem = collect_memory()
-        print("\nmemory (tracemalloc peaks; baseline -> now):")
-        for key in sorted(set(base_mem) | set(now_mem)):
-            base_v = base_mem.get(key, "-")
-            now_v = now_mem.get(key, "-")
-            changed = "" if base_v == now_v else "  (changed)"
-            print(f"  {key:22s} {base_v!s:>12} -> {now_v!s:>12}{changed}")
-        if now_mem["rss_reduction"] < MEMORY_REDUCTION_FLOOR:
-            failures.append(
-                f"memory: fleet rss_reduction {now_mem['rss_reduction']:.2f}x "
-                f"below the {MEMORY_REDUCTION_FLOOR:.0f}x floor"
-            )
-        base_peak = base_mem.get("streaming_peak_bytes")
-        if base_peak:
-            growth = now_mem["streaming_peak_bytes"] / base_peak - 1.0
-            if growth > MEMORY_GROWTH_THRESHOLD:
-                failures.append(
-                    f"memory: streaming peak grew {growth:+.0%} "
-                    f"(> {MEMORY_GROWTH_THRESHOLD:.0%})"
-                )
-    # Monitor gate: the collector must stay a near-free observer (and
-    # keep observing — deterministic counts are printed for drift).
-    base_mon = baseline.get("monitor")
-    if base_mon is not None:
-        now_mon = collect_monitor()
-        print("\nmonitor (overhead ratio + seeded collector counts):")
-        for key in sorted(set(base_mon) | set(now_mon)):
-            base_v = base_mon.get(key, "-")
-            now_v = now_mon.get(key, "-")
-            changed = "" if base_v == now_v else "  (changed)"
-            print(f"  {key:22s} {base_v!s:>12} -> {now_v!s:>12}{changed}")
-        if now_mon["overhead"] > MONITOR_OVERHEAD_THRESHOLD:
-            failures.append(
-                f"monitor: fleet overhead {now_mon['overhead']:+.1%} "
-                f"above the {MONITOR_OVERHEAD_THRESHOLD:.0%} gate"
-            )
-        if now_mon["samples_observed"] == 0:
-            failures.append("monitor: collector observed no samples")
-    # Obs gate: cross-process trace/metric capture must stay a near-free
-    # rider on the sharded fleet path (and keep merging worker spans).
-    base_obs = baseline.get("obs")
-    if base_obs is not None:
-        now_obs = collect_obs()
-        print("\nobs (sharded capture overhead + merged span count):")
-        for key in sorted(set(base_obs) | set(now_obs)):
-            base_v = base_obs.get(key, "-")
-            now_v = now_obs.get(key, "-")
-            changed = "" if base_v == now_v else "  (changed)"
-            print(f"  {key:22s} {base_v!s:>12} -> {now_v!s:>12}{changed}")
-        if now_obs["overhead"] > OBS_OVERHEAD_THRESHOLD:
-            failures.append(
-                f"obs: sharded capture overhead {now_obs['overhead']:+.1%} "
-                f"above the {OBS_OVERHEAD_THRESHOLD:.0%} gate"
-            )
-        if now_obs["merged_spans"] == 0:
-            failures.append("obs: no worker spans survived the merge")
-    # Profile gate: the sampling profiler must stay a near-free rider on
-    # the sharded fleet path (and must actually be sampling).
-    base_prof = baseline.get("profile")
-    if base_prof is not None:
-        now_prof = collect_profile()
-        print("\nprofile (sampling overhead + sample count):")
-        for key in sorted(set(base_prof) | set(now_prof)):
-            base_v = base_prof.get(key, "-")
-            now_v = now_prof.get(key, "-")
-            changed = "" if base_v == now_v else "  (changed)"
-            print(f"  {key:22s} {base_v!s:>12} -> {now_v!s:>12}{changed}")
-        if now_prof["overhead"] > PROFILE_OVERHEAD_THRESHOLD:
-            failures.append(
-                f"profile: sampling overhead {now_prof['overhead']:+.1%} "
-                f"above the {PROFILE_OVERHEAD_THRESHOLD:.0%} gate"
-            )
-        if now_prof["samples"] == 0:
-            failures.append("profile: sampler thread recorded no samples")
-    # Shard gate: the 100k-node sharded path must keep beating the eager
-    # reference in nodes/sec by the floor ratio (load-invariant).
-    base_shard = baseline.get("shard")
-    if base_shard is not None:
-        now_shard = collect_shard()
-        print("\nshard (nodes/sec scaling; baseline -> now):")
-        for key in sorted(set(base_shard) | set(now_shard)):
-            base_v = base_shard.get(key, "-")
-            now_v = now_shard.get(key, "-")
-            changed = "" if base_v == now_v else "  (changed)"
-            print(f"  {key:22s} {base_v!s:>12} -> {now_v!s:>12}{changed}")
-        if now_shard["speedup_vs_eager"] < SHARD_SPEEDUP_FLOOR:
-            failures.append(
-                f"shard: 100k-node speedup {now_shard['speedup_vs_eager']:.2f}x "
-                f"below the {SHARD_SPEEDUP_FLOOR:.0f}x floor"
-            )
-    # Surrogate gate: the fast path must keep its >= 100x per-point
-    # speedup, and held-out accuracy (deterministic) must stay under the
-    # MAPE ceilings — a silent feature or training regression shows up
-    # here even when every timing is clean.
-    base_surro = baseline.get("surrogate")
-    if base_surro is not None:
-        now_surro = collect_surrogate()
-        print("\nsurrogate (per-point speedup + held-out accuracy):")
-        for key in sorted(set(base_surro) | set(now_surro)):
-            base_v = base_surro.get(key, "-")
-            now_v = now_surro.get(key, "-")
-            changed = "" if base_v == now_v else "  (changed)"
-            print(f"  {key:22s} {base_v!s:>12} -> {now_v!s:>12}{changed}")
-        if now_surro["speedup"] < SURROGATE_SPEEDUP_FLOOR:
-            failures.append(
-                f"surrogate: per-point speedup {now_surro['speedup']:.0f}x "
-                f"below the {SURROGATE_SPEEDUP_FLOOR:.0f}x floor"
-            )
-        if now_surro["mape"] > SURROGATE_MAPE_CEILING:
-            failures.append(
-                f"surrogate: held-out workload MAPE {now_surro['mape']:.3f} "
-                f"above the {SURROGATE_MAPE_CEILING:.2f} ceiling"
-            )
-        if now_surro["cap_mape"] > SURROGATE_CAP_MAPE_CEILING:
-            failures.append(
-                f"surrogate: held-out cap MAPE {now_surro['cap_mape']:.3f} "
-                f"above the {SURROGATE_CAP_MAPE_CEILING:.2f} ceiling"
-            )
-    # Scenario gate: job-list builds stay cheap, and collect_scenario()
-    # itself hard-fails if the scenario fleet replay loses bit-identity
-    # across worker counts.
-    base_scen = baseline.get("scenario")
-    if base_scen is not None:
-        now_scen = collect_scenario()
-        print("\nscenario (build throughput + replay identity):")
-        for key in sorted(set(base_scen) | set(now_scen)):
-            base_v = base_scen.get(key, "-")
-            now_v = now_scen.get(key, "-")
-            changed = "" if base_v == now_v else "  (changed)"
-            print(f"  {key:22s} {base_v!s:>12} -> {now_v!s:>12}{changed}")
-        if now_scen["builds_per_s"] < SCENARIO_BUILD_FLOOR:
-            failures.append(
-                f"scenario: {now_scen['builds_per_s']:.1f} builds/sec "
-                f"below the {SCENARIO_BUILD_FLOOR:.0f}/sec floor"
-            )
-        if now_scen["total_jobs"] != base_scen.get("total_jobs"):
-            print(
-                "  note: deterministic job counts changed "
-                "(scenario or registry change)"
-            )
+    drift = host_drift(
+        {
+            name: times[name] / base - 1.0
+            for name, base in base_times.items()
+            if name in times
+        }
+    )
+    print_timings(base_times, times, drift, threshold)
+    print_sections(base_sections, sections)
+
+    failures = [
+        f"{name}: section missing from this run"
+        for name in base_sections
+        if name not in sections
+    ]
+    for section, field, rule, bound in GATES:
+        if rule == "timing":
+            base = {name: t for name, t in base_times.items() if field in name}
+            now, factor, bound = times, 1.0 + drift, threshold
+        else:
+            base_value = base_sections.get(section, {}).get(field)
+            base = {field: base_value} if base_value else {}
+            now, factor = sections.get(section), 1.0
+            if now is None:
+                continue  # already failed as a missing section
+        for key, base_value in base.items():
+            if key not in now:
+                failures.append(f"{section}: {key} missing from this run")
+                continue
+            growth = now[key] / base_value / factor - 1.0
+            if growth > bound:
+                failures.append(f"{section}: {key} grew {growth:+.0%} (> {bound:.0%})")
     if failures:
-        print("\nguarded benches regressed:")
+        print("\nbaseline gates failed:")
         for line in failures:
             print(f"  - {line}")
         return 1
@@ -610,7 +243,7 @@ def compare(times: dict[str, float], threshold: float) -> int:
     return 0
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--update", action="store_true", help="rewrite BENCH_BASELINE.json"
@@ -632,24 +265,22 @@ def main() -> int:
         action="store_true",
         help="do not run the suite; requires --json",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.no_run and args.json is None:
+        parser.error("--no-run requires --json")
 
-    if args.no_run:
-        if args.json is None:
-            parser.error("--no-run requires --json")
-        json_path = args.json
-    else:
-        json_path = args.json or Path(tempfile.mkstemp(suffix=".json")[1])
-        run_benchmarks(json_path)
-
-    times = extract_times(json_path)
+    with tempfile.TemporaryDirectory() as tmp:
+        json_path = args.json or Path(tmp) / "bench.json"
+        if not args.no_run:
+            run_benchmarks(json_path)
+        times, sections = load_run(json_path)
     if not times:
         print("no benchmark results found")
         return 1
     if args.update:
-        write_baseline(times)
+        write_baseline(times, sections)
         return 0
-    return compare(times, args.threshold)
+    return compare(times, sections, args.threshold)
 
 
 if __name__ == "__main__":

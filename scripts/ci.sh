@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 tests, then the guarded benchmark comparison
-# (timing drift on the sweep benches plus the fleet memory gate —
-# streaming must beat the bench's dense reference tracemalloc peak by
-# >= 3x).
+# CI entry point: tier-1 tests and the CLI smoke diffs, then the bench
+# stage: the e2e benchmark harness self-tests and one benchmark run,
+# compared against BENCH_BASELINE.json.  Bench floors (memory reduction,
+# overheads, speedups, accuracy) are asserted inside the benches;
+# bench_compare.py adds the baseline-relative gates (drift-adjusted
+# sweep timings, streaming peak growth, missing sections).
 #
 # Usage:
-#   scripts/ci.sh                 # full gate: pytest + bench compare
-#   scripts/ci.sh --skip-bench    # tests only (fast pre-push check)
+#   scripts/ci.sh                 # full gate: pytest + smokes + bench stage
+#   scripts/ci.sh --skip-bench    # no bench stage (fast pre-push check)
 #
 # Extra arguments after the flags are forwarded to bench_compare.py
 # (e.g. `scripts/ci.sh --threshold 0.3`).
@@ -217,5 +219,8 @@ if [[ "$SKIP_BENCH" == "1" ]]; then
     exit 0
 fi
 
-echo "== benchmark comparison (guarded sweep benches) =="
+echo "== e2e benchmark harness self-tests =="
+python -m pytest benchmarks/e2e -q
+
+echo "== benchmark run + baseline comparison (bench floors, sweep timings, memory growth) =="
 python scripts/bench_compare.py "${ARGS[@]+"${ARGS[@]}"}"

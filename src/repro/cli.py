@@ -95,7 +95,6 @@ from repro.obs.ledger import RUNS_DIR_ENV, RUNS_ENABLE_ENV
 from repro.monitor import (
     MONITOR_ENV,
     MONITOR_LOG_ENV,
-    MONITOR_WINDOW_ENV,
     FleetMonitor,
     MonitorConfig,
     monitor_state,
@@ -799,7 +798,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         obs.PROFILE_INTERVAL_ENV,
         obs.LOG_ENV,
         MONITOR_ENV,
-        MONITOR_WINDOW_ENV,
         MONITOR_LOG_ENV,
         CACHE_ENABLE_ENV,
         CACHE_DIR_ENV,
@@ -969,11 +967,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     capped = args.policy == "capped"
     policy = CapPolicy.half_tdp(platform) if capped else CapPolicy.uncapped(platform)
     policy_name = "50% TDP policy" if capped else "uncapped"
-    config = MonitorConfig(
-        platform=platform,
-        window_samples=args.window,
-        alert_log=args.alert_log,
-    )
+    config = MonitorConfig(platform=platform, alert_log=args.alert_log)
     monitor = FleetMonitor(config, label=policy_name)
     engine_config = (
         EngineConfig(base_interval_s=args.resolution) if args.resolution else None
@@ -997,7 +991,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     run_ledger.annotate_run(
         fingerprint=fingerprint(
             "cli.monitor", args.jobs, args.nodes, budget, args.seed,
-            args.policy, args.resolution, args.platform, args.window,
+            # None stands where the removed --window value sat, so
+            # fingerprints stay comparable with older ledger records.
+            args.policy, args.resolution, args.platform, None,
         ),
         platforms=[get_platform(platform).id]
         if node_platforms is None
@@ -1542,13 +1538,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         metavar="SECONDS",
         help="trace sample interval (coarser = faster; 0.1 matches the paper)",
-    )
-    p_monitor.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        metavar="SAMPLES",
-        help=f"per-node ring-buffer window (default: ${MONITOR_WINDOW_ENV} or 512)",
     )
     p_monitor.add_argument(
         "--alert-log",

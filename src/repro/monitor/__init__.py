@@ -1,8 +1,7 @@
 """``repro.monitor`` — OMNI-style fleet telemetry pipeline.
 
 A streaming health monitor over the simulated fleet's power telemetry:
-per-node ring buffers plus incremental moments
-(:mod:`~repro.monitor.buffers`), derived health signals — idle-power
+incremental per-node moments, derived health signals — idle-power
 outliers, cap violations, throttle residency, sampler staleness, fleet
 drift (:mod:`~repro.monitor.health`) — a declarative alert-rules engine
 with debounce/hysteresis and a JSON log sink
@@ -15,8 +14,7 @@ one way — per-job ``JobProbe`` partials, from
 and stored telemetry through OmniStore ingest.  The collector is
 observation-only: monitored runs are bit-identical to unmonitored ones.
 
-Environment variables: ``REPRO_MONITOR`` (ambient CLI monitoring),
-``REPRO_MONITOR_WINDOW`` (ring-buffer samples per node),
+Environment variables: ``REPRO_MONITOR`` (ambient CLI monitoring) and
 ``REPRO_MONITOR_LOG`` (alert-log JSON-lines sink).
 """
 
@@ -27,15 +25,12 @@ from repro.monitor.alerts import (
     AlertRule,
     default_rules,
 )
-from repro.monitor.buffers import RingBuffer
 from repro.monitor.collector import (
     MONITOR_ENV,
     MONITOR_LOG_ENV,
-    MONITOR_WINDOW_ENV,
     FleetMonitor,
     MonitorConfig,
     monitor_state,
-    monitor_window_samples,
     monitoring_requested,
     reset_monitor_state,
 )
@@ -56,7 +51,6 @@ __all__ = [
     "SIGNAL_KINDS",
     "MONITOR_ENV",
     "MONITOR_LOG_ENV",
-    "MONITOR_WINDOW_ENV",
     "AlertEvent",
     "AlertManager",
     "AlertRule",
@@ -71,11 +65,9 @@ __all__ = [
     "MonitorConfig",
     "MonitorReport",
     "NodeSummary",
-    "RingBuffer",
     "StalenessDetector",
     "default_rules",
     "monitor_state",
-    "monitor_window_samples",
     "monitoring_requested",
     "render_dashboard",
     "reset_monitor_state",

@@ -7,8 +7,8 @@ methodology presumes.  Engine chunk streams reach it one way: a per-job
 :func:`repro.capping.fleet.simulate_fleet_traced` (serial or sharded), or
 fed retained traces by :meth:`FleetMonitor.observe_run` — and the
 monitor replays its :class:`JobMonitorPartial` in chronological job
-order.  :class:`repro.telemetry.omni.OmniStore` ingest feeds per-node
-ring buffers.  The monitor keeps incremental
+order; :class:`repro.telemetry.omni.OmniStore` ingest feeds it stored
+series.  The monitor keeps incremental
 :class:`~repro.hardware.system.RunningMoments` and derives the health
 signals of :mod:`repro.monitor.health`.  On top sit the declarative
 alert rules (:mod:`repro.monitor.alerts`) and the per-job energy ledger
@@ -35,7 +35,6 @@ from repro.hardware.node import GpuNode
 from repro.hardware.platform import NodeSpec, Platform, get_platform
 from repro.hardware.system import RunningMoments
 from repro.monitor.alerts import AlertManager, AlertRule
-from repro.monitor.buffers import RingBuffer
 from repro.monitor.energy import EnergyLedger
 from repro.monitor.health import (
     CapMonitor,
@@ -49,8 +48,6 @@ from repro.monitor.report import MonitorReport, NodeSummary
 from repro.runner.trace import GPU_KEYS, RunResult
 from repro.telemetry.sampler import SampledSeries
 
-#: Environment variable: ring-buffer window per node, in samples.
-MONITOR_WINDOW_ENV = "REPRO_MONITOR_WINDOW"
 #: Environment variable: path for the JSON-lines alert log sink.
 MONITOR_LOG_ENV = "REPRO_MONITOR_LOG"
 #: Environment variable: any non-empty value asks the CLI to attach a
@@ -58,18 +55,6 @@ MONITOR_LOG_ENV = "REPRO_MONITOR_LOG"
 MONITOR_ENV = "REPRO_MONITOR"
 
 _GPU_COMPONENTS = frozenset(GPU_KEYS)
-
-
-def monitor_window_samples() -> int:
-    """Ring-buffer capacity from ``REPRO_MONITOR_WINDOW`` (default 512)."""
-    raw = os.environ.get(MONITOR_WINDOW_ENV, "").strip()
-    if not raw:
-        return 512
-    try:
-        value = int(raw)
-    except ValueError:
-        return 512
-    return value if value >= 1 else 512
 
 
 def monitoring_requested() -> bool:
@@ -98,8 +83,6 @@ class MonitorConfig:
     #: Hardware platform whose spec supplies the idle band and cap
     #: tolerances; None means the registry default (a100-40g).
     platform: "str | Platform | None" = None
-    #: Per-node ring-buffer capacity (samples); None reads the env var.
-    window_samples: int | None = None
     #: Sample-gap bound (§II-B: LDMS gaps never exceeded 5 s).
     max_gap_s: float = 5.0
     #: Idle band overrides; None uses the platform node spec's band
@@ -122,16 +105,6 @@ class MonitorConfig:
     rules: tuple[AlertRule, ...] | None = None
     #: JSON-lines alert log path; None reads ``REPRO_MONITOR_LOG``.
     alert_log: str | Path | None = None
-
-    def resolved_window(self) -> int:
-        """The effective ring capacity."""
-        if self.window_samples is not None:
-            if self.window_samples < 1:
-                raise ValueError(
-                    f"window_samples must be >= 1, got {self.window_samples}"
-                )
-            return self.window_samples
-        return monitor_window_samples()
 
     def resolved_alert_log(self) -> Path | None:
         """The effective alert-log sink path."""
@@ -304,9 +277,6 @@ class FleetMonitor:
     def __init__(self, config: MonitorConfig | None = None, label: str = "fleet") -> None:
         self.config = config if config is not None else MonitorConfig()
         self.label = label
-        window = self.config.resolved_window()
-        self._window = window
-        self._buffers: dict[str, RingBuffer] = {}
         platform = get_platform(self.config.platform)
         self._idle = IdleOutlierDetector(
             idle_min_w=self.config.idle_min_w,
@@ -332,8 +302,7 @@ class FleetMonitor:
             self.alerts.stream_to(stream_path)
         self.ledger = EnergyLedger()
         #: Node -> time of its most recent sample; maintained by partial
-        #: replay and store ingest (ring buffers exist only for ingest,
-        #: so reports read this instead).
+        #: replay and store ingest.
         self._last_times: dict[str, float] = {}
         self.signals: list[HealthSignal] = []
         self.signal_counts: dict[str, int] = {}
@@ -357,12 +326,6 @@ class FleetMonitor:
             obs.inc("repro_monitor_signals_total", kind=signal.kind)
             _count_signal()
         self.alerts.process_all(signals)
-
-    def _buffer(self, node_name: str) -> RingBuffer:
-        buffer = self._buffers.get(node_name)
-        if buffer is None:
-            buffer = self._buffers[node_name] = RingBuffer(self._window)
-        return buffer
 
     # ------------------------------------------------------------------
     # Subscriptions
@@ -493,8 +456,8 @@ class FleetMonitor:
         """OmniStore subscription hook: watch an ingested sampled series.
 
         Store streams carry no job attribution, so only stream-level
-        health applies: staleness on every component stream, ring
-        buffering plus idle checks on node power.
+        health applies: staleness on every component stream, drift and
+        idle checks on node power.
         """
         key = f"{series.node_name}:{series.component}"
         times = np.asarray(series.times, dtype=float)
@@ -507,7 +470,6 @@ class FleetMonitor:
         horizon = float(times[-1])
         if horizon > self._horizon_s:
             self._horizon_s = horizon
-        self._buffer(series.node_name).push_batch(times, values)
         self._last_times[series.node_name] = float(times[-1])
         self._drift.update(series.node_name, values)
         band = self._node_bands.get(series.node_name)
@@ -574,11 +536,6 @@ class FleetMonitor:
             nodes=tuple(nodes),
         )
 
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes held by the per-node ring buffers (store ingest)."""
-        return sum(buffer.nbytes for buffer in self._buffers.values())
-
 
 # ----------------------------------------------------------------------
 # Module-level state (surfaced by `repro obs`)
@@ -608,7 +565,6 @@ def monitor_state() -> dict[str, object]:
         "signals_emitted": _TOTALS["signals_emitted"],
         "env": {
             MONITOR_ENV: os.environ.get(MONITOR_ENV) or None,
-            MONITOR_WINDOW_ENV: os.environ.get(MONITOR_WINDOW_ENV) or None,
             MONITOR_LOG_ENV: os.environ.get(MONITOR_LOG_ENV) or None,
         },
     }

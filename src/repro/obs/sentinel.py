@@ -47,8 +47,8 @@ DEFAULT_TOLERANCE = 0.25
 DEFAULT_MIN_HISTORY = 2
 #: Surrogate drift gate: recent mean verification error above this
 #: means the surrogate no longer tracks the engine.  Mirrors the
-#: held-out MAPE ceiling in ``scripts/bench_compare.py``
-#: (``SURROGATE_MAPE_CEILING``) — the accuracy the store was admitted at.
+#: held-out MAPE ceiling in ``benchmarks/test_surrogate_bench.py``
+#: (``MAPE_CEILING``) — the accuracy the store was admitted at.
 DEFAULT_DRIFT_GATE = 0.25
 #: Relative energy tolerance: the engine is bit-deterministic per
 #: config, so anything beyond float noise is a determinism break.

@@ -13,7 +13,6 @@ from repro.monitor import (
     FleetMonitor,
     MonitorConfig,
     monitor_state,
-    monitor_window_samples,
     monitoring_requested,
     render_dashboard,
 )
@@ -224,21 +223,6 @@ class TestReport:
 
 
 class TestConfig:
-    def test_window_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MONITOR_WINDOW", raising=False)
-        assert monitor_window_samples() == 512
-        monkeypatch.setenv("REPRO_MONITOR_WINDOW", "64")
-        assert monitor_window_samples() == 64
-        assert MonitorConfig().resolved_window() == 64
-        monkeypatch.setenv("REPRO_MONITOR_WINDOW", "garbage")
-        assert monitor_window_samples() == 512
-
-    def test_explicit_window_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MONITOR_WINDOW", "64")
-        assert MonitorConfig(window_samples=16).resolved_window() == 16
-        with pytest.raises(ValueError):
-            MonitorConfig(window_samples=0).resolved_window()
-
     def test_alert_log_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_MONITOR_LOG", str(tmp_path / "log.jsonl"))
         assert MonitorConfig().resolved_alert_log() == tmp_path / "log.jsonl"
