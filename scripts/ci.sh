@@ -34,7 +34,7 @@ for arg in "$@"; do
 done
 
 echo "== tier-1 tests =="
-python -m pytest -x -q
+python -m pytest -x -q --durations=10
 
 echo "== monitor smoke run (dashboard + energy report) =="
 python -m repro monitor --jobs 6 --nodes 8 --seed 3 --resolution 1.0

@@ -571,13 +571,10 @@ def simulate_fleet_traced(
                 monitor_config=monitor_config,
                 jobs=tuple(tasks),
             )
-            #: Jobs of one benchmark at one width share a phase list;
-            #: building one is ~25 ms of SCF modelling, so memoize.
-            phases: dict[str, list] = {}
             for job in batch.jobs:
                 fold(
                     shard.render_task_job(
-                        job, batch, lambda name, _spec: pool.nodes[name], phases
+                        job, batch, lambda name, _spec: pool.nodes[name]
                     )
                 )
     if beat is not None:

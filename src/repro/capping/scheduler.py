@@ -59,6 +59,21 @@ class RunEstimate:
         return self.runtime_s * self.mean_node_power_w
 
 
+#: The process's phase lists, keyed by content (workload model, workload,
+#: width).  Building one is ~25 ms of SCF modelling, and admission
+#: estimates and fleet renders of one (workload, width) share it —
+#: across caps, policies, runs and, in a worker process, batches.
+_PHASE_STORE = RunCache(name="phases")
+
+
+def cached_phases(workload, n_nodes: int) -> list:
+    """``workload.phases`` at ``n_nodes``, built once per process."""
+    key = fingerprint("fleet_phases", workload_model_id(workload), workload, n_nodes)
+    return _PHASE_STORE.get_or_compute(
+        key, lambda: workload.phases(layout_for(workload, n_nodes))
+    )
+
+
 def estimate_run(
     workload: VaspWorkload,
     n_nodes: int,
@@ -82,8 +97,7 @@ def estimate_run(
     )
     if cap_w is not None:
         gpu.set_power_limit(cap_w)
-    parallel = layout_for(workload, n_nodes)
-    phases = workload.phases(parallel)
+    phases = cached_phases(workload, n_nodes)
     total_time = 0.0
     total_energy = 0.0
     peak = 0.0

@@ -42,14 +42,13 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro import obs
 from repro.obs import merge as obs_merge
+from repro.capping.scheduler import cached_phases
 from repro.hardware.node import GpuNode
 from repro.hardware.platform import NodeSpec
 from repro.hardware.system import JobPowerPartial, RunningMoments
 from repro.runner.cache import atomic_write_pickle, fingerprint
 from repro.runner.engine import EngineConfig, PowerEngine
 from repro.runner.sweep import workers_from_env
-from repro.vasp.parallel import layout_for
-from repro.workloads.registry import workload_model_id
 from repro.vasp.workload import VaspWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -171,7 +170,6 @@ def render_task_job(
     job: ShardJobTask,
     task: ShardTask,
     node_for: Callable[[str, NodeSpec], GpuNode],
-    phase_cache: dict[str, list],
 ) -> JobPartial:
     """Render one scheduled job's traces and reduce them to a :class:`JobPartial`.
 
@@ -180,10 +178,12 @@ def render_task_job(
     is what makes the modes bit-identical.  ``node_for(name, spec)``
     supplies the job's nodes (the pool's lazy map in-process, the
     per-process memo in workers); a node's only per-job state, its GPU
-    cap, is set here before every render.  ``phase_cache`` memoizes
-    phase lists by content.  Monitored runs (``task.monitor_config``)
-    observe the stream through a :class:`repro.monitor.collector.JobProbe`
-    whose partial rides home on the job partial.
+    cap, is set here before every render.  Phase lists come from the
+    process's content-keyed phase store
+    (:func:`repro.capping.scheduler.cached_phases`).  Monitored runs
+    (``task.monitor_config``) observe the stream through a
+    :class:`repro.monitor.collector.JobProbe` whose partial rides home
+    on the job partial.
     """
     specs = [task.specs[i] for i in job.spec_indices]
     nodes = [node_for(name, spec) for name, spec in zip(job.node_names, specs)]
@@ -191,13 +191,7 @@ def render_task_job(
         # A mixed pool may contain GPUs whose supported cap range does
         # not include the policy's cap; clamp per node.
         node.set_gpu_power_limit(clamped_cap_w(job.cap_w, node.spec))
-    phase_key = fingerprint(
-        "fleet_phases", workload_model_id(job.workload), job.workload, job.n_nodes
-    )
-    phases = phase_cache.get(phase_key)
-    if phases is None:
-        parallel = layout_for(job.workload, job.n_nodes)
-        phases = phase_cache[phase_key] = job.workload.phases(parallel)
+    phases = cached_phases(job.workload, job.n_nodes)
     engine = PowerEngine(nodes, task.engine_config)
     probe = None
     if task.monitor_config is not None:
@@ -251,11 +245,6 @@ def render_task_job(
     )
 
 
-#: Worker-process-global phase memo: batched submission sends several
-#: small batches to the same worker process, and jobs of one (workload,
-#: width) must not re-run ~25 ms of SCF modelling per batch.  Keyed by
-#: content fingerprint, so it is safe across batches of different runs.
-_WORKER_PHASE_CACHE: dict[str, list] = {}
 #: Worker-process-global node memo, keyed by (name, spec): construction
 #: (~0.45 ms per node) is deterministic in both, so a node is built once
 #: per process however many jobs and batches touch it.
@@ -293,7 +282,7 @@ def _render_shard(task: ShardTask) -> ShardResult:
             "shard.render_batch", shard=task.shard_index, jobs=len(task.jobs)
         ):
             partials = [
-                render_task_job(job, task, _worker_node, _WORKER_PHASE_CACHE)
+                render_task_job(job, task, _worker_node)
                 for job in task.jobs
             ]
     finally:

@@ -15,10 +15,11 @@ KDE analysis of Section III meaningful).
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import lfilter
@@ -49,6 +50,12 @@ RENDER_CHUNK_ENV = "REPRO_RENDER_CHUNK"
 
 #: Default chunk size for streaming consumers when the env is unset.
 DEFAULT_STREAM_CHUNK = 16_384
+
+#: Rows of the components in a resolved ``means[N, K, P]``.
+_GPU_ROWS = [COMPONENT_KEYS.index(key) for key in GPU_KEYS]
+_CPU_ROW = COMPONENT_KEYS.index("cpu")
+_MEMORY_ROW = COMPONENT_KEYS.index("memory")
+_NODE_ROW = COMPONENT_KEYS.index("node")
 
 
 def render_chunk_samples() -> int | None:
@@ -127,10 +134,13 @@ class StreamedRun:
     :data:`~repro.runner.trace.COMPONENT_KEYS` is rendered (the RNG
     stream must advance identically to the whole-schedule render), so
     consumers filter for the components they aggregate.
+
+    ``phases`` is built on first access: fleet consumers read only
+    ``runtime_s``, and building hundreds of records per job costs more
+    than resolving them.
     """
 
     label: str
-    phases: list[PhaseRecord]
     runtime_s: float
     gpu_power_cap_w: float
     n_nodes: int
@@ -138,15 +148,33 @@ class StreamedRun:
     base_interval_s: float
     chunk_samples: int
     chunks: Iterator[TraceChunk]
+    build_phases: Callable[[], list[PhaseRecord]] = field(repr=False)
+
+    @functools.cached_property
+    def phases(self) -> list[PhaseRecord]:
+        """The laid-out phase schedule."""
+        return self.build_phases()
 
 
-@dataclass(frozen=True)
-class _ResolvedPhase:
-    """A phase with cap effects applied, ready for rendering."""
-
-    record: PhaseRecord
-    # per node: component -> mean power during the phase
-    node_means: list[dict[str, float]]
+def _phase_records(
+    phases: list[MacroPhase],
+    slowdown: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+) -> list[PhaseRecord]:
+    """The :class:`PhaseRecord` schedule of a laid-out phase list."""
+    return [
+        PhaseRecord(
+            name=phase.name,
+            start_s=start,
+            end_s=end,
+            nominal_duration_s=phase.duration_s,
+            slowdown=factor,
+        )
+        for phase, start, end, factor in zip(
+            phases, starts.tolist(), ends.tolist(), slowdown.tolist()
+        )
+    ]
 
 
 class PowerEngine:
@@ -155,6 +183,12 @@ class PowerEngine:
     def __init__(self, nodes: list[GpuNode], config: EngineConfig | None = None) -> None:
         if not nodes:
             raise ValueError("engine needs at least one node")
+        gpu_counts = sorted({len(node.gpus) for node in nodes})
+        if gpu_counts != [len(GPU_KEYS)]:
+            raise ValueError(
+                f"every node needs {len(GPU_KEYS)} GPUs (the trace schema), "
+                f"got GPU counts {gpu_counts}"
+            )
         self.nodes = nodes
         self.config = config if config is not None else EngineConfig()
 
@@ -175,27 +209,19 @@ class PowerEngine:
             for gpu in node.gpus
         }
 
-    def _resolve_phases(self, phases: list[MacroPhase]) -> list[_ResolvedPhase]:
+    def _resolve_phases(
+        self, phases: list[MacroPhase]
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Cap-resolve all phases on all nodes x GPUs with array ops.
 
-        This is the vectorized equivalent of calling
-        :meth:`_resolve_phase_reference` per phase: one batched pass over a
-        ``[phases, nodes, gpus]`` grid instead of three nested Python
-        loops.  Heterogeneous pools (nodes with differing GPU counts) fall
-        back to the reference path.
+        Returns ``(slowdown, means)``: the per-phase slowdown ``[P]`` and
+        the mean power of every component during every phase,
+        ``[nodes, components, phases]`` with components in
+        :data:`COMPONENT_KEYS` order.  This is the vectorized equivalent
+        of calling :meth:`_resolve_phase_reference` per phase: one batched
+        pass over a ``[phases, nodes, gpus]`` grid instead of three nested
+        Python loops.
         """
-        gpu_counts = {len(node.gpus) for node in self.nodes}
-        if len(gpu_counts) != 1:
-            logger.debug(
-                "heterogeneous pool (%s GPUs/node): using reference resolve path",
-                sorted(gpu_counts),
-            )
-            obs.inc("repro_engine_resolve_total", len(phases), path="reference")
-            resolved = []
-            for p in phases:
-                with obs.span("engine.resolve_phase", phase=p.name, path="reference"):
-                    resolved.append(self._resolve_phase_reference(p))
-            return resolved
         obs.inc("repro_engine_resolve_total", len(phases), path="vectorized")
 
         nodes = self.nodes
@@ -255,54 +281,39 @@ class PowerEngine:
         phase_slowdown = np.maximum(slow_terms.max(axis=(1, 2)), 1.0)
         phase_slowdown = np.where(duty <= 0.0, 1.0, phase_slowdown)
 
-        # Host-side components per node, shape [P] each.
+        # Assemble [N, K, P]: GPU rows straight from the grid, host-side
+        # rows per node.  The node total adds GPUs one at a time in index
+        # order, the summation order every rendered digest depends on.
+        means = np.empty((n_nodes, len(COMPONENT_KEYS), len(phases)))
+        means[:, _GPU_ROWS, :] = gpu_means.transpose(1, 2, 0)
         cpu_u = np.array([p.cpu_utilization for p in phases])
         mem_u = np.array([p.mem_bw_utilization for p in phases])
         nic_u = np.array([p.nic_utilization for p in phases])
-        node_components: list[dict[str, np.ndarray]] = []
         for node_index, node in enumerate(nodes):
             cpu_w, memory_w, nic_w = node.host_power_batch(cpu_u, mem_u, nic_u)
             gpu_total = 0.0
-            for gpu_index in range(len(node.gpus)):
-                gpu_total = gpu_total + gpu_means[:, node_index, gpu_index]
-            node_w = cpu_w + gpu_total + memory_w + nic_w + node.baseboard_power_w
-            node_components.append(
-                {"cpu": cpu_w, "memory": memory_w, "node": node_w}
+            for row in _GPU_ROWS:
+                gpu_total = gpu_total + means[node_index, row]
+            rows = means[node_index]
+            rows[_CPU_ROW] = cpu_w
+            rows[_MEMORY_ROW] = memory_w
+            rows[_NODE_ROW] = (
+                cpu_w + gpu_total + memory_w + nic_w + node.baseboard_power_w
             )
+        return phase_slowdown, means
 
-        resolved = []
-        for phase_index, phase in enumerate(phases):
-            slowdown = float(phase_slowdown[phase_index])
-            node_means: list[dict[str, float]] = []
-            for node_index, node in enumerate(nodes):
-                means = {
-                    key: float(series[phase_index])
-                    for key, series in node_components[node_index].items()
-                }
-                for gpu_index, key in zip(range(len(node.gpus)), GPU_KEYS):
-                    means[key] = float(gpu_means[phase_index, node_index, gpu_index])
-                node_means.append(means)
-            record = PhaseRecord(
-                name=phase.name,
-                start_s=0.0,
-                end_s=phase.duration_s * slowdown,
-                nominal_duration_s=phase.duration_s,
-                slowdown=slowdown,
-            )
-            resolved.append(_ResolvedPhase(record=record, node_means=node_means))
-        return resolved
-
-    def _resolve_phase_reference(self, phase: MacroPhase) -> _ResolvedPhase:
-        """Cap-resolve one phase on every node (schedule set later).
+    def _resolve_phase_reference(self, phase: MacroPhase) -> tuple[float, np.ndarray]:
+        """Cap-resolve one phase on every node: ``(slowdown, means[N, K])``.
 
         Scalar reference implementation: per-node / per-GPU Python loops.
-        The production path is :meth:`_resolve_phases`; this is kept as the
-        readable specification, the fallback for heterogeneous pools, and
-        the oracle the vectorized-equivalence tests replay.
+        The production path is :meth:`_resolve_phases`, whose
+        ``means[:, :, p]`` this reproduces for phase ``p``; it is kept as
+        the readable specification and the oracle the
+        vectorized-equivalence tests replay.
         """
         profile = phase.gpu_profile
         duty = profile.duty_cycle
-        node_means: list[dict[str, float]] = []
+        means = np.empty((len(self.nodes), len(COMPONENT_KEYS)))
         slowdown = 1.0
         skews = {
             gpu.serial: self._rank_skew(gpu.serial)
@@ -310,7 +321,7 @@ class PowerEngine:
             for gpu in node.gpus
         }
         max_skew = max(skews.values()) if skews else 0.0
-        for node in self.nodes:
+        for node_index, node in enumerate(self.nodes):
             gpu_means: list[float] = []
             for gpu in node.gpus:
                 if duty <= 0.0:
@@ -338,42 +349,30 @@ class PowerEngine:
                 memory_bandwidth_utilization=phase.mem_bw_utilization,
                 nic_utilization=phase.nic_utilization,
             )
-            means = {
-                "cpu": node_sample.cpu_w,
-                "memory": node_sample.memory_w,
-                "node": node_sample.node_w,
-            }
-            for key, value in zip(GPU_KEYS, node_sample.gpu_w):
-                means[key] = value
-            node_means.append(means)
-        record = PhaseRecord(
-            name=phase.name,
-            start_s=0.0,
-            end_s=phase.duration_s * slowdown,
-            nominal_duration_s=phase.duration_s,
-            slowdown=slowdown,
-        )
-        return _ResolvedPhase(record=record, node_means=node_means)
+            row = means[node_index]
+            row[_CPU_ROW] = node_sample.cpu_w
+            row[_MEMORY_ROW] = node_sample.memory_w
+            row[_NODE_ROW] = node_sample.node_w
+            row[_GPU_ROWS] = node_sample.gpu_w
+        return slowdown, means
 
-    def _phase_sample_counts(
-        self, resolved: list[_ResolvedPhase]
-    ) -> tuple[int, list[int]]:
-        """(total samples, per-phase sample counts) on the regular grid."""
+    def _phase_sample_counts(self, durations: np.ndarray) -> tuple[int, np.ndarray]:
+        """(total samples, per-phase sample counts) on the regular grid.
+
+        ``durations`` are the laid-out phase durations (``end - start``).
+        Phase ``i`` ends at sample ``rint(sum(durations[:i+1]) / dt)``;
+        the running sum must be sequential (``cumsum``, as the wall clock
+        advances), never pairwise.
+        """
         dt = self.config.base_interval_s
-        total = sum(r.record.duration_s for r in resolved)
-        n_samples = max(int(round(total / dt)), 1)
-        counts = []
-        acc = 0
-        t_acc = 0.0
-        for r in resolved:
-            t_acc += r.record.duration_s
-            upto = min(int(round(t_acc / dt)), n_samples)
-            counts.append(max(upto - acc, 0))
-            acc = upto
-        if acc < n_samples:
+        t_acc = np.cumsum(durations)
+        n_samples = max(int(np.rint(t_acc[-1] / dt)), 1)
+        upto = np.minimum(np.rint(t_acc / dt).astype(np.int64), n_samples)
+        counts = np.diff(upto, prepend=0)
+        if upto[-1] < n_samples:
             # Rounding drift: park the remainder on the final phase so the
             # per-phase counts always sum to n_samples.
-            counts[-1] += n_samples - acc
+            counts[-1] += n_samples - upto[-1]
         return n_samples, counts
 
     def _empty_traces(self) -> list[PowerTrace]:
@@ -394,21 +393,24 @@ class PowerEngine:
 
     def _render_traces(
         self,
-        resolved: list[_ResolvedPhase],
+        means: np.ndarray,
+        durations: np.ndarray,
         rng: np.random.Generator,
         chunk_samples: int | None = None,
     ) -> list[PowerTrace]:
         """Render the resolved schedule onto the regular sample grid.
 
-        The output is columnar: one ``(n_components, n_samples)`` block
-        per node.  With ``chunk_samples`` set, rows are filled through the
-        chunked path (bit-identical; see :meth:`_iter_component_chunks`).
+        ``means`` is the resolved ``[nodes, components, phases]`` array,
+        ``durations`` the laid-out phase durations.  The output is
+        columnar: one ``(n_components, n_samples)`` block per node.  With
+        ``chunk_samples`` set, rows are filled through the chunked path
+        (bit-identical; see :meth:`_iter_component_chunks`).
         """
-        if not resolved:
+        if durations.size == 0:
             return self._empty_traces()
         dt = self.config.base_interval_s
         dtype = trace_dtype()
-        n_samples, counts = self._phase_sample_counts(resolved)
+        n_samples, counts = self._phase_sample_counts(durations)
         times = (np.arange(n_samples) + 0.5) * dt
 
         blocks = [
@@ -421,31 +423,29 @@ class PowerEngine:
             for node in self.nodes
         ]
         if chunk_samples is None:
-            for node_index in range(len(self.nodes)):
-                block = blocks[node_index]
-                for row, key in enumerate(COMPONENT_KEYS):
-                    means = np.repeat(
-                        [r.node_means[node_index][key] for r in resolved], counts
+            for block, levels in zip(blocks, means):
+                for row in range(len(COMPONENT_KEYS)):
+                    block.data[row] = self._add_noise(
+                        np.repeat(levels[row], counts), rng
                     )
-                    block.data[row] = self._add_noise(means, rng)
         else:
-            for node_index, key, start, values in self._iter_component_chunks(
-                resolved, rng, n_samples, counts, chunk_samples
+            for node_index, row, start, values in self._iter_component_chunks(
+                means, rng, n_samples, counts, chunk_samples
             ):
-                blocks[node_index].data[
-                    COMPONENT_KEYS.index(key), start : start + len(values)
-                ] = values
+                blocks[node_index].data[row, start : start + len(values)] = values
         return [PowerTrace.from_block(block) for block in blocks]
 
     def _iter_component_chunks(
         self,
-        resolved: list[_ResolvedPhase],
+        means: np.ndarray,
         rng: np.random.Generator,
         n_samples: int,
-        counts: list[int],
+        counts: np.ndarray,
         chunk_samples: int,
-    ) -> Iterator[tuple[int, str, int, np.ndarray]]:
-        """Yield ``(node_index, component, start, values)`` fixed-size chunks.
+    ) -> Iterator[tuple[int, int, int, np.ndarray]]:
+        """Yield ``(node_index, row, start, values)`` fixed-size chunks.
+
+        ``row`` indexes :data:`COMPONENT_KEYS` (and ``means[node_index]``).
 
         Bit-identical to the whole-schedule render: chunks are emitted in
         the same (node, component, time) order the whole render consumes
@@ -460,10 +460,8 @@ class PowerEngine:
         edges = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
         dt = cfg.base_interval_s
         for node_index in range(len(self.nodes)):
-            for key in COMPONENT_KEYS:
-                levels = np.array(
-                    [r.node_means[node_index][key] for r in resolved], dtype=float
-                )
+            for row in range(len(COMPONENT_KEYS)):
+                levels = means[node_index, row]
                 zi = np.zeros(1)
                 for start in range(0, n_samples, chunk_samples):
                     stop = min(start + chunk_samples, n_samples)
@@ -474,10 +472,11 @@ class PowerEngine:
                         np.minimum(edges[i0 + 1 : i1 + 1], stop)
                         - np.maximum(edges[i0:i1], start)
                     )
-                    means = np.repeat(levels[i0:i1], seg_counts)
-                    values, zi = self._add_noise_chunk(means, rng, zi)
+                    values, zi = self._add_noise_chunk(
+                        np.repeat(levels[i0:i1], seg_counts), rng, zi
+                    )
                     obs.inc("repro_engine_chunks_total")
-                    yield node_index, key, start, values
+                    yield node_index, row, start, values
 
     def _add_noise(self, means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """AR(1) noise proportional to the signal's dynamic range."""
@@ -527,49 +526,39 @@ class PowerEngine:
 
     def _resolve_and_layout(
         self, phases: list[MacroPhase]
-    ) -> tuple[list[_ResolvedPhase], list[PhaseRecord], float]:
-        """Cap-resolve phases and lay them out on the wall clock."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Cap-resolve phases and lay them out on the wall clock.
+
+        Returns ``(slowdown[P], means[N, K, P], starts[P], ends[P])``.
+        Phases run back to back: ``cumsum`` adds the stretched durations
+        in order, exactly as a wall clock advanced phase by phase would.
+        """
         with obs.span(
             "engine.resolve_phases", phases=len(phases), nodes=len(self.nodes)
         ):
-            resolved = self._resolve_phases(phases)
-        records = []
-        clock = 0.0
-        for r in resolved:
-            duration = r.record.duration_s
-            records.append(
-                PhaseRecord(
-                    name=r.record.name,
-                    start_s=clock,
-                    end_s=clock + duration,
-                    nominal_duration_s=r.record.nominal_duration_s,
-                    slowdown=r.record.slowdown,
-                )
-            )
-            clock += duration
-        resolved = [
-            _ResolvedPhase(record=rec, node_means=r.node_means)
-            for rec, r in zip(records, resolved)
-        ]
-        return resolved, records, clock
+            slowdown, means = self._resolve_phases(phases)
+        nominal = np.array([p.duration_s for p in phases], dtype=float)
+        ends = np.cumsum(nominal * slowdown)
+        starts = np.concatenate(([0.0], ends[:-1]))
+        return slowdown, means, starts, ends
 
     def _run_instrumented(
         self, phases: list[MacroPhase], label: str, seed: int
     ) -> RunResult:
         rng = np.random.default_rng(seed)
-        resolved, records, clock = self._resolve_and_layout(phases)
+        slowdown, means, starts, ends = self._resolve_and_layout(phases)
         with obs.span(
-            "engine.render_traces", phases=len(resolved), nodes=len(self.nodes)
+            "engine.render_traces", phases=len(phases), nodes=len(self.nodes)
         ) as render_span:
             traces = self._render_traces(
-                resolved, rng, chunk_samples=render_chunk_samples()
+                means, ends - starts, rng, chunk_samples=render_chunk_samples()
             )
             render_span.annotate(samples=int(traces[0].times.size) if traces else 0)
         return RunResult(
             label=label,
             traces=traces,
-            phases=records,
-            runtime_s=clock,
+            phases=_phase_records(phases, slowdown, starts, ends),
+            runtime_s=float(ends[-1]),
             gpu_power_cap_w=self.nodes[0].gpu_power_limit_w,
         )
 
@@ -615,23 +604,20 @@ class PowerEngine:
             chunk_samples = render_chunk_samples() or DEFAULT_STREAM_CHUNK
         obs.inc("repro_engine_streams_total")
         rng = np.random.default_rng(seed)
-        resolved, records, clock = self._resolve_and_layout(phases)
-        if resolved:
-            n_samples, counts = self._phase_sample_counts(resolved)
-        else:  # pragma: no cover - guarded by the empty-phase check above
-            n_samples, counts = 0, []
+        slowdown, means, starts, ends = self._resolve_and_layout(phases)
+        n_samples, counts = self._phase_sample_counts(ends - starts)
         dt = self.config.base_interval_s
         dtype = trace_dtype()
 
         def generate() -> Iterator[TraceChunk]:
-            for node_index, key, start, values in self._iter_component_chunks(
-                resolved, rng, n_samples, counts, chunk_samples
+            for node_index, row, start, values in self._iter_component_chunks(
+                means, rng, n_samples, counts, chunk_samples
             ):
                 stop = start + len(values)
                 chunk = TraceChunk(
                     node_name=self.nodes[node_index].name,
                     node_index=node_index,
-                    component=key,
+                    component=COMPONENT_KEYS[row],
                     start_index=start,
                     times=(np.arange(start, stop) + 0.5) * dt,
                     values=values.astype(dtype),
@@ -642,12 +628,14 @@ class PowerEngine:
 
         return StreamedRun(
             label=label,
-            phases=records,
-            runtime_s=clock,
+            runtime_s=float(ends[-1]),
             gpu_power_cap_w=self.nodes[0].gpu_power_limit_w,
             n_nodes=len(self.nodes),
             n_samples=n_samples,
             base_interval_s=dt,
             chunk_samples=chunk_samples,
             chunks=generate(),
+            build_phases=functools.partial(
+                _phase_records, phases, slowdown, starts, ends
+            ),
         )

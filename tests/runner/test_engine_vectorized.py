@@ -3,7 +3,8 @@
 ``PowerEngine._resolve_phases`` is the production path;
 ``_resolve_phase_reference`` is the retained scalar specification.  These
 tests replay both over a grid of caps, imbalance settings and phase mixes
-and require matching results, plus regression coverage for the
+and require matching results, check the array layout and sample counts
+bit for bit against scalar loops, plus regression coverage for the
 ``_render_traces`` sample-count bookkeeping.
 """
 
@@ -12,8 +13,8 @@ import pytest
 
 from repro.hardware.node import GpuNode
 from repro.perfmodel.kernels import KernelCatalogue
-from repro.runner.engine import EngineConfig, PowerEngine
-from repro.runner.trace import GPU_KEYS
+from repro.runner.engine import EngineConfig, PowerEngine, _phase_records
+from repro.runner.trace import COMPONENT_KEYS, GPU_KEYS
 from repro.vasp.phases import MacroPhase
 
 
@@ -36,16 +37,20 @@ def phase_mix():
     ]
 
 
-def assert_resolution_matches(engine, phases):
-    vectorized = engine._resolve_phases(phases)
+def resolve_by_reference(engine, phases):
+    """``_resolve_phases``' ``(slowdown[P], means[N, K, P])`` from the spec."""
     reference = [engine._resolve_phase_reference(p) for p in phases]
-    for vec, ref in zip(vectorized, reference):
-        assert vec.record.slowdown == pytest.approx(ref.record.slowdown, rel=1e-12)
-        assert vec.record.end_s == pytest.approx(ref.record.end_s, rel=1e-12)
-        for vec_means, ref_means in zip(vec.node_means, ref.node_means):
-            assert vec_means.keys() == ref_means.keys()
-            for key in ref_means:
-                assert vec_means[key] == pytest.approx(ref_means[key], rel=1e-12), key
+    slowdown = np.array([ref_slowdown for ref_slowdown, _ in reference])
+    means = np.stack([ref_means for _, ref_means in reference], axis=-1)
+    return slowdown, means
+
+
+def assert_resolution_matches(engine, phases):
+    slowdown, means = engine._resolve_phases(phases)
+    ref_slowdown, ref_means = resolve_by_reference(engine, phases)
+    assert means.shape == (len(engine.nodes), len(COMPONENT_KEYS), len(phases))
+    np.testing.assert_allclose(slowdown, ref_slowdown, rtol=1e-12)
+    np.testing.assert_allclose(means, ref_means, rtol=1e-12)
 
 
 class TestVectorizedAgainstReference:
@@ -74,15 +79,11 @@ class TestVectorizedAgainstReference:
         ]
         assert_resolution_matches(engine, idle)
 
-    def test_heterogeneous_pool_falls_back(self):
+    def test_heterogeneous_pool_rejected(self):
         nodes = [GpuNode("nid005000"), GpuNode("nid005001")]
         nodes[1].gpus = nodes[1].gpus[:2]  # asymmetric pool
-        engine = PowerEngine(nodes)
-        resolved = engine._resolve_phases(phase_mix())
-        reference = [engine._resolve_phase_reference(p) for p in phase_mix()]
-        for vec, ref in zip(resolved, reference):
-            assert vec.record.slowdown == pytest.approx(ref.record.slowdown)
-            assert set(vec.node_means[1]) == set(ref.node_means[1])
+        with pytest.raises(ValueError, match=r"GPU counts \[2, 4\]"):
+            PowerEngine(nodes)
 
     def test_end_to_end_traces_identical(self):
         phases = phase_mix()
@@ -96,9 +97,7 @@ class TestVectorizedAgainstReference:
             [GpuNode("nid005000")], engine.config
         )
         engine_ref.nodes[0].set_gpu_power_limit(200.0)
-        engine_ref._resolve_phases = lambda ps: [
-            engine_ref._resolve_phase_reference(p) for p in ps
-        ]
+        engine_ref._resolve_phases = lambda ps: resolve_by_reference(engine_ref, ps)
         via_reference = engine_ref.run(phases, seed=9)
 
         for ta, tb in zip(via_vector.traces, via_reference.traces):
@@ -144,7 +143,108 @@ class TestRenderTraceCounts:
     def test_empty_schedule_renders_zero_samples(self):
         engine = PowerEngine([GpuNode("nid005000")])
         rng = np.random.default_rng(0)
-        traces = engine._render_traces([], rng)
+        traces = engine._render_traces(
+            np.empty((1, len(COMPONENT_KEYS), 0)), np.empty(0), rng
+        )
         assert len(traces) == 1
         assert traces[0].times.size == 0
         assert all(v.size == 0 for v in traces[0].components.values())
+
+
+def scalar_layout(phases, slowdown):
+    """The wall clock advanced phase by phase: (start, end) per phase."""
+    spans = []
+    clock = 0.0
+    for phase, factor in zip(phases, slowdown):
+        duration = phase.duration_s * factor
+        spans.append((clock, clock + duration))
+        clock += duration
+    return spans
+
+
+def scalar_sample_counts(durations, dt):
+    """Per-phase sample counts, one Python ``round`` per phase boundary."""
+    n_samples = max(int(round(sum(durations) / dt)), 1)
+    counts = []
+    acc = 0
+    t_acc = 0.0
+    for duration in durations:
+        t_acc += duration
+        upto = min(int(round(t_acc / dt)), n_samples)
+        counts.append(max(upto - acc, 0))
+        acc = upto
+    if acc < n_samples:
+        counts[-1] += n_samples - acc
+    return n_samples, counts
+
+
+def tiny_phases(n, seed=0):
+    rng = np.random.default_rng(seed)
+    kernels = [
+        KernelCatalogue.DGEMM_TEST,
+        KernelCatalogue.FFT_BATCHED,
+        KernelCatalogue.HOST_SECTION,
+        KernelCatalogue.NCCL_COLLECTIVE,
+    ]
+    return [
+        MacroPhase(name=f"p{i}", duration_s=float(d), gpu_profile=kernels[i % 4])
+        for i, d in enumerate(rng.uniform(1e-4, 1e-2, n))
+    ]
+
+
+class TestArrayLayout:
+    """Array layout and sample counts equal the scalar loops exactly."""
+
+    def assert_counts_match(self, engine, durations):
+        n_samples, counts = engine._phase_sample_counts(np.asarray(durations))
+        expected = scalar_sample_counts(list(durations), engine.config.base_interval_s)
+        assert (n_samples, counts.tolist()) == expected
+        return counts.tolist()
+
+    @pytest.mark.parametrize("cap_w", [None, 150.0])
+    def test_layout_equals_wall_clock_loop(self, cap_w):
+        node = GpuNode("nid005000")
+        if cap_w is not None:
+            node.set_gpu_power_limit(cap_w)
+        engine = PowerEngine([node])
+        phases = tiny_phases(3000)
+        slowdown, _means, starts, ends = engine._resolve_and_layout(phases)
+        spans = scalar_layout(phases, slowdown.tolist())
+        assert list(zip(starts.tolist(), ends.tolist())) == spans
+        records = _phase_records(phases, slowdown, starts, ends)
+        assert [(r.start_s, r.end_s) for r in records] == spans
+        assert [r.slowdown for r in records] == slowdown.tolist()
+        durations = [end - start for start, end in spans]
+        assert (ends - starts).tolist() == durations
+        self.assert_counts_match(engine, durations)
+
+    def test_thousands_of_tiny_phases_sum_sequentially(self):
+        durations = np.random.default_rng(0).uniform(1e-4, 1e-2, 4000)
+        sequential = float(np.cumsum(durations)[-1])
+        pairwise = float(np.sum(durations))
+        assert sequential != pairwise
+        # A grid whose half-sample boundary falls between the two sums:
+        # the sample total depends on which summation order is used.
+        midpoint = (sequential + pairwise) / 2
+        dt = midpoint / (int(midpoint / 0.1) + 0.5)
+        assert np.rint(sequential / dt) != np.rint(pairwise / dt)
+        engine = PowerEngine([GpuNode("nid005000")], EngineConfig(base_interval_s=dt))
+        counts = self.assert_counts_match(engine, durations.tolist())
+        assert sum(counts) == int(np.rint(sequential / dt))
+
+    def test_half_samples_round_to_even(self):
+        engine = PowerEngine([GpuNode("nid005000")], EngineConfig(base_interval_s=1.0))
+        # Boundaries at 0.5, 1.5, 2.5, 3.0, 5.5 samples -> 0, 2, 2, 3, 6.
+        counts = self.assert_counts_match(engine, [0.5, 1.0, 1.0, 0.5, 2.5])
+        assert counts == [0, 2, 0, 1, 3]
+
+    def test_phases_rounding_to_zero_samples(self):
+        engine = PowerEngine([GpuNode("nid005000")], EngineConfig(base_interval_s=1.0))
+        counts = self.assert_counts_match(engine, [0.2, 0.2, 3.0, 0.1, 0.1, 0.2])
+        assert counts == [0, 0, 3, 1, 0, 0]
+
+    @pytest.mark.parametrize("durations", [[0.2, 0.2], [0.25, 0.25], [0.0]])
+    def test_remainder_parks_on_last_phase(self, durations):
+        engine = PowerEngine([GpuNode("nid005000")], EngineConfig(base_interval_s=1.0))
+        counts = self.assert_counts_match(engine, durations)
+        assert counts[-1] == 1 and sum(counts) == 1
