@@ -94,6 +94,18 @@ filter_summaries "$SMOKE_DIR/sharded.out" "$SMOKE_DIR/sharded.txt"
 diff "$SMOKE_DIR/serial-monitor.txt" "$SMOKE_DIR/sharded.txt" \
     || { echo "sharded fleet output diverged from serial"; exit 1; }
 
+echo "== heartbeat smoke (sharded run's per-policy heartbeats, read by repro top) =="
+python -m repro "${FLEET_ARGS[@]}" --workers 2 --heartbeat "$SMOKE_DIR/hb.json" > /dev/null
+python -m repro top --once --json --heartbeat "$SMOKE_DIR/hb.json" > "$SMOKE_DIR/top.json"
+python - "$SMOKE_DIR/top.json" <<'PY'
+import json, sys
+
+beats = json.load(open(sys.argv[1]))["heartbeats"]
+assert len(beats) == 2, f"expected two policy heartbeats, got {beats}"
+assert all(beat["done"] for beat in beats), beats
+print(f"heartbeat ok: {', '.join(beat['label'] for beat in beats)} done")
+PY
+
 echo "== scenario smoke (workload registry + named scenario bit-identity) =="
 python -m repro workloads
 SCENARIO_ARGS=(fleet --scenario diurnal --seed 3 --resolution 1.0)

@@ -30,9 +30,10 @@ from repro import obs
 from repro.capping import shard
 from repro.obs import ledger as run_ledger
 from repro.obs.heartbeat import (
-    HeartbeatSnapshot,
+    HEARTBEAT_ENV,
+    POLICY_SUFFIXES,
     RunHeartbeat,
-    heartbeat_path_from_env,
+    policy_path,
 )
 from repro.capping.policy import CapPolicy
 from repro.capping.scheduler import (
@@ -45,7 +46,6 @@ from repro.capping.scheduler import (
 from repro.hardware.platform import NodeSpec, Platform, get_platform
 from repro.hardware.system import (
     PerlmutterSystem,
-    RunningMoments,
     SystemPowerAccumulator,
     SystemPowerStats,
 )
@@ -59,6 +59,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.monitor.collector import FleetMonitor
 
 logger = logging.getLogger(__name__)
+
+#: Seconds between a traced run's heartbeat snapshots (the terminal
+#: ``done`` snapshot is always published).
+HEARTBEAT_INTERVAL_S = 1.0
+
+
+#: The paper's capped-vs-uncapped comparison, in that order, keyed by
+#: ``repro monitor --policy``: (report policy name, checkpoint/heartbeat
+#: path suffix, CapPolicy constructor taking the platform).
+FLEET_POLICIES: dict[str, tuple[str, str, Callable[..., CapPolicy]]] = {
+    "capped": ("50% TDP policy", POLICY_SUFFIXES[0], CapPolicy.half_tdp),
+    "uncapped": ("uncapped", POLICY_SUFFIXES[1], CapPolicy.uncapped),
+}
 
 #: Production-like mix weights: basic DFT dominates NERSC's VASP cycles,
 #: with a meaningful share of higher-order (HSE/RPA) jobs.
@@ -273,8 +286,6 @@ def simulate_fleet_traced(
     checkpoint_every: int = 64,
     resume: bool = False,
     heartbeat: "str | Path | None" = None,
-    heartbeat_interval_s: float = 1.0,
-    progress: "Callable[[HeartbeatSnapshot], None] | None" = None,
 ) -> FleetTraceReport:
     """Schedule a stream, render every job's traces, aggregate streaming.
 
@@ -286,9 +297,10 @@ def simulate_fleet_traced(
     :func:`repro.capping.shard.render_task_job` — in-process job by job
     on the serial path, inside worker processes on the sharded one —
     into a compact :class:`repro.capping.shard.JobPartial`, and the
-    partials fold in chronological job order through one shared fold
-    (accumulator bins, node moments, busy intervals, monitor state) —
-    which is why the modes below are bit-identical to each other.
+    partials fold in chronological job order into one
+    :class:`repro.capping.shard.FleetFold` (accumulator bins, node
+    moments, busy intervals) and the monitor — which is why the modes
+    below are bit-identical to each other.
 
     ``workers`` > 1 (or ``REPRO_SWEEP_WORKERS``) shards the schedule
     across worker processes (:func:`repro.capping.shard.run_sharded`):
@@ -307,9 +319,8 @@ def simulate_fleet_traced(
     ``heartbeat`` (or ``REPRO_FLEET_HEARTBEAT``) publishes a live,
     atomically-replaced JSON progress snapshot — jobs folded,
     node-weighted progress, nodes/sec, ETA, checkpoint age — after each
-    folded job (throttled to ``heartbeat_interval_s``); ``progress``
-    receives the same :class:`repro.obs.heartbeat.HeartbeatSnapshot`
-    objects in-process.  Observation-only, like the monitor.
+    folded job (throttled to :data:`HEARTBEAT_INTERVAL_S`).
+    Observation-only, like the monitor.
 
     Observability composes with every mode: sharded workers capture
     their spans and metric updates into a fresh per-process state and
@@ -338,9 +349,7 @@ def simulate_fleet_traced(
     node's idle band).
     """
     resolved_workers = shard.resolve_fleet_workers(len(jobs), workers)
-    checkpoint_path = (
-        Path(checkpoint) if checkpoint is not None else shard.checkpoint_path_from_env()
-    )
+    checkpoint_path = obs.path_from_env(shard.CHECKPOINT_ENV, checkpoint)
     if checkpoint_path is not None and monitor is not None:
         raise ValueError(
             "monitor state is not checkpointable; run monitored fleets "
@@ -387,13 +396,9 @@ def simulate_fleet_traced(
         # The monitor surveys every node's idle band up front.
         monitor.attach_pool(pool.materialize())
     idle_node_w = sum(spec.idle_node_w for spec in pool_specs) / len(pool_specs)
-    accumulator = SystemPowerAccumulator(
-        n_nodes=n_nodes, bin_s=bin_s, idle_node_w=idle_node_w
+    fold = shard.FleetFold(
+        SystemPowerAccumulator(n_nodes=n_nodes, bin_s=bin_s, idle_node_w=idle_node_w)
     )
-    node_moments = RunningMoments()
-    chunks_streamed = 0
-    bytes_streamed = 0
-    jobs_done = 0
     #: (analytic end time, job id) release queue for pool bookkeeping.
     release_queue: list[tuple[float, str]] = []
     #: Uncapped runtime per (workload, width) for the monitor's slowdown
@@ -452,24 +457,19 @@ def simulate_fleet_traced(
     for _, job_id in release_queue:
         pool.release(job_id)
     total_jobs = len(tasks)
-    total_task_nodes = sum(task.n_nodes for task in tasks)
-    nodes_folded = 0
 
-    heartbeat_path = (
-        Path(heartbeat) if heartbeat is not None else heartbeat_path_from_env()
-    )
+    heartbeat_path = obs.path_from_env(HEARTBEAT_ENV, heartbeat)
     beat: RunHeartbeat | None = None
-    if heartbeat_path is not None or progress is not None:
+    if heartbeat_path is not None:
         beat = RunHeartbeat(
             heartbeat_path,
-            progress,
             label=f"fleet:{policy_name}",
             jobs_total=total_jobs,
-            nodes_total=total_task_nodes,
-            min_interval_s=heartbeat_interval_s,
+            nodes_total=sum(task.n_nodes for task in tasks),
+            min_interval_s=HEARTBEAT_INTERVAL_S,
         )
 
-    # ---- resume: restore the fold, skip the covered chronological prefix
+    # ---- resume: adopt the saved fold, skip the chronological prefix it covers
     if resume:
         state = shard.load_checkpoint(checkpoint_path)
         if state is not None:
@@ -479,72 +479,55 @@ def simulate_fleet_traced(
                     "simulation (input fingerprint mismatch); refusing "
                     "to resume"
                 )
-            skipped = min(state.jobs_done, total_jobs)
-            accumulator.restore(state.accumulator_state)
-            node_moments = RunningMoments.from_state(state.moments_state)
-            chunks_streamed = state.chunks_streamed
-            bytes_streamed = state.bytes_streamed
-            jobs_done = skipped
-            nodes_folded = sum(task.n_nodes for task in tasks[:skipped])
-            tasks = tasks[skipped:]
+            fold.restore(state.fold)
+            tasks = tasks[fold.jobs :]
             if beat is not None:
                 # Resumed jobs cost nothing this run; keep them out of
                 # the nodes/sec (and therefore ETA) estimate.
-                beat.resume_baseline(skipped, nodes_folded)
-            obs.inc("repro_fleet_jobs_resumed_total", skipped)
+                beat.resume_baseline(fold.jobs, fold.nodes)
+            obs.inc("repro_fleet_jobs_resumed_total", fold.jobs)
             logger.debug(
                 "resuming fleet (%s) from %s: %d/%d jobs already folded",
                 policy_name,
                 checkpoint_path,
-                skipped,
+                fold.jobs,
                 total_jobs,
             )
 
-    def fold(partial: shard.JobPartial) -> None:
-        """Chan-merge one job's partial into the run aggregates.
+    def on_partial(partial: shard.JobPartial) -> None:
+        """Fold one job's partial, then feed the run's observers.
 
-        Called in chronological job order by every execution mode — this
-        single fold is the bit-identity anchor.
+        Called in chronological job order by every execution mode.
         """
-        nonlocal chunks_streamed, bytes_streamed, jobs_done, nodes_folded
-        accumulator.merge_partial(partial.power)
-        for row in partial.moment_rows:
-            node_moments.merge(RunningMoments.from_state(row))
-        accumulator.add_busy_interval(
-            partial.start_s, partial.start_s + partial.runtime_s, partial.n_nodes
-        )
-        chunks_streamed += partial.chunks
-        bytes_streamed += partial.nbytes
+        fold.add(partial)
         if partial.chunks:
             obs.inc("repro_fleet_chunks_total", partial.chunks)
         if monitor is not None and partial.monitor is not None:
             monitor.absorb_job_partial(partial.monitor)
-        jobs_done += 1
-        nodes_folded += partial.n_nodes
         obs.inc("repro_fleet_jobs_rendered_total")
         obs.inc("repro_fleet_partials_merged_total")
-        obs.gauge_set("repro_fleet_resident_bytes", accumulator.resident_bytes)
+        obs.gauge_set("repro_fleet_resident_bytes", fold.accumulator.resident_bytes)
         if checkpoint_path is not None and (
-            jobs_done % checkpoint_every == 0 or jobs_done == total_jobs
+            fold.jobs % checkpoint_every == 0 or fold.jobs == total_jobs
         ):
             shard.save_checkpoint(
                 checkpoint_path,
-                shard.FleetCheckpoint(
-                    version=shard.CHECKPOINT_VERSION,
-                    fingerprint=run_fp,
-                    jobs_done=jobs_done,
-                    accumulator_state=accumulator.state(),
-                    moments_state=node_moments.state(),
-                    chunks_streamed=chunks_streamed,
-                    bytes_streamed=bytes_streamed,
-                ),
+                shard.FleetCheckpoint(shard.CHECKPOINT_VERSION, run_fp, fold.state()),
             )
             if beat is not None:
                 beat.note_checkpoint()
         if beat is not None:
-            beat.update(jobs_done, nodes_folded)
+            beat.update(fold.jobs, fold.nodes)
 
-    monitor_config = monitor.config if monitor is not None else None
+    batch = shard.ShardTask(
+        shard_index=0,
+        specs=tuple(spec_table),
+        engine_config=engine_config,
+        bin_s=bin_s,
+        chunk_samples=chunk_samples,
+        monitor_config=monitor.config if monitor is not None else None,
+        jobs=tuple(tasks),
+    )
     with obs.span(
         "fleet.stream_traces",
         policy=policy_name,
@@ -552,41 +535,25 @@ def simulate_fleet_traced(
         workers=resolved_workers,
     ):
         pooled = resolved_workers > 1 and shard.run_sharded(
-            tasks,
-            spec_table,
-            workers=resolved_workers,
-            engine_config=engine_config,
-            bin_s=bin_s,
-            chunk_samples=chunk_samples,
-            monitor_config=monitor_config,
-            fold=fold,
+            batch, workers=resolved_workers, fold=on_partial
         )
         if not pooled:
-            batch = shard.ShardTask(
-                shard_index=0,
-                specs=tuple(spec_table),
-                engine_config=engine_config,
-                bin_s=bin_s,
-                chunk_samples=chunk_samples,
-                monitor_config=monitor_config,
-                jobs=tuple(tasks),
-            )
             for job in batch.jobs:
-                fold(
+                on_partial(
                     shard.render_task_job(
                         job, batch, lambda name, _spec: pool.nodes[name]
                     )
                 )
     if beat is not None:
-        beat.finish(jobs_done, nodes_folded)
-    system = accumulator.finalize()
+        beat.finish(fold.jobs, fold.nodes)
+    system = fold.accumulator.finalize()
     logger.debug(
         "traced fleet (%s): %d jobs, %d chunks, %.1f MB streamed, peak %.0f W, "
         "%d/%d nodes built",
         policy_name,
         len(schedule.records),
-        chunks_streamed,
-        bytes_streamed / 1e6,
+        fold.chunks,
+        fold.nbytes / 1e6,
         system.peak_power_w,
         pool.nodes.built_count,
         n_nodes,
@@ -603,7 +570,7 @@ def simulate_fleet_traced(
                 "peak_power_w": round(system.peak_power_w, 3),
                 "energy_j": system.energy_j,
                 "makespan_s": round(schedule.makespan_s, 3),
-                "chunks_streamed": chunks_streamed,
+                "chunks_streamed": fold.chunks,
                 "checkpoint": str(checkpoint_path) if checkpoint_path else None,
                 "resumed_jobs": (total_jobs - len(tasks)) if resume else 0,
             }
@@ -613,13 +580,13 @@ def simulate_fleet_traced(
         policy_name=policy_name,
         schedule=schedule,
         system=system,
-        node_power_mean_w=node_moments.mean,
-        node_power_std_w=node_moments.std,
-        node_power_peak_w=node_moments.peak,
+        node_power_mean_w=fold.moments.mean,
+        node_power_std_w=fold.moments.std,
+        node_power_peak_w=fold.moments.peak,
         jobs_completed=len(schedule.records),
-        samples_streamed=accumulator.samples_added,
-        chunks_streamed=chunks_streamed,
-        bytes_streamed=bytes_streamed,
+        samples_streamed=fold.accumulator.samples_added,
+        chunks_streamed=fold.chunks,
+        bytes_streamed=fold.nbytes,
     )
 
 
@@ -640,8 +607,6 @@ def compare_fleet_policies_traced(
     checkpoint_every: int = 64,
     resume: bool = False,
     heartbeat: "str | Path | None" = None,
-    heartbeat_interval_s: float = 1.0,
-    progress: "Callable[[HeartbeatSnapshot], None] | None" = None,
     scenario: "str | object | None" = None,
 ) -> tuple[FleetTraceReport, FleetTraceReport]:
     """(capped, uncapped) trace-streamed fleet reports, same job stream.
@@ -662,22 +627,17 @@ def compare_fleet_policies_traced(
     :func:`simulate_fleet_traced`.  The two policies are distinct
     simulations, so the checkpoint and heartbeat base paths (argument or
     ``REPRO_FLEET_CHECKPOINT`` / ``REPRO_FLEET_HEARTBEAT``) get a
-    per-policy suffix (``.capped`` / ``.uncapped``) — resolved here so
-    both policies don't fight over the env-provided path.
+    per-policy suffix (:data:`FLEET_POLICIES`) — resolved here so both
+    policies don't fight over the env-provided path.
     """
-    base = Path(checkpoint) if checkpoint is not None else shard.checkpoint_path_from_env()
-    beat_base = Path(heartbeat) if heartbeat is not None else heartbeat_path_from_env()
+    base = obs.path_from_env(shard.CHECKPOINT_ENV, checkpoint)
+    beat_base = obs.path_from_env(HEARTBEAT_ENV, heartbeat)
     if scenario is not None:
         from repro.capping.scenarios import get_scenario
 
         scenario = get_scenario(scenario)
     reports = []
-    for index, (capped, policy_name, suffix) in enumerate(
-        ((True, "50% TDP policy", ".capped"), (False, "uncapped", ".uncapped"))
-    ):
-        policy = (
-            CapPolicy.half_tdp(platform) if capped else CapPolicy.uncapped(platform)
-        )
+    for index, (policy_name, suffix, build) in enumerate(FLEET_POLICIES.values()):
         jobs = (
             scenario.build_jobs(seed=seed)
             if scenario is not None
@@ -686,7 +646,7 @@ def compare_fleet_policies_traced(
         reports.append(
             simulate_fleet_traced(
                 jobs,
-                policy,
+                build(platform),
                 policy_name,
                 n_nodes,
                 power_budget_w,
@@ -698,39 +658,30 @@ def compare_fleet_policies_traced(
                 platform=platform,
                 node_platforms=node_platforms,
                 workers=workers,
-                checkpoint=(
-                    base.with_name(base.name + suffix) if base is not None else None
-                ),
+                checkpoint=policy_path(base, suffix),
                 checkpoint_every=checkpoint_every,
                 resume=resume,
-                heartbeat=(
-                    beat_base.with_name(beat_base.name + suffix)
-                    if beat_base is not None
-                    else None
-                ),
-                heartbeat_interval_s=heartbeat_interval_s,
-                progress=progress,
+                heartbeat=policy_path(beat_base, suffix),
             )
         )
     return reports[0], reports[1]
 
 
 def _policy_task(
-    task: tuple[bool, str, int, int, float | None, int, str]
+    task: tuple[str, int, int, float | None, int, str]
 ) -> FleetReport:
     """Worker-side task: one policy over a regenerated job stream.
 
     The stream is rebuilt from ``seed`` inside the worker (cheap and
     deterministic), so only this small task tuple crosses the pool
-    boundary (the platform travels as its registry id).
+    boundary (the policy travels as its :data:`FLEET_POLICIES` key, the
+    platform as its registry id).
     """
-    capped, policy_name, n_jobs, n_nodes, power_budget_w, seed, platform_id = task
-    policy = (
-        CapPolicy.half_tdp(platform_id) if capped else CapPolicy.uncapped(platform_id)
-    )
+    key, n_jobs, n_nodes, power_budget_w, seed, platform_id = task
+    policy_name, _, build = FLEET_POLICIES[key]
     jobs = job_stream(n_jobs=n_jobs, seed=seed)
     return simulate_fleet(
-        jobs, policy, policy_name, n_nodes, power_budget_w, platform_id
+        jobs, build(platform_id), policy_name, n_nodes, power_budget_w, platform_id
     )
 
 
@@ -748,8 +699,8 @@ def compare_fleet_policies(
     """
     platform_id = get_platform(platform).id
     tasks = [
-        (True, "50% TDP policy", n_jobs, n_nodes, power_budget_w, seed, platform_id),
-        (False, "uncapped", n_jobs, n_nodes, power_budget_w, seed, platform_id),
+        (key, n_jobs, n_nodes, power_budget_w, seed, platform_id)
+        for key in FLEET_POLICIES
     ]
     capped, uncapped = SweepExecutor().map(_policy_task, tasks)
     return capped, uncapped

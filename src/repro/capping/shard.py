@@ -20,10 +20,10 @@ machinery of :mod:`repro.runner.sweep` to the fleet path:
   The coordinator Chan-merges partials in chronological job order — the
   canonical fold the serial path also uses, so sharded output is
   bit-identical to single-process output by construction.
-* :class:`FleetCheckpoint` snapshots the fold state (accumulator bins,
-  node moments, stream counters, jobs folded) to an atomic on-disk
-  pickle (``REPRO_FLEET_CHECKPOINT``).  Per-job render seeds are
-  content-derived, so no RNG stream state needs saving: resuming
+* :class:`FleetFold` is that fold: accumulator bins, node moments and
+  stream counters.  :class:`FleetCheckpoint` snapshots its state to an
+  atomic on-disk pickle (``REPRO_FLEET_CHECKPOINT``).  Per-job render
+  seeds are content-derived, so no RNG stream state needs saving: resuming
   recomputes the schedule, validates the input fingerprint, restores the
   fold and continues from the next chronological job — bit-identical to
   an uninterrupted run.
@@ -36,7 +36,7 @@ import math
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -45,7 +45,11 @@ from repro.obs import merge as obs_merge
 from repro.capping.scheduler import cached_phases
 from repro.hardware.node import GpuNode
 from repro.hardware.platform import NodeSpec
-from repro.hardware.system import JobPowerPartial, RunningMoments
+from repro.hardware.system import (
+    JobPowerPartial,
+    RunningMoments,
+    SystemPowerAccumulator,
+)
 from repro.runner.cache import atomic_write_pickle, fingerprint
 from repro.runner.engine import EngineConfig, PowerEngine
 from repro.runner.sweep import workers_from_env
@@ -59,7 +63,7 @@ logger = logging.getLogger(__name__)
 #: Environment variable: default checkpoint path for traced fleet runs.
 CHECKPOINT_ENV = "REPRO_FLEET_CHECKPOINT"
 #: On-disk checkpoint format version.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def resolve_fleet_workers(n_jobs: int, workers: int | None = None) -> int:
@@ -74,12 +78,6 @@ def resolve_fleet_workers(n_jobs: int, workers: int | None = None) -> int:
     if workers is None:
         return 1
     return max(min(workers, n_jobs), 1)
-
-
-def checkpoint_path_from_env() -> Path | None:
-    """Checkpoint location from ``REPRO_FLEET_CHECKPOINT`` (None = off)."""
-    raw = os.environ.get(CHECKPOINT_ENV, "").strip()
-    return Path(raw) if raw else None
 
 
 # ----------------------------------------------------------------------
@@ -124,9 +122,8 @@ class ShardTask:
     #: (trace, metrics, profile) layers the coordinator is collecting —
     #: the worker captures matching :class:`repro.obs.merge.ObsPartial`
     #: snapshots.  None (obs off at the coordinator) skips capture
-    #: entirely.  Two-element tuples (pre-profiler callers) mean
-    #: profile off.
-    obs_capture: tuple[bool, ...] | None = None
+    #: entirely.
+    obs_capture: tuple[bool, bool, bool] | None = None
 
 
 @dataclass
@@ -270,7 +267,7 @@ def _render_shard(task: ShardTask) -> ShardResult:
     """
     token = None
     if task.obs_capture is not None:
-        trace_on, metrics_on, profile_on = (*task.obs_capture, False)[:3]
+        trace_on, metrics_on, profile_on = task.obs_capture
         token = obs_merge.begin_worker_capture(
             trace=trace_on,
             metrics=metrics_on,
@@ -347,19 +344,16 @@ def default_batch_jobs(
 
 
 def run_sharded(
-    tasks: Sequence[ShardJobTask],
-    specs: Sequence[NodeSpec],
+    schedule: ShardTask,
     *,
     workers: int,
-    engine_config: EngineConfig | None,
-    bin_s: float,
-    chunk_samples: int | None,
-    monitor_config: "MonitorConfig | None",
     fold: Callable[[JobPartial], None],
     batch_jobs: int | None = None,
 ) -> bool:
-    """Render job tasks across worker processes, folding chronologically.
+    """Render a schedule's jobs across worker processes, folding chronologically.
 
+    ``schedule`` is the whole-schedule :class:`ShardTask` the serial path
+    renders in-process; every worker batch copies its render parameters.
     ``fold`` is invoked in chronological (schedule) order as soon as the
     prefix is complete — a checkpoint written mid-run therefore always
     covers an exact chronological prefix.  Each shard's slice is
@@ -377,9 +371,10 @@ def run_sharded(
     was folded (the caller falls back to the serial path, which produces
     identical results).
     """
+    tasks = schedule.jobs
     if not tasks:
         return True
-    shards = plan_shards(tasks, specs, workers)
+    shards = plan_shards(tasks, schedule.specs, workers)
     capture = obs_merge.capture_flags()
     if batch_jobs is None:
         batch_jobs = default_batch_jobs(len(tasks), len(shards))
@@ -387,13 +382,9 @@ def run_sharded(
     for i, slice_ in enumerate(shards):
         per_shard_batches.append(
             [
-                ShardTask(
+                replace(
+                    schedule,
                     shard_index=i,
-                    specs=tuple(specs),
-                    engine_config=engine_config,
-                    bin_s=bin_s,
-                    chunk_samples=chunk_samples,
-                    monitor_config=monitor_config,
                     jobs=tuple(slice_[at : at + batch_jobs]),
                     obs_capture=capture,
                 )
@@ -449,28 +440,81 @@ def run_sharded(
 
 
 # ----------------------------------------------------------------------
-# Checkpointing
+# The fold and its checkpoints
 # ----------------------------------------------------------------------
 @dataclass
-class FleetCheckpoint:
-    """Resumable fold state of a traced fleet simulation.
+class FleetFold:
+    """Everything downstream of rendering: what each job partial merges into.
 
-    Everything downstream of rendering is here: the accumulator's bins,
-    the node-power moments and the stream counters, plus how many
-    chronological jobs they cover.  The schedule itself is *not* stored —
-    it is recomputed on resume (deterministic), and ``fingerprint``
-    (over jobs, policy, pool and engine inputs) guards against resuming
-    into a different simulation.  Render seeds are content-derived per
-    job, so no RNG stream state is needed.
+    Every execution mode adds partials in chronological job order — this
+    one fold is the bit-identity anchor, and its :meth:`state` is all a
+    checkpoint needs.
+    """
+
+    accumulator: SystemPowerAccumulator
+    #: Per-sample node-power moments across every streamed trace.
+    moments: RunningMoments = field(default_factory=RunningMoments)
+    chunks: int = 0
+    nbytes: int = 0
+    #: Chronological jobs folded, and the nodes they held.
+    jobs: int = 0
+    nodes: int = 0
+
+    def add(self, partial: JobPartial) -> None:
+        """Chan-merge one job's partial into the run aggregates."""
+        self.accumulator.merge_partial(partial.power)
+        for row in partial.moment_rows:
+            self.moments.merge(RunningMoments.from_state(row))
+        self.accumulator.add_busy_interval(
+            partial.start_s, partial.start_s + partial.runtime_s, partial.n_nodes
+        )
+        self.chunks += partial.chunks
+        self.nbytes += partial.nbytes
+        self.jobs += 1
+        self.nodes += partial.n_nodes
+
+    def state(self) -> dict:
+        """Picklable snapshot of the fold (see :meth:`restore`)."""
+        return {
+            "accumulator": self.accumulator.state(),
+            "moments": self.moments.state(),
+            "chunks": self.chunks,
+            "nbytes": self.nbytes,
+            "jobs": self.jobs,
+            "nodes": self.nodes,
+        }
+
+    def restore(self, state: dict) -> None:
+        """Adopt a :meth:`state` snapshot (the accumulator rejects one
+        taken over a different pool size, bin width or idle power)."""
+        self.accumulator.restore(state["accumulator"])
+        self.moments = RunningMoments.from_state(state["moments"])
+        self.chunks = state["chunks"]
+        self.nbytes = state["nbytes"]
+        self.jobs = state["jobs"]
+        self.nodes = state["nodes"]
+
+
+@dataclass
+class FleetCheckpoint:
+    """Resumable state of a traced fleet simulation: its saved fold.
+
+    The schedule itself is *not* stored — it is recomputed on resume
+    (deterministic), and ``fingerprint`` (over jobs, policy, pool and
+    engine inputs) guards against resuming into a different simulation.
+    Render seeds are content-derived per job, so no RNG stream state is
+    needed.
     """
 
     version: int
     fingerprint: str
-    jobs_done: int
-    accumulator_state: dict
-    moments_state: tuple
-    chunks_streamed: int
-    bytes_streamed: int
+    #: :meth:`FleetFold.state` after the last folded job.
+    fold: dict
+
+    @property
+    def jobs_done(self) -> int:
+        """Chronological jobs the saved fold covers."""
+        return self.fold["jobs"]
 
 
 def run_fingerprint(*parts) -> str:

@@ -75,13 +75,13 @@ from repro.experiments import (
     topdown,
 )
 from repro.capping.fleet import (
+    FLEET_POLICIES,
     compare_fleet_policies_traced,
     job_stream,
     simulate_fleet_traced,
 )
-from repro.capping.policy import CapPolicy
 from repro.capping.scenarios import get_scenario, scenario_ids
-from repro.capping.shard import CHECKPOINT_ENV, checkpoint_path_from_env
+from repro.capping.shard import CHECKPOINT_ENV
 from repro.capping.scheduler import estimate_cache
 from repro.experiments.common import run_cache, run_workload
 from repro.hardware.platform import DEFAULT_PLATFORM_ID, get_platform, platform_ids
@@ -90,7 +90,7 @@ from repro.io import result_to_json, save_trace_csv
 from repro.obs import dash as obs_dash
 from repro.obs import ledger as run_ledger
 from repro.obs import sentinel
-from repro.obs.heartbeat import HEARTBEAT_ENV
+from repro.obs.heartbeat import HEARTBEAT_ENV, policy_paths
 from repro.obs.ledger import RUNS_DIR_ENV, RUNS_ENABLE_ENV
 from repro.monitor import (
     MONITOR_ENV,
@@ -337,14 +337,22 @@ def _split_platforms(value: str | None) -> tuple[str | None, list[str] | None]:
     listed platforms round-robin); the first entry drives the analytic
     scheduler and monitor defaults.
     """
-    if not value:
-        return None, None
-    parts = [part.strip() for part in value.split(",") if part.strip()]
+    parts = [part.strip() for part in (value or "").split(",") if part.strip()]
     if not parts:
         return None, None
-    if len(parts) == 1:
-        return parts[0], None
-    return parts[0], parts
+    return parts[0], parts if len(parts) > 1 else None
+
+
+def _fleet_setup(
+    args: argparse.Namespace, n_nodes: int, platform_value: str | None
+) -> tuple[float | None, str | None, list[str] | None, EngineConfig | None]:
+    """(power budget, platform, mixed-pool list, engine config) from the
+    flags `repro fleet` and `repro monitor` share."""
+    budget = args.watts_per_node * n_nodes if args.watts_per_node else None
+    engine_config = (
+        EngineConfig(base_interval_s=args.resolution) if args.resolution else None
+    )
+    return (budget, *_split_platforms(platform_value), engine_config)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -775,15 +783,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             f"({ledger_state['last_kind']}, {ledger_state['last_status']}"
             f"{age_note})"
         )
-    checkpoint_base = checkpoint_path_from_env()
+    checkpoint_base = obs.path_from_env(CHECKPOINT_ENV)
     if checkpoint_base is not None:
-        candidates = [checkpoint_base] + [
-            checkpoint_base.with_name(checkpoint_base.name + suffix)
-            for suffix in (".capped", ".uncapped")
-        ]
         ages = [
             f"{path.name} ({_format_age(time.time() - path.stat().st_mtime)} old)"
-            for path in candidates
+            for path in policy_paths(checkpoint_base)
             if path.is_file()
         ]
         print(
@@ -849,16 +853,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     platform_value = args.platform
     if platform_value is None and scenario is not None and scenario.platforms:
         platform_value = ",".join(scenario.platforms)
-    budget = args.watts_per_node * n_nodes if args.watts_per_node else None
-    platform, node_platforms = _split_platforms(platform_value)
-    engine_config = (
-        EngineConfig(base_interval_s=args.resolution) if args.resolution else None
+    budget, platform, node_platforms, engine_config = _fleet_setup(
+        args, n_nodes, platform_value
     )
     monitors = None
     if args.monitor or monitoring_requested():
-        monitors = (
-            FleetMonitor(MonitorConfig(platform=platform), label="50% TDP policy"),
-            FleetMonitor(MonitorConfig(platform=platform), label="uncapped"),
+        monitors = tuple(
+            FleetMonitor(MonitorConfig(platform=platform), label=policy_name)
+            for policy_name, _, _ in FLEET_POLICIES.values()
         )
     with obs.span("cli.fleet", jobs=n_jobs, nodes=n_nodes):
         capped, uncapped = compare_fleet_policies_traced(
@@ -962,21 +964,17 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
     """One monitored fleet run: health dashboard plus power report."""
-    budget = args.watts_per_node * args.nodes if args.watts_per_node else None
-    platform, node_platforms = _split_platforms(args.platform)
-    capped = args.policy == "capped"
-    policy = CapPolicy.half_tdp(platform) if capped else CapPolicy.uncapped(platform)
-    policy_name = "50% TDP policy" if capped else "uncapped"
+    budget, platform, node_platforms, engine_config = _fleet_setup(
+        args, args.nodes, args.platform
+    )
+    policy_name, _, build = FLEET_POLICIES[args.policy]
     config = MonitorConfig(platform=platform, alert_log=args.alert_log)
     monitor = FleetMonitor(config, label=policy_name)
-    engine_config = (
-        EngineConfig(base_interval_s=args.resolution) if args.resolution else None
-    )
     jobs = job_stream(n_jobs=args.jobs, seed=args.seed)
     with obs.span("cli.monitor", jobs=args.jobs, nodes=args.nodes):
         simulate_fleet_traced(
             jobs,
-            policy,
+            build(platform),
             policy_name,
             n_nodes=args.nodes,
             power_budget_w=budget,
@@ -1236,7 +1234,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     """Live dashboard (``repro top``) over heartbeats, alerts and metrics."""
     return obs_dash.run_dashboard(
         args.heartbeat,
-        alert_log=args.alert_log or os.environ.get(MONITOR_LOG_ENV) or None,
+        alert_log=obs.path_from_env(MONITOR_LOG_ENV, args.alert_log),
         metrics_path=args.metrics_file,
         interval_s=args.interval,
         once=args.once,
@@ -1284,6 +1282,23 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="LEVEL",
         help="configure stdlib logging (debug/info/warning/error)",
+    )
+
+    # Stream and pool flags shared by the fleet-simulating subcommands.
+    fleet_flags = argparse.ArgumentParser(add_help=False)
+    fleet_flags.add_argument("--seed", type=int, default=0)
+    fleet_flags.add_argument(
+        "--watts-per-node",
+        type=float,
+        default=None,
+        help="facility power budget per node (default: unbounded)",
+    )
+    fleet_flags.add_argument(
+        "--resolution",
+        type=float,
+        default=1.0,
+        metavar="SECONDS",
+        help="trace sample interval (coarser = faster; 0.1 matches the paper)",
     )
 
     sub.add_parser("list", help="list benchmarks and artifacts").set_defaults(
@@ -1415,7 +1430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet = sub.add_parser(
         "fleet",
         help="trace-streamed fleet simulation (capped vs uncapped)",
-        parents=[obs_flags],
+        parents=[obs_flags, fleet_flags],
     )
     p_fleet.add_argument(
         "--jobs",
@@ -1439,13 +1454,6 @@ def build_parser() -> argparse.ArgumentParser:
             f"{', '.join(scenario_ids())} (see `repro workloads`)"
         ),
     )
-    p_fleet.add_argument("--seed", type=int, default=0)
-    p_fleet.add_argument(
-        "--watts-per-node",
-        type=float,
-        default=None,
-        help="facility power budget per node (default: unbounded)",
-    )
     p_fleet.add_argument(
         "--bin-s", type=float, default=1.0, help="system power bin width in s"
     )
@@ -1455,13 +1463,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SAMPLES",
         help="streaming chunk size in samples (default: engine default)",
-    )
-    p_fleet.add_argument(
-        "--resolution",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="trace sample interval (coarser = faster; 0.1 matches the paper)",
     )
     p_fleet.add_argument(
         "--monitor",
@@ -1515,29 +1516,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_monitor = sub.add_parser(
         "monitor",
         help="monitored fleet run: health signals, alerts, energy report",
-        parents=[obs_flags],
+        parents=[obs_flags, fleet_flags],
     )
     p_monitor.add_argument("--jobs", type=int, default=24, help="jobs in the stream")
     p_monitor.add_argument("--nodes", type=int, default=16, help="node pool size")
-    p_monitor.add_argument("--seed", type=int, default=0)
     p_monitor.add_argument(
         "--policy",
-        choices=("capped", "uncapped"),
+        choices=tuple(FLEET_POLICIES),
         default="capped",
         help="cap policy for the run (default: the 50%%-of-TDP policy)",
-    )
-    p_monitor.add_argument(
-        "--watts-per-node",
-        type=float,
-        default=None,
-        help="facility power budget per node (default: unbounded)",
-    )
-    p_monitor.add_argument(
-        "--resolution",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="trace sample interval (coarser = faster; 0.1 matches the paper)",
     )
     p_monitor.add_argument(
         "--alert-log",

@@ -108,10 +108,7 @@ class MonitorConfig:
 
     def resolved_alert_log(self) -> Path | None:
         """The effective alert-log sink path."""
-        if self.alert_log is not None:
-            return Path(self.alert_log)
-        raw = os.environ.get(MONITOR_LOG_ENV, "").strip()
-        return Path(raw) if raw else None
+        return obs.path_from_env(MONITOR_LOG_ENV, self.alert_log)
 
 
 @dataclass

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -103,6 +104,7 @@ __all__ = [
     "name_process",
     "name_thread",
     "observe",
+    "path_from_env",
     "profiler",
     "profiling_active",
     "reset_logging",
@@ -190,6 +192,32 @@ def disable() -> None:
     _STATE.flushed = {}
 
 
+#: Values that read as an on/off switch, never as a file name.
+_BOOLEAN_WORDS = frozenset({"0", "1", "true", "false", "yes", "no", "on", "off"})
+
+
+def path_from_env(name: str, value: "str | Path | None" = None) -> Path | None:
+    """A file path: ``value`` when given, else environment variable ``name``.
+
+    Unset or blank means None (off).  A boolean-looking value (``1``,
+    ``true``, ``off``, ... in any case) is a switch, not a file name: it
+    counts as unset, with a warning naming the variable, so
+    ``REPRO_METRICS=1`` never leaves a file called ``1`` behind.  It
+    warns rather than raises because :func:`configure_from_env` runs at
+    import.
+    """
+    if value is not None:
+        return Path(value)
+    raw = os.environ.get(name, "").strip()
+    if raw.lower() in _BOOLEAN_WORDS:
+        warnings.warn(
+            f"{name}={raw!r} looks like a switch, not a file path; ignoring it",
+            stacklevel=2,
+        )
+        return None
+    return Path(raw) if raw else None
+
+
 def configure_from_env() -> None:
     """Activate layers named by ``REPRO_TRACE`` / ``REPRO_METRICS`` /
     ``REPRO_PROFILE`` / ``REPRO_LOG``.
@@ -198,15 +226,11 @@ def configure_from_env() -> None:
     and again by the CLI after flag parsing; re-calls are cheap and only
     ever *add* layers.
     """
-    trace_path = os.environ.get(TRACE_ENV, "").strip()
-    metrics_path = os.environ.get(METRICS_ENV, "").strip()
-    profile_path = os.environ.get(PROFILE_ENV, "").strip()
-    if trace_path:
-        enable(trace=trace_path)
-    if metrics_path:
-        enable(metrics=metrics_path)
-    if profile_path:
-        enable(profile=profile_path)
+    enable(
+        trace=path_from_env(TRACE_ENV) or False,
+        metrics=path_from_env(METRICS_ENV) or False,
+        profile=path_from_env(PROFILE_ENV) or False,
+    )
     if os.environ.get(LOG_ENV, "").strip():
         configure_logging()
 

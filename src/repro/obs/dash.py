@@ -30,10 +30,8 @@ from typing import Any, Callable, TextIO
 from repro import obs
 from repro.obs import ledger as run_ledger
 from repro.obs import sentinel
-from repro.obs.heartbeat import heartbeat_path_from_env
+from repro.obs.heartbeat import HEARTBEAT_ENV, policy_paths
 
-#: Per-policy heartbeat suffixes the fleet comparison CLI writes.
-HEARTBEAT_SUFFIXES = ("", ".capped", ".uncapped")
 #: Alert events shown in the feed.
 DEFAULT_ALERT_TAIL = 8
 #: A heartbeat older than this (vs file mtime) is flagged as stale.
@@ -44,15 +42,7 @@ def discover_heartbeats(base: "str | Path | None") -> list[Path]:
     """Existing heartbeat files at ``base`` and its per-policy suffixes."""
     if base is None:
         return []
-    base = Path(base)
-    found = []
-    for suffix in HEARTBEAT_SUFFIXES:
-        candidate = (
-            base if not suffix else base.with_name(base.name + suffix)
-        )
-        if candidate.is_file():
-            found.append(candidate)
-    return found
+    return [path for path in policy_paths(Path(base)) if path.is_file()]
 
 
 def _read_json(path: Path) -> dict[str, Any] | None:
@@ -189,7 +179,7 @@ def collect_snapshot(
     Missing sources are simply absent from the snapshot — a dashboard
     pointed at a run that has not started yet is empty, not an error.
     """
-    base = Path(heartbeat) if heartbeat is not None else heartbeat_path_from_env()
+    base = obs.path_from_env(HEARTBEAT_ENV, heartbeat)
     beats = []
     for path in discover_heartbeats(base):
         data = _read_json(path)

@@ -1,14 +1,14 @@
-"""Live progress telemetry for long fleet runs: heartbeat file + callback.
+"""Live progress telemetry for long fleet runs: the heartbeat file.
 
 A 100k-node sharded simulation runs for a long time with nothing but a
 final report at the end — inoperable mid-flight.  The fleet fold calls a
 :class:`RunHeartbeat` after every folded job; the heartbeat throttles
 itself (at most one emission per ``min_interval_s``) and publishes a
 compact JSON snapshot — jobs folded, node-weighted progress, nodes/sec,
-ETA, age of the last checkpoint — to an atomically-replaced file and/or
-an in-process callback.  ``watch -n1 cat heartbeat.json`` (or any
-scraper) then shows a live view of the run; the atomic replace means a
-reader never sees a torn file.
+ETA, age of the last checkpoint — to an atomically-replaced file.
+``watch -n1 cat heartbeat.json`` (or any scraper) then shows a live
+view of the run; the atomic replace means a reader never sees a torn
+file.
 
 Progress is **node-weighted**: jobs vary enormously in render cost, and
 cost scales with allocated nodes, so nodes-folded-per-second is a far
@@ -40,10 +40,20 @@ logger = logging.getLogger(__name__)
 HEARTBEAT_ENV = "REPRO_FLEET_HEARTBEAT"
 
 
-def heartbeat_path_from_env() -> Path | None:
-    """Heartbeat location from ``REPRO_FLEET_HEARTBEAT`` (None = off)."""
-    raw = os.environ.get(HEARTBEAT_ENV, "").strip()
-    return Path(raw) if raw else None
+#: Path suffixes of the fleet comparison's (capped, uncapped) policies.
+#: Each policy is its own simulation, so its checkpoint and heartbeat
+#: files sit beside the base path under its own suffix.
+POLICY_SUFFIXES = (".capped", ".uncapped")
+
+
+def policy_path(base: Path | None, suffix: str) -> Path | None:
+    """``base`` with one policy's suffix appended (None stays None)."""
+    return base.with_name(base.name + suffix) if base is not None else None
+
+
+def policy_paths(base: Path) -> list[Path]:
+    """``base`` and its per-policy variants, the files a fleet run may write."""
+    return [base] + [policy_path(base, suffix) for suffix in POLICY_SUFFIXES]
 
 
 @dataclass(frozen=True)
@@ -106,9 +116,6 @@ class RunHeartbeat:
     ----------
     path:
         Atomically-replaced JSON snapshot file (None: no file).
-    callback:
-        Called with each emitted :class:`HeartbeatSnapshot` (None: no
-        callback).  Exceptions propagate — the callback is caller code.
     min_interval_s:
         Emission floor; :meth:`update` calls inside the window are
         dropped (``force=True`` bypasses).  0 emits every update.
@@ -119,7 +126,6 @@ class RunHeartbeat:
     def __init__(
         self,
         path: "str | Path | None" = None,
-        callback: "Callable[[HeartbeatSnapshot], None] | None" = None,
         *,
         label: str = "fleet",
         jobs_total: int = 0,
@@ -128,7 +134,6 @@ class RunHeartbeat:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.path = Path(path) if path is not None else None
-        self.callback = callback
         self.label = label
         self.jobs_total = jobs_total
         self.nodes_total = nodes_total
@@ -218,8 +223,6 @@ class RunHeartbeat:
                     exc,
                 )
                 self.path = None
-        if self.callback is not None:
-            self.callback(snapshot)
         self.emits += 1
         return snapshot
 

@@ -254,6 +254,23 @@ class TestCheckpointResume:
     def test_missing_checkpoint_is_none(self, tmp_path):
         assert shard.load_checkpoint(tmp_path / "nope.ckpt") is None
 
+    def test_older_version_rejected(self, tmp_path):
+        path = tmp_path / "fleet.ckpt"
+        _run(checkpoint=path)
+        old = shard.load_checkpoint(path)
+        old.version = shard.CHECKPOINT_VERSION - 1
+        self._real_save(path, old)
+        with pytest.raises(ValueError, match=f"version-{shard.CHECKPOINT_VERSION}"):
+            shard.load_checkpoint(path)
+
+    def test_fold_restore_rejects_a_different_pool(self):
+        from repro.hardware.system import SystemPowerAccumulator
+
+        saved = shard.FleetFold(SystemPowerAccumulator(n_nodes=8, bin_s=2.0))
+        other = shard.FleetFold(SystemPowerAccumulator(n_nodes=9, bin_s=2.0))
+        with pytest.raises(ValueError, match="n_nodes"):
+            other.restore(saved.state())
+
 
 class TestGuardRails:
     def test_checkpoint_rejects_monitor(self, tmp_path):

@@ -92,6 +92,29 @@ class TestDiscoverHeartbeats:
         assert [p.name for p in discover_heartbeats(base)] == ["hb.json.capped"]
 
 
+class TestFleetWritesWhatDashReads:
+    def test_policy_heartbeats_discovered(self, tmp_path):
+        """The fleet's heartbeat writer and the dashboard's reader share
+        one per-policy suffix rule."""
+        from repro.capping.fleet import compare_fleet_policies_traced
+        from repro.runner.engine import EngineConfig
+
+        base = tmp_path / "hb.json"
+        compare_fleet_policies_traced(
+            n_jobs=4,
+            n_nodes=6,
+            seed=3,
+            engine_config=EngineConfig(base_interval_s=1.0),
+            heartbeat=base,
+        )
+        beats = collect_snapshot(base).heartbeats
+        assert [beat["label"] for beat in beats] == [
+            "fleet:50% TDP policy",
+            "fleet:uncapped",
+        ]
+        assert all(beat["done"] for beat in beats)
+
+
 class TestAlertTail:
     def test_missing_sources(self, tmp_path):
         assert tail_alert_events(None) == ([], 0)

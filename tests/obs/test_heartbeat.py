@@ -5,13 +5,13 @@ import json
 import pytest
 
 from repro import obs
+from repro.capping import fleet
 from repro.capping.fleet import job_stream, simulate_fleet_traced
 from repro.capping.policy import CapPolicy
 from repro.obs.heartbeat import (
     HEARTBEAT_ENV,
     HeartbeatSnapshot,
     RunHeartbeat,
-    heartbeat_path_from_env,
     read_heartbeat,
 )
 
@@ -34,17 +34,13 @@ def clock():
 
 class TestRunHeartbeat:
     def test_throttles_below_min_interval(self, clock):
-        emitted = []
-        beat = RunHeartbeat(
-            callback=emitted.append, min_interval_s=1.0, clock=clock
-        )
+        beat = RunHeartbeat(min_interval_s=1.0, clock=clock)
         assert beat.update(1, 10) is not None
         clock.advance(0.25)
         assert beat.update(2, 20) is None  # inside the window: dropped
         clock.advance(1.0)
         assert beat.update(3, 30) is not None
         assert beat.update(4, 40, force=True) is not None  # force bypasses
-        assert len(emitted) == 3
         assert beat.emits == 3
 
     def test_rate_and_eta_are_node_weighted(self, clock):
@@ -144,19 +140,37 @@ class TestRunHeartbeat:
         assert jobs_only.progress == pytest.approx(0.25)
 
     def test_env_activation(self, tmp_path, monkeypatch):
-        assert heartbeat_path_from_env() is None
+        monkeypatch.delenv(HEARTBEAT_ENV, raising=False)
+        assert obs.path_from_env(HEARTBEAT_ENV) is None
         monkeypatch.setenv(HEARTBEAT_ENV, str(tmp_path / "hb.json"))
-        assert heartbeat_path_from_env() == tmp_path / "hb.json"
+        assert obs.path_from_env(HEARTBEAT_ENV) == tmp_path / "hb.json"
+
+
+@pytest.fixture
+def snapshots(monkeypatch):
+    """Every snapshot a fleet run's heartbeats emit, unthrottled."""
+    collected = []
+
+    class RecordingHeartbeat(RunHeartbeat):
+        def update(self, *args, **kwargs):
+            snapshot = super().update(*args, **kwargs)
+            if snapshot is not None:
+                collected.append(snapshot)
+            return snapshot
+
+    monkeypatch.setattr(fleet, "HEARTBEAT_INTERVAL_S", 0.0)
+    monkeypatch.setattr(fleet, "RunHeartbeat", RecordingHeartbeat)
+    return collected
 
 
 class TestFleetIntegration:
-    def test_fleet_heartbeat_observation_only(self, tmp_path):
+    def test_fleet_heartbeat_observation_only(self, tmp_path, snapshots):
         """A heartbeat-enabled run produces bit-identical reports."""
         obs.disable()
         jobs = job_stream(n_jobs=4, seed=3)
         policy = CapPolicy.uncapped()
         quiet = simulate_fleet_traced(jobs, policy, "uncapped", n_nodes=6)
-        snapshots = []
+        assert snapshots == []  # no heartbeat path: no heartbeat
         path = tmp_path / "hb.json"
         loud = simulate_fleet_traced(
             jobs,
@@ -164,8 +178,6 @@ class TestFleetIntegration:
             "uncapped",
             n_nodes=6,
             heartbeat=path,
-            heartbeat_interval_s=0.0,
-            progress=snapshots.append,
         )
         assert loud.system == quiet.system
         assert loud.node_power_mean_w == quiet.node_power_mean_w
@@ -178,18 +190,16 @@ class TestFleetIntegration:
         assert final["progress"] == 1.0
         assert final["label"] == "fleet:uncapped"
 
-    def test_fleet_heartbeat_sharded(self, tmp_path):
+    def test_fleet_heartbeat_sharded(self, tmp_path, snapshots):
         obs.disable()
         jobs = job_stream(n_jobs=4, seed=3)
-        snapshots = []
         simulate_fleet_traced(
             jobs,
             CapPolicy.uncapped(),
             "uncapped",
             n_nodes=6,
             workers=2,
-            heartbeat_interval_s=0.0,
-            progress=snapshots.append,
+            heartbeat=tmp_path / "hb.json",
         )
         assert snapshots[-1].done is True
         assert snapshots[-1].jobs_folded == len(jobs)
