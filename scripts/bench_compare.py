@@ -5,9 +5,8 @@ reads everything from that one file: each bench's **minimum** time
 (min-of-rounds is far more robust to host load than the mean:
 background load only ever adds time) and the fields the gate benches
 record in ``benchmark.extra_info``, one section per gate bench
-(``efficiency``, ``memory``, ``monitor``, ``obs``, ``profile``,
-``shard``, ``surrogate``, ``scenario``).  This script measures nothing
-itself.
+(``efficiency``, ``memory``, ``monitor``, ``obs``, ``shard``,
+``surrogate``, ``scenario``).  This script measures nothing itself.
 
 Absolute floors and ceilings (memory reduction, overhead ratios,
 speedups, accuracy, build throughput) are asserted inside the benches:

@@ -166,16 +166,18 @@ PY
 python -m repro sentinel check
 
 echo "== profiler smoke (sharded --profile merges to one speedscope) =="
-# A tight sampling interval makes worker-batch samples a certainty even
-# on the small smoke workload; the merged document must carry rows from
-# the coordinator *and* the shard workers, attributed to obs spans.
-REPRO_PROFILE_INTERVAL=0.0005 python -m repro fleet --jobs 8 --nodes 40 \
+# The profile is the trace's span self times: the merged document must
+# carry rows from the coordinator *and* the shard workers, and each
+# row's weights must add up to its process's top-level span durations.
+python -m repro fleet --jobs 8 --nodes 40 \
     --seed 3 --resolution 1.0 --workers 2 \
+    --trace "$SMOKE_DIR/fleet.trace.json" \
     --profile "$SMOKE_DIR/fleet.speedscope" > /dev/null
-python - "$SMOKE_DIR/fleet.speedscope" <<'PY'
+python - "$SMOKE_DIR/fleet.speedscope" "$SMOKE_DIR/fleet.trace.json" <<'PY'
 import json, sys
 
 doc = json.load(open(sys.argv[1]))
+trace = json.load(open(sys.argv[2]))["traceEvents"]
 rows = [p["name"] for p in doc["profiles"]]
 frames = [f["name"] for f in doc["shared"]["frames"]]
 workers = [name for name in rows if "worker" in name]
@@ -185,9 +187,33 @@ assert any(
 ), "no span pseudo-frames in merged profile"
 total = sum(len(p["samples"]) for p in doc["profiles"])
 assert total > 0, "merged profile holds no samples"
+labels = {
+    e["args"]["name"]: e["pid"]
+    for e in trace
+    if e.get("ph") == "M" and e["name"] == "process_name"
+}
+for profile in doc["profiles"]:
+    pid = labels.get(profile["name"]) or int(profile["name"].split()[-1])
+    spans = [e for e in trace if e.get("ph") == "X" and e["pid"] == pid]
+    top = [
+        e
+        for e in spans
+        if not any(
+            o is not e
+            and o["tid"] == e["tid"]
+            and o["ts"] <= e["ts"]
+            and e["ts"] + e["dur"] <= o["ts"] + o["dur"]
+            for o in spans
+        )
+    ]
+    expected_s = sum(e["dur"] for e in top) / 1e6
+    weight_s = sum(profile["weights"])
+    assert abs(weight_s - expected_s) <= 1e-6 * len(spans), (
+        profile["name"], weight_s, expected_s
+    )
 print(
     f"profile ok: {total} stacks across {len(rows)} rows "
-    f"({len(workers)} worker rows)"
+    f"({len(workers)} worker rows), weights match the trace's top-level spans"
 )
 PY
 

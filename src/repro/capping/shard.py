@@ -119,11 +119,11 @@ class ShardTask:
     chunk_samples: int | None
     monitor_config: "MonitorConfig | None"
     jobs: tuple[ShardJobTask, ...]
-    #: (trace, metrics, profile) layers the coordinator is collecting —
-    #: the worker captures matching :class:`repro.obs.merge.ObsPartial`
+    #: (trace, metrics) layers the coordinator is collecting — the
+    #: worker captures matching :class:`repro.obs.merge.ObsPartial`
     #: snapshots.  None (obs off at the coordinator) skips capture
     #: entirely.
-    obs_capture: tuple[bool, bool, bool] | None = None
+    obs_capture: tuple[bool, bool] | None = None
 
 
 @dataclass
@@ -267,11 +267,10 @@ def _render_shard(task: ShardTask) -> ShardResult:
     """
     token = None
     if task.obs_capture is not None:
-        trace_on, metrics_on, profile_on = task.obs_capture
+        trace_on, metrics_on = task.obs_capture
         token = obs_merge.begin_worker_capture(
             trace=trace_on,
             metrics=metrics_on,
-            profile=profile_on,
             process_label=f"repro fleet worker {os.getpid()}",
         )
     try:

@@ -22,7 +22,7 @@ Installed as ``repro`` (also ``python -m repro``)::
     repro sentinel report              # per-fingerprint health + change points
     repro sentinel baseline            # the mined baselines themselves
     repro top                          # live dashboard over a running fleet
-    repro fleet --jobs 50 --profile p.speedscope  # where the time went
+    repro fleet --jobs 50 --profile p.speedscope  # span self times
 
 Every executing command (``run``/``survey``/``cap-sweep``/``reproduce``/
 ``fleet``/``monitor``/``schedule``/``predict``) also appends one structured
@@ -34,11 +34,13 @@ alert counts — to the run ledger (``REPRO_RUNS=0`` opts out,
 Observability flags (``run``/``survey``/``cap-sweep``/``reproduce``):
 ``--trace FILE`` writes a Chrome trace-event JSON of the session,
 ``--metrics FILE`` a Prometheus text exposition (``.json`` for a JSON
-snapshot), ``--profile FILE`` a sampling wall-clock profile
-(``.json``/``.speedscope`` for speedscope, ``.txt`` for a top-functions
-report, else collapsed stacks), ``--log-level LEVEL`` configures stdlib
-logging.  The ``REPRO_TRACE`` / ``REPRO_METRICS`` / ``REPRO_PROFILE`` /
-``REPRO_LOG`` environment variables do the same for library use.
+snapshot), ``--profile FILE`` the trace's exact span self times
+(``.json``/``.speedscope`` for speedscope, ``.txt`` for a report, else
+collapsed stacks), ``--log-level LEVEL`` configures stdlib logging.
+The ``REPRO_TRACE`` / ``REPRO_METRICS`` / ``REPRO_PROFILE`` /
+``REPRO_LOG`` environment variables do the same for library use.  For
+function-level rows, stdlib ``python -m cProfile -m repro ...``
+profiles any command.
 """
 
 from __future__ import annotations
@@ -759,8 +761,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         print(f"  registered metrics: {', '.join(metrics['names'])}")
     profile = status["profile"]
     print(f"  profile  : {'on' if profile['active'] else 'off'}", end="")
-    if profile["active"]:
-        print(f" ({profile['samples']} sample(s))", end="")
     if profile["path"]:
         print(f" -> {profile['path']}", end="")
     print()
@@ -799,7 +799,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         obs.TRACE_ENV,
         obs.METRICS_ENV,
         obs.PROFILE_ENV,
-        obs.PROFILE_INTERVAL_ENV,
         obs.LOG_ENV,
         MONITOR_ENV,
         MONITOR_LOG_ENV,
@@ -825,7 +824,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     print(
         "\nenable with `repro <cmd> --trace FILE --metrics FILE "
         "--profile FILE --log-level LEVEL` or the REPRO_* environment "
-        "variables."
+        "variables; `--profile` writes the trace's span self times, and "
+        "`python -m cProfile -m repro <cmd>` gives function rows."
     )
     return 0
 
@@ -1272,9 +1272,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help=(
-            "sample wall-clock stacks into FILE (.json/.speedscope for "
-            "speedscope, .txt for a top-functions report, else collapsed "
-            "stacks)"
+            "write the trace's exact span self times to FILE "
+            "(.json/.speedscope for speedscope, .txt for a report, else "
+            "collapsed stacks)"
         ),
     )
     obs_group.add_argument(

@@ -59,8 +59,8 @@ _GPU_COMPONENTS = frozenset(GPU_KEYS)
 
 def monitoring_requested() -> bool:
     """True when ``REPRO_MONITOR`` asks for ambient monitoring."""
-    value = os.environ.get(MONITOR_ENV, "").strip().lower()
-    return value not in ("", "0", "false", "off")
+    value = os.environ.get(MONITOR_ENV, "").strip()
+    return bool(value) and not obs.env_switched_off(MONITOR_ENV)
 
 
 def node_idle_bands(

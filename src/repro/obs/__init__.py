@@ -17,8 +17,8 @@ has three parts:
   (``.repro_runs/``, the ``repro runs`` CLI);
 * :mod:`repro.obs.heartbeat` — live progress telemetry for long fleet
   runs (``REPRO_FLEET_HEARTBEAT`` / ``--heartbeat``);
-* :mod:`repro.obs.profile` — sampling wall-clock profiler attached to
-  the span tracer (``REPRO_PROFILE`` / ``--profile``);
+* :mod:`repro.obs.profile` — exact span self times, a view of the
+  trace (``REPRO_PROFILE`` / ``--profile``);
 * :mod:`repro.obs.sentinel` — ledger-mining regression sentinel
   (``repro sentinel check/report/baseline``);
 * :mod:`repro.obs.dash` — live fleet dashboard (``repro top``).
@@ -36,9 +36,10 @@ Activation (all default **off**):
 * environment — ``REPRO_TRACE=FILE`` enables tracing and writes the
   Chrome JSON to FILE at exit via :func:`flush`; ``REPRO_METRICS=FILE``
   likewise for metrics (``.json`` suffix selects the JSON snapshot,
-  anything else Prometheus text); ``REPRO_PROFILE=FILE`` likewise for
-  the sampling profiler (``.speedscope``/``.json``, ``.folded`` or
-  ``.txt``); ``REPRO_LOG=LEVEL`` configures logging.
+  anything else Prometheus text); ``REPRO_PROFILE=FILE`` turns tracing on
+  and writes the trace's span self times to FILE
+  (``.speedscope``/``.json``, ``.folded`` or ``.txt``);
+  ``REPRO_LOG=LEVEL`` configures logging.
 * CLI — ``repro ... --trace FILE --metrics FILE --profile FILE
   --log-level LEVEL``.
 * programmatic — :func:`enable` / :func:`disable`.
@@ -69,13 +70,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profile import (
-    PROFILE_ENV,
-    PROFILE_INTERVAL_ENV,
-    SpanProfiler,
-    export_profile,
-    interval_from_env,
-)
+from repro.obs.profile import PROFILE_ENV, export_profile, span_self_times
 from repro.obs.trace import NULL_SPAN, TraceEvent, Tracer
 
 __all__ = [
@@ -83,7 +78,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SpanProfiler",
     "TraceEvent",
     "Tracer",
     "TRACE_ENV",
@@ -94,6 +88,7 @@ __all__ = [
     "configure_logging",
     "disable",
     "enable",
+    "env_switched_off",
     "flush",
     "gauge_set",
     "get_logger",
@@ -105,8 +100,6 @@ __all__ = [
     "name_thread",
     "observe",
     "path_from_env",
-    "profiler",
-    "profiling_active",
     "reset_logging",
     "span",
     "status",
@@ -126,7 +119,6 @@ class _ObsState:
 
     tracer: Tracer | None = None
     registry: MetricsRegistry | None = None
-    profiler: SpanProfiler | None = None
     trace_path: Path | None = None
     metrics_path: Path | None = None
     profile_path: Path | None = None
@@ -151,12 +143,14 @@ def enable(
 
     ``trace`` / ``metrics`` / ``profile`` accept True (collect in
     memory) or a path (collect and export there on :func:`flush`).
-    ``profile`` implies tracing — the sampler attributes samples to the
-    open spans — and starts the sampler thread immediately.
-    ``log_level`` configures stdlib logging when given.
+    ``profile`` implies tracing: the profile is the trace's span self
+    times, built at :func:`flush`.  ``log_level`` configures stdlib
+    logging when given.
     """
-    if profile and _STATE.tracer is None:
+    if profile:
         trace = trace or True
+        if not isinstance(profile, bool):
+            _STATE.profile_path = Path(profile)
     if trace:
         if _STATE.tracer is None:
             _STATE.tracer = Tracer()
@@ -167,33 +161,29 @@ def enable(
             _STATE.registry = MetricsRegistry()
         if not isinstance(metrics, bool):
             _STATE.metrics_path = Path(metrics)
-    if profile:
-        if _STATE.profiler is None:
-            _STATE.profiler = SpanProfiler(
-                interval_from_env(), tracer=_STATE.tracer
-            )
-            _STATE.profiler.start()
-        if not isinstance(profile, bool):
-            _STATE.profile_path = Path(profile)
     if log_level is not None:
         configure_logging(log_level)
 
 
 def disable() -> None:
     """Turn all observability layers off and drop collected data."""
-    if _STATE.profiler is not None:
-        _STATE.profiler.stop()
     _STATE.tracer = None
     _STATE.registry = None
-    _STATE.profiler = None
     _STATE.trace_path = None
     _STATE.metrics_path = None
     _STATE.profile_path = None
     _STATE.flushed = {}
 
 
+#: Values that switch an on/off environment variable off (any case).
+OFF_WORDS = frozenset({"0", "false", "no", "off"})
 #: Values that read as an on/off switch, never as a file name.
-_BOOLEAN_WORDS = frozenset({"0", "1", "true", "false", "yes", "no", "on", "off"})
+_BOOLEAN_WORDS = OFF_WORDS | {"1", "true", "yes", "on"}
+
+
+def env_switched_off(name: str) -> bool:
+    """True when environment variable ``name`` holds one of :data:`OFF_WORDS`."""
+    return os.environ.get(name, "").strip().lower() in OFF_WORDS
 
 
 def path_from_env(name: str, value: "str | Path | None" = None) -> Path | None:
@@ -245,11 +235,6 @@ def tracing_active() -> bool:
     return _STATE.tracer is not None
 
 
-def profiling_active() -> bool:
-    """True when the sampling profiler is on."""
-    return _STATE.profiler is not None
-
-
 def tracer() -> Tracer | None:
     """The active tracer, or None when tracing is off."""
     return _STATE.tracer
@@ -258,11 +243,6 @@ def tracer() -> Tracer | None:
 def metrics() -> MetricsRegistry | None:
     """The active metrics registry, or None when metrics are off."""
     return _STATE.registry
-
-
-def profiler() -> SpanProfiler | None:
-    """The active sampling profiler, or None when profiling is off."""
-    return _STATE.profiler
 
 
 # ----------------------------------------------------------------------
@@ -288,8 +268,6 @@ def name_process(name: str) -> None:
     active = _STATE.tracer
     if active is not None:
         active.name_process(name)
-    if _STATE.profiler is not None:
-        _STATE.profiler.relabel(f"{name} (pid {os.getpid()})")
 
 
 def name_thread(name: str) -> None:
@@ -332,19 +310,11 @@ def flush() -> dict[str, str]:
     both by the CLI on exit and by an ``atexit`` hook as a safety net.
     """
     written: dict[str, str] = {}
-    if _STATE.profiler is not None and _STATE.profile_path is not None:
-        # Stop sampling before the snapshot so the exported profile is
-        # final (flush may run again from atexit; stop is idempotent).
-        _STATE.profiler.stop()
-        export_profile(_STATE.profiler.profile.state(), _STATE.profile_path)
-        suffix = _STATE.profile_path.suffix.lower()
-        if suffix in {".json", ".speedscope"}:
-            kind = "speedscope-profile"
-        elif suffix == ".txt":
-            kind = "profile-report"
-        else:
-            kind = "collapsed-profile"
-        written[str(_STATE.profile_path)] = kind
+    if _STATE.tracer is not None and _STATE.profile_path is not None:
+        rows = span_self_times(_STATE.tracer.events, _STATE.tracer.metadata()[0])
+        written[str(_STATE.profile_path)] = export_profile(
+            rows, _STATE.profile_path
+        )
     if _STATE.tracer is not None and _STATE.trace_path is not None:
         _STATE.tracer.export_chrome(_STATE.trace_path)
         written[str(_STATE.trace_path)] = "chrome-trace"
@@ -374,6 +344,7 @@ atexit.register(_flush_at_exit)
 # ----------------------------------------------------------------------
 def status() -> dict[str, Any]:
     """A JSON-ready description of the current observability state."""
+    profiling = _STATE.tracer is not None and _STATE.profile_path is not None
     return {
         "tracing": {
             "active": _STATE.tracer is not None,
@@ -388,10 +359,10 @@ def status() -> dict[str, Any]:
             "env": os.environ.get(METRICS_ENV) or None,
         },
         "profile": {
-            "active": _STATE.profiler is not None,
+            "active": profiling,
             "samples": (
-                _STATE.profiler.profile.total_samples
-                if _STATE.profiler is not None
+                sum(e.duration_us is not None for e in _STATE.tracer.events)
+                if profiling
                 else 0
             ),
             "path": str(_STATE.profile_path) if _STATE.profile_path else None,

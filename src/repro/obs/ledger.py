@@ -55,8 +55,7 @@ SCHEMA_VERSION = 1
 
 def ledger_enabled() -> bool:
     """False when ``REPRO_RUNS`` opts out of recording."""
-    raw = os.environ.get(RUNS_ENABLE_ENV, "").strip().lower()
-    return raw not in {"0", "off", "false", "no"}
+    return not obs.env_switched_off(RUNS_ENABLE_ENV)
 
 
 def runs_dir() -> Path:

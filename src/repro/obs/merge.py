@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import SpanProfiler, interval_from_env
 from repro.obs.trace import TraceEvent, Tracer
 
 
@@ -54,40 +53,24 @@ class ObsPartial:
     thread_names: dict[tuple[int, int], str] = field(default_factory=dict)
     #: ``MetricsRegistry.state()`` payload; None when metrics were off.
     metrics_state: dict | None = None
-    #: ``Profile.state()`` payload; None when profiling was off.
-    profile_state: dict | None = None
 
     @property
     def span_count(self) -> int:
         """Recorded trace events in this capture."""
         return len(self.events)
 
-    @property
-    def profile_samples(self) -> int:
-        """Profiler samples captured in this partial."""
-        if not self.profile_state:
-            return 0
-        return sum(
-            count
-            for entries in self.profile_state.get("rows", {}).values()
-            for _stack, count in entries
-        )
 
-
-def capture_flags() -> tuple[bool, bool, bool] | None:
-    """The (trace, metrics, profile) layers the coordinator has on, or None.
+def capture_flags() -> tuple[bool, bool] | None:
+    """The (trace, metrics) layers the coordinator has on, or None.
 
     Shipped inside worker task payloads so workers enable exactly the
     layers the coordinator is collecting — and nothing when obs is off
-    (the no-capture path stays zero-overhead).
+    (the no-capture path stays zero-overhead).  A coordinator profile
+    needs no flag of its own: it is built from the merged worker spans.
     """
     if not obs.is_active():
         return None
-    return (
-        obs.tracing_active(),
-        obs.metrics() is not None,
-        obs.profiling_active(),
-    )
+    return obs.tracing_active(), obs.metrics() is not None
 
 
 def begin_worker_capture(
@@ -95,7 +78,6 @@ def begin_worker_capture(
     metrics: bool = True,
     process_label: str | None = None,
     thread_label: str = "render",
-    profile: bool = False,
 ):
     """Install fresh in-memory obs state in this (worker) process.
 
@@ -111,19 +93,12 @@ def begin_worker_capture(
         if process_label is not None
         else f"repro worker {os.getpid()}"
     )
-    if profile and not trace:
-        trace = True  # span attribution needs the open-span stacks
     if trace:
         fresh.tracer = Tracer()
         fresh.tracer.name_process(label)
         fresh.tracer.name_thread(thread_label)
     if metrics:
         fresh.registry = MetricsRegistry()
-    if profile:
-        fresh.profiler = SpanProfiler(
-            interval_from_env(), tracer=fresh.tracer, process_label=label
-        )
-        fresh.profiler.start()
     obs._STATE = fresh
     return previous
 
@@ -139,10 +114,7 @@ def finish_worker_capture(token) -> ObsPartial | None:
     obs._STATE = token
     tracer = captured.tracer
     registry = captured.registry
-    profiler = captured.profiler
-    if profiler is not None:
-        profiler.stop()
-    if tracer is None and registry is None and profiler is None:
+    if tracer is None and registry is None:
         return None
     process_names: dict[int, str] = {}
     thread_names: dict[tuple[int, int], str] = {}
@@ -159,7 +131,6 @@ def finish_worker_capture(token) -> ObsPartial | None:
         process_names=process_names,
         thread_names=thread_names,
         metrics_state=registry.state() if registry is not None else None,
-        profile_state=profiler.profile.state() if profiler is not None else None,
     )
 
 
@@ -187,6 +158,3 @@ def absorb_partial(partial: ObsPartial | None) -> None:
     registry = obs.metrics()
     if registry is not None and partial.metrics_state:
         registry.merge_state(partial.metrics_state)
-    profiler = obs.profiler()
-    if profiler is not None and partial.profile_state:
-        profiler.profile.merge_state(partial.profile_state)

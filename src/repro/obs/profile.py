@@ -1,283 +1,105 @@
-"""Sampling wall-clock profiler, integrated with the span tracer.
+"""Exact span self-time profile: a view of the span trace.
 
 Spans (:mod:`repro.obs.trace`) say *that* a phase was slow; this module
-says *where the time went inside it*.  A daemon thread wakes every
-``interval_s`` seconds, snapshots every live thread's Python stack via
-``sys._current_frames()``, and attributes the sample to the innermost
-**open span** on that thread (the tracer keeps a per-thread stack of
-open span names exactly for this read).  Pure stdlib, no signals, no
-C extension — and observation-only: sampling reads frames, it never
-touches the computation, so profiled runs stay bit-identical.
+says *where the time went* across phases, without measuring anything
+again.  Every completed span already carries its exact start and
+duration, so a span's **self time** is its duration minus its direct
+children's.  :func:`span_self_times` folds a tracer's events into
+``{process label: {span path: seconds}}`` where a span path is the
+open-span stack ``("span:<outer>", ..., "span:<inner>")``.
 
-Accumulated samples live in a :class:`Profile` — a mapping of *process
-label* (``repro fleet``, ``repro fleet worker 1234``) to collapsed call
-stacks and their sample counts — which is plain picklable data.  A
-sharded run therefore profiles the same way it traces: each worker
-samples itself into a fresh profile, ships the
-:meth:`Profile.state` payload home inside its
-:class:`repro.obs.merge.ObsPartial`, and the coordinator folds it with
-:meth:`Profile.merge_state`.  One run, one merged profile, one row per
-worker process.
+The view is exact where a sampler would be biased: coarse samples hide
+short phases the same way coarse power telemetry hides peaks.  Each
+process row's total weight equals the summed durations of that
+process's top-level spans.  Python frames below the innermost span are
+not shown; stdlib ``python -m cProfile -m repro ...`` gives exact
+function rows.
+
+A sharded run needs nothing extra: worker spans reach the coordinator's
+tracer through :func:`repro.obs.merge.absorb_partial` with their origin
+pid, so one merged trace gives one row per worker process.
 
 Exports:
 
 * :func:`to_speedscope` — the `speedscope <https://speedscope.app>`_
-  JSON file format, one sampled profile per process label;
+  JSON file format, one weighted profile per process label;
 * :func:`to_collapsed` — Brendan-Gregg collapsed stacks
-  (``label;span:<name>;frame;... count``) for flamegraph tooling;
-* :func:`top_functions` — a plain-text self-time report (per function
-  and per active span).
+  (``label;span:<outer>;...;span:<inner> microseconds``) for flamegraph
+  tooling;
+* :func:`top_spans` — a plain-text self-time report (per span path and
+  per span name).
 
 Activation mirrors tracing: ``--profile FILE`` on the CLI or
 ``REPRO_PROFILE=FILE`` in the environment (``.json``/``.speedscope``
-suffixes select speedscope output, ``.txt`` the top-functions report,
-anything else collapsed stacks).  ``REPRO_PROFILE_INTERVAL`` overrides
-the sampling period in seconds.
+suffixes select speedscope output, ``.txt`` the report, anything else
+collapsed stacks).
 """
 
 from __future__ import annotations
 
 import json
-import os
-import sys
-import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any, Iterable
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> profile)
-    from repro.obs.trace import Tracer
+from repro.obs.trace import TraceEvent
 
 #: Environment variable: profile export path (enables profiling).
 PROFILE_ENV = "REPRO_PROFILE"
-#: Environment variable: sampling period override, in seconds.
-PROFILE_INTERVAL_ENV = "REPRO_PROFILE_INTERVAL"
-#: Default wall-clock sampling period (200 Hz).
-DEFAULT_INTERVAL_S = 0.005
-#: Span pseudo-frame used when a sampled thread has no open span.
-NO_SPAN = "(no span)"
-#: Stack frames kept per sample (innermost); deeper tails are dropped.
-MAX_STACK_DEPTH = 64
+
+#: ``{process label: {span path: self seconds}}``.
+SpanRows = dict[str, dict[tuple[str, ...], float]]
 
 
-def interval_from_env() -> float:
-    """The sampling period: ``REPRO_PROFILE_INTERVAL`` or the default.
+def span_self_times(
+    events: Iterable[TraceEvent], process_names: dict[int, str]
+) -> SpanRows:
+    """Exact self time per open-span path, one row per process label.
 
-    Invalid or non-positive values fall back to the default rather than
-    erroring — a bad knob should never break the profiled run.
+    Spans on one ``(pid, tid)`` nest strictly, so sorting them by
+    ``(start, -duration)`` puts every parent before its children and a
+    stack walk finds each span's parent.  Exact ties break by recording
+    order: a span is recorded when it closes, so a child is recorded
+    before its parent.  Instants carry no time and are skipped.  Rows
+    are labelled from ``process_names`` (falling back to ``pid N``);
+    threads of one process share its row.
     """
-    raw = os.environ.get(PROFILE_INTERVAL_ENV, "").strip()
-    if not raw:
-        return DEFAULT_INTERVAL_S
-    try:
-        interval = float(raw)
-    except ValueError:
-        return DEFAULT_INTERVAL_S
-    return interval if interval > 0 else DEFAULT_INTERVAL_S
-
-
-def _format_frame(frame) -> str:
-    """``func (pkg/module.py:lineno)`` — short, stable frame label."""
-    code = frame.f_code
-    filename = code.co_filename
-    parts = filename.replace(os.sep, "/").rsplit("/", 2)
-    short = "/".join(parts[-2:]) if len(parts) > 1 else filename
-    return f"{code.co_name} ({short}:{frame.f_lineno})"
-
-
-class Profile:
-    """Accumulated stack samples, grouped by process label.
-
-    ``rows`` maps a process label to ``{stack: count}`` where ``stack``
-    is a tuple of frame labels, **outermost first**, whose first element
-    is always the ``span:<name>`` pseudo-frame the sample was attributed
-    to.  All methods are thread-safe (the sampler thread writes while
-    exporters read).
-    """
-
-    def __init__(self, interval_s: float = DEFAULT_INTERVAL_S) -> None:
-        self.interval_s = interval_s
-        self.rows: dict[str, dict[tuple[str, ...], int]] = {}
-        self._lock = threading.Lock()
-
-    def add(self, label: str, stack: tuple[str, ...], count: int = 1) -> None:
-        """Record ``count`` samples of ``stack`` under process ``label``."""
-        with self._lock:
-            counts = self.rows.setdefault(label, {})
-            counts[stack] = counts.get(stack, 0) + count
-
-    @property
-    def total_samples(self) -> int:
-        """Samples recorded across every process row."""
-        with self._lock:
-            return sum(
-                count for counts in self.rows.values() for count in counts.values()
+    threads: dict[tuple[int, int], list[tuple[float, float, int, str]]] = {}
+    for order, event in enumerate(events):
+        if event.duration_us is not None:
+            threads.setdefault((event.pid, event.tid), []).append(
+                (event.start_us, -event.duration_us, -order, event.name)
             )
-
-    def state(self) -> dict[str, Any]:
-        """Picklable snapshot: ships inside a worker ``ObsPartial``."""
-        with self._lock:
-            return {
-                "interval_s": self.interval_s,
-                "rows": {
-                    label: [[list(stack), count] for stack, count in counts.items()]
-                    for label, counts in self.rows.items()
-                },
-            }
-
-    def merge_state(self, state: dict[str, Any]) -> int:
-        """Fold another profile's :meth:`state` payload into this one.
-
-        Counts add per (label, stack) — the merge is commutative, so the
-        coordinator can absorb worker partials in any order.  Returns
-        the number of samples folded in.
-        """
-        folded = 0
-        for label, entries in state.get("rows", {}).items():
-            for stack, count in entries:
-                self.add(label, tuple(stack), count)
-                folded += count
-        return folded
-
-    @classmethod
-    def from_state(cls, state: dict[str, Any]) -> "Profile":
-        """Rebuild a profile from a :meth:`state` payload."""
-        profile = cls(interval_s=state.get("interval_s", DEFAULT_INTERVAL_S))
-        profile.merge_state(state)
-        return profile
-
-    def span_self_samples(self) -> dict[str, int]:
-        """Samples attributed to each active span (the ``span:`` frame)."""
-        totals: dict[str, int] = {}
-        with self._lock:
-            for counts in self.rows.values():
-                for stack, count in counts.items():
-                    span = stack[0] if stack else f"span:{NO_SPAN}"
-                    totals[span] = totals.get(span, 0) + count
-        return totals
-
-
-class SpanProfiler:
-    """The sampler: a daemon thread snapshotting stacks into a profile.
-
-    Parameters
-    ----------
-    interval_s:
-        Wall-clock sampling period.
-    tracer:
-        The live span tracer whose open-span stacks attribute samples;
-        None records every sample under ``span:(no span)``.
-    process_label:
-        Row label for this process's samples (defaults to ``pid <n>``).
-    """
-
-    def __init__(
-        self,
-        interval_s: float = DEFAULT_INTERVAL_S,
-        *,
-        tracer: "Tracer | None" = None,
-        process_label: str | None = None,
-    ) -> None:
-        self.profile = Profile(interval_s)
-        self.tracer = tracer
-        self.process_label = (
-            process_label if process_label is not None else f"pid {os.getpid()}"
-        )
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    # -- sampling ---------------------------------------------------------
-    def sample_once(self) -> int:
-        """Take one sample of every live thread; returns threads sampled.
-
-        Exposed for deterministic tests — the background thread just
-        calls this in a loop.  Only the sampler thread itself is
-        excluded (never the caller: a direct test call from the main
-        thread must sample the main thread).
-        """
-        sampler = self._thread
-        sampler_tid = sampler.ident if sampler is not None else None
-        sampled = 0
-        for tid, frame in sys._current_frames().items():
-            if tid == sampler_tid:
-                continue
-            stack: list[str] = []
-            while frame is not None and len(stack) < MAX_STACK_DEPTH:
-                stack.append(_format_frame(frame))
-                frame = frame.f_back
-            stack.reverse()
-            # `is not None`, not truthiness: Tracer.__len__ makes an
-            # empty (no recorded events yet) tracer falsy.
-            span = (
-                self.tracer.active_span_name(tid)
-                if self.tracer is not None
-                else None
-            )
-            key = (f"span:{span if span is not None else NO_SPAN}", *stack)
-            self.profile.add(self.process_label, key)
-            sampled += 1
-        return sampled
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.profile.interval_s):
-            self.sample_once()
-
-    def start(self) -> None:
-        """Start the sampler thread (idempotent)."""
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-profiler", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop the sampler thread and wait for it (idempotent)."""
-        thread = self._thread
-        if thread is None:
-            return
-        self._stop.set()
-        thread.join(timeout=5.0)
-        self._thread = None
-
-    @property
-    def running(self) -> bool:
-        """True while the sampler thread is alive."""
-        return self._thread is not None
-
-    def relabel(self, label: str) -> None:
-        """Rename this process's profile row (moves recorded samples).
-
-        The CLI names its process *after* enabling observability; any
-        samples the background thread grabbed in between move with the
-        rename so the profile keeps one row per process.
-        """
-        old = self.process_label
-        self.process_label = label
-        if old == label:
-            return
-        with self.profile._lock:
-            counts = self.profile.rows.pop(old, None)
-            if counts:
-                merged = self.profile.rows.setdefault(label, {})
-                for stack, count in counts.items():
-                    merged[stack] = merged.get(stack, 0) + count
+    rows_us: SpanRows = {}
+    for (pid, _tid), spans in threads.items():
+        row = rows_us.setdefault(process_names.get(pid, f"pid {pid}"), {})
+        stack: list[tuple[tuple[str, ...], float]] = []  # open (path, end_us)
+        for start_us, neg_duration_us, _order, name in sorted(spans):
+            end_us = start_us - neg_duration_us
+            while stack and end_us > stack[-1][1]:
+                stack.pop()
+            parent = stack[-1][0] if stack else ()
+            if parent:
+                row[parent] += neg_duration_us  # a child's time is not its parent's
+            path = (*parent, f"span:{name}")
+            row[path] = row.get(path, 0.0) - neg_duration_us
+            stack.append((path, end_us))
+    return {
+        label: {path: us / 1e6 for path, us in row.items()}
+        for label, row in rows_us.items()
+    }
 
 
 # ----------------------------------------------------------------------
 # Exports
 # ----------------------------------------------------------------------
-def to_speedscope(
-    state: dict[str, Any], name: str = "repro profile"
-) -> dict[str, Any]:
-    """A profile state as a speedscope JSON document.
+def to_speedscope(rows: SpanRows, name: str = "repro profile") -> dict[str, Any]:
+    """Span self times as a speedscope JSON document.
 
     Each process label becomes one *sampled* profile entry — speedscope
     renders them as switchable rows, so a merged sharded capture shows
-    the coordinator and every worker side by side.  Weights are seconds
-    (samples x sampling period).
+    the coordinator and every worker side by side.  Each span path is
+    one sample weighted by its self time in seconds.
     """
-    interval_s = state.get("interval_s", DEFAULT_INTERVAL_S)
     frame_index: dict[str, int] = {}
     frames: list[dict[str, str]] = []
 
@@ -289,12 +111,12 @@ def to_speedscope(
         return at
 
     profiles = []
-    for label in sorted(state.get("rows", {})):
+    for label in sorted(rows):
         samples: list[list[int]] = []
         weights: list[float] = []
-        for stack, count in sorted(state["rows"][label]):
+        for stack, seconds in sorted(rows[label].items()):
             samples.append([index_of(frame) for frame in stack])
-            weights.append(count * interval_s)
+            weights.append(seconds)
         profiles.append(
             {
                 "type": "sampled",
@@ -316,67 +138,56 @@ def to_speedscope(
     }
 
 
-def to_collapsed(state: dict[str, Any]) -> str:
-    """Collapsed-stack text: ``label;span:<s>;frame;... count`` per line."""
+def to_collapsed(rows: SpanRows) -> str:
+    """Collapsed-stack text: ``label;span:<s>;... microseconds`` per line."""
     lines = []
-    for label in sorted(state.get("rows", {})):
-        for stack, count in sorted(state["rows"][label]):
-            lines.append(";".join([label, *stack]) + f" {count}")
+    for label in sorted(rows):
+        for stack, seconds in sorted(rows[label].items()):
+            lines.append(";".join([label, *stack]) + f" {round(seconds * 1e6)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def top_functions(state: dict[str, Any], limit: int = 15) -> str:
-    """Plain-text self-time report: hottest leaf frames, then spans.
-
-    Self time is leaf-frame occupancy — the function actually on-CPU (or
-    blocking) when the sample fired — scaled by the sampling period.
-    """
-    interval_s = state.get("interval_s", DEFAULT_INTERVAL_S)
-    leaf_counts: dict[str, int] = {}
-    span_counts: dict[str, int] = {}
-    total = 0
-    for counts in state.get("rows", {}).values():
-        for stack, count in counts:
-            total += count
-            if stack:
-                leaf = stack[-1]
-                leaf_counts[leaf] = leaf_counts.get(leaf, 0) + count
-                span = stack[0]
-                span_counts[span] = span_counts.get(span, 0) + count
-    if total == 0:
-        return "profile is empty (no samples)\n"
+def top_spans(rows: SpanRows, limit: int = 15) -> str:
+    """Plain-text self-time report: hottest span paths, then span names."""
+    path_s: dict[str, float] = {}
+    name_s: dict[str, float] = {}
+    for stacks in rows.values():
+        for stack, seconds in stacks.items():
+            path = ";".join(stack)
+            path_s[path] = path_s.get(path, 0.0) + seconds
+            name_s[stack[-1]] = name_s.get(stack[-1], 0.0) + seconds
+    total = sum(path_s.values())
+    if total <= 0.0:
+        return "profile is empty (no spans)\n"
     lines = [
-        f"profile: {total} samples @ {interval_s * 1e3:.1f} ms "
-        f"(~{total * interval_s:.2f} s of thread time)",
+        f"profile: {total:.3f} s of span self time across {len(rows)} "
+        "process row(s)",
         "",
-        f"{'self (s)':>9}  {'share':>6}  function",
+        f"{'self (s)':>9}  {'share':>6}  span path",
     ]
-    ranked = sorted(leaf_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    for frame, count in ranked[:limit]:
-        lines.append(
-            f"{count * interval_s:>9.3f}  {count / total:>6.1%}  {frame}"
-        )
-    lines += ["", f"{'time (s)':>9}  {'share':>6}  active span"]
-    for span, count in sorted(span_counts.items(), key=lambda kv: (-kv[1], kv[0])):
-        lines.append(
-            f"{count * interval_s:>9.3f}  {count / total:>6.1%}  {span}"
-        )
+    ranked = sorted(path_s.items(), key=lambda kv: (-kv[1], kv[0]))
+    for path, seconds in ranked[:limit]:
+        lines.append(f"{seconds:>9.3f}  {seconds / total:>6.1%}  {path}")
+    lines += ["", f"{'self (s)':>9}  {'share':>6}  span"]
+    for span, seconds in sorted(name_s.items(), key=lambda kv: (-kv[1], kv[0])):
+        lines.append(f"{seconds:>9.3f}  {seconds / total:>6.1%}  {span}")
     return "\n".join(lines) + "\n"
 
 
-def export_profile(state: dict[str, Any], path: "str | Path") -> Path:
-    """Write a profile state to ``path`` in the format its suffix names.
+def export_profile(rows: SpanRows, path: "str | Path") -> str:
+    """Write span self times to ``path`` in the format its suffix names.
 
     ``.json`` / ``.speedscope`` get the speedscope document, ``.txt``
-    the plain-text :func:`top_functions` report; any other suffix gets
-    collapsed stacks.  Returns the path written.
+    the plain-text :func:`top_spans` report; any other suffix gets
+    collapsed stacks.  Returns the kind of file written.
     """
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix in {".json", ".speedscope"}:
-        path.write_text(json.dumps(to_speedscope(state)) + "\n")
-    elif suffix == ".txt":
-        path.write_text(top_functions(state))
-    else:
-        path.write_text(to_collapsed(state))
-    return path
+        path.write_text(json.dumps(to_speedscope(rows)) + "\n")
+        return "speedscope-profile"
+    if suffix == ".txt":
+        path.write_text(top_spans(rows))
+        return "profile-report"
+    path.write_text(to_collapsed(rows))
+    return "collapsed-profile"

@@ -105,18 +105,10 @@ class _LiveSpan:
 
     def __enter__(self) -> "_LiveSpan":
         self._start_us = self._tracer._now_us()
-        # Per-thread open-span stack: the sampling profiler reads the
-        # top to attribute wall-clock samples to the active span.  Each
-        # thread only mutates its own list (append/pop are atomic under
-        # the GIL), so no lock is needed on this hot path.
-        self._tracer._active.setdefault(threading.get_ident(), []).append(self.name)
         return self
 
     def __exit__(self, *exc: object) -> None:
         end_us = self._tracer._now_us()
-        stack = self._tracer._active.get(threading.get_ident())
-        if stack:
-            stack.pop()
         self._tracer._record(
             TraceEvent(
                 name=self.name,
@@ -150,8 +142,6 @@ class Tracer:
         self._process_names: dict[int, str] = {}
         #: (pid, tid) -> thread label (``thread_name`` metadata events).
         self._thread_names: dict[tuple[int, int], str] = {}
-        #: tid -> stack of open span names (profiler attribution).
-        self._active: dict[int, list[str]] = {}
 
     # -- recording ------------------------------------------------------
     def _now_us(self) -> float:
@@ -203,21 +193,6 @@ class Tracer:
         )
         with self._lock:
             self._thread_names[key] = name
-
-    def active_span_name(self, tid: int) -> str | None:
-        """The innermost open span on thread ``tid``, or None.
-
-        Read by the sampling profiler from *its own* thread; the stack
-        may race with the owning thread's push/pop, so a snapshot of the
-        list reference is taken before indexing.
-        """
-        stack = self._active.get(tid)
-        if not stack:
-            return None
-        try:
-            return stack[-1]
-        except IndexError:  # popped between the check and the read
-            return None
 
     # -- cross-process merge --------------------------------------------
     @property

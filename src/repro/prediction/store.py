@@ -24,6 +24,7 @@ import os
 import pickle
 from pathlib import Path
 
+from repro import obs
 from repro.prediction.corpus import CorpusConfig, build_corpus
 from repro.prediction.features import SURROGATE_FEATURE_NAMES
 from repro.prediction.model import (
@@ -51,8 +52,7 @@ STORE_FILENAME = "surrogate.pkl"
 
 def surrogate_disabled() -> bool:
     """True when ``REPRO_SURROGATE`` turns the fast path off."""
-    raw = os.environ.get(SURROGATE_ENV, "").strip().lower()
-    return raw in ("0", "off", "false", "no")
+    return obs.env_switched_off(SURROGATE_ENV)
 
 
 def surrogate_dir() -> Path:

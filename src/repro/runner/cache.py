@@ -151,7 +151,7 @@ def atomic_write_pickle(path: str | Path, value: Any) -> None:
 
 def caching_disabled() -> bool:
     """True when the ``REPRO_CACHE`` environment variable turns caching off."""
-    return os.environ.get(CACHE_ENABLE_ENV, "").strip().lower() in ("0", "off", "false", "no")
+    return obs.env_switched_off(CACHE_ENABLE_ENV)
 
 
 def disk_dir_from_env() -> Path | None:

@@ -188,13 +188,12 @@ def _call_captured(payload: tuple) -> tuple:
     Returns ``(result, ObsPartial | None)``.
     """
     fn, task, index, capture = payload
-    trace_on, metrics_on, profile_on = (*capture, False)[:3]
+    trace_on, metrics_on = capture
     token = obs_merge.begin_worker_capture(
         trace_on,
         metrics_on,
         process_label=f"repro sweep worker {os.getpid()}",
         thread_label="sweep",
-        profile=profile_on,
     )
     try:
         start = time.perf_counter()

@@ -24,15 +24,24 @@ COMPONENT_KEYS = ("cpu",) + GPU_KEYS + ("memory", "node")
 
 #: Environment variable selecting the engine's trace storage dtype.
 TRACE_DTYPE_ENV = "REPRO_TRACE_DTYPE"
+#: Trace storage dtypes ``REPRO_TRACE_DTYPE`` accepts (first = default).
+TRACE_DTYPES = ("float32", "float64")
 
 
 def trace_dtype() -> np.dtype:
     """Storage dtype for engine-rendered trace blocks.
 
     ``float32`` halves resident trace memory at fleet scale;
-    ``REPRO_TRACE_DTYPE=float64`` restores full-width storage.
+    ``REPRO_TRACE_DTYPE=float64`` restores full-width storage.  Any
+    other value raises a ``ValueError`` naming the variable.
     """
-    return np.dtype(os.environ.get(TRACE_DTYPE_ENV, "float32"))
+    raw = os.environ.get(TRACE_DTYPE_ENV, "").strip() or TRACE_DTYPES[0]
+    if raw not in TRACE_DTYPES:
+        raise ValueError(
+            f"{TRACE_DTYPE_ENV} must be one of {', '.join(TRACE_DTYPES)}, "
+            f"got {raw!r}"
+        )
+    return np.dtype(raw)
 
 
 @dataclass(frozen=True)

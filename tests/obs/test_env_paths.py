@@ -4,6 +4,8 @@
 boolean-looking value is a switch someone meant to flip, never a file
 name.  Every path variable goes through :func:`repro.obs.path_from_env`,
 which warns (naming the variable) and treats such values as unset.
+On/off variables likewise share one set of off-words,
+:data:`repro.obs.OFF_WORDS`.
 """
 
 import warnings
@@ -15,6 +17,10 @@ from repro import obs
 from repro.capping.fleet import job_stream, simulate_fleet_traced
 from repro.capping.policy import CapPolicy
 from repro.monitor import FleetMonitor, MonitorConfig
+from repro.monitor.collector import monitoring_requested
+from repro.obs.ledger import ledger_enabled
+from repro.prediction.store import surrogate_disabled
+from repro.runner.cache import caching_disabled
 from repro.runner.engine import EngineConfig
 
 
@@ -92,3 +98,23 @@ def test_explicit_value_wins(clean_env, tmp_path):
         warnings.simplefilter("error")
         assert obs.path_from_env("REPRO_TRACE", "out") == Path("out")
         assert obs.path_from_env("REPRO_TRACE", tmp_path) == tmp_path
+
+
+#: (variable, predicate that is True when the variable reads as "off").
+OFF_SWITCHES = [
+    ("REPRO_MONITOR", lambda: not monitoring_requested()),
+    ("REPRO_RUNS", lambda: not ledger_enabled()),
+    ("REPRO_SURROGATE", surrogate_disabled),
+    ("REPRO_CACHE", caching_disabled),
+]
+
+
+@pytest.mark.parametrize("word", ["0", "FALSE", "no", " Off "])
+@pytest.mark.parametrize(
+    "name, switched_off", OFF_SWITCHES, ids=[name for name, _ in OFF_SWITCHES]
+)
+def test_off_words_switch_every_variable_off(name, switched_off, word, monkeypatch):
+    monkeypatch.setenv(name, word)
+    assert switched_off()
+    monkeypatch.setenv(name, "1")
+    assert not switched_off()

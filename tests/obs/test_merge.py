@@ -118,11 +118,9 @@ class TestWorkerCapture:
     def test_capture_flags_reflect_active_layers(self):
         assert capture_flags() is None
         obs.enable(trace=True)
-        assert capture_flags() == (True, False, False)
+        assert capture_flags() == (True, False)
         obs.enable(metrics=True)
-        assert capture_flags() == (True, True, False)
-        obs.enable(profile=True)
-        assert capture_flags() == (True, True, True)
+        assert capture_flags() == (True, True)
 
     def test_capture_round_trip(self):
         obs.enable(trace=True, metrics=True)

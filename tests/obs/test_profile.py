@@ -1,159 +1,125 @@
-"""Unit tests for the sampling wall-clock profiler and its merge path."""
+"""Unit tests for the exact span self-time profile and its exports."""
 
 import json
-import threading
+import os
+from dataclasses import replace
 
 import pytest
 
 from repro import obs
+from repro.capping.fleet import job_stream, simulate_fleet_traced
+from repro.capping.policy import CapPolicy
 from repro.obs.merge import (
     absorb_partial,
     begin_worker_capture,
     finish_worker_capture,
 )
 from repro.obs.profile import (
-    DEFAULT_INTERVAL_S,
-    NO_SPAN,
-    PROFILE_INTERVAL_ENV,
-    Profile,
-    SpanProfiler,
     export_profile,
-    interval_from_env,
+    span_self_times,
     to_collapsed,
     to_speedscope,
-    top_functions,
+    top_spans,
 )
-from repro.obs.trace import Tracer
+from repro.obs.trace import TraceEvent
+from repro.runner.engine import EngineConfig
 
 
-class TestProfile:
-    def test_add_and_total(self):
-        profile = Profile()
-        profile.add("p", ("span:x", "f (m.py:1)"))
-        profile.add("p", ("span:x", "f (m.py:1)"), count=2)
-        profile.add("q", ("span:y",))
-        assert profile.rows["p"][("span:x", "f (m.py:1)")] == 3
-        assert profile.total_samples == 4
-
-    def test_state_round_trip(self):
-        profile = Profile(interval_s=0.01)
-        profile.add("p", ("span:x", "a (m.py:1)", "b (m.py:2)"), count=5)
-        clone = Profile.from_state(profile.state())
-        assert clone.interval_s == 0.01
-        assert clone.rows == profile.rows
-        assert clone.total_samples == 5
-
-    def test_merge_state_adds_counts_and_reports_folded(self):
-        ours = Profile()
-        ours.add("worker", ("span:x",), count=2)
-        theirs = Profile()
-        theirs.add("worker", ("span:x",), count=3)
-        theirs.add("other", ("span:y",), count=1)
-        folded = ours.merge_state(theirs.state())
-        assert folded == 4
-        assert ours.rows["worker"][("span:x",)] == 5
-        assert ours.rows["other"][("span:y",)] == 1
-
-    def test_span_self_samples(self):
-        profile = Profile()
-        profile.add("p", ("span:render", "f (m.py:1)"), count=3)
-        profile.add("q", ("span:render", "g (m.py:2)"), count=2)
-        profile.add("p", (f"span:{NO_SPAN}", "h (m.py:3)"))
-        totals = profile.span_self_samples()
-        assert totals["span:render"] == 5
-        assert totals[f"span:{NO_SPAN}"] == 1
+def span(name, start_us, duration_us, pid=1, tid=1):
+    return TraceEvent(name, "repro", start_us, duration_us, pid, tid)
 
 
-class TestSpanProfiler:
-    def test_sample_attributes_to_open_span(self):
-        tracer = Tracer()
-        profiler = SpanProfiler(tracer=tracer, process_label="me")
-        with tracer.span("phase.render"):
-            sampled = profiler.sample_once()
-        assert sampled >= 1
-        stacks = profiler.profile.rows["me"]
-        assert any(stack[0] == "span:phase.render" for stack in stacks)
-        # The sampled stack walked this very test function.
-        assert any(
-            "test_sample_attributes_to_open_span" in frame
-            for stack in stacks
-            for frame in stack
+def top_level_seconds(events, pid):
+    """Summed durations of ``pid``'s spans that no other span contains."""
+    spans = [e for e in events if e.pid == pid and e.duration_us is not None]
+    total_us = 0.0
+    for event in spans:
+        end = event.start_us + event.duration_us
+        contained = any(
+            other is not event
+            and other.tid == event.tid
+            and other.start_us <= event.start_us
+            and end <= other.start_us + other.duration_us
+            for other in spans
         )
+        if not contained:
+            total_us += event.duration_us
+    return total_us / 1e6
 
-    def test_no_open_span_uses_placeholder(self):
-        profiler = SpanProfiler(tracer=None, process_label="me")
-        profiler.sample_once()
-        assert all(
-            stack[0] == f"span:{NO_SPAN}"
-            for stack in profiler.profile.rows["me"]
+
+class TestSpanSelfTimes:
+    def test_hand_built_events(self):
+        # Recording order is close order: children before parents.
+        events = [
+            span("leaf", 2.0, 3.0),  # inside "child"
+            span("child", 1.0, 5.0),  # inside "root", parent of "leaf"
+            span("sibling", 7.0, 2.0),  # inside "root", after "child"
+            TraceEvent("mark", "repro", 8.0, None, 1, 1),  # instant: skipped
+            # Exact start/duration tie: "inner" closed first, so it nests
+            # inside "outer" even though both cover the same interval.
+            span("inner", 12.0, 4.0),
+            span("outer", 12.0, 4.0),
+            span("root", 0.0, 10.0),
+            # A second thread of the same process shares the row.
+            span("other", 0.5, 6.0, tid=2),
+            span("nested", 1.5, 1.0, tid=2),
+            # An unlabelled process falls back to "pid N".
+            span("root", 0.0, 2.0, pid=2),
+        ]
+        rows = span_self_times(events, {1: "coordinator"})
+        assert rows == {
+            "coordinator": {
+                ("span:root",): 3e-6,
+                ("span:root", "span:child"): 2e-6,
+                ("span:root", "span:child", "span:leaf"): 3e-6,
+                ("span:root", "span:sibling"): 2e-6,
+                ("span:outer",): 0.0,
+                ("span:outer", "span:inner"): 4e-6,
+                ("span:other",): 5e-6,
+                ("span:other", "span:nested"): 1e-6,
+            },
+            "pid 2": {("span:root",): 2e-6},
+        }
+
+    def test_no_spans_no_rows(self):
+        assert span_self_times([], {}) == {}
+
+    def test_serial_run_rows_sum_to_top_level_spans(self):
+        obs.enable(trace=True)
+        obs.name_process("coordinator")
+        simulate_fleet_traced(
+            job_stream(n_jobs=4, seed=3),
+            CapPolicy.half_tdp(),
+            "50% TDP policy",
+            6,
+            engine_config=EngineConfig(base_interval_s=1.0),
+            seed=3,
+            workers=1,
         )
-
-    def test_sampler_thread_lifecycle(self):
-        profiler = SpanProfiler(interval_s=0.001, process_label="me")
-        assert not profiler.running
-        profiler.start()
-        profiler.start()  # idempotent
-        assert profiler.running
-        profiler.stop()
-        profiler.stop()  # idempotent
-        assert not profiler.running
-        assert not any(
-            t.name == "repro-profiler" for t in threading.enumerate()
-        )
-
-    def test_sampler_excludes_its_own_thread(self):
-        profiler = SpanProfiler(interval_s=0.001, process_label="me")
-        profiler.start()
-        for _ in range(200):
-            if profiler.profile.total_samples:
-                break
-            threading.Event().wait(0.005)
-        profiler.stop()
-        assert profiler.profile.total_samples > 0
-        # No stack in the profile is the sampler thread's own loop.
-        assert not any(
-            "_run" in frame and "profile.py" in frame
-            for stacks in profiler.profile.rows.values()
-            for stack in stacks
-            for frame in stack
-        )
-
-    def test_relabel_moves_recorded_samples(self):
-        profiler = SpanProfiler(process_label="before")
-        profiler.sample_once()
-        count = profiler.profile.total_samples
-        profiler.relabel("after")
-        assert "before" not in profiler.profile.rows
-        assert profiler.profile.total_samples == count
-        profiler.sample_once()
-        assert set(profiler.profile.rows) == {"after"}
+        tracer = obs.tracer()
+        events = tracer.events
+        rows = span_self_times(events, tracer.metadata()[0])
+        assert list(rows) == ["coordinator"]
+        total = sum(rows["coordinator"].values())
+        expected = top_level_seconds(events, os.getpid())
+        assert expected > 0
+        assert total == pytest.approx(expected, rel=1e-9)
+        assert all(seconds >= 0 for seconds in rows["coordinator"].values())
 
 
-class TestIntervalEnv:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv(PROFILE_INTERVAL_ENV, raising=False)
-        assert interval_from_env() == DEFAULT_INTERVAL_S
-
-    def test_override(self, monkeypatch):
-        monkeypatch.setenv(PROFILE_INTERVAL_ENV, "0.05")
-        assert interval_from_env() == pytest.approx(0.05)
-
-    @pytest.mark.parametrize("bad", ["junk", "-0.01", "0"])
-    def test_invalid_values_fall_back(self, monkeypatch, bad):
-        monkeypatch.setenv(PROFILE_INTERVAL_ENV, bad)
-        assert interval_from_env() == DEFAULT_INTERVAL_S
-
-
-def two_row_state() -> dict:
-    profile = Profile(interval_s=0.01)
-    profile.add("coordinator", ("span:fleet", "a (m.py:1)"), count=3)
-    profile.add("worker 1", ("span:shard", "a (m.py:1)", "b (m.py:2)"), count=2)
-    return profile.state()
+def two_row_rows() -> dict:
+    return {
+        "coordinator": {("span:fleet",): 0.03},
+        "worker 1": {
+            ("span:shard",): 0.005,
+            ("span:shard", "span:render"): 0.015,
+        },
+    }
 
 
 class TestExports:
     def test_speedscope_document_shape(self):
-        doc = to_speedscope(two_row_state())
+        doc = to_speedscope(two_row_rows())
         assert doc["$schema"].endswith("file-format-schema.json")
         names = [p["name"] for p in doc["profiles"]]
         assert names == ["coordinator", "worker 1"]
@@ -166,83 +132,133 @@ class TestExports:
         coordinator = doc["profiles"][0]
         assert coordinator["weights"] == [pytest.approx(0.03)]
         assert coordinator["endValue"] == pytest.approx(0.03)
+        assert doc["profiles"][1]["endValue"] == pytest.approx(0.02)
 
     def test_collapsed_output(self):
-        text = to_collapsed(two_row_state())
-        assert "coordinator;span:fleet;a (m.py:1) 3" in text
-        assert "worker 1;span:shard;a (m.py:1);b (m.py:2) 2" in text
+        text = to_collapsed(two_row_rows())
+        assert "coordinator;span:fleet 30000" in text.splitlines()
+        assert "worker 1;span:shard;span:render 15000" in text.splitlines()
 
-    def test_top_functions_report(self):
-        report = top_functions(two_row_state())
-        assert "5 samples" in report
-        assert "a (m.py:1)" in report  # hottest leaf of the coordinator row
-        assert "span:fleet" in report and "span:shard" in report
+    def test_top_spans_report(self):
+        report = top_spans(two_row_rows())
+        assert report.startswith("profile: 0.050 s of span self time")
+        assert "span:shard;span:render" in report  # a span path row
+        lines = report.splitlines()
+        by_name = lines[lines.index(f"{'self (s)':>9}  {'share':>6}  span") :]
+        assert "span:fleet" in by_name[1] and "60.0%" in by_name[1]
+        assert "span:render" in by_name[2] and "30.0%" in by_name[2]
 
-    def test_top_functions_empty(self):
-        assert "empty" in top_functions(Profile().state())
+    def test_top_spans_empty(self):
+        assert "empty" in top_spans({})
 
     def test_export_suffix_selects_format(self, tmp_path):
-        state = two_row_state()
-        speedscope = export_profile(state, tmp_path / "p.speedscope")
-        assert json.loads(speedscope.read_text())["profiles"]
-        report = export_profile(state, tmp_path / "p.txt")
-        assert report.read_text().startswith("profile:")
-        collapsed = export_profile(state, tmp_path / "p.folded")
-        assert "coordinator;span:fleet" in collapsed.read_text()
+        rows = two_row_rows()
+        assert export_profile(rows, tmp_path / "p.speedscope") == (
+            "speedscope-profile"
+        )
+        doc = json.loads((tmp_path / "p.speedscope").read_text())
+        assert doc["profiles"]
+        assert export_profile(rows, tmp_path / "p.txt") == "profile-report"
+        assert (tmp_path / "p.txt").read_text().startswith("profile:")
+        assert export_profile(rows, tmp_path / "p.folded") == "collapsed-profile"
+        assert "coordinator;span:fleet" in (tmp_path / "p.folded").read_text()
 
 
 class TestWorkerCaptureProfile:
-    """The sharded contract: one merged profile, per-worker rows, exact
-    sample bookkeeping (deterministic — sampler threads are stopped and
-    samples taken by hand)."""
+    """Worker spans reach the coordinator's trace; the profile reads it."""
 
     def test_worker_profiles_merge_into_one(self):
-        obs.enable(profile=True)
-        obs.profiler().stop()
+        obs.enable(trace=True)
         partials = []
         for worker in range(2):
             token = begin_worker_capture(
-                True, False, process_label=f"worker {worker}", profile=True
+                True, False, process_label=f"worker {worker}"
             )
-            sampler = obs.profiler()
-            sampler.stop()
             with obs.span("shard.render"):
-                sampler.sample_once()
-                sampler.sample_once()
-            partials.append(finish_worker_capture(token))
-        coordinator = obs.profiler()
-        base = coordinator.profile.total_samples
+                with obs.span("engine.run"):
+                    pass
+            partial = finish_worker_capture(token)
+            # Stand in for a worker process: its own pid and label.
+            pid = 10_000 + worker
+            partials.append(
+                replace(
+                    partial,
+                    events=tuple(replace(e, pid=pid) for e in partial.events),
+                    process_names={pid: f"worker {worker}"},
+                )
+            )
         for partial in partials:
             absorb_partial(partial)
-        merged = coordinator.profile
-        assert all(p.profile_samples >= 2 for p in partials)
-        assert merged.total_samples == base + sum(
-            p.profile_samples for p in partials
-        )
-        assert "worker 0" in merged.rows and "worker 1" in merged.rows
-        assert merged.span_self_samples().get("span:shard.render", 0) >= 4
+        tracer = obs.tracer()
+        rows = span_self_times(tracer.events, tracer.metadata()[0])
+        assert sorted(rows) == ["worker 0", "worker 1"]
+        for worker, partial in enumerate(partials):
+            inner, outer = partial.events
+            assert rows[f"worker {worker}"] == {
+                ("span:shard.render",): pytest.approx(
+                    (outer.duration_us - inner.duration_us) / 1e6
+                ),
+                ("span:shard.render", "span:engine.run"): pytest.approx(
+                    inner.duration_us / 1e6
+                ),
+            }
 
-    def test_profile_capture_needs_no_coordinator_tracer(self):
-        # profile=True implies a worker tracer even when trace=False.
-        token = begin_worker_capture(False, False, profile=True)
-        assert obs.tracer() is not None
-        sampler = obs.profiler()
-        sampler.stop()
-        with obs.span("inner"):
-            sampler.sample_once()
-        partial = finish_worker_capture(token)
-        assert partial.profile_samples >= 1
-
-    def test_absorb_without_local_profiler_is_noop(self):
-        token = begin_worker_capture(True, False, profile=True)
-        obs.profiler().stop()
-        obs.profiler().sample_once()
-        partial = finish_worker_capture(token)
-        absorb_partial(partial)  # coordinator has no profiler: must not raise
-        assert obs.profiler() is None
-
-    def test_enable_profile_implies_tracing(self):
-        obs.enable(profile=True)
+    def test_enable_profile_implies_tracing(self, tmp_path):
+        obs.enable(profile=tmp_path / "p.txt")
         assert obs.tracing_active()
-        assert obs.profiling_active()
-        obs.profiler().stop()
+        with obs.span("work"):
+            pass
+        status = obs.status()["profile"]
+        assert status["active"] and status["samples"] == 1
+        assert obs.flush()[str(tmp_path / "p.txt")] == "profile-report"
+        assert "span:work" in (tmp_path / "p.txt").read_text()
+
+
+def _fleet_run(workers):
+    return simulate_fleet_traced(
+        job_stream(n_jobs=5, seed=7),
+        CapPolicy.half_tdp(),
+        "50% TDP policy",
+        8,
+        bin_s=2.0,
+        engine_config=EngineConfig(base_interval_s=1.0),
+        seed=7,
+        workers=workers,
+    )
+
+
+class TestShardedFleetProfile:
+    @pytest.fixture(scope="class")
+    def profiled(self, tmp_path_factory):
+        """(report, speedscope doc, trace) of one profiled 2-worker run."""
+        obs.disable()
+        base = tmp_path_factory.mktemp("profile")
+        obs.enable(trace=base / "t.json", profile=base / "p.speedscope")
+        obs.name_process("repro fleet")
+        try:
+            report = _fleet_run(workers=2)
+            obs.flush()
+        finally:
+            obs.disable()
+        doc = json.loads((base / "p.speedscope").read_text())
+        trace = json.loads((base / "t.json").read_text())
+        return report, doc, trace
+
+    def test_rows_are_coordinator_and_workers(self, profiled):
+        _report, doc, trace = profiled
+        rows = [p["name"] for p in doc["profiles"]]
+        worker_pids = {
+            e["pid"] for e in trace["traceEvents"] if e["name"] == "shard.render_batch"
+        }
+        assert worker_pids and os.getpid() not in worker_pids
+        assert sorted(rows) == sorted(
+            ["repro fleet"] + [f"repro fleet worker {pid}" for pid in worker_pids]
+        )
+        frames = [f["name"] for f in doc["shared"]["frames"]]
+        assert all(f.startswith("span:") for f in frames)
+        assert not any("(no span)" in f for f in frames)
+
+    def test_report_equals_unprofiled_report(self, profiled):
+        report, _doc, _trace = profiled
+        obs.disable()
+        assert _fleet_run(workers=2) == report

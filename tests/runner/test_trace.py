@@ -77,6 +77,12 @@ class TestTraceBlock:
         monkeypatch.setenv("REPRO_TRACE_DTYPE", "float64")
         assert trace_dtype() == np.dtype("float64")
 
+    @pytest.mark.parametrize("raw", ["int8", "float16", "U3", "1"])
+    def test_trace_dtype_rejects_other_dtypes(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_TRACE_DTYPE", raw)
+        with pytest.raises(ValueError, match="REPRO_TRACE_DTYPE"):
+            trace_dtype()
+
     def test_window_energy_uses_carried_interval(self):
         """A single-sample window still knows its sample spacing."""
         trace = make_trace(n=100, dt=0.1, level=1000.0)
