@@ -2,7 +2,7 @@
 
 from repro.capping.scheduler import estimate_cache
 from repro.experiments import fig12_cap_performance
-from repro.runner.sweep import WORKERS_ENV, reset_sweep_stats, sweep_stats
+from repro.runner.sweep import reset_sweep_stats, sweep_stats
 
 
 def test_fig12(experiment):
@@ -29,7 +29,7 @@ def test_fig12_dedupe_and_cache(benchmark, monkeypatch):
     the sweep is held in-process (a worker pool would count its cache
     hits in the workers), so the recorded counts are machine-independent.
     """
-    monkeypatch.setenv(WORKERS_ENV, "1")
+    monkeypatch.setenv("REPRO_SWEEP_WORKERS", "1")
 
     def run_twice():
         estimate_cache().clear()

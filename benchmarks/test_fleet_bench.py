@@ -17,6 +17,7 @@ the committed baseline.
 import heapq
 import tracemalloc
 
+from repro.config import read
 from repro.capping.fleet import (
     FleetTraceReport,
     _job_seed,
@@ -31,12 +32,7 @@ from repro.hardware.system import (
     RunningMoments,
     SystemPowerAccumulator,
 )
-from repro.runner.engine import (
-    DEFAULT_STREAM_CHUNK,
-    EngineConfig,
-    PowerEngine,
-    render_chunk_samples,
-)
+from repro.runner.engine import DEFAULT_STREAM_CHUNK, EngineConfig, PowerEngine
 from repro.vasp.parallel import layout_for
 
 #: The ISSUE-scale fleet: 200 jobs streamed across a 1000-node pool.
@@ -108,7 +104,7 @@ def _run_dense(jobs) -> FleetTraceReport:
         idle_node_w=sum(spec.idle_node_w for spec in specs) / len(specs),
     )
     moments = RunningMoments()
-    step = render_chunk_samples() or DEFAULT_STREAM_CHUNK
+    step = read("REPRO_RENDER_CHUNK") or DEFAULT_STREAM_CHUNK
     chunks = nbytes = 0
     for record, result in retained:
         power = JobPowerPartial(start_s=record.start_s, bin_s=1.0)

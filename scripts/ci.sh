@@ -252,6 +252,25 @@ fi
 echo "sentinel ok: seeded regression flagged, jitter history stayed green"
 export REPRO_RUNS_DIR="$SMOKE_DIR/runs"
 
+echo "== env smoke (switch words are not paths; bad counts stop the run) =="
+# repro.config parses every REPRO_* variable: REPRO_RUNS_DIR=1 selects
+# the default ledger directory, never one named `1`, and a zero worker
+# count is an error naming the variable, not a silent serial run.
+REPO_SRC="$PWD/src"
+(
+    cd "$SMOKE_DIR"
+    export PYTHONPATH="$REPO_SRC"
+    REPRO_RUNS_DIR=1 python -m repro reproduce table1 > /dev/null
+    [[ ! -e 1 ]] || { echo "REPRO_RUNS_DIR=1 left an entry named 1"; exit 1; }
+    if REPRO_SWEEP_WORKERS=0 python -m repro fleet --jobs 2 --nodes 4 \
+        --resolution 1.0 > /dev/null 2> env-err.txt; then
+        echo "REPRO_SWEEP_WORKERS=0 did not stop the run"; exit 1
+    fi
+    grep -q REPRO_SWEEP_WORKERS env-err.txt \
+        || { echo "error does not name REPRO_SWEEP_WORKERS"; exit 1; }
+)
+echo "env ok: no stray 1 entry, bad worker count named"
+
 if [[ "$SKIP_BENCH" == "1" ]]; then
     echo "== benches skipped (--skip-bench) =="
     exit 0

@@ -27,14 +27,10 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro import obs
+from repro.config import read
 from repro.capping import shard
 from repro.obs import ledger as run_ledger
-from repro.obs.heartbeat import (
-    HEARTBEAT_ENV,
-    POLICY_SUFFIXES,
-    RunHeartbeat,
-    policy_path,
-)
+from repro.obs.heartbeat import POLICY_SUFFIXES, RunHeartbeat, policy_path
 from repro.capping.policy import CapPolicy
 from repro.capping.scheduler import (
     Job,
@@ -349,7 +345,7 @@ def simulate_fleet_traced(
     node's idle band).
     """
     resolved_workers = shard.resolve_fleet_workers(len(jobs), workers)
-    checkpoint_path = obs.path_from_env(shard.CHECKPOINT_ENV, checkpoint)
+    checkpoint_path = read("REPRO_FLEET_CHECKPOINT", checkpoint)
     if checkpoint_path is not None and monitor is not None:
         raise ValueError(
             "monitor state is not checkpointable; run monitored fleets "
@@ -458,7 +454,7 @@ def simulate_fleet_traced(
         pool.release(job_id)
     total_jobs = len(tasks)
 
-    heartbeat_path = obs.path_from_env(HEARTBEAT_ENV, heartbeat)
+    heartbeat_path = read("REPRO_FLEET_HEARTBEAT", heartbeat)
     beat: RunHeartbeat | None = None
     if heartbeat_path is not None:
         beat = RunHeartbeat(
@@ -630,8 +626,8 @@ def compare_fleet_policies_traced(
     per-policy suffix (:data:`FLEET_POLICIES`) — resolved here so both
     policies don't fight over the env-provided path.
     """
-    base = obs.path_from_env(shard.CHECKPOINT_ENV, checkpoint)
-    beat_base = obs.path_from_env(HEARTBEAT_ENV, heartbeat)
+    base = read("REPRO_FLEET_CHECKPOINT", checkpoint)
+    beat_base = read("REPRO_FLEET_HEARTBEAT", heartbeat)
     if scenario is not None:
         from repro.capping.scenarios import get_scenario
 

@@ -22,11 +22,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro import obs
+from repro.config import read
 from repro.hardware.gpu import GpuModel
 from repro.hardware.platform import Platform, get_platform
 from repro.hardware.variability import ManufacturingVariation
 from repro.perfmodel.power import demand_power_w, duty_cycle_power_w
-from repro.runner.cache import RunCache, caching_disabled, fingerprint
+from repro.runner.cache import RunCache, fingerprint
 from repro.vasp.parallel import layout_for
 from repro.workloads.registry import workload_model_id
 from repro.vasp.workload import VaspWorkload
@@ -151,7 +152,7 @@ def cached_estimate_run(
     cap and platform id — estimates for different platforms never
     collide.  ``REPRO_CACHE=0`` bypasses the cache.
     """
-    if caching_disabled():
+    if not read("REPRO_CACHE"):
         return estimate_run(workload, n_nodes, cap_w, platform)
     plat = get_platform(platform)
     key = fingerprint(
@@ -236,12 +237,6 @@ class ScheduleResult:
         """True when projected power never exceeded the budget."""
         return self.peak_power_w <= self.budget_w + 1e-9
 
-    def mean_wait_s(self) -> float:
-        """Mean queue wait (start - submit is not tracked; start time)."""
-        if not self.records:
-            return 0.0
-        return sum(r.start_s for r in self.records) / len(self.records)
-
     def total_node_seconds(self) -> float:
         """Aggregate node-seconds consumed."""
         return sum(r.runtime_s * r.n_nodes for r in self.records)
@@ -284,9 +279,7 @@ class PowerAwareScheduler:
         """
         surrogate = self.config.surrogate
         if surrogate is not None:
-            from repro.prediction.store import surrogate_disabled
-
-            if not surrogate_disabled():
+            if read("REPRO_SURROGATE"):
                 key = (fingerprint(workload), n_nodes, cap_w)
                 if key not in self._admission_memo:
                     prediction = surrogate.predict(workload, n_nodes, cap_w, plat.id)

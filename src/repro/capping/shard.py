@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro import obs
+from repro.config import read
 from repro.obs import merge as obs_merge
 from repro.capping.scheduler import cached_phases
 from repro.hardware.node import GpuNode
@@ -52,7 +53,6 @@ from repro.hardware.system import (
 )
 from repro.runner.cache import atomic_write_pickle, fingerprint
 from repro.runner.engine import EngineConfig, PowerEngine
-from repro.runner.sweep import workers_from_env
 from repro.vasp.workload import VaspWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -60,8 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 
 logger = logging.getLogger(__name__)
 
-#: Environment variable: default checkpoint path for traced fleet runs.
-CHECKPOINT_ENV = "REPRO_FLEET_CHECKPOINT"
 #: On-disk checkpoint format version.
 CHECKPOINT_VERSION = 2
 
@@ -73,8 +71,7 @@ def resolve_fleet_workers(n_jobs: int, workers: int | None = None) -> int:
     stays serial unless parallelism is asked for — the serial path *is*
     the reference output, and small fleets don't amortize pool startup.
     """
-    if workers is None:
-        workers = workers_from_env()
+    workers = read("REPRO_SWEEP_WORKERS", workers)
     if workers is None:
         return 1
     return max(min(workers, n_jobs), 1)

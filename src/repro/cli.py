@@ -41,13 +41,18 @@ The ``REPRO_TRACE`` / ``REPRO_METRICS`` / ``REPRO_PROFILE`` /
 ``REPRO_LOG`` environment variables do the same for library use.  For
 function-level rows, stdlib ``python -m cProfile -m repro ...``
 profiles any command.
+
+Every ``REPRO_*`` variable is declared once, in
+:data:`repro.config.VARIABLES`, and read through
+:func:`repro.config.read`; an explicit flag wins over its variable.
+``repro obs`` lists the whole table with the current values (``--json``
+adds each variable's kind, default and help text).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import shlex
 import sys
 import time
@@ -83,7 +88,7 @@ from repro.capping.fleet import (
     simulate_fleet_traced,
 )
 from repro.capping.scenarios import get_scenario, scenario_ids
-from repro.capping.shard import CHECKPOINT_ENV
+from repro.config import environment, read
 from repro.capping.scheduler import estimate_cache
 from repro.experiments.common import run_cache, run_workload
 from repro.hardware.platform import DEFAULT_PLATFORM_ID, get_platform, platform_ids
@@ -92,29 +97,14 @@ from repro.io import result_to_json, save_trace_csv
 from repro.obs import dash as obs_dash
 from repro.obs import ledger as run_ledger
 from repro.obs import sentinel
-from repro.obs.heartbeat import HEARTBEAT_ENV, policy_paths
-from repro.obs.ledger import RUNS_DIR_ENV, RUNS_ENABLE_ENV
-from repro.monitor import (
-    MONITOR_ENV,
-    MONITOR_LOG_ENV,
-    FleetMonitor,
-    MonitorConfig,
-    monitor_state,
-    monitoring_requested,
-    render_dashboard,
-)
+from repro.obs.heartbeat import policy_paths
+from repro.monitor import FleetMonitor, MonitorConfig, monitor_state, render_dashboard
 from repro.prediction.model import surrogate_stats
-from repro.prediction.store import (
-    SURROGATE_DIR_ENV,
-    SURROGATE_ENV,
-    load_or_train,
-    surrogate_disabled,
-)
-from repro.runner.cache import CACHE_DIR_ENV, CACHE_ENABLE_ENV, fingerprint
-from repro.runner.engine import RENDER_CHUNK_ENV, EngineConfig
+from repro.prediction.store import load_or_train
+from repro.runner.cache import fingerprint
+from repro.runner.engine import EngineConfig
 from repro.runner.runlog import summarize_run
-from repro.runner.sweep import WORKERS_ENV, sweep_stats
-from repro.runner.trace import TRACE_DTYPE_ENV
+from repro.runner.sweep import sweep_stats
 from repro.vasp.benchmarks import BENCHMARKS, benchmark, benchmark_names
 from repro.workloads import (
     get_workload_model,
@@ -581,10 +571,10 @@ def _cmd_cap_sweep(args: argparse.Namespace) -> int:
             0.50 * spec.tdp_w,
             max(0.25 * spec.tdp_w, spec.cap_min_w),
         ]
-    if args.surrogate and not surrogate_disabled():
+    if args.surrogate and read("REPRO_SURROGATE"):
         return _cap_sweep_surrogate(args, workload, n_nodes, plat, caps)
     monitor = None
-    if args.monitor or monitoring_requested():
+    if args.monitor or read("REPRO_MONITOR"):
         monitor = FleetMonitor(
             MonitorConfig(platform=args.platform),
             label=f"{workload.name} cap sweep",
@@ -652,8 +642,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     workload = _resolve_workload_arg(args.benchmark)
     n_nodes = args.nodes if args.nodes else _default_nodes(args.benchmark)
     plat = get_platform(args.platform)
-    if surrogate_disabled():
-        print(f"surrogate fast path disabled ({SURROGATE_ENV}=0); unset to enable")
+    if not read("REPRO_SURROGATE"):
+        print("surrogate fast path disabled (REPRO_SURROGATE=0); unset to enable")
         return 1
     with obs.span("cli.predict", benchmark=args.benchmark):
         surrogate = load_or_train(workers=args.workers)
@@ -744,6 +734,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         status = dict(status)
         status["monitor"] = monitor_state()
         status["ledger"] = run_ledger.ledger_state()
+        status["environment"] = environment()
         print(json.dumps(status, indent=2))
         return 0
     print("observability status")
@@ -783,7 +774,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             f"({ledger_state['last_kind']}, {ledger_state['last_status']}"
             f"{age_note})"
         )
-    checkpoint_base = obs.path_from_env(CHECKPOINT_ENV)
+    checkpoint_base = read("REPRO_FLEET_CHECKPOINT")
     if checkpoint_base is not None:
         ages = [
             f"{path.name} ({_format_age(time.time() - path.stat().st_mtime)} old)"
@@ -795,27 +786,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             + (", ".join(ages) if ages else f"none yet under {checkpoint_base}")
         )
     print("\nenvironment")
-    for env in (
-        obs.TRACE_ENV,
-        obs.METRICS_ENV,
-        obs.PROFILE_ENV,
-        obs.LOG_ENV,
-        MONITOR_ENV,
-        MONITOR_LOG_ENV,
-        CACHE_ENABLE_ENV,
-        CACHE_DIR_ENV,
-        WORKERS_ENV,
-        SURROGATE_ENV,
-        SURROGATE_DIR_ENV,
-        CHECKPOINT_ENV,
-        HEARTBEAT_ENV,
-        RUNS_ENABLE_ENV,
-        RUNS_DIR_ENV,
-        RENDER_CHUNK_ENV,
-        TRACE_DTYPE_ENV,
-    ):
-        value = os.environ.get(env)
-        print(f"  {env:20s} = {value if value is not None else '(unset)'}")
+    for name, row in environment().items():
+        value = row["value"] if row["value"] is not None else "(unset)"
+        print(f"  {name:22s} = {value}  ({row['kind']})")
     print("\ncaches")
     for cache in (run_cache(), estimate_cache()):
         print(f"  {cache.stats().summary_line()}")
@@ -857,7 +830,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         args, n_nodes, platform_value
     )
     monitors = None
-    if args.monitor or monitoring_requested():
+    if args.monitor or read("REPRO_MONITOR"):
         monitors = tuple(
             FleetMonitor(MonitorConfig(platform=platform), label=policy_name)
             for policy_name, _, _ in FLEET_POLICIES.values()
@@ -1234,7 +1207,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     """Live dashboard (``repro top``) over heartbeats, alerts and metrics."""
     return obs_dash.run_dashboard(
         args.heartbeat,
-        alert_log=obs.path_from_env(MONITOR_LOG_ENV, args.alert_log),
+        alert_log=read("REPRO_MONITOR_LOG", args.alert_log),
         metrics_path=args.metrics_file,
         interval_s=args.interval,
         once=args.once,
@@ -1530,7 +1503,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--alert-log",
         default=None,
         metavar="FILE",
-        help=f"write alert lifecycle events as JSON lines (or ${MONITOR_LOG_ENV})",
+        help="write alert lifecycle events as JSON lines (or $REPRO_MONITOR_LOG)",
     )
     p_monitor.add_argument(
         "--report-json",

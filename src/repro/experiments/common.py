@@ -12,12 +12,13 @@ import logging
 from dataclasses import dataclass
 
 from repro import obs
+from repro.config import read
 from repro.analysis.stats import DistributionSummary, summarize
 from repro.hardware.node import GpuNode
 from repro.hardware.platform import Platform, get_platform
-from repro.runner.cache import RunCache, caching_disabled, disk_dir_from_env, fingerprint
+from repro.runner.cache import RunCache, fingerprint
 from repro.runner.engine import EngineConfig, PowerEngine
-from repro.runner.trace import PowerTrace, RunResult, trace_dtype
+from repro.runner.trace import PowerTrace, RunResult
 from repro.telemetry.downsample import downsample_trace
 from repro.vasp.parallel import layout_for
 from repro.workloads.registry import workload_model_id
@@ -32,7 +33,7 @@ TELEMETRY_INTERVAL_S: float = 2.0
 #: (workload fingerprint, node count, cap, seed, engine config); see
 #: :mod:`repro.runner.cache`.  ``REPRO_CACHE=0`` bypasses it entirely;
 #: ``REPRO_CACHE_DIR`` adds an on-disk layer shared across processes.
-_RUN_CACHE = RunCache(maxsize=256, disk_dir=disk_dir_from_env(), name="run")
+_RUN_CACHE = RunCache(maxsize=256, disk_dir=read("REPRO_CACHE_DIR"), name="run")
 
 
 def run_cache() -> RunCache:
@@ -105,7 +106,7 @@ def run_workload(
     """
     if nodes is None:
         plat = get_platform(platform)
-        if use_cache and not caching_disabled():
+        if use_cache and read("REPRO_CACHE"):
             key = fingerprint(
                 "run_workload",
                 workload_model_id(workload),
@@ -115,7 +116,7 @@ def run_workload(
                 seed,
                 engine_config,
                 TELEMETRY_INTERVAL_S,
-                trace_dtype().name,
+                read("REPRO_TRACE_DTYPE"),
                 plat.id,
             )
             return _RUN_CACHE.get_or_compute(

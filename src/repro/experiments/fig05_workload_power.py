@@ -42,13 +42,6 @@ class WorkloadPowerCurve:
     points: list[PowerPoint]
     optimal_nodes: int
 
-    def hpm_at(self, n_nodes: int) -> float:
-        """High power mode at a node count in the sweep."""
-        for p in self.points:
-            if p.n_nodes == n_nodes:
-                return p.high_power_mode_w
-        raise KeyError(f"{self.name} was not run at {n_nodes} nodes")
-
 
 @dataclass
 class Fig05Result:

@@ -26,12 +26,9 @@ from repro.monitor.alerts import (
     default_rules,
 )
 from repro.monitor.collector import (
-    MONITOR_ENV,
-    MONITOR_LOG_ENV,
     FleetMonitor,
     MonitorConfig,
     monitor_state,
-    monitoring_requested,
     reset_monitor_state,
 )
 from repro.monitor.energy import EnergyLedger, JobEnergyAccount
@@ -49,8 +46,6 @@ from repro.monitor.report import MonitorReport, NodeSummary, render_dashboard
 __all__ = [
     "SEVERITIES",
     "SIGNAL_KINDS",
-    "MONITOR_ENV",
-    "MONITOR_LOG_ENV",
     "AlertEvent",
     "AlertManager",
     "AlertRule",
@@ -68,7 +63,6 @@ __all__ = [
     "StalenessDetector",
     "default_rules",
     "monitor_state",
-    "monitoring_requested",
     "render_dashboard",
     "reset_monitor_state",
 ]

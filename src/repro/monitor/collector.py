@@ -23,7 +23,6 @@ monitor output deterministic per seed.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -31,6 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from repro import obs
+from repro.config import read
 from repro.hardware.node import GpuNode
 from repro.hardware.platform import NodeSpec, Platform, get_platform
 from repro.hardware.system import RunningMoments
@@ -48,19 +48,7 @@ from repro.monitor.report import MonitorReport, NodeSummary
 from repro.runner.trace import GPU_KEYS, RunResult
 from repro.telemetry.sampler import SampledSeries
 
-#: Environment variable: path for the JSON-lines alert log sink.
-MONITOR_LOG_ENV = "REPRO_MONITOR_LOG"
-#: Environment variable: any non-empty value asks the CLI to attach a
-#: monitor to fleet/cap-sweep runs even without ``--monitor``.
-MONITOR_ENV = "REPRO_MONITOR"
-
 _GPU_COMPONENTS = frozenset(GPU_KEYS)
-
-
-def monitoring_requested() -> bool:
-    """True when ``REPRO_MONITOR`` asks for ambient monitoring."""
-    value = os.environ.get(MONITOR_ENV, "").strip()
-    return bool(value) and not obs.env_switched_off(MONITOR_ENV)
 
 
 def node_idle_bands(
@@ -108,7 +96,7 @@ class MonitorConfig:
 
     def resolved_alert_log(self) -> Path | None:
         """The effective alert-log sink path."""
-        return obs.path_from_env(MONITOR_LOG_ENV, self.alert_log)
+        return read("REPRO_MONITOR_LOG", self.alert_log)
 
 
 @dataclass
@@ -560,10 +548,6 @@ def monitor_state() -> dict[str, object]:
         "active_collectors": len(_ACTIVE),
         "collectors_started": _TOTALS["collectors_started"],
         "signals_emitted": _TOTALS["signals_emitted"],
-        "env": {
-            MONITOR_ENV: os.environ.get(MONITOR_ENV) or None,
-            MONITOR_LOG_ENV: os.environ.get(MONITOR_LOG_ENV) or None,
-        },
     }
 
 

@@ -79,10 +79,6 @@ class MonitorReport:
         """Alert lifecycle transitions into the resolved state."""
         return sum(1 for event in self.alert_events if event.event == "resolved")
 
-    def signals_of(self, kind: str) -> list[HealthSignal]:
-        """All signals of one kind, in emission order."""
-        return [signal for signal in self.signals if signal.kind == kind]
-
     def to_json(self) -> dict[str, object]:
         """The whole report as JSON-ready data."""
         return {

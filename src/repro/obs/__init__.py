@@ -39,7 +39,10 @@ Activation (all default **off**):
   anything else Prometheus text); ``REPRO_PROFILE=FILE`` turns tracing on
   and writes the trace's span self times to FILE
   (``.speedscope``/``.json``, ``.folded`` or ``.txt``);
-  ``REPRO_LOG=LEVEL`` configures logging.
+  ``REPRO_LOG=LEVEL`` configures logging.  The variables are declared
+  and parsed in :mod:`repro.config`; a switch word such as ``1`` is
+  never taken as a file name, and a set ``REPRO_*`` name the table does
+  not know is named in a warning once, at import.
 * CLI — ``repro ... --trace FILE --metrics FILE --profile FILE
   --log-level LEVEL``.
 * programmatic — :func:`enable` / :func:`disable`.
@@ -52,25 +55,20 @@ tracing on).
 from __future__ import annotations
 
 import atexit
-import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.obs.logconf import (
-    LOG_ENV,
-    configure_logging,
-    get_logger,
-    reset_logging,
-)
+from repro.config import read, unknown_names
+from repro.obs.logconf import configure_logging, get_logger, reset_logging
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profile import PROFILE_ENV, export_profile, span_self_times
+from repro.obs.profile import export_profile, span_self_times
 from repro.obs.trace import NULL_SPAN, TraceEvent, Tracer
 
 __all__ = [
@@ -80,15 +78,10 @@ __all__ = [
     "MetricsRegistry",
     "TraceEvent",
     "Tracer",
-    "TRACE_ENV",
-    "METRICS_ENV",
-    "PROFILE_ENV",
-    "LOG_ENV",
     "configure_from_env",
     "configure_logging",
     "disable",
     "enable",
-    "env_switched_off",
     "flush",
     "gauge_set",
     "get_logger",
@@ -99,19 +92,12 @@ __all__ = [
     "name_process",
     "name_thread",
     "observe",
-    "path_from_env",
     "reset_logging",
     "span",
     "status",
     "tracer",
     "tracing_active",
 ]
-
-#: Environment variable: path for the Chrome trace JSON (enables tracing).
-TRACE_ENV = "REPRO_TRACE"
-#: Environment variable: path for the metrics export (enables metrics).
-METRICS_ENV = "REPRO_METRICS"
-
 
 @dataclass
 class _ObsState:
@@ -175,39 +161,6 @@ def disable() -> None:
     _STATE.flushed = {}
 
 
-#: Values that switch an on/off environment variable off (any case).
-OFF_WORDS = frozenset({"0", "false", "no", "off"})
-#: Values that read as an on/off switch, never as a file name.
-_BOOLEAN_WORDS = OFF_WORDS | {"1", "true", "yes", "on"}
-
-
-def env_switched_off(name: str) -> bool:
-    """True when environment variable ``name`` holds one of :data:`OFF_WORDS`."""
-    return os.environ.get(name, "").strip().lower() in OFF_WORDS
-
-
-def path_from_env(name: str, value: "str | Path | None" = None) -> Path | None:
-    """A file path: ``value`` when given, else environment variable ``name``.
-
-    Unset or blank means None (off).  A boolean-looking value (``1``,
-    ``true``, ``off``, ... in any case) is a switch, not a file name: it
-    counts as unset, with a warning naming the variable, so
-    ``REPRO_METRICS=1`` never leaves a file called ``1`` behind.  It
-    warns rather than raises because :func:`configure_from_env` runs at
-    import.
-    """
-    if value is not None:
-        return Path(value)
-    raw = os.environ.get(name, "").strip()
-    if raw.lower() in _BOOLEAN_WORDS:
-        warnings.warn(
-            f"{name}={raw!r} looks like a switch, not a file path; ignoring it",
-            stacklevel=2,
-        )
-        return None
-    return Path(raw) if raw else None
-
-
 def configure_from_env() -> None:
     """Activate layers named by ``REPRO_TRACE`` / ``REPRO_METRICS`` /
     ``REPRO_PROFILE`` / ``REPRO_LOG``.
@@ -217,11 +170,11 @@ def configure_from_env() -> None:
     ever *add* layers.
     """
     enable(
-        trace=path_from_env(TRACE_ENV) or False,
-        metrics=path_from_env(METRICS_ENV) or False,
-        profile=path_from_env(PROFILE_ENV) or False,
+        trace=read("REPRO_TRACE") or False,
+        metrics=read("REPRO_METRICS") or False,
+        profile=read("REPRO_PROFILE") or False,
     )
-    if os.environ.get(LOG_ENV, "").strip():
+    if read("REPRO_LOG") is not None:
         configure_logging()
 
 
@@ -350,13 +303,11 @@ def status() -> dict[str, Any]:
             "active": _STATE.tracer is not None,
             "events": len(_STATE.tracer) if _STATE.tracer is not None else 0,
             "path": str(_STATE.trace_path) if _STATE.trace_path else None,
-            "env": os.environ.get(TRACE_ENV) or None,
         },
         "metrics": {
             "active": _STATE.registry is not None,
             "names": _STATE.registry.names() if _STATE.registry is not None else [],
             "path": str(_STATE.metrics_path) if _STATE.metrics_path else None,
-            "env": os.environ.get(METRICS_ENV) or None,
         },
         "profile": {
             "active": profiling,
@@ -366,15 +317,14 @@ def status() -> dict[str, Any]:
                 else 0
             ),
             "path": str(_STATE.profile_path) if _STATE.profile_path else None,
-            "env": os.environ.get(PROFILE_ENV) or None,
-        },
-        "logging": {
-            "env": os.environ.get(LOG_ENV) or None,
         },
     }
 
 
-# Honour the env vars for plain library use (harmless when unset).
+# Honour the env vars for plain library use (harmless when unset), and
+# name any REPRO_* setting nothing reads (a typo or a removed variable).
 if not _ENV_CONFIGURED:
     _ENV_CONFIGURED = True
+    for _name in unknown_names():
+        warnings.warn(f"{_name} is not a repro setting; ignoring it (see `repro obs`)")
     configure_from_env()

@@ -28,9 +28,10 @@ from pathlib import Path
 from typing import Any, Callable, TextIO
 
 from repro import obs
+from repro.config import read
 from repro.obs import ledger as run_ledger
 from repro.obs import sentinel
-from repro.obs.heartbeat import HEARTBEAT_ENV, policy_paths
+from repro.obs.heartbeat import policy_paths
 
 #: Alert events shown in the feed.
 DEFAULT_ALERT_TAIL = 8
@@ -179,7 +180,7 @@ def collect_snapshot(
     Missing sources are simply absent from the snapshot — a dashboard
     pointed at a run that has not started yet is empty, not an error.
     """
-    base = obs.path_from_env(HEARTBEAT_ENV, heartbeat)
+    base = read("REPRO_FLEET_HEARTBEAT", heartbeat)
     beats = []
     for path in discover_heartbeats(base):
         data = _read_json(path)

@@ -36,10 +36,6 @@ from repro.obs.ledger import atomic_write_text, utc_now_iso
 
 logger = logging.getLogger(__name__)
 
-#: Environment variable: default heartbeat path for traced fleet runs.
-HEARTBEAT_ENV = "REPRO_FLEET_HEARTBEAT"
-
-
 #: Path suffixes of the fleet comparison's (capped, uncapped) policies.
 #: Each policy is its own simulation, so its checkpoint and heartbeat
 #: files sit beside the base path under its own suffix.

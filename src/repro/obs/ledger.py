@@ -38,30 +38,14 @@ from pathlib import Path
 from typing import Any
 
 from repro import obs
+from repro.config import read
 
 logger = logging.getLogger(__name__)
 
-#: Environment variable: ledger directory (default ``.repro_runs``).
-RUNS_DIR_ENV = "REPRO_RUNS_DIR"
-#: Environment variable: set to ``0``/``off`` to disable recording.
-RUNS_ENABLE_ENV = "REPRO_RUNS"
-#: Default ledger directory, relative to the working directory.
-DEFAULT_RUNS_DIR = ".repro_runs"
 #: File name of the JSON-lines ledger inside the runs directory.
 LEDGER_FILENAME = "ledger.jsonl"
 #: On-disk record schema version.
 SCHEMA_VERSION = 1
-
-
-def ledger_enabled() -> bool:
-    """False when ``REPRO_RUNS`` opts out of recording."""
-    return not obs.env_switched_off(RUNS_ENABLE_ENV)
-
-
-def runs_dir() -> Path:
-    """The ledger directory (``REPRO_RUNS_DIR`` or ``.repro_runs``)."""
-    raw = os.environ.get(RUNS_DIR_ENV, "").strip()
-    return Path(raw) if raw else Path(DEFAULT_RUNS_DIR)
 
 
 def utc_now_iso() -> str:
@@ -172,7 +156,7 @@ class RunLedger:
     """Append/query interface over one JSON-lines ledger file."""
 
     def __init__(self, root: "str | Path | None" = None) -> None:
-        self.root = Path(root) if root is not None else runs_dir()
+        self.root = read("REPRO_RUNS_DIR", root)
 
     @property
     def path(self) -> Path:
@@ -320,7 +304,7 @@ def _deep_merge(into: dict[str, Any], update: dict[str, Any]) -> None:
 def begin_run(kind: str, label: str = "") -> str | None:
     """Open a draft record; returns its run id (None when disabled)."""
     global _DRAFT, _DRAFT_START
-    if not ledger_enabled():
+    if not read("REPRO_RUNS"):
         _DRAFT = None
         return None
     _DRAFT = {
@@ -388,7 +372,7 @@ def ledger_state() -> dict[str, Any]:
     ledger = RunLedger()
     records = ledger.records()
     state: dict[str, Any] = {
-        "enabled": ledger_enabled(),
+        "enabled": read("REPRO_RUNS"),
         "path": str(ledger.path),
         "records": len(records),
         "last_run_id": None,

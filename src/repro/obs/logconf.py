@@ -14,11 +14,9 @@ failure paths (torn disk reads, process-pool fallbacks) now *log*, and
 from __future__ import annotations
 
 import logging
-import os
 import sys
 
-#: Environment variable naming the log level (``debug``/``info``/...).
-LOG_ENV = "REPRO_LOG"
+from repro.config import parse_level, read
 
 #: The package root logger name.
 ROOT_LOGGER = "repro"
@@ -33,36 +31,6 @@ def get_logger(name: str) -> logging.Logger:
     return logging.getLogger(name)
 
 
-def parse_level(raw: str) -> int:
-    """Translate a level name or number into a logging level.
-
-    Raises
-    ------
-    ValueError
-        If the string names no known level.
-    """
-    text = raw.strip()
-    if not text:
-        raise ValueError("empty log level")
-    if text.isdigit():
-        return int(text)
-    level = logging.getLevelName(text.upper())
-    if not isinstance(level, int):
-        raise ValueError(f"unknown log level {raw!r}")
-    return level
-
-
-def level_from_env(default: int = logging.WARNING) -> int:
-    """The level named by ``REPRO_LOG``, or ``default`` when unset/bad."""
-    raw = os.environ.get(LOG_ENV, "").strip()
-    if not raw:
-        return default
-    try:
-        return parse_level(raw)
-    except ValueError:
-        return default
-
-
 def configure_logging(level: str | int | None = None) -> logging.Logger:
     """Attach (or retune) the stderr handler on the ``repro`` logger.
 
@@ -71,7 +39,9 @@ def configure_logging(level: str | int | None = None) -> logging.Logger:
     """
     global _configured_handler
     if level is None:
-        resolved = level_from_env()
+        resolved = read("REPRO_LOG")
+        if resolved is None:
+            resolved = logging.WARNING
     elif isinstance(level, str):
         resolved = parse_level(level)
     else:

@@ -43,9 +43,6 @@ from typing import Any, Iterable
 
 from repro.obs.trace import TraceEvent
 
-#: Environment variable: profile export path (enables profiling).
-PROFILE_ENV = "REPRO_PROFILE"
-
 #: ``{process label: {span path: self seconds}}``.
 SpanRows = dict[str, dict[tuple[str, ...], float]]
 

@@ -71,15 +71,3 @@ def duty_cycle_power_w(active_power_w: float, duty_cycle: float, idle_w: float) 
     if not 0.0 <= duty_cycle <= 1.0:
         raise ValueError(f"duty_cycle must be in [0, 1], got {duty_cycle}")
     return duty_cycle * active_power_w + (1.0 - duty_cycle) * idle_w
-
-
-def duty_cycle_power_batch(
-    active_power_w: np.ndarray,
-    duty_cycle: np.ndarray,
-    idle_w: float | np.ndarray,
-) -> np.ndarray:
-    """Array version of :func:`duty_cycle_power_w` (no range re-checks)."""
-    duty = np.asarray(duty_cycle, dtype=float)
-    return duty * np.asarray(active_power_w, dtype=float) + (1.0 - duty) * np.asarray(
-        idle_w, dtype=float
-    )

@@ -64,8 +64,6 @@ from repro.prediction.store import (
     load_or_train,
     load_surrogate,
     save_surrogate,
-    surrogate_disabled,
-    surrogate_dir,
     training_fingerprint,
 )
 
@@ -100,8 +98,6 @@ __all__ = [
     "profile_features",
     "reset_surrogate_stats",
     "save_surrogate",
-    "surrogate_disabled",
-    "surrogate_dir",
     "surrogate_feature_vector",
     "surrogate_stats",
     "training_corpus",

@@ -150,7 +150,6 @@ class SurrogateStats:
     trainings: int = 0
     verifications: int = 0
     last_verification_error: float | None = None
-    _verification_error_sum: float = 0.0
 
     @property
     def hit_ratio(self) -> float:
@@ -170,14 +169,6 @@ class SurrogateStats:
         """
         self.verifications += 1
         self.last_verification_error = error
-        self._verification_error_sum += error
-
-    @property
-    def mean_verification_error(self) -> float | None:
-        """Mean winner-verification error (None before any check)."""
-        if self.verifications == 0:
-            return None
-        return self._verification_error_sum / self.verifications
 
     def summary_line(self) -> str:
         """One-line human summary (for CLI footers)."""
@@ -209,7 +200,6 @@ def reset_surrogate_stats() -> None:
     _STATS.trainings = 0
     _STATS.verifications = 0
     _STATS.last_verification_error = None
-    _STATS._verification_error_sum = 0.0
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,10 @@ from the default ``.repro_cache/surrogate/``.
 from __future__ import annotations
 
 import logging
-import os
 import pickle
 from pathlib import Path
 
-from repro import obs
+from repro.config import read
 from repro.prediction.corpus import CorpusConfig, build_corpus
 from repro.prediction.features import SURROGATE_FEATURE_NAMES
 from repro.prediction.model import (
@@ -37,34 +36,15 @@ from repro.runner.cache import atomic_write_pickle, fingerprint
 
 logger = logging.getLogger(__name__)
 
-#: Environment variable: ``0``/``off`` disables the surrogate fast path
-#: everywhere (callers fall back to their exact paths).
-SURROGATE_ENV = "REPRO_SURROGATE"
-#: Environment variable: directory for the serialized store.
-SURROGATE_DIR_ENV = "REPRO_SURROGATE_DIR"
-#: Default store location, beside the run cache's disk layer.
-DEFAULT_SURROGATE_DIR = ".repro_cache/surrogate"
 #: Serialized payload shape; bump on any incompatible change.
 STORE_VERSION = 1
 #: File name inside the store directory.
 STORE_FILENAME = "surrogate.pkl"
 
 
-def surrogate_disabled() -> bool:
-    """True when ``REPRO_SURROGATE`` turns the fast path off."""
-    return obs.env_switched_off(SURROGATE_ENV)
-
-
-def surrogate_dir() -> Path:
-    """Store directory: ``REPRO_SURROGATE_DIR`` or the default."""
-    raw = os.environ.get(SURROGATE_DIR_ENV, "").strip()
-    return Path(raw) if raw else Path(DEFAULT_SURROGATE_DIR)
-
-
 def store_path(directory: str | Path | None = None) -> Path:
-    """Full path of the store file."""
-    base = Path(directory) if directory is not None else surrogate_dir()
-    return base / STORE_FILENAME
+    """Full path of the store file (in ``REPRO_SURROGATE_DIR`` by default)."""
+    return read("REPRO_SURROGATE_DIR", directory) / STORE_FILENAME
 
 
 def training_fingerprint(

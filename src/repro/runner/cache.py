@@ -36,14 +36,6 @@ from repro import obs
 
 logger = logging.getLogger(__name__)
 
-#: Environment variable: set to a directory path to enable the on-disk
-#: cache layer (``1``/``true`` selects the default ``.repro_cache/``).
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Environment variable: set to ``0``/``off`` to disable caching entirely.
-CACHE_ENABLE_ENV = "REPRO_CACHE"
-#: Default on-disk location.
-DEFAULT_CACHE_DIR = ".repro_cache"
-
 T = TypeVar("T")
 
 
@@ -147,21 +139,6 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 def atomic_write_pickle(path: str | Path, value: Any) -> None:
     """Atomically pickle a value to a path (see :func:`atomic_write_bytes`)."""
     atomic_write_bytes(path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-def caching_disabled() -> bool:
-    """True when the ``REPRO_CACHE`` environment variable turns caching off."""
-    return obs.env_switched_off(CACHE_ENABLE_ENV)
-
-
-def disk_dir_from_env() -> Path | None:
-    """On-disk layer location from ``REPRO_CACHE_DIR`` (None = memory only)."""
-    raw = os.environ.get(CACHE_DIR_ENV, "").strip()
-    if not raw:
-        return None
-    if raw.lower() in ("1", "true", "yes", "on"):
-        return Path(DEFAULT_CACHE_DIR)
-    return Path(raw)
 
 
 class RunCache:

@@ -16,8 +16,6 @@ KDE analysis of Section III meaningful).
 from __future__ import annotations
 
 import functools
-import logging
-import os
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -25,6 +23,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from repro import obs
+from repro.config import read
 from repro.hardware.gpu import resolve_phase_batch
 from repro.hardware.node import GpuNode
 from repro.hardware.variability import unit_rng
@@ -40,15 +39,10 @@ from repro.runner.trace import (
     trace_dtype,
 )
 
-logger = logging.getLogger(__name__)
-
-#: Environment variable selecting the render chunk size, in samples.
-#: When set, ``run()`` renders through the chunked streaming path
-#: (bit-identical to the whole-schedule render); streaming consumers
-#: (:meth:`PowerEngine.stream`) use it as their default chunk size.
-RENDER_CHUNK_ENV = "REPRO_RENDER_CHUNK"
-
-#: Default chunk size for streaming consumers when the env is unset.
+#: Default chunk size for streaming consumers when ``REPRO_RENDER_CHUNK``
+#: is unset.  When it is set, ``run()`` renders through the chunked
+#: streaming path (bit-identical to the whole-schedule render) and
+#: :meth:`PowerEngine.stream` uses it as its default chunk size.
 DEFAULT_STREAM_CHUNK = 16_384
 
 #: Rows of the components in a resolved ``means[N, K, P]``.
@@ -56,22 +50,6 @@ _GPU_ROWS = [COMPONENT_KEYS.index(key) for key in GPU_KEYS]
 _CPU_ROW = COMPONENT_KEYS.index("cpu")
 _MEMORY_ROW = COMPONENT_KEYS.index("memory")
 _NODE_ROW = COMPONENT_KEYS.index("node")
-
-
-def render_chunk_samples() -> int | None:
-    """Chunk size from ``REPRO_RENDER_CHUNK`` (None = whole-schedule)."""
-    raw = os.environ.get(RENDER_CHUNK_ENV)
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        logger.warning("ignoring invalid %s=%r", RENDER_CHUNK_ENV, raw)
-        return None
-    if value < 1:
-        logger.warning("ignoring non-positive %s=%r", RENDER_CHUNK_ENV, raw)
-        return None
-    return value
 
 
 @dataclass(frozen=True)
@@ -551,7 +529,7 @@ class PowerEngine:
             "engine.render_traces", phases=len(phases), nodes=len(self.nodes)
         ) as render_span:
             traces = self._render_traces(
-                means, ends - starts, rng, chunk_samples=render_chunk_samples()
+                means, ends - starts, rng, chunk_samples=read("REPRO_RENDER_CHUNK")
             )
             render_span.annotate(samples=int(traces[0].times.size) if traces else 0)
         return RunResult(
@@ -601,7 +579,7 @@ class PowerEngine:
         else:
             taps = tuple(on_chunk)
         if chunk_samples is None:
-            chunk_samples = render_chunk_samples() or DEFAULT_STREAM_CHUNK
+            chunk_samples = read("REPRO_RENDER_CHUNK") or DEFAULT_STREAM_CHUNK
         obs.inc("repro_engine_streams_total")
         rng = np.random.default_rng(seed)
         slowdown, means, starts, ends = self._resolve_and_layout(phases)

@@ -39,16 +39,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence, TypeVar
 
 from repro import obs
+from repro.config import read
 from repro.obs import merge as obs_merge
 from repro.runner.cache import fingerprint
 from repro.runner.engine import EngineConfig
 from repro.vasp.workload import VaspWorkload
 
 logger = logging.getLogger(__name__)
-
-#: Environment override for the worker count.  ``1`` (or ``0``) forces
-#: serial execution; unset lets the executor size itself to the host.
-WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 
 #: Grids smaller than this run serially unless workers are set
 #: explicitly — pool startup would cost more than it saves.
@@ -223,21 +220,10 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def workers_from_env(env_var: str = WORKERS_ENV) -> int | None:
-    """Parse a worker-count override from the environment (None = unset)."""
-    raw = os.environ.get(env_var, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{env_var} must be an integer, got {raw!r}") from exc
-
-
 def resolve_workers(n_tasks: int, workers: int | None = None) -> int:
-    """Worker count for a grid: explicit arg > env override > host size."""
-    if workers is None:
-        workers = workers_from_env()
+    """Worker count for a grid: explicit arg > ``REPRO_SWEEP_WORKERS`` >
+    host size (``REPRO_SWEEP_WORKERS=1`` forces serial execution)."""
+    workers = read("REPRO_SWEEP_WORKERS", workers)
     if workers is not None:
         return max(min(workers, n_tasks), 1)
     if n_tasks < MIN_PARALLEL_GRID:

@@ -12,20 +12,16 @@ the resolved phase schedule.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.config import read
+
 #: Component keys in a node trace, matching the Cray PM counters.
 GPU_KEYS = ("gpu0", "gpu1", "gpu2", "gpu3")
 COMPONENT_KEYS = ("cpu",) + GPU_KEYS + ("memory", "node")
-
-#: Environment variable selecting the engine's trace storage dtype.
-TRACE_DTYPE_ENV = "REPRO_TRACE_DTYPE"
-#: Trace storage dtypes ``REPRO_TRACE_DTYPE`` accepts (first = default).
-TRACE_DTYPES = ("float32", "float64")
 
 
 def trace_dtype() -> np.dtype:
@@ -35,13 +31,7 @@ def trace_dtype() -> np.dtype:
     ``REPRO_TRACE_DTYPE=float64`` restores full-width storage.  Any
     other value raises a ``ValueError`` naming the variable.
     """
-    raw = os.environ.get(TRACE_DTYPE_ENV, "").strip() or TRACE_DTYPES[0]
-    if raw not in TRACE_DTYPES:
-        raise ValueError(
-            f"{TRACE_DTYPE_ENV} must be one of {', '.join(TRACE_DTYPES)}, "
-            f"got {raw!r}"
-        )
-    return np.dtype(raw)
+    return np.dtype(read("REPRO_TRACE_DTYPE"))
 
 
 @dataclass(frozen=True)

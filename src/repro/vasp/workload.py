@@ -140,7 +140,3 @@ class VaspWorkload:
         if nbands < 1:
             raise ValueError(f"nbands must be positive, got {nbands}")
         return replace(self, nbands_override=nbands, name=f"{self.name}_nbands{nbands}")
-
-    def with_costs(self, costs: CostModel) -> "VaspWorkload":
-        """Variant with different execution-cost constants (ablations)."""
-        return replace(self, costs=costs)

@@ -233,10 +233,10 @@ class TestCheckpointResume:
 
     def test_env_checkpoint_path(self, tmp_path, monkeypatch):
         path = tmp_path / "env.ckpt"
-        monkeypatch.setenv(shard.CHECKPOINT_ENV, str(path))
+        monkeypatch.setenv("REPRO_FLEET_CHECKPOINT", str(path))
         reference = _run()
         assert path.exists()
-        monkeypatch.delenv(shard.CHECKPOINT_ENV)
+        monkeypatch.delenv("REPRO_FLEET_CHECKPOINT")
         _assert_identical(reference, _run())
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):

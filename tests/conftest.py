@@ -10,16 +10,13 @@ themselves (monkeypatch wins over this session-scoped default).
 
 import pytest
 
-from repro.obs.ledger import RUNS_DIR_ENV
-from repro.prediction.store import SURROGATE_DIR_ENV
-
 
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_run_ledger(tmp_path_factory):
     """Redirect the run ledger to a temp dir for the whole test session."""
     patcher = pytest.MonkeyPatch()
     patcher.setenv(
-        RUNS_DIR_ENV, str(tmp_path_factory.mktemp("repro_runs"))
+        "REPRO_RUNS_DIR", str(tmp_path_factory.mktemp("repro_runs"))
     )
     yield
     patcher.undo()
@@ -30,7 +27,7 @@ def _isolated_surrogate_store(tmp_path_factory):
     """Keep the surrogate store (``.repro_cache/surrogate``) out of the tree."""
     patcher = pytest.MonkeyPatch()
     patcher.setenv(
-        SURROGATE_DIR_ENV, str(tmp_path_factory.mktemp("repro_surrogate"))
+        "REPRO_SURROGATE_DIR", str(tmp_path_factory.mktemp("repro_surrogate"))
     )
     yield
     patcher.undo()

@@ -8,12 +8,12 @@ import pytest
 from repro import obs
 from repro.capping.fleet import job_stream, simulate_fleet_traced
 from repro.capping.policy import CapPolicy
+from repro.config import read
 from repro.experiments.common import run_workload
 from repro.monitor import (
     FleetMonitor,
     MonitorConfig,
     monitor_state,
-    monitoring_requested,
     render_dashboard,
 )
 from repro.runner.engine import EngineConfig
@@ -230,11 +230,11 @@ class TestConfig:
 
     def test_monitoring_requested_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_MONITOR", raising=False)
-        assert not monitoring_requested()
+        assert not read("REPRO_MONITOR")
         monkeypatch.setenv("REPRO_MONITOR", "0")
-        assert not monitoring_requested()
+        assert not read("REPRO_MONITOR")
         monkeypatch.setenv("REPRO_MONITOR", "1")
-        assert monitoring_requested()
+        assert read("REPRO_MONITOR")
 
     def test_monitor_state_tracks_collectors(self):
         state = monitor_state()

@@ -18,15 +18,14 @@ from repro.obs.dash import (
     sentinel_verdict,
     tail_alert_events,
 )
-from repro.obs.heartbeat import HEARTBEAT_ENV
-from repro.obs.ledger import RUNS_DIR_ENV, RunLedger, RunRecord
+from repro.obs.ledger import RunLedger, RunRecord
 
 
 @pytest.fixture(autouse=True)
 def clean_env(tmp_path, monkeypatch):
     """Own ledger dir, no ambient heartbeat, no live obs registry."""
-    monkeypatch.setenv(RUNS_DIR_ENV, str(tmp_path / "runs"))
-    monkeypatch.delenv(HEARTBEAT_ENV, raising=False)
+    monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+    monkeypatch.delenv("REPRO_FLEET_HEARTBEAT", raising=False)
     obs.disable()
     ledger.discard_run()
     yield
@@ -209,7 +208,7 @@ class TestCollectSnapshot:
 
     def test_env_fallback_for_heartbeat_base(self, tmp_path, monkeypatch):
         base = write_heartbeat(tmp_path / "hb.json")
-        monkeypatch.setenv(HEARTBEAT_ENV, str(base))
+        monkeypatch.setenv("REPRO_FLEET_HEARTBEAT", str(base))
         snapshot = collect_snapshot(None)
         assert len(snapshot.heartbeats) == 1
 

@@ -1,11 +1,12 @@
 """Path-valued environment variables: one parser, no stray files.
 
-``REPRO_METRICS=1`` once wrote a Prometheus dump called ``1``; a
-boolean-looking value is a switch someone meant to flip, never a file
-name.  Every path variable goes through :func:`repro.obs.path_from_env`,
-which warns (naming the variable) and treats such values as unset.
-On/off variables likewise share one set of off-words,
-:data:`repro.obs.OFF_WORDS`.
+``REPRO_METRICS=1`` once wrote a Prometheus dump called ``1``, and
+``REPRO_RUNS_DIR=1`` a ledger under ``./1``; a boolean-looking value is
+a switch someone meant to flip, never a file name.  Every path variable
+goes through :func:`repro.config.read`: an on-word selects the
+variable's default directory when it has one, and any other switch word
+warns (naming the variable) and counts as unset.  On/off variables
+likewise share one set of off-words, :data:`repro.config.OFF_WORDS`.
 """
 
 import warnings
@@ -16,11 +17,11 @@ import pytest
 from repro import obs
 from repro.capping.fleet import job_stream, simulate_fleet_traced
 from repro.capping.policy import CapPolicy
+from repro.config import read
 from repro.monitor import FleetMonitor, MonitorConfig
-from repro.monitor.collector import monitoring_requested
-from repro.obs.ledger import ledger_enabled
-from repro.prediction.store import surrogate_disabled
-from repro.runner.cache import caching_disabled
+from repro.obs import ledger
+from repro.prediction.store import save_surrogate
+from repro.runner.cache import RunCache
 from repro.runner.engine import EngineConfig
 
 
@@ -47,7 +48,24 @@ def _monitor_finalize():
     FleetMonitor(MonitorConfig(), label="env").finalize()
 
 
-#: Each path variable and the code that reads it.
+def _run_cache_put():
+    # How repro.experiments.common builds the run cache at import.
+    cache = RunCache(disk_dir=read("REPRO_CACHE_DIR"), name="env")
+    cache.put("key", 1)
+    return cache.disk_dir
+
+
+def _record_run():
+    ledger.begin_run("env")
+    return ledger.finish_run() and ledger.RunLedger().root
+
+
+def _save_surrogate():
+    return save_surrogate(None, "env").parent
+
+
+#: Each path variable and the code that reads it.  The directory
+#: consumers return the directory they used.
 CONSUMERS = {
     "REPRO_TRACE": _configure_obs,
     "REPRO_METRICS": _configure_obs,
@@ -55,6 +73,16 @@ CONSUMERS = {
     "REPRO_FLEET_CHECKPOINT": _tiny_fleet,
     "REPRO_FLEET_HEARTBEAT": _tiny_fleet,
     "REPRO_MONITOR_LOG": _monitor_finalize,
+    "REPRO_CACHE_DIR": _run_cache_put,
+    "REPRO_RUNS_DIR": _record_run,
+    "REPRO_SURROGATE_DIR": _save_surrogate,
+}
+
+#: Directory variables and the directory an on-word selects.
+ON_PATHS = {
+    "REPRO_CACHE_DIR": Path(".repro_cache"),
+    "REPRO_RUNS_DIR": Path(".repro_runs"),
+    "REPRO_SURROGATE_DIR": Path(".repro_cache/surrogate"),
 }
 
 
@@ -69,9 +97,25 @@ def clean_env(monkeypatch, tmp_path):
 @pytest.mark.parametrize("name", sorted(CONSUMERS))
 def test_switch_value_is_not_a_file_name(name, clean_env, tmp_path):
     clean_env.setenv(name, "1")
-    with pytest.warns(UserWarning, match=name):
-        CONSUMERS[name]()
+    if name in ON_PATHS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert CONSUMERS[name]() == ON_PATHS[name]
+    else:
+        with pytest.warns(UserWarning, match=name):
+            CONSUMERS[name]()
     assert sorted(p.name for p in tmp_path.glob("1*")) == []
+
+
+@pytest.mark.parametrize("word", ["0", "off"])
+@pytest.mark.parametrize("name", sorted(ON_PATHS))
+def test_off_word_leaves_directory_unset(name, word, clean_env, tmp_path):
+    clean_env.setenv(name, word)
+    with pytest.warns(UserWarning, match=name):
+        used = CONSUMERS[name]()
+    assert not (tmp_path / word).exists()
+    clean_env.delenv(name)
+    assert used == CONSUMERS[name]()
 
 
 @pytest.mark.parametrize(
@@ -80,15 +124,15 @@ def test_switch_value_is_not_a_file_name(name, clean_env, tmp_path):
 def test_boolean_words_count_as_unset(raw, clean_env):
     clean_env.setenv("REPRO_TRACE", raw)
     with pytest.warns(UserWarning, match="REPRO_TRACE"):
-        assert obs.path_from_env("REPRO_TRACE") is None
+        assert read("REPRO_TRACE") is None
 
 
 def test_paths_and_blanks(clean_env, tmp_path):
-    assert obs.path_from_env("REPRO_TRACE") is None
+    assert read("REPRO_TRACE") is None
     clean_env.setenv("REPRO_TRACE", "  ")
-    assert obs.path_from_env("REPRO_TRACE") is None
+    assert read("REPRO_TRACE") is None
     clean_env.setenv("REPRO_TRACE", str(tmp_path / "t.json"))
-    assert obs.path_from_env("REPRO_TRACE") == tmp_path / "t.json"
+    assert read("REPRO_TRACE") == tmp_path / "t.json"
 
 
 def test_explicit_value_wins(clean_env, tmp_path):
@@ -96,25 +140,16 @@ def test_explicit_value_wins(clean_env, tmp_path):
     with warnings.catch_warnings():
         # The environment is never read when a value is given.
         warnings.simplefilter("error")
-        assert obs.path_from_env("REPRO_TRACE", "out") == Path("out")
-        assert obs.path_from_env("REPRO_TRACE", tmp_path) == tmp_path
-
-
-#: (variable, predicate that is True when the variable reads as "off").
-OFF_SWITCHES = [
-    ("REPRO_MONITOR", lambda: not monitoring_requested()),
-    ("REPRO_RUNS", lambda: not ledger_enabled()),
-    ("REPRO_SURROGATE", surrogate_disabled),
-    ("REPRO_CACHE", caching_disabled),
-]
+        assert read("REPRO_TRACE", "out") == Path("out")
+        assert read("REPRO_TRACE", tmp_path) == tmp_path
 
 
 @pytest.mark.parametrize("word", ["0", "FALSE", "no", " Off "])
 @pytest.mark.parametrize(
-    "name, switched_off", OFF_SWITCHES, ids=[name for name, _ in OFF_SWITCHES]
+    "name", ["REPRO_MONITOR", "REPRO_RUNS", "REPRO_SURROGATE", "REPRO_CACHE"]
 )
-def test_off_words_switch_every_variable_off(name, switched_off, word, monkeypatch):
+def test_off_words_switch_every_variable_off(name, word, monkeypatch):
     monkeypatch.setenv(name, word)
-    assert switched_off()
+    assert read(name) is False
     monkeypatch.setenv(name, "1")
-    assert not switched_off()
+    assert read(name) is True

@@ -4,12 +4,11 @@ import json
 
 import pytest
 
-from repro import obs
+from repro import config, obs
 from repro.capping import fleet
 from repro.capping.fleet import job_stream, simulate_fleet_traced
 from repro.capping.policy import CapPolicy
 from repro.obs.heartbeat import (
-    HEARTBEAT_ENV,
     HeartbeatSnapshot,
     RunHeartbeat,
     read_heartbeat,
@@ -140,10 +139,10 @@ class TestRunHeartbeat:
         assert jobs_only.progress == pytest.approx(0.25)
 
     def test_env_activation(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(HEARTBEAT_ENV, raising=False)
-        assert obs.path_from_env(HEARTBEAT_ENV) is None
-        monkeypatch.setenv(HEARTBEAT_ENV, str(tmp_path / "hb.json"))
-        assert obs.path_from_env(HEARTBEAT_ENV) == tmp_path / "hb.json"
+        monkeypatch.delenv("REPRO_FLEET_HEARTBEAT", raising=False)
+        assert config.read("REPRO_FLEET_HEARTBEAT") is None
+        monkeypatch.setenv("REPRO_FLEET_HEARTBEAT", str(tmp_path / "hb.json"))
+        assert config.read("REPRO_FLEET_HEARTBEAT") == tmp_path / "hb.json"
 
 
 @pytest.fixture

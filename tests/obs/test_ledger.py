@@ -7,8 +7,6 @@ import pytest
 from repro.cli import main
 from repro.obs import ledger
 from repro.obs.ledger import (
-    RUNS_DIR_ENV,
-    RUNS_ENABLE_ENV,
     RunLedger,
     RunRecord,
     diff_records,
@@ -20,8 +18,8 @@ from repro.obs.sentinel import check_target
 @pytest.fixture(autouse=True)
 def runs_dir(tmp_path, monkeypatch):
     """Each test gets its own ledger directory and a clean draft slate."""
-    monkeypatch.setenv(RUNS_DIR_ENV, str(tmp_path / "runs"))
-    monkeypatch.delenv(RUNS_ENABLE_ENV, raising=False)
+    monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+    monkeypatch.delenv("REPRO_RUNS", raising=False)
     ledger.discard_run()
     yield tmp_path / "runs"
     ledger.discard_run()
@@ -228,7 +226,7 @@ class TestDraftApi:
         assert ledger.finish_run() is None
 
     def test_disabled_via_env(self, runs_dir, monkeypatch):
-        monkeypatch.setenv(RUNS_ENABLE_ENV, "0")
+        monkeypatch.setenv("REPRO_RUNS", "0")
         assert ledger.begin_run("fleet") is None
         ledger.annotate_run(workers=2)
         assert ledger.finish_run() is None

@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.obs import ledger
 from repro.obs import sentinel
-from repro.obs.ledger import RUNS_DIR_ENV, RUNS_ENABLE_ENV, RunLedger, RunRecord
+from repro.obs.ledger import RunLedger, RunRecord
 from repro.obs.sentinel import (
     Baseline,
     ChangePoint,
@@ -25,8 +25,8 @@ from repro.obs.sentinel import (
 
 @pytest.fixture(autouse=True)
 def runs_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv(RUNS_DIR_ENV, str(tmp_path / "runs"))
-    monkeypatch.delenv(RUNS_ENABLE_ENV, raising=False)
+    monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+    monkeypatch.delenv("REPRO_RUNS", raising=False)
     ledger.discard_run()
     yield tmp_path / "runs"
     ledger.discard_run()

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.config import read
 from repro.runner.cache import (
-    CACHE_ENABLE_ENV,
     RunCache,
     atomic_write_bytes,
     atomic_write_pickle,
-    caching_disabled,
     fingerprint,
 )
 from repro.runner.engine import EngineConfig
@@ -247,13 +246,13 @@ class TestCacheStats:
 
 class TestCachingDisabled:
     def test_default_enabled(self, monkeypatch):
-        monkeypatch.delenv(CACHE_ENABLE_ENV, raising=False)
-        assert not caching_disabled()
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        assert read("REPRO_CACHE")
 
     @pytest.mark.parametrize("value", ["0", "off", "false", "NO"])
     def test_disable_values(self, monkeypatch, value):
-        monkeypatch.setenv(CACHE_ENABLE_ENV, value)
-        assert caching_disabled()
+        monkeypatch.setenv("REPRO_CACHE", value)
+        assert not read("REPRO_CACHE")
 
 
 class TestRunWorkloadCaching:
@@ -302,7 +301,7 @@ class TestRunWorkloadCaching:
     def test_env_kill_switch(self, monkeypatch):
         from repro.experiments.common import run_cache, run_workload
 
-        monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
+        monkeypatch.setenv("REPRO_CACHE", "0")
         workload = benchmark("PdO2").build()
         cache = run_cache()
         cache.clear()

@@ -12,13 +12,8 @@ import pytest
 
 from repro.hardware.node import GpuNode
 from repro.perfmodel.kernels import KernelCatalogue
-from repro.runner.engine import (
-    DEFAULT_STREAM_CHUNK,
-    RENDER_CHUNK_ENV,
-    EngineConfig,
-    PowerEngine,
-    render_chunk_samples,
-)
+from repro.config import read
+from repro.runner.engine import DEFAULT_STREAM_CHUNK, EngineConfig, PowerEngine
 from repro.runner.trace import COMPONENT_KEYS
 from repro.vasp.phases import MacroPhase
 
@@ -48,7 +43,7 @@ class TestChunkedRenderBitIdentity:
     def test_chunked_equals_whole(self, engine, chunk, monkeypatch):
         """Every chunk size reproduces the whole render exactly."""
         whole = engine.run(SCHEDULE, seed=11)
-        monkeypatch.setenv(RENDER_CHUNK_ENV, str(chunk))
+        monkeypatch.setenv("REPRO_RENDER_CHUNK", str(chunk))
         chunked = engine.run(SCHEDULE, seed=11)
         for a, b in zip(whole.traces, chunked.traces):
             np.testing.assert_array_equal(a.block.data, b.block.data)
@@ -61,21 +56,21 @@ class TestChunkedRenderBitIdentity:
         the later phases) mid-stream.
         """
         whole = engine.run(SCHEDULE, seed=5)
-        monkeypatch.setenv(RENDER_CHUNK_ENV, "13")
+        monkeypatch.setenv("REPRO_RENDER_CHUNK", "13")
         chunked = engine.run(SCHEDULE, seed=5)
         np.testing.assert_array_equal(
             whole.traces[0].block.data, chunked.traces[0].block.data
         )
 
-    def test_invalid_env_falls_back_to_whole(self, engine, monkeypatch):
-        monkeypatch.setenv(RENDER_CHUNK_ENV, "not-a-number")
-        assert render_chunk_samples() is None
-        monkeypatch.setenv(RENDER_CHUNK_ENV, "0")
-        assert render_chunk_samples() is None
-        monkeypatch.setenv(RENDER_CHUNK_ENV, "")
-        assert render_chunk_samples() is None
-        monkeypatch.setenv(RENDER_CHUNK_ENV, "512")
-        assert render_chunk_samples() == 512
+    def test_invalid_env_raises(self, engine, monkeypatch):
+        for raw in ("not-a-number", "0"):
+            monkeypatch.setenv("REPRO_RENDER_CHUNK", raw)
+            with pytest.raises(ValueError, match="REPRO_RENDER_CHUNK"):
+                engine.run(SCHEDULE, seed=5)
+        monkeypatch.setenv("REPRO_RENDER_CHUNK", "")
+        assert read("REPRO_RENDER_CHUNK") is None
+        monkeypatch.setenv("REPRO_RENDER_CHUNK", "512")
+        assert read("REPRO_RENDER_CHUNK") == 512
 
 
 class TestStream:

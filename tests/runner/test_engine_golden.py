@@ -16,8 +16,8 @@ import pytest
 from repro.capping.fleet import compare_fleet_policies_traced
 from repro.hardware.node import GpuNode
 from repro.perfmodel.kernels import KernelCatalogue
-from repro.runner.engine import RENDER_CHUNK_ENV, EngineConfig, PowerEngine
-from repro.runner.trace import COMPONENT_KEYS, TRACE_DTYPE_ENV
+from repro.runner.engine import EngineConfig, PowerEngine
+from repro.runner.trace import COMPONENT_KEYS
 from repro.vasp.phases import MacroPhase
 
 #: ``run`` traces at caps None and 200 W, all components (the chunked
@@ -77,8 +77,8 @@ def digest(parts) -> str:
 @pytest.fixture(autouse=True)
 def full_width_traces(monkeypatch):
     """float64 storage (every rendered bit counts), whole-schedule ``run``."""
-    monkeypatch.setenv(TRACE_DTYPE_ENV, "float64")
-    monkeypatch.delenv(RENDER_CHUNK_ENV, raising=False)
+    monkeypatch.setenv("REPRO_TRACE_DTYPE", "float64")
+    monkeypatch.delenv("REPRO_RENDER_CHUNK", raising=False)
 
 
 def run_parts():

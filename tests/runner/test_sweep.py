@@ -8,7 +8,6 @@ import pytest
 from repro import obs
 from repro.runner.sweep import (
     MIN_PARALLEL_GRID,
-    WORKERS_ENV,
     EstimateSpec,
     RunSpec,
     SweepExecutor,
@@ -55,28 +54,27 @@ class TestSpecs:
 
 class TestResolveWorkers:
     def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "8")
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "8")
         assert resolve_workers(16, workers=3) == 3
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "5")
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "5")
         assert resolve_workers(16) == 5
 
     def test_env_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "many")
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "many")
         with pytest.raises(ValueError):
             resolve_workers(16)
 
     def test_small_grids_run_serially(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
         assert resolve_workers(MIN_PARALLEL_GRID - 1) == 1
 
     def test_never_more_workers_than_tasks(self):
         assert resolve_workers(2, workers=16) == 2
 
-    def test_never_below_one(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "0")
-        assert resolve_workers(10) == 1
+    def test_never_below_one(self):
+        assert resolve_workers(10, workers=0) == 1
 
 
 class TestAvailableCpus:
@@ -108,7 +106,7 @@ class TestAvailableCpus:
 
     def test_sizes_default_worker_pool(self, monkeypatch):
         """An affinity mask narrower than the host bounds the pool."""
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
         monkeypatch.setattr(
             "repro.runner.sweep.os.sched_getaffinity",
             lambda pid: {0, 1},
@@ -170,7 +168,7 @@ class TestSweepExecutor:
                 np.testing.assert_array_equal(ta.gpu_total, tb.gpu_total)
 
     def test_env_worker_override_is_respected(self, workload, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "1")
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "1")
         specs = [EstimateSpec(workload, n_nodes=n) for n in (1, 2, 4, 8)]
         results = run_sweep(specs)
         assert len(results) == 4

@@ -285,10 +285,8 @@ class TestCli:
         The small surrogate is deliberately filed under the default
         config's fingerprint so CLI tests skip the big corpus build.
         """
-        from repro.prediction.store import SURROGATE_DIR_ENV
-
         save_surrogate(small_surrogate, training_fingerprint(CorpusConfig()), tmp_path)
-        monkeypatch.setenv(SURROGATE_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv("REPRO_SURROGATE_DIR", str(tmp_path))
         return tmp_path
 
     def test_predict_command(self, seeded_store, capsys):
