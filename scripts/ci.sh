@@ -80,9 +80,11 @@ PY
 
 echo "== sharded fleet smoke (bit-identity vs serial, health dashboards included) =="
 FLEET_ARGS=(fleet --jobs 4 --nodes 6 --seed 3 --resolution 1.0)
-# Cache/sweep summary lines vary with worker count (each worker process
-# has its own cache); every simulation statistic above them must not.
-filter_summaries() { grep -v '^\[' "$1" > "$2"; }
+# The cache/sweep/surrogate footer lines count work done, which varies
+# with worker count (each worker process has its own caches) and with
+# resuming (a resumed run renders fewer jobs); every simulation
+# statistic above them must not.
+filter_summaries() { grep -vE '^ *\[(\w+ cache|sweeps|surrogate): ' "$1" > "$2"; }
 python -m repro "${FLEET_ARGS[@]}" > "$SMOKE_DIR/serial.out"
 filter_summaries "$SMOKE_DIR/serial.out" "$SMOKE_DIR/serial.txt"
 # Monitored on both sides: one diff covers the fleet report and the
@@ -153,8 +155,8 @@ diff "$SMOKE_DIR/serial.txt" "$SMOKE_DIR/obs-body.txt" \
     || { echo "obs-instrumented fleet output diverged from serial"; exit 1; }
 python -m repro runs list
 python -m repro runs show last > "$SMOKE_DIR/last-run.json"
-python - "$SMOKE_DIR/last-run.json" <<'PY'
-import json, sys
+python - "$SMOKE_DIR/last-run.json" "$SMOKE_DIR/fleet-metrics.prom" <<'PY'
+import json, re, sys
 
 record = json.load(open(sys.argv[1]))
 assert record["kind"] == "fleet", record
@@ -162,8 +164,28 @@ assert record["status"] == "ok", record
 assert record["wall_s"] > 0, record
 assert record["workers"] == 2, record
 print(f"ledger ok: run {record['run_id']} recorded {record['kind']}")
+# One account per fact: the ledger's cache field and the metrics dump
+# of the same pooled run read the same counts.
+dumped = {}
+for line in open(sys.argv[2]):
+    match = re.match(r'repro_cache_(hits|misses)_total\{cache="(\w+)".*\} (\d+)', line)
+    if match:
+        kind, cache, value = match.groups()
+        row = dumped.setdefault(cache, {"hits": 0, "misses": 0})
+        row[kind] += int(value)
+ledger = {
+    name: {"hits": row["hits"], "misses": row["misses"]}
+    for name, row in record["cache"].items()
+}
+assert ledger == dumped, (ledger, dumped)
+print(f"accounts ok: ledger cache field == metrics dump ({', '.join(sorted(dumped))})")
 PY
 python -m repro sentinel check
+
+echo "== pooled sweep footer (worker cache counts ship home) =="
+REPRO_SWEEP_WORKERS=2 python -m repro reproduce fig12 > "$SMOKE_DIR/fig12-pooled.out"
+grep -q '\[estimate cache:' "$SMOKE_DIR/fig12-pooled.out" \
+    || { echo "pooled fig12 footer lost the estimate-cache line"; exit 1; }
 
 echo "== profiler smoke (sharded --profile merges to one speedscope) =="
 # The profile is the trace's span self times: the merged document must

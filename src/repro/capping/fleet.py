@@ -501,7 +501,6 @@ def simulate_fleet_traced(
         if monitor is not None and partial.monitor is not None:
             monitor.absorb_job_partial(partial.monitor)
         obs.inc("repro_fleet_jobs_rendered_total")
-        obs.inc("repro_fleet_partials_merged_total")
         obs.gauge_set("repro_fleet_resident_bytes", fold.accumulator.resident_bytes)
         if checkpoint_path is not None and (
             fold.jobs % checkpoint_every == 0 or fold.jobs == total_jobs

@@ -396,11 +396,6 @@ def search_cap_policy(
     )
     error = result.verification_error
     if error is not None:
-        obs.observe(
-            "repro_surrogate_winner_error",
-            error,
-            help_text="Surrogate-vs-exact relative error on search winners",
-        )
         # Feed the drift trackers: the in-process surrogate stats and the
         # run ledger record the sentinel mines verification errors from.
         from repro.obs import ledger as run_ledger

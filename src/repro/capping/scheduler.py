@@ -27,7 +27,7 @@ from repro.hardware.gpu import GpuModel
 from repro.hardware.platform import Platform, get_platform
 from repro.hardware.variability import ManufacturingVariation
 from repro.perfmodel.power import demand_power_w, duty_cycle_power_w
-from repro.runner.cache import RunCache, fingerprint
+from repro.runner.cache import RunCache, fingerprint, process_cache
 from repro.vasp.parallel import layout_for
 from repro.workloads.registry import workload_model_id
 from repro.vasp.workload import VaspWorkload
@@ -64,7 +64,7 @@ class RunEstimate:
 #: width).  Building one is ~25 ms of SCF modelling, and admission
 #: estimates and fleet renders of one (workload, width) share it —
 #: across caps, policies, runs and, in a worker process, batches.
-_PHASE_STORE = RunCache(name="phases")
+_PHASE_STORE = process_cache(__name__, RunCache(name="phases"))
 
 
 def cached_phases(workload, n_nodes: int) -> list:
@@ -131,7 +131,7 @@ logger = logging.getLogger(__name__)
 
 #: Memoized estimates: scheduling cycles re-estimate the same (workload,
 #: nodes, cap) triples thousands of times, and the estimator is pure.
-_ESTIMATE_CACHE = RunCache(maxsize=1024, name="estimate")
+_ESTIMATE_CACHE = process_cache(__name__, RunCache(maxsize=1024, name="estimate"))
 
 
 def estimate_cache() -> RunCache:

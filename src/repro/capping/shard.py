@@ -117,10 +117,9 @@ class ShardTask:
     monitor_config: "MonitorConfig | None"
     jobs: tuple[ShardJobTask, ...]
     #: (trace, metrics) layers the coordinator is collecting — the
-    #: worker captures matching :class:`repro.obs.merge.ObsPartial`
-    #: snapshots.  None (obs off at the coordinator) skips capture
-    #: entirely.
-    obs_capture: tuple[bool, bool] | None = None
+    #: worker's :class:`repro.obs.merge.ObsPartial` carries those and,
+    #: always, the worker's account deltas.
+    obs_capture: tuple[bool, bool] = (False, False)
 
 
 @dataclass
@@ -146,8 +145,8 @@ class ShardResult:
     """One batch's render results plus the worker's observability capture."""
 
     jobs: list[JobPartial]
-    #: Spans/metrics the worker recorded while rendering this batch;
-    #: None when the coordinator is not collecting.
+    #: What the worker recorded while rendering this batch; None when it
+    #: recorded nothing.
     obs: "obs_merge.ObsPartial | None" = None
 
 
@@ -257,19 +256,17 @@ def _render_shard(task: ShardTask) -> ShardResult:
 
     Nodes are rebuilt from (name, spec) — node construction is
     deterministic, so worker-built nodes match coordinator-built ones
-    bit for bit.  When ``task.obs_capture`` is set, the batch renders
-    under a fresh in-memory tracer/registry whose contents ship back in
-    the :class:`ShardResult` (see :mod:`repro.obs.merge`); capture is
-    observation-only, so the job partials are byte-identical either way.
+    bit for bit.  The batch renders under a worker capture whose
+    contents ship back in the :class:`ShardResult` (see
+    :mod:`repro.obs.merge`); capture is observation-only, so the job
+    partials are byte-identical whatever it records.
     """
-    token = None
-    if task.obs_capture is not None:
-        trace_on, metrics_on = task.obs_capture
-        token = obs_merge.begin_worker_capture(
-            trace=trace_on,
-            metrics=metrics_on,
-            process_label=f"repro fleet worker {os.getpid()}",
-        )
+    trace_on, metrics_on = task.obs_capture
+    token = obs_merge.begin_worker_capture(
+        trace=trace_on,
+        metrics=metrics_on,
+        process_label=f"repro fleet worker {os.getpid()}",
+    )
     try:
         with obs.span(
             "shard.render_batch", shard=task.shard_index, jobs=len(task.jobs)
@@ -279,9 +276,7 @@ def _render_shard(task: ShardTask) -> ShardResult:
                 for job in task.jobs
             ]
     finally:
-        captured = (
-            obs_merge.finish_worker_capture(token) if token is not None else None
-        )
+        captured = obs_merge.finish_worker_capture(token)
     return ShardResult(jobs=partials, obs=captured)
 
 
@@ -357,11 +352,11 @@ def run_sharded(
     each), interleaved round-robin across shards, so early-schedule
     partials arrive early and the fold advances steadily.
 
-    While the coordinator's observability is active, every batch comes
-    back with an :class:`repro.obs.merge.ObsPartial` that is absorbed
-    into the live tracer/registry — worker spans land in the merged
-    Chrome trace under their own pid row, and merged counter totals
-    equal a serial run's exactly.
+    Every batch comes back with an :class:`repro.obs.merge.ObsPartial`
+    that is absorbed into the coordinator — the worker's account deltas
+    always, spans and metrics when those layers are on: worker spans
+    land in the merged Chrome trace under their own pid row, and merged
+    counts equal a serial run's exactly.
 
     Returns False when no process pool could be started before any work
     was folded (the caller falls back to the serial path, which produces

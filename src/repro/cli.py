@@ -89,8 +89,7 @@ from repro.capping.fleet import (
 )
 from repro.capping.scenarios import get_scenario, scenario_ids
 from repro.config import environment, read
-from repro.capping.scheduler import estimate_cache
-from repro.experiments.common import run_cache, run_workload
+from repro.experiments.common import run_workload
 from repro.hardware.platform import DEFAULT_PLATFORM_ID, get_platform, platform_ids
 from repro.experiments.report import format_table, sparkline
 from repro.io import result_to_json, save_trace_csv
@@ -98,10 +97,10 @@ from repro.obs import dash as obs_dash
 from repro.obs import ledger as run_ledger
 from repro.obs import sentinel
 from repro.obs.heartbeat import policy_paths
-from repro.monitor import FleetMonitor, MonitorConfig, monitor_state, render_dashboard
+from repro.monitor import FleetMonitor, MonitorConfig, render_dashboard
 from repro.prediction.model import surrogate_stats
 from repro.prediction.store import load_or_train
-from repro.runner.cache import fingerprint
+from repro.runner.cache import fingerprint, process_caches
 from repro.runner.engine import EngineConfig
 from repro.runner.runlog import summarize_run
 from repro.runner.sweep import sweep_stats
@@ -136,19 +135,32 @@ ARTIFACTS = {
 }
 
 
+def _efficiency_accounts() -> dict:
+    """This session's cache, sweep and surrogate accounts worth reporting.
+
+    ``{"cache": {name: CacheStats}, "sweeps": SweepStats, "surrogate":
+    SurrogateStats}``, leaving out an account with nothing to report.
+    The footer and the run ledger both read this, so they always name
+    the same accounts with the same counts — pooled work included, since
+    workers ship their counts home.
+    """
+    accounts: dict = {}
+    caches = [cache.stats() for cache in process_caches()]
+    looked_up = {stats.name: stats for stats in caches if stats.lookups}
+    if looked_up:
+        accounts["cache"] = looked_up
+    if sweep_stats().grids:
+        accounts["sweeps"] = sweep_stats()
+    if surrogate_stats().predictions or surrogate_stats().trainings:
+        accounts["surrogate"] = surrogate_stats()
+    return accounts
+
+
 def _print_efficiency_summary() -> None:
-    """One-line cache/dedupe effectiveness footer (reproduce, cap-sweep)."""
-    lines = []
-    for cache in (run_cache(), estimate_cache()):
-        stats = cache.stats()
-        if stats.lookups:
-            lines.append(stats.summary_line())
-    sweeps = sweep_stats()
-    if sweeps.grids:
-        lines.append(sweeps.summary_line())
-    surro = surrogate_stats()
-    if surro.predictions:
-        lines.append(surro.summary_line())
+    """The cache/dedupe/surrogate effectiveness footer, one line per account."""
+    accounts = _efficiency_accounts()
+    lines = [stats.summary_line() for stats in accounts.pop("cache", {}).values()]
+    lines += [stats.summary_line() for stats in accounts.values()]
     if lines:
         print()
         for line in lines:
@@ -169,21 +181,20 @@ _RECORDED_COMMANDS = {
 
 
 def _annotate_efficiency() -> None:
-    """Fold session cache/dedupe effectiveness into the open ledger draft."""
-    cache_fields = {}
-    for cache in (run_cache(), estimate_cache()):
-        stats = cache.stats()
-        if stats.lookups:
-            cache_fields[stats.name] = {
+    """Fold the session's accounts into the open ledger draft."""
+    accounts = _efficiency_accounts()
+    fields: dict = {}
+    if "cache" in accounts:
+        fields["cache"] = {
+            name: {
                 "hits": stats.hits,
                 "misses": stats.misses,
                 "hit_rate": round(stats.hit_rate, 4),
             }
-    sweeps = sweep_stats()
-    fields: dict = {}
-    if cache_fields:
-        fields["cache"] = cache_fields
-    if sweeps.grids:
+            for name, stats in accounts["cache"].items()
+        }
+    if "sweeps" in accounts:
+        sweeps = accounts["sweeps"]
         fields["sweeps"] = {
             "grids": sweeps.grids,
             "submitted": sweeps.specs_submitted,
@@ -191,8 +202,8 @@ def _annotate_efficiency() -> None:
             "deduped": sweeps.specs_deduped,
             "dedupe_ratio": round(sweeps.dedupe_ratio, 4),
         }
-    surro = surrogate_stats()
-    if surro.predictions or surro.trainings:
+    if "surrogate" in accounts:
+        surro = accounts["surrogate"]
         fields["surrogate"] = {
             "predictions": surro.predictions,
             "hits": surro.hits,
@@ -516,7 +527,6 @@ def _cap_sweep_surrogate(
     )
     exact_energy_j = measured.result.total_energy_j() / n_nodes
     error = abs(energy_j - exact_energy_j) / exact_energy_j
-    obs.observe("repro_surrogate_winner_error", error)
     surrogate_stats().record_verification(error)
     print()
     print(
@@ -531,7 +541,6 @@ def _cap_sweep_surrogate(
         f"  [{len(predictions)} predictions in "
         f"{predict_s * 1e3:.1f} ms, 1 verification run]"
     )
-    stats = surrogate_stats()
     run_ledger.annotate_run(
         fingerprint=fingerprint(
             "cli.cap_sweep",
@@ -549,7 +558,6 @@ def _cap_sweep_surrogate(
             "caps_w": [round(cap, 1) for cap in caps],
             "winner_cap_w": round(winner, 1),
             "winner_verification_error": round(error, 4),
-            "surrogate_fallbacks": stats.fallbacks,
         },
     )
     _print_efficiency_summary()
@@ -732,7 +740,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     status = obs.status()
     if args.json_status:
         status = dict(status)
-        status["monitor"] = monitor_state()
         status["ledger"] = run_ledger.ledger_state()
         status["environment"] = environment()
         print(json.dumps(status, indent=2))
@@ -755,12 +762,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     if profile["path"]:
         print(f" -> {profile['path']}", end="")
     print()
-    mon = monitor_state()
-    print(
-        f"  monitor  : {mon['active_collectors']} active collector(s), "
-        f"{mon['collectors_started']} started, "
-        f"{mon['signals_emitted']} health signal(s) emitted this process"
-    )
     ledger_state = run_ledger.ledger_state()
     print(
         f"  ledger   : {'on' if ledger_state['enabled'] else 'off'} "
@@ -789,11 +790,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     for name, row in environment().items():
         value = row["value"] if row["value"] is not None else "(unset)"
         print(f"  {name:22s} = {value}  ({row['kind']})")
-    print("\ncaches")
-    for cache in (run_cache(), estimate_cache()):
-        print(f"  {cache.stats().summary_line()}")
-    print(f"  {sweep_stats().summary_line()}")
-    print(f"  {surrogate_stats().summary_line()}")
     print(
         "\nenable with `repro <cmd> --trace FILE --metrics FILE "
         "--profile FILE --log-level LEVEL` or the REPRO_* environment "

@@ -16,7 +16,7 @@ from repro.config import read
 from repro.analysis.stats import DistributionSummary, summarize
 from repro.hardware.node import GpuNode
 from repro.hardware.platform import Platform, get_platform
-from repro.runner.cache import RunCache, fingerprint
+from repro.runner.cache import RunCache, fingerprint, process_cache
 from repro.runner.engine import EngineConfig, PowerEngine
 from repro.runner.trace import PowerTrace, RunResult
 from repro.telemetry.downsample import downsample_trace
@@ -33,7 +33,9 @@ TELEMETRY_INTERVAL_S: float = 2.0
 #: (workload fingerprint, node count, cap, seed, engine config); see
 #: :mod:`repro.runner.cache`.  ``REPRO_CACHE=0`` bypasses it entirely;
 #: ``REPRO_CACHE_DIR`` adds an on-disk layer shared across processes.
-_RUN_CACHE = RunCache(maxsize=256, disk_dir=read("REPRO_CACHE_DIR"), name="run")
+_RUN_CACHE = process_cache(
+    __name__, RunCache(maxsize=256, disk_dir=read("REPRO_CACHE_DIR"), name="run")
+)
 
 
 def run_cache() -> RunCache:

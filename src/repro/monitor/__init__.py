@@ -25,12 +25,7 @@ from repro.monitor.alerts import (
     AlertRule,
     default_rules,
 )
-from repro.monitor.collector import (
-    FleetMonitor,
-    MonitorConfig,
-    monitor_state,
-    reset_monitor_state,
-)
+from repro.monitor.collector import FleetMonitor, MonitorConfig
 from repro.monitor.energy import EnergyLedger, JobEnergyAccount
 from repro.monitor.health import (
     SIGNAL_KINDS,
@@ -62,7 +57,5 @@ __all__ = [
     "NodeSummary",
     "StalenessDetector",
     "default_rules",
-    "monitor_state",
     "render_dashboard",
-    "reset_monitor_state",
 ]

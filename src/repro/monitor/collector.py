@@ -295,7 +295,6 @@ class FleetMonitor:
         self.samples_observed = 0
         self._horizon_s = 0.0
         self._finalized: MonitorReport | None = None
-        _register_collector(self)
 
     # ------------------------------------------------------------------
     # Signal routing
@@ -309,7 +308,6 @@ class FleetMonitor:
                 self.signal_counts.get(signal.kind, 0) + 1
             )
             obs.inc("repro_monitor_signals_total", kind=signal.kind)
-            _count_signal()
         self.alerts.process_all(signals)
 
     # ------------------------------------------------------------------
@@ -492,7 +490,6 @@ class FleetMonitor:
                 "repro_monitor_nodes_watched", float(len(self._last_times))
             )
             self._finalized = self._build_report(now)
-        _unregister_collector(self)
         return self._finalized
 
     def _build_report(self, now_s: float) -> MonitorReport:
@@ -521,38 +518,3 @@ class FleetMonitor:
             nodes=tuple(nodes),
         )
 
-
-# ----------------------------------------------------------------------
-# Module-level state (surfaced by `repro obs`)
-# ----------------------------------------------------------------------
-_ACTIVE: set[int] = set()
-_TOTALS = {"collectors_started": 0, "signals_emitted": 0}
-
-
-def _register_collector(monitor: FleetMonitor) -> None:
-    _ACTIVE.add(id(monitor))
-    _TOTALS["collectors_started"] += 1
-
-
-def _unregister_collector(monitor: FleetMonitor) -> None:
-    _ACTIVE.discard(id(monitor))
-
-
-def _count_signal() -> None:
-    _TOTALS["signals_emitted"] += 1
-
-
-def monitor_state() -> dict[str, object]:
-    """Process-wide monitor status for ``repro obs``."""
-    return {
-        "active_collectors": len(_ACTIVE),
-        "collectors_started": _TOTALS["collectors_started"],
-        "signals_emitted": _TOTALS["signals_emitted"],
-    }
-
-
-def reset_monitor_state() -> None:
-    """Forget process-wide totals (test isolation)."""
-    _ACTIVE.clear()
-    _TOTALS["collectors_started"] = 0
-    _TOTALS["signals_emitted"] = 0

@@ -13,6 +13,8 @@ has three parts:
   fresh tracer/registry and ship an ``ObsPartial`` back with their
   results, folded into the coordinator's state (sharded fleet runs and
   parallel sweeps stay fully observable);
+* :func:`register_stats` — cache, sweep and surrogate counts, kept once
+  in their stats objects and rendered as counters by every export;
 * :mod:`repro.obs.ledger` — durable JSON-lines run ledger
   (``.repro_runs/``, the ``repro runs`` CLI);
 * :mod:`repro.obs.heartbeat` — live progress telemetry for long fleet
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 import atexit
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -67,6 +69,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    register_stats,
 )
 from repro.obs.profile import export_profile, span_self_times
 from repro.obs.trace import NULL_SPAN, TraceEvent, Tracer
@@ -87,11 +90,11 @@ __all__ = [
     "get_logger",
     "inc",
     "instant",
-    "is_active",
     "metrics",
     "name_process",
     "name_thread",
     "observe",
+    "register_stats",
     "reset_logging",
     "span",
     "status",
@@ -108,12 +111,9 @@ class _ObsState:
     trace_path: Path | None = None
     metrics_path: Path | None = None
     profile_path: Path | None = None
-    #: Exports already performed by :func:`flush` (path -> kind).
-    flushed: dict[str, str] = field(default_factory=dict)
 
 
 _STATE = _ObsState()
-_ENV_CONFIGURED = False
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +158,6 @@ def disable() -> None:
     _STATE.trace_path = None
     _STATE.metrics_path = None
     _STATE.profile_path = None
-    _STATE.flushed = {}
 
 
 def configure_from_env() -> None:
@@ -176,11 +175,6 @@ def configure_from_env() -> None:
     )
     if read("REPRO_LOG") is not None:
         configure_logging()
-
-
-def is_active() -> bool:
-    """True when any observability layer (tracing or metrics) is on."""
-    return _STATE.tracer is not None or _STATE.registry is not None
 
 
 def tracing_active() -> bool:
@@ -278,7 +272,6 @@ def flush() -> dict[str, str]:
         else:
             _STATE.registry.export_prometheus(_STATE.metrics_path)
             written[str(_STATE.metrics_path)] = "prometheus"
-    _STATE.flushed.update(written)
     return written
 
 
@@ -323,8 +316,6 @@ def status() -> dict[str, Any]:
 
 # Honour the env vars for plain library use (harmless when unset), and
 # name any REPRO_* setting nothing reads (a typo or a removed variable).
-if not _ENV_CONFIGURED:
-    _ENV_CONFIGURED = True
-    for _name in unknown_names():
-        warnings.warn(f"{_name} is not a repro setting; ignoring it (see `repro obs`)")
-    configure_from_env()
+for _name in unknown_names():
+    warnings.warn(f"{_name} is not a repro setting; ignoring it (see `repro obs`)")
+configure_from_env()

@@ -325,13 +325,8 @@ def annotate_run(**fields: Any) -> None:
     outside a draft is what lets library layers (fleet, monitor) call
     this unconditionally without ever writing a ledger of their own.
     """
-    if _DRAFT is None:
-        return
-    for key, value in fields.items():
-        if isinstance(value, dict) and isinstance(_DRAFT.get(key), dict):
-            _deep_merge(_DRAFT[key], value)
-        else:
-            _DRAFT[key] = value
+    if _DRAFT is not None:
+        _deep_merge(_DRAFT, fields)
 
 
 def current_run_id() -> str | None:

@@ -1,24 +1,24 @@
 """Cross-process observability: capture in workers, fold at the coordinator.
 
 Sharded fleet rendering and parallel sweeps execute in worker processes,
-and a per-process tracer/registry dies with its worker — which made the
-100k-node path the *least* observable one.  This module closes that gap
-the same way the simulation itself crosses the pool boundary: with a
-compact, picklable partial.
+and a per-process tracer/registry dies with its worker.  Every worker
+task therefore runs under one capture and ships what it recorded home
+the way the simulation itself crosses the pool boundary: in a compact,
+picklable partial.
 
 * :func:`begin_worker_capture` swaps a **fresh, in-memory** tracer and
-  registry into the worker's global obs state (no export paths — a
-  worker must never write the coordinator's trace file), returning a
-  token holding the previous state.
+  registry (for the layers the coordinator has on) into the worker's
+  global obs state — no export paths, so a worker never writes the
+  coordinator's files — and snapshots the process accounts
+  (:func:`repro.obs.register_stats`).
 * :func:`finish_worker_capture` restores the previous state and returns
-  everything the worker recorded as an :class:`ObsPartial`: spans with
-  their origin pid/tid, process/thread labels, the tracer's
-  ``perf_counter`` epoch, and the full metrics state.
-* :func:`absorb_partial` folds a shipped partial into the coordinator's
-  live tracer/registry.  Span timestamps are rebased by the epoch delta
-  (``perf_counter`` is system-wide monotonic on Linux); counters merge
-  by addition, so the merged totals equal a serial run's **exactly** —
-  addition is commutative, and both modes execute the same increments.
+  an :class:`ObsPartial`: spans with their origin pid/tid and labels,
+  the tracer's ``perf_counter`` epoch, the metrics state and the counts
+  the accounts gained.
+* :func:`absorb_partial` folds it into the coordinator: spans are
+  rebased by the epoch delta (``perf_counter`` is system-wide monotonic
+  on Linux), metrics and account counts add — so merged totals equal a
+  serial run's **exactly**, since both modes count the same events.
 
 Like everything else in :mod:`repro.obs`, capture is observation-only:
 the rendered partials a worker ships are byte-identical with capture on
@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, merge_stats, stats_delta
 from repro.obs.trace import TraceEvent, Tracer
 
 
@@ -53,6 +53,8 @@ class ObsPartial:
     thread_names: dict[tuple[int, int], str] = field(default_factory=dict)
     #: ``MetricsRegistry.state()`` payload; None when metrics were off.
     metrics_state: dict | None = None
+    #: Counts the process accounts gained (shipped in every mode).
+    stats_delta: dict = field(default_factory=dict)
 
     @property
     def span_count(self) -> int:
@@ -60,16 +62,13 @@ class ObsPartial:
         return len(self.events)
 
 
-def capture_flags() -> tuple[bool, bool] | None:
-    """The (trace, metrics) layers the coordinator has on, or None.
+def capture_flags() -> tuple[bool, bool]:
+    """The (trace, metrics) layers the coordinator has on.
 
     Shipped inside worker task payloads so workers enable exactly the
-    layers the coordinator is collecting — and nothing when obs is off
-    (the no-capture path stays zero-overhead).  A coordinator profile
-    needs no flag of its own: it is built from the merged worker spans.
+    layers the coordinator is collecting.  A coordinator profile needs
+    no flag of its own: it is built from the merged worker spans.
     """
-    if not obs.is_active():
-        return None
     return obs.tracing_active(), obs.metrics() is not None
 
 
@@ -100,21 +99,23 @@ def begin_worker_capture(
     if metrics:
         fresh.registry = MetricsRegistry()
     obs._STATE = fresh
-    return previous
+    return previous, stats_delta()
 
 
 def finish_worker_capture(token) -> ObsPartial | None:
     """Restore the pre-capture obs state; return what was recorded.
 
-    Returns None when the capture collected nothing (both layers off).
-    Safe to call in a ``finally`` — restoration happens even if the
-    captured work raised.
+    Returns None when the capture collected nothing (both layers off and
+    no account changed).  Safe to call in a ``finally`` — restoration
+    happens even if the captured work raised.
     """
+    previous, stats_before = token
     captured = obs._STATE
-    obs._STATE = token
+    obs._STATE = previous
     tracer = captured.tracer
     registry = captured.registry
-    if tracer is None and registry is None:
+    delta = stats_delta(stats_before)
+    if tracer is None and registry is None and not delta:
         return None
     process_names: dict[int, str] = {}
     thread_names: dict[tuple[int, int], str] = {}
@@ -131,11 +132,12 @@ def finish_worker_capture(token) -> ObsPartial | None:
         process_names=process_names,
         thread_names=thread_names,
         metrics_state=registry.state() if registry is not None else None,
+        stats_delta=delta,
     )
 
 
 def absorb_partial(partial: ObsPartial | None) -> None:
-    """Fold one worker's capture into the coordinator's live obs state.
+    """Fold one worker's capture into the coordinator's accounts and state.
 
     No-op for None partials and for layers the coordinator no longer has
     on.  Deliberately records no bookkeeping metrics of its own — a
@@ -144,6 +146,7 @@ def absorb_partial(partial: ObsPartial | None) -> None:
     """
     if partial is None:
         return
+    merge_stats(partial.stats_delta)
     tracer = obs.tracer()
     if tracer is not None and (
         partial.events or partial.process_names or partial.thread_names

@@ -13,6 +13,7 @@ runs stay bit-identical to uninstrumented ones.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import threading
@@ -78,8 +79,14 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-class Counter:
-    """A monotonically increasing counter, optionally labelled."""
+class _LabelledMetric:
+    """Labelled float series: the body :class:`Counter` and :class:`Gauge` share.
+
+    Subclasses name their exposition ``kind`` and supply the update
+    (``inc`` / ``set``) and the cross-process merge rule.
+    """
+
+    kind = ""
 
     def __init__(self, name: str, help_text: str = "") -> None:
         self.name = name
@@ -87,29 +94,16 @@ class Counter:
         self._lock = threading.Lock()
         self._values: dict[_LabelKey, float] = {}
 
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        """Add ``amount`` (must be >= 0) to the labelled series."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease (got {amount})")
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
     def value(self, **labels: str) -> float:
-        """Current value of one labelled series (0 if never incremented)."""
+        """Current value of one labelled series (0 if never updated)."""
         return self._values.get(_label_key(labels), 0.0)
-
-    def total(self) -> float:
-        """Sum across all labelled series."""
-        with self._lock:
-            return sum(self._values.values())
 
     # -- export --------------------------------------------------------
     def expose(self) -> list[str]:
         lines = []
         if self.help_text:
             lines.append(f"# HELP {self.name} {_escape_help(self.help_text)}")
-        lines.append(f"# TYPE {self.name} counter")
+        lines.append(f"# TYPE {self.name} {self.kind}")
         with self._lock:
             series = sorted(self._values.items())
         if not series:
@@ -124,13 +118,32 @@ class Counter:
                 _format_labels(key) or "": value
                 for key, value in sorted(self._values.items())
             }
-        return {"type": "counter", "help": self.help_text, "values": series}
+        return {"type": self.kind, "help": self.help_text, "values": series}
 
     # -- cross-process merge --------------------------------------------
     def state(self) -> dict[str, Any]:
         """Picklable per-series state (for :mod:`repro.obs.merge`)."""
         with self._lock:
             return {"values": dict(self._values)}
+
+
+class Counter(_LabelledMetric):
+    """A monotonically increasing counter, optionally labelled."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: str) -> None:
+        """Add ``amount`` (must be >= 0) to the labelled series."""
+        if amount < 0:
+            raise ValueError(f"counter {self.name} cannot decrease (got {amount})")
+        key = _label_key(labels)
+        with self._lock:
+            self._values[key] = self._values.get(key, 0.0) + amount
+
+    def total(self) -> float:
+        """Sum across all labelled series."""
+        with self._lock:
+            return sum(self._values.values())
 
     def merge_state(self, state: dict[str, Any]) -> None:
         """Fold another counter's :meth:`state` in (values add).
@@ -143,56 +156,15 @@ class Counter:
                 self._values[key] = self._values.get(key, 0.0) + value
 
 
-class Gauge:
+class Gauge(_LabelledMetric):
     """A point-in-time value that can move both ways."""
 
-    def __init__(self, name: str, help_text: str = "") -> None:
-        self.name = name
-        self.help_text = help_text
-        self._lock = threading.Lock()
-        self._values: dict[_LabelKey, float] = {}
+    kind = "gauge"
 
     def set(self, value: float, **labels: str) -> None:
         """Set the labelled series to ``value``."""
         with self._lock:
             self._values[_label_key(labels)] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        """Add ``amount`` (may be negative) to the labelled series."""
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: str) -> float:
-        """Current value of one labelled series (0 if never set)."""
-        return self._values.get(_label_key(labels), 0.0)
-
-    def expose(self) -> list[str]:
-        lines = []
-        if self.help_text:
-            lines.append(f"# HELP {self.name} {_escape_help(self.help_text)}")
-        lines.append(f"# TYPE {self.name} gauge")
-        with self._lock:
-            series = sorted(self._values.items())
-        if not series:
-            series = [((), 0.0)]
-        for key, value in series:
-            lines.append(f"{self.name}{_format_labels(key)} {_format_value(value)}")
-        return lines
-
-    def snapshot(self) -> dict[str, Any]:
-        with self._lock:
-            series = {
-                _format_labels(key) or "": value
-                for key, value in sorted(self._values.items())
-            }
-        return {"type": "gauge", "help": self.help_text, "values": series}
-
-    # -- cross-process merge --------------------------------------------
-    def state(self) -> dict[str, Any]:
-        """Picklable per-series state (for :mod:`repro.obs.merge`)."""
-        with self._lock:
-            return {"values": dict(self._values)}
 
     def merge_state(self, state: dict[str, Any]) -> None:
         """Fold another gauge's :meth:`state` in (last writer wins).
@@ -211,6 +183,8 @@ class Histogram:
     Tracks per-bucket counts plus ``_sum`` and ``_count``; buckets are
     upper bounds with an implicit ``+Inf`` bucket.
     """
+
+    kind = "histogram"
 
     def __init__(
         self,
@@ -255,7 +229,7 @@ class Histogram:
         lines = []
         if self.help_text:
             lines.append(f"# HELP {self.name} {_escape_help(self.help_text)}")
-        lines.append(f"# TYPE {self.name} histogram")
+        lines.append(f"# TYPE {self.name} {self.kind}")
         with self._lock:
             counts = list(self._counts)
             total = self._total
@@ -272,7 +246,7 @@ class Histogram:
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
             return {
-                "type": "histogram",
+                "type": self.kind,
                 "help": self.help_text,
                 "buckets": {
                     _format_value(bound): count
@@ -314,34 +288,76 @@ class Histogram:
             self._total += state["count"]
 
 
+_STATS_SOURCES: dict[str, Any] = {}
+
+
+def register_stats(key: str, source: Any) -> None:
+    """Register a process account: counts kept once, in a stats object.
+
+    ``source.state()`` gives the counts by name, ``merge_state(counts)``
+    adds a worker's delta and ``counters(counts)`` lists the ``(name,
+    labels, value)`` series they render as.  ``key`` is ``"<module>:<name>"``
+    of the registering module, imported when a worker's delta names it.
+    """
+    _STATS_SOURCES[key] = source
+
+
+def stats_delta(before: dict | None = None) -> dict[str, dict[str, int]]:
+    """Counts the accounts gained since ``before`` (an earlier result;
+    None: every count so far), changed accounts only.  A count below its
+    baseline was reset since, so all of it is new."""
+    delta = {}
+    for key, account in _STATS_SOURCES.items():
+        base = (before or {}).get(key, {})
+        diff = {
+            name: value - base.get(name, 0) if value >= base.get(name, 0) else value
+            for name, value in account.state().items()
+        }
+        if any(diff.values()):
+            delta[key] = diff
+    return delta
+
+
+def merge_stats(delta: dict[str, dict[str, int]]) -> None:
+    """Add a :func:`stats_delta` (shipped by a worker) to the accounts."""
+    for key, counts in sorted(delta.items()):
+        if key not in _STATS_SOURCES:
+            importlib.import_module(key.partition(":")[0])
+        _STATS_SOURCES[key].merge_state(counts)
+
+
 class MetricsRegistry:
-    """Get-or-create registry of named metrics with both exporters."""
+    """Get-or-create registry of named metrics with both exporters.
+
+    Exports and lookups also render the process accounts' counts since
+    the registry was created; :meth:`state` leaves them out, as workers
+    ship those counts as a stats delta (shipping both would double them).
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._stats_base = stats_delta()
 
-    def _get_or_create(self, name: str, factory, kind: type) -> Any:
+    def _get_or_create(self, kind: type, name: str, *args: Any) -> Any:
         with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if not isinstance(existing, kind):
-                    raise TypeError(
-                        f"metric {name!r} already registered as "
-                        f"{type(existing).__name__}, not {kind.__name__}"
-                    )
-                return existing
-            metric = factory()
-            self._metrics[name] = metric
+            metric = self._metrics.get(name)
+            if metric is None:
+                metric = self._metrics[name] = kind(name, *args)
+            elif not isinstance(metric, kind):
+                raise TypeError(
+                    f"metric {name!r} already registered as "
+                    f"{type(metric).__name__}, not {kind.__name__}"
+                )
             return metric
 
     def counter(self, name: str, help_text: str = "") -> Counter:
         """Get or create the named counter."""
-        return self._get_or_create(name, lambda: Counter(name, help_text), Counter)
+        return self._get_or_create(Counter, name, help_text)
 
     def gauge(self, name: str, help_text: str = "") -> Gauge:
         """Get or create the named gauge."""
-        return self._get_or_create(name, lambda: Gauge(name, help_text), Gauge)
+        return self._get_or_create(Gauge, name, help_text)
 
     def histogram(
         self,
@@ -350,57 +366,54 @@ class MetricsRegistry:
         buckets: Iterable[float] = DEFAULT_BUCKETS_S,
     ) -> Histogram:
         """Get or create the named histogram."""
-        return self._get_or_create(
-            name, lambda: Histogram(name, help_text, buckets), Histogram
-        )
+        return self._get_or_create(Histogram, name, help_text, buckets)
+
+    def _all(self) -> dict[str, Counter | Gauge | Histogram]:
+        """Registered metrics plus the accounts' counters, sorted by name."""
+        metrics: dict[str, Counter | Gauge | Histogram] = {}
+        for key, counts in stats_delta(self._stats_base).items():
+            for name, labels, value in _STATS_SOURCES[key].counters(counts):
+                if value:
+                    metrics.setdefault(name, Counter(name)).inc(value, **labels)
+        with self._lock:
+            metrics.update(self._metrics)
+        return dict(sorted(metrics.items()))
 
     # -- inspection ----------------------------------------------------
     def names(self) -> list[str]:
-        """Registered metric names, sorted."""
-        with self._lock:
-            return sorted(self._metrics)
+        """Metric names, sorted."""
+        return list(self._all())
 
     def get(self, name: str) -> Counter | Gauge | Histogram | None:
         """The named metric, or None."""
-        with self._lock:
-            return self._metrics.get(name)
+        return self._all().get(name)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._metrics)
+        return len(self._all())
 
     # -- export --------------------------------------------------------
     def to_prometheus(self) -> str:
         """The registry in Prometheus text exposition format."""
         lines: list[str] = []
-        with self._lock:
-            metrics = [self._metrics[name] for name in sorted(self._metrics)]
-        for metric in metrics:
+        for metric in self._all().values():
             lines.extend(metric.expose())
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_json(self) -> dict[str, Any]:
         """Snapshot of every metric as plain JSON-ready data."""
-        with self._lock:
-            metrics = [(name, self._metrics[name]) for name in sorted(self._metrics)]
-        return {name: metric.snapshot() for name, metric in metrics}
+        return {name: metric.snapshot() for name, metric in self._all().items()}
 
     # -- cross-process merge --------------------------------------------
     def state(self) -> dict[str, Any]:
-        """Picklable snapshot of every metric's mergeable state.
+        """Picklable snapshot of every registered metric's mergeable state.
 
         The payload :class:`repro.obs.merge.ObsPartial` ships across the
         process-pool boundary; :meth:`merge_state` folds it back in.
         """
         with self._lock:
             metrics = list(self._metrics.items())
-        kinds = {Counter: "counter", Gauge: "gauge", Histogram: "histogram"}
         return {
-            name: {
-                "kind": kinds[type(metric)],
-                "help": metric.help_text,
-                "state": metric.state(),
-            }
+            name: {"kind": metric.kind, "help": metric.help_text, "state": metric.state()}
             for name, metric in metrics
         }
 
@@ -413,15 +426,11 @@ class MetricsRegistry:
         accumulates in one process.
         """
         for name, entry in sorted(state.items()):
-            kind = entry["kind"]
-            if kind == "counter":
-                metric = self.counter(name, entry["help"])
-            elif kind == "gauge":
-                metric = self.gauge(name, entry["help"])
-            elif kind == "histogram":
-                metric = self.histogram(
-                    name, entry["help"], buckets=entry["state"]["bounds"]
-                )
+            kind, help_text = entry["kind"], entry["help"]
+            if kind == "histogram":
+                metric = self.histogram(name, help_text, entry["state"]["bounds"])
+            elif kind in ("counter", "gauge"):
+                metric = getattr(self, kind)(name, help_text)
             else:
                 raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
             metric.merge_state(entry["state"])

@@ -256,9 +256,4 @@ def build_corpus(
         )
         for sample in samples
     ]
-    obs.gauge_set(
-        "repro_surrogate_corpus_size",
-        len(filled),
-        help_text="Samples in the last surrogate training corpus",
-    )
     return filled

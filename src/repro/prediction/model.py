@@ -35,6 +35,7 @@ from repro.prediction.features import (
     feature_vector,
     surrogate_feature_vector,
 )
+from repro.runner.cache import Account
 from repro.vasp.workload import VaspWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -136,13 +137,15 @@ class PowerPredictor:
 
 
 @dataclass
-class SurrogateStats:
+class SurrogateStats(Account):
     """Process-wide surrogate usage totals (cheap plain counters).
 
     Mirrors :class:`repro.runner.sweep.SweepStats`: always on, a few
-    integer adds per prediction, feeding CLI footers and the run ledger
-    even when :mod:`repro.obs` metrics are disabled.
+    integer adds per prediction, read by CLI footers, the run ledger and
+    metrics.  ``last_verification_error`` is a reading, not a count.
     """
+
+    COUNTS = ("predictions", "hits", "fallbacks", "trainings", "verifications")
 
     predictions: int = 0
     hits: int = 0
@@ -169,6 +172,11 @@ class SurrogateStats:
         """
         self.verifications += 1
         self.last_verification_error = error
+        obs.observe(
+            "repro_surrogate_winner_error",
+            error,
+            help_text="Surrogate-vs-exact relative error on search winners",
+        )
 
     def summary_line(self) -> str:
         """One-line human summary (for CLI footers)."""
@@ -183,8 +191,18 @@ class SurrogateStats:
             )
         return line
 
+    @staticmethod
+    def counters(state: dict[str, int]) -> list[tuple]:
+        """The ``repro_surrogate_*_total`` series one :meth:`state` renders as."""
+        return [
+            ("repro_surrogate_hits_total", {}, state["hits"]),
+            ("repro_surrogate_fallbacks_total", {}, state["fallbacks"]),
+            ("repro_surrogate_trainings_total", {}, state["trainings"]),
+        ]
+
 
 _STATS = SurrogateStats()
+obs.register_stats(f"{__name__}:surrogate", _STATS)
 
 
 def surrogate_stats() -> SurrogateStats:
@@ -194,11 +212,7 @@ def surrogate_stats() -> SurrogateStats:
 
 def reset_surrogate_stats() -> None:
     """Zero the process-wide surrogate totals (tests, CLI scoping)."""
-    _STATS.predictions = 0
-    _STATS.hits = 0
-    _STATS.fallbacks = 0
-    _STATS.trainings = 0
-    _STATS.verifications = 0
+    _STATS.reset()
     _STATS.last_verification_error = None
 
 
@@ -323,10 +337,8 @@ class TwoStageSurrogate:
         _STATS.predictions += 1
         if prediction.in_envelope:
             _STATS.hits += 1
-            obs.inc("repro_surrogate_hits_total")
         else:
             _STATS.fallbacks += 1
-            obs.inc("repro_surrogate_fallbacks_total")
         obs.observe(
             "repro_surrogate_predict_seconds",
             time.perf_counter() - start,
@@ -423,7 +435,6 @@ def fit_surrogate(
             regressors.append(global_regressor)
 
     _STATS.trainings += 1
-    obs.inc("repro_surrogate_trainings_total")
     obs.gauge_set(
         "repro_surrogate_corpus_size",
         len(samples),

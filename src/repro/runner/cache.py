@@ -39,6 +39,31 @@ logger = logging.getLogger(__name__)
 T = TypeVar("T")
 
 
+class Account:
+    """A process account: plain integer counts, the only copy of each.
+
+    A subclass names its counts in ``COUNTS`` and renders a :meth:`state`
+    as ``(name, labels, value)`` counter series in ``counters(state)``
+    (see :func:`repro.obs.register_stats`).
+    """
+
+    COUNTS: tuple[str, ...] = ()
+
+    def state(self) -> dict[str, int]:
+        """The counts, by name."""
+        return {name: getattr(self, name) for name in self.COUNTS}
+
+    def merge_state(self, state: dict[str, int]) -> None:
+        """Add another process's counts (a worker's delta)."""
+        for name, count in state.items():
+            setattr(self, name, getattr(self, name) + count)
+
+    def reset(self) -> None:
+        """Zero every count."""
+        for name in self.COUNTS:
+            setattr(self, name, 0)
+
+
 @dataclasses.dataclass(frozen=True)
 class CacheStats:
     """Point-in-time effectiveness snapshot of one :class:`RunCache`."""
@@ -48,6 +73,8 @@ class CacheStats:
     misses: int
     disk_hits: int
     evictions: int
+    #: Unreadable disk entries (torn writes), each also counted a miss.
+    disk_errors: int
     size: int
     maxsize: int
     disk_dir: str | None
@@ -141,7 +168,7 @@ def atomic_write_pickle(path: str | Path, value: Any) -> None:
     atomic_write_bytes(path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-class RunCache:
+class RunCache(Account):
     """Two-layer (LRU memory + optional disk) content-keyed result cache.
 
     Parameters
@@ -162,6 +189,8 @@ class RunCache:
     :class:`~repro.runner.trace.RunResult` after the fact).
     """
 
+    COUNTS = ("hits", "misses", "disk_hits", "evictions", "disk_errors")
+
     def __init__(
         self,
         maxsize: int = 256,
@@ -174,10 +203,7 @@ class RunCache:
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.name = name
         self._memory: OrderedDict[str, Any] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.evictions = 0
+        self.reset()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -192,7 +218,6 @@ class RunCache:
         if key in self._memory:
             self._memory.move_to_end(key)
             self.hits += 1
-            obs.inc("repro_cache_hits_total", cache=self.name, layer="memory")
             return self._memory[key]
         if self.disk_dir is not None:
             path = self._disk_path(key)
@@ -209,17 +234,14 @@ class RunCache:
                         type(exc).__name__,
                         exc,
                     )
-                    obs.inc("repro_cache_disk_errors_total", cache=self.name)
+                    self.disk_errors += 1
                     self.misses += 1
-                    obs.inc("repro_cache_misses_total", cache=self.name)
                     return None
                 self._remember(key, value)
                 self.hits += 1
                 self.disk_hits += 1
-                obs.inc("repro_cache_hits_total", cache=self.name, layer="disk")
                 return value
         self.misses += 1
-        obs.inc("repro_cache_misses_total", cache=self.name)
         return None
 
     def put(self, key: str, value: Any) -> None:
@@ -235,7 +257,6 @@ class RunCache:
         while len(self._memory) > self.maxsize:
             self._memory.popitem(last=False)
             self.evictions += 1
-            obs.inc("repro_cache_evictions_total", cache=self.name)
 
     def stats(self) -> CacheStats:
         """Effectiveness snapshot: hits, misses, disk hits, evictions, size."""
@@ -245,10 +266,24 @@ class RunCache:
             misses=self.misses,
             disk_hits=self.disk_hits,
             evictions=self.evictions,
+            disk_errors=self.disk_errors,
             size=len(self._memory),
             maxsize=self.maxsize,
             disk_dir=str(self.disk_dir) if self.disk_dir is not None else None,
         )
+
+    def counters(self, state: dict[str, int]) -> list[tuple]:
+        """The ``repro_cache_*`` series one :meth:`state` renders as."""
+        cache = {"cache": self.name}
+        disk_hits = state["disk_hits"]
+        memory_hits = state["hits"] - disk_hits
+        return [
+            ("repro_cache_hits_total", {**cache, "layer": "memory"}, memory_hits),
+            ("repro_cache_hits_total", {**cache, "layer": "disk"}, disk_hits),
+            ("repro_cache_misses_total", cache, state["misses"]),
+            ("repro_cache_disk_errors_total", cache, state["disk_errors"]),
+            ("repro_cache_evictions_total", cache, state["evictions"]),
+        ]
 
     def get_or_compute(self, key: str, compute: Callable[[], T]) -> T:
         """Return the cached value for a key, computing and storing on miss."""
@@ -262,10 +297,7 @@ class RunCache:
     def clear(self, disk: bool = False) -> None:
         """Drop the memory layer (and, optionally, the disk layer)."""
         self._memory.clear()
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.evictions = 0
+        self.reset()
         if disk and self.disk_dir is not None and self.disk_dir.is_dir():
             for path in self.disk_dir.glob("*.pkl"):
                 try:
@@ -274,3 +306,21 @@ class RunCache:
                     logger.warning(
                         "%s cache: could not remove %s (%s)", self.name, path, exc
                     )
+
+
+_PROCESS_CACHES: dict[str, RunCache] = {}
+
+
+def process_cache(module: str, cache: RunCache) -> RunCache:
+    """Register ``cache``, owned by ``module``, as a process account.
+
+    :func:`process_caches` lists it for the CLI footer and run ledger.
+    """
+    _PROCESS_CACHES[cache.name] = cache
+    obs.register_stats(f"{module}:{cache.name}", cache)
+    return cache
+
+
+def process_caches() -> list[RunCache]:
+    """This process's registered caches, by name."""
+    return [_PROCESS_CACHES[name] for name in sorted(_PROCESS_CACHES)]

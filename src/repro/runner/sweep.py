@@ -21,12 +21,12 @@ execution.  Seeds are part of the spec, engine inputs are rebuilt from
 the spec inside the worker, and nothing about worker identity enters the
 computation.
 
-Observability composes with the pool: when tracing/metrics are active,
-each worker wraps its specs in a fresh per-process capture
-(:mod:`repro.obs.merge`) and ships the recorded spans and metric state
-back with the result — the coordinator's merged trace shows every
-``sweep.spec`` span under its worker's pid row, and merged counters
-equal a serial run's exactly.
+Observability composes with the pool: each worker wraps its specs in a
+fresh per-process capture (:mod:`repro.obs.merge`) and ships back with
+the result its account deltas (cache, sweep and surrogate counts) plus
+the spans and metric state of the layers the coordinator collects — the
+merged trace shows every ``sweep.spec`` span under its worker's pid
+row, and merged counts equal a serial run's exactly.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Any, Callable, Sequence, TypeVar
 from repro import obs
 from repro.config import read
 from repro.obs import merge as obs_merge
-from repro.runner.cache import fingerprint
+from repro.runner.cache import Account, fingerprint
 from repro.runner.engine import EngineConfig
 from repro.vasp.workload import VaspWorkload
 
@@ -56,14 +56,14 @@ ResultT = TypeVar("ResultT")
 
 
 @dataclass
-class SweepStats:
+class SweepStats(Account):
     """Process-wide sweep effectiveness totals (cheap plain counters).
 
-    Always maintained — unlike the :mod:`repro.obs` metrics these cost a
-    few integer adds per *grid*, so they stay on even with observability
-    disabled.  They feed the CLI's end-of-run dedupe summary and the
-    bench trajectory fields in ``BENCH_BASELINE.json``.
+    Always maintained — a few integer adds per *grid* — they feed the
+    CLI footer, the run ledger, metrics and the bench trajectory fields.
     """
+
+    COUNTS = ("grids", "specs_submitted", "specs_executed")
 
     grids: int = 0
     specs_submitted: int = 0
@@ -89,8 +89,19 @@ class SweepStats:
             f"({self.specs_deduped} deduped, {self.dedupe_ratio:.0%})"
         )
 
+    @staticmethod
+    def counters(state: dict[str, int]) -> list[tuple]:
+        """The ``repro_sweep_specs_*`` series one :meth:`state` renders as."""
+        submitted, executed = state["specs_submitted"], state["specs_executed"]
+        return [
+            ("repro_sweep_specs_submitted_total", {}, submitted),
+            ("repro_sweep_specs_executed_total", {}, executed),
+            ("repro_sweep_specs_deduped_total", {}, submitted - executed),
+        ]
+
 
 _STATS = SweepStats()
+obs.register_stats(f"{__name__}:sweeps", _STATS)
 
 
 def sweep_stats() -> SweepStats:
@@ -100,9 +111,7 @@ def sweep_stats() -> SweepStats:
 
 def reset_sweep_stats() -> None:
     """Zero the process-wide sweep totals (tests, CLI session scoping)."""
-    _STATS.grids = 0
-    _STATS.specs_submitted = 0
-    _STATS.specs_executed = 0
+    _STATS.reset()
 
 
 @dataclass(frozen=True)
@@ -176,16 +185,28 @@ def execute_spec(spec: Any) -> Any:
     return spec.execute()
 
 
+def _run_spec(fn: Callable[[SpecT], ResultT], task: SpecT, index: int) -> ResultT:
+    """One grid point, in-process or in a worker: span plus latency metric."""
+    start = time.perf_counter()
+    with obs.span("sweep.spec", index=index, spec=type(task).__name__):
+        result = fn(task)
+    obs.observe(
+        "repro_sweep_spec_seconds",
+        time.perf_counter() - start,
+        help_text="Per-spec sweep execution latency",
+    )
+    return result
+
+
 def _call_captured(payload: tuple) -> tuple:
     """Worker-side: run one spec under a fresh observability capture.
 
-    Mirrors :meth:`SweepExecutor._run_serial` exactly — same
-    ``sweep.spec`` span, same latency histogram — so the merged
-    coordinator state is indistinguishable from an in-process run.
-    Returns ``(result, ObsPartial | None)``.
+    The spec runs through :func:`_run_spec`, exactly as in-process, and
+    the capture ships the spans and metrics of the layers the coordinator
+    collects plus the worker's account deltas (cache, nested sweep and
+    surrogate counts).  Returns ``(result, ObsPartial | None)``.
     """
-    fn, task, index, capture = payload
-    trace_on, metrics_on = capture
+    fn, task, index, (trace_on, metrics_on) = payload
     token = obs_merge.begin_worker_capture(
         trace_on,
         metrics_on,
@@ -193,14 +214,7 @@ def _call_captured(payload: tuple) -> tuple:
         thread_label="sweep",
     )
     try:
-        start = time.perf_counter()
-        with obs.span("sweep.spec", index=index, spec=type(task).__name__):
-            result = fn(task)
-        obs.observe(
-            "repro_sweep_spec_seconds",
-            time.perf_counter() - start,
-            help_text="Per-spec sweep execution latency",
-        )
+        result = _run_spec(fn, task, index)
     finally:
         partial = obs_merge.finish_worker_capture(token)
     return result, partial
@@ -291,9 +305,6 @@ class SweepExecutor:
         _STATS.grids += 1
         _STATS.specs_submitted += len(specs)
         _STATS.specs_executed += len(unique)
-        obs.inc("repro_sweep_specs_submitted_total", len(specs))
-        obs.inc("repro_sweep_specs_deduped_total", len(specs) - len(unique))
-        obs.inc("repro_sweep_specs_executed_total", len(unique))
         obs.gauge_set("repro_sweep_workers", workers)
         logger.debug(
             "sweep grid: %d specs, %d unique after dedupe, %d worker(s)",
@@ -312,62 +323,41 @@ class SweepExecutor:
         self.last_executed = len(unique)
         return [results[order[key]] for key in keys]
 
-    def _run_serial(
-        self, fn: Callable[[SpecT], ResultT], tasks: list[SpecT]
-    ) -> list[ResultT]:
-        """In-process execution with per-spec spans and latency metrics."""
-        results: list[ResultT] = []
-        for index, task in enumerate(tasks):
-            start = time.perf_counter()
-            with obs.span("sweep.spec", index=index, spec=type(task).__name__):
-                results.append(fn(task))
-            obs.observe(
-                "repro_sweep_spec_seconds",
-                time.perf_counter() - start,
-                help_text="Per-spec sweep execution latency",
-            )
-        return results
-
     def _execute(
         self, fn: Callable[[SpecT], ResultT], tasks: list[SpecT], workers: int
     ) -> list[ResultT]:
-        if workers <= 1 or len(tasks) <= 1:
-            if obs.is_active():
-                return self._run_serial(fn, tasks)
-            return [fn(task) for task in tasks]
+        if workers > 1 and len(tasks) > 1:
+            try:
+                return self._execute_pooled(fn, tasks, workers)
+            except (OSError, PermissionError, ImportError) as exc:
+                # Pools need fork/spawn and pipes; restricted hosts fall
+                # back to serial execution (identical results, by
+                # construction).
+                logger.warning(
+                    "process pool unavailable (%s: %s); falling back to serial "
+                    "execution of %d specs",
+                    type(exc).__name__,
+                    exc,
+                    len(tasks),
+                )
+        return [_run_spec(fn, task, index) for index, task in enumerate(tasks)]
+
+    @staticmethod
+    def _execute_pooled(
+        fn: Callable[[SpecT], ResultT], tasks: list[SpecT], workers: int
+    ) -> list[ResultT]:
+        """Run every spec in a worker capture, folding each partial home."""
         capture = obs_merge.capture_flags()
+        payloads = [(fn, task, index, capture) for index, task in enumerate(tasks)]
         chunksize = max(len(tasks) // (workers * 4), 1)
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                if capture is None:
-                    return list(pool.map(fn, tasks, chunksize=chunksize))
-                # Observability on: wrap each spec in a worker-side
-                # capture and fold the shipped spans/metrics into the
-                # coordinator's live state as results stream back.
-                payloads = [
-                    (fn, task, index, capture)
-                    for index, task in enumerate(tasks)
-                ]
-                results: list[ResultT] = []
-                for result, partial in pool.map(
-                    _call_captured, payloads, chunksize=chunksize
-                ):
-                    obs_merge.absorb_partial(partial)
-                    results.append(result)
-                return results
-        except (OSError, PermissionError, ImportError) as exc:
-            # Pools need fork/spawn and pipes; restricted hosts fall back
-            # to serial execution (identical results, by construction).
-            logger.warning(
-                "process pool unavailable (%s: %s); falling back to serial "
-                "execution of %d specs",
-                type(exc).__name__,
-                exc,
-                len(tasks),
-            )
-            if obs.is_active():
-                return self._run_serial(fn, tasks)
-            return [fn(task) for task in tasks]
+        results: list[ResultT] = []
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for result, partial in pool.map(
+                _call_captured, payloads, chunksize=chunksize
+            ):
+                obs_merge.absorb_partial(partial)
+                results.append(result)
+        return results
 
 
 def run_sweep(

@@ -1,18 +1,15 @@
-"""Shared fixtures: test-local observability and monitor state."""
+"""Shared fixtures: test-local observability state."""
 
 import pytest
 
 from repro import obs
-from repro.monitor import reset_monitor_state
 
 
 @pytest.fixture(autouse=True)
 def clean_obs_state():
-    """Every test starts and ends with obs off and monitor totals reset."""
+    """Every test starts and ends with obs off."""
     obs.disable()
     obs.reset_logging()
-    reset_monitor_state()
     yield
     obs.disable()
     obs.reset_logging()
-    reset_monitor_state()

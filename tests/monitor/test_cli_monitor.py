@@ -78,13 +78,7 @@ class TestObsStatus:
     def test_obs_status_reports_monitor_state(self, capsys):
         assert main(["obs"]) == 0
         out = capsys.readouterr().out
-        assert "monitor" in out
-        assert "REPRO_MONITOR" in out
-
-    def test_obs_json_includes_monitor_counters(self, capsys):
-        assert main(["obs", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "monitor" in payload
-        assert set(payload["monitor"]) >= {
-            "active_collectors", "collectors_started", "signals_emitted"
-        }
+        # The monitor's process-wide settings; a fresh `repro obs`
+        # process has no live collectors to count.
+        assert "REPRO_MONITOR " in out
+        assert "REPRO_MONITOR_LOG" in out

@@ -13,7 +13,6 @@ from repro.experiments.common import run_workload
 from repro.monitor import (
     FleetMonitor,
     MonitorConfig,
-    monitor_state,
     render_dashboard,
 )
 from repro.runner.engine import EngineConfig
@@ -235,16 +234,6 @@ class TestConfig:
         assert not read("REPRO_MONITOR")
         monkeypatch.setenv("REPRO_MONITOR", "1")
         assert read("REPRO_MONITOR")
-
-    def test_monitor_state_tracks_collectors(self):
-        state = monitor_state()
-        assert state["active_collectors"] == 0
-        monitor = FleetMonitor()
-        state = monitor_state()
-        assert state["active_collectors"] == 1
-        assert state["collectors_started"] == 1
-        monitor.finalize()
-        assert monitor_state()["active_collectors"] == 0
 
 
 class TestRunningMomentsExtensions:

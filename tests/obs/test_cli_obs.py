@@ -163,6 +163,16 @@ class TestEfficiencyFooter:
         assert "[sweeps:" in out
         assert "deduped" in out
 
+    def test_reproduce_fig12_pooled_prints_sweep_summary(self, capsys, monkeypatch):
+        # Pooled, the estimates run in workers, whose cache counts ship
+        # home: the footer still carries the estimate-cache line.
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "2")
+        assert main(["reproduce", "fig12"]) == 0
+        out = capsys.readouterr().out
+        assert "[estimate cache:" in out
+        assert "[sweeps:" in out
+        assert "deduped" in out
+
     def test_reproduce_prints_summary(self, capsys):
         assert main(["reproduce", "table1"]) == 0
         out = capsys.readouterr().out

@@ -116,7 +116,7 @@ class TestTracerAbsorb:
 
 class TestWorkerCapture:
     def test_capture_flags_reflect_active_layers(self):
-        assert capture_flags() is None
+        assert capture_flags() == (False, False)
         obs.enable(trace=True)
         assert capture_flags() == (True, False)
         obs.enable(metrics=True)

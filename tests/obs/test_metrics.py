@@ -77,11 +77,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_and_inc(self):
+    def test_set_moves_both_ways(self):
         g = Gauge("workers")
         g.set(4.0)
         assert g.value() == 4.0
-        g.inc(-1.0)  # gauges may decrease
+        g.set(3.0)  # gauges may decrease
         assert g.value() == 3.0
 
     def test_labelled_gauge(self):
