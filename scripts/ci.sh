@@ -95,6 +95,11 @@ filter_summaries "$SMOKE_DIR/serial-monitor.out" "$SMOKE_DIR/serial-monitor.txt"
 filter_summaries "$SMOKE_DIR/sharded.out" "$SMOKE_DIR/sharded.txt"
 diff "$SMOKE_DIR/serial-monitor.txt" "$SMOKE_DIR/sharded.txt" \
     || { echo "sharded fleet output diverged from serial"; exit 1; }
+# An untapped run renders node rows only, a monitored one every row: the
+# fleet report above the monitor dashboards must not tell them apart.
+sed '/^fleet monitor: /,$d' "$SMOKE_DIR/serial-monitor.txt" > "$SMOKE_DIR/serial-monitor-report.txt"
+diff "$SMOKE_DIR/serial.txt" "$SMOKE_DIR/serial-monitor-report.txt" \
+    || { echo "monitored fleet report diverged from unmonitored"; exit 1; }
 
 echo "== heartbeat smoke (sharded run's per-policy heartbeats, read by repro top) =="
 python -m repro "${FLEET_ARGS[@]}" --workers 2 --heartbeat "$SMOKE_DIR/hb.json" > /dev/null

@@ -83,7 +83,7 @@ class MilcParams:
         return x * y * z * t
 
 
-@dataclass
+@dataclass(frozen=True)
 class MilcWorkload:
     """A MILC campaign expressed as engine-consumable macro-phases."""
 

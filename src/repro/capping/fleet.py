@@ -45,11 +45,10 @@ from repro.hardware.system import (
     SystemPowerAccumulator,
     SystemPowerStats,
 )
-from repro.runner.cache import fingerprint
+from repro.runner.cache import content_key
 from repro.runner.engine import EngineConfig
 from repro.runner.sweep import SweepExecutor
 from repro.vasp.benchmarks import BENCHMARKS
-from repro.workloads.registry import workload_model_id
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.monitor.collector import FleetMonitor
@@ -398,10 +397,9 @@ def simulate_fleet_traced(
     #: (analytic end time, job id) release queue for pool bookkeeping.
     release_queue: list[tuple[float, str]] = []
     #: Uncapped runtime per (workload, width) for the monitor's slowdown
-    #: accounting.  cached_estimate_run is itself memoized, but its key
-    #: canonicalizes the whole workload (~1 ms/call) — at one call per
-    #: job start that alone would cost the monitor its overhead budget.
-    nominal_cache: dict[str, float] = {}
+    #: accounting, memoized here too so that ``REPRO_CACHE=0`` does not
+    #: re-estimate on every job start.
+    nominal_cache: dict[tuple[str, int], float] = {}
 
     # ---- plan: replay allocations, binding each job to node *names* ----
     # No nodes are built here; the per-job renderer touches exactly the
@@ -427,9 +425,7 @@ def simulate_fleet_traced(
         workload = workloads[record.job_id]
         nominal_s = None
         if monitor is not None:
-            phase_key = fingerprint(
-                "fleet_phases", workload_model_id(workload), workload, record.n_nodes
-            )
+            phase_key = (content_key(workload), record.n_nodes)
             nominal_s = nominal_cache.get(phase_key)
             if nominal_s is None:
                 nominal_s = nominal_cache[phase_key] = cached_estimate_run(

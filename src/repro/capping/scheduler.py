@@ -27,9 +27,8 @@ from repro.hardware.gpu import GpuModel
 from repro.hardware.platform import Platform, get_platform
 from repro.hardware.variability import ManufacturingVariation
 from repro.perfmodel.power import demand_power_w, duty_cycle_power_w
-from repro.runner.cache import RunCache, fingerprint, process_cache
+from repro.runner.cache import RunCache, content_key, process_cache
 from repro.vasp.parallel import layout_for
-from repro.workloads.registry import workload_model_id
 from repro.vasp.workload import VaspWorkload
 from repro.capping.policy import CapPolicy
 
@@ -60,16 +59,16 @@ class RunEstimate:
         return self.runtime_s * self.mean_node_power_w
 
 
-#: The process's phase lists, keyed by content (workload model, workload,
-#: width).  Building one is ~25 ms of SCF modelling, and admission
-#: estimates and fleet renders of one (workload, width) share it —
-#: across caps, policies, runs and, in a worker process, batches.
+#: The process's phase lists, keyed by (workload content key, width).
+#: Building one is ~25 ms of SCF modelling, and admission estimates and
+#: fleet renders of one (workload, width) share it — across caps,
+#: policies, runs and, in a worker process, batches.
 _PHASE_STORE = process_cache(__name__, RunCache(name="phases"))
 
 
 def cached_phases(workload, n_nodes: int) -> list:
     """``workload.phases`` at ``n_nodes``, built once per process."""
-    key = fingerprint("fleet_phases", workload_model_id(workload), workload, n_nodes)
+    key = (content_key(workload), n_nodes)
     return _PHASE_STORE.get_or_compute(
         key, lambda: workload.phases(layout_for(workload, n_nodes))
     )
@@ -148,16 +147,14 @@ def cached_estimate_run(
     """Content-keyed memoization of :func:`estimate_run`.
 
     The estimator is deterministic (nominal GPU, no sampling), so the
-    result is fully identified by the workload fingerprint, node count,
-    cap and platform id — estimates for different platforms never
+    result is fully identified by the workload's content key, node
+    count, cap and platform id — estimates for different platforms never
     collide.  ``REPRO_CACHE=0`` bypasses the cache.
     """
     if not read("REPRO_CACHE"):
         return estimate_run(workload, n_nodes, cap_w, platform)
     plat = get_platform(platform)
-    key = fingerprint(
-        "estimate_run", workload_model_id(workload), workload, n_nodes, cap_w, plat.id
-    )
+    key = (content_key(workload), n_nodes, cap_w, plat.id)
     return _ESTIMATE_CACHE.get_or_compute(
         key, lambda: estimate_run(workload, n_nodes, cap_w, plat)
     )
@@ -280,7 +277,7 @@ class PowerAwareScheduler:
         surrogate = self.config.surrogate
         if surrogate is not None:
             if read("REPRO_SURROGATE"):
-                key = (fingerprint(workload), n_nodes, cap_w)
+                key = (content_key(workload), n_nodes, cap_w)
                 if key not in self._admission_memo:
                     prediction = surrogate.predict(workload, n_nodes, cap_w, plat.id)
                     # Out-of-envelope memoizes as None so the fallback

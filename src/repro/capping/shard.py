@@ -53,6 +53,7 @@ from repro.hardware.system import (
 )
 from repro.runner.cache import atomic_write_pickle, fingerprint
 from repro.runner.engine import EngineConfig, PowerEngine
+from repro.runner.trace import COMPONENT_KEYS
 from repro.vasp.workload import VaspWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -202,6 +203,7 @@ def render_task_job(
                 task.monitor_config, zip(job.node_names, specs)
             ),
         )
+    # The fold reads node rows only; a probe's dashboards read every row.
     streamed = engine.stream(
         phases,
         label=job.job_id,
@@ -210,6 +212,7 @@ def render_task_job(
         on_chunk=(
             probe.tap(engine.config.base_interval_s) if probe is not None else None
         ),
+        components=COMPONENT_KEYS if probe is not None else ("node",),
     )
     power = JobPowerPartial(start_s=job.start_s, bin_s=task.bin_s)
     moment_rows: list[tuple] = []

@@ -28,7 +28,7 @@ import os
 import pickle
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Hashable, TypeVar
 
 import numpy as np
 
@@ -143,6 +143,36 @@ def fingerprint(*parts: Any) -> str:
     return digest.hexdigest()
 
 
+#: Instance-``__dict__`` slot of a frozen dataclass's memoized content key.
+_CONTENT_KEY = "_content_key"
+
+
+def content_key(obj: Any) -> str:
+    """The fingerprint of a workload and its model id, walked once.
+
+    A frozen dataclass cannot change after construction, so its key is
+    memoized in the instance ``__dict__`` — not a dataclass field, so it
+    never enters ``_canonical``, ``__eq__`` or ``repr``, and
+    ``dataclasses.replace`` builds a fresh, unkeyed instance.  Anything
+    else is fingerprinted on every call, so a mutable ad-hoc workload
+    keys by its current content.
+    """
+    memo = getattr(obj, "__dict__", None)
+    if memo is not None and _CONTENT_KEY in memo:
+        return memo[_CONTENT_KEY]
+    # Imported here: the workload registry's package imports the runner.
+    from repro.workloads.registry import workload_model_id
+
+    key = fingerprint(workload_model_id(obj), obj)
+    if (
+        memo is not None
+        and dataclasses.is_dataclass(obj)
+        and type(obj).__dataclass_params__.frozen
+    ):
+        memo[_CONTENT_KEY] = key
+    return key
+
+
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Write a file atomically: temp sibling + ``os.replace``.
 
@@ -177,7 +207,9 @@ class RunCache(Account):
         In-memory LRU capacity (entries).
     disk_dir:
         Directory for the pickle layer; None keeps the cache memory-only.
-        The directory is created lazily on first write.
+        The directory is created lazily on first write.  Keys of a disk
+        cache are ``str`` file stems; a memory-only cache takes any
+        hashable key.
     name:
         Label for :meth:`stats` lines and the ``cache`` metric label
         (e.g. ``"run"`` vs ``"estimate"``).
@@ -202,7 +234,7 @@ class RunCache(Account):
         self.maxsize = maxsize
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.name = name
-        self._memory: OrderedDict[str, Any] = OrderedDict()
+        self._memory: OrderedDict[Hashable, Any] = OrderedDict()
         self.reset()
 
     # ------------------------------------------------------------------
@@ -213,7 +245,7 @@ class RunCache(Account):
         assert self.disk_dir is not None
         return self.disk_dir / f"{key}.pkl"
 
-    def get(self, key: str) -> Any | None:
+    def get(self, key: Hashable) -> Any | None:
         """Look up a key in memory, then on disk.  None on miss."""
         if key in self._memory:
             self._memory.move_to_end(key)
@@ -244,14 +276,14 @@ class RunCache(Account):
         self.misses += 1
         return None
 
-    def put(self, key: str, value: Any) -> None:
+    def put(self, key: Hashable, value: Any) -> None:
         """Store a value under a key in both layers."""
         self._remember(key, value)
         if self.disk_dir is not None:
             self.disk_dir.mkdir(parents=True, exist_ok=True)
             atomic_write_pickle(self._disk_path(key), value)
 
-    def _remember(self, key: str, value: Any) -> None:
+    def _remember(self, key: Hashable, value: Any) -> None:
         self._memory[key] = value
         self._memory.move_to_end(key)
         while len(self._memory) > self.maxsize:
@@ -285,7 +317,7 @@ class RunCache(Account):
             ("repro_cache_evictions_total", cache, state["evictions"]),
         ]
 
-    def get_or_compute(self, key: str, compute: Callable[[], T]) -> T:
+    def get_or_compute(self, key: Hashable, compute: Callable[[], T]) -> T:
         """Return the cached value for a key, computing and storing on miss."""
         cached = self.get(key)
         if cached is not None:

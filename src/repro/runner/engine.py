@@ -50,6 +50,7 @@ _GPU_ROWS = [COMPONENT_KEYS.index(key) for key in GPU_KEYS]
 _CPU_ROW = COMPONENT_KEYS.index("cpu")
 _MEMORY_ROW = COMPONENT_KEYS.index("memory")
 _NODE_ROW = COMPONENT_KEYS.index("node")
+_ALL_ROWS = frozenset(range(len(COMPONENT_KEYS)))
 
 
 @dataclass(frozen=True)
@@ -108,10 +109,10 @@ class StreamedRun:
     """A resolved schedule whose render arrives as a chunk stream.
 
     ``chunks`` is a single-pass iterator over :class:`TraceChunk` records
-    in (node, component, time) order — every component of
-    :data:`~repro.runner.trace.COMPONENT_KEYS` is rendered (the RNG
-    stream must advance identically to the whole-schedule render), so
-    consumers filter for the components they aggregate.
+    in (node, component, time) order, for the components the stream was
+    asked to render.  An unread component only advances the RNG exactly
+    as its render would, so every rendered series is bit-identical to
+    the whole-schedule render whichever components are read.
 
     ``phases`` is built on first access: fleet consumers read only
     ``runtime_s``, and building hundreds of records per job costs more
@@ -408,7 +409,7 @@ class PowerEngine:
                     )
         else:
             for node_index, row, start, values in self._iter_component_chunks(
-                means, rng, n_samples, counts, chunk_samples
+                means, rng, n_samples, counts, chunk_samples, _ALL_ROWS
             ):
                 blocks[node_index].data[row, start : start + len(values)] = values
         return [PowerTrace.from_block(block) for block in blocks]
@@ -420,25 +421,34 @@ class PowerEngine:
         n_samples: int,
         counts: np.ndarray,
         chunk_samples: int,
+        rows: frozenset[int],
     ) -> Iterator[tuple[int, int, int, np.ndarray]]:
         """Yield ``(node_index, row, start, values)`` fixed-size chunks.
 
-        ``row`` indexes :data:`COMPONENT_KEYS` (and ``means[node_index]``).
+        ``row`` indexes :data:`COMPONENT_KEYS` (and ``means[node_index]``);
+        only the rows in ``rows`` are rendered.
 
         Bit-identical to the whole-schedule render: chunks are emitted in
         the same (node, component, time) order the whole render consumes
         the RNG stream in, and the AR(1) filter state is carried across
         chunk boundaries via ``lfilter``'s ``zi``/``zf`` so a chunked
-        series equals its unchunked counterpart sample for sample.  Peak
-        working memory is O(chunk), not O(schedule).
+        series equals its unchunked counterpart sample for sample.  A row
+        outside ``rows`` only advances the RNG by the normals its render
+        would draw (none when noise is off) — a series' draws consume the
+        stream the same in one piece or many — and gets no filter, clip
+        or chunk.  Peak working memory is O(chunk), not O(schedule).
         """
         if chunk_samples < 1:
             raise ValueError(f"chunk_samples must be >= 1, got {chunk_samples}")
         cfg = self.config
         edges = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-        dt = cfg.base_interval_s
         for node_index in range(len(self.nodes)):
             for row in range(len(COMPONENT_KEYS)):
+                if row not in rows:
+                    if cfg.noise_rel_sigma != 0.0:
+                        for start in range(0, n_samples, chunk_samples):
+                            rng.standard_normal(min(chunk_samples, n_samples - start))
+                    continue
                 levels = means[node_index, row]
                 zi = np.zeros(1)
                 for start in range(0, n_samples, chunk_samples):
@@ -551,6 +561,7 @@ class PowerEngine:
             "Callable[[TraceChunk], None]"
             " | Sequence[Callable[[TraceChunk], None]] | None"
         ) = None,
+        components: Sequence[str] = COMPONENT_KEYS,
     ) -> "StreamedRun":
         """Resolve a schedule and stream its render in fixed-size chunks.
 
@@ -562,16 +573,26 @@ class PowerEngine:
         chunks, which is what lets fleet-scale consumers aggregate
         thousands of node traces in bounded memory.
 
+        ``components`` names the rows the consumer reads (default: all
+        of :data:`COMPONENT_KEYS`).  Only they are rendered; every other
+        row only advances the RNG, which keeps the rendered rows
+        bit-identical to a full render.
+
         ``on_chunk`` is an observer tap — one callable or a sequence of
         callables (shard workers stack a monitor probe on top of their
-        partial builder): each sees every chunk (all components, not
-        just the ones the consumer keeps) before the consumer does, in
-        the given order.  Taps must not mutate chunk arrays — the render
-        is oblivious to them, which is what keeps monitored runs
-        bit-identical to unmonitored ones.
+        partial builder): each sees every rendered chunk before the
+        consumer does, in the given order.  Taps must not mutate chunk
+        arrays — the render is oblivious to them, which is what keeps
+        monitored runs bit-identical to unmonitored ones.
         """
         if not phases:
             raise ValueError("cannot run an empty phase list")
+        unknown = sorted(set(components) - set(COMPONENT_KEYS))
+        if unknown:
+            raise ValueError(
+                f"unknown components {unknown}; known: {', '.join(COMPONENT_KEYS)}"
+            )
+        rows = frozenset(COMPONENT_KEYS.index(key) for key in components)
         if on_chunk is None:
             taps: tuple = ()
         elif callable(on_chunk):
@@ -589,7 +610,7 @@ class PowerEngine:
 
         def generate() -> Iterator[TraceChunk]:
             for node_index, row, start, values in self._iter_component_chunks(
-                means, rng, n_samples, counts, chunk_samples
+                means, rng, n_samples, counts, chunk_samples, rows
             ):
                 stop = start + len(values)
                 chunk = TraceChunk(

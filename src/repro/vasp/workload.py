@@ -22,7 +22,7 @@ from repro.vasp.scf import CostModel, DEFAULT_COSTS, WorkloadSpec, build_phases
 __all__ = ["MacroPhase", "VaspWorkload"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class VaspWorkload:
     """One VASP calculation: inputs plus derived computational parameters.
 

@@ -71,7 +71,7 @@ class CloudscParams:
         return self.columns * self.levels
 
 
-@dataclass
+@dataclass(frozen=True)
 class CloudscWorkload:
     """A CLOUDSC campaign expressed as engine-consumable macro-phases."""
 

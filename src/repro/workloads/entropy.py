@@ -52,7 +52,7 @@ class EntropyParams:
 HIGH_ENTROPY_THRESHOLD = 0.6
 
 
-@dataclass
+@dataclass(frozen=True)
 class EntropyWorkload:
     """An entropy-parameterized kernel campaign as macro-phases."""
 

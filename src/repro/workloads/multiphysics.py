@@ -69,7 +69,7 @@ class MultiPhysicsParams:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiPhysicsWorkload:
     """A multi-physics campaign expressed as engine-consumable phases."""
 

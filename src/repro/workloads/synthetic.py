@@ -22,7 +22,7 @@ from repro.vasp.parallel import CommunicationModel, ParallelConfig
 from repro.vasp.phases import MacroPhase
 
 
-@dataclass
+@dataclass(frozen=True)
 class GemmStreamWorkload:
     """Alternating DGEMM/STREAM acceptance segments as one workload."""
 
@@ -80,7 +80,7 @@ _DRAINED = GpuKernelProfile(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutageWorkload:
     """A node-failure drain: occupies nodes at idle for the outage."""
 

@@ -39,20 +39,29 @@ def run_fleet(monitor=None, **overrides):
     )
 
 
+def assert_monitored_run_is_bit_identical(chunk_samples=None):
+    """A tapped run renders every row, an untapped one node rows only."""
+    plain = run_fleet(chunk_samples=chunk_samples)
+    monitor = FleetMonitor(SENSITIVE)
+    watched = run_fleet(monitor=monitor, chunk_samples=chunk_samples)
+    assert watched.system == plain.system
+    assert watched.node_power_mean_w == plain.node_power_mean_w
+    assert watched.node_power_std_w == plain.node_power_std_w
+    assert watched.node_power_peak_w == plain.node_power_peak_w
+    assert watched.chunks_streamed == plain.chunks_streamed
+    # ... while the monitor actually observed the run:
+    report = monitor.finalize()
+    assert report.chunks_observed > 0
+    assert report.samples_observed > 0
+
+
 class TestBitIdentity:
     def test_monitored_run_is_bit_identical(self):
-        plain = run_fleet()
-        monitor = FleetMonitor(SENSITIVE)
-        watched = run_fleet(monitor=monitor)
-        assert watched.system == plain.system
-        assert watched.node_power_mean_w == plain.node_power_mean_w
-        assert watched.node_power_std_w == plain.node_power_std_w
-        assert watched.node_power_peak_w == plain.node_power_peak_w
-        assert watched.chunks_streamed == plain.chunks_streamed
-        # ... while the monitor actually observed the run:
-        report = monitor.finalize()
-        assert report.chunks_observed > 0
-        assert report.samples_observed > 0
+        assert_monitored_run_is_bit_identical()
+
+    def test_monitored_run_is_bit_identical_at_small_chunks(self):
+        """Chunk edges inside phases, on both render paths."""
+        assert_monitored_run_is_bit_identical(chunk_samples=17)
 
 
 class TestHealthCoverage:

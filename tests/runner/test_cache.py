@@ -1,5 +1,8 @@
 """Unit tests for content-keyed run caching."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,12 @@ from repro.runner.cache import (
     RunCache,
     atomic_write_bytes,
     atomic_write_pickle,
+    content_key,
     fingerprint,
 )
 from repro.runner.engine import EngineConfig
 from repro.vasp.benchmarks import benchmark
+from repro.workloads import get_workload_model, workload_model_ids
 
 
 class TestFingerprint:
@@ -50,6 +55,94 @@ class TestFingerprint:
     def test_containers(self):
         assert fingerprint({"b": 2, "a": 1}) == fingerprint({"a": 1, "b": 2})
         assert fingerprint([1, 2]) != fingerprint((1, 2))
+
+
+def registry_workloads():
+    """One default-variant instance of every registered workload model."""
+    workloads = []
+    for model_id in workload_model_ids():
+        model = get_workload_model(model_id)
+        workloads.append(model.builder(model.default_variant))
+    return workloads
+
+
+@dataclasses.dataclass
+class AdHocWorkload:
+    """A mutable workload type outside the registry."""
+
+    name: str = "adhoc"
+    duration_s: float = 10.0
+
+
+class TestContentKey:
+    @pytest.mark.parametrize(
+        "workload", registry_workloads(), ids=lambda w: type(w).__name__
+    )
+    def test_registry_workloads_are_frozen(self, workload):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            workload.name = "renamed"
+
+    def test_key_is_model_id_and_content(self):
+        workload = benchmark("PdO2").build()
+        assert content_key(workload) == fingerprint("vasp", workload)
+
+    def test_walked_once_per_instance(self, monkeypatch):
+        from repro.runner import cache
+
+        workload = benchmark("PdO2").build()
+        walks = []
+        real_canonical = cache._canonical
+
+        def canonical(obj):
+            if obj is workload:
+                walks.append(obj)
+            return real_canonical(obj)
+
+        monkeypatch.setattr(cache, "_canonical", canonical)
+        keys = {content_key(workload) for _ in range(5)}
+        assert len(keys) == 1
+        assert len(walks) == 1
+
+    def test_memo_is_not_content(self):
+        workload = benchmark("PdO2").build()
+        before = repr(workload)
+        content_key(workload)
+        assert repr(workload) == before
+        assert "_content_key" not in {f.name for f in dataclasses.fields(workload)}
+        assert fingerprint(workload) == fingerprint(benchmark("PdO2").build())
+
+    def test_replace_gives_a_new_key(self):
+        workload = benchmark("PdO2").build()
+        key = content_key(workload)
+        renamed = dataclasses.replace(workload, name="PdO2-renamed")
+        assert content_key(renamed) != key
+        assert content_key(dataclasses.replace(renamed, name=workload.name)) == key
+
+    def test_equal_content_shares_a_key_and_a_cache_entry(self):
+        a = benchmark("PdO2").build()
+        b = benchmark("PdO2").build()
+        assert a is not b
+        assert content_key(a) == content_key(b)
+        store = RunCache(name="phases")
+        store.get_or_compute((content_key(a), 2), lambda: "built")
+        store.get_or_compute((content_key(b), 2), lambda: "rebuilt")
+        assert (store.hits, store.misses) == (1, 1)
+
+    @pytest.mark.parametrize("keyed_first", [False, True])
+    def test_pickled_round_trip_keys_the_same(self, keyed_first):
+        workload = benchmark("PdO4").build()
+        key = content_key(workload) if keyed_first else fingerprint("vasp", workload)
+        shipped = pickle.loads(pickle.dumps(workload))
+        assert shipped is not workload
+        assert content_key(shipped) == key
+
+    def test_mutable_ad_hoc_workload_rekeys_after_mutation(self):
+        workload = AdHocWorkload()
+        key = content_key(workload)
+        workload.duration_s = 20.0
+        assert content_key(workload) != key
+        assert content_key(workload) == content_key(AdHocWorkload(duration_s=20.0))
+        assert "_content_key" not in vars(workload)
 
 
 class TestRunCache:

@@ -132,3 +132,75 @@ class TestStream:
         node_chunks = [c for c in streamed.chunks if c.component == "node"]
         values = np.concatenate([c.values for c in node_chunks])
         assert np.ptp(values) == pytest.approx(0.0)
+
+
+def series_by_row(chunks):
+    """``{(node_index, component): (start_index, values) list}`` of a stream."""
+    rows = {}
+    for chunk in chunks:
+        rows.setdefault((chunk.node_index, chunk.component), []).append(
+            (chunk.start_index, chunk.values)
+        )
+    return rows
+
+
+def three_node_engine(noise_rel_sigma):
+    return PowerEngine(
+        [GpuNode("nid006010"), GpuNode("nid006011"), GpuNode("nid006012")],
+        EngineConfig(noise_rel_sigma=noise_rel_sigma),
+    )
+
+
+class TestRowSelection:
+    """A stream of a component subset renders those rows bit for bit."""
+
+    @pytest.mark.parametrize("noise_rel_sigma", [0.03, 0.0])
+    @pytest.mark.parametrize("chunk", [1, 17, None])
+    @pytest.mark.parametrize("components", [("node",), ("cpu", "node")])
+    def test_subset_matches_full_stream(self, chunk, noise_rel_sigma, components):
+        engine = three_node_engine(noise_rel_sigma)
+        full = engine.stream(SCHEDULE, seed=4, chunk_samples=chunk)
+        full_rows = series_by_row(full.chunks)
+        subset = engine.stream(
+            SCHEDULE, seed=4, chunk_samples=chunk, components=components
+        )
+        subset_rows = series_by_row(subset.chunks)
+
+        assert set(subset_rows) == {
+            (i, key) for i in range(3) for key in components
+        }
+        for key, pieces in subset_rows.items():
+            assert [start for start, _ in pieces] == [
+                start for start, _ in full_rows[key]
+            ]
+            for (_, got), (_, want) in zip(pieces, full_rows[key]):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("noise_rel_sigma", [0.03, 0.0])
+    @pytest.mark.parametrize("chunk", [1, 17, None])
+    def test_rng_position_after_stream(self, chunk, noise_rel_sigma, monkeypatch):
+        """An exhausted subset stream leaves the RNG where a full one does."""
+        engine = three_node_engine(noise_rel_sigma)
+        generators = []
+        real_default_rng = np.random.default_rng
+
+        def recording_rng(seed):
+            rng = real_default_rng(seed)
+            generators.append(rng)
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        draws = []
+        for components in (COMPONENT_KEYS, ("node",), ("cpu", "node")):
+            streamed = engine.stream(
+                SCHEDULE, seed=4, chunk_samples=chunk, components=components
+            )
+            for _ in streamed.chunks:
+                pass
+            draws.append(generators[-1].standard_normal(8))
+        for draw in draws[1:]:
+            np.testing.assert_array_equal(draw, draws[0])
+
+    def test_unknown_component_rejected(self, engine):
+        with pytest.raises(ValueError, match="unknown components"):
+            engine.stream(SCHEDULE, components=("node", "gpu9"))
