@@ -36,6 +36,17 @@ done
 echo "== tier-1 tests =="
 python -m pytest -x -q --durations=10
 
+echo "== import gate (importing the CLI loads no scipy module) =="
+# The engine loads scipy's compiled AR(1) filter itself, on its first
+# noisy render; importing the CLI must not import any of scipy.
+IMPORTS="$(python -X importtime -c "import repro.cli" 2>&1 >/dev/null)"
+grep -qE '\| +repro\.cli$' <<< "$IMPORTS" \
+    || { echo "no -X importtime line for repro.cli"; exit 1; }
+if grep -E '\| +scipy(\.|$)' <<< "$IMPORTS"; then
+    echo "import repro.cli imports scipy (lines above)"; exit 1
+fi
+echo "import gate ok: no scipy module among $(wc -l <<< "$IMPORTS") imports"
+
 echo "== monitor smoke run (dashboard + energy report) =="
 python -m repro monitor --jobs 6 --nodes 8 --seed 3 --resolution 1.0
 
@@ -95,8 +106,9 @@ filter_summaries "$SMOKE_DIR/serial-monitor.out" "$SMOKE_DIR/serial-monitor.txt"
 filter_summaries "$SMOKE_DIR/sharded.out" "$SMOKE_DIR/sharded.txt"
 diff "$SMOKE_DIR/serial-monitor.txt" "$SMOKE_DIR/sharded.txt" \
     || { echo "sharded fleet output diverged from serial"; exit 1; }
-# An untapped run renders node rows only, a monitored one every row: the
-# fleet report above the monitor dashboards must not tell them apart.
+# An untapped run renders node rows only, a monitored one the node and
+# GPU rows: the fleet report above the monitor dashboards must not tell
+# them apart.
 sed '/^fleet monitor: /,$d' "$SMOKE_DIR/serial-monitor.txt" > "$SMOKE_DIR/serial-monitor-report.txt"
 diff "$SMOKE_DIR/serial.txt" "$SMOKE_DIR/serial-monitor-report.txt" \
     || { echo "monitored fleet report diverged from unmonitored"; exit 1; }

@@ -29,7 +29,7 @@ from repro.hardware.platform import Platform, get_platform
 from repro.hardware.variability import ManufacturingVariation
 from repro.perfmodel.dvfs import capped_phase_slowdown, sustained_power_w
 from repro.perfmodel.power import demand_power_w, duty_cycle_power_w
-from repro.vasp.parallel import layout_for
+from repro.runner.cache import cached_phases
 from repro.vasp.workload import VaspWorkload
 
 #: Discrete clock fractions a static-DVFS operator can pin (the A100
@@ -62,14 +62,13 @@ def _phase_table(
     platform: "str | Platform | None" = None,
 ):
     """(duration, demand, compute_fraction, duty) per GPU-active phase."""
-    parallel = layout_for(workload, n_nodes)
     gpu = GpuModel(
         serial="CTL",
         spec=get_platform(platform).gpu,
         variation=ManufacturingVariation.nominal(),
     )
     rows = []
-    for phase in workload.phases(parallel):
+    for phase in cached_phases(workload, n_nodes):
         profile = phase.gpu_profile
         demand = (
             demand_power_w(profile, gpu.envelope) if profile.duty_cycle > 0 else 0.0

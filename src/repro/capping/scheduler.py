@@ -27,8 +27,7 @@ from repro.hardware.gpu import GpuModel
 from repro.hardware.platform import Platform, get_platform
 from repro.hardware.variability import ManufacturingVariation
 from repro.perfmodel.power import demand_power_w, duty_cycle_power_w
-from repro.runner.cache import RunCache, content_key, process_cache
-from repro.vasp.parallel import layout_for
+from repro.runner.cache import RunCache, cached_phases, content_key, process_cache
 from repro.vasp.workload import VaspWorkload
 from repro.capping.policy import CapPolicy
 
@@ -57,21 +56,6 @@ class RunEstimate:
     def energy_per_node_j(self) -> float:
         """Mean energy one node spends over the run."""
         return self.runtime_s * self.mean_node_power_w
-
-
-#: The process's phase lists, keyed by (workload content key, width).
-#: Building one is ~25 ms of SCF modelling, and admission estimates and
-#: fleet renders of one (workload, width) share it — across caps,
-#: policies, runs and, in a worker process, batches.
-_PHASE_STORE = process_cache(__name__, RunCache(name="phases"))
-
-
-def cached_phases(workload, n_nodes: int) -> list:
-    """``workload.phases`` at ``n_nodes``, built once per process."""
-    key = (content_key(workload), n_nodes)
-    return _PHASE_STORE.get_or_compute(
-        key, lambda: workload.phases(layout_for(workload, n_nodes))
-    )
 
 
 def estimate_run(

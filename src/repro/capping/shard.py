@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro import obs
 from repro.config import read
 from repro.obs import merge as obs_merge
-from repro.capping.scheduler import cached_phases
 from repro.hardware.node import GpuNode
 from repro.hardware.platform import NodeSpec
 from repro.hardware.system import (
@@ -51,9 +50,8 @@ from repro.hardware.system import (
     RunningMoments,
     SystemPowerAccumulator,
 )
-from repro.runner.cache import atomic_write_pickle, fingerprint
+from repro.runner.cache import atomic_write_pickle, cached_phases, fingerprint
 from repro.runner.engine import EngineConfig, PowerEngine
-from repro.runner.trace import COMPONENT_KEYS
 from repro.vasp.workload import VaspWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -174,7 +172,7 @@ def render_task_job(
     per-process memo in workers); a node's only per-job state, its GPU
     cap, is set here before every render.  Phase lists come from the
     process's content-keyed phase store
-    (:func:`repro.capping.scheduler.cached_phases`).  Monitored runs
+    (:func:`repro.runner.cache.cached_phases`).  Monitored runs
     (``task.monitor_config``) observe the stream through a
     :class:`repro.monitor.collector.JobProbe` whose partial rides home
     on the job partial.
@@ -203,7 +201,7 @@ def render_task_job(
                 task.monitor_config, zip(job.node_names, specs)
             ),
         )
-    # The fold reads node rows only; a probe's dashboards read every row.
+    # The fold reads node rows only; a probe also reads the GPU rows.
     streamed = engine.stream(
         phases,
         label=job.job_id,
@@ -212,7 +210,7 @@ def render_task_job(
         on_chunk=(
             probe.tap(engine.config.base_interval_s) if probe is not None else None
         ),
-        components=COMPONENT_KEYS if probe is not None else ("node",),
+        components=probe.COMPONENTS if probe is not None else ("node",),
     )
     power = JobPowerPartial(start_s=job.start_s, bin_s=task.bin_s)
     moment_rows: list[tuple] = []

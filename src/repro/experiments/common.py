@@ -16,11 +16,10 @@ from repro.config import read
 from repro.analysis.stats import DistributionSummary, summarize
 from repro.hardware.node import GpuNode
 from repro.hardware.platform import Platform, get_platform
-from repro.runner.cache import RunCache, fingerprint, process_cache
+from repro.runner.cache import RunCache, cached_phases, fingerprint, process_cache
 from repro.runner.engine import EngineConfig, PowerEngine
 from repro.runner.trace import PowerTrace, RunResult
 from repro.telemetry.downsample import downsample_trace
-from repro.vasp.parallel import layout_for
 from repro.workloads.registry import workload_model_id
 from repro.vasp.workload import VaspWorkload
 
@@ -168,8 +167,9 @@ def _execute_run(
             else:
                 node.set_gpu_power_limit(gpu_cap_w)
         engine = PowerEngine(nodes, engine_config)
-        parallel = layout_for(workload, n_nodes)
-        result = engine.run(workload.phases(parallel), label=workload.name, seed=seed)
+        result = engine.run(
+            cached_phases(workload, n_nodes), label=workload.name, seed=seed
+        )
         with obs.span("experiments.downsample", traces=len(result.traces)):
             telemetry = [
                 downsample_trace(t, TELEMETRY_INTERVAL_S) for t in result.traces

@@ -146,6 +146,10 @@ class JobProbe:
     :func:`node_idle_bands`); nodes without one use the platform band.
     """
 
+    #: The rows a probe reads, in the order retained traces replay them;
+    #: chunks of any other component are ignored, so renders skip them.
+    COMPONENTS: tuple[str, ...] = ("node",) + GPU_KEYS
+
     def __init__(
         self,
         config: MonitorConfig,
@@ -187,11 +191,9 @@ class JobProbe:
         interval_s: float,
     ) -> None:
         """Fold one streamed chunk into the job partial."""
+        if component not in self.COMPONENTS or values.size == 0:
+            return
         is_gpu = component in _GPU_COMPONENTS
-        if component != "node" and not is_gpu:
-            return
-        if values.size == 0:
-            return
         partial = self.partial
         absolute = partial.start_s + np.asarray(times, dtype=float)
         partial.chunks_observed += 1
@@ -402,7 +404,7 @@ class FleetMonitor:
     ) -> None:
         """Post-hoc monitoring of a completed run's retained traces.
 
-        Replays the node and GPU rows of every trace through a
+        Replays the rows a probe reads of every trace through a
         :class:`JobProbe` — the observer fleet streams use — and absorbs
         its partial; what ``cap-sweep --monitor`` uses, since sweeps
         retain whole traces.
@@ -422,7 +424,7 @@ class FleetMonitor:
             for trace in result.traces:
                 dt = trace.sample_interval_s
                 times = trace.times
-                for component in ("node",) + GPU_KEYS:
+                for component in JobProbe.COMPONENTS:
                     series = trace.components[component]
                     for lo in range(0, len(times), chunk_samples):
                         hi = min(lo + chunk_samples, len(times))

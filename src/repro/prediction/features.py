@@ -27,6 +27,7 @@ import math
 import numpy as np
 
 from repro.hardware.platform import Platform, get_platform
+from repro.runner.cache import cached_phases
 from repro.vasp.methods import Functional
 from repro.vasp.parallel import layout_for
 from repro.vasp.workload import VaspWorkload
@@ -67,7 +68,7 @@ def _phase_statistics(workload, n_nodes: int) -> dict[str, float]:
     the power drivers — how busy the GPU is, how compute- vs
     bandwidth-bound the kernel time is, and how much wall time exists.
     """
-    phases = workload.phases(layout_for(workload, n_nodes))
+    phases = cached_phases(workload, n_nodes)
     total = sum(p.duration_s for p in phases)
     busy = sum(p.duration_s * p.gpu_profile.duty_cycle for p in phases)
     weight = busy if busy > 0 else 1.0

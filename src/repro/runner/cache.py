@@ -33,6 +33,7 @@ from typing import Any, Callable, Hashable, TypeVar
 import numpy as np
 
 from repro import obs
+from repro.vasp.parallel import layout_for
 
 logger = logging.getLogger(__name__)
 
@@ -356,3 +357,20 @@ def process_cache(module: str, cache: RunCache) -> RunCache:
 def process_caches() -> list[RunCache]:
     """This process's registered caches, by name."""
     return [_PROCESS_CACHES[name] for name in sorted(_PROCESS_CACHES)]
+
+
+#: The process's phase lists, keyed by (workload content key, width).
+#: Building one is ~25 ms of SCF modelling, and admission estimates,
+#: fleet renders, experiment runs, control studies and surrogate
+#: features of one (workload, width) share it — across caps, policies,
+#: runs and, in a worker process, batches.
+_PHASE_STORE = process_cache(__name__, RunCache(name="phases"))
+
+
+def cached_phases(workload, n_nodes: int) -> list:
+    """``workload.phases`` at its default layout for ``n_nodes``, built
+    once per process.  Callers share the list and must not mutate it."""
+    key = (content_key(workload), n_nodes)
+    return _PHASE_STORE.get_or_compute(
+        key, lambda: workload.phases(layout_for(workload, n_nodes))
+    )

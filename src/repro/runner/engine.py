@@ -16,11 +16,15 @@ KDE analysis of Section III meaningful).
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import sys
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro import obs
 from repro.config import read
@@ -51,6 +55,73 @@ _CPU_ROW = COMPONENT_KEYS.index("cpu")
 _MEMORY_ROW = COMPONENT_KEYS.index("memory")
 _NODE_ROW = COMPONENT_KEYS.index("node")
 _ALL_ROWS = frozenset(range(len(COMPONENT_KEYS)))
+
+#: scipy's compiled linear filter, the C routine ``scipy.signal.lfilter``
+#: calls for any denominator longer than one tap.
+_FILTER_MODULE = "scipy.signal._sigtools"
+
+
+def _load_compiled(name: str) -> ModuleType:
+    """The compiled extension module ``name`` of an installed package.
+
+    Found from the package directory, which ``find_spec`` of a top-level
+    name gives without importing the package, and loaded under its real
+    dotted name: the parent packages' ``__init__`` never runs, and a
+    later import of the parent reuses this module.  A module already in
+    ``sys.modules`` is returned as is.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    top, _, rest = name.partition(".")
+    package = importlib.util.find_spec(top)
+    spec = None
+    if package is not None and package.submodule_search_locations:
+        parent = rest.rpartition(".")[0]
+        directory = Path(package.submodule_search_locations[0], *parent.split("."))
+        finder = importlib.machinery.FileFinder(
+            str(directory),
+            (
+                importlib.machinery.ExtensionFileLoader,
+                importlib.machinery.EXTENSION_SUFFIXES,
+            ),
+        )
+        spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(
+            f"compiled module {name} not found in {_describe_package(top)}; "
+            f"the engine's AR(1) noise filter needs it",
+            name=name,
+        )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+def _describe_package(top: str) -> str:
+    """``"<top> <version>"``, or a note that ``top`` is not installed."""
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        return f"{top} {version(top)}"
+    except PackageNotFoundError:
+        return f"{top} (not installed)"
+
+
+@functools.cache
+def _linear_filter() -> Callable:
+    """``_linear_filter(b, a, x, axis, zi) -> (y, zf)``, loaded on first use.
+
+    The same kernel ``scipy.signal.lfilter`` reaches for the AR(1)
+    filter, without importing ``scipy.signal`` (over a second of
+    import, nearly all of it for routines the engine never calls).
+    """
+    return _load_compiled(_FILTER_MODULE)._linear_filter
 
 
 @dataclass(frozen=True)
@@ -170,6 +241,9 @@ class PowerEngine:
             )
         self.nodes = nodes
         self.config = config if config is not None else EngineConfig()
+        # AR(1) filter coefficients: y[t] = a*y[t-1] + e[t].
+        self._ar_b = np.ones(1)
+        self._ar_a = np.array([1.0, -self.config.noise_ar_coeff])
 
     # ------------------------------------------------------------------
     def _rank_skew(self, gpu_serial: str) -> float:
@@ -431,7 +505,7 @@ class PowerEngine:
         Bit-identical to the whole-schedule render: chunks are emitted in
         the same (node, component, time) order the whole render consumes
         the RNG stream in, and the AR(1) filter state is carried across
-        chunk boundaries via ``lfilter``'s ``zi``/``zf`` so a chunked
+        chunk boundaries via the filter's ``zi``/``zf`` so a chunked
         series equals its unchunked counterpart sample for sample.  A row
         outside ``rows`` only advances the RNG by the normals its render
         would draw (none when noise is off) — a series' draws consume the
@@ -478,16 +552,17 @@ class PowerEngine:
 
         ``zi`` is the direct-form filter state from the previous chunk of
         the same series (zeros at series start); threading it through
-        ``lfilter`` makes chunked rendering bit-identical to filtering the
-        whole series at once.
+        the filter makes chunked rendering bit-identical to filtering the
+        whole series at once.  The filter is scipy's compiled
+        ``lfilter`` kernel (see :func:`_linear_filter`).
         """
         cfg = self.config
         if cfg.noise_rel_sigma == 0.0 or len(means) == 0:
             return means.astype(float), zi
         sigma = cfg.noise_rel_sigma * means + cfg.noise_floor_w
         white = rng.standard_normal(len(means)) * sigma
-        # AR(1) filter: y[t] = a*y[t-1] + e[t]; normalize stationary variance.
-        ar, zf = lfilter([1.0], [1.0, -cfg.noise_ar_coeff], white, zi=zi)
+        # AR(1) filter, then normalize the stationary variance.
+        ar, zf = _linear_filter()(self._ar_b, self._ar_a, white, -1, zi)
         ar *= np.sqrt(1.0 - cfg.noise_ar_coeff**2)
         return np.maximum(means + ar, 0.0), zf
 

@@ -12,11 +12,12 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.capping import scheduler, shard
+from repro.capping import shard
 from repro.capping.fleet import _job_seed, job_stream, simulate_fleet_traced
 from repro.capping.policy import CapPolicy
 from repro.hardware.platform import get_platform
 from repro.monitor import FleetMonitor, MonitorConfig
+from repro.runner import cache
 from repro.runner.cache import RunCache
 from repro.runner.engine import EngineConfig
 
@@ -377,7 +378,7 @@ class TestNodeReuse:
     ):
         monkeypatch.setattr(shard, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(shard, "_WORKER_NODES", {})
-        monkeypatch.setattr(scheduler, "_PHASE_STORE", RunCache(name="phases"))
+        monkeypatch.setattr(cache, "_PHASE_STORE", RunCache(name="phases"))
         mixed = ["a100-40g", "h100-sxm"]
         sharded = _run(workers=2, node_platforms=mixed)
         distinct = set(allocations["names"])

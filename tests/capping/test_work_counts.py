@@ -30,7 +30,7 @@ WORKLOAD_TYPES = tuple(
 @pytest.fixture
 def counted(monkeypatch):
     """Run the fleet on empty process stores and count its work."""
-    monkeypatch.setattr(scheduler, "_PHASE_STORE", RunCache(name="phases"))
+    monkeypatch.setattr(cache, "_PHASE_STORE", RunCache(name="phases"))
     monkeypatch.setattr(
         scheduler, "_ESTIMATE_CACHE", RunCache(maxsize=1024, name="estimate")
     )
@@ -45,13 +45,13 @@ def counted(monkeypatch):
 
     monkeypatch.setattr(cache, "_canonical", canonical)
 
-    real_layout_for = scheduler.layout_for
+    real_layout_for = cache.layout_for
 
     def layout_for(workload, n_nodes):
         counts["builds"].append((content_key(workload), n_nodes))
         return real_layout_for(workload, n_nodes)
 
-    monkeypatch.setattr(scheduler, "layout_for", layout_for)
+    monkeypatch.setattr(cache, "layout_for", layout_for)
 
     real_add_noise_chunk = PowerEngine._add_noise_chunk
 
