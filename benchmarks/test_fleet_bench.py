@@ -17,7 +17,6 @@ the committed baseline.
 import heapq
 import tracemalloc
 
-from repro.config import read
 from repro.capping.fleet import (
     FleetTraceReport,
     _job_seed,
@@ -32,7 +31,7 @@ from repro.hardware.system import (
     RunningMoments,
     SystemPowerAccumulator,
 )
-from repro.runner.engine import DEFAULT_STREAM_CHUNK, EngineConfig, PowerEngine
+from repro.runner.engine import RENDER_CHUNK, EngineConfig, PowerEngine
 from repro.vasp.parallel import layout_for
 
 #: The ISSUE-scale fleet: 200 jobs streamed across a 1000-node pool.
@@ -104,14 +103,13 @@ def _run_dense(jobs) -> FleetTraceReport:
         idle_node_w=sum(spec.idle_node_w for spec in specs) / len(specs),
     )
     moments = RunningMoments()
-    step = read("REPRO_RENDER_CHUNK") or DEFAULT_STREAM_CHUNK
     chunks = nbytes = 0
     for record, result in retained:
         power = JobPowerPartial(start_s=record.start_s, bin_s=1.0)
         for trace in result.traces:
             times, values = trace.times, trace.node_power
-            for lo in range(0, len(times), step):
-                hi = min(lo + step, len(times))
+            for lo in range(0, len(times), RENDER_CHUNK):
+                hi = min(lo + RENDER_CHUNK, len(times))
                 power.add_samples(
                     record.start_s, times[lo:hi], values[lo:hi], trace.sample_interval_s
                 )

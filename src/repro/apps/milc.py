@@ -230,12 +230,13 @@ def milc_cap_slowdown(
     from repro.hardware.gpu import GpuModel
     from repro.hardware.variability import ManufacturingVariation
     from repro.perfmodel.power import demand_power_w
+    from repro.runner.cache import cached_phases
 
     gpu = GpuModel(serial="MILC", variation=ManufacturingVariation.nominal())
     gpu.set_power_limit(cap_w)
     base = 0.0
     capped = 0.0
-    for phase in workload.phases(ParallelConfig(n_nodes=n_nodes)):
+    for phase in cached_phases(workload, n_nodes):
         profile = phase.gpu_profile
         base += phase.duration_s
         if profile.duty_cycle <= 0:

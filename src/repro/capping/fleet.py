@@ -270,7 +270,6 @@ def simulate_fleet_traced(
     power_budget_w: float | None = None,
     *,
     bin_s: float = 1.0,
-    chunk_samples: int | None = None,
     engine_config: EngineConfig | None = None,
     seed: int = 0,
     monitor: "FleetMonitor | None" = None,
@@ -365,7 +364,6 @@ def simulate_fleet_traced(
             n_nodes,
             power_budget_w,
             bin_s,
-            chunk_samples,
             engine_config,
             seed,
             get_platform(platform).id,
@@ -515,7 +513,6 @@ def simulate_fleet_traced(
         specs=tuple(spec_table),
         engine_config=engine_config,
         bin_s=bin_s,
-        chunk_samples=chunk_samples,
         monitor_config=monitor.config if monitor is not None else None,
         jobs=tuple(tasks),
     )
@@ -588,7 +585,6 @@ def compare_fleet_policies_traced(
     seed: int = 0,
     *,
     bin_s: float = 1.0,
-    chunk_samples: int | None = None,
     engine_config: EngineConfig | None = None,
     monitors: "tuple[FleetMonitor | None, FleetMonitor | None] | None" = None,
     platform: "str | Platform | None" = None,
@@ -642,7 +638,6 @@ def compare_fleet_policies_traced(
                 n_nodes,
                 power_budget_w,
                 bin_s=bin_s,
-                chunk_samples=chunk_samples,
                 engine_config=engine_config,
                 seed=seed,
                 monitor=monitors[index] if monitors is not None else None,

@@ -22,11 +22,11 @@ machinery of :mod:`repro.runner.sweep` to the fleet path:
   bit-identical to single-process output by construction.
 * :class:`FleetFold` is that fold: accumulator bins, node moments and
   stream counters.  :class:`FleetCheckpoint` snapshots its state to an
-  atomic on-disk pickle (``REPRO_FLEET_CHECKPOINT``).  Per-job render
-  seeds are content-derived, so no RNG stream state needs saving: resuming
-  recomputes the schedule, validates the input fingerprint, restores the
-  fold and continues from the next chronological job — bit-identical to
-  an uninterrupted run.
+  atomic, checksummed on-disk pickle (``REPRO_FLEET_CHECKPOINT``).
+  Per-job render seeds are content-derived, so no RNG stream state needs
+  saving: resuming recomputes the schedule, validates the input
+  fingerprint, restores the fold and continues from the next
+  chronological job — bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -50,7 +49,12 @@ from repro.hardware.system import (
     RunningMoments,
     SystemPowerAccumulator,
 )
-from repro.runner.cache import atomic_write_pickle, cached_phases, fingerprint
+from repro.runner.cache import (
+    atomic_write_pickle,
+    cached_phases,
+    fingerprint,
+    read_pickle,
+)
 from repro.runner.engine import EngineConfig, PowerEngine
 from repro.vasp.workload import VaspWorkload
 
@@ -60,7 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 logger = logging.getLogger(__name__)
 
 #: On-disk checkpoint format version.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def resolve_fleet_workers(n_jobs: int, workers: int | None = None) -> int:
@@ -112,7 +116,6 @@ class ShardTask:
     specs: tuple[NodeSpec, ...]
     engine_config: EngineConfig | None
     bin_s: float
-    chunk_samples: int | None
     monitor_config: "MonitorConfig | None"
     jobs: tuple[ShardJobTask, ...]
     #: (trace, metrics) layers the coordinator is collecting — the
@@ -206,7 +209,6 @@ def render_task_job(
         phases,
         label=job.job_id,
         seed=job.seed,
-        chunk_samples=task.chunk_samples,
         on_chunk=(
             probe.tap(engine.config.base_interval_s) if probe is not None else None
         ),
@@ -532,10 +534,9 @@ def load_checkpoint(path: str | Path) -> FleetCheckpoint | None:
     if not path.is_file():
         return None
     try:
-        with path.open("rb") as fh:
-            value = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError) as exc:
-        raise ValueError(f"unreadable fleet checkpoint {path}: {exc}") from exc
+        value = read_pickle(path)
+    except ValueError as exc:
+        raise ValueError(f"unreadable fleet checkpoint: {exc}") from exc
     if not isinstance(value, FleetCheckpoint) or value.version != CHECKPOINT_VERSION:
         raise ValueError(
             f"{path} is not a version-{CHECKPOINT_VERSION} fleet checkpoint"

@@ -838,7 +838,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             power_budget_w=budget,
             seed=args.seed,
             bin_s=args.bin_s,
-            chunk_samples=args.chunk,
             engine_config=engine_config,
             monitors=monitors,
             platform=platform,
@@ -855,12 +854,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         # fingerprint: `repro sentinel check` compares wall time, and a
         # sharded or traced run is only comparable to its own kind.
         # Scenario runs are their own kind too; default runs keep the
-        # historical fingerprint (no trailing None, and a literal False
-        # where the removed dense-trace flag sat) so ledger history
-        # stays comparable.
+        # historical fingerprint (no trailing None, and a literal None
+        # and False where the removed chunk flag and dense-trace flag
+        # sat) so ledger history stays comparable.
         fingerprint=fingerprint(
             "cli.fleet", n_jobs, n_nodes, budget, args.seed, args.bin_s,
-            args.chunk, args.resolution, args.platform, False,
+            None, args.resolution, args.platform, False,
             args.workers, args.trace is not None, args.metrics is not None,
             *((scenario.id,) if scenario is not None else ()),
         ),
@@ -1427,13 +1426,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--bin-s", type=float, default=1.0, help="system power bin width in s"
     )
     p_fleet.add_argument(
-        "--chunk",
-        type=int,
-        default=None,
-        metavar="SAMPLES",
-        help="streaming chunk size in samples (default: engine default)",
-    )
-    p_fleet.add_argument(
         "--monitor",
         action="store_true",
         help="attach a live health monitor per policy and print its dashboard",
@@ -1560,6 +1552,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def add_sentinel_gates(p: argparse.ArgumentParser) -> None:
+        # Help strings are %-formatted by argparse: a literal % is %%.
         p.add_argument(
             "--tolerance",
             type=float,
@@ -1567,7 +1560,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="FRACTION",
             help=(
                 "relative slowdown tolerated vs the baseline median "
-                f"(default {sentinel.DEFAULT_TOLERANCE:+.0%})"
+                f"(default {sentinel.DEFAULT_TOLERANCE:+.0%}%)"
             ),
         )
         p.add_argument(
@@ -1587,7 +1580,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="MAPE",
             help=(
                 "surrogate verification-error ceiling "
-                f"(default {sentinel.DEFAULT_DRIFT_GATE:.0%})"
+                f"(default {sentinel.DEFAULT_DRIFT_GATE:.0%}%)"
             ),
         )
 

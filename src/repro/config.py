@@ -110,8 +110,6 @@ VARIABLES: dict[str, Variable] = {
                  "durable run ledger; off writes no records"),
         Variable("REPRO_RUNS_DIR", "path", ".repro_runs",
                  "run-ledger directory"),
-        Variable("REPRO_RENDER_CHUNK", "count", None,
-                 "render traces in chunks of this many samples (bit-identical)"),
         Variable("REPRO_TRACE_DTYPE", "choice", "float32",
                  "trace storage dtype (`float64` for full width)",
                  choices=("float32", "float64")),

@@ -18,10 +18,10 @@ from repro.analysis.stats import DistributionSummary, summarize
 from repro.apps.milc import MilcWorkload, milc_benchmark, milc_cap_slowdown
 from repro.experiments.common import TELEMETRY_INTERVAL_S, make_nodes
 from repro.experiments.report import format_table
+from repro.runner.cache import cached_phases
 from repro.runner.engine import PowerEngine
 from repro.runner.sweep import SweepExecutor
 from repro.telemetry.downsample import downsample_trace
-from repro.vasp.parallel import ParallelConfig
 
 #: Caps applied, matching the VASP study.
 POWER_CAPS_W: tuple[float, ...] = (400.0, 300.0, 200.0, 100.0)
@@ -33,7 +33,7 @@ def _profile_preset(task: tuple[str, tuple[float, ...], int]) -> "MilcProfile":
     workload: MilcWorkload = milc_benchmark(size)
     nodes = make_nodes(1)
     engine = PowerEngine(nodes)
-    result = engine.run(workload.phases(ParallelConfig(1)), seed=seed)
+    result = engine.run(cached_phases(workload, 1), seed=seed)
     telem = downsample_trace(result.traces[0], TELEMETRY_INTERVAL_S)
     return MilcProfile(
         name=workload.name,

@@ -17,10 +17,10 @@ from repro.apps.milc import milc_benchmark
 from repro.experiments.common import TELEMETRY_INTERVAL_S, make_nodes, run_workload
 from repro.experiments.report import format_table
 from repro.prediction.clustering import classify_jobs, profile_features
+from repro.runner.cache import cached_phases
 from repro.runner.engine import PowerEngine
 from repro.telemetry.downsample import downsample_trace
 from repro.vasp.benchmarks import BENCHMARKS
-from repro.vasp.parallel import ParallelConfig
 
 #: Ground-truth classes from the bottom-up (application-knowledge) route.
 BOTTOM_UP_CLASSES: dict[str, int] = {
@@ -62,7 +62,7 @@ def run(k: int = 2, seed: int = 7) -> TopDownResult:
     for size in ("small", "medium"):
         workload = milc_benchmark(size)
         result = PowerEngine(make_nodes(1)).run(
-            workload.phases(ParallelConfig(1)), seed=seed
+            cached_phases(workload, 1), seed=seed
         )
         series[workload.name] = downsample_trace(
             result.traces[0], TELEMETRY_INTERVAL_S

@@ -1,7 +1,9 @@
 """Versioned, fingerprint-guarded persistence for trained surrogates.
 
 Same discipline as the run cache's disk layer (temp sibling +
-``os.replace``), plus two guards the run cache does not need:
+``os.replace``, a checksummed pickle read back by
+:func:`repro.runner.cache.read_pickle`), plus two guards the run cache
+does not need:
 
 * a **store version**, bumped whenever the serialized shape changes, so
   an old process never misreads a new file (or vice versa);
@@ -20,7 +22,6 @@ from the default ``.repro_cache/surrogate/``.
 from __future__ import annotations
 
 import logging
-import pickle
 from pathlib import Path
 
 from repro.config import read
@@ -32,12 +33,12 @@ from repro.prediction.model import (
     TwoStageSurrogate,
     fit_surrogate,
 )
-from repro.runner.cache import atomic_write_pickle, fingerprint
+from repro.runner.cache import atomic_write_pickle, fingerprint, read_pickle
 
 logger = logging.getLogger(__name__)
 
 #: Serialized payload shape; bump on any incompatible change.
-STORE_VERSION = 1
+STORE_VERSION = 2
 #: File name inside the store directory.
 STORE_FILENAME = "surrogate.pkl"
 
@@ -97,15 +98,9 @@ def load_surrogate(
     if not path.is_file():
         return None
     try:
-        with path.open("rb") as fh:
-            payload = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as exc:
-        logger.warning(
-            "surrogate store unreadable at %s (%s: %s); ignoring",
-            path,
-            type(exc).__name__,
-            exc,
-        )
+        payload = read_pickle(path)
+    except ValueError as exc:
+        logger.warning("surrogate store unreadable (%s); ignoring", exc)
         return None
     if not isinstance(payload, dict) or payload.get("version") != STORE_VERSION:
         logger.warning(

@@ -12,6 +12,11 @@ files, by default ``.repro_cache/`` when enabled).  The disk layer is what
 lets separate sweep workers — and separate processes entirely — share
 results.
 
+Every on-disk pickle in the package — cache entries, the surrogate store,
+fleet checkpoints — is written by :func:`atomic_write_pickle` with a
+magic header and a sha256 of its payload, and read back by
+:func:`read_pickle`, which refuses any file that does not check out.
+
 ``fingerprint()`` derives a stable digest from (nested) dataclasses,
 containers, numpy arrays and scalars.  Floats hash by their exact bit
 pattern, so any change to a workload parameter or an
@@ -194,9 +199,53 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
+#: First bytes of every file :func:`atomic_write_pickle` writes; the
+#: payload's sha256 digest follows, then the payload.
+PICKLE_MAGIC = b"repro-pickle-sha256\n"
+_PICKLE_HEADER = len(PICKLE_MAGIC) + hashlib.sha256().digest_size
+
+
 def atomic_write_pickle(path: str | Path, value: Any) -> None:
-    """Atomically pickle a value to a path (see :func:`atomic_write_bytes`)."""
-    atomic_write_bytes(path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+    """Atomically write a checksummed pickle of a value to a path.
+
+    The file is :data:`PICKLE_MAGIC`, the sha256 of the pickle payload,
+    then the payload (see :func:`atomic_write_bytes`); read it back with
+    :func:`read_pickle`.
+    """
+    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    atomic_write_bytes(path, PICKLE_MAGIC + hashlib.sha256(payload).digest() + payload)
+
+
+def read_pickle(path: str | Path) -> Any:
+    """The value :func:`atomic_write_pickle` stored at a path.
+
+    Raises
+    ------
+    ValueError
+        For any file that does not give the value back: missing or
+        unreadable, without the header, torn or corrupted (the payload
+        does not match its sha256), or holding a payload this code
+        cannot unpickle.  The message names the path.
+    """
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    if len(data) < _PICKLE_HEADER or not data.startswith(PICKLE_MAGIC):
+        raise ValueError(f"{path} is not a checksummed pickle")
+    payload = data[_PICKLE_HEADER:]
+    if hashlib.sha256(payload).digest() != data[len(PICKLE_MAGIC) : _PICKLE_HEADER]:
+        raise ValueError(f"{path} fails its sha256 check (torn or corrupted)")
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:
+        # The bytes are the ones written, so only a change in the code
+        # (a class moved, renamed or reshaped) fails here, and pickle
+        # raises whatever the failing import or constructor raises.
+        raise ValueError(
+            f"{path} does not unpickle ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 class RunCache(Account):
@@ -256,15 +305,12 @@ class RunCache(Account):
             path = self._disk_path(key)
             if path.is_file():
                 try:
-                    with path.open("rb") as fh:
-                        value = pickle.load(fh)
-                except (OSError, pickle.UnpicklingError, EOFError) as exc:
-                    # A torn write (e.g. interrupted worker) is a miss.
+                    value = read_pickle(path)
+                except ValueError as exc:
+                    # A torn or corrupted entry is a miss.
                     logger.warning(
-                        "%s cache: unreadable disk entry %s (%s: %s); treating as miss",
+                        "%s cache: unreadable disk entry (%s); treating as miss",
                         self.name,
-                        path,
-                        type(exc).__name__,
                         exc,
                     )
                     self.disk_errors += 1

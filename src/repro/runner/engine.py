@@ -8,9 +8,12 @@ For every phase the engine resolves, per GPU:
 3. the duty-cycle average between active and idle power;
 
 then assembles node-level component samples, stretches the phase by the
-cap-imposed slowdown, and renders the whole schedule to a regular
-0.1-second grid with AR(1) measurement/activity noise (what makes the
-KDE analysis of Section III meaningful).
+cap-imposed slowdown, and renders the schedule to a regular 0.1-second
+grid with AR(1) measurement/activity noise (what makes the KDE analysis
+of Section III meaningful).  Every trace renders through one chunked
+path, :data:`RENDER_CHUNK` samples at a time: :meth:`PowerEngine.run`
+writes the chunks into whole-trace blocks, :meth:`PowerEngine.stream`
+hands them out one by one.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from types import ModuleType
 import numpy as np
 
 from repro import obs
-from repro.config import read
 from repro.hardware.gpu import resolve_phase_batch
 from repro.hardware.node import GpuNode
 from repro.hardware.variability import unit_rng
@@ -43,11 +45,13 @@ from repro.runner.trace import (
     trace_dtype,
 )
 
-#: Default chunk size for streaming consumers when ``REPRO_RENDER_CHUNK``
-#: is unset.  When it is set, ``run()`` renders through the chunked
-#: streaming path (bit-identical to the whole-schedule render) and
-#: :meth:`PowerEngine.stream` uses it as its default chunk size.
-DEFAULT_STREAM_CHUNK = 16_384
+#: Samples per rendered chunk, for every trace.  Peak render working
+#: memory is O(chunk), not O(schedule); a typical fleet job (hundreds to
+#: a few thousand samples per series) fits in one chunk.
+RENDER_CHUNK = 16_384
+
+#: ``(node_index, row, start, values)`` chunks of rendered component rows.
+_Chunks = Iterator[tuple[int, int, int, np.ndarray]]
 
 #: Rows of the components in a resolved ``means[N, K, P]``.
 _GPU_ROWS = [COMPONENT_KEYS.index(key) for key in GPU_KEYS]
@@ -183,7 +187,7 @@ class StreamedRun:
     in (node, component, time) order, for the components the stream was
     asked to render.  An unread component only advances the RNG exactly
     as its render would, so every rendered series is bit-identical to
-    the whole-schedule render whichever components are read.
+    :meth:`PowerEngine.run`'s whichever components are read.
 
     ``phases`` is built on first access: fleet consumers read only
     ``runtime_s``, and building hundreds of records per job costs more
@@ -196,7 +200,6 @@ class StreamedRun:
     n_nodes: int
     n_samples: int
     base_interval_s: float
-    chunk_samples: int
     chunks: Iterator[TraceChunk]
     build_phases: Callable[[], list[PhaseRecord]] = field(repr=False)
 
@@ -428,44 +431,28 @@ class PowerEngine:
             counts[-1] += n_samples - upto[-1]
         return n_samples, counts
 
-    def _empty_traces(self) -> list[PowerTrace]:
-        """Zero-sample traces (run() rejects empty phase lists, but
-        callers may render filtered schedules)."""
-        dtype = trace_dtype()
-        return [
-            PowerTrace.from_block(
-                TraceBlock(
-                    node_name=node.name,
-                    times=np.empty(0),
-                    data=np.empty((len(COMPONENT_KEYS), 0), dtype=dtype),
-                    base_interval_s=self.config.base_interval_s,
-                )
-            )
-            for node in self.nodes
-        ]
+    def _render(
+        self, phases: list[MacroPhase], seed: int, rows: frozenset[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, _Chunks]:
+        """The one render pipeline behind :meth:`run` and :meth:`stream`.
 
-    def _render_traces(
-        self,
-        means: np.ndarray,
-        durations: np.ndarray,
-        rng: np.random.Generator,
-        chunk_samples: int | None = None,
-    ) -> list[PowerTrace]:
-        """Render the resolved schedule onto the regular sample grid.
-
-        ``means`` is the resolved ``[nodes, components, phases]`` array,
-        ``durations`` the laid-out phase durations.  The output is
-        columnar: one ``(n_components, n_samples)`` block per node.  With
-        ``chunk_samples`` set, rows are filled through the chunked path
-        (bit-identical; see :meth:`_iter_component_chunks`).
+        Resolves and lays out ``phases`` now and returns ``(slowdown[P],
+        starts[P], ends[P], n_samples, chunks)``.  ``chunks`` renders the
+        component rows in ``rows`` lazily, as
+        :meth:`_iter_component_chunks` yields them.
         """
-        if durations.size == 0:
-            return self._empty_traces()
+        rng = np.random.default_rng(seed)
+        slowdown, means, starts, ends = self._resolve_and_layout(phases)
+        n_samples, counts = self._phase_sample_counts(ends - starts)
+        chunks = self._iter_component_chunks(means, rng, n_samples, counts, rows)
+        return slowdown, starts, ends, n_samples, chunks
+
+    def _render_traces(self, n_samples: int, chunks: _Chunks) -> list[PowerTrace]:
+        """Write a full chunk stream into columnar traces: one
+        ``(n_components, n_samples)`` block per node."""
         dt = self.config.base_interval_s
         dtype = trace_dtype()
-        n_samples, counts = self._phase_sample_counts(durations)
         times = (np.arange(n_samples) + 0.5) * dt
-
         blocks = [
             TraceBlock(
                 node_name=node.name,
@@ -475,17 +462,8 @@ class PowerEngine:
             )
             for node in self.nodes
         ]
-        if chunk_samples is None:
-            for block, levels in zip(blocks, means):
-                for row in range(len(COMPONENT_KEYS)):
-                    block.data[row] = self._add_noise(
-                        np.repeat(levels[row], counts), rng
-                    )
-        else:
-            for node_index, row, start, values in self._iter_component_chunks(
-                means, rng, n_samples, counts, chunk_samples, _ALL_ROWS
-            ):
-                blocks[node_index].data[row, start : start + len(values)] = values
+        for node_index, row, start, values in chunks:
+            blocks[node_index].data[row, start : start + len(values)] = values
         return [PowerTrace.from_block(block) for block in blocks]
 
     def _iter_component_chunks(
@@ -494,56 +472,51 @@ class PowerEngine:
         rng: np.random.Generator,
         n_samples: int,
         counts: np.ndarray,
-        chunk_samples: int,
         rows: frozenset[int],
-    ) -> Iterator[tuple[int, int, int, np.ndarray]]:
-        """Yield ``(node_index, row, start, values)`` fixed-size chunks.
+    ) -> _Chunks:
+        """Yield ``(node_index, row, start, values)`` chunks of
+        :data:`RENDER_CHUNK` samples (the last of a series may be shorter).
 
         ``row`` indexes :data:`COMPONENT_KEYS` (and ``means[node_index]``);
         only the rows in ``rows`` are rendered.
 
-        Bit-identical to the whole-schedule render: chunks are emitted in
-        the same (node, component, time) order the whole render consumes
-        the RNG stream in, and the AR(1) filter state is carried across
-        chunk boundaries via the filter's ``zi``/``zf`` so a chunked
-        series equals its unchunked counterpart sample for sample.  A row
-        outside ``rows`` only advances the RNG by the normals its render
-        would draw (none when noise is off) — a series' draws consume the
+        Chunks come in (node, component, time) order, the order the RNG
+        stream is consumed in, and the AR(1) filter state is carried
+        across chunk boundaries via the filter's ``zi``/``zf``, so a series
+        is the same sample for sample at any chunk size.  A row outside
+        ``rows`` only advances the RNG by the normals its render would
+        draw (none when noise is off) — a series' draws consume the
         stream the same in one piece or many — and gets no filter, clip
-        or chunk.  Peak working memory is O(chunk), not O(schedule).
+        or chunk.
         """
-        if chunk_samples < 1:
-            raise ValueError(f"chunk_samples must be >= 1, got {chunk_samples}")
-        cfg = self.config
+        chunk = RENDER_CHUNK
         edges = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+        # Every series splits at the same offsets: per chunk [start, stop),
+        # its size and the phase segments overlapping it, found once.
+        spans = []
+        for start in range(0, n_samples, chunk):
+            stop = min(start + chunk, n_samples)
+            i0 = int(np.searchsorted(edges, start, side="right")) - 1
+            i1 = int(np.searchsorted(edges, stop, side="left"))
+            seg_counts = np.minimum(edges[i0 + 1 : i1 + 1], stop) - np.maximum(
+                edges[i0:i1], start
+            )
+            spans.append((start, stop - start, slice(i0, i1), seg_counts))
+        noisy = self.config.noise_rel_sigma != 0.0
         for node_index in range(len(self.nodes)):
             for row in range(len(COMPONENT_KEYS)):
                 if row not in rows:
-                    if cfg.noise_rel_sigma != 0.0:
-                        for start in range(0, n_samples, chunk_samples):
-                            rng.standard_normal(min(chunk_samples, n_samples - start))
+                    if noisy:
+                        for _, size, _, _ in spans:
+                            rng.standard_normal(size)
                     continue
                 levels = means[node_index, row]
                 zi = np.zeros(1)
-                for start in range(0, n_samples, chunk_samples):
-                    stop = min(start + chunk_samples, n_samples)
-                    # Phase segments overlapping [start, stop).
-                    i0 = int(np.searchsorted(edges, start, side="right")) - 1
-                    i1 = int(np.searchsorted(edges, stop, side="left"))
-                    seg_counts = (
-                        np.minimum(edges[i0 + 1 : i1 + 1], stop)
-                        - np.maximum(edges[i0:i1], start)
-                    )
+                for start, _, segments, seg_counts in spans:
                     values, zi = self._add_noise_chunk(
-                        np.repeat(levels[i0:i1], seg_counts), rng, zi
+                        np.repeat(levels[segments], seg_counts), rng, zi
                     )
-                    obs.inc("repro_engine_chunks_total")
                     yield node_index, row, start, values
-
-    def _add_noise(self, means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """AR(1) noise proportional to the signal's dynamic range."""
-        values, _zi = self._add_noise_chunk(means, rng, np.zeros(1))
-        return values
 
     def _add_noise_chunk(
         self, means: np.ndarray, rng: np.random.Generator, zi: np.ndarray
@@ -553,11 +526,12 @@ class PowerEngine:
         ``zi`` is the direct-form filter state from the previous chunk of
         the same series (zeros at series start); threading it through
         the filter makes chunked rendering bit-identical to filtering the
-        whole series at once.  The filter is scipy's compiled
-        ``lfilter`` kernel (see :func:`_linear_filter`).
+        whole series at once.  The noise is proportional to the signal's
+        dynamic range.  The filter is scipy's compiled ``lfilter`` kernel
+        (see :func:`_linear_filter`).
         """
         cfg = self.config
-        if cfg.noise_rel_sigma == 0.0 or len(means) == 0:
+        if cfg.noise_rel_sigma == 0.0:
             return means.astype(float), zi
         sigma = cfg.noise_rel_sigma * means + cfg.noise_floor_w
         white = rng.standard_normal(len(means)) * sigma
@@ -608,15 +582,14 @@ class PowerEngine:
     def _run_instrumented(
         self, phases: list[MacroPhase], label: str, seed: int
     ) -> RunResult:
-        rng = np.random.default_rng(seed)
-        slowdown, means, starts, ends = self._resolve_and_layout(phases)
+        slowdown, starts, ends, n_samples, chunks = self._render(
+            phases, seed, _ALL_ROWS
+        )
         with obs.span(
             "engine.render_traces", phases=len(phases), nodes=len(self.nodes)
         ) as render_span:
-            traces = self._render_traces(
-                means, ends - starts, rng, chunk_samples=read("REPRO_RENDER_CHUNK")
-            )
-            render_span.annotate(samples=int(traces[0].times.size) if traces else 0)
+            traces = self._render_traces(n_samples, chunks)
+            render_span.annotate(samples=n_samples)
         return RunResult(
             label=label,
             traces=traces,
@@ -631,22 +604,20 @@ class PowerEngine:
         phases: list[MacroPhase],
         label: str = "run",
         seed: int = 0,
-        chunk_samples: int | None = None,
         on_chunk: (
             "Callable[[TraceChunk], None]"
             " | Sequence[Callable[[TraceChunk], None]] | None"
         ) = None,
         components: Sequence[str] = COMPONENT_KEYS,
     ) -> "StreamedRun":
-        """Resolve a schedule and stream its render in fixed-size chunks.
+        """Resolve a schedule and stream its render in :data:`RENDER_CHUNK` chunks.
 
         Returns a :class:`StreamedRun` whose ``chunks`` iterator yields
         :class:`TraceChunk` records in (node, component, time) order; the
         concatenation of one series' chunks is bit-identical to the trace
-        :meth:`run` renders for the same seed.  Peak render memory is
-        O(chunk) instead of O(schedule) — nothing is retained between
-        chunks, which is what lets fleet-scale consumers aggregate
-        thousands of node traces in bounded memory.
+        :meth:`run` renders for the same seed.  Nothing is retained
+        between chunks, which is what lets fleet-scale consumers
+        aggregate thousands of node traces in bounded memory.
 
         ``components`` names the rows the consumer reads (default: all
         of :data:`COMPONENT_KEYS`).  Only they are rendered; every other
@@ -674,19 +645,16 @@ class PowerEngine:
             taps = (on_chunk,)
         else:
             taps = tuple(on_chunk)
-        if chunk_samples is None:
-            chunk_samples = read("REPRO_RENDER_CHUNK") or DEFAULT_STREAM_CHUNK
         obs.inc("repro_engine_streams_total")
-        rng = np.random.default_rng(seed)
-        slowdown, means, starts, ends = self._resolve_and_layout(phases)
-        n_samples, counts = self._phase_sample_counts(ends - starts)
+        slowdown, starts, ends, n_samples, rendered = self._render(
+            phases, seed, rows
+        )
         dt = self.config.base_interval_s
         dtype = trace_dtype()
 
         def generate() -> Iterator[TraceChunk]:
-            for node_index, row, start, values in self._iter_component_chunks(
-                means, rng, n_samples, counts, chunk_samples, rows
-            ):
+            for node_index, row, start, values in rendered:
+                obs.inc("repro_engine_chunks_total")
                 stop = start + len(values)
                 chunk = TraceChunk(
                     node_name=self.nodes[node_index].name,
@@ -707,7 +675,6 @@ class PowerEngine:
             n_nodes=len(self.nodes),
             n_samples=n_samples,
             base_interval_s=dt,
-            chunk_samples=chunk_samples,
             chunks=generate(),
             build_phases=functools.partial(
                 _phase_records, phases, slowdown, starts, ends

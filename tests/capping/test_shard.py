@@ -1,13 +1,12 @@
 """Sharded fleet execution and checkpoint/resume.
 
 The contract under test is bit-identity: sharded == serial at any
-worker count and chunk size, and a run resumed from *any* checkpoint ==
+worker count and render chunk size, and a run resumed from *any* checkpoint ==
 an uninterrupted run.  All comparisons are exact (``==``), never
 approximate — every execution mode folds the same per-job partials in
 the same chronological order.
 """
 
-import pickle
 from concurrent.futures import Future
 
 import pytest
@@ -18,12 +17,16 @@ from repro.capping.policy import CapPolicy
 from repro.hardware.platform import get_platform
 from repro.monitor import FleetMonitor, MonitorConfig
 from repro.runner import cache
-from repro.runner.cache import RunCache
+from repro.runner import engine as engine_module
+from repro.runner.cache import RunCache, atomic_write_pickle
 from repro.runner.engine import EngineConfig
 
 #: Coarse sampling keeps a five-job fleet render fast while still
 #: producing hundreds of chunks through the accumulator.
 ENGINE = EngineConfig(base_interval_s=1.0)
+
+#: Several render chunks per series, with chunk edges inside phases.
+pytestmark = pytest.mark.usefixtures("small_chunks")
 
 
 def _jobs():
@@ -32,7 +35,6 @@ def _jobs():
 
 def _run(jobs=None, **kwargs):
     kwargs.setdefault("bin_s", 2.0)
-    kwargs.setdefault("chunk_samples", 23)
     kwargs.setdefault("engine_config", ENGINE)
     kwargs.setdefault("seed", 7)
     return simulate_fleet_traced(
@@ -59,10 +61,11 @@ def _assert_identical(a, b):
 
 class TestShardedBitIdentity:
     @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("chunk_samples", [23, 64])
-    def test_sharded_matches_serial(self, workers, chunk_samples):
-        serial = _run(chunk_samples=chunk_samples)
-        sharded = _run(chunk_samples=chunk_samples, workers=workers)
+    @pytest.mark.parametrize("chunk", [23, 64])
+    def test_sharded_matches_serial(self, workers, chunk, monkeypatch):
+        monkeypatch.setattr(engine_module, "RENDER_CHUNK", chunk)
+        serial = _run()
+        sharded = _run(workers=workers)
         _assert_identical(serial, sharded)
 
     def test_mixed_platform_pool(self):
@@ -248,8 +251,8 @@ class TestCheckpointResume:
 
     def test_wrong_payload_rejected(self, tmp_path):
         path = tmp_path / "fleet.ckpt"
-        path.write_bytes(pickle.dumps({"version": 1}))
-        with pytest.raises(ValueError, match="checkpoint"):
+        atomic_write_pickle(path, {"version": 1})
+        with pytest.raises(ValueError, match="not a version-"):
             shard.load_checkpoint(path)
 
     def test_missing_checkpoint_is_none(self, tmp_path):

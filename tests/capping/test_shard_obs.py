@@ -21,10 +21,12 @@ from repro.runner.engine import EngineConfig
 
 ENGINE = EngineConfig(base_interval_s=1.0)
 
+#: Several render chunks per series, with chunk edges inside phases.
+pytestmark = pytest.mark.usefixtures("small_chunks")
+
 
 def _run(**kwargs):
     kwargs.setdefault("bin_s", 2.0)
-    kwargs.setdefault("chunk_samples", 23)
     kwargs.setdefault("engine_config", ENGINE)
     kwargs.setdefault("seed", 7)
     return simulate_fleet_traced(

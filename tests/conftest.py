@@ -31,3 +31,19 @@ def _isolated_surrogate_store(tmp_path_factory):
     )
     yield
     patcher.undo()
+
+
+@pytest.fixture(scope="module")
+def small_chunks():
+    """Render in 23-sample chunks for a whole test module.
+
+    The engine renders every trace in ``RENDER_CHUNK``-sample chunks;
+    23 crosses many chunk edges, inside phases, on short schedules.
+    Shard workers are forked from the test process, so they render with
+    the same chunk size.
+    """
+    from repro.runner import engine
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "RENDER_CHUNK", 23)
+        yield

@@ -15,6 +15,7 @@ from repro.monitor import (
     MonitorConfig,
     render_dashboard,
 )
+from repro.runner import engine as engine_module
 from repro.runner.engine import EngineConfig
 from repro.telemetry.omni import OmniStore
 from repro.telemetry.sampler import SampledSeries
@@ -39,11 +40,11 @@ def run_fleet(monitor=None, **overrides):
     )
 
 
-def assert_monitored_run_is_bit_identical(chunk_samples=None):
+def assert_monitored_run_is_bit_identical():
     """A tapped run renders every row, an untapped one node rows only."""
-    plain = run_fleet(chunk_samples=chunk_samples)
+    plain = run_fleet()
     monitor = FleetMonitor(SENSITIVE)
-    watched = run_fleet(monitor=monitor, chunk_samples=chunk_samples)
+    watched = run_fleet(monitor=monitor)
     assert watched.system == plain.system
     assert watched.node_power_mean_w == plain.node_power_mean_w
     assert watched.node_power_std_w == plain.node_power_std_w
@@ -59,9 +60,10 @@ class TestBitIdentity:
     def test_monitored_run_is_bit_identical(self):
         assert_monitored_run_is_bit_identical()
 
-    def test_monitored_run_is_bit_identical_at_small_chunks(self):
-        """Chunk edges inside phases, on both render paths."""
-        assert_monitored_run_is_bit_identical(chunk_samples=17)
+    def test_monitored_run_is_bit_identical_at_small_chunks(self, monkeypatch):
+        """Chunk edges inside phases, tapped and untapped."""
+        monkeypatch.setattr(engine_module, "RENDER_CHUNK", 17)
+        assert_monitored_run_is_bit_identical()
 
 
 class TestHealthCoverage:

@@ -13,6 +13,7 @@ from repro.runner.cache import (
     atomic_write_pickle,
     content_key,
     fingerprint,
+    read_pickle,
 )
 from repro.runner.engine import EngineConfig
 from repro.vasp.benchmarks import benchmark
@@ -213,12 +214,10 @@ class TestRunCache:
 
 class TestAtomicWrites:
     def test_atomic_write_replaces_whole_file(self, tmp_path):
-        import pickle
-
         path = tmp_path / "value.pkl"
         atomic_write_pickle(path, {"x": 1})
         atomic_write_pickle(path, {"x": 2})
-        assert pickle.loads(path.read_bytes()) == {"x": 2}
+        assert read_pickle(path) == {"x": 2}
         assert list(tmp_path.glob("*.tmp.*")) == []
 
     def test_crash_during_replace_leaves_old_value_intact(

@@ -1,10 +1,12 @@
-"""Bit-identity of chunked/streaming rendering vs the whole-schedule path.
+"""Bit-identity of the chunked render at any chunk size.
 
-The streaming renderer carries the AR(1) filter state across chunk
-boundaries and consumes the RNG in the same (node, component, time)
-order as the whole-schedule render, so every chunk size — including
-chunks that split a phase mid-stream — must reproduce the exact same
-samples.  These tests pin that contract down.
+``run()`` and ``stream()`` share one renderer that works in chunks of
+``repro.runner.engine.RENDER_CHUNK`` samples.  It carries the AR(1)
+filter state across chunk boundaries and consumes the RNG in (node,
+component, time) order, so every chunk size — including chunks that
+split a phase mid-stream — must reproduce the exact same samples.  The
+tests set the constant to small and odd sizes to cross many chunk
+boundaries on short schedules.
 """
 
 import numpy as np
@@ -12,8 +14,8 @@ import pytest
 
 from repro.hardware.node import GpuNode
 from repro.perfmodel.kernels import KernelCatalogue
-from repro.config import read
-from repro.runner.engine import DEFAULT_STREAM_CHUNK, EngineConfig, PowerEngine
+from repro.runner import engine as engine_module
+from repro.runner.engine import EngineConfig, PowerEngine
 from repro.runner.trace import COMPONENT_KEYS
 from repro.vasp.phases import MacroPhase
 
@@ -38,12 +40,18 @@ def engine():
     return PowerEngine([GpuNode("nid006000"), GpuNode("nid006001")])
 
 
+def set_chunk(monkeypatch, chunk):
+    """Render in chunks of ``chunk`` samples (None keeps the default)."""
+    if chunk is not None:
+        monkeypatch.setattr(engine_module, "RENDER_CHUNK", chunk)
+
+
 class TestChunkedRenderBitIdentity:
     @pytest.mark.parametrize("chunk", [1, 7, 64, 10_000_000])
     def test_chunked_equals_whole(self, engine, chunk, monkeypatch):
-        """Every chunk size reproduces the whole render exactly."""
+        """Every chunk size reproduces the one-chunk render exactly."""
         whole = engine.run(SCHEDULE, seed=11)
-        monkeypatch.setenv("REPRO_RENDER_CHUNK", str(chunk))
+        set_chunk(monkeypatch, chunk)
         chunked = engine.run(SCHEDULE, seed=11)
         for a, b in zip(whole.traces, chunked.traces):
             np.testing.assert_array_equal(a.block.data, b.block.data)
@@ -56,28 +64,19 @@ class TestChunkedRenderBitIdentity:
         the later phases) mid-stream.
         """
         whole = engine.run(SCHEDULE, seed=5)
-        monkeypatch.setenv("REPRO_RENDER_CHUNK", "13")
+        set_chunk(monkeypatch, 13)
         chunked = engine.run(SCHEDULE, seed=5)
         np.testing.assert_array_equal(
             whole.traces[0].block.data, chunked.traces[0].block.data
         )
 
-    def test_invalid_env_raises(self, engine, monkeypatch):
-        for raw in ("not-a-number", "0"):
-            monkeypatch.setenv("REPRO_RENDER_CHUNK", raw)
-            with pytest.raises(ValueError, match="REPRO_RENDER_CHUNK"):
-                engine.run(SCHEDULE, seed=5)
-        monkeypatch.setenv("REPRO_RENDER_CHUNK", "")
-        assert read("REPRO_RENDER_CHUNK") is None
-        monkeypatch.setenv("REPRO_RENDER_CHUNK", "512")
-        assert read("REPRO_RENDER_CHUNK") == 512
-
 
 class TestStream:
-    def test_stream_reassembles_to_run(self, engine):
+    def test_stream_reassembles_to_run(self, engine, monkeypatch):
         """Concatenating a stream's chunks reproduces run() exactly."""
         whole = engine.run(SCHEDULE, seed=9)
-        streamed = engine.stream(SCHEDULE, seed=9, chunk_samples=17)
+        set_chunk(monkeypatch, 17)
+        streamed = engine.stream(SCHEDULE, seed=9)
         rebuilt = {
             (i, key): np.empty(streamed.n_samples, dtype=whole.traces[0].block.data.dtype)
             for i in range(streamed.n_nodes)
@@ -99,11 +98,11 @@ class TestStream:
         assert streamed.runtime_s == whole.runtime_s
         assert streamed.n_samples == len(whole.traces[0].times)
         assert streamed.n_nodes == len(whole.traces)
-        assert streamed.chunk_samples == DEFAULT_STREAM_CHUNK
         assert [p.name for p in streamed.phases] == [p.name for p in whole.phases]
 
-    def test_stream_chunk_times_match_grid(self, engine):
-        streamed = engine.stream([hot_phase(1.0)], seed=0, chunk_samples=4)
+    def test_stream_chunk_times_match_grid(self, engine, monkeypatch):
+        set_chunk(monkeypatch, 4)
+        streamed = engine.stream([hot_phase(1.0)], seed=0)
         whole_times = (np.arange(streamed.n_samples) + 0.5) * streamed.base_interval_s
         for chunk in streamed.chunks:
             np.testing.assert_allclose(
@@ -112,7 +111,7 @@ class TestStream:
             )
 
     def test_stream_covers_all_components(self, engine):
-        streamed = engine.stream([hot_phase(1.0)], seed=0, chunk_samples=1000)
+        streamed = engine.stream([hot_phase(1.0)], seed=0)
         seen = {(c.node_index, c.component) for c in streamed.chunks}
         assert seen == {
             (i, key) for i in range(len(engine.nodes)) for key in COMPONENT_KEYS
@@ -122,13 +121,14 @@ class TestStream:
         with pytest.raises(ValueError):
             engine.stream([])
 
-    def test_noiseless_stream_matches_levels(self):
+    def test_noiseless_stream_matches_levels(self, monkeypatch):
         """With noise off, chunk values are exactly the phase means."""
         engine = PowerEngine(
             [GpuNode("nid006002")],
             EngineConfig(noise_rel_sigma=0.0, noise_floor_w=0.0),
         )
-        streamed = engine.stream([hot_phase(2.0)], seed=0, chunk_samples=5)
+        set_chunk(monkeypatch, 5)
+        streamed = engine.stream([hot_phase(2.0)], seed=0)
         node_chunks = [c for c in streamed.chunks if c.component == "node"]
         values = np.concatenate([c.values for c in node_chunks])
         assert np.ptp(values) == pytest.approx(0.0)
@@ -157,13 +157,14 @@ class TestRowSelection:
     @pytest.mark.parametrize("noise_rel_sigma", [0.03, 0.0])
     @pytest.mark.parametrize("chunk", [1, 17, None])
     @pytest.mark.parametrize("components", [("node",), ("cpu", "node")])
-    def test_subset_matches_full_stream(self, chunk, noise_rel_sigma, components):
+    def test_subset_matches_full_stream(
+        self, chunk, noise_rel_sigma, components, monkeypatch
+    ):
         engine = three_node_engine(noise_rel_sigma)
-        full = engine.stream(SCHEDULE, seed=4, chunk_samples=chunk)
+        set_chunk(monkeypatch, chunk)
+        full = engine.stream(SCHEDULE, seed=4)
         full_rows = series_by_row(full.chunks)
-        subset = engine.stream(
-            SCHEDULE, seed=4, chunk_samples=chunk, components=components
-        )
+        subset = engine.stream(SCHEDULE, seed=4, components=components)
         subset_rows = series_by_row(subset.chunks)
 
         assert set(subset_rows) == {
@@ -181,6 +182,7 @@ class TestRowSelection:
     def test_rng_position_after_stream(self, chunk, noise_rel_sigma, monkeypatch):
         """An exhausted subset stream leaves the RNG where a full one does."""
         engine = three_node_engine(noise_rel_sigma)
+        set_chunk(monkeypatch, chunk)
         generators = []
         real_default_rng = np.random.default_rng
 
@@ -192,9 +194,7 @@ class TestRowSelection:
         monkeypatch.setattr(np.random, "default_rng", recording_rng)
         draws = []
         for components in (COMPONENT_KEYS, ("node",), ("cpu", "node")):
-            streamed = engine.stream(
-                SCHEDULE, seed=4, chunk_samples=chunk, components=components
-            )
+            streamed = engine.stream(SCHEDULE, seed=4, components=components)
             for _ in streamed.chunks:
                 pass
             draws.append(generators[-1].standard_normal(8))

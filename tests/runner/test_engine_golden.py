@@ -2,8 +2,8 @@
 
 Serial == sharded == resumed tests compare execution modes against each
 other, so a change that shifts every mode alike passes them all.  These
-digests pin the output itself: the whole-schedule render, the chunked
-stream and a small traced fleet comparison.  A digest changes only when
+digests pin the output itself: ``run``, ``stream`` at an odd chunk size
+and a small traced fleet comparison.  A digest changes only when
 the engine's numbers change; a pure refactor or speed-up must leave all
 three as they are.
 """
@@ -16,12 +16,13 @@ import pytest
 from repro.capping.fleet import compare_fleet_policies_traced
 from repro.hardware.node import GpuNode
 from repro.perfmodel.kernels import KernelCatalogue
+from repro.runner import engine as engine_module
 from repro.runner.engine import EngineConfig, PowerEngine
 from repro.runner.trace import COMPONENT_KEYS
 from repro.vasp.phases import MacroPhase
 
-#: ``run`` traces at caps None and 200 W, all components (the chunked
-#: ``stream`` must hash to the same value).
+#: ``run`` traces at caps None and 200 W, all components (``stream`` at
+#: any chunk size must hash to the same value).
 RUN_DIGEST = "cd6b09b2b1b9066c12876655b9656b4c3eda1e3af08e797f83fc11fbdc4318ef"
 #: 24 jobs on 48 nodes, capped and uncapped: the report fields the e2e
 #: benchmark's ``fleet_digest`` hashes.
@@ -76,9 +77,8 @@ def digest(parts) -> str:
 
 @pytest.fixture(autouse=True)
 def full_width_traces(monkeypatch):
-    """float64 storage (every rendered bit counts), whole-schedule ``run``."""
+    """float64 storage: every rendered bit counts."""
     monkeypatch.setenv("REPRO_TRACE_DTYPE", "float64")
-    monkeypatch.delenv("REPRO_RENDER_CHUNK", raising=False)
 
 
 def run_parts():
@@ -92,12 +92,10 @@ def run_parts():
     return parts
 
 
-def stream_parts(chunk_samples):
+def stream_parts():
     parts = []
     for cap_w in CAPS_W:
-        streamed = engine_at(cap_w).stream(
-            phase_mix(), seed=SEED, chunk_samples=chunk_samples
-        )
+        streamed = engine_at(cap_w).stream(phase_mix(), seed=SEED)
         series: dict[tuple[int, str], list[np.ndarray]] = {}
         for chunk in streamed.chunks:
             series.setdefault((chunk.node_index, chunk.component), []).append(
@@ -116,8 +114,9 @@ def test_run_digest():
     assert digest(run_parts()) == RUN_DIGEST
 
 
-def test_stream_at_odd_chunk_equals_run_digest():
-    assert digest(stream_parts(7)) == RUN_DIGEST
+def test_stream_at_odd_chunk_equals_run_digest(monkeypatch):
+    monkeypatch.setattr(engine_module, "RENDER_CHUNK", 7)
+    assert digest(stream_parts()) == RUN_DIGEST
 
 
 def test_fleet_digest():

@@ -5,7 +5,7 @@
 tests replay both over a grid of caps, imbalance settings and phase mixes
 and require matching results, check the array layout and sample counts
 bit for bit against scalar loops, plus regression coverage for the
-``_render_traces`` sample-count bookkeeping.
+render's sample-count bookkeeping.
 """
 
 import numpy as np
@@ -139,16 +139,6 @@ class TestRenderTraceCounts:
         # samples were lost or double-assigned.
         levels = np.flatnonzero(np.diff(trace.node_power)).size
         assert levels <= len(phases) - 1
-
-    def test_empty_schedule_renders_zero_samples(self):
-        engine = PowerEngine([GpuNode("nid005000")])
-        rng = np.random.default_rng(0)
-        traces = engine._render_traces(
-            np.empty((1, len(COMPONENT_KEYS), 0)), np.empty(0), rng
-        )
-        assert len(traces) == 1
-        assert traces[0].times.size == 0
-        assert all(v.size == 0 for v in traces[0].components.values())
 
 
 def scalar_layout(phases, slowdown):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -7,7 +8,23 @@ import pytest
 from repro.cli import ARTIFACTS, build_parser, main
 
 
+def all_parsers(parser):
+    """``parser`` and every subcommand parser below it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from all_parsers(child)
+
+
 class TestParser:
+    def test_every_help_renders(self):
+        """argparse %-formats help strings: a stray % breaks --help."""
+        parsers = list(all_parsers(build_parser()))
+        assert len(parsers) > 20
+        for parser in parsers:
+            assert parser.format_help()
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

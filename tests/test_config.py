@@ -27,8 +27,6 @@ BAD_VALUES = [
     ("REPRO_SWEEP_WORKERS", "0"),
     ("REPRO_SWEEP_WORKERS", "-3"),
     ("REPRO_SWEEP_WORKERS", "abc"),
-    ("REPRO_RENDER_CHUNK", "0"),
-    ("REPRO_RENDER_CHUNK", "abc"),
     ("REPRO_MONITOR", "maybe"),
     ("REPRO_CACHE", "maybe"),
     ("REPRO_RUNS", "maybe"),

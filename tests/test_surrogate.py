@@ -31,6 +31,7 @@ from repro.prediction import (
     training_fingerprint,
 )
 from repro.prediction.store import STORE_VERSION, store_path
+from repro.runner.cache import atomic_write_pickle, read_pickle
 from repro.vasp.benchmarks import benchmark
 
 #: A cheap corpus for store/structure tests (~40 engine runs).
@@ -109,13 +110,11 @@ class TestStore:
         assert load_surrogate(other, tmp_path) is None
 
     def test_version_mismatch_refused(self, small_surrogate, tmp_path):
-        import pickle
-
         fp = training_fingerprint(SMALL_CONFIG)
         path = save_surrogate(small_surrogate, fp, tmp_path)
-        payload = pickle.loads(path.read_bytes())
+        payload = read_pickle(path)
         payload["version"] = STORE_VERSION + 1
-        path.write_bytes(pickle.dumps(payload))
+        atomic_write_pickle(path, payload)
         assert load_surrogate(fp, tmp_path) is None
 
     def test_torn_write_recovered(self, small_surrogate, tmp_path):
