@@ -25,6 +25,10 @@ WORST_APE_CEILING = 0.60
 
 #: Predictions averaged for the latency figure (one is ~100 us).
 PREDICT_REPEATS = 200
+#: Exact simulations timed for the reference (one is ~5 ms); the minimum
+#: is the honest cost, since scheduling noise on a loaded host only ever
+#: inflates a single few-millisecond sample.
+ENGINE_REPEATS = 5
 #: The probed point: a production-like benchmark at the paper's 200 W cap.
 PROBE_BENCHMARK = "PdO4"
 PROBE_CAP_W = 200.0
@@ -40,6 +44,17 @@ def trained_surrogate():
     return samples, surrogate, train_s
 
 
+def exact_run_s(workload) -> float:
+    """Seconds of one exact simulation of the probed point.
+
+    Cache-bypassed so the reference is a real simulation of the same
+    point, never a run-cache lookup.
+    """
+    t0 = time.perf_counter()
+    run_workload(workload, n_nodes=1, gpu_cap_w=PROBE_CAP_W, use_cache=False)
+    return time.perf_counter() - t0
+
+
 def measure_surrogate():
     """Speedup and held-out accuracy of the default-corpus surrogate."""
     samples, surrogate, train_s = trained_surrogate()
@@ -49,11 +64,7 @@ def measure_surrogate():
     for _ in range(PREDICT_REPEATS):
         prediction = surrogate.predict(workload, n_nodes=1, cap_w=PROBE_CAP_W)
     predict_s = (time.perf_counter() - t0) / PREDICT_REPEATS
-    # Cache-bypassed so the reference is a real simulation of the same
-    # point, never a run-cache lookup.
-    t0 = time.perf_counter()
-    run_workload(workload, n_nodes=1, gpu_cap_w=PROBE_CAP_W, use_cache=False)
-    engine_s = time.perf_counter() - t0
+    engine_s = min(exact_run_s(workload) for _ in range(ENGINE_REPEATS))
     evaluation = evaluate_surrogate(samples=samples)
     return {
         "corpus_size": len(samples),

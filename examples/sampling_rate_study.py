@@ -17,7 +17,7 @@ import argparse
 from repro.experiments import fig02_sampling
 from repro.experiments.common import run_workload
 from repro.experiments.report import format_table
-from repro.analysis.modes import find_modes, fwhm, high_power_mode
+from repro.analysis.modes import Density
 from repro.telemetry.downsample import downsample_series
 from repro.vasp.benchmarks import benchmark, benchmark_names
 
@@ -41,15 +41,16 @@ def main() -> None:
     rows = []
     for rate in args.rates:
         _, values = downsample_series(trace.times, series, rate)
-        mode = high_power_mode(values, min_prominence=0.04)
-        modes = find_modes(values, min_prominence=0.04)
+        density = Density.of(values)
+        mode = density.high_power_mode(min_prominence=0.04)
+        modes = density.modes(min_prominence=0.04)
         rows.append(
             [
                 rate,
                 float(np.max(values)),
                 float(np.median(values)),
                 mode.power_w,
-                fwhm(values, mode=mode),
+                density.fwhm(mode),
                 len(modes),
                 " ".join(f"{m.power_w:.0f}" for m in modes),
             ]

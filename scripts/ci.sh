@@ -47,6 +47,18 @@ if grep -E '\| +scipy(\.|$)' <<< "$IMPORTS"; then
 fi
 echo "import gate ok: no scipy module among $(wc -l <<< "$IMPORTS") imports"
 
+echo "== EXPERIMENTS.md bit-identity (regenerated == committed) =="
+# The determinism contract: every experiment module rerun from scratch
+# writes EXPERIMENTS.md byte for byte as committed.
+REPO_ROOT="$PWD"
+mkdir "$SMOKE_DIR/experiments"
+(
+    cd "$SMOKE_DIR/experiments"
+    PYTHONPATH="$REPO_ROOT/src" python "$REPO_ROOT/scripts/make_experiments_md.py"
+)
+cmp "$SMOKE_DIR/experiments/EXPERIMENTS.md" EXPERIMENTS.md \
+    || { echo "regenerated EXPERIMENTS.md differs from the committed one"; exit 1; }
+
 echo "== monitor smoke run (dashboard + energy report) =="
 python -m repro monitor --jobs 6 --nodes 8 --seed 3 --resolution 1.0
 

@@ -10,6 +10,7 @@ energy-to-solution).
 
 from repro.analysis.kde import GaussianKDE, silverman_bandwidth, scott_bandwidth
 from repro.analysis.modes import (
+    Density,
     Mode,
     find_modes,
     fwhm,
@@ -44,6 +45,7 @@ from repro.analysis.metrics import (
 
 __all__ = [
     "CapTradeoff",
+    "Density",
     "DistributionSummary",
     "GaussianKDE",
     "Mode",

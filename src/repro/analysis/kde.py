@@ -5,6 +5,20 @@ from "the kernel density estimate (KDE) plot of the power timeline data
 distribution").  Supports Silverman's and Scott's bandwidth rules and
 evaluation on arbitrary grids.  ``scipy.stats.gaussian_kde`` is used only
 in the test suite as a cross-check.
+
+Evaluation is exact and cache-tiled.  The data axis is cut into chunks of
+``4e6 // grid.size`` points; each chunk is summed over in tiles of whole
+grid rows of about :data:`TILE_ELEMENTS` elements, in reused buffers, so
+every grid point still sums the same C-contiguous row of
+``exp((-0.5 * z) * z)`` terms, in the same order, as one
+``(grid, chunk)`` outer product would.  Exponent arguments below
+:data:`UNDERFLOW_ARG` are set to ``+0.0`` instead of being passed to
+``exp``: below ``-1075 ln 2 ~ -745.133`` the exact exponential is under
+half the smallest subnormal and rounds to ``+0.0`` anyway, while numpy's
+``exp`` takes a path there that is 10-20x slower than for arguments above
+``-700``.  Arguments in ``[-746, -708]`` still go through ``exp``, so
+subnormal terms are kept, and every density is bit-identical to the
+untiled outer product.
 """
 
 from __future__ import annotations
@@ -12,6 +26,15 @@ from __future__ import annotations
 import numpy as np
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+#: Elements of one evaluation tile (whole grid rows of one data chunk).
+#: Its three buffers take about 0.5 MB, so they stay in cache; 32 K ran
+#: faster than 8 K and 128 K on the EXPERIMENTS.md inputs.
+TILE_ELEMENTS = 32_768
+
+#: Exponent arguments below this are set to ``+0.0`` instead of calling
+#: ``exp``; anything below ``-1075 ln 2 ~ -745.133`` rounds to ``+0.0``.
+UNDERFLOW_ARG = -746.0
 
 
 def _robust_sigma(data: np.ndarray) -> float:
@@ -84,17 +107,42 @@ class GaussianKDE:
             self.bandwidth = float(bandwidth)
 
     def evaluate(self, grid) -> np.ndarray:
-        """Density values on a grid (integrates to 1 over the real line)."""
+        """Density values on a grid (integrates to 1 over the real line).
+
+        The only evaluation entry point: callers that need several
+        statistics of one sample evaluate it once and share the values
+        (see :class:`repro.analysis.modes.Density`).
+        """
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
-        # Chunk the outer product to bound memory for long timelines.
         out = np.zeros_like(grid)
         h = self.bandwidth
         n = self.data.size
+        # Each chunk's row sums are added to ``out`` in turn: the chunk
+        # boundaries fix the summation order, so they are part of the result.
         chunk = max(1, int(4e6 // max(grid.size, 1)))
+        width = min(chunk, n)
+        rows = max(1, TILE_ELEMENTS // width)
+        z_buf = np.empty(rows * width)
+        arg_buf = np.empty(rows * width)
+        under_buf = np.empty(rows * width, dtype=bool)
         for start in range(0, n, chunk):
             block = self.data[start : start + chunk]
-            z = (grid[:, None] - block[None, :]) / h
-            out += np.exp(-0.5 * z * z).sum(axis=1)
+            for row in range(0, grid.size, rows):
+                points = grid[row : row + rows]
+                size = points.size * block.size
+                shape = (points.size, block.size)
+                z = z_buf[:size].reshape(shape)
+                arg = arg_buf[:size].reshape(shape)
+                under = under_buf[:size].reshape(shape)
+                np.subtract(points[:, None], block[None, :], out=z)
+                z /= h
+                np.multiply(z, -0.5, out=arg)
+                arg *= z
+                np.less(arg, UNDERFLOW_ARG, out=under)
+                np.copyto(arg, 0.0, where=under)
+                np.exp(arg, out=arg)
+                np.copyto(arg, 0.0, where=under)
+                out[row : row + points.size] += arg.sum(axis=1)
         return out / (n * h * _SQRT_2PI)
 
     __call__ = evaluate

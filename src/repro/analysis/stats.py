@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.kde import GaussianKDE
-from repro.analysis.modes import fwhm, high_power_mode
+from repro.analysis.modes import Density, high_power_mode
 
 
 @dataclass(frozen=True)
@@ -45,14 +44,15 @@ def summarize(data, bandwidth: float | str = "silverman") -> DistributionSummary
     arr = np.asarray(data, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("cannot summarize an empty sample")
-    mode = high_power_mode(arr, bandwidth=bandwidth)
+    density = Density.of(arr, bandwidth=bandwidth)
+    mode = density.high_power_mode()
     return DistributionSummary(
         max_w=float(arr.max()),
         median_w=float(np.median(arr)),
         min_w=float(arr.min()),
         mean_w=float(arr.mean()),
         high_power_mode_w=mode.power_w,
-        fwhm_w=fwhm(arr, mode=mode, bandwidth=bandwidth),
+        fwhm_w=density.fwhm(mode),
         n_samples=int(arr.size),
     )
 
@@ -85,8 +85,7 @@ def violin_stats(
     if arr.size == 0:
         raise ValueError("cannot build violin stats from an empty sample")
     q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
-    kde = GaussianKDE(arr, bandwidth=bandwidth)
-    grid = kde.grid(n_points=n_grid)
+    violin = Density.of(arr, bandwidth=bandwidth, n_grid=n_grid)
     return ViolinStats(
         label=label,
         q1_w=float(q1),
@@ -95,6 +94,6 @@ def violin_stats(
         min_w=float(arr.min()),
         max_w=float(arr.max()),
         high_power_mode_w=high_power_mode(arr, bandwidth=bandwidth).power_w,
-        density_grid_w=grid,
-        density=kde.evaluate(grid),
+        density_grid_w=violin.grid,
+        density=violin.values,
     )

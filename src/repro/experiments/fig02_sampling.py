@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.modes import find_modes, fwhm, high_power_mode
+from repro.analysis.modes import Density
 from repro.experiments.common import make_nodes, run_workload
 from repro.experiments.report import format_table
 from repro.telemetry.downsample import downsample_series
@@ -63,8 +63,9 @@ def run(seed: int = 7, min_prominence: float = 0.04) -> Fig02Result:
     lo, hi = MID_MODE_WINDOW_W
     for rate in SAMPLING_RATES_S:
         _, values = downsample_series(times, series, rate)
-        mode = high_power_mode(values, min_prominence=min_prominence)
-        modes = find_modes(values, min_prominence=min_prominence)
+        density = Density.of(values)
+        mode = density.high_power_mode(min_prominence)
+        modes = density.modes(min_prominence)
         points.append(
             RatePoint(
                 rate_s=rate,
@@ -72,7 +73,7 @@ def run(seed: int = 7, min_prominence: float = 0.04) -> Fig02Result:
                 median_w=float(np.median(values)),
                 min_w=float(np.min(values)),
                 high_power_mode_w=mode.power_w,
-                fwhm_w=fwhm(values, mode=mode),
+                fwhm_w=density.fwhm(mode),
                 n_modes=len(modes),
                 mid_mode_detected=any(lo <= m.power_w <= hi for m in modes),
             )

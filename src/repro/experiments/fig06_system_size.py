@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.modes import fwhm, high_power_mode
+from repro.analysis.modes import Density
 from repro.experiments.common import run_workload
 from repro.experiments.report import format_table
 from repro.vasp.benchmarks import SILICON_SIZES, silicon_workload
@@ -57,17 +57,19 @@ def run(
         workload = silicon_workload(n_atoms, "dft_normal", nelm=nelm)
         measured = run_workload(workload, n_nodes=1, seed=seed)
         telem = measured.telemetry[0]
-        node_mode = high_power_mode(telem.node_power)
-        gpu_mode = high_power_mode(telem.gpu_total)
+        node = Density.of(telem.node_power)
+        gpu = Density.of(telem.gpu_total)
+        node_mode = node.high_power_mode()
+        gpu_mode = gpu.high_power_mode()
         points.append(
             SizePoint(
                 n_atoms=n_atoms,
                 nplwv=workload.nplwv,
                 nbands=workload.nbands,
                 node_hpm_w=node_mode.power_w,
-                node_fwhm_w=fwhm(telem.node_power, mode=node_mode),
+                node_fwhm_w=node.fwhm(node_mode),
                 gpu4_hpm_w=gpu_mode.power_w,
-                gpu4_fwhm_w=fwhm(telem.gpu_total, mode=gpu_mode),
+                gpu4_fwhm_w=gpu.fwhm(gpu_mode),
                 runtime_s=measured.runtime_s,
             )
         )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.apps.milc import milc_benchmark
 from repro.experiments.common import TELEMETRY_INTERVAL_S, make_nodes, run_workload
 from repro.experiments.report import format_table
-from repro.prediction.clustering import classify_jobs, profile_features
+from repro.prediction.clustering import classify_profiles, profile_features
 from repro.runner.cache import cached_phases
 from repro.runner.engine import PowerEngine
 from repro.telemetry.downsample import downsample_trace
@@ -55,7 +55,6 @@ class TopDownResult:
 def run(k: int = 2, seed: int = 7) -> TopDownResult:
     """Profile the job population and cluster it by power alone."""
     series = {}
-    hpm = {}
     for name, case in BENCHMARKS.items():
         measured = run_workload(case.build(), n_nodes=1, seed=seed)
         series[name] = measured.telemetry[0].node_power
@@ -67,13 +66,12 @@ def run(k: int = 2, seed: int = 7) -> TopDownResult:
         series[workload.name] = downsample_trace(
             result.traces[0], TELEMETRY_INTERVAL_S
         ).node_power
-    for name, values in series.items():
-        hpm[name] = float(profile_features(values)[0])
-    assigned = classify_jobs(series, k=k, seed=seed)
+    features = {name: profile_features(values) for name, values in series.items()}
+    assigned = classify_profiles(features, k=k, seed=seed)
     return TopDownResult(
         assigned=assigned,
         bottom_up={name: BOTTOM_UP_CLASSES[name] for name in assigned},
-        hpm_by_job=hpm,
+        hpm_by_job={name: float(row[0]) for name, row in features.items()},
     )
 
 

@@ -25,6 +25,7 @@ from repro.prediction.clustering import (
     PROFILE_FEATURE_NAMES,
     ProfileClassifier,
     classify_jobs,
+    classify_profiles,
     fit_profile_classifier,
     kmeans_profiles,
     profile_features,
@@ -87,6 +88,7 @@ __all__ = [
     "TwoStageSurrogate",
     "build_corpus",
     "classify_jobs",
+    "classify_profiles",
     "evaluate",
     "evaluate_surrogate",
     "feature_vector",

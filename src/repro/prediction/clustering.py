@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.modes import fwhm, high_power_mode
+from repro.analysis.modes import Density
 
 #: Names of the profile-feature entries, in order.
 PROFILE_FEATURE_NAMES: tuple[str, ...] = (
@@ -36,8 +36,9 @@ def profile_features(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float).ravel()
     if values.size < 8:
         raise ValueError(f"need at least 8 samples, got {values.size}")
-    mode = high_power_mode(values)
-    width = fwhm(values, mode=mode)
+    density = Density.of(values)
+    mode = density.high_power_mode()
+    width = density.fwhm(mode)
     dwell = float(np.mean(np.abs(values - mode.power_w) <= max(width, 1e-9)))
     return np.array(
         [
@@ -264,8 +265,19 @@ def classify_jobs(
     Returns job name -> class index, with classes renumbered so 0 is the
     lowest-power class (stable across seeds).
     """
-    names = sorted(series_by_job)
-    matrix = np.stack([profile_features(series_by_job[name]) for name in names])
+    return classify_profiles(
+        {name: profile_features(values) for name, values in series_by_job.items()},
+        k=k,
+        seed=seed,
+    )
+
+
+def classify_profiles(
+    features_by_job: dict[str, np.ndarray], k: int = 2, seed: int = 0
+) -> dict[str, int]:
+    """:func:`classify_jobs` on precomputed :func:`profile_features` rows."""
+    names = sorted(features_by_job)
+    matrix = np.stack([features_by_job[name] for name in names])
     model = kmeans_profiles(matrix, k=k, seed=seed)
     order = model.centroid_power_order()
     rank = {cluster: position for position, cluster in enumerate(order)}
