@@ -59,6 +59,18 @@ mkdir "$SMOKE_DIR/experiments"
 cmp "$SMOKE_DIR/experiments/EXPERIMENTS.md" EXPERIMENTS.md \
     || { echo "regenerated EXPERIMENTS.md differs from the committed one"; exit 1; }
 
+echo "== examples smoke (every examples/*.py exits 0) =="
+# Run from a scratch directory so the examples' .repro_cache and
+# .repro_runs stay out of the checkout.
+mkdir "$SMOKE_DIR/examples"
+(
+    cd "$SMOKE_DIR/examples"
+    for example in "$REPO_ROOT"/examples/*.py; do
+        echo "-- ${example##*/}"
+        PYTHONPATH="$REPO_ROOT/src" python "$example" > /dev/null
+    done
+)
+
 echo "== monitor smoke run (dashboard + energy report) =="
 python -m repro monitor --jobs 6 --nodes 8 --seed 3 --resolution 1.0
 

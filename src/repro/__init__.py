@@ -1,11 +1,12 @@
 """repro: a reproduction of "Understanding VASP Power Profiles on NVIDIA
 A100 GPUs" (Zhao, Rrapaj, Austin, Wright — SC 2024).
 
-The library simulates the paper's full measurement stack — a VASP-like
-workload model, an A100/Perlmutter power substrate, LDMS/OMNI-style
-telemetry, the KDE/high-power-mode analysis, ``nvidia-smi`` power capping,
-and a power-aware batch scheduler — and regenerates every table and figure
-of the paper's evaluation (see ``repro.experiments``).
+The library simulates the paper's measurement stack — a VASP-like
+workload model, an A100/Perlmutter power substrate whose GPUs take
+``nvidia-smi -pl``-style power caps, 0.1 s component power traces with
+LDMS-style sampling and rate conversion, the KDE/high-power-mode
+analysis, and a power-aware batch scheduler — and regenerates every
+table and figure of the paper's evaluation (see ``repro.experiments``).
 
 Quickstart::
 

@@ -4,7 +4,7 @@ Implements the statistical machinery of Section III-B: kernel density
 estimates of power timeline data, mode finding, the **high power mode**
 (the mode at the highest power — the paper's preferred power metric) and
 its full width at half maximum, plus distribution summaries (violin
-statistics for Fig 9) and performance/energy metrics (parallel efficiency,
+statistics for Fig 9) and scaling metrics (parallel efficiency,
 energy-to-solution).
 """
 
@@ -30,40 +30,20 @@ from repro.analysis.efficiency import (
     scaling_table,
     speedup,
 )
-from repro.analysis.timeline import (
-    Segment,
-    detect_changepoints,
-    duty_cycle_estimate,
-    low_power_dwell_s,
-    segment_timeline,
-)
-from repro.analysis.metrics import (
-    CapTradeoff,
-    energy_delay_product,
-    energy_delay_squared,
-)
 
 __all__ = [
-    "CapTradeoff",
     "Density",
     "DistributionSummary",
     "GaussianKDE",
     "Mode",
     "ScalingPoint",
-    "Segment",
     "ViolinStats",
-    "detect_changepoints",
-    "duty_cycle_estimate",
-    "energy_delay_product",
-    "energy_delay_squared",
     "energy_to_solution_mj",
     "find_modes",
     "fwhm",
     "high_power_mode",
     "high_power_mode_w",
-    "low_power_dwell_s",
     "parallel_efficiency",
-    "segment_timeline",
     "scaling_table",
     "scott_bandwidth",
     "silverman_bandwidth",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.units.si import joules_to_megajoules
+from repro.units.constants import J_PER_MJ
 
 
 def speedup(t_reference_s: float, t_parallel_s: float) -> float:
@@ -33,7 +33,7 @@ def energy_to_solution_mj(total_energy_j: float) -> float:
     """Energy-to-solution in megajoules (the paper's unit)."""
     if total_energy_j < 0:
         raise ValueError(f"energy must be non-negative, got {total_energy_j}")
-    return joules_to_megajoules(total_energy_j)
+    return total_energy_j / J_PER_MJ
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,5 @@
-"""Power management: capping interface, policy, power-aware scheduling.
+"""Power management: cap policy, power-aware scheduling, DVFS control.
 
-* :mod:`nvsmi` — an ``nvidia-smi``-like facade for setting GPU power
-  limits on allocated nodes (Section V's experimental knob);
 * :mod:`policy` — workload-class -> cap policies built on the paper's
   finding that 50 % TDP costs most VASP workloads <10 % performance;
 * :mod:`scheduler` — a power-aware batch scheduler that applies the
@@ -18,7 +16,6 @@ from repro.capping.dvfsctl import (
     run_with_capping,
     run_with_static_dvfs,
 )
-from repro.capping.nvsmi import NvidiaSmi
 from repro.capping.policy import CapPolicy, WorkloadClass, classify_workload
 from repro.capping.scheduler import (
     Job,
@@ -35,7 +32,6 @@ __all__ = [
     "run_with_capping",
     "run_with_static_dvfs",
     "Job",
-    "NvidiaSmi",
     "PowerAwareScheduler",
     "ScheduleResult",
     "SchedulerConfig",

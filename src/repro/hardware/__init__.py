@@ -26,7 +26,7 @@ from repro.hardware.platform import (
     platform_ids,
     register_platform,
 )
-from repro.hardware.gpu import A100Gpu, GpuModel, GpuPowerSample
+from repro.hardware.gpu import GpuModel, GpuPowerSample
 from repro.hardware.cpu import MilanCpu
 from repro.hardware.memory import DdrMemory
 from repro.hardware.nic import SlingshotNic
@@ -34,7 +34,6 @@ from repro.hardware.node import GpuNode, NodePowerSample
 from repro.hardware.system import PerlmutterSystem
 
 __all__ = [
-    "A100Gpu",
     "DEFAULT_PLATFORM_ID",
     "DdrMemory",
     "GpuModel",

@@ -231,15 +231,6 @@ class GpuModel:
         return GpuPowerSample(power_w=self.idle_power_w, clock_fraction=1.0, slowdown=1.0)
 
 
-@dataclass
-class A100Gpu(GpuModel):
-    """Deprecated alias of :class:`GpuModel` (default spec: A100 40 GB).
-
-    Kept so existing callers and pickles keep working; new code should
-    construct ``GpuModel(spec=get_platform(...).gpu)``.
-    """
-
-
 # ----------------------------------------------------------------------
 # Array-capable entry points (the engine's vectorized hot path)
 # ----------------------------------------------------------------------

@@ -145,7 +145,7 @@ class GpuNode:
     ) -> NodePowerSample:
         """Assemble a node sample from already-resolved GPU powers.
 
-        GPU power is resolved by :meth:`A100Gpu.resolve_phase` (it depends
+        GPU power is resolved by :meth:`GpuModel.resolve_phase` (it depends
         on caps and the DVFS state), so the node takes it as input; the
         other components are resolved from utilization here.
         """

@@ -1,4 +1,4 @@
-"""CSV/JSON serialization of traces, series and experiment results."""
+"""CSV/JSON serialization of power traces and experiment results."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from typing import Any
 import numpy as np
 
 from repro.runner.trace import COMPONENT_KEYS, PowerTrace
-from repro.telemetry.sampler import SampledSeries
 
 
 # ----------------------------------------------------------------------
@@ -53,43 +52,6 @@ def load_trace_csv(path: str | Path) -> PowerTrace:
         node_name=node_name,
         times=data[:, 0],
         components={k: data[:, i + 1] for i, k in enumerate(COMPONENT_KEYS)},
-    )
-
-
-# ----------------------------------------------------------------------
-# Sampled series (telemetry view)
-# ----------------------------------------------------------------------
-
-
-def save_series_csv(series: SampledSeries, path: str | Path) -> Path:
-    """Write a sampled series to CSV."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_name", series.node_name, "component", series.component])
-        writer.writerow(["time_s", "power_w"])
-        for t, v in zip(series.times, series.values):
-            writer.writerow([f"{t:.4f}", f"{v:.3f}"])
-    return path
-
-
-def load_series_csv(path: str | Path) -> SampledSeries:
-    """Read a sampled series written by :func:`save_series_csv`."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        meta = next(reader)
-        if len(meta) != 4 or meta[0] != "node_name" or meta[2] != "component":
-            raise ValueError(f"{path}: not a series CSV")
-        node_name, component = meta[1], meta[3]
-        header = next(reader)
-        if header != ["time_s", "power_w"]:
-            raise ValueError(f"{path}: unexpected columns {header}")
-        rows = [(float(t), float(v)) for t, v in (row for row in reader if row)]
-    times = np.array([r[0] for r in rows])
-    values = np.array([r[1] for r in rows])
-    return SampledSeries(
-        node_name=node_name, component=component, times=times, values=values
     )
 
 

@@ -1,4 +1,4 @@
-"""``repro.monitor`` — OMNI-style fleet telemetry pipeline.
+"""``repro.monitor`` — fleet health monitoring.
 
 A streaming health monitor over the simulated fleet's power telemetry:
 incremental per-node moments, derived health signals — idle-power
@@ -10,9 +10,9 @@ as text/JSON power reports (:mod:`~repro.monitor.energy`).
 
 :class:`FleetMonitor` ties it together.  Engine chunk streams reach it
 one way — per-job ``JobProbe`` partials, from
-``simulate_fleet_traced(monitor=...)`` or ``FleetMonitor.observe_run`` —
-and stored telemetry through OmniStore ingest.  The collector is
-observation-only: monitored runs are bit-identical to unmonitored ones.
+``simulate_fleet_traced(monitor=...)`` or ``FleetMonitor.observe_run``.
+The collector is observation-only: monitored runs are bit-identical to
+unmonitored ones.
 
 Environment variables: ``REPRO_MONITOR`` (ambient CLI monitoring) and
 ``REPRO_MONITOR_LOG`` (alert-log JSON-lines sink).

@@ -7,8 +7,7 @@ methodology presumes.  Engine chunk streams reach it one way: a per-job
 :func:`repro.capping.fleet.simulate_fleet_traced` (serial or sharded), or
 fed retained traces by :meth:`FleetMonitor.observe_run` — and the
 monitor replays its :class:`JobMonitorPartial` in chronological job
-order; :class:`repro.telemetry.omni.OmniStore` ingest feeds it stored
-series.  The monitor keeps incremental
+order.  The monitor keeps incremental
 :class:`~repro.hardware.system.RunningMoments` and derives the health
 signals of :mod:`repro.monitor.health`.  On top sit the declarative
 alert rules (:mod:`repro.monitor.alerts`) and the per-job energy ledger
@@ -46,7 +45,6 @@ from repro.monitor.health import (
 )
 from repro.monitor.report import MonitorReport, NodeSummary
 from repro.runner.trace import GPU_KEYS, RunResult
-from repro.telemetry.sampler import SampledSeries
 
 _GPU_COMPONENTS = frozenset(GPU_KEYS)
 
@@ -436,37 +434,6 @@ class FleetMonitor:
                             dt,
                         )
         self.absorb_job_partial(probe.partial)
-
-    def ingest_series(self, series: SampledSeries) -> None:
-        """OmniStore subscription hook: watch an ingested sampled series.
-
-        Store streams carry no job attribution, so only stream-level
-        health applies: staleness on every component stream, drift and
-        idle checks on node power.
-        """
-        key = f"{series.node_name}:{series.component}"
-        times = np.asarray(series.times, dtype=float)
-        self._emit(self._staleness.observe(key, times, node_name=series.node_name))
-        if series.component != "node" or times.size == 0:
-            return
-        values = np.asarray(series.values, dtype=float)
-        self.chunks_observed += 1
-        self.samples_observed += int(values.size)
-        horizon = float(times[-1])
-        if horizon > self._horizon_s:
-            self._horizon_s = horizon
-        self._last_times[series.node_name] = float(times[-1])
-        self._drift.update(series.node_name, values)
-        band = self._node_bands.get(series.node_name)
-        self._emit(
-            self._idle.check_samples(
-                series.node_name,
-                times,
-                values,
-                idle_min_w=band[0] if band is not None else None,
-                idle_max_w=band[1] if band is not None else None,
-            )
-        )
 
     # ------------------------------------------------------------------
     # Finalization

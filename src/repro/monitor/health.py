@@ -298,34 +298,6 @@ class StalenessDetector:
         #: Stream key -> time of the last sample seen.
         self._last_seen: dict[str, float] = {}
 
-    def observe(
-        self, key: str, times: np.ndarray, node_name: str | None = None
-    ) -> list[HealthSignal]:
-        """Fold a batch of sample times for one stream; emit gap signals.
-
-        Checks the boundary gap against the previous batch plus every
-        intra-batch gap (vectorized); at most one signal per batch, for
-        the largest offending gap.
-        """
-        if times.size == 0:
-            return []
-        if times.size > 1:
-            gaps = np.diff(times)
-            idx = int(np.argmax(gaps))
-            intra_gap_s = float(gaps[idx])
-            intra_gap_time_s = float(times[idx + 1])
-        else:
-            intra_gap_s = -np.inf
-            intra_gap_time_s = float(times[0])
-        return self.observe_summary(
-            key,
-            float(times[0]),
-            float(times[-1]),
-            intra_gap_s,
-            intra_gap_time_s,
-            node_name=node_name,
-        )
-
     def observe_summary(
         self,
         key: str,
@@ -335,13 +307,15 @@ class StalenessDetector:
         intra_gap_time_s: float = 0.0,
         node_name: str | None = None,
     ) -> list[HealthSignal]:
-        """:meth:`observe` from a batch summary instead of raw times.
+        """Fold one batch of a stream's samples; emit a gap signal.
 
-        Shard workers cannot see the coordinator's ``_last_seen`` state
-        (the boundary gap spans jobs), so they ship each batch's first /
-        last time and worst intra-batch gap, and the coordinator replays
-        the exact gap decision here.  ``observe`` itself delegates to
-        this method — the two paths share every float operation.
+        A batch is summarized by its first and last sample time and its
+        worst intra-batch gap.  Shard workers cannot see the
+        coordinator's ``_last_seen`` state (the boundary gap spans
+        jobs), so :class:`~repro.monitor.collector.JobProbe` ships these
+        summaries and the coordinator checks the boundary gap against
+        the previous batch here.  At most one signal per batch, for the
+        largest offending gap.
         """
         name = node_name if node_name is not None else key
         last = self._last_seen.get(key)
@@ -386,10 +360,6 @@ class StalenessDetector:
                     )
                 )
         return signals
-
-    def last_seen(self, key: str) -> float | None:
-        """Time of the last sample for a stream (None if never seen)."""
-        return self._last_seen.get(key)
 
 
 @dataclass

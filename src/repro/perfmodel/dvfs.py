@@ -1,7 +1,7 @@
 """Cap -> clock -> slowdown relationships, and the occupancy model.
 
 These are standalone (array-friendly) versions of the math embedded in
-:class:`repro.hardware.gpu.A100Gpu`, used by analysis code and by the
+:class:`repro.hardware.gpu.GpuModel`, used by analysis code and by the
 ablation benches that compare DVFS laws.  The canonical law is cubic:
 
     P(f) = P_static + (P_demand - P_static) * f**3

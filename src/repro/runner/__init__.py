@@ -18,12 +18,7 @@ from repro.runner.sweep import EstimateSpec, RunSpec, SweepExecutor, run_sweep
 from repro.runner.dgemm import dgemm_phase, numpy_dgemm_gflops
 from repro.runner.stream import numpy_stream_gbs, stream_phase
 from repro.runner.job import JobResult, JobScript, idle_phase
-from repro.runner.runlog import (
-    RunLogSummary,
-    parse_run_log,
-    summarize_run,
-    write_run_log,
-)
+from repro.runner.runlog import RunLogSummary, summarize_run
 
 __all__ = [
     "EngineConfig",
@@ -43,9 +38,7 @@ __all__ = [
     "idle_phase",
     "numpy_dgemm_gflops",
     "numpy_stream_gbs",
-    "parse_run_log",
     "run_sweep",
     "stream_phase",
     "summarize_run",
-    "write_run_log",
 ]

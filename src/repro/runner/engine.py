@@ -33,7 +33,7 @@ from repro import obs
 from repro.hardware.gpu import resolve_phase_batch
 from repro.hardware.node import GpuNode
 from repro.hardware.variability import unit_rng
-from repro.perfmodel.power import demand_power_batch, demand_power_w
+from repro.perfmodel.power import demand_power_batch
 from repro.vasp.phases import MacroPhase
 from repro.runner.trace import (
     COMPONENT_KEYS,
@@ -273,10 +273,10 @@ class PowerEngine:
         Returns ``(slowdown, means)``: the per-phase slowdown ``[P]`` and
         the mean power of every component during every phase,
         ``[nodes, components, phases]`` with components in
-        :data:`COMPONENT_KEYS` order.  This is the vectorized equivalent
-        of calling :meth:`_resolve_phase_reference` per phase: one batched
-        pass over a ``[phases, nodes, gpus]`` grid instead of three nested
-        Python loops.
+        :data:`COMPONENT_KEYS` order.  One batched pass over a
+        ``[phases, nodes, gpus]`` grid; its scalar per-node / per-GPU
+        specification is the oracle in
+        ``tests/runner/test_engine_vectorized.py``.
         """
         obs.inc("repro_engine_resolve_total", len(phases), path="vectorized")
 
@@ -357,60 +357,6 @@ class PowerEngine:
                 cpu_w + gpu_total + memory_w + nic_w + node.baseboard_power_w
             )
         return phase_slowdown, means
-
-    def _resolve_phase_reference(self, phase: MacroPhase) -> tuple[float, np.ndarray]:
-        """Cap-resolve one phase on every node: ``(slowdown, means[N, K])``.
-
-        Scalar reference implementation: per-node / per-GPU Python loops.
-        The production path is :meth:`_resolve_phases`, whose
-        ``means[:, :, p]`` this reproduces for phase ``p``; it is kept as
-        the readable specification and the oracle the
-        vectorized-equivalence tests replay.
-        """
-        profile = phase.gpu_profile
-        duty = profile.duty_cycle
-        means = np.empty((len(self.nodes), len(COMPONENT_KEYS)))
-        slowdown = 1.0
-        skews = {
-            gpu.serial: self._rank_skew(gpu.serial)
-            for node in self.nodes
-            for gpu in node.gpus
-        }
-        max_skew = max(skews.values()) if skews else 0.0
-        for node_index, node in enumerate(self.nodes):
-            gpu_means: list[float] = []
-            for gpu in node.gpus:
-                if duty <= 0.0:
-                    gpu_means.append(gpu.idle_power_w)
-                    continue
-                demand = demand_power_w(profile, gpu.envelope)
-                sample = gpu.resolve_phase(demand, profile.compute_fraction)
-                # Load imbalance: rank i holds (1 + skew_i) of the nominal
-                # work; the phase runs at the most-loaded rank's pace while
-                # the others idle-wait, diluting their duty cycle.
-                rank_duty = min(
-                    duty * (1.0 + skews[gpu.serial]) / (1.0 + max_skew), 1.0
-                )
-                gpu_means.append(
-                    rank_duty * sample.power_w + (1.0 - rank_duty) * gpu.idle_power_w
-                )
-                # Ranks synchronize: the job runs at the slowest GPU's pace.
-                slowdown = max(
-                    slowdown,
-                    (duty * sample.slowdown + (1.0 - duty)) * (1.0 + max_skew),
-                )
-            node_sample = node.sample(
-                gpu_power_w=gpu_means,
-                cpu_utilization=phase.cpu_utilization,
-                memory_bandwidth_utilization=phase.mem_bw_utilization,
-                nic_utilization=phase.nic_utilization,
-            )
-            row = means[node_index]
-            row[_CPU_ROW] = node_sample.cpu_w
-            row[_MEMORY_ROW] = node_sample.memory_w
-            row[_NODE_ROW] = node_sample.node_w
-            row[_GPU_ROWS] = node_sample.gpu_w
-        return slowdown, means
 
     def _phase_sample_counts(self, durations: np.ndarray) -> tuple[int, np.ndarray]:
         """(total samples, per-phase sample counts) on the regular grid.

@@ -1,27 +1,22 @@
-"""OUTCAR-flavoured run logs: human-readable records of simulated runs.
+"""OUTCAR-flavoured run summaries: the facts of a simulated run.
 
 VASP users read timings from the OUTCAR's ``LOOP+`` lines and the final
 ``Total CPU time used``; power analysts join those against telemetry by
-timestamp.  This module writes an equivalent log for a simulated run —
-phase-level timings, cap state, per-node energy — and parses it back, so
-runs can be archived next to the exported traces (see :mod:`repro.io`)
-and re-analyzed without re-simulating.
+timestamp.  :func:`summarize_run` collects the same facts for a
+simulated run — phase-level timings, cap state, energy — and
+``repro run`` records them as run-ledger fields.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.runner.trace import RunResult
-
-_HEADER = "repro run log (OUTCAR-flavoured)"
 
 
 @dataclass(frozen=True)
 class RunLogSummary:
-    """The parseable facts a run log records."""
+    """The facts of one run: label, layout, cap, runtime, energy, phases."""
 
     label: str
     n_nodes: int
@@ -48,7 +43,7 @@ class RunLogSummary:
 
 
 def summarize_run(result: RunResult) -> RunLogSummary:
-    """Build the summary a run log records."""
+    """Summarize a run: per-phase call counts and seconds, totals."""
     phase_times: dict[str, tuple[int, float]] = {}
     for record in result.phases:
         count, seconds = phase_times.get(record.name, (0, 0.0))
@@ -59,83 +54,5 @@ def summarize_run(result: RunResult) -> RunLogSummary:
         gpu_power_cap_w=result.gpu_power_cap_w,
         runtime_s=result.runtime_s,
         total_energy_j=result.total_energy_j(),
-        phase_times=phase_times,
-    )
-
-
-def write_run_log(result: RunResult, path: str | Path) -> Path:
-    """Write the OUTCAR-flavoured log for a run."""
-    summary = summarize_run(result)
-    lines = [
-        _HEADER,
-        f" executed on  {summary.n_nodes} node(s), 4 GPUs/node",
-        f" run label    {summary.label}",
-        f" GPU power limit  {summary.gpu_power_cap_w:10.1f} W",
-        "",
-        " phase timings ------------------------------------------------",
-    ]
-    for name, (count, seconds) in sorted(
-        summary.phase_times.items(), key=lambda kv: -kv[1][1]
-    ):
-        lines.append(
-            f"  PHASE {name:24s} calls = {count:6d}  time = {seconds:12.3f} s"
-        )
-    lines += [
-        "",
-        f"      LOOP+:  cpu time {summary.loop_time_s:14.3f}: real time {summary.loop_time_s:14.3f}",
-        f" Total CPU time used (sec): {summary.runtime_s:14.3f}",
-        f" Total energy used (J):     {summary.total_energy_j:14.1f}",
-    ]
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-_PHASE_RE = re.compile(
-    r"^\s*PHASE\s+(?P<name>\S+)\s+calls =\s*(?P<count>\d+)\s+time =\s*(?P<time>[\d.]+) s\s*$"
-)
-
-
-def parse_run_log(path: str | Path) -> RunLogSummary:
-    """Parse a log written by :func:`write_run_log`.
-
-    Raises
-    ------
-    ValueError
-        If the file is not a repro run log or required lines are missing.
-    """
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if not lines or lines[0] != _HEADER:
-        raise ValueError(f"{path}: not a repro run log")
-
-    def grab(prefix: str) -> str:
-        for line in lines:
-            stripped = line.strip()
-            if stripped.startswith(prefix):
-                return stripped[len(prefix):].strip()
-        raise ValueError(f"{path}: missing {prefix!r} line")
-
-    n_nodes = int(grab("executed on").split()[0])
-    label = grab("run label")
-    cap = float(grab("GPU power limit").split()[0])
-    runtime = float(grab("Total CPU time used (sec):"))
-    energy = float(grab("Total energy used (J):"))
-    phase_times: dict[str, tuple[int, float]] = {}
-    for line in lines:
-        match = _PHASE_RE.match(line)
-        if match:
-            phase_times[match.group("name")] = (
-                int(match.group("count")),
-                float(match.group("time")),
-            )
-    if not phase_times:
-        raise ValueError(f"{path}: no PHASE lines found")
-    return RunLogSummary(
-        label=label,
-        n_nodes=n_nodes,
-        gpu_power_cap_w=cap,
-        runtime_s=runtime,
-        total_energy_j=energy,
         phase_times=phase_times,
     )

@@ -1,23 +1,17 @@
-"""Telemetry substrate: Cray PM counters, LDMS sampling, OMNI storage.
+"""Telemetry substrate: LDMS sampling and rate conversion.
 
-Mirrors the measurement stack of Section II-B: node-level power counters
-(:mod:`pmi`), sampled at a nominal 1-second interval by an LDMS-like
-collector whose data drops yield an effective 2-second cadence
-(:mod:`sampler`), stored in and queried from an OMNI-like time-series
-store (:mod:`omni`).  :mod:`downsample` implements the rate-conversion
-used by the Fig 2 sampling study.
+Mirrors the measurement stack of Section II-B: node power sampled at a
+nominal 1-second interval by an LDMS-like collector whose data drops
+yield an effective 2-second cadence (:mod:`sampler`).
+:mod:`downsample` implements the rate conversion used by the Fig 2
+sampling study.
 """
 
 from repro.telemetry.downsample import downsample_series, downsample_trace
-from repro.telemetry.pmi import PowerMonitoringInterface
 from repro.telemetry.sampler import LdmsSampler, SampledSeries, SamplerConfig
-from repro.telemetry.omni import OmniQuery, OmniStore
 
 __all__ = [
     "LdmsSampler",
-    "OmniQuery",
-    "OmniStore",
-    "PowerMonitoringInterface",
     "SampledSeries",
     "SamplerConfig",
     "downsample_series",

@@ -1,27 +1,15 @@
-"""Physical units, unit helpers and Perlmutter/A100 calibration constants.
+"""Perlmutter/A100 calibration constants.
 
 Everything power-related in the library is expressed in SI base-ish units:
-watts (W), joules (J), seconds (s).  Helper converters are provided for the
-units the paper reports (megajoules for energy-to-solution, megawatts for
-system budgets).
+watts (W), joules (J), seconds (s).  Energy-to-solution is reported in
+megajoules, the paper's unit (:data:`J_PER_MJ`).
 """
 
-from repro.units.si import (
-    J_PER_MJ,
-    W_PER_KW,
-    W_PER_MW,
-    joules_to_megajoules,
-    kilowatts_to_watts,
-    megajoules_to_joules,
-    megawatts_to_watts,
-    watt_hours_to_joules,
-    watts_to_kilowatts,
-    watts_to_megawatts,
-)
 from repro.units.constants import (
     A100_40GB,
     CPU_MILAN,
     DDR4_256GB,
+    J_PER_MJ,
     GPUEnvelope,
     CPUEnvelope,
     MemoryEnvelope,
@@ -45,13 +33,4 @@ __all__ = [
     "PERLMUTTER_GPU_NODE",
     "PERLMUTTER_SYSTEM_TDP_W",
     "SLINGSHOT_NIC",
-    "W_PER_KW",
-    "W_PER_MW",
-    "joules_to_megajoules",
-    "kilowatts_to_watts",
-    "megajoules_to_joules",
-    "megawatts_to_watts",
-    "watt_hours_to_joules",
-    "watts_to_kilowatts",
-    "watts_to_megawatts",
 ]

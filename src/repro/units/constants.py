@@ -156,3 +156,7 @@ PERLMUTTER_GPU_NODE = NodeEnvelope(
 
 #: Full-system TDP including CPU partition, service nodes, network and CDUs.
 PERLMUTTER_SYSTEM_TDP_W: float = 6.9e6
+
+#: Joules per megajoule: the paper reports energy-to-solution in MJ
+#: (Figs 7 and 8).
+J_PER_MJ: float = 1.0e6

@@ -1,10 +1,10 @@
-"""A behavioural model of VASP's computation, input handling and parallelism.
+"""A behavioural model of VASP's computation, inputs and parallelism.
 
 This package does **not** solve the Kohn-Sham equations — it models the
 *execution structure* of VASP 6.4.1's OpenACC GPU port at the level that
 determines power behaviour:
 
-* input handling mirrors VASP's rules: INCAR tags, POSCAR structures,
+* inputs follow VASP's rules: typed INCAR tags, crystal structures,
   KPOINTS meshes, plane-wave counts and FFT grids derived from the cutoff
   and the cell, default NBANDS from electron and ion counts;
 * each electronic-structure method (LDA/GGA DFT, van der Waals, HSE hybrid,

@@ -1,43 +1,23 @@
-"""INCAR handling: the control-parameter file of a VASP calculation.
+"""INCAR parameters: the control tags of a VASP calculation.
 
-Implements the tags the paper's benchmarks exercise (Table I) with VASP's
-parsing conventions: ``TAG = value`` lines, ``#`` / ``!`` comments,
-case-insensitive tag names, Fortran-style logicals (``.TRUE.`` / ``.T.``).
-
-The :class:`Incar` dataclass is the validated, typed view used by the
-workload model; :func:`Incar.from_string` / :func:`Incar.to_string` round-
-trip the file format.
+Implements the tags the paper's benchmarks exercise (Table I).  The
+:class:`Incar` dataclass is the validated, typed view used by the
+workload model; workloads are built from its constructor
+(:mod:`repro.vasp.benchmarks`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.vasp.methods import Algorithm, Functional
-
-_TRUE_VALUES = {".true.", ".t.", "t", "true"}
-_FALSE_VALUES = {".false.", ".f.", "f", "false"}
-
-
-def _parse_logical(value: str) -> bool:
-    needle = value.strip().lower()
-    if needle in _TRUE_VALUES:
-        return True
-    if needle in _FALSE_VALUES:
-        return False
-    raise ValueError(f"not a Fortran logical: {value!r}")
-
-
-def _format_logical(value: bool) -> str:
-    return ".TRUE." if value else ".FALSE."
-
 
 @dataclass
 class Incar:
     """Validated INCAR parameters.
 
-    Only tags that influence the power/performance model are represented;
-    unknown tags survive round-trips in :attr:`extra`.
+    Only tags that influence the power/performance model are typed;
+    other tags (e.g. ``GGA``) are kept as strings in :attr:`extra`.
     """
 
     system: str = "unknown system"
@@ -87,93 +67,3 @@ class Incar:
         if gga in ("CA", "LDA"):
             return Functional.LDA
         return Functional.GGA
-
-    # ------------------------------------------------------------------
-    # File format
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_string(cls, text: str) -> "Incar":
-        """Parse INCAR text.
-
-        Raises
-        ------
-        ValueError
-            On malformed lines or invalid tag values.
-        """
-        raw: dict[str, str] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            stripped = line.split("#", 1)[0].split("!", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"INCAR line {lineno}: expected 'TAG = value', got {line!r}")
-            tag, value = stripped.split("=", 1)
-            raw[tag.strip().upper()] = value.strip()
-
-        kwargs: dict[str, object] = {}
-        extra: dict[str, str] = {}
-        for tag, value in raw.items():
-            if tag == "SYSTEM":
-                kwargs["system"] = value
-            elif tag == "ALGO":
-                kwargs["algo"] = Algorithm.from_incar(value)
-            elif tag == "ENCUT":
-                kwargs["encut_ev"] = float(value)
-            elif tag == "NELM":
-                kwargs["nelm"] = int(value)
-            elif tag == "NELMDL":
-                # VASP uses negative NELMDL for "delay only on the first
-                # ionic step"; the magnitude is what matters here.
-                kwargs["nelmdl"] = abs(int(value))
-            elif tag == "NBANDS":
-                kwargs["nbands"] = int(value)
-            elif tag == "NELECT":
-                kwargs["nelect"] = float(value)
-            elif tag == "KPAR":
-                kwargs["kpar"] = int(value)
-            elif tag == "NSIM":
-                kwargs["nsim"] = int(value)
-            elif tag == "LHFCALC":
-                kwargs["lhfcalc"] = _parse_logical(value)
-            elif tag == "HFSCREEN":
-                kwargs["hfscreen"] = float(value)
-            elif tag == "IVDW":
-                kwargs["ivdw"] = int(value)
-            elif tag == "NBANDSEXACT":
-                kwargs["nbandsexact"] = int(value)
-            else:
-                extra[tag] = value
-        kwargs["extra"] = extra
-        return cls(**kwargs)  # type: ignore[arg-type]
-
-    def to_string(self) -> str:
-        """Serialize to INCAR text (round-trips through ``from_string``)."""
-        lines = [
-            f"SYSTEM = {self.system}",
-            f"ALGO = {self.algo.value}",
-            f"ENCUT = {self.encut_ev!r}",
-            f"NELM = {self.nelm}",
-            f"NELMDL = {self.nelmdl}",
-            f"KPAR = {self.kpar}",
-            f"NSIM = {self.nsim}",
-            f"LHFCALC = {_format_logical(self.lhfcalc)}",
-            f"IVDW = {self.ivdw}",
-        ]
-        if self.nbands is not None:
-            lines.append(f"NBANDS = {self.nbands}")
-        if self.nelect is not None:
-            lines.append(f"NELECT = {self.nelect!r}")
-        if self.hfscreen is not None:
-            lines.append(f"HFSCREEN = {self.hfscreen!r}")
-        if self.nbandsexact is not None:
-            lines.append(f"NBANDSEXACT = {self.nbandsexact}")
-        for tag, value in sorted(self.extra.items()):
-            lines.append(f"{tag} = {value}")
-        return "\n".join(lines) + "\n"
-
-    def replace(self, **changes: object) -> "Incar":
-        """A copy with the given fields changed (re-validated)."""
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        current.update(changes)
-        current["extra"] = dict(current["extra"])  # type: ignore[arg-type]
-        return Incar(**current)  # type: ignore[arg-type]

@@ -57,30 +57,3 @@ class KpointMesh:
                 f"KPAR={kpar} exceeds the {self.irreducible} irreducible k-points"
             )
         return math.ceil(self.irreducible / kpar)
-
-    @classmethod
-    def from_string(cls, text: str) -> "KpointMesh":
-        """Parse a minimal automatic-mesh KPOINTS file.
-
-        Expected layout (VASP automatic mode)::
-
-            comment
-            0
-            Gamma | Monkhorst
-            n1 n2 n3
-            [shift]
-        """
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 4:
-            raise ValueError("KPOINTS file too short for automatic mesh format")
-        if lines[1] != "0":
-            raise ValueError("only automatic meshes (second line '0') are supported")
-        parts = lines[3].split()
-        if len(parts) < 3:
-            raise ValueError(f"expected three mesh divisions, got {lines[3]!r}")
-        n1, n2, n3 = (int(p) for p in parts[:3])
-        return cls(n1, n2, n3)
-
-    def to_string(self, comment: str = "automatic mesh") -> str:
-        """Serialize to the automatic-mesh KPOINTS format."""
-        return f"{comment}\n0\nGamma\n{self.n1} {self.n2} {self.n3}\n0 0 0\n"

@@ -41,15 +41,6 @@ class Algorithm(enum.Enum):
     EXACT = "Exact"  # Exact (full) diagonalization
     ACFDTR = "ACFDTR"  # RPA natural-orbital path
 
-    @classmethod
-    def from_incar(cls, value: str) -> "Algorithm":
-        """Parse an INCAR ``ALGO`` value (case-insensitive)."""
-        needle = value.strip().lower()
-        for algo in cls:
-            if algo.value.lower() == needle:
-                return algo
-        raise ValueError(f"unknown ALGO value {value!r}")
-
 
 #: Combinations exercised in Fig 9, keyed by the paper's labels.
 FIG9_METHODS: dict[str, tuple[Functional, Algorithm]] = {

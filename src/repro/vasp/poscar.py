@@ -1,11 +1,11 @@
-"""POSCAR handling: crystal structures and the silicon-supercell family.
+"""POSCAR structures: crystal cells and the silicon-supercell family.
 
 :class:`Structure` stores the lattice, species and fractional positions,
-computes cell volume and valence-electron counts (what sets VASP's default
-NBANDS), and round-trips the POSCAR file format.  Section IV's experiments
-are driven by :func:`silicon_supercell`, which builds diamond-cubic silicon
-supercells of arbitrary ``(n1, n2, n3)`` multiplicity with an optional
-vacancy (Si256_hse is a 256-site supercell minus one atom).
+and computes cell volume and valence-electron counts (what sets VASP's
+default NBANDS).  Section IV's experiments are driven by
+:func:`silicon_supercell`, which builds diamond-cubic silicon supercells
+of arbitrary ``(n1, n2, n3)`` multiplicity with an optional vacancy
+(Si256_hse is a 256-site supercell minus one atom).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class Structure:
     frac_positions:
         Fractional coordinates, shape ``(n_atoms, 3)``.
     comment:
-        POSCAR first line.
+        Free-text label (the POSCAR comment line).
     """
 
     lattice: np.ndarray
@@ -117,69 +117,6 @@ class Structure:
                     "extend repro.vasp.poscar.VALENCE_ELECTRONS"
                 ) from None
         return total
-
-    def species_counts(self) -> dict[str, int]:
-        """Element -> atom count, in first-appearance order."""
-        counts: dict[str, int] = {}
-        for symbol in self.species:
-            counts[symbol] = counts.get(symbol, 0) + 1
-        return counts
-
-    # ------------------------------------------------------------------
-    # POSCAR format
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_poscar(cls, text: str) -> "Structure":
-        """Parse POSCAR text (VASP 5+ format with a species line)."""
-        lines = text.splitlines()
-        if len(lines) < 8:
-            raise ValueError("POSCAR too short")
-        comment = lines[0].strip()
-        scale = float(lines[1].split()[0])
-        lattice = np.array([[float(x) for x in lines[2 + i].split()[:3]] for i in range(3)])
-        if scale < 0:
-            # Negative scale means "scale to this volume" in VASP.
-            current = abs(np.linalg.det(lattice))
-            lattice = lattice * (abs(scale) / current) ** (1.0 / 3.0)
-        else:
-            lattice = lattice * scale
-        symbols = lines[5].split()
-        counts = [int(x) for x in lines[6].split()]
-        if len(symbols) != len(counts):
-            raise ValueError("species line and count line disagree")
-        mode_line = lines[7].strip().lower()
-        if mode_line.startswith("s"):  # selective dynamics
-            mode_line = lines[8].strip().lower()
-            coord_start = 9
-        else:
-            coord_start = 8
-        cartesian = mode_line.startswith(("c", "k"))
-        n_atoms = sum(counts)
-        coords = np.array(
-            [[float(x) for x in lines[coord_start + i].split()[:3]] for i in range(n_atoms)]
-        )
-        if cartesian:
-            coords = coords @ np.linalg.inv(lattice)
-        species: list[str] = []
-        for symbol, count in zip(symbols, counts):
-            species.extend([symbol] * count)
-        return cls(lattice=lattice, species=species, frac_positions=coords, comment=comment)
-
-    def to_poscar(self) -> str:
-        """Serialize to POSCAR text (direct coordinates)."""
-        counts = self.species_counts()
-        lines = [self.comment, "1.0"]
-        for row in self.lattice:
-            lines.append("  " + "  ".join(f"{x:18.12f}" for x in row))
-        lines.append("  " + "  ".join(counts.keys()))
-        lines.append("  " + "  ".join(str(c) for c in counts.values()))
-        lines.append("Direct")
-        # POSCAR groups coordinates by element, in species-line order.
-        for symbol in counts:
-            for spec, pos in zip(self.species, self.frac_positions):
-                if spec == symbol:
-                    lines.append("  " + "  ".join(f"{x:18.12f}" for x in pos))
-        return "\n".join(lines) + "\n"
 
 
 def silicon_supercell(

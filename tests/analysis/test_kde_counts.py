@@ -11,7 +11,12 @@ import pytest
 
 from repro.analysis.kde import GaussianKDE
 from repro.analysis.stats import summarize
-from repro.experiments import fig02_sampling, fig06_system_size, topdown
+from repro.experiments import (
+    fig02_sampling,
+    fig06_system_size,
+    fig07_internal_params,
+    topdown,
+)
 from repro.prediction.clustering import profile_features
 
 
@@ -54,6 +59,13 @@ def test_fig06_evaluates_node_and_gpu_once_per_size(evaluations):
     sizes = (32, 64)
     fig06_system_size.run(sizes=sizes)
     assert len(evaluations) == 2 * len(sizes)
+
+
+def test_fig07_measures_the_base_point_once(evaluations):
+    """Si256_hse's own NPLWV and NBANDS are one run shared by both panels."""
+    fig07_internal_params.run()
+    # 5 + 5 sweep points, one of each sweep at the base's own value.
+    assert len(evaluations) == 9
 
 
 def test_topdown_evaluates_once_per_series(evaluations):

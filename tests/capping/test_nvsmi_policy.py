@@ -1,48 +1,11 @@
-"""Unit tests for the nvidia-smi facade and the cap policy."""
+"""Unit tests for workload classification and the cap policy."""
 
 import pytest
 
-from repro.capping.nvsmi import NvidiaSmi
 from repro.capping.policy import CapPolicy, WorkloadClass, classify_workload
-from repro.hardware.gpu import PowerLimitError
-from repro.hardware.node import GpuNode
 from repro.vasp.benchmarks import benchmark
 from repro.vasp.incar import Incar
 from repro.vasp.methods import Algorithm
-
-
-@pytest.fixture
-def nodes():
-    return [GpuNode(f"nid{7000 + i:06d}") for i in range(2)]
-
-
-class TestNvidiaSmi:
-    def test_query_lists_all_gpus(self, nodes):
-        rows = NvidiaSmi(nodes).query()
-        assert len(rows) == 8
-        assert all(r.default_limit_w == 400.0 for r in rows)
-
-    def test_set_power_limit(self, nodes):
-        smi = NvidiaSmi(nodes)
-        changed = smi.set_power_limit(250.0)
-        assert changed == 8
-        assert all(r.power_limit_w == 250.0 for r in smi.query())
-
-    def test_invalid_limit_changes_nothing(self, nodes):
-        smi = NvidiaSmi(nodes)
-        with pytest.raises(PowerLimitError):
-            smi.set_power_limit(50.0)
-        assert all(r.power_limit_w == 400.0 for r in smi.query())
-
-    def test_reset(self, nodes):
-        smi = NvidiaSmi(nodes)
-        smi.set_power_limit(150.0)
-        assert smi.reset_power_limit() == 8
-        assert all(r.power_limit_w == 400.0 for r in smi.query())
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            NvidiaSmi([])
 
 
 class TestClassifyWorkload:

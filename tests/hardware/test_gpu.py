@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.hardware.gpu import A100Gpu, PowerLimitError, MIN_CLOCK_FRACTION
+from repro.hardware.gpu import GpuModel, PowerLimitError, MIN_CLOCK_FRACTION
 from repro.hardware.variability import ManufacturingVariation
 
 
 @pytest.fixture
-def gpu() -> A100Gpu:
+def gpu() -> GpuModel:
     """A variation-free GPU so assertions are exact."""
-    return A100Gpu(serial="TEST", variation=ManufacturingVariation.nominal())
+    return GpuModel(serial="TEST", variation=ManufacturingVariation.nominal())
 
 
 class TestPowerLimit:
@@ -111,7 +111,7 @@ class TestResolvePhase:
         assert sample.slowdown == 1.0
 
     def test_variation_biases_power(self):
-        biased = A100Gpu(
+        biased = GpuModel(
             serial="X", variation=ManufacturingVariation(power_factor=1.05, idle_offset_w=2.0)
         )
         sample = biased.resolve_phase(355.0)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.hardware.gpu import A100Gpu, GpuModel, PowerLimitError
+from repro.hardware.gpu import GpuModel, PowerLimitError
 from repro.hardware.node import GpuNode
 from repro.hardware.platform import (
     DEFAULT_PLATFORM_ID,
@@ -100,14 +100,12 @@ class TestDefaultBitIdentity:
         assert spec.host_power_w == 265.0
         assert spec.idle_node_w == 460.0
 
-    def test_default_gpu_model_identical_to_legacy_alias(self):
-        new = GpuModel(serial="GPU-000042")
-        old = A100Gpu(serial="GPU-000042")
-        assert new.spec == old.spec
-        assert new.variation == old.variation
-        sample_new = new.resolve_phase(360.0, 0.7)
-        sample_old = old.resolve_phase(360.0, 0.7)
-        assert sample_new == sample_old
+    def test_default_gpu_identical_to_explicit_spec(self):
+        default = GpuModel(serial="GPU-000042")
+        explicit = GpuModel(serial="GPU-000042", spec=get_platform("a100-40g").gpu)
+        assert default.spec == explicit.spec
+        assert default.variation == explicit.variation
+        assert default.resolve_phase(360.0, 0.7) == explicit.resolve_phase(360.0, 0.7)
 
     def test_default_node_identical_to_explicit_default_platform(self):
         a = GpuNode(name="nid001234")
@@ -117,8 +115,8 @@ class TestDefaultBitIdentity:
 
 class TestSpecBehaviour:
     def test_custom_envelope_keeps_its_own_clock_floor(self):
-        # The old A100Gpu throttled *any* envelope with the A100's 0.15
-        # clock floor; a spec now carries its own.
+        # A spec carries its own clock floor: a custom envelope does not
+        # inherit the A100's 0.15.
         spec = GpuSpec.from_envelope(A100_40GB, min_clock_fraction=0.5)
         gpu = GpuModel(serial="FLOOR", spec=spec)
         gpu.set_power_limit(spec.cap_min_w)

@@ -17,8 +17,6 @@ from repro.monitor import (
 )
 from repro.runner import engine as engine_module
 from repro.runner.engine import EngineConfig
-from repro.telemetry.omni import OmniStore
-from repro.telemetry.sampler import SampledSeries
 from repro.vasp.benchmarks import benchmark
 
 ENGINE = EngineConfig(base_interval_s=1.0)
@@ -159,44 +157,6 @@ class TestObserveRun:
         assert jobs[0]["cap_slowdown"] == pytest.approx(1.0 / 0.9, rel=1e-3)
         # The 100 W floor cap pins the GPU: residency must register.
         assert jobs[0]["cap_residency"] > 0.05
-
-
-class TestOmniSubscription:
-    def test_ingest_series_watches_store_streams(self):
-        store = OmniStore()
-        monitor = FleetMonitor(MonitorConfig(idle_min_w=410.0, idle_max_w=510.0))
-        store.subscribe(monitor.ingest_series)
-        times = np.arange(0.0, 20.0, 2.0)
-        store.ingest(
-            SampledSeries(
-                node_name="nid1", component="node",
-                times=times, values=np.full(times.size, 460.0),
-            )
-        )
-        # A gappy stream on another node: staleness must fire.
-        gappy = np.array([0.0, 2.0, 30.0])
-        store.ingest(
-            SampledSeries(
-                node_name="nid2", component="node",
-                times=gappy, values=np.array([470.0, 300.0, 465.0]),
-            )
-        )
-        assert monitor.signal_counts.get("sampler_staleness", 0) >= 1
-        assert monitor.signal_counts.get("idle_outlier", 0) >= 1
-        assert monitor.samples_observed == times.size + gappy.size
-
-    def test_non_node_components_only_feed_staleness(self):
-        store = OmniStore()
-        monitor = FleetMonitor()
-        store.subscribe(monitor.ingest_series)
-        store.ingest(
-            SampledSeries(
-                node_name="nid1", component="gpu0",
-                times=np.array([0.0, 50.0]), values=np.array([100.0, 100.0]),
-            )
-        )
-        assert monitor.signal_counts.get("sampler_staleness", 0) == 1
-        assert monitor.chunks_observed == 0  # gpu streams are not buffered
 
 
 class TestReport:

@@ -89,15 +89,16 @@ class TestCapMonitor:
 
 
 class TestStalenessDetector:
+    """Batches arrive as (first, last, worst intra-batch gap, its time)."""
+
     def test_regular_stream_is_fresh(self):
         det = StalenessDetector(max_gap_s=5.0)
-        assert det.observe("a", np.arange(0.0, 10.0, 2.0)) == []
-        assert det.observe("a", np.arange(10.0, 20.0, 2.0)) == []
+        assert det.observe_summary("a", 0.0, 8.0, 2.0, 2.0) == []
+        assert det.observe_summary("a", 10.0, 18.0, 2.0, 12.0) == []
 
     def test_intra_batch_gap_fires(self):
         det = StalenessDetector(max_gap_s=5.0)
-        times = np.array([0.0, 2.0, 9.0, 11.0])
-        signals = det.observe("a", times)
+        signals = det.observe_summary("a", 0.0, 11.0, 7.0, 9.0)
         assert len(signals) == 1
         assert signals[0].kind == "sampler_staleness"
         assert signals[0].value == 7.0
@@ -105,20 +106,18 @@ class TestStalenessDetector:
 
     def test_boundary_gap_fires(self):
         det = StalenessDetector(max_gap_s=5.0)
-        det.observe("a", np.array([0.0, 1.0]))
-        signals = det.observe("a", np.array([20.0, 21.0]))
+        det.observe_summary("a", 0.0, 1.0, 1.0, 1.0)
+        signals = det.observe_summary("a", 20.0, 21.0, 1.0, 21.0)
         assert len(signals) == 1
         assert signals[0].value == 19.0
 
     def test_sweep_flags_silent_streams(self):
         det = StalenessDetector(max_gap_s=5.0)
-        det.observe("quiet", np.array([0.0, 1.0]))
-        det.observe("fresh", np.array([0.0, 98.0]))
+        det.observe_summary("quiet", 0.0, 1.0, 1.0, 1.0)
+        det.observe_summary("fresh", 0.0, 98.0, 98.0, 98.0)
         signals = det.sweep(now_s=100.0)
         assert [s.node_name for s in signals] == ["quiet"]
         assert signals[0].value == 99.0
-        assert det.last_seen("quiet") == 1.0
-        assert det.last_seen("never") is None
 
     def test_rejects_bad_gap(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.gpu import A100Gpu
+from repro.hardware.gpu import GpuModel
 from repro.hardware.variability import ManufacturingVariation
 from repro.perfmodel.dvfs import (
     capped_clock_fraction,
@@ -18,8 +18,8 @@ demands = st.floats(min_value=55.0, max_value=400.0)
 fractions = st.floats(min_value=0.0, max_value=1.0)
 
 
-def nominal_gpu() -> A100Gpu:
-    return A100Gpu(serial="PROP", variation=ManufacturingVariation.nominal())
+def nominal_gpu() -> GpuModel:
+    return GpuModel(serial="PROP", variation=ManufacturingVariation.nominal())
 
 
 class TestCapMonotonicity:

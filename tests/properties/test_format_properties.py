@@ -1,116 +1,12 @@
-"""Property-based tests for the input-file formats (INCAR/POSCAR/KPOINTS)."""
+"""Property-based tests for k-point meshes and KPAR groups."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vasp.incar import Incar
 from repro.vasp.kpoints import KpointMesh
-from repro.vasp.methods import Algorithm
-from repro.vasp.poscar import VALENCE_ELECTRONS, Structure
 
 
-@st.composite
-def incars(draw):
-    algo = draw(st.sampled_from(list(Algorithm)))
-    lhfcalc = draw(st.booleans())
-    # Respect VASP's constraint: HSE needs a CG-family algorithm.
-    if lhfcalc and algo in (Algorithm.VERYFAST, Algorithm.FAST):
-        lhfcalc = False
-    return Incar(
-        system=draw(
-            st.text(
-                alphabet=st.characters(
-                    whitelist_categories=("Lu", "Ll", "Nd"), whitelist_characters=" _-"
-                ),
-                min_size=1,
-                max_size=30,
-            )
-        ).strip()
-        or "system",
-        algo=algo,
-        encut_ev=draw(st.floats(min_value=50.0, max_value=1500.0)),
-        nelm=draw(st.integers(min_value=1, max_value=200)),
-        nelmdl=draw(st.integers(min_value=0, max_value=20)),
-        nbands=draw(st.one_of(st.none(), st.integers(min_value=8, max_value=8192))),
-        nelect=draw(st.one_of(st.none(), st.floats(min_value=2.0, max_value=1e4))),
-        kpar=draw(st.integers(min_value=1, max_value=8)),
-        nsim=draw(st.integers(min_value=1, max_value=16)),
-        lhfcalc=lhfcalc,
-        ivdw=draw(st.sampled_from([0, 10, 11, 12])),
-    )
-
-
-class TestIncarRoundTrip:
-    @given(incars())
-    @settings(max_examples=80, deadline=None)
-    def test_to_string_from_string_identity(self, incar):
-        assert Incar.from_string(incar.to_string()) == incar
-
-    @given(incars())
-    @settings(max_examples=40, deadline=None)
-    def test_functional_stable_under_roundtrip(self, incar):
-        parsed = Incar.from_string(incar.to_string())
-        assert parsed.functional is incar.functional
-
-
-@st.composite
-def structures(draw):
-    n_atoms = draw(st.integers(min_value=1, max_value=24))
-    symbols = draw(
-        st.lists(
-            st.sampled_from(sorted(VALENCE_ELECTRONS)),
-            min_size=n_atoms,
-            max_size=n_atoms,
-        )
-    )
-    # POSCAR groups by element; sort so the round-trip order matches.
-    symbols = sorted(symbols)
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
-    lengths = draw(
-        st.tuples(
-            st.floats(min_value=2.0, max_value=60.0),
-            st.floats(min_value=2.0, max_value=60.0),
-            st.floats(min_value=2.0, max_value=60.0),
-        )
-    )
-    return Structure(
-        lattice=np.diag(lengths),
-        species=symbols,
-        frac_positions=rng.uniform(0.0, 1.0, size=(n_atoms, 3)),
-        comment="property structure",
-    )
-
-
-class TestPoscarRoundTrip:
-    @given(structures())
-    @settings(max_examples=50, deadline=None)
-    def test_roundtrip_preserves_everything(self, structure):
-        parsed = Structure.from_poscar(structure.to_poscar())
-        assert parsed.species == structure.species
-        np.testing.assert_allclose(parsed.lattice, structure.lattice, atol=1e-9)
-        np.testing.assert_allclose(
-            parsed.frac_positions, structure.frac_positions, atol=1e-9
-        )
-
-    @given(structures())
-    @settings(max_examples=50, deadline=None)
-    def test_electron_count_stable(self, structure):
-        parsed = Structure.from_poscar(structure.to_poscar())
-        assert parsed.n_electrons() == structure.n_electrons()
-
-
-class TestKpointsRoundTrip:
-    @given(
-        st.integers(min_value=1, max_value=16),
-        st.integers(min_value=1, max_value=16),
-        st.integers(min_value=1, max_value=16),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_roundtrip(self, n1, n2, n3):
-        mesh = KpointMesh(n1, n2, n3)
-        assert KpointMesh.from_string(mesh.to_string()) == mesh
-
+class TestKpointGroups:
     @given(
         st.integers(min_value=1, max_value=16),
         st.integers(min_value=1, max_value=16),

@@ -1,11 +1,12 @@
 """The vectorized phase resolver against its scalar reference.
 
 ``PowerEngine._resolve_phases`` is the production path;
-``_resolve_phase_reference`` is the retained scalar specification.  These
-tests replay both over a grid of caps, imbalance settings and phase mixes
-and require matching results, check the array layout and sample counts
-bit for bit against scalar loops, plus regression coverage for the
-render's sample-count bookkeeping.
+:func:`resolve_phase_reference` below is the scalar specification, one
+phase at a time in per-node / per-GPU Python loops.  These tests replay
+both over a grid of caps, imbalance settings and phase mixes and require
+matching results, check the array layout and sample counts bit for bit
+against scalar loops, plus regression coverage for the render's
+sample-count bookkeeping.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from repro.hardware.node import GpuNode
 from repro.perfmodel.kernels import KernelCatalogue
+from repro.perfmodel.power import demand_power_w
 from repro.runner.engine import EngineConfig, PowerEngine, _phase_records
 from repro.runner.trace import COMPONENT_KEYS, GPU_KEYS
 from repro.vasp.phases import MacroPhase
@@ -37,9 +39,65 @@ def phase_mix():
     ]
 
 
+GPU_ROWS = [COMPONENT_KEYS.index(key) for key in GPU_KEYS]
+CPU_ROW = COMPONENT_KEYS.index("cpu")
+MEMORY_ROW = COMPONENT_KEYS.index("memory")
+NODE_ROW = COMPONENT_KEYS.index("node")
+
+
+def resolve_phase_reference(engine, phase):
+    """Cap-resolve one phase on every node: ``(slowdown, means[N, K])``.
+
+    The scalar specification of ``engine._resolve_phases``, whose
+    ``means[:, :, p]`` this reproduces for phase ``p``.
+    """
+    profile = phase.gpu_profile
+    duty = profile.duty_cycle
+    means = np.empty((len(engine.nodes), len(COMPONENT_KEYS)))
+    slowdown = 1.0
+    skews = {
+        gpu.serial: engine._rank_skew(gpu.serial)
+        for node in engine.nodes
+        for gpu in node.gpus
+    }
+    max_skew = max(skews.values()) if skews else 0.0
+    for node_index, node in enumerate(engine.nodes):
+        gpu_means = []
+        for gpu in node.gpus:
+            if duty <= 0.0:
+                gpu_means.append(gpu.idle_power_w)
+                continue
+            demand = demand_power_w(profile, gpu.envelope)
+            sample = gpu.resolve_phase(demand, profile.compute_fraction)
+            # Load imbalance: rank i holds (1 + skew_i) of the nominal
+            # work; the phase runs at the most-loaded rank's pace while
+            # the others idle-wait, diluting their duty cycle.
+            rank_duty = min(duty * (1.0 + skews[gpu.serial]) / (1.0 + max_skew), 1.0)
+            gpu_means.append(
+                rank_duty * sample.power_w + (1.0 - rank_duty) * gpu.idle_power_w
+            )
+            # Ranks synchronize: the job runs at the slowest GPU's pace.
+            slowdown = max(
+                slowdown,
+                (duty * sample.slowdown + (1.0 - duty)) * (1.0 + max_skew),
+            )
+        node_sample = node.sample(
+            gpu_power_w=gpu_means,
+            cpu_utilization=phase.cpu_utilization,
+            memory_bandwidth_utilization=phase.mem_bw_utilization,
+            nic_utilization=phase.nic_utilization,
+        )
+        row = means[node_index]
+        row[CPU_ROW] = node_sample.cpu_w
+        row[MEMORY_ROW] = node_sample.memory_w
+        row[NODE_ROW] = node_sample.node_w
+        row[GPU_ROWS] = node_sample.gpu_w
+    return slowdown, means
+
+
 def resolve_by_reference(engine, phases):
     """``_resolve_phases``' ``(slowdown[P], means[N, K, P])`` from the spec."""
-    reference = [engine._resolve_phase_reference(p) for p in phases]
+    reference = [resolve_phase_reference(engine, p) for p in phases]
     slowdown = np.array([ref_slowdown for ref_slowdown, _ in reference])
     means = np.stack([ref_means for _, ref_means in reference], axis=-1)
     return slowdown, means

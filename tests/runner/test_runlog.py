@@ -1,9 +1,9 @@
-"""Tests for the OUTCAR-flavoured run log."""
+"""Tests for the run summary ``repro run`` writes to the ledger."""
 
 import pytest
 
 from repro.experiments.common import run_workload
-from repro.runner.runlog import parse_run_log, summarize_run, write_run_log
+from repro.runner.runlog import summarize_run
 from repro.vasp.benchmarks import benchmark
 
 
@@ -23,65 +23,3 @@ class TestSummarize:
         assert count == 60  # one per SCF iteration (NELM)
         assert seconds > 0
 
-
-class TestRoundTrip:
-    def test_write_parse(self, run_result, tmp_path):
-        path = write_run_log(run_result, tmp_path / "run.log")
-        parsed = parse_run_log(path)
-        original = summarize_run(run_result)
-        assert parsed.label == original.label
-        assert parsed.n_nodes == original.n_nodes
-        assert parsed.gpu_power_cap_w == original.gpu_power_cap_w
-        assert parsed.runtime_s == pytest.approx(original.runtime_s, abs=0.01)
-        assert parsed.total_energy_j == pytest.approx(original.total_energy_j, rel=1e-4)
-        assert set(parsed.phase_times) == set(original.phase_times)
-        for name, (count, seconds) in original.phase_times.items():
-            p_count, p_seconds = parsed.phase_times[name]
-            assert p_count == count
-            assert p_seconds == pytest.approx(seconds, abs=0.01)
-
-    def test_cap_recorded(self, tmp_path):
-        result = run_workload(
-            benchmark("PdO2").build(), n_nodes=1, gpu_cap_w=200.0, seed=2
-        ).result
-        parsed = parse_run_log(write_run_log(result, tmp_path / "capped.log"))
-        assert parsed.gpu_power_cap_w == 200.0
-
-    def test_rejects_non_log(self, tmp_path):
-        bad = tmp_path / "bad.log"
-        bad.write_text("OUTCAR but not really\n")
-        with pytest.raises(ValueError, match="not a repro run log"):
-            parse_run_log(bad)
-
-    def test_rejects_truncated(self, tmp_path):
-        bad = tmp_path / "trunc.log"
-        bad.write_text("repro run log (OUTCAR-flavoured)\n executed on  1 node(s)\n")
-        with pytest.raises(ValueError):
-            parse_run_log(bad)
-
-    def test_rejects_log_without_phase_lines(self, run_result, tmp_path):
-        path = write_run_log(run_result, tmp_path / "run.log")
-        gutted = "\n".join(
-            line for line in path.read_text().splitlines() if "PHASE" not in line
-        )
-        bad = tmp_path / "gutted.log"
-        bad.write_text(gutted + "\n")
-        with pytest.raises(ValueError, match="no PHASE lines"):
-            parse_run_log(bad)
-
-    def test_writes_are_deterministic(self, run_result, tmp_path):
-        first = write_run_log(run_result, tmp_path / "a.log")
-        second = write_run_log(run_result, tmp_path / "b.log")
-        assert first.read_text() == second.read_text()
-
-    def test_multinode_roundtrip(self, tmp_path):
-        result = run_workload(benchmark("PdO2").build(), n_nodes=4, seed=2).result
-        parsed = parse_run_log(write_run_log(result, tmp_path / "multi.log"))
-        assert parsed.n_nodes == 4
-        assert parsed.loop_time_s == pytest.approx(parsed.runtime_s, abs=0.1)
-
-    def test_reparse_is_stable(self, run_result, tmp_path):
-        """Parsing loses only formatting precision: a second parse of the
-        same file reproduces the first parse exactly."""
-        path = write_run_log(run_result, tmp_path / "run.log")
-        assert parse_run_log(path) == parse_run_log(path)

@@ -99,6 +99,18 @@ class TestIrregularSeriesProperties:
         assert series.energy_j() == pytest.approx(150.0 + 450.0)
 
 
+def gap_summary(times):
+    """A stream batch as the detector takes it: first, last, worst gap, its time."""
+    gaps = np.diff(times)
+    worst = int(np.argmax(gaps))
+    return (
+        float(times[0]),
+        float(times[-1]),
+        float(gaps[worst]),
+        float(times[worst + 1]),
+    )
+
+
 class TestStalenessAgreement:
     def test_sampled_grid_never_trips_matching_detector(self):
         """A series honouring max_gap_s is fresh for the same bound."""
@@ -107,7 +119,8 @@ class TestStalenessAgreement:
         cfg = SamplerConfig(drop_probability=0.9, seed=4)
         series = LdmsSampler(cfg).sample(make_trace(n=3000), "node")
         detector = StalenessDetector(max_gap_s=cfg.max_gap_s)
-        assert detector.observe("nid001234:node", series.times) == []
+        batch = gap_summary(series.times)
+        assert detector.observe_summary("nid001234:node", *batch) == []
 
     def test_tighter_detector_flags_the_same_grid(self):
         from repro.monitor import StalenessDetector
@@ -116,6 +129,7 @@ class TestStalenessAgreement:
         series = LdmsSampler(cfg).sample(make_trace(n=3000), "node")
         assert series.max_gap_s > 2.0  # the drops do create real gaps
         detector = StalenessDetector(max_gap_s=2.0)
-        signals = detector.observe("nid001234:node", series.times)
+        batch = gap_summary(series.times)
+        signals = detector.observe_summary("nid001234:node", *batch)
         assert signals
         assert max(s.value for s in signals) == pytest.approx(series.max_gap_s)

@@ -1,11 +1,9 @@
-"""Unit tests for the LDMS-like sampler, the OMNI store and PM counters."""
+"""Unit tests for the LDMS-like sampler and its sampled series."""
 
 import numpy as np
 import pytest
 
 from repro.runner.trace import COMPONENT_KEYS, PowerTrace
-from repro.telemetry.omni import OmniQuery, OmniStore
-from repro.telemetry.pmi import PowerMonitoringInterface
 from repro.telemetry.sampler import LdmsSampler, SampledSeries, SamplerConfig
 
 
@@ -73,66 +71,6 @@ class TestLdmsSampler:
         assert sampled.energy_j() == pytest.approx(trace.energy_j(), rel=0.05)
 
 
-class TestOmniStore:
-    def make_store(self):
-        store = OmniStore()
-        sampler = LdmsSampler(SamplerConfig(seed=5))
-        for node in ("nid000001", "nid000002"):
-            store.ingest_all(sampler.sample_all(make_trace(node=node)))
-        return store
-
-    def test_nodes_and_components(self):
-        store = self.make_store()
-        assert store.nodes == ["nid000001", "nid000002"]
-        assert "node" in store.components
-
-    def test_query_by_node_and_component(self):
-        store = self.make_store()
-        out = store.query(OmniQuery(node_name="nid000001", component="node"))
-        assert len(out) == 1
-        assert out[0].node_name == "nid000001"
-
-    def test_query_time_window(self):
-        store = self.make_store()
-        out = store.query(
-            OmniQuery(node_name="nid000001", component="node", start_s=50.0, end_s=100.0)
-        )
-        assert np.all(out[0].times >= 50.0)
-        assert np.all(out[0].times < 100.0)
-
-    def test_query_validation(self):
-        with pytest.raises(ValueError):
-            OmniQuery(start_s=10.0, end_s=5.0)
-
-    def test_concatenated_requires_match(self):
-        store = self.make_store()
-        with pytest.raises(LookupError):
-            store.concatenated(OmniQuery(node_name="nid000099"))
-
-    def test_concatenated_sorted(self):
-        store = self.make_store()
-        merged = store.concatenated(OmniQuery(component="node"))
-        assert np.all(np.diff(merged.times) >= 0)
-
-
-class TestPmi:
-    def test_read_components(self):
-        pmi = PowerMonitoringInterface(make_trace())
-        values = pmi.read_all(at_s=50.0)
-        assert set(values) == set(COMPONENT_KEYS)
-        assert values["node"] > values["cpu"]
-
-    def test_unknown_counter(self):
-        pmi = PowerMonitoringInterface(make_trace())
-        with pytest.raises(KeyError):
-            pmi.read("psu0", 1.0)
-
-    def test_out_of_window(self):
-        pmi = PowerMonitoringInterface(make_trace())
-        with pytest.raises(ValueError):
-            pmi.read("node", 1e6)
-
-
 class TestSampledSeries:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -143,29 +81,3 @@ class TestSampledSeries:
         assert s.effective_interval_s == 0.0
         assert s.max_gap_s == 0.0
         assert s.energy_j() == 0.0
-
-
-class TestPmiEnergyCounters:
-    def test_energy_matches_power_integral(self):
-        trace = make_trace(1000)
-        pmi = PowerMonitoringInterface(trace)
-        energy = pmi.energy_j("node", 0.0, 100.0)
-        assert energy == pytest.approx(trace.energy_j(), rel=1e-9)
-
-    def test_windowed_energy(self):
-        trace = make_trace(1000)
-        pmi = PowerMonitoringInterface(trace)
-        first = pmi.energy_j("node", 0.0, 50.0)
-        second = pmi.energy_j("node", 50.0, 100.0)
-        assert first + second == pytest.approx(trace.energy_j(), rel=1e-9)
-
-    def test_empty_window(self):
-        pmi = PowerMonitoringInterface(make_trace(100))
-        assert pmi.energy_j("node", 5.0, 5.0) == 0.0
-
-    def test_validation(self):
-        pmi = PowerMonitoringInterface(make_trace(100))
-        with pytest.raises(KeyError):
-            pmi.energy_j("psu", 0.0, 1.0)
-        with pytest.raises(ValueError):
-            pmi.energy_j("node", 5.0, 1.0)

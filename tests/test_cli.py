@@ -72,6 +72,25 @@ class TestCommands:
         trace = load_trace_csv(target)
         assert len(trace.times) > 100
 
+    def test_survey(self, capsys, monkeypatch, tmp_path):
+        from repro.obs.ledger import RunLedger
+
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+        assert main(["survey"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = [cell.strip() for cell in lines[1].split("|")]
+        rows = [
+            [cell.strip() for cell in line.split("|")]
+            for line in lines[3:]
+            if "|" in line
+        ]
+        assert len(rows) == 7
+        hpm = [float(row[header.index("HPM (W)")].replace(",", "")) for row in rows]
+        assert hpm == sorted(hpm, reverse=True)
+        (record,) = RunLedger().records()
+        assert record.kind == "survey"
+        assert record.metrics["benchmarks"] == 7
+
     def test_reproduce_table1(self, capsys):
         assert main(["reproduce", "table1"]) == 0
         assert "80x120x54" in capsys.readouterr().out

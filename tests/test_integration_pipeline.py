@@ -1,9 +1,8 @@
 """End-to-end integration tests across subsystem boundaries.
 
 Each test exercises a realistic multi-module path a user would take:
-file inputs -> workload -> engine -> telemetry -> store -> analysis ->
-capping decisions, asserting cross-module consistency rather than any
-single module's behaviour.
+workload -> cap policy -> engine -> telemetry -> analysis, asserting
+cross-module consistency rather than any single module's behaviour.
 """
 
 import numpy as np
@@ -11,41 +10,31 @@ import pytest
 
 from repro.analysis.modes import high_power_mode_w
 from repro.analysis.stats import summarize
-from repro.capping.nvsmi import NvidiaSmi
 from repro.capping.policy import CapPolicy
 from repro.experiments.common import make_nodes
 from repro.runner.engine import PowerEngine
-from repro.telemetry.omni import OmniQuery, OmniStore
 from repro.telemetry.sampler import LdmsSampler, SamplerConfig
 from repro.vasp.benchmarks import benchmark
-from repro.vasp.inputs import load_workload, write_workload
 from repro.vasp.parallel import ParallelConfig
 
 
-class TestFileToAnalysisPipeline:
-    """The full user path: job directory in, power statistics out."""
+class TestPolicyToAnalysisPipeline:
+    """The full user path: policy-capped run in, power statistics out."""
 
-    def test_directory_to_high_power_mode(self, tmp_path):
-        original = benchmark("PdO2").build()
-        job_dir = write_workload(original, tmp_path / "job")
-        workload = load_workload(job_dir, nplwv_override=original.nplwv_override)
-
+    def test_policy_cap_to_high_power_mode(self):
+        workload = benchmark("PdO2").build()
         nodes = make_nodes(1)
-        # The scheduler-side policy decides the cap from the same files.
+        # The scheduler-side policy decides the cap from the workload.
         cap = CapPolicy.half_tdp().cap_for(workload)
-        NvidiaSmi(nodes).set_power_limit(cap)
+        for node in nodes:
+            node.set_gpu_power_limit(cap)
 
         engine = PowerEngine(nodes)
         result = engine.run(workload.phases(ParallelConfig(1)), seed=11)
         assert result.gpu_power_cap_w == cap
 
-        # Telemetry -> OMNI -> query -> analysis, as NERSC's stack does.
-        store = OmniStore()
-        sampler = LdmsSampler(SamplerConfig(seed=2))
-        store.ingest_all(sampler.sample_all(result.traces[0]))
-        series = store.concatenated(
-            OmniQuery(node_name=nodes[0].name, component="node")
-        )
+        # Telemetry -> analysis, as NERSC's LDMS stack feeds it.
+        series = LdmsSampler(SamplerConfig(seed=2)).sample(result.traces[0])
         hpm = high_power_mode_w(series.values)
         # Capped PdO2 stays under (4 x cap + host power) comfortably.
         assert hpm < 4 * cap + 400

@@ -5,15 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.io import (
-    load_series_csv,
-    load_trace_csv,
-    result_to_json,
-    save_series_csv,
-    save_trace_csv,
-)
+from repro.io import load_trace_csv, result_to_json, save_trace_csv
 from repro.runner.trace import COMPONENT_KEYS, PowerTrace
-from repro.telemetry.sampler import SampledSeries
 
 
 @pytest.fixture
@@ -24,16 +17,6 @@ def trace():
         node_name="nid001000",
         times=(np.arange(n) + 0.5) * 0.1,
         components={k: 100 + rng.random(n) * 50 for k in COMPONENT_KEYS},
-    )
-
-
-@pytest.fixture
-def series():
-    return SampledSeries(
-        node_name="nid001000",
-        component="node",
-        times=np.array([0.5, 2.5, 4.5, 8.5]),
-        values=np.array([900.0, 1500.0, 1480.0, 700.0]),
     )
 
 
@@ -61,22 +44,6 @@ class TestTraceCsv:
         )
         with pytest.raises(ValueError, match="no samples"):
             load_trace_csv(bad)
-
-
-class TestSeriesCsv:
-    def test_roundtrip(self, series, tmp_path):
-        path = save_series_csv(series, tmp_path / "series.csv")
-        loaded = load_series_csv(path)
-        assert loaded.node_name == series.node_name
-        assert loaded.component == series.component
-        np.testing.assert_allclose(loaded.times, series.times, atol=1e-4)
-        np.testing.assert_allclose(loaded.values, series.values, atol=1e-3)
-
-    def test_rejects_garbage(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            load_series_csv(bad)
 
 
 class TestResultJson:

@@ -73,12 +73,12 @@ def test_experiment_module_contract(module_name):
 
 
 def test_public_methods_documented_in_core_classes():
-    from repro.hardware.gpu import A100Gpu
+    from repro.hardware.gpu import GpuModel
     from repro.runner.engine import PowerEngine
     from repro.telemetry.sampler import LdmsSampler
     from repro.vasp.workload import VaspWorkload
 
-    for cls in (A100Gpu, PowerEngine, LdmsSampler, VaspWorkload):
+    for cls in (GpuModel, PowerEngine, LdmsSampler, VaspWorkload):
         for name, member in inspect.getmembers(cls, predicate=inspect.isfunction):
             if name.startswith("_"):
                 continue

@@ -1,4 +1,4 @@
-"""Unit tests for repro.units: conversions and hardware constants."""
+"""Unit tests for repro.units: the hardware constants."""
 
 import pytest
 
@@ -9,30 +9,7 @@ from repro.units import (
     PERLMUTTER_GPU_NODE,
     PERLMUTTER_SYSTEM_TDP_W,
     SLINGSHOT_NIC,
-    joules_to_megajoules,
-    megajoules_to_joules,
-    megawatts_to_watts,
-    watt_hours_to_joules,
-    watts_to_kilowatts,
-    watts_to_megawatts,
 )
-
-
-class TestConversions:
-    def test_joules_megajoules_roundtrip(self):
-        assert megajoules_to_joules(joules_to_megajoules(3.7e6)) == pytest.approx(3.7e6)
-
-    def test_megajoule_scale(self):
-        assert joules_to_megajoules(2.5e6) == pytest.approx(2.5)
-
-    def test_watts_kilowatts(self):
-        assert watts_to_kilowatts(2350.0) == pytest.approx(2.35)
-
-    def test_watts_megawatts_roundtrip(self):
-        assert megawatts_to_watts(watts_to_megawatts(6.9e6)) == pytest.approx(6.9e6)
-
-    def test_watt_hours(self):
-        assert watt_hours_to_joules(1.0) == pytest.approx(3600.0)
 
 
 class TestPaperConstants:

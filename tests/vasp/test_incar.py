@@ -1,62 +1,9 @@
-"""Unit tests for INCAR parsing, validation and round-trips."""
+"""Unit tests for INCAR validation and functional inference."""
 
 import pytest
 
 from repro.vasp.incar import Incar
 from repro.vasp.methods import Algorithm, Functional
-
-
-class TestParsing:
-    def test_basic_tags(self):
-        incar = Incar.from_string(
-            """
-            SYSTEM = silicon test
-            ALGO = VeryFast
-            ENCUT = 245
-            NELM = 60
-            NBANDS = 640
-            KPAR = 2
-            """
-        )
-        assert incar.system == "silicon test"
-        assert incar.algo is Algorithm.VERYFAST
-        assert incar.encut_ev == 245.0
-        assert incar.nbands == 640
-        assert incar.kpar == 2
-
-    def test_comments_stripped(self):
-        incar = Incar.from_string("ENCUT = 300 # cutoff\nNELM = 10 ! iterations\n")
-        assert incar.encut_ev == 300.0
-        assert incar.nelm == 10
-
-    def test_case_insensitive_tags(self):
-        incar = Incar.from_string("encut = 300\nAlGo = Normal\n")
-        assert incar.encut_ev == 300.0
-        assert incar.algo is Algorithm.NORMAL
-
-    @pytest.mark.parametrize("text,expected", [("LHFCALC = .TRUE.", True),
-                                               ("LHFCALC = .T.", True),
-                                               ("LHFCALC = .FALSE.", False),
-                                               ("LHFCALC = F", False)])
-    def test_fortran_logicals(self, text, expected):
-        incar = Incar.from_string(text + "\nALGO = Damped\n")
-        assert incar.lhfcalc is expected
-
-    def test_negative_nelmdl_magnitude(self):
-        incar = Incar.from_string("NELMDL = -5\n")
-        assert incar.nelmdl == 5
-
-    def test_unknown_tags_survive(self):
-        incar = Incar.from_string("ISMEAR = 0\nSIGMA = 0.05\n")
-        assert incar.extra == {"ISMEAR": "0", "SIGMA": "0.05"}
-
-    def test_malformed_line_raises(self):
-        with pytest.raises(ValueError, match="line 1"):
-            Incar.from_string("not a tag line\n")
-
-    def test_bad_logical_raises(self):
-        with pytest.raises(ValueError):
-            Incar.from_string("LHFCALC = maybe\n")
 
 
 class TestValidation:
@@ -90,29 +37,3 @@ class TestFunctionalInference:
 
     def test_acfdtr(self):
         assert Incar(algo=Algorithm.ACFDTR).functional is Functional.ACFDT_RPA
-
-
-class TestRoundTrip:
-    def test_to_string_from_string(self):
-        original = Incar(
-            system="roundtrip",
-            algo=Algorithm.DAMPED,
-            encut_ev=306.0,
-            nelm=41,
-            nbands=640,
-            lhfcalc=True,
-            hfscreen=0.2,
-            extra={"ISMEAR": "0"},
-        )
-        parsed = Incar.from_string(original.to_string())
-        assert parsed == original
-
-    def test_replace_revalidates(self):
-        incar = Incar(algo=Algorithm.DAMPED, lhfcalc=True)
-        with pytest.raises(ValueError):
-            incar.replace(algo=Algorithm.VERYFAST)
-
-    def test_replace_changes_field(self):
-        incar = Incar(nelm=10)
-        assert incar.replace(nelm=20).nelm == 20
-        assert incar.nelm == 10  # original untouched

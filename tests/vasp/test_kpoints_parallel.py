@@ -26,14 +26,6 @@ class TestKpointMesh:
         with pytest.raises(ValueError):
             KpointMesh(1, 1, 1).kpoints_per_group(2)
 
-    def test_roundtrip(self):
-        mesh = KpointMesh(3, 3, 1)
-        assert KpointMesh.from_string(mesh.to_string()) == mesh
-
-    def test_parse_rejects_explicit_lists(self):
-        with pytest.raises(ValueError):
-            KpointMesh.from_string("explicit\n4\nReciprocal\n0 0 0 1\n")
-
     def test_rejects_bad_mesh(self):
         with pytest.raises(ValueError):
             KpointMesh(0, 1, 1)

@@ -1,7 +1,5 @@
 """Tests for method/algorithm enumeration and labels."""
 
-import pytest
-
 from repro.vasp.methods import (
     FIG9_METHODS,
     Algorithm,
@@ -16,25 +14,6 @@ class TestFunctional:
         assert Functional.ACFDT_RPA.is_higher_order
         for f in (Functional.LDA, Functional.GGA, Functional.VDW):
             assert not f.is_higher_order
-
-
-class TestAlgorithm:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("Normal", Algorithm.NORMAL),
-            ("veryfast", Algorithm.VERYFAST),
-            ("FAST", Algorithm.FAST),
-            ("  Damped ", Algorithm.DAMPED),
-            ("acfdtr", Algorithm.ACFDTR),
-        ],
-    )
-    def test_from_incar(self, text, expected):
-        assert Algorithm.from_incar(text) is expected
-
-    def test_from_incar_unknown(self):
-        with pytest.raises(ValueError, match="ALGO"):
-            Algorithm.from_incar("Turbo")
 
 
 class TestFig9Methods:

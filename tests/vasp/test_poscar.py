@@ -1,4 +1,4 @@
-"""Unit tests for structures, POSCAR round-trips and silicon supercells."""
+"""Unit tests for structures and silicon supercells."""
 
 import numpy as np
 import pytest
@@ -79,14 +79,6 @@ class TestStructure:
         with pytest.raises(KeyError, match="Xx"):
             s.n_electrons()
 
-    def test_species_counts_order(self):
-        s = Structure(
-            lattice=np.eye(3) * 5,
-            species=["Ga", "As", "Ga", "Bi"],
-            frac_positions=np.zeros((4, 3)),
-        )
-        assert s.species_counts() == {"Ga": 2, "As": 1, "Bi": 1}
-
     def test_rejects_singular_lattice(self):
         with pytest.raises(ValueError):
             Structure(
@@ -102,43 +94,3 @@ class TestStructure:
                 species=["Si", "Si"],
                 frac_positions=np.zeros((1, 3)),
             )
-
-
-class TestPoscarFormat:
-    def test_roundtrip(self):
-        original = silicon_supercell(2)
-        parsed = Structure.from_poscar(original.to_poscar())
-        assert parsed.species == original.species
-        np.testing.assert_allclose(parsed.lattice, original.lattice)
-        np.testing.assert_allclose(parsed.frac_positions, original.frac_positions)
-
-    def test_parse_cartesian(self):
-        text = (
-            "cart test\n1.0\n"
-            "4.0 0.0 0.0\n0.0 4.0 0.0\n0.0 0.0 4.0\n"
-            "Si\n1\nCartesian\n2.0 2.0 2.0\n"
-        )
-        s = Structure.from_poscar(text)
-        np.testing.assert_allclose(s.frac_positions, [[0.5, 0.5, 0.5]])
-
-    def test_parse_scaled_lattice(self):
-        text = (
-            "scale test\n2.0\n"
-            "1.0 0.0 0.0\n0.0 1.0 0.0\n0.0 0.0 1.0\n"
-            "Si\n1\nDirect\n0.0 0.0 0.0\n"
-        )
-        s = Structure.from_poscar(text)
-        assert s.volume == pytest.approx(8.0)
-
-    def test_parse_too_short_raises(self):
-        with pytest.raises(ValueError):
-            Structure.from_poscar("too\nshort\n")
-
-    def test_species_count_mismatch_raises(self):
-        text = (
-            "bad\n1.0\n"
-            "4.0 0 0\n0 4.0 0\n0 0 4.0\n"
-            "Si O\n1\nDirect\n0 0 0\n"
-        )
-        with pytest.raises(ValueError):
-            Structure.from_poscar(text)

@@ -122,7 +122,7 @@ class TestSiliconWorkloads:
 class TestGenericStructure:
     def test_composition(self):
         s = generic_structure({"Pd": 3, "O": 2}, (10.0, 10.0, 10.0))
-        assert s.species_counts() == {"Pd": 3, "O": 2}
+        assert s.species == ["Pd", "Pd", "Pd", "O", "O"]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
