@@ -78,6 +78,22 @@ echo "== cross-platform smoke (registry + h100 cap sweep) =="
 python -m repro platforms
 python -m repro cap-sweep PdO2 --platform h100-sxm --nodes 1
 
+echo "== run and monitored cap-sweep smokes (more CLI paths through the engine) =="
+# `repro run --export-trace` writes the ground-truth trace as CSV;
+# `cap-sweep --monitor` must print the same cap table as the unmonitored
+# sweep (a monitor only observes) and observe every rendered chunk.
+python -m repro run PdO2 --nodes 1 --cap 200 --export-trace "$SMOKE_DIR/t.csv" > /dev/null
+# The CSV has CRLF line ends; grep reads it whole (no -q, no SIGPIPE).
+tr -d '\r' < "$SMOKE_DIR/t.csv" \
+    | grep -x 'time_s,cpu,gpu0,gpu1,gpu2,gpu3,memory,node' > /dev/null \
+    || { echo "exported trace lacks the time_s,cpu,gpu0..gpu3,memory,node header"; exit 1; }
+python -m repro cap-sweep GaAsBi-64 --nodes 2 > "$SMOKE_DIR/cap-sweep.out"
+python -m repro cap-sweep GaAsBi-64 --nodes 2 --monitor > "$SMOKE_DIR/cap-sweep-monitor.out"
+diff <(head -n 7 "$SMOKE_DIR/cap-sweep.out") <(head -n 7 "$SMOKE_DIR/cap-sweep-monitor.out") \
+    || { echo "monitored cap-sweep table diverged from unmonitored"; exit 1; }
+grep -qE '^ +chunks observed +200$' "$SMOKE_DIR/cap-sweep-monitor.out" \
+    || { echo "monitored cap-sweep did not report 200 chunks observed"; exit 1; }
+
 echo "== surrogate smoke (train -> predict -> verified cap search) =="
 # First command trains and persists the store (retraining from scratch
 # over the zoo-expanded corpus); the rest must hit it.  The zoo predict

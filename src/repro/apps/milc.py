@@ -229,22 +229,15 @@ def milc_cap_slowdown(
     """Runtime multiplier under a GPU power cap (analytic, no traces)."""
     from repro.hardware.gpu import GpuModel
     from repro.hardware.variability import ManufacturingVariation
-    from repro.perfmodel.power import demand_power_w
     from repro.runner.cache import cached_phases
 
     gpu = GpuModel(serial="MILC", variation=ManufacturingVariation.nominal())
     gpu.set_power_limit(cap_w)
+    table = cached_phases(workload, n_nodes).table
+    stretch = [row.stretch for row in gpu.resolve_rows(table)]
     base = 0.0
     capped = 0.0
-    for phase in cached_phases(workload, n_nodes):
-        profile = phase.gpu_profile
-        base += phase.duration_s
-        if profile.duty_cycle <= 0:
-            capped += phase.duration_s
-            continue
-        demand = demand_power_w(profile, gpu.envelope)
-        sample = gpu.resolve_phase(demand, profile.compute_fraction)
-        capped += phase.duration_s * (
-            profile.duty_cycle * sample.slowdown + (1.0 - profile.duty_cycle)
-        )
+    for index, nominal_s in table.per_phase():
+        base += nominal_s
+        capped += nominal_s * stretch[index]
     return capped / base if base > 0 else math.nan

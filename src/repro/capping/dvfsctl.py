@@ -24,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hardware.gpu import GpuModel
+from repro.hardware.gpu import GpuModel, RowResolve
 from repro.hardware.platform import Platform, get_platform
 from repro.hardware.variability import ManufacturingVariation
 from repro.perfmodel.dvfs import capped_phase_slowdown, sustained_power_w
-from repro.perfmodel.power import demand_power_w, duty_cycle_power_w
+from repro.perfmodel.power import duty_cycle_power_w
 from repro.runner.cache import cached_phases
+from repro.vasp.phases import PhaseTable
 from repro.vasp.workload import VaspWorkload
 
 #: Discrete clock fractions a static-DVFS operator can pin (the A100
@@ -56,27 +57,19 @@ class ControlOutcome:
         return self.peak_power_w > self.target_w * 1.001
 
 
-def _phase_table(
+def _nominal_gpu_table(
     workload: VaspWorkload,
     n_nodes: int,
     platform: "str | Platform | None" = None,
-):
-    """(duration, demand, compute_fraction, duty) per GPU-active phase."""
+) -> tuple[GpuModel, PhaseTable]:
+    """A nominal (variation-free) GPU of the platform, and the phase
+    table of the workload at ``n_nodes``."""
     gpu = GpuModel(
         serial="CTL",
         spec=get_platform(platform).gpu,
         variation=ManufacturingVariation.nominal(),
     )
-    rows = []
-    for phase in cached_phases(workload, n_nodes):
-        profile = phase.gpu_profile
-        demand = (
-            demand_power_w(profile, gpu.envelope) if profile.duty_cycle > 0 else 0.0
-        )
-        rows.append(
-            (phase.duration_s, demand, profile.compute_fraction, profile.duty_cycle)
-        )
-    return gpu, rows
+    return gpu, cached_phases(workload, n_nodes).table
 
 
 def run_with_capping(
@@ -86,9 +79,9 @@ def run_with_capping(
     platform: "str | Platform | None" = None,
 ) -> ControlOutcome:
     """Per-phase adaptive control: the board's power-capping loop."""
-    gpu, rows = _phase_table(workload, n_nodes, platform)
+    gpu, table = _nominal_gpu_table(workload, n_nodes, platform)
     gpu.set_power_limit(target_w)
-    return _accumulate("capping", target_w, gpu, rows, clock=None)
+    return _accumulate("capping", target_w, gpu, table, gpu.resolve_rows(table))
 
 
 def run_with_static_dvfs(
@@ -107,51 +100,62 @@ def run_with_static_dvfs(
     """
     if provision_for not in ("worst", "mean"):
         raise ValueError(f"provision_for must be 'worst' or 'mean', got {provision_for!r}")
-    gpu, rows = _phase_table(workload, n_nodes, platform)
+    gpu, table = _nominal_gpu_table(workload, n_nodes, platform)
     static = gpu.envelope.static_w
-    demands = [d for _, d, _, duty in rows if duty > 0]
-    if not demands:
+    # Uncapped rows: each row's demand (the pinned clock replaces the rest).
+    rows = gpu.resolve_rows(table)
+    duties = table.column("duty_cycle").tolist()
+    active = [(index, t) for index, t in table.per_phase() if duties[index] > 0]
+    if not active:
         raise ValueError("workload has no GPU-active phases")
+    demands = [rows[index].demand_w for index, _ in active]
     if provision_for == "worst":
         reference = max(demands)
     else:
-        weights = [t * duty for t, d, _, duty in rows if duty > 0]
+        weights = [t * duties[index] for index, t in active]
         reference = float(np.average(demands, weights=weights))
     clock = gpu.spec.min_clock_fraction
     for step in CLOCK_LADDER:
         if sustained_power_w(reference, step, static) <= target_w:
             clock = step
             break
-    return _accumulate("static_dvfs", target_w, gpu, rows, clock=clock)
+    pinned = [
+        row
+        if duty <= 0.0
+        else RowResolve(
+            row.demand_w,
+            float(sustained_power_w(row.demand_w, clock, static)),
+            float(capped_phase_slowdown(clock, cf, duty)),
+        )
+        for row, duty, cf in zip(
+            rows, duties, table.column("compute_fraction").tolist()
+        )
+    ]
+    return _accumulate("static_dvfs", target_w, gpu, table, pinned)
 
 
-def _accumulate(scheme, target_w, gpu, rows, clock):
-    static = gpu.envelope.static_w
+def _accumulate(scheme, target_w, gpu, table, rows):
+    """Fold per-row power and stretch over the phases, in phase order."""
+    idle_w = gpu.envelope.idle_w
+    duties = table.column("duty_cycle").tolist()
     total_time = 0.0
     total_energy = 0.0
     peak = 0.0
     sq_err = 0.0
     err_time = 0.0
-    for duration, demand, cf, duty in rows:
-        if duty <= 0.0:
-            active_power = gpu.envelope.idle_w
-            slowdown = 1.0
-        elif clock is None:
-            sample = gpu.resolve_phase(demand, cf)
-            active_power = sample.power_w
-            slowdown = duty * sample.slowdown + (1.0 - duty)
-        else:
-            active_power = float(sustained_power_w(demand, clock, static))
-            slowdown = float(capped_phase_slowdown(clock, cf, duty))
-        wall = duration * slowdown
-        avg = duty_cycle_power_w(active_power, duty, gpu.envelope.idle_w)
+    for index, duration in table.per_phase():
+        duty = duties[index]
+        row = rows[index]
+        active_power = row.power_w
+        wall = duration * row.stretch
+        avg = duty_cycle_power_w(active_power, duty, idle_w)
         total_time += wall
         total_energy += wall * avg
         if duty > 0:
             peak = max(peak, active_power)
             # Tracking error counts phases where control binds: demand
             # above the target.
-            if demand > target_w:
+            if row.demand_w > target_w:
                 sq_err += wall * (active_power - target_w) ** 2
                 err_time += wall
     return ControlOutcome(

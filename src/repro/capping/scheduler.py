@@ -26,7 +26,7 @@ from repro.config import read
 from repro.hardware.gpu import GpuModel
 from repro.hardware.platform import Platform, get_platform
 from repro.hardware.variability import ManufacturingVariation
-from repro.perfmodel.power import demand_power_w, duty_cycle_power_w
+from repro.perfmodel.power import duty_cycle_power_w
 from repro.runner.cache import RunCache, cached_phases, content_key, process_cache
 from repro.vasp.workload import VaspWorkload
 from repro.capping.policy import CapPolicy
@@ -70,6 +70,13 @@ def estimate_run(
     this is what a scheduler could precompute per workload class.  The
     GPU model, GPU count and host power come from ``platform`` (None
     means the registry default, a100-40g).
+
+    Each distinct row of the job's phase table is resolved once, on the
+    scalar path (:meth:`GpuModel.resolve_rows`); runtime, energy and peak
+    then accumulate phase by phase, in phase order.  The scalar path is
+    deliberate: numpy's vectorized ``power`` differs from Python's
+    ``**`` by an ulp on some inputs, and estimates set schedule times,
+    so an ulp would move every fleet digest.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -81,26 +88,24 @@ def estimate_run(
     )
     if cap_w is not None:
         gpu.set_power_limit(cap_w)
-    phases = cached_phases(workload, n_nodes)
+    table = cached_phases(workload, n_nodes).table
+    gpus_per_node = node_spec.gpus_per_node
+    idle_w = gpu.idle_power_w
+    # Per distinct row: (stretch, node power).
+    per_row = []
+    duties = table.column("duty_cycle").tolist()
+    for duty, row in zip(duties, gpu.resolve_rows(table)):
+        if duty <= 0.0:
+            gpu_w = idle_w
+        else:
+            gpu_w = duty_cycle_power_w(row.power_w, duty, idle_w)
+        per_row.append((row.stretch, gpus_per_node * gpu_w + node_spec.host_power_w))
     total_time = 0.0
     total_energy = 0.0
     peak = 0.0
-    gpus_per_node = node_spec.gpus_per_node
-    for phase in phases:
-        profile = phase.gpu_profile
-        if profile.duty_cycle <= 0.0:
-            gpu_w = gpu.idle_power_w
-            duration = phase.duration_s
-        else:
-            demand = demand_power_w(profile, gpu.envelope)
-            sample = gpu.resolve_phase(demand, profile.compute_fraction)
-            gpu_w = duty_cycle_power_w(
-                sample.power_w, profile.duty_cycle, gpu.idle_power_w
-            )
-            duration = phase.duration_s * (
-                profile.duty_cycle * sample.slowdown + (1.0 - profile.duty_cycle)
-            )
-        node_w = gpus_per_node * gpu_w + node_spec.host_power_w
+    for index, nominal_s in table.per_phase():
+        stretch, node_w = per_row[index]
+        duration = nominal_s * stretch
         total_time += duration
         total_energy += duration * node_w
         peak = max(peak, node_w)

@@ -28,12 +28,17 @@ because the last watts buy very few hertz.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.perfmodel.power import demand_power_at
 from repro.units.constants import GPUEnvelope
 from repro.hardware.platform import GpuSpec, default_gpu_spec
 from repro.hardware.variability import ManufacturingVariation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.vasp.phases import PhaseTable
 
 #: Deprecated module-level defaults, kept for backward compatibility.
 #: The authoritative values are per-device spec fields
@@ -52,6 +57,18 @@ class GpuPowerSample:
     power_w: float
     clock_fraction: float
     slowdown: float
+
+
+@dataclass(frozen=True)
+class RowResolve:
+    """One distinct phase-table row resolved on one GPU (scalar path)."""
+
+    #: Full-clock demand power (0.0 for an idle row).
+    demand_w: float
+    #: Sustained power while kernels run (idle power for an idle row).
+    power_w: float
+    #: Phase time multiplier, ``duty * slowdown + (1 - duty)``.
+    stretch: float
 
 
 class PowerLimitError(ValueError):
@@ -229,6 +246,33 @@ class GpuModel:
     def idle_sample(self) -> GpuPowerSample:
         """Power sample for an idle GPU."""
         return GpuPowerSample(power_w=self.idle_power_w, clock_fraction=1.0, slowdown=1.0)
+
+    def resolve_rows(self, table: "PhaseTable") -> list[RowResolve]:
+        """Resolve each distinct row of a phase table once, at the current cap.
+
+        The scalar path (:meth:`resolve_phase`, Python floats), one call
+        per GPU-active row; an idle row (duty cycle <= 0) draws idle power
+        and is not stretched.  Per-phase quantities follow by indexing
+        the result with ``table.row_of_phase``.
+        """
+        rows = []
+        for duty, uc, um, cf in zip(
+            table.column("duty_cycle").tolist(),
+            table.column("compute_utilization").tolist(),
+            table.column("memory_utilization").tolist(),
+            table.column("compute_fraction").tolist(),
+        ):
+            if duty <= 0.0:
+                rows.append(RowResolve(0.0, self.idle_power_w, 1.0))
+                continue
+            demand = demand_power_at(uc, um, self.spec)
+            sample = self.resolve_phase(demand, cf)
+            rows.append(
+                RowResolve(
+                    demand, sample.power_w, duty * sample.slowdown + (1.0 - duty)
+                )
+            )
+        return rows
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ black node line and the component sum in Fig 3).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,23 @@ from repro.hardware.memory import DdrMemory
 from repro.hardware.nic import SlingshotNic
 from repro.hardware.platform import NodeSpec, default_node_spec
 from repro.hardware.variability import ManufacturingVariation
+
+#: The per-GPU state fields of :attr:`GpuNode.gpu_static_state`, in row
+#: order: everything the batched GPU resolve reads besides the cap.
+GPU_STATIC_FIELDS: tuple[str, ...] = (
+    "static_w",
+    "idle_env_w",
+    "cap_min_w",
+    "cap_max_w",
+    "tdp_w",
+    "idle_w",
+    "power_factor",
+    "idle_offset_w",
+    "min_clock_fraction",
+    "control_margin",
+    "regulation_error_max",
+    "regulation_error_exponent",
+)
 
 
 @dataclass(frozen=True)
@@ -177,33 +195,40 @@ class GpuNode:
         nic_w = sum(n.power_at_traffic_batch(nic_utilization) for n in self.nics)
         return cpu_w, memory_w, np.asarray(nic_w, dtype=float)
 
-    def gpu_state_arrays(self) -> dict[str, np.ndarray]:
-        """Per-GPU model state as flat arrays (vectorized engine input).
+    @functools.cached_property
+    def gpu_static_state(self) -> np.ndarray:
+        """Per-GPU model state that never changes (vectorized engine input).
 
-        Keys: ``cap_w``, ``static_w``, ``idle_env_w``, ``cap_min_w``,
-        ``cap_max_w``, ``tdp_w``, ``idle_w`` (biased idle), ``power_factor``,
-        ``idle_offset_w``, plus the per-GPU behavioural spec fields
-        (``min_clock_fraction``, ``control_margin``,
-        ``regulation_error_max``, ``regulation_error_exponent``), each of
-        length ``len(self.gpus)`` — carrying the spec per GPU is what lets
-        the vectorized engine resolve mixed-platform pools in one pass.
+        ``[len(GPU_STATIC_FIELDS), len(self.gpus)]``, rows in
+        :data:`GPU_STATIC_FIELDS` order: specs, biased idle power and
+        manufacturing variation.  Carrying the spec per GPU is what lets
+        the engine resolve mixed-platform pools in one pass.  The GPUs'
+        specs and variations are fixed at construction, so this is built
+        once per node; only the power limits change between jobs.
+        Read-only.
         """
         gpus = self.gpus
         assert all(g.variation is not None for g in gpus)
-        return {
-            "cap_w": np.array([g.power_limit_w for g in gpus]),
-            "static_w": np.array([g.spec.static_w for g in gpus]),
-            "idle_env_w": np.array([g.spec.idle_w for g in gpus]),
-            "cap_min_w": np.array([g.spec.cap_min_w for g in gpus]),
-            "cap_max_w": np.array([g.spec.cap_max_w for g in gpus]),
-            "tdp_w": np.array([g.spec.tdp_w for g in gpus]),
-            "idle_w": np.array([g.idle_power_w for g in gpus]),
-            "power_factor": np.array([g.variation.power_factor for g in gpus]),  # type: ignore[union-attr]
-            "idle_offset_w": np.array([g.variation.idle_offset_w for g in gpus]),  # type: ignore[union-attr]
-            "min_clock_fraction": np.array([g.spec.min_clock_fraction for g in gpus]),
-            "control_margin": np.array([g.spec.control_margin for g in gpus]),
-            "regulation_error_max": np.array([g.spec.regulation_error_max for g in gpus]),
-            "regulation_error_exponent": np.array(
-                [g.spec.regulation_error_exponent for g in gpus]
-            ),
-        }
+        state = np.array(
+            [
+                [
+                    g.spec.static_w,
+                    g.spec.idle_w,
+                    g.spec.cap_min_w,
+                    g.spec.cap_max_w,
+                    g.spec.tdp_w,
+                    g.idle_power_w,
+                    g.variation.power_factor,  # type: ignore[union-attr]
+                    g.variation.idle_offset_w,  # type: ignore[union-attr]
+                    g.spec.min_clock_fraction,
+                    g.spec.control_margin,
+                    g.spec.regulation_error_max,
+                    g.spec.regulation_error_exponent,
+                ]
+                for g in gpus
+            ],
+            dtype=float,
+        ).reshape(len(gpus), len(GPU_STATIC_FIELDS))
+        state = np.ascontiguousarray(state.T)
+        state.setflags(write=False)
+        return state

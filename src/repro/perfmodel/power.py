@@ -31,11 +31,19 @@ def demand_power_w(profile: GpuKernelProfile, envelope: GPUEnvelope) -> float:
     The result is the *active* power (while kernels execute); duty-cycle
     averaging is applied separately by :func:`duty_cycle_power_w`.
     """
+    return demand_power_at(
+        profile.compute_utilization, profile.memory_utilization, envelope
+    )
+
+
+def demand_power_at(
+    compute_utilization: float, memory_utilization: float, envelope: GPUEnvelope
+) -> float:
+    """:func:`demand_power_w` from the two utilizations themselves."""
     dyn = envelope.tdp_w - envelope.idle_w
     activity = min(
         1.0,
-        COMPUTE_WEIGHT * profile.compute_utilization
-        + MEMORY_WEIGHT * profile.memory_utilization,
+        COMPUTE_WEIGHT * compute_utilization + MEMORY_WEIGHT * memory_utilization,
     )
     return envelope.idle_w + dyn * activity
 

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from repro.hardware.platform import Platform, get_platform
-from repro.runner.cache import cached_phases
+from repro.runner.cache import RunCache, cached_phases, content_key
 from repro.vasp.methods import Functional
 from repro.vasp.parallel import layout_for
 from repro.vasp.workload import VaspWorkload
@@ -132,15 +132,17 @@ def _generic_feature_vector(workload, n_nodes: int) -> np.ndarray:
 def feature_vector(workload, n_nodes: int) -> np.ndarray:
     """Scheduler-visible features for one (workload, node count) pair.
 
-    VASP workloads use the paper's INCAR-derived vector below,
-    byte-for-byte as before; any other registered workload model gets
-    the schedule-derived :func:`_generic_feature_vector` of the same
-    dimensionality.
+    VASP workloads use the paper's INCAR-derived vector
+    (:func:`_vasp_feature_vector`); any other registered workload model
+    gets the schedule-derived :func:`_generic_feature_vector` of the same
+    dimensionality.  Computed once per (workload content, node count);
+    the caller gets its own copy.
     """
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    if not isinstance(workload, VaspWorkload):
-        return _generic_feature_vector(workload, n_nodes)
+    return _workload_features(workload, n_nodes)[0].copy()
+
+
+def _vasp_feature_vector(workload, n_nodes: int) -> np.ndarray:
+    """The paper's INCAR-derived feature vector."""
     parallel = layout_for(workload, n_nodes)
     functional = workload.incar.functional
     bands_per_rank = parallel.bands_per_rank(workload.nbands)
@@ -204,25 +206,7 @@ def surrogate_feature_vector(
             )
         cap = cap_w
     depth = (gpu.cap_max_w - cap) / (gpu.cap_max_w - gpu.cap_min_w)
-    base = feature_vector(workload, n_nodes)
-    if isinstance(workload, VaspWorkload):
-        volume_terms = [
-            math.log10(max(workload.incar.nelm, 1)),
-            math.log10(max(workload.kpoints.irreducible, 1)),
-        ]
-        is_hse = base[FEATURE_NAMES.index("is_hse")]
-        is_rpa = base[FEATURE_NAMES.index("is_rpa")]
-        cap_sensitivity = max(is_hse, is_rpa)
-    else:
-        # Generic zoo tail: work volume from the schedule, and the
-        # cap-depth interaction keyed on how compute-bound (hence
-        # clock-sensitive) the kernel time is instead of the method.
-        stats = _phase_statistics(workload, n_nodes)
-        volume_terms = [
-            math.log10(max(stats["n_phases"], 1.0)),
-            math.log10(max(stats["total_s"], 1.0)),
-        ]
-        cap_sensitivity = stats["compute_fraction"]
+    base, volume_terms, cap_sensitivity = _workload_features(workload, n_nodes)
     return np.concatenate(
         [
             base,
@@ -239,3 +223,53 @@ def surrogate_feature_vector(
             ],
         ]
     )
+
+
+#: The workload part of feature rows, by (workload content key, node
+#: count): the base vector, the volume terms and the cap sensitivity.
+#: It never changes for a workload, while the cap and platform columns
+#: are per call.  A plain bounded memo, not a process account.
+_WORKLOAD_FEATURES = RunCache(maxsize=1024, name="features")
+
+
+def _workload_features(
+    workload, n_nodes: int
+) -> tuple[np.ndarray, list[float], float]:
+    """``(feature_vector, volume terms, cap sensitivity)``, memoized.
+
+    The returned vector is shared and read-only.
+    """
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    return _WORKLOAD_FEATURES.get_or_compute(
+        (content_key(workload), n_nodes),
+        lambda: _compute_workload_features(workload, n_nodes),
+    )
+
+
+def _compute_workload_features(
+    workload, n_nodes: int
+) -> tuple[np.ndarray, list[float], float]:
+    """What :func:`_workload_features` memoizes, computed."""
+    if isinstance(workload, VaspWorkload):
+        base = _vasp_feature_vector(workload, n_nodes)
+        volume_terms = [
+            math.log10(max(workload.incar.nelm, 1)),
+            math.log10(max(workload.kpoints.irreducible, 1)),
+        ]
+        is_hse = base[FEATURE_NAMES.index("is_hse")]
+        is_rpa = base[FEATURE_NAMES.index("is_rpa")]
+        cap_sensitivity = max(is_hse, is_rpa)
+    else:
+        # Generic zoo tail: work volume from the schedule, and the
+        # cap-depth interaction keyed on how compute-bound (hence
+        # clock-sensitive) the kernel time is instead of the method.
+        base = _generic_feature_vector(workload, n_nodes)
+        stats = _phase_statistics(workload, n_nodes)
+        volume_terms = [
+            math.log10(max(stats["n_phases"], 1.0)),
+            math.log10(max(stats["total_s"], 1.0)),
+        ]
+        cap_sensitivity = stats["compute_fraction"]
+    base.setflags(write=False)
+    return base, volume_terms, cap_sensitivity

@@ -39,6 +39,7 @@ import numpy as np
 
 from repro import obs
 from repro.vasp.parallel import layout_for
+from repro.vasp.phases import PhaseList
 
 logger = logging.getLogger(__name__)
 
@@ -409,14 +410,16 @@ def process_caches() -> list[RunCache]:
 #: Building one is ~25 ms of SCF modelling, and admission estimates,
 #: fleet renders, experiment runs, control studies and surrogate
 #: features of one (workload, width) share it — across caps, policies,
-#: runs and, in a worker process, batches.
+#: runs and, in a worker process, batches.  Each entry is a
+#: :class:`~repro.vasp.phases.PhaseList`: the list with its phase table.
 _PHASE_STORE = process_cache(__name__, RunCache(name="phases"))
 
 
-def cached_phases(workload, n_nodes: int) -> list:
+def cached_phases(workload, n_nodes: int) -> PhaseList:
     """``workload.phases`` at its default layout for ``n_nodes``, built
-    once per process.  Callers share the list and must not mutate it."""
+    once per process with its :class:`~repro.vasp.phases.PhaseTable`
+    (``.table``).  Callers share the list and must not mutate it."""
     key = (content_key(workload), n_nodes)
     return _PHASE_STORE.get_or_compute(
-        key, lambda: workload.phases(layout_for(workload, n_nodes))
+        key, lambda: PhaseList(workload.phases(layout_for(workload, n_nodes)))
     )

@@ -31,10 +31,10 @@ import numpy as np
 
 from repro import obs
 from repro.hardware.gpu import resolve_phase_batch
-from repro.hardware.node import GpuNode
+from repro.hardware.node import GPU_STATIC_FIELDS, GpuNode
 from repro.hardware.variability import unit_rng
 from repro.perfmodel.power import demand_power_batch
-from repro.vasp.phases import MacroPhase
+from repro.vasp.phases import MacroPhase, PhaseTable, phase_table
 from repro.runner.trace import (
     COMPONENT_KEYS,
     GPU_KEYS,
@@ -265,37 +265,41 @@ class PowerEngine:
             for gpu in node.gpus
         }
 
-    def _resolve_phases(
-        self, phases: list[MacroPhase]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Cap-resolve all phases on all nodes x GPUs with array ops.
+    def _resolve_phases(self, table: PhaseTable) -> tuple[np.ndarray, np.ndarray]:
+        """Cap-resolve a phase table on all nodes x GPUs with array ops.
 
         Returns ``(slowdown, means)``: the per-phase slowdown ``[P]`` and
         the mean power of every component during every phase,
         ``[nodes, components, phases]`` with components in
-        :data:`COMPONENT_KEYS` order.  One batched pass over a
-        ``[phases, nodes, gpus]`` grid; its scalar per-node / per-GPU
-        specification is the oracle in
+        :data:`COMPONENT_KEYS` order.  Each distinct row of the table is
+        resolved once, in one batched pass over a ``[rows, nodes, gpus]``
+        grid, and gathered to its phases with ``row_of_phase`` (exact).
+        Its scalar per-node / per-GPU specification is the oracle in
         ``tests/runner/test_engine_vectorized.py``.
         """
-        obs.inc("repro_engine_resolve_total", len(phases), path="vectorized")
+        obs.inc(
+            "repro_engine_resolve_total", len(table.row_of_phase), path="vectorized"
+        )
 
         nodes = self.nodes
         n_nodes = len(nodes)
 
-        # Per-phase inputs, shape [P] (broadcast against GPUs as [P, 1, 1]).
-        duty = np.array([p.gpu_profile.duty_cycle for p in phases])
-        uc = np.array([p.gpu_profile.compute_utilization for p in phases])
-        um = np.array([p.gpu_profile.memory_utilization for p in phases])
-        cf = np.array([p.gpu_profile.compute_fraction for p in phases])
+        # Per-row inputs, shape [R] (broadcast against GPUs as [R, 1, 1]).
+        duty = table.column("duty_cycle")
+        uc = table.column("compute_utilization")
+        um = table.column("memory_utilization")
+        cf = table.column("compute_fraction")
         duty_b = duty[:, None, None]
 
-        # Per-GPU model state, shape [N, G].
-        per_node = [node.gpu_state_arrays() for node in nodes]
-        state = {
-            key: np.stack([arrays[key] for arrays in per_node])
-            for key in per_node[0]
-        }
+        # Per-GPU model state, shape [N, G]: the static state each node
+        # built once, and the caps this job set.
+        state = dict(
+            zip(
+                GPU_STATIC_FIELDS,
+                np.stack([node.gpu_static_state for node in nodes], axis=1),
+            )
+        )
+        cap_w = np.array([[g.power_limit_w for g in node.gpus] for node in nodes])
         skews_by_serial = self._gpu_skews()
         skews = np.array(
             [[skews_by_serial[gpu.serial] for gpu in node.gpus] for node in nodes]
@@ -311,7 +315,7 @@ class PowerEngine:
         biased, _frac, slow = resolve_phase_batch(
             demand,
             cf[:, None, None],
-            state["cap_w"][None],
+            cap_w[None],
             static_w=state["static_w"][None],
             idle_env_w=state["idle_env_w"][None],
             cap_min_w=state["cap_min_w"][None],
@@ -334,17 +338,17 @@ class PowerEngine:
 
         # Ranks synchronize: each phase runs at the slowest GPU's pace.
         slow_terms = (duty_b * slow + (1.0 - duty_b)) * (1.0 + max_skew)
-        phase_slowdown = np.maximum(slow_terms.max(axis=(1, 2)), 1.0)
-        phase_slowdown = np.where(duty <= 0.0, 1.0, phase_slowdown)
+        row_slowdown = np.maximum(slow_terms.max(axis=(1, 2)), 1.0)
+        row_slowdown = np.where(duty <= 0.0, 1.0, row_slowdown)
 
-        # Assemble [N, K, P]: GPU rows straight from the grid, host-side
+        # Assemble [N, K, R]: GPU rows straight from the grid, host-side
         # rows per node.  The node total adds GPUs one at a time in index
         # order, the summation order every rendered digest depends on.
-        means = np.empty((n_nodes, len(COMPONENT_KEYS), len(phases)))
+        means = np.empty((n_nodes, len(COMPONENT_KEYS), table.n_rows))
         means[:, _GPU_ROWS, :] = gpu_means.transpose(1, 2, 0)
-        cpu_u = np.array([p.cpu_utilization for p in phases])
-        mem_u = np.array([p.mem_bw_utilization for p in phases])
-        nic_u = np.array([p.nic_utilization for p in phases])
+        cpu_u = table.column("cpu_utilization")
+        mem_u = table.column("mem_bw_utilization")
+        nic_u = table.column("nic_utilization")
         for node_index, node in enumerate(nodes):
             cpu_w, memory_w, nic_w = node.host_power_batch(cpu_u, mem_u, nic_u)
             gpu_total = 0.0
@@ -356,7 +360,8 @@ class PowerEngine:
             rows[_NODE_ROW] = (
                 cpu_w + gpu_total + memory_w + nic_w + node.baseboard_power_w
             )
-        return phase_slowdown, means
+        phase_rows = table.row_of_phase
+        return row_slowdown[phase_rows], means[:, :, phase_rows]
 
     def _phase_sample_counts(self, durations: np.ndarray) -> tuple[int, np.ndarray]:
         """(total samples, per-phase sample counts) on the regular grid.
@@ -513,15 +518,17 @@ class PowerEngine:
         """Cap-resolve phases and lay them out on the wall clock.
 
         Returns ``(slowdown[P], means[N, K, P], starts[P], ends[P])``.
+        The phase table comes with a store-held list and is built now for
+        any other (see :func:`~repro.vasp.phases.phase_table`).
         Phases run back to back: ``cumsum`` adds the stretched durations
         in order, exactly as a wall clock advanced phase by phase would.
         """
+        table = phase_table(phases)
         with obs.span(
             "engine.resolve_phases", phases=len(phases), nodes=len(self.nodes)
         ):
-            slowdown, means = self._resolve_phases(phases)
-        nominal = np.array([p.duration_s for p in phases], dtype=float)
-        ends = np.cumsum(nominal * slowdown)
+            slowdown, means = self._resolve_phases(table)
+        ends = np.cumsum(table.durations * slowdown)
         starts = np.concatenate(([0.0], ends[:-1]))
         return slowdown, means, starts, ends
 

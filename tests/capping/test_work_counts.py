@@ -1,14 +1,16 @@
 """Deterministic work counts of a traced fleet run: counts, not seconds.
 
-A fleet job's cost is its keying, its phase builds and its render.  Each
-has an exact expected count for a seeded run, so a change that re-keys a
-workload on every lookup, rebuilds a phase list, or renders rows the
-fold never reads fails here however fast or slow the host is.
+A fleet job's cost is its keying, its phase builds, its resolve and its
+render.  Each has an exact expected count for a seeded run, so a change
+that re-keys a workload on every lookup, rebuilds a phase list,
+resolves a repeated kernel row twice or renders rows the fold never
+reads fails here however fast or slow the host is.
 """
 
 import pytest
 
 from repro.capping import scheduler
+from repro.hardware.gpu import GpuModel
 from repro.capping.fleet import (
     FLEET_POLICIES,
     compare_fleet_policies_traced,
@@ -16,6 +18,7 @@ from repro.capping.fleet import (
 )
 from repro.runner import cache
 from repro.runner.cache import RunCache, content_key
+from repro.runner import engine
 from repro.runner.engine import EngineConfig, PowerEngine
 from repro.workloads import get_workload_model, workload_model_ids
 
@@ -34,7 +37,15 @@ def counted(monkeypatch):
     monkeypatch.setattr(
         scheduler, "_ESTIMATE_CACHE", RunCache(maxsize=1024, name="estimate")
     )
-    counts = {"walked": [], "builds": [], "rendered": 0}
+    counts = {
+        "walked": [],
+        "builds": [],
+        "rendered": 0,
+        # (phases, grid rows the batched resolve saw) per engine stream.
+        "streams": [],
+        # (phases, scalar resolves) per admission estimate.
+        "estimates": [],
+    }
 
     real_canonical = cache._canonical
 
@@ -60,6 +71,39 @@ def counted(monkeypatch):
         return real_add_noise_chunk(self, means, rng, zi)
 
     monkeypatch.setattr(PowerEngine, "_add_noise_chunk", add_noise_chunk)
+
+    real_stream = PowerEngine.stream
+
+    def stream(self, phases, *args, **kwargs):
+        counts["streams"].append([phases, 0])
+        return real_stream(self, phases, *args, **kwargs)
+
+    monkeypatch.setattr(PowerEngine, "stream", stream)
+
+    real_batch = engine.resolve_phase_batch
+
+    def resolve_phase_batch(demand_w, *args, **kwargs):
+        counts["streams"][-1][1] += demand_w.shape[0]
+        return real_batch(demand_w, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "resolve_phase_batch", resolve_phase_batch)
+
+    real_estimate_run = scheduler.estimate_run
+
+    def estimate_run(workload, n_nodes, *args, **kwargs):
+        counts["estimates"].append([cache.cached_phases(workload, n_nodes), 0])
+        return real_estimate_run(workload, n_nodes, *args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "estimate_run", estimate_run)
+
+    real_resolve_phase = GpuModel.resolve_phase
+
+    def resolve_phase(self, *args, **kwargs):
+        if counts["estimates"]:
+            counts["estimates"][-1][1] += 1
+        return real_resolve_phase(self, *args, **kwargs)
+
+    monkeypatch.setattr(GpuModel, "resolve_phase", resolve_phase)
 
     reports = compare_fleet_policies_traced(
         n_jobs=N_JOBS,
@@ -94,3 +138,37 @@ def test_untapped_run_renders_only_the_chunks_it_folds(counted):
     counts, reports = counted
     assert counts["rendered"] == sum(r.chunks_streamed for r in reports)
     assert counts["rendered"] > 0
+
+
+def distinct_rows(phases, active_only=False):
+    """The distinct resolve-input rows of a phase list, from the phases."""
+    return {
+        (
+            p.gpu_profile.duty_cycle,
+            p.gpu_profile.compute_utilization,
+            p.gpu_profile.memory_utilization,
+            p.gpu_profile.compute_fraction,
+            p.cpu_utilization,
+            p.mem_bw_utilization,
+            p.nic_utilization,
+        )
+        for p in phases
+        if not active_only or p.gpu_profile.duty_cycle > 0.0
+    }
+
+
+def test_each_job_resolves_its_distinct_rows_once(counted):
+    """The batched resolve sees each distinct kernel row of a job once."""
+    counts, reports = counted
+    streams = counts["streams"]
+    assert len(streams) == sum(r.jobs_completed for r in reports)
+    for phases, rows in streams:
+        assert rows == len(distinct_rows(phases)) < len(phases)
+
+
+def test_each_estimate_resolves_its_active_rows_once(counted):
+    """An admission estimate makes one scalar resolve per GPU-active row."""
+    counts, _ = counted
+    assert counts["estimates"]
+    for phases, resolves in counts["estimates"]:
+        assert resolves == len(distinct_rows(phases, active_only=True))

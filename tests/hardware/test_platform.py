@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.hardware.gpu import GpuModel, PowerLimitError
-from repro.hardware.node import GpuNode
+from repro.hardware.node import GPU_STATIC_FIELDS, GpuNode
 from repro.hardware.platform import (
     DEFAULT_PLATFORM_ID,
     GpuSpec,
@@ -174,6 +174,6 @@ class TestPlatformNodes:
 
     def test_state_arrays_carry_spec_parameters(self):
         node = GpuNode(name="nid009002", spec=get_platform("h100-sxm").node)
-        state = node.gpu_state_arrays()
+        state = dict(zip(GPU_STATIC_FIELDS, node.gpu_static_state))
         assert np.all(state["min_clock_fraction"] == 0.11)
         assert np.all(state["control_margin"] == 0.03)

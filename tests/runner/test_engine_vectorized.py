@@ -1,6 +1,6 @@
 """The vectorized phase resolver against its scalar reference.
 
-``PowerEngine._resolve_phases`` is the production path;
+``PowerEngine._resolve_phases`` (of a phase table) is the production path;
 :func:`resolve_phase_reference` below is the scalar specification, one
 phase at a time in per-node / per-GPU Python loops.  These tests replay
 both over a grid of caps, imbalance settings and phase mixes and require
@@ -17,7 +17,7 @@ from repro.perfmodel.kernels import KernelCatalogue
 from repro.perfmodel.power import demand_power_w
 from repro.runner.engine import EngineConfig, PowerEngine, _phase_records
 from repro.runner.trace import COMPONENT_KEYS, GPU_KEYS
-from repro.vasp.phases import MacroPhase
+from repro.vasp.phases import MacroPhase, phase_table
 
 
 def phase_mix():
@@ -104,7 +104,7 @@ def resolve_by_reference(engine, phases):
 
 
 def assert_resolution_matches(engine, phases):
-    slowdown, means = engine._resolve_phases(phases)
+    slowdown, means = engine._resolve_phases(phase_table(phases))
     ref_slowdown, ref_means = resolve_by_reference(engine, phases)
     assert means.shape == (len(engine.nodes), len(COMPONENT_KEYS), len(phases))
     np.testing.assert_allclose(slowdown, ref_slowdown, rtol=1e-12)
@@ -155,7 +155,9 @@ class TestVectorizedAgainstReference:
             [GpuNode("nid005000")], engine.config
         )
         engine_ref.nodes[0].set_gpu_power_limit(200.0)
-        engine_ref._resolve_phases = lambda ps: resolve_by_reference(engine_ref, ps)
+        engine_ref._resolve_phases = lambda _table: resolve_by_reference(
+            engine_ref, phases
+        )
         via_reference = engine_ref.run(phases, seed=9)
 
         for ta, tb in zip(via_vector.traces, via_reference.traces):

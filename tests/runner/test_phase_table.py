@@ -1,0 +1,265 @@
+"""The phase table: distinct resolve rows, and the engine's resolve through it.
+
+``PhaseTable`` lists a phase list's distinct resolve rows once; the
+engine resolves each row once and gathers the results to the phases.
+:func:`resolve_per_phase` below is the per-phase batched resolve the
+engine ran before the table (one grid row per phase); the table path
+must equal it bit for bit, not just within a tolerance.
+"""
+
+import pickle
+
+import numpy as np
+import pytest
+
+from repro.hardware.gpu import resolve_phase_batch
+from repro.hardware.node import GpuNode
+from repro.hardware.platform import get_platform
+from repro.perfmodel.kernels import KernelCatalogue
+from repro.perfmodel.power import demand_power_batch
+from repro.runner.cache import cached_phases
+from repro.runner.engine import EngineConfig, PowerEngine
+from repro.runner.trace import COMPONENT_KEYS, GPU_KEYS
+from repro.vasp.benchmarks import benchmark
+from repro.vasp.phases import (
+    RESOLVE_INPUTS,
+    MacroPhase,
+    PhaseList,
+    PhaseTable,
+    phase_table,
+)
+
+GPU_ROWS = [COMPONENT_KEYS.index(key) for key in GPU_KEYS]
+CPU_ROW = COMPONENT_KEYS.index("cpu")
+MEMORY_ROW = COMPONENT_KEYS.index("memory")
+NODE_ROW = COMPONENT_KEYS.index("node")
+
+
+def state_arrays(node):
+    """A node's per-GPU model state, read off its GPU objects."""
+    gpus = node.gpus
+    return {
+        "cap_w": np.array([g.power_limit_w for g in gpus]),
+        "static_w": np.array([g.spec.static_w for g in gpus]),
+        "idle_env_w": np.array([g.spec.idle_w for g in gpus]),
+        "cap_min_w": np.array([g.spec.cap_min_w for g in gpus]),
+        "cap_max_w": np.array([g.spec.cap_max_w for g in gpus]),
+        "tdp_w": np.array([g.spec.tdp_w for g in gpus]),
+        "idle_w": np.array([g.idle_power_w for g in gpus]),
+        "power_factor": np.array([g.variation.power_factor for g in gpus]),
+        "idle_offset_w": np.array([g.variation.idle_offset_w for g in gpus]),
+        "min_clock_fraction": np.array([g.spec.min_clock_fraction for g in gpus]),
+        "control_margin": np.array([g.spec.control_margin for g in gpus]),
+        "regulation_error_max": np.array([g.spec.regulation_error_max for g in gpus]),
+        "regulation_error_exponent": np.array(
+            [g.spec.regulation_error_exponent for g in gpus]
+        ),
+    }
+
+
+def resolve_per_phase(engine, phases):
+    """``(slowdown[P], means[N, K, P])`` from one batched grid row per phase."""
+    nodes = engine.nodes
+    duty = np.array([p.gpu_profile.duty_cycle for p in phases])
+    uc = np.array([p.gpu_profile.compute_utilization for p in phases])
+    um = np.array([p.gpu_profile.memory_utilization for p in phases])
+    cf = np.array([p.gpu_profile.compute_fraction for p in phases])
+    duty_b = duty[:, None, None]
+    per_node = [state_arrays(node) for node in nodes]
+    state = {key: np.stack([arrays[key] for arrays in per_node]) for key in per_node[0]}
+    skews_by_serial = engine._gpu_skews()
+    skews = np.array(
+        [[skews_by_serial[gpu.serial] for gpu in node.gpus] for node in nodes]
+    )
+    max_skew = float(skews.max())
+    demand = demand_power_batch(
+        uc[:, None, None], um[:, None, None], state["tdp_w"][None], state["idle_env_w"][None]
+    )
+    biased, _frac, slow = resolve_phase_batch(
+        demand,
+        cf[:, None, None],
+        state["cap_w"][None],
+        static_w=state["static_w"][None],
+        idle_env_w=state["idle_env_w"][None],
+        cap_min_w=state["cap_min_w"][None],
+        cap_max_w=state["cap_max_w"][None],
+        power_factor=state["power_factor"][None],
+        idle_offset_w=state["idle_offset_w"][None],
+        min_clock_fraction=state["min_clock_fraction"][None],
+        control_margin=state["control_margin"][None],
+        regulation_error_max=state["regulation_error_max"][None],
+        regulation_error_exponent=state["regulation_error_exponent"][None],
+    )
+    idle_w = state["idle_w"][None]
+    rank_duty = np.minimum(duty_b * (1.0 + skews[None]) / (1.0 + max_skew), 1.0)
+    gpu_means = rank_duty * biased + (1.0 - rank_duty) * idle_w
+    gpu_means = np.where(duty_b <= 0.0, idle_w, gpu_means)
+    slow_terms = (duty_b * slow + (1.0 - duty_b)) * (1.0 + max_skew)
+    slowdown = np.maximum(slow_terms.max(axis=(1, 2)), 1.0)
+    slowdown = np.where(duty <= 0.0, 1.0, slowdown)
+    means = np.empty((len(nodes), len(COMPONENT_KEYS), len(phases)))
+    means[:, GPU_ROWS, :] = gpu_means.transpose(1, 2, 0)
+    cpu_u = np.array([p.cpu_utilization for p in phases])
+    mem_u = np.array([p.mem_bw_utilization for p in phases])
+    nic_u = np.array([p.nic_utilization for p in phases])
+    for node_index, node in enumerate(nodes):
+        cpu_w, memory_w, nic_w = node.host_power_batch(cpu_u, mem_u, nic_u)
+        gpu_total = 0.0
+        for row in GPU_ROWS:
+            gpu_total = gpu_total + means[node_index, row]
+        rows = means[node_index]
+        rows[CPU_ROW] = cpu_w
+        rows[MEMORY_ROW] = memory_w
+        rows[NODE_ROW] = cpu_w + gpu_total + memory_w + nic_w + node.baseboard_power_w
+    return slowdown, means
+
+
+def repeated_rows(n_iterations=40):
+    """An SCF-like list: a few kernel mixes repeated, durations all distinct."""
+    rng = np.random.default_rng(3)
+    mix = [
+        (KernelCatalogue.DGEMM_TEST, 0.06, 0.0),
+        (KernelCatalogue.FFT_BATCHED, 0.06, 0.0),
+        (KernelCatalogue.HOST_SECTION, 0.8, 0.0),
+        (KernelCatalogue.NCCL_COLLECTIVE, 0.06, 0.5),
+    ]
+    return [
+        MacroPhase(
+            name=f"it{i}-{j}",
+            duration_s=float(rng.uniform(0.2, 3.0)),
+            gpu_profile=profile,
+            cpu_utilization=cpu,
+            nic_utilization=nic,
+        )
+        for i in range(n_iterations)
+        for j, (profile, cpu, nic) in enumerate(mix)
+    ]
+
+
+def pool(platforms, cap_w=None):
+    nodes = [
+        GpuNode(f"nid00{7000 + i}", spec=get_platform(platform).node)
+        for i, platform in enumerate(platforms)
+    ]
+    for node in nodes:
+        if cap_w is not None:
+            gpu = node.spec.gpu
+            node.set_gpu_power_limit(min(max(cap_w, gpu.cap_min_w), gpu.cap_max_w))
+    return nodes
+
+
+def assert_table_path_exact(engine, phases):
+    slowdown, means = engine._resolve_phases(phase_table(phases))
+    ref_slowdown, ref_means = resolve_per_phase(engine, phases)
+    assert np.array_equal(slowdown, ref_slowdown)
+    assert np.array_equal(means, ref_means)
+
+
+class TestPhaseTable:
+    def test_distinct_rows_in_first_appearance_order(self):
+        phases = repeated_rows(5)
+        table = PhaseTable.build(phases)
+        assert table.n_rows == 4
+        assert table.inputs.shape == (len(RESOLVE_INPUTS), 4)
+        assert table.row_of_phase.tolist() == [0, 1, 2, 3] * 5
+        assert table.durations.tolist() == [p.duration_s for p in phases]
+        for p, row in zip(phases, table.row_of_phase.tolist()):
+            assert table.column("duty_cycle")[row] == p.gpu_profile.duty_cycle
+            assert table.column("cpu_utilization")[row] == p.cpu_utilization
+            assert table.column("nic_utilization")[row] == p.nic_utilization
+
+    def test_rows_differ_by_any_input_bit(self):
+        base = MacroPhase(name="a", duration_s=1.0, gpu_profile=KernelCatalogue.DGEMM_TEST)
+        nudged = MacroPhase(
+            name="b",
+            duration_s=1.0,
+            gpu_profile=KernelCatalogue.DGEMM_TEST,
+            mem_bw_utilization=np.nextafter(base.mem_bw_utilization, 1.0),
+        )
+        assert PhaseTable.build([base, nudged, base]).row_of_phase.tolist() == [0, 1, 0]
+
+    def test_duration_is_not_a_resolve_input(self):
+        phases = [
+            MacroPhase(name=f"p{i}", duration_s=d, gpu_profile=KernelCatalogue.FFT_BATCHED)
+            for i, d in enumerate([0.5, 1.5, 2.5])
+        ]
+        assert PhaseTable.build(phases).n_rows == 1
+
+    def test_store_lists_carry_their_table(self):
+        workload = benchmark("PdO2").build()
+        phases = cached_phases(workload, 1)
+        assert isinstance(phases, PhaseList)
+        assert cached_phases(workload, 1) is phases
+        assert phase_table(phases) is phases.table
+        rebuilt = PhaseTable.build(list(phases))
+        assert np.array_equal(phases.table.inputs, rebuilt.inputs)
+        assert np.array_equal(phases.table.row_of_phase, rebuilt.row_of_phase)
+        assert np.array_equal(phases.table.durations, rebuilt.durations)
+        # SCF iterations repeat a few kernel mixes.
+        assert phases.table.n_rows * 10 < len(phases)
+        # Shared by every caller of the store: read-only.
+        for array in (phases.table.inputs, phases.table.row_of_phase):
+            assert not array.flags.writeable
+        assert not phases.table.durations.flags.writeable
+
+    def test_copies_are_plain_lists(self):
+        phases = PhaseList(repeated_rows(2))
+        assert type(phases[:3]) is list
+        assert phase_table(phases[:3]) is not phases.table
+
+    def test_phase_list_pickles_with_its_table(self):
+        phases = PhaseList(repeated_rows(2))
+        loaded = pickle.loads(pickle.dumps(phases))
+        assert loaded == phases
+        assert np.array_equal(loaded.table.row_of_phase, phases.table.row_of_phase)
+
+
+class TestEngineTablePathExact:
+    """The table path equals a per-phase batched resolve bit for bit."""
+
+    @pytest.mark.parametrize("cap_w", [None, 250.0, 150.0, 100.0])
+    def test_repeated_rows(self, cap_w):
+        engine = PowerEngine(pool(["a100-40g", "a100-40g"], cap_w))
+        assert_table_path_exact(engine, PhaseList(repeated_rows()))
+
+    def test_hand_made_list(self):
+        engine = PowerEngine(pool(["a100-40g"], 200.0))
+        phases = repeated_rows(7)
+        assert not isinstance(phases, PhaseList)
+        assert_table_path_exact(engine, phases)
+
+    @pytest.mark.parametrize("cap_w", [None, 200.0])
+    def test_rank_imbalance(self, cap_w):
+        engine = PowerEngine(
+            pool(["a100-40g", "a100-40g"], cap_w), EngineConfig(rank_imbalance=0.25)
+        )
+        assert_table_path_exact(engine, repeated_rows())
+
+    @pytest.mark.parametrize("cap_w", [None, 300.0, 200.0])
+    def test_mixed_a100_h100_pool(self, cap_w):
+        engine = PowerEngine(pool(["a100-40g", "h100-sxm", "a100-40g"], cap_w))
+        assert_table_path_exact(engine, repeated_rows())
+
+    @pytest.mark.parametrize("name", ["Si256_hse", "GaAsBi-64", "Si128_acfdtr"])
+    def test_store_lists(self, name):
+        engine = PowerEngine(pool(["a100-40g", "h100-sxm"], 200.0))
+        assert_table_path_exact(engine, cached_phases(benchmark(name).build(), 2))
+
+    def test_static_gpu_state_follows_the_cap(self):
+        nodes = pool(["a100-40g"])
+        engine = PowerEngine(nodes)
+        phases = PhaseList(repeated_rows(3))
+        uncapped = engine._resolve_phases(phases.table)
+        nodes[0].set_gpu_power_limit(100.0)
+        capped = engine._resolve_phases(phases.table)
+        assert not np.array_equal(uncapped[1], capped[1])
+        assert_table_path_exact(engine, phases)
+
+    def test_run_renders_identically_from_a_plain_list(self):
+        engine = PowerEngine(pool(["a100-40g"], 200.0))
+        phases = PhaseList(repeated_rows(5))
+        via_table = engine.run(phases, seed=4)
+        via_list = engine.run(list(phases), seed=4)
+        assert via_table.runtime_s == via_list.runtime_s
+        for a, b in zip(via_table.traces, via_list.traces):
+            assert np.array_equal(a.node_power, b.node_power)
