@@ -18,6 +18,7 @@ import heapq
 import tracemalloc
 
 from repro.capping.fleet import (
+    FleetRun,
     FleetTraceReport,
     _job_seed,
     job_stream,
@@ -50,12 +51,7 @@ def _fleet_jobs():
 
 def _run(jobs) -> FleetTraceReport:
     return simulate_fleet_traced(
-        jobs,
-        CapPolicy.half_tdp(),
-        "50% TDP policy",
-        n_nodes=FLEET_NODES,
-        engine_config=ENGINE,
-        seed=11,
+        FleetRun(jobs, n_nodes=FLEET_NODES, engine_config=ENGINE, seed=11)
     )
 
 

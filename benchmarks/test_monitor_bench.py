@@ -20,8 +20,7 @@ pool's construction savings (gated separately in
 import gc
 import time
 
-from repro.capping.fleet import job_stream, simulate_fleet_traced
-from repro.capping.policy import CapPolicy
+from repro.capping.fleet import FleetRun, job_stream, simulate_fleet_traced
 from repro.hardware.system import PerlmutterSystem
 from repro.monitor import FleetMonitor, MonitorReport
 from repro.runner.engine import EngineConfig
@@ -41,12 +40,7 @@ def _run(monitor=None):
         # (monitored runs always materialize for the idle survey).
         PerlmutterSystem(n_nodes=MONITOR_NODES).materialize()
     return simulate_fleet_traced(
-        jobs,
-        CapPolicy.half_tdp(),
-        "50% TDP policy",
-        n_nodes=MONITOR_NODES,
-        engine_config=ENGINE,
-        seed=11,
+        FleetRun(jobs, n_nodes=MONITOR_NODES, engine_config=ENGINE, seed=11),
         monitor=monitor,
     )
 

@@ -19,8 +19,7 @@ import time
 
 from benchmarks.test_monitor_bench import paired_overhead
 from repro import obs
-from repro.capping.fleet import job_stream, simulate_fleet_traced
-from repro.capping.policy import CapPolicy
+from repro.capping.fleet import FleetRun, job_stream, simulate_fleet_traced
 from repro.runner.engine import EngineConfig
 
 #: Relative wall-time overhead of an obs-on sharded run that fails.
@@ -36,12 +35,7 @@ ENGINE = EngineConfig(base_interval_s=1.0)
 def _run():
     jobs = job_stream(n_jobs=OBS_JOBS, mean_interarrival_s=60.0, seed=11)
     return simulate_fleet_traced(
-        jobs,
-        CapPolicy.half_tdp(),
-        "50% TDP policy",
-        n_nodes=OBS_NODES,
-        engine_config=ENGINE,
-        seed=11,
+        FleetRun(jobs, n_nodes=OBS_NODES, engine_config=ENGINE, seed=11),
         workers=OBS_WORKERS,
     )
 

@@ -19,8 +19,12 @@ speedup, by contrast, needs real CPUs; it is printed, and only bounded
 
 import time
 
-from repro.capping.fleet import FleetTraceReport, job_stream, simulate_fleet_traced
-from repro.capping.policy import CapPolicy
+from repro.capping.fleet import (
+    FleetRun,
+    FleetTraceReport,
+    job_stream,
+    simulate_fleet_traced,
+)
 from repro.hardware.system import PerlmutterSystem
 from repro.runner.engine import EngineConfig
 from repro.runner.sweep import available_cpus
@@ -44,13 +48,7 @@ def _shard_jobs():
 
 def _run(jobs, n_nodes: int, **kwargs) -> FleetTraceReport:
     return simulate_fleet_traced(
-        jobs,
-        CapPolicy.half_tdp(),
-        "50% TDP policy",
-        n_nodes=n_nodes,
-        engine_config=ENGINE,
-        seed=11,
-        **kwargs,
+        FleetRun(jobs, n_nodes=n_nodes, engine_config=ENGINE, seed=11), **kwargs
     )
 
 

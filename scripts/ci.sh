@@ -187,6 +187,19 @@ diff "$SMOKE_DIR/serial.txt" "$SMOKE_DIR/ckpt.txt" \
 diff "$SMOKE_DIR/ckpt.txt" "$SMOKE_DIR/resume.txt" \
     || { echo "resumed fleet output diverged from checkpointed run"; exit 1; }
 
+echo "== monitored runs never checkpoint (monitor state is not saved) =="
+REPRO_FLEET_CHECKPOINT="$SMOKE_DIR/m.ckpt" python -m repro monitor --jobs 2 --nodes 4 > /dev/null
+if compgen -G "$SMOKE_DIR/m.ckpt*" > /dev/null; then
+    echo "repro monitor wrote a fleet checkpoint"; exit 1
+fi
+code=0
+python -m repro "${FLEET_ARGS[@]}" --monitor --checkpoint "$SMOKE_DIR/mf.ckpt" \
+    > /dev/null 2> "$SMOKE_DIR/mf.err" || code=$?
+[[ "$code" == 2 ]] || { echo "fleet --monitor --checkpoint exited $code, not 2"; exit 1; }
+if compgen -G "$SMOKE_DIR/mf.ckpt*" > /dev/null; then
+    echo "a refused monitored fleet wrote a checkpoint"; exit 1
+fi
+
 echo "== observability smoke (merged trace + run ledger round-trip) =="
 python -m repro "${FLEET_ARGS[@]}" --workers 2 \
     --trace "$SMOKE_DIR/fleet-trace.json" --metrics "$SMOKE_DIR/fleet-metrics.prom" \

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import logging
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -39,15 +39,19 @@ from repro.capping.scheduler import (
     SchedulerConfig,
     cached_estimate_run,
 )
-from repro.hardware.platform import NodeSpec, Platform, get_platform
+from repro.hardware.platform import (
+    DEFAULT_PLATFORM_ID,
+    NodeSpec,
+    Platform,
+    get_platform,
+)
 from repro.hardware.system import (
     PerlmutterSystem,
     SystemPowerAccumulator,
     SystemPowerStats,
 )
-from repro.runner.cache import content_key
+from repro.runner.cache import content_key, fingerprint
 from repro.runner.engine import EngineConfig
-from repro.runner.sweep import SweepExecutor
 from repro.vasp.benchmarks import BENCHMARKS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -58,6 +62,10 @@ logger = logging.getLogger(__name__)
 #: Seconds between a traced run's heartbeat snapshots (the terminal
 #: ``done`` snapshot is always published).
 HEARTBEAT_INTERVAL_S = 1.0
+
+#: Jobs between a checkpointed run's fold snapshots (the last job is
+#: always snapshotted too).
+CHECKPOINT_EVERY = 64
 
 
 #: The paper's capped-vs-uncapped comparison, in that order, keyed by
@@ -154,37 +162,101 @@ class FleetReport:
         return self.power_std_w / self.mean_power_w if self.mean_power_w > 0 else 0.0
 
 
-def simulate_fleet(
-    jobs: list[Job],
-    policy: CapPolicy,
-    policy_name: str,
-    n_nodes: int = 16,
-    power_budget_w: float | None = None,
-    platform: "str | Platform | None" = None,
-) -> FleetReport:
+@dataclass(frozen=True)
+class FleetRun:
+    """The inputs of one fleet simulation under one policy.
+
+    Both entry points take one: :func:`simulate_fleet` (the analytic
+    schedule) and :func:`simulate_fleet_traced` (the schedule rendered
+    node by node).  A checkpoint's fingerprint covers exactly these
+    fields (:func:`run_fingerprint`); how a traced run executes
+    (workers, monitor, checkpoint, heartbeat) is not part of it,
+    because every execution mode gives the same bits.
+    """
+
+    jobs: tuple[Job, ...]
+    #: A :data:`FLEET_POLICIES` key.
+    policy: str = "capped"
+    n_nodes: int = 16
+    #: Platforms cycled round-robin over the pool's nodes (one entry: a
+    #: uniform pool).  The first drives the scheduler and the monitor.
+    platforms: "tuple[str | Platform, ...]" = (DEFAULT_PLATFORM_ID,)
+    #: Facility budget; None is the pool's summed node TDP (unbounded).
+    power_budget_w: float | None = None
+    #: System power bin width of the traced run, in seconds.
+    bin_s: float = 1.0
+    engine_config: EngineConfig | None = None
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "jobs", tuple(self.jobs))
+        object.__setattr__(self, "platforms", tuple(self.platforms))
+        budget, config = self.power_budget_w, self.engine_config
+        for ok, problem in (
+            (
+                self.jobs and all(isinstance(job, Job) for job in self.jobs),
+                "jobs must be one or more Job records",
+            ),
+            (self.policy in FLEET_POLICIES, f"unknown fleet policy {self.policy!r}"),
+            (self.n_nodes >= 1, f"n_nodes must be >= 1, got {self.n_nodes}"),
+            (self.platforms, "platforms must name at least one platform"),
+            (
+                budget is None or budget > 0,
+                f"power_budget_w must be positive, got {budget}",
+            ),
+            (self.bin_s > 0, f"bin_s must be positive, got {self.bin_s}"),
+            (
+                config is None or isinstance(config, EngineConfig),
+                "engine_config must be an EngineConfig",
+            ),
+            (isinstance(self.seed, int), f"seed must be an int, got {self.seed!r}"),
+        ):
+            if not ok:
+                raise ValueError(problem)
+        for platform in self.platforms:
+            try:
+                get_platform(platform)
+            except KeyError as err:
+                raise ValueError(err.args[0]) from None
+
+    @property
+    def policy_name(self) -> str:
+        """The policy's report name."""
+        return FLEET_POLICIES[self.policy][0]
+
+
+def run_fingerprint(run: FleetRun) -> str:
+    """Content fingerprint binding a checkpoint to its run's inputs."""
+    return fingerprint("fleet_checkpoint", shard.CHECKPOINT_VERSION, run)
+
+
+def _schedule(run: FleetRun) -> tuple[PerlmutterSystem, ScheduleResult]:
+    """The run's node pool and its analytic power-aware schedule."""
+    _, _, build = FLEET_POLICIES[run.policy]
+    platform = run.platforms[0]
+    pool = PerlmutterSystem(n_nodes=run.n_nodes, node_platforms=run.platforms)
+    budget = run.power_budget_w
+    if budget is None:
+        # The pool's summed node TDP: effectively unbounded.
+        budget = sum(spec.tdp_w for spec in pool.node_specs())
+    config = SchedulerConfig(
+        n_nodes=run.n_nodes,
+        power_budget_w=budget,
+        policy=build(platform),
+        platform=platform,
+    )
+    with obs.span("fleet.schedule", policy=run.policy_name, jobs=len(run.jobs)):
+        schedule = PowerAwareScheduler(config).schedule(list(run.jobs))
+    return pool, schedule
+
+
+def simulate_fleet(run: FleetRun) -> FleetReport:
     """Schedule a stream under a policy and summarize system power.
 
     The power timeline is duration-weighted over scheduling-cycle samples
     (the samples are irregular when the scheduler skips quiet spans).
     """
-    if power_budget_w is None:
-        # Node TDP: effectively unbounded.
-        power_budget_w = n_nodes * get_platform(platform).node.tdp_w
-    config = SchedulerConfig(
-        n_nodes=n_nodes,
-        power_budget_w=power_budget_w,
-        policy=policy,
-        platform=platform,
-    )
-    logger.debug(
-        "simulating fleet: policy=%s, %d jobs on %d nodes, budget %.0f W",
-        policy_name,
-        len(jobs),
-        n_nodes,
-        power_budget_w,
-    )
-    with obs.span("fleet.simulate", policy=policy_name, jobs=len(jobs)):
-        schedule = PowerAwareScheduler(config).schedule(list(jobs))
+    _, schedule = _schedule(run)
     times = np.array([t for t, _ in schedule.power_timeline])
     powers = np.array([p for _, p in schedule.power_timeline])
     if len(times) > 1:
@@ -198,7 +270,7 @@ def simulate_fleet(
         mean = float(powers.mean()) if len(powers) else 0.0
         std = 0.0
     return FleetReport(
-        policy_name=policy_name,
+        policy_name=run.policy_name,
         schedule=schedule,
         mean_power_w=mean,
         peak_power_w=schedule.peak_power_w,
@@ -263,29 +335,19 @@ def _job_seed(job_id: str, seed: int) -> int:
 
 
 def simulate_fleet_traced(
-    jobs: list[Job],
-    policy: CapPolicy,
-    policy_name: str,
-    n_nodes: int = 16,
-    power_budget_w: float | None = None,
+    run: FleetRun,
     *,
-    bin_s: float = 1.0,
-    engine_config: EngineConfig | None = None,
-    seed: int = 0,
-    monitor: "FleetMonitor | None" = None,
-    platform: "str | Platform | None" = None,
-    node_platforms: "list[str | Platform | NodeSpec] | None" = None,
     workers: int | None = None,
+    monitor: "FleetMonitor | None" = None,
     checkpoint: "str | Path | None" = None,
-    checkpoint_every: int = 64,
     resume: bool = False,
     heartbeat: "str | Path | None" = None,
 ) -> FleetTraceReport:
     """Schedule a stream, render every job's traces, aggregate streaming.
 
-    The schedule comes from the same analytic :class:`PowerAwareScheduler`
-    pass as :func:`simulate_fleet`; the report's power statistics come
-    from replaying that schedule against a real node pool
+    The schedule comes from the same analytic pass as
+    :func:`simulate_fleet`; the report's power statistics come from
+    replaying that schedule against a real node pool
     (:class:`PerlmutterSystem` allocations, per-node variability, cap
     state).  Every job is rendered by one routine,
     :func:`repro.capping.shard.render_task_job` — in-process job by job
@@ -303,38 +365,34 @@ def simulate_fleet_traced(
     chunks never cross IPC.  Peak memory at the coordinator stays
     O(chunk) + O(makespan / bin_s) regardless of fleet size.
 
-    ``checkpoint`` (or ``REPRO_FLEET_CHECKPOINT``) atomically snapshots
-    the fold every ``checkpoint_every`` jobs and after the last one;
-    ``resume=True`` restores the snapshot — after validating a content
-    fingerprint of the simulation inputs — and continues from the next
+    ``checkpoint`` atomically snapshots the fold every
+    :data:`CHECKPOINT_EVERY` jobs and after the last one;
+    ``resume=True`` restores the snapshot — after validating
+    :func:`run_fingerprint` of ``run`` — and continues from the next
     chronological job, producing the same bits as an uninterrupted run.
     Incompatible with ``monitor`` (monitor state is not checkpointed).
 
-    ``heartbeat`` (or ``REPRO_FLEET_HEARTBEAT``) publishes a live,
-    atomically-replaced JSON progress snapshot — jobs folded,
-    node-weighted progress, nodes/sec, ETA, checkpoint age — after each
-    folded job (throttled to :data:`HEARTBEAT_INTERVAL_S`).
-    Observation-only, like the monitor.
+    ``heartbeat`` publishes a live, atomically-replaced JSON progress
+    snapshot — jobs folded, node-weighted progress, nodes/sec, ETA,
+    checkpoint age — after each folded job (throttled to
+    :data:`HEARTBEAT_INTERVAL_S`).  Observation-only, like the monitor.
+    Neither path defaults to an environment variable here.
 
-    Observability composes with every mode: sharded workers capture
-    their spans and metric updates into a fresh per-process state and
-    ship an :class:`repro.obs.merge.ObsPartial` back with their job
-    partials, which the coordinator folds into the live tracer and
-    registry — the merged Chrome trace carries one row per worker pid,
-    and merged counter totals equal a serial run's exactly.
+    Observability composes with every mode: worker spans and metric
+    updates merge into the coordinator's
+    (:func:`repro.capping.shard.run_sharded`).
 
     ``monitor`` attaches a :class:`repro.monitor.FleetMonitor`: each job
     renders with a :class:`repro.monitor.collector.JobProbe` on its
     engine stream, and the fold replays the probe's partial in
-    chronological order — the same way in every mode.  It never writes back; the fleet report is
-    bit-identical with or without it.  The caller finalizes the monitor.
+    chronological order — the same way in every mode.  It never writes
+    back; the fleet report is bit-identical with or without it.  The
+    caller finalizes the monitor.
 
-    ``platform`` selects the hardware platform for the whole pool;
-    ``node_platforms`` instead builds a *mixed* pool, cycling the given
-    platforms/specs round-robin across nodes.  In a mixed pool each
-    node's cap is clamped to its own GPU's supported range before being
-    applied (a clamped-up cap can surface as a ``cap_violation`` health
-    signal — the node genuinely cannot honour the policy's cap).
+    In a mixed pool (several ``run.platforms``) each node's cap is
+    clamped to its own GPU's supported range before being applied (a
+    clamped-up cap can surface as a ``cap_violation`` health signal —
+    the node genuinely cannot honour the policy's cap).
 
     The node pool is lazy: only nodes that jobs actually touch are
     constructed (a 100k-node pool with a handful of jobs builds a
@@ -342,55 +400,27 @@ def simulate_fleet_traced(
     Monitored runs materialize the whole pool (the monitor surveys every
     node's idle band).
     """
-    resolved_workers = shard.resolve_fleet_workers(len(jobs), workers)
-    checkpoint_path = read("REPRO_FLEET_CHECKPOINT", checkpoint)
-    if checkpoint_path is not None and monitor is not None:
+    if checkpoint is not None and monitor is not None:
         raise ValueError(
             "monitor state is not checkpointable; run monitored fleets "
-            "without checkpoint="
+            "without a checkpoint"
         )
-    if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    if resume and checkpoint_path is None:
-        raise ValueError(
-            "resume=True requires checkpoint= (or REPRO_FLEET_CHECKPOINT)"
-        )
-    run_fp = None
-    if checkpoint_path is not None:
-        run_fp = shard.run_fingerprint(
-            jobs,
-            policy,
-            policy_name,
-            n_nodes,
-            power_budget_w,
-            bin_s,
-            engine_config,
-            seed,
-            get_platform(platform).id,
-            node_platforms,
-        )
-    pool = PerlmutterSystem(
-        n_nodes=n_nodes, platform=platform, node_platforms=node_platforms
-    )
+    if resume and checkpoint is None:
+        raise ValueError("resume needs a checkpoint path")
+    resolved_workers = shard.resolve_fleet_workers(len(run.jobs), workers)
+    run_fp = run_fingerprint(run) if checkpoint is not None else None
+    policy_name, n_nodes, platform = run.policy_name, run.n_nodes, run.platforms[0]
+    pool, schedule = _schedule(run)
     pool_specs = pool.node_specs()
-    if power_budget_w is None:
-        # Node TDP: effectively unbounded.
-        power_budget_w = sum(spec.tdp_w for spec in pool_specs)
-    config = SchedulerConfig(
-        n_nodes=n_nodes,
-        power_budget_w=power_budget_w,
-        policy=policy,
-        platform=platform,
-    )
-    with obs.span("fleet.schedule_traced", policy=policy_name, jobs=len(jobs)):
-        schedule = PowerAwareScheduler(config).schedule(list(jobs))
-    workloads = {job.job_id: job.workload for job in jobs}
+    workloads = {job.job_id: job.workload for job in run.jobs}
     if monitor is not None:
         # The monitor surveys every node's idle band up front.
         monitor.attach_pool(pool.materialize())
     idle_node_w = sum(spec.idle_node_w for spec in pool_specs) / len(pool_specs)
     fold = shard.FleetFold(
-        SystemPowerAccumulator(n_nodes=n_nodes, bin_s=bin_s, idle_node_w=idle_node_w)
+        SystemPowerAccumulator(
+            n_nodes=n_nodes, bin_s=run.bin_s, idle_node_w=idle_node_w
+        )
     )
     #: (analytic end time, job id) release queue for pool bookkeeping.
     release_queue: list[tuple[float, str]] = []
@@ -440,19 +470,16 @@ def simulate_fleet_traced(
                 node_names=tuple(names),
                 spec_indices=tuple(indices),
                 workload=workload,
-                seed=_job_seed(record.job_id, seed),
+                seed=_job_seed(record.job_id, run.seed),
                 nominal_runtime_s=nominal_s,
             )
         )
-    for _, job_id in release_queue:
-        pool.release(job_id)
     total_jobs = len(tasks)
 
-    heartbeat_path = read("REPRO_FLEET_HEARTBEAT", heartbeat)
     beat: RunHeartbeat | None = None
-    if heartbeat_path is not None:
+    if heartbeat is not None:
         beat = RunHeartbeat(
-            heartbeat_path,
+            heartbeat,
             label=f"fleet:{policy_name}",
             jobs_total=total_jobs,
             nodes_total=sum(task.n_nodes for task in tasks),
@@ -461,11 +488,11 @@ def simulate_fleet_traced(
 
     # ---- resume: adopt the saved fold, skip the chronological prefix it covers
     if resume:
-        state = shard.load_checkpoint(checkpoint_path)
+        state = shard.load_checkpoint(checkpoint)
         if state is not None:
             if state.fingerprint != run_fp:
                 raise ValueError(
-                    f"{checkpoint_path} was written by a different "
+                    f"{checkpoint} was written by a different "
                     "simulation (input fingerprint mismatch); refusing "
                     "to resume"
                 )
@@ -479,7 +506,7 @@ def simulate_fleet_traced(
             logger.debug(
                 "resuming fleet (%s) from %s: %d/%d jobs already folded",
                 policy_name,
-                checkpoint_path,
+                checkpoint,
                 fold.jobs,
                 total_jobs,
             )
@@ -496,11 +523,11 @@ def simulate_fleet_traced(
             monitor.absorb_job_partial(partial.monitor)
         obs.inc("repro_fleet_jobs_rendered_total")
         obs.gauge_set("repro_fleet_resident_bytes", fold.accumulator.resident_bytes)
-        if checkpoint_path is not None and (
-            fold.jobs % checkpoint_every == 0 or fold.jobs == total_jobs
+        if checkpoint is not None and (
+            fold.jobs % CHECKPOINT_EVERY == 0 or fold.jobs == total_jobs
         ):
             shard.save_checkpoint(
-                checkpoint_path,
+                checkpoint,
                 shard.FleetCheckpoint(shard.CHECKPOINT_VERSION, run_fp, fold.state()),
             )
             if beat is not None:
@@ -511,8 +538,8 @@ def simulate_fleet_traced(
     batch = shard.ShardTask(
         shard_index=0,
         specs=tuple(spec_table),
-        engine_config=engine_config,
-        bin_s=bin_s,
+        engine_config=run.engine_config,
+        bin_s=run.bin_s,
         monitor_config=monitor.config if monitor is not None else None,
         jobs=tuple(tasks),
     )
@@ -559,7 +586,7 @@ def simulate_fleet_traced(
                 "energy_j": system.energy_j,
                 "makespan_s": round(schedule.makespan_s, 3),
                 "chunks_streamed": fold.chunks,
-                "checkpoint": str(checkpoint_path) if checkpoint_path else None,
+                "checkpoint": str(checkpoint) if checkpoint else None,
                 "resumed_jobs": (total_jobs - len(tasks)) if resume else 0,
             }
         },
@@ -588,15 +615,18 @@ def compare_fleet_policies_traced(
     engine_config: EngineConfig | None = None,
     monitors: "tuple[FleetMonitor | None, FleetMonitor | None] | None" = None,
     platform: "str | Platform | None" = None,
-    node_platforms: "list[str | Platform | NodeSpec] | None" = None,
+    node_platforms: "list[str | Platform] | None" = None,
     workers: int | None = None,
     checkpoint: "str | Path | None" = None,
-    checkpoint_every: int = 64,
     resume: bool = False,
     heartbeat: "str | Path | None" = None,
     scenario: "str | object | None" = None,
 ) -> tuple[FleetTraceReport, FleetTraceReport]:
     """(capped, uncapped) trace-streamed fleet reports, same job stream.
+
+    Both policies run one :class:`FleetRun` built from these arguments;
+    its ``platforms`` are ``node_platforms`` (a mixed pool) or else
+    ``platform``, which must otherwise be ``node_platforms[0]``.
 
     ``scenario`` names a registered :class:`repro.capping.scenarios.
     FleetScenario` (or passes one directly): the job stream then comes
@@ -611,64 +641,38 @@ def compare_fleet_policies_traced(
     ids, so the two runs cannot share a single ledger.  Callers finalize.
 
     ``workers``/``checkpoint``/``resume``/``heartbeat`` pass through to
-    :func:`simulate_fleet_traced`.  The two policies are distinct
-    simulations, so the checkpoint and heartbeat base paths (argument or
-    ``REPRO_FLEET_CHECKPOINT`` / ``REPRO_FLEET_HEARTBEAT``) get a
-    per-policy suffix (:data:`FLEET_POLICIES`) — resolved here so both
-    policies don't fight over the env-provided path.
+    :func:`simulate_fleet_traced`; this is the one reader of their
+    defaults, ``REPRO_FLEET_CHECKPOINT`` and ``REPRO_FLEET_HEARTBEAT``.
+    The two policies are distinct simulations, so each base path gets a
+    per-policy suffix (:data:`FLEET_POLICIES`).
     """
     base = read("REPRO_FLEET_CHECKPOINT", checkpoint)
     beat_base = read("REPRO_FLEET_HEARTBEAT", heartbeat)
+    platforms = tuple(node_platforms or (platform or DEFAULT_PLATFORM_ID,))
+    if platform is not None and get_platform(platform) != get_platform(platforms[0]):
+        raise ValueError("platform must be the first of node_platforms")
     if scenario is not None:
         from repro.capping.scenarios import get_scenario
 
-        scenario = get_scenario(scenario)
+        jobs = get_scenario(scenario).build_jobs(seed=seed)
+    else:
+        jobs = job_stream(n_jobs=n_jobs, seed=seed)
+    run = FleetRun(
+        jobs, "capped", n_nodes, platforms, power_budget_w, bin_s, engine_config, seed
+    )
     reports = []
-    for index, (policy_name, suffix, build) in enumerate(FLEET_POLICIES.values()):
-        jobs = (
-            scenario.build_jobs(seed=seed)
-            if scenario is not None
-            else job_stream(n_jobs=n_jobs, seed=seed)
-        )
+    for index, (key, (_, suffix, _)) in enumerate(FLEET_POLICIES.items()):
         reports.append(
             simulate_fleet_traced(
-                jobs,
-                build(platform),
-                policy_name,
-                n_nodes,
-                power_budget_w,
-                bin_s=bin_s,
-                engine_config=engine_config,
-                seed=seed,
-                monitor=monitors[index] if monitors is not None else None,
-                platform=platform,
-                node_platforms=node_platforms,
+                replace(run, policy=key),
                 workers=workers,
+                monitor=monitors[index] if monitors is not None else None,
                 checkpoint=policy_path(base, suffix),
-                checkpoint_every=checkpoint_every,
                 resume=resume,
                 heartbeat=policy_path(beat_base, suffix),
             )
         )
     return reports[0], reports[1]
-
-
-def _policy_task(
-    task: tuple[str, int, int, float | None, int, str]
-) -> FleetReport:
-    """Worker-side task: one policy over a regenerated job stream.
-
-    The stream is rebuilt from ``seed`` inside the worker (cheap and
-    deterministic), so only this small task tuple crosses the pool
-    boundary (the policy travels as its :data:`FLEET_POLICIES` key, the
-    platform as its registry id).
-    """
-    key, n_jobs, n_nodes, power_budget_w, seed, platform_id = task
-    policy_name, _, build = FLEET_POLICIES[key]
-    jobs = job_stream(n_jobs=n_jobs, seed=seed)
-    return simulate_fleet(
-        jobs, build(platform_id), policy_name, n_nodes, power_budget_w, platform_id
-    )
 
 
 def compare_fleet_policies(
@@ -678,15 +682,12 @@ def compare_fleet_policies(
     seed: int = 0,
     platform: "str | Platform | None" = None,
 ) -> tuple[FleetReport, FleetReport]:
-    """(capped, uncapped) fleet reports for the same job stream.
-
-    The two policies are independent simulations over the same seeded
-    stream, so they execute as one two-task sweep.
-    """
-    platform_id = get_platform(platform).id
-    tasks = [
-        (key, n_jobs, n_nodes, power_budget_w, seed, platform_id)
-        for key in FLEET_POLICIES
-    ]
-    capped, uncapped = SweepExecutor().map(_policy_task, tasks)
-    return capped, uncapped
+    """(capped, uncapped) fleet reports for the same job stream."""
+    run = FleetRun(
+        job_stream(n_jobs=n_jobs, seed=seed),
+        n_nodes=n_nodes,
+        platforms=(platform or DEFAULT_PLATFORM_ID,),
+        power_budget_w=power_budget_w,
+        seed=seed,
+    )
+    return simulate_fleet(run), simulate_fleet(replace(run, policy="uncapped"))

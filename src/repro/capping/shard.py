@@ -52,7 +52,6 @@ from repro.hardware.system import (
 from repro.runner.cache import (
     atomic_write_pickle,
     cached_phases,
-    fingerprint,
     read_pickle,
 )
 from repro.runner.engine import EngineConfig, PowerEngine
@@ -64,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 logger = logging.getLogger(__name__)
 
 #: On-disk checkpoint format version.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def resolve_fleet_workers(n_jobs: int, workers: int | None = None) -> int:
@@ -494,8 +493,9 @@ class FleetCheckpoint:
     """Resumable state of a traced fleet simulation: its saved fold.
 
     The schedule itself is *not* stored — it is recomputed on resume
-    (deterministic), and ``fingerprint`` (over jobs, policy, pool and
-    engine inputs) guards against resuming into a different simulation.
+    (deterministic), and ``fingerprint``
+    (:func:`repro.capping.fleet.run_fingerprint`) guards against resuming
+    into a different simulation.
     Render seeds are content-derived per job, so no RNG stream state is
     needed.
     """
@@ -509,11 +509,6 @@ class FleetCheckpoint:
     def jobs_done(self) -> int:
         """Chronological jobs the saved fold covers."""
         return self.fold["jobs"]
-
-
-def run_fingerprint(*parts) -> str:
-    """Content fingerprint binding a checkpoint to its simulation inputs."""
-    return fingerprint("fleet_checkpoint", CHECKPOINT_VERSION, *parts)
 
 
 def save_checkpoint(path: str | Path, checkpoint: FleetCheckpoint) -> None:

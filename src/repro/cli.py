@@ -83,6 +83,7 @@ from repro.experiments import (
 )
 from repro.capping.fleet import (
     FLEET_POLICIES,
+    FleetRun,
     compare_fleet_policies_traced,
     job_stream,
     simulate_fleet_traced,
@@ -333,29 +334,46 @@ def _default_nodes(ref: str) -> int:
     return max(resolve_widths(ref))
 
 
-def _split_platforms(value: str | None) -> tuple[str | None, list[str] | None]:
-    """``--platform`` value -> (primary platform, mixed-pool list).
-
-    A comma-separated value builds a mixed pool (nodes cycle through the
-    listed platforms round-robin); the first entry drives the analytic
-    scheduler and monitor defaults.
-    """
-    parts = [part.strip() for part in (value or "").split(",") if part.strip()]
-    if not parts:
-        return None, None
-    return parts[0], parts if len(parts) > 1 else None
-
-
-def _fleet_setup(
+def _fleet_fields(
     args: argparse.Namespace, n_nodes: int, platform_value: str | None
-) -> tuple[float | None, str | None, list[str] | None, EngineConfig | None]:
-    """(power budget, platform, mixed-pool list, engine config) from the
-    flags `repro fleet` and `repro monitor` share."""
-    budget = args.watts_per_node * n_nodes if args.watts_per_node else None
-    engine_config = (
-        EngineConfig(base_interval_s=args.resolution) if args.resolution else None
+) -> dict:
+    """The :class:`FleetRun` fields the flags `repro fleet` and `repro monitor`
+    share set: all but the jobs and the policy.
+
+    A comma-separated ``platform_value`` is a mixed pool.  Flags are
+    strict: a value that would silently mean another raises ValueError,
+    and so does an unknown platform (`repro fleet` builds its monitors
+    from it before the spec exists); the spec checks the rest.
+    """
+    for flag, value in (
+        ("--resolution", args.resolution),
+        ("--watts-per-node", args.watts_per_node),
+        ("--workers", getattr(args, "workers", None)),
+    ):
+        if value is not None and not value > 0:
+            raise ValueError(f"{flag} must be positive, got {value:g}")
+    parts = [part.strip() for part in (platform_value or "").split(",")]
+    platforms = tuple(part for part in parts if part) or (DEFAULT_PLATFORM_ID,)
+    for platform in platforms:
+        if platform not in platform_ids():
+            known = ", ".join(platform_ids())
+            raise ValueError(f"unknown platform {platform!r}; registered: {known}")
+    return dict(
+        n_nodes=n_nodes,
+        platforms=platforms,
+        power_budget_w=(
+            args.watts_per_node * n_nodes if args.watts_per_node is not None else None
+        ),
+        bin_s=getattr(args, "bin_s", 1.0),
+        engine_config=EngineConfig(base_interval_s=args.resolution),
+        seed=args.seed,
     )
-    return (budget, *_split_platforms(platform_value), engine_config)
+
+
+def _refuse(err: Exception) -> int:
+    """Report a rejected fleet input as one `repro:` line; exit status 2."""
+    print(f"repro: {err}", file=sys.stderr)
+    return 2
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -822,33 +840,30 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     platform_value = args.platform
     if platform_value is None and scenario is not None and scenario.platforms:
         platform_value = ",".join(scenario.platforms)
-    budget, platform, node_platforms, engine_config = _fleet_setup(
-        args, n_nodes, platform_value
-    )
-    monitors = None
-    if args.monitor or read("REPRO_MONITOR"):
-        monitors = tuple(
-            FleetMonitor(MonitorConfig(platform=platform), label=policy_name)
-            for policy_name, _, _ in FLEET_POLICIES.values()
-        )
-    with obs.span("cli.fleet", jobs=n_jobs, nodes=n_nodes):
-        capped, uncapped = compare_fleet_policies_traced(
-            n_jobs=n_jobs,
-            n_nodes=n_nodes,
-            power_budget_w=budget,
-            seed=args.seed,
-            bin_s=args.bin_s,
-            engine_config=engine_config,
-            monitors=monitors,
-            platform=platform,
-            node_platforms=node_platforms,
-            workers=args.workers,
-            checkpoint=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
-            heartbeat=args.heartbeat,
-            scenario=scenario,
-        )
+    try:
+        fields = _fleet_fields(args, n_nodes, platform_value)
+        platforms = list(fields.pop("platforms"))
+        monitors = None
+        if args.monitor or read("REPRO_MONITOR"):
+            monitors = tuple(
+                FleetMonitor(MonitorConfig(platform=platforms[0]), label=name)
+                for name, _, _ in FLEET_POLICIES.values()
+            )
+        with obs.span("cli.fleet", jobs=n_jobs, nodes=n_nodes):
+            capped, uncapped = compare_fleet_policies_traced(
+                n_jobs=n_jobs,
+                monitors=monitors,
+                node_platforms=platforms,
+                workers=args.workers,
+                checkpoint=args.checkpoint,
+                resume=args.resume,
+                heartbeat=args.heartbeat,
+                scenario=scenario,
+                **fields,
+            )
+    except ValueError as err:
+        return _refuse(err)
+    budget = fields["power_budget_w"]
     run_ledger.annotate_run(
         # Execution mode (workers, live capture) is part of the
         # fingerprint: `repro sentinel check` compares wall time, and a
@@ -863,9 +878,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             args.workers, args.trace is not None, args.metrics is not None,
             *((scenario.id,) if scenario is not None else ()),
         ),
-        platforms=[get_platform(platform).id]
-        if node_platforms is None
-        else node_platforms,
+        platforms=platforms,
         jobs=n_jobs,
         energy_j=capped.system.energy_j + uncapped.system.energy_j,
     )
@@ -932,38 +945,28 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
     """One monitored fleet run: health dashboard plus power report."""
-    budget, platform, node_platforms, engine_config = _fleet_setup(
-        args, args.nodes, args.platform
-    )
-    policy_name, _, build = FLEET_POLICIES[args.policy]
-    config = MonitorConfig(platform=platform, alert_log=args.alert_log)
-    monitor = FleetMonitor(config, label=policy_name)
-    jobs = job_stream(n_jobs=args.jobs, seed=args.seed)
-    with obs.span("cli.monitor", jobs=args.jobs, nodes=args.nodes):
-        simulate_fleet_traced(
-            jobs,
-            build(platform),
-            policy_name,
-            n_nodes=args.nodes,
-            power_budget_w=budget,
-            engine_config=engine_config,
-            seed=args.seed,
-            monitor=monitor,
-            platform=platform,
-            node_platforms=node_platforms,
+    try:
+        run = FleetRun(
+            job_stream(n_jobs=args.jobs, seed=args.seed),
+            args.policy,
+            **_fleet_fields(args, args.nodes, args.platform),
         )
+        config = MonitorConfig(platform=run.platforms[0], alert_log=args.alert_log)
+        monitor = FleetMonitor(config, label=run.policy_name)
+        with obs.span("cli.monitor", jobs=args.jobs, nodes=args.nodes):
+            simulate_fleet_traced(run, monitor=monitor)
+    except ValueError as err:
+        return _refuse(err)
     report = monitor.finalize()
     totals = report.energy.get("totals", {}) if report.energy else {}
     run_ledger.annotate_run(
         fingerprint=fingerprint(
-            "cli.monitor", args.jobs, args.nodes, budget, args.seed,
+            "cli.monitor", args.jobs, args.nodes, run.power_budget_w, args.seed,
             # None stands where the removed --window value sat, so
             # fingerprints stay comparable with older ledger records.
             args.policy, args.resolution, args.platform, None,
         ),
-        platforms=[get_platform(platform).id]
-        if node_platforms is None
-        else node_platforms,
+        platforms=list(run.platforms),
         jobs=args.jobs,
         energy_j=totals.get("energy_j"),
         alerts=report.ledger_summary(),
@@ -1448,13 +1451,6 @@ def build_parser() -> argparse.ArgumentParser:
             "periodically snapshot the aggregation state to PATH(.capped/"
             ".uncapped); default: REPRO_FLEET_CHECKPOINT"
         ),
-    )
-    p_fleet.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=64,
-        metavar="JOBS",
-        help="jobs between checkpoint snapshots (default: 64)",
     )
     p_fleet.add_argument(
         "--resume",

@@ -10,7 +10,7 @@ as text/JSON power reports (:mod:`~repro.monitor.energy`).
 
 :class:`FleetMonitor` ties it together.  Engine chunk streams reach it
 one way — per-job ``JobProbe`` partials, from
-``simulate_fleet_traced(monitor=...)`` or ``FleetMonitor.observe_run``.
+``simulate_fleet_traced(run, monitor=...)`` or ``FleetMonitor.observe_run``.
 The collector is observation-only: monitored runs are bit-identical to
 unmonitored ones.
 

@@ -4,7 +4,7 @@
 methodology presumes.  Engine chunk streams reach it one way: a per-job
 :class:`JobProbe` observes the chunks — tapped onto
 :meth:`repro.runner.engine.PowerEngine.stream` by
-:func:`repro.capping.fleet.simulate_fleet_traced` (serial or sharded), or
+``simulate_fleet_traced(run, monitor=...)`` (serial or sharded), or
 fed retained traces by :meth:`FleetMonitor.observe_run` — and the
 monitor replays its :class:`JobMonitorPartial` in chronological job
 order.  The monitor keeps incremental
@@ -47,6 +47,9 @@ from repro.monitor.report import MonitorReport, NodeSummary
 from repro.runner.trace import GPU_KEYS, RunResult
 
 _GPU_COMPONENTS = frozenset(GPU_KEYS)
+
+#: Samples per slice :meth:`FleetMonitor.observe_run` replays a trace in.
+OBSERVE_CHUNK = 4096
 
 
 def node_idle_bands(
@@ -398,14 +401,13 @@ class FleetMonitor:
         job_id: str | None = None,
         start_s: float = 0.0,
         nominal_runtime_s: float | None = None,
-        chunk_samples: int = 4096,
     ) -> None:
         """Post-hoc monitoring of a completed run's retained traces.
 
         Replays the rows a probe reads of every trace through a
-        :class:`JobProbe` — the observer fleet streams use — and absorbs
-        its partial; what ``cap-sweep --monitor`` uses, since sweeps
-        retain whole traces.
+        :class:`JobProbe` — the observer fleet streams use — in slices
+        of :data:`OBSERVE_CHUNK` samples, and absorbs its partial; what
+        ``cap-sweep --monitor`` uses, since sweeps retain whole traces.
         """
         label = job_id if job_id is not None else result.label
         probe = JobProbe(
@@ -424,8 +426,8 @@ class FleetMonitor:
                 times = trace.times
                 for component in JobProbe.COMPONENTS:
                     series = trace.components[component]
-                    for lo in range(0, len(times), chunk_samples):
-                        hi = min(lo + chunk_samples, len(times))
+                    for lo in range(0, len(times), OBSERVE_CHUNK):
+                        hi = min(lo + OBSERVE_CHUNK, len(times))
                         probe.observe_chunk(
                             trace.node_name,
                             component,

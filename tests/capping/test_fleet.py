@@ -4,14 +4,17 @@ import pytest
 
 from repro.capping.fleet import (
     DEFAULT_MIX,
+    FleetRun,
     compare_fleet_policies,
     job_stream,
     simulate_fleet,
     simulate_fleet_traced,
 )
-from repro.capping.policy import CapPolicy
+from repro.capping.scheduler import Job
 from repro.experiments import system_power
+from repro.hardware.platform import get_platform, platform_ids
 from repro.runner.engine import EngineConfig
+from repro.vasp.benchmarks import benchmark
 
 
 class TestJobStream:
@@ -94,10 +97,49 @@ class TestFleetSimulation:
 
     def test_simulate_fleet_report_fields(self):
         jobs = job_stream(n_jobs=4, seed=9)
-        report = simulate_fleet(jobs, CapPolicy.uncapped(), "baseline", n_nodes=8)
-        assert report.policy_name == "baseline"
+        report = simulate_fleet(FleetRun(jobs, "uncapped", n_nodes=8))
+        assert report.policy_name == "uncapped"
         assert report.mean_power_w > 0
         assert report.peak_power_w >= report.mean_power_w
+
+
+class TestFleetRun:
+    @pytest.fixture(scope="class")
+    def jobs(self):
+        return job_stream(n_jobs=2, seed=9)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("jobs", (), "one or more Job records"),
+            ("jobs", ("PdO2",), "one or more Job records"),
+            ("policy", "half", "unknown fleet policy"),
+            ("n_nodes", 0, "n_nodes"),
+            ("platforms", (), "platform"),
+            ("platforms", ("a100-40g", "bogus"), "unknown platform 'bogus'"),
+            ("power_budget_w", 0.0, "power_budget_w"),
+            ("bin_s", 0.0, "bin_s"),
+            ("engine_config", 0.1, "engine_config"),
+            ("seed", 1.5, "seed"),
+        ],
+    )
+    def test_rejects_a_bad_field(self, jobs, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            FleetRun(**{"jobs": jobs, field: value})
+
+    def test_sequences_become_tuples(self, jobs):
+        run = FleetRun(list(jobs), platforms=["h100-sxm"])
+        assert run.jobs == tuple(jobs)
+        assert run.platforms == ("h100-sxm",)
+
+    @pytest.mark.parametrize("platform", platform_ids())
+    def test_default_budget_is_the_pools_node_tdp(self, platform):
+        """The summed pool specs equal n x node TDP bit for bit."""
+        jobs = [Job("PdO2@0", benchmark("PdO2").build(), 1)]
+        tdp_w = get_platform(platform).node.tdp_w
+        for n_nodes in (4, 7, 1200):
+            run = FleetRun(jobs, n_nodes=n_nodes, platforms=(platform,))
+            assert simulate_fleet(run).schedule.budget_w == n_nodes * tdp_w
 
 
 class TestTracedFleet:
@@ -110,21 +152,14 @@ class TestTracedFleet:
 
     def test_capping_reduces_peak_and_variability(self, jobs):
         kwargs = dict(n_nodes=8, engine_config=self.ENGINE, seed=7)
-        capped = simulate_fleet_traced(jobs, CapPolicy.half_tdp(), "capped", **kwargs)
-        uncapped = simulate_fleet_traced(
-            jobs, CapPolicy.uncapped(), "uncapped", **kwargs
-        )
+        capped = simulate_fleet_traced(FleetRun(jobs, "capped", **kwargs))
+        uncapped = simulate_fleet_traced(FleetRun(jobs, "uncapped", **kwargs))
         assert capped.peak_power_w < uncapped.peak_power_w
         assert capped.power_std_w < uncapped.power_std_w
 
     def test_report_accounting(self, jobs):
         report = simulate_fleet_traced(
-            jobs,
-            CapPolicy.uncapped(),
-            "uncapped",
-            n_nodes=8,
-            engine_config=self.ENGINE,
-            seed=7,
+            FleetRun(jobs, "uncapped", n_nodes=8, engine_config=self.ENGINE, seed=7)
         )
         assert report.jobs_completed == len(jobs)
         assert report.samples_streamed > 0
@@ -136,10 +171,10 @@ class TestTracedFleet:
 
     def test_deterministic_per_seed(self, jobs):
         kwargs = dict(n_nodes=8, engine_config=self.ENGINE)
-        a = simulate_fleet_traced(jobs, CapPolicy.uncapped(), "u", seed=7, **kwargs)
-        b = simulate_fleet_traced(jobs, CapPolicy.uncapped(), "u", seed=7, **kwargs)
+        a = simulate_fleet_traced(FleetRun(jobs, "uncapped", seed=7, **kwargs))
+        b = simulate_fleet_traced(FleetRun(jobs, "uncapped", seed=7, **kwargs))
         assert a.system == b.system
-        c = simulate_fleet_traced(jobs, CapPolicy.uncapped(), "u", seed=8, **kwargs)
+        c = simulate_fleet_traced(FleetRun(jobs, "uncapped", seed=8, **kwargs))
         assert c.system != a.system
 
 

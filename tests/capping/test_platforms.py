@@ -6,7 +6,12 @@ selected spec, and fleet simulation on non-default and mixed node pools.
 
 import pytest
 
-from repro.capping.fleet import job_stream, simulate_fleet, simulate_fleet_traced
+from repro.capping.fleet import (
+    FleetRun,
+    job_stream,
+    simulate_fleet,
+    simulate_fleet_traced,
+)
 from repro.capping.policy import CapPolicy, WorkloadClass
 from repro.capping.scheduler import (
     cached_estimate_run,
@@ -82,21 +87,21 @@ class TestFleetPlatforms:
 
     def test_fleet_runs_on_h100(self, jobs):
         report = simulate_fleet(
-            jobs, CapPolicy.half_tdp("h100-sxm"), "capped", n_nodes=8,
-            platform="h100-sxm",
+            FleetRun(jobs, "capped", n_nodes=8, platforms=("h100-sxm",))
         )
         assert report.jobs_completed == len(jobs)
 
     def test_traced_fleet_completes_on_h100(self, jobs):
         monitor = FleetMonitor(MonitorConfig(platform="h100-sxm"))
         report = simulate_fleet_traced(
-            jobs,
-            CapPolicy.half_tdp("h100-sxm"),
-            "capped",
-            n_nodes=8,
-            engine_config=ENGINE,
-            seed=7,
-            platform="h100-sxm",
+            FleetRun(
+                jobs,
+                "capped",
+                n_nodes=8,
+                platforms=("h100-sxm",),
+                engine_config=ENGINE,
+                seed=7,
+            ),
             monitor=monitor,
         )
         assert report.jobs_completed == len(jobs)
@@ -104,9 +109,9 @@ class TestFleetPlatforms:
 
     def test_platform_changes_fleet_power(self, jobs):
         kwargs = dict(n_nodes=8, engine_config=ENGINE, seed=7)
-        a100 = simulate_fleet_traced(jobs, CapPolicy.uncapped(), "u", **kwargs)
+        a100 = simulate_fleet_traced(FleetRun(jobs, "uncapped", **kwargs))
         h100 = simulate_fleet_traced(
-            jobs, CapPolicy.uncapped("h100-sxm"), "u", platform="h100-sxm", **kwargs
+            FleetRun(jobs, "uncapped", platforms=("h100-sxm",), **kwargs)
         )
         assert a100.system != h100.system
 
@@ -115,13 +120,14 @@ class TestFleetPlatforms:
         is clamped into each node's own range before being applied."""
         monitor = FleetMonitor(MonitorConfig())
         report = simulate_fleet_traced(
-            jobs,
-            CapPolicy.half_tdp(),  # 200 W — exactly the H100 floor
-            "mixed",
-            n_nodes=8,
-            engine_config=ENGINE,
-            seed=7,
-            node_platforms=["a100-40g", "h100-sxm"],
+            FleetRun(
+                jobs,
+                "capped",  # 200 W on the first (A100) entry — the H100 floor
+                n_nodes=8,
+                platforms=("a100-40g", "h100-sxm"),
+                engine_config=ENGINE,
+                seed=7,
+            ),
             monitor=monitor,
         )
         assert report.jobs_completed == len(jobs)
@@ -133,12 +139,13 @@ class TestFleetPlatforms:
         h100_tdp = get_platform("h100-sxm").node.tdp_w
         a100_tdp = get_platform("a100-40g").node.tdp_w
         report = simulate_fleet_traced(
-            jobs,
-            CapPolicy.uncapped(),
-            "mixed",
-            n_nodes=4,
-            engine_config=ENGINE,
-            seed=7,
-            node_platforms=["a100-40g", "h100-sxm"],
+            FleetRun(
+                jobs,
+                "uncapped",
+                n_nodes=4,
+                platforms=("a100-40g", "h100-sxm"),
+                engine_config=ENGINE,
+                seed=7,
+            )
         )
         assert report.schedule.budget_w == 2 * a100_tdp + 2 * h100_tdp

@@ -7,13 +7,20 @@ approximate — every execution mode folds the same per-job partials in
 the same chronological order.
 """
 
+import dataclasses
 from concurrent.futures import Future
 
 import pytest
 
 from repro.capping import shard
-from repro.capping.fleet import _job_seed, job_stream, simulate_fleet_traced
-from repro.capping.policy import CapPolicy
+from repro.capping import fleet
+from repro.capping.fleet import (
+    FleetRun,
+    _job_seed,
+    compare_fleet_policies_traced,
+    job_stream,
+    simulate_fleet_traced,
+)
 from repro.hardware.platform import get_platform
 from repro.monitor import FleetMonitor, MonitorConfig
 from repro.runner import cache
@@ -33,17 +40,37 @@ def _jobs():
     return job_stream(n_jobs=5, seed=7)
 
 
+#: The :class:`FleetRun` fields every ``_run`` shares unless overridden.
+RUN = dict(n_nodes=8, bin_s=2.0, engine_config=ENGINE, seed=7)
+
+#: The execution-mode keywords of :func:`simulate_fleet_traced`.
+MODES = ("workers", "monitor", "checkpoint", "resume", "heartbeat")
+
+
 def _run(jobs=None, **kwargs):
-    kwargs.setdefault("bin_s", 2.0)
-    kwargs.setdefault("engine_config", ENGINE)
-    kwargs.setdefault("seed", 7)
-    return simulate_fleet_traced(
-        jobs if jobs is not None else _jobs(),
-        CapPolicy.half_tdp(),
-        "50% TDP policy",
-        8,
-        **kwargs,
+    modes = {key: kwargs.pop(key) for key in MODES if key in kwargs}
+    run = FleetRun(jobs if jobs is not None else _jobs(), **{**RUN, **kwargs})
+    return simulate_fleet_traced(run, **modes)
+
+
+def _compare():
+    """Both policies over :func:`_jobs`, through the comparison entry point."""
+    return compare_fleet_policies_traced(
+        n_jobs=5, n_nodes=8, seed=7, bin_s=2.0, engine_config=ENGINE
     )
+
+
+#: A value differing from :data:`RUN` (and the defaults) per FleetRun field.
+OTHER_RUN = {
+    "jobs": lambda: job_stream(n_jobs=5, seed=8),
+    "policy": lambda: "uncapped",
+    "n_nodes": lambda: 9,
+    "platforms": lambda: ("a100-40g", "h100-sxm"),
+    "power_budget_w": lambda: 1e6,
+    "bin_s": lambda: 4.0,
+    "engine_config": lambda: EngineConfig(base_interval_s=2.0),
+    "seed": lambda: 8,
+}
 
 
 def _assert_identical(a, b):
@@ -70,8 +97,8 @@ class TestShardedBitIdentity:
 
     def test_mixed_platform_pool(self):
         mixed = ["a100-40g", "h100-sxm"]
-        serial = _run(node_platforms=mixed)
-        sharded = _run(node_platforms=mixed, workers=2)
+        serial = _run(platforms=mixed)
+        sharded = _run(platforms=mixed, workers=2)
         _assert_identical(serial, sharded)
 
     def test_env_override_shards(self, monkeypatch):
@@ -196,7 +223,8 @@ class TestCheckpointResume:
     def test_resume_from_every_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "fleet.ckpt"
         stashed = self._stashing_save(monkeypatch)
-        reference = _run(checkpoint=path, checkpoint_every=1)
+        monkeypatch.setattr(fleet, "CHECKPOINT_EVERY", 1)
+        reference = _run(checkpoint=path)
         snapshots = list(stashed)
         assert len(snapshots) == reference.jobs_completed
         for checkpoint in snapshots:
@@ -207,7 +235,8 @@ class TestCheckpointResume:
     def test_resume_from_every_checkpoint_sharded(self, tmp_path, monkeypatch):
         path = tmp_path / "fleet.ckpt"
         stashed = self._stashing_save(monkeypatch)
-        reference = _run(checkpoint=path, checkpoint_every=2, workers=2)
+        monkeypatch.setattr(fleet, "CHECKPOINT_EVERY", 2)
+        reference = _run(checkpoint=path, workers=2)
         snapshots = list(stashed)
         serial = _run()
         _assert_identical(serial, reference)
@@ -236,12 +265,20 @@ class TestCheckpointResume:
             _run(checkpoint=path, resume=True, seed=8)
 
     def test_env_checkpoint_path(self, tmp_path, monkeypatch):
+        """The comparison reads the variable, one file per policy; a single
+        run never does (``repro monitor`` must ignore it)."""
         path = tmp_path / "env.ckpt"
         monkeypatch.setenv("REPRO_FLEET_CHECKPOINT", str(path))
-        reference = _run()
-        assert path.exists()
+        _run()
+        assert list(tmp_path.iterdir()) == []
+        reference = _compare()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "env.ckpt.capped",
+            "env.ckpt.uncapped",
+        ]
         monkeypatch.delenv("REPRO_FLEET_CHECKPOINT")
-        _assert_identical(reference, _run())
+        for a, b in zip(reference, _compare()):
+            _assert_identical(a, b)
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "fleet.ckpt"
@@ -257,6 +294,23 @@ class TestCheckpointResume:
 
     def test_missing_checkpoint_is_none(self, tmp_path):
         assert shard.load_checkpoint(tmp_path / "nope.ckpt") is None
+
+    def test_version_3_checkpoint_refused_on_resume(self, tmp_path):
+        """Checkpoints from before the FleetRun fingerprint never resume."""
+        path = tmp_path / "fleet.ckpt"
+        _run(checkpoint=path)
+        old = shard.load_checkpoint(path)
+        old.version = 3
+        self._real_save(path, old)
+        with pytest.raises(ValueError, match="not a version-4 fleet checkpoint"):
+            _run(checkpoint=path, resume=True)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(FleetRun)])
+    def test_resume_refuses_a_run_differing_in_one_field(self, tmp_path, field):
+        path = tmp_path / "fleet.ckpt"
+        _run(checkpoint=path)
+        with pytest.raises(ValueError, match="different simulation"):
+            _run(checkpoint=path, resume=True, **{field: OTHER_RUN[field]()})
 
     def test_older_version_rejected(self, tmp_path):
         path = tmp_path / "fleet.ckpt"
@@ -285,9 +339,6 @@ class TestGuardRails:
         with pytest.raises(ValueError, match="resume"):
             _run(resume=True)
 
-    def test_checkpoint_every_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="checkpoint_every"):
-            _run(checkpoint=tmp_path / "c.ckpt", checkpoint_every=0)
 
 
 class TestLazyPool:
@@ -383,7 +434,7 @@ class TestNodeReuse:
         monkeypatch.setattr(shard, "_WORKER_NODES", {})
         monkeypatch.setattr(cache, "_PHASE_STORE", RunCache(name="phases"))
         mixed = ["a100-40g", "h100-sxm"]
-        sharded = _run(workers=2, node_platforms=mixed)
+        sharded = _run(workers=2, platforms=mixed)
         distinct = set(allocations["names"])
         assert len(allocations["names"]) > len(distinct)
         # Every batch ran through the worker memo, never the pool.
@@ -391,4 +442,4 @@ class TestNodeReuse:
         assert len(constructions) == len(set(constructions)) == len(distinct)
         assert set(shard._WORKER_NODES) == set(constructions)
         monkeypatch.undo()
-        _assert_identical(sharded, _run(node_platforms=mixed))
+        _assert_identical(sharded, _run(platforms=mixed))

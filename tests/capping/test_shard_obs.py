@@ -13,8 +13,7 @@ import os
 import pytest
 
 from repro import obs
-from repro.capping.fleet import job_stream, simulate_fleet_traced
-from repro.capping.policy import CapPolicy
+from repro.capping.fleet import FleetRun, job_stream, simulate_fleet_traced
 from repro.capping.scheduler import estimate_cache
 from repro.experiments.common import run_cache
 from repro.runner.engine import EngineConfig
@@ -25,17 +24,15 @@ ENGINE = EngineConfig(base_interval_s=1.0)
 pytestmark = pytest.mark.usefixtures("small_chunks")
 
 
-def _run(**kwargs):
-    kwargs.setdefault("bin_s", 2.0)
-    kwargs.setdefault("engine_config", ENGINE)
-    kwargs.setdefault("seed", 7)
-    return simulate_fleet_traced(
+def _run(workers):
+    run = FleetRun(
         job_stream(n_jobs=5, seed=7),
-        CapPolicy.half_tdp(),
-        "50% TDP policy",
-        8,
-        **kwargs,
+        n_nodes=8,
+        bin_s=2.0,
+        engine_config=ENGINE,
+        seed=7,
     )
+    return simulate_fleet_traced(run, workers=workers)
 
 
 def _clear_session_caches():

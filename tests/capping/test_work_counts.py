@@ -11,11 +11,7 @@ import pytest
 
 from repro.capping import scheduler
 from repro.hardware.gpu import GpuModel
-from repro.capping.fleet import (
-    FLEET_POLICIES,
-    compare_fleet_policies_traced,
-    job_stream,
-)
+from repro.capping.fleet import compare_fleet_policies_traced, job_stream
 from repro.runner import cache
 from repro.runner.cache import RunCache, content_key
 from repro.runner import engine
@@ -116,13 +112,13 @@ def counted(monkeypatch):
 
 
 def test_each_workload_instance_is_walked_once(counted):
-    """Each policy builds its own stream: one instance per benchmark each."""
+    """Both policies share one stream: one instance per benchmark."""
     counts, _ = counted
     walked = counts["walked"]
     distinct = {id(w) for w in walked}
     assert len(walked) == len(distinct)
     names = {job.job_id.split("@")[0] for job in job_stream(N_JOBS, seed=SEED)}
-    assert len(distinct) == len(FLEET_POLICIES) * len(names)
+    assert len(distinct) == len(names)
 
 
 def test_one_phase_build_per_workload_width(counted):

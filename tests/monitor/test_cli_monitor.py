@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -72,6 +74,35 @@ class TestMonitorFlags:
         )
         assert rc == 0
         assert "fleet monitor" in capsys.readouterr().out
+
+
+class TestMonitorCheckpoint:
+    """Monitor state is not checkpointable: no run may mix the two."""
+
+    def test_monitor_ignores_the_fleet_checkpoint_variable(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_FLEET_CHECKPOINT", str(tmp_path / "m.ckpt"))
+        rc = main(["monitor", "--jobs", "2", "--nodes", "4"])
+        assert rc == 0
+        assert "fleet monitor: 50% TDP policy" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_monitored_fleet_refuses_a_checkpoint(
+        self, source, capsys, monkeypatch, tmp_path
+    ):
+        path = tmp_path / "f.ckpt"
+        argv = ["fleet", "--monitor", "--jobs", "2", "--nodes", "4"]
+        if source == "flag":
+            argv += ["--checkpoint", str(path)]
+        else:
+            monkeypatch.setenv("REPRO_FLEET_CHECKPOINT", str(path))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: monitor state is not checkpointable")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestObsStatus:

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.capping.fleet import job_stream, simulate_fleet_traced
-from repro.capping.policy import CapPolicy
+from repro.capping.fleet import FleetRun, job_stream, simulate_fleet_traced
 from repro.config import read
 from repro.experiments.common import run_workload
 from repro.monitor import (
@@ -33,9 +32,7 @@ SENSITIVE = MonitorConfig(
 def run_fleet(monitor=None, **overrides):
     kw = {**FLEET_KW, **overrides}
     jobs = job_stream(n_jobs=6, seed=3)
-    return simulate_fleet_traced(
-        jobs, CapPolicy.half_tdp(), "50% TDP policy", monitor=monitor, **kw
-    )
+    return simulate_fleet_traced(FleetRun(jobs, **kw), monitor=monitor)
 
 
 def assert_monitored_run_is_bit_identical():

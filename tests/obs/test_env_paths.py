@@ -15,8 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.capping.fleet import job_stream, simulate_fleet_traced
-from repro.capping.policy import CapPolicy
+from repro.capping.fleet import compare_fleet_policies_traced
 from repro.config import read
 from repro.monitor import FleetMonitor, MonitorConfig
 from repro.obs import ledger
@@ -35,12 +34,9 @@ def _configure_obs():
 
 
 def _tiny_fleet():
-    simulate_fleet_traced(
-        job_stream(n_jobs=2, seed=1),
-        CapPolicy.uncapped(),
-        "uncapped",
-        n_nodes=4,
-        engine_config=EngineConfig(base_interval_s=1.0),
+    # The comparison is the one reader of the REPRO_FLEET_* paths.
+    compare_fleet_policies_traced(
+        n_jobs=2, n_nodes=4, seed=1, engine_config=EngineConfig(base_interval_s=1.0)
     )
 
 

@@ -6,8 +6,7 @@ import pytest
 
 from repro import config, obs
 from repro.capping import fleet
-from repro.capping.fleet import job_stream, simulate_fleet_traced
-from repro.capping.policy import CapPolicy
+from repro.capping.fleet import FleetRun, job_stream, simulate_fleet_traced
 from repro.obs.heartbeat import (
     HeartbeatSnapshot,
     RunHeartbeat,
@@ -167,17 +166,11 @@ class TestFleetIntegration:
         """A heartbeat-enabled run produces bit-identical reports."""
         obs.disable()
         jobs = job_stream(n_jobs=4, seed=3)
-        policy = CapPolicy.uncapped()
-        quiet = simulate_fleet_traced(jobs, policy, "uncapped", n_nodes=6)
+        run = FleetRun(jobs, "uncapped", n_nodes=6)
+        quiet = simulate_fleet_traced(run)
         assert snapshots == []  # no heartbeat path: no heartbeat
         path = tmp_path / "hb.json"
-        loud = simulate_fleet_traced(
-            jobs,
-            policy,
-            "uncapped",
-            n_nodes=6,
-            heartbeat=path,
-        )
+        loud = simulate_fleet_traced(run, heartbeat=path)
         assert loud.system == quiet.system
         assert loud.node_power_mean_w == quiet.node_power_mean_w
         # One snapshot per folded job plus the terminal one.
@@ -193,10 +186,7 @@ class TestFleetIntegration:
         obs.disable()
         jobs = job_stream(n_jobs=4, seed=3)
         simulate_fleet_traced(
-            jobs,
-            CapPolicy.uncapped(),
-            "uncapped",
-            n_nodes=6,
+            FleetRun(jobs, "uncapped", n_nodes=6),
             workers=2,
             heartbeat=tmp_path / "hb.json",
         )

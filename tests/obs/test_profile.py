@@ -7,8 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro import obs
-from repro.capping.fleet import job_stream, simulate_fleet_traced
-from repro.capping.policy import CapPolicy
+from repro.capping.fleet import FleetRun, job_stream, simulate_fleet_traced
 from repro.obs.merge import (
     absorb_partial,
     begin_worker_capture,
@@ -88,12 +87,12 @@ class TestSpanSelfTimes:
         obs.enable(trace=True)
         obs.name_process("coordinator")
         simulate_fleet_traced(
-            job_stream(n_jobs=4, seed=3),
-            CapPolicy.half_tdp(),
-            "50% TDP policy",
-            6,
-            engine_config=EngineConfig(base_interval_s=1.0),
-            seed=3,
+            FleetRun(
+                job_stream(n_jobs=4, seed=3),
+                n_nodes=6,
+                engine_config=EngineConfig(base_interval_s=1.0),
+                seed=3,
+            ),
             workers=1,
         )
         tracer = obs.tracer()
@@ -216,13 +215,13 @@ class TestWorkerCaptureProfile:
 
 def _fleet_run(workers):
     return simulate_fleet_traced(
-        job_stream(n_jobs=5, seed=7),
-        CapPolicy.half_tdp(),
-        "50% TDP policy",
-        8,
-        bin_s=2.0,
-        engine_config=EngineConfig(base_interval_s=1.0),
-        seed=7,
+        FleetRun(
+            job_stream(n_jobs=5, seed=7),
+            n_nodes=8,
+            bin_s=2.0,
+            engine_config=EngineConfig(base_interval_s=1.0),
+            seed=7,
+        ),
         workers=workers,
     )
 

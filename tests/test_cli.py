@@ -46,6 +46,41 @@ class TestParser:
         assert set(ARTIFACTS) == expected
 
 
+#: (subcommand and flags, the one-line complaint): each value would
+#: otherwise run with another meaning or end in a traceback.
+BAD_FLEET_FLAGS = [
+    (["fleet", "--resolution", "0"], "--resolution must be positive, got 0"),
+    (["fleet", "--watts-per-node", "0"], "--watts-per-node must be positive"),
+    (["fleet", "--workers", "0"], "--workers must be positive, got 0"),
+    (["fleet", "--nodes", "0"], "n_nodes must be >= 1, got 0"),
+    (["fleet", "--jobs", "0"], "n_jobs must be >= 1, got 0"),
+    (["fleet", "--bin-s", "0"], "bin_s must be positive"),
+    (["fleet", "--resume"], "resume needs a checkpoint"),
+    (["fleet", "--platform", "bogus"], "unknown platform 'bogus'"),
+    (["fleet", "--platform", "a100-40g,bogus"], "unknown platform 'bogus'"),
+    (["fleet", "--monitor", "--platform", "bogus"], "unknown platform 'bogus'"),
+    (["monitor", "--resolution", "-1"], "--resolution must be positive"),
+    (["monitor", "--watts-per-node", "0"], "--watts-per-node must be positive"),
+    (["monitor", "--nodes", "0"], "n_nodes must be >= 1, got 0"),
+    (["monitor", "--jobs", "0"], "n_jobs must be >= 1, got 0"),
+    (["monitor", "--platform", "bogus"], "unknown platform 'bogus'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", BAD_FLEET_FLAGS, ids=[" ".join(a) for a, _ in BAD_FLEET_FLAGS]
+)
+def test_bad_fleet_flag_exits_2_with_one_line(argv, message, capsys):
+    """A small valid run, then the flag under test (the last value wins)."""
+    command, *flag = argv
+    assert main([command, "--jobs", "2", "--nodes", "4", *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("repro: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
