@@ -200,6 +200,19 @@ if compgen -G "$SMOKE_DIR/mf.ckpt*" > /dev/null; then
     echo "a refused monitored fleet wrote a checkpoint"; exit 1
 fi
 
+echo "== rejected inputs (exit 2, exactly one repro: line on stderr) =="
+for refused in "run PdO2 --platform bogus" "fleet --scenario bogus"; do
+    code=0
+    # $refused is split into its words on purpose.
+    python -m repro $refused > /dev/null 2> "$SMOKE_DIR/refused.err" || code=$?
+    [[ "$code" == 2 ]] || { echo "repro $refused exited $code, not 2"; exit 1; }
+    if [[ "$(wc -l < "$SMOKE_DIR/refused.err")" != 1 ]] \
+        || ! grep -q '^repro: ' "$SMOKE_DIR/refused.err"; then
+        echo "repro $refused: stderr is not one repro: line:"
+        cat "$SMOKE_DIR/refused.err"; exit 1
+    fi
+done
+
 echo "== observability smoke (merged trace + run ledger round-trip) =="
 python -m repro "${FLEET_ARGS[@]}" --workers 2 \
     --trace "$SMOKE_DIR/fleet-trace.json" --metrics "$SMOKE_DIR/fleet-metrics.prom" \

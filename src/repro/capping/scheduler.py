@@ -321,10 +321,13 @@ class PowerAwareScheduler:
         power_timeline: list[tuple[float, float]] = []
         peak_power = 0.0
         now = 0.0
-        pending = list(queue)
+        # Arrived jobs are the prefix queue[:arrived] of the sorted queue;
+        # ``pending`` holds those not yet started, in queue order.
+        arrived = 0
+        pending: list[Job] = []
         max_cycles = 10_000_000
         cycles = 0
-        while pending or running:
+        while arrived < len(queue) or pending or running:
             cycles += 1
             if cycles > max_cycles:
                 raise RuntimeError("scheduler exceeded cycle limit; check job sizes")
@@ -333,12 +336,12 @@ class PowerAwareScheduler:
                 _, _, nodes, _ = heapq.heappop(running)
                 free_nodes += nodes
             running_power = sum(p * n for _, _, n, p in running)
+            while arrived < len(queue) and queue[arrived].submit_s <= now + 1e-9:
+                pending.append(queue[arrived])
+                arrived += 1
             # Try to start pending jobs (FCFS with backfill).
             still_pending: list[Job] = []
             for job in pending:
-                if job.submit_s > now + 1e-9:
-                    still_pending.append(job)
-                    continue
                 if job.n_nodes > cfg.n_nodes:
                     raise ValueError(
                         f"job {job.job_id} wants {job.n_nodes} nodes; pool has {cfg.n_nodes}"
@@ -383,7 +386,8 @@ class PowerAwareScheduler:
             # cycle grid instead of idling through empty cycles.
             next_tick = now + cfg.cycle_s
             events = [running[0][0]] if running else []
-            events += [j.submit_s for j in pending if j.submit_s > now + 1e-9]
+            if arrived < len(queue):
+                events.append(queue[arrived].submit_s)
             if events:
                 horizon = min(events)
                 if horizon > next_tick:

@@ -370,14 +370,18 @@ def _fleet_fields(
     )
 
 
-def _refuse(err: Exception) -> int:
-    """Report a rejected fleet input as one `repro:` line; exit status 2."""
-    print(f"repro: {err}", file=sys.stderr)
+def _refuse(reason: object) -> int:
+    """Report a rejected input as one `repro:` line; exit status 2."""
+    print(f"repro: {reason}", file=sys.stderr)
     return 2
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     workload = _resolve_workload_arg(args.benchmark)
+    try:
+        plat = get_platform(args.platform)
+    except KeyError as err:
+        return _refuse(err.args[0])
     measured = run_workload(
         workload,
         n_nodes=args.nodes,
@@ -388,7 +392,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     telem = measured.telemetry[0]
     stats = summarize(telem.node_power)
     cap_note = f" (GPU cap {args.cap:.0f} W)" if args.cap else ""
-    platform_note = f" [{get_platform(args.platform).id}]" if args.platform else ""
+    platform_note = f" [{plat.id}]" if args.platform else ""
     print(f"{workload.name} on {args.nodes} node(s){cap_note}{platform_note}")
     print(f"  runtime            : {measured.runtime_s:,.0f} s")
     print(f"  energy to solution : {measured.energy_mj():.2f} MJ")
@@ -401,10 +405,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"  ground-truth trace written to {path}")
     run_ledger.annotate_run(
         fingerprint=fingerprint(
-            "cli.run", args.benchmark, args.nodes, args.cap, args.seed,
-            get_platform(args.platform).id,
+            "cli.run", args.benchmark, args.nodes, args.cap, args.seed, plat.id
         ),
-        platforms=[get_platform(args.platform).id],
+        platforms=[plat.id],
         jobs=1,
         nodes=args.nodes,
         energy_j=measured.result.total_energy_j(),
@@ -585,7 +588,10 @@ def _cap_sweep_surrogate(
 def _cmd_cap_sweep(args: argparse.Namespace) -> int:
     workload = _resolve_workload_arg(args.benchmark)
     n_nodes = args.nodes if args.nodes else _default_nodes(args.benchmark)
-    plat = get_platform(args.platform)
+    try:
+        plat = get_platform(args.platform)
+    except KeyError as err:
+        return _refuse(err.args[0])
     caps = args.caps
     if caps is None:
         # Platform-derived default grid: TDP down to the cap floor
@@ -667,7 +673,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     """
     workload = _resolve_workload_arg(args.benchmark)
     n_nodes = args.nodes if args.nodes else _default_nodes(args.benchmark)
-    plat = get_platform(args.platform)
+    try:
+        plat = get_platform(args.platform)
+    except KeyError as err:
+        return _refuse(err.args[0])
     if not read("REPRO_SURROGATE"):
         print("surrogate fast path disabled (REPRO_SURROGATE=0); unset to enable")
         return 1
@@ -823,7 +832,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         try:
             scenario = get_scenario(args.scenario)
         except KeyError as err:
-            raise SystemExit(f"repro: {err.args[0]}") from None
+            return _refuse(err.args[0])
         if args.jobs is not None:
             print(
                 f"--scenario {scenario.id} fixes its own job count "

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.units.constants import CPU_MILAN, CPUEnvelope
 from repro.hardware.variability import ManufacturingVariation
 
@@ -49,13 +47,3 @@ class MilanCpu:
         nominal = env.idle_w + (env.tdp_w - env.idle_w) * utilization**0.9
         assert self.variation is not None
         return self.variation.apply(nominal, env.idle_w)
-
-    def power_at_utilization_batch(self, utilization: np.ndarray) -> np.ndarray:
-        """Array version of :meth:`power_at_utilization` (one entry per phase)."""
-        u = np.asarray(utilization, dtype=float)
-        if np.any((u < 0.0) | (u > 1.0)):
-            raise ValueError("utilization must be in [0, 1]")
-        env = self.envelope
-        nominal = env.idle_w + (env.tdp_w - env.idle_w) * np.power(u, 0.9)
-        assert self.variation is not None
-        return self.variation.apply_batch(nominal, env.idle_w)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.units.constants import SLINGSHOT_NIC, NICEnvelope
 from repro.hardware.variability import ManufacturingVariation
 
@@ -41,13 +39,3 @@ class SlingshotNic:
         nominal = env.idle_w + (env.max_w - env.idle_w) * link_utilization
         assert self.variation is not None
         return self.variation.apply(nominal, env.idle_w)
-
-    def power_at_traffic_batch(self, link_utilization: np.ndarray) -> np.ndarray:
-        """Array version of :meth:`power_at_traffic` (one entry per phase)."""
-        u = np.asarray(link_utilization, dtype=float)
-        if np.any((u < 0.0) | (u > 1.0)):
-            raise ValueError("link_utilization must be in [0, 1]")
-        env = self.envelope
-        nominal = env.idle_w + (env.max_w - env.idle_w) * u
-        assert self.variation is not None
-        return self.variation.apply_batch(nominal, env.idle_w)

@@ -40,6 +40,11 @@ GPU_STATIC_FIELDS: tuple[str, ...] = (
     "regulation_error_exponent",
 )
 
+#: The per-unit host state fields of :attr:`GpuNode.host_static_state`,
+#: in row order: a unit's envelope (idle and full-load power) and its
+#: manufacturing variation.
+HOST_STATIC_FIELDS: tuple[str, ...] = ("idle_w", "max_w", "idle_offset_w", "power_factor")
+
 
 @dataclass(frozen=True)
 class NodePowerSample:
@@ -139,9 +144,9 @@ class GpuNode:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    @property
+    @functools.cached_property
     def baseboard_power_w(self) -> float:
-        """Baseboard (fans, VRM, BMC) power with per-node offset."""
+        """Baseboard (fans, VRM, BMC) power with per-node offset (static)."""
         return self.spec.baseboard_w + self.baseboard_variation.idle_offset_w
 
     def idle_sample(self) -> NodePowerSample:
@@ -177,23 +182,26 @@ class GpuNode:
             baseboard_w=self.baseboard_power_w,
         )
 
-    def host_power_batch(
-        self,
-        cpu_utilization: np.ndarray,
-        memory_bandwidth_utilization: np.ndarray,
-        nic_utilization: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Host-side component power for many phases at once.
+    @functools.cached_property
+    def host_static_state(self) -> np.ndarray:
+        """Per-unit host model state that never changes (vectorized engine input).
 
-        Returns ``(cpu_w, memory_w, nic_w)`` arrays, one entry per phase
-        (baseboard power is a per-node constant, see
-        :attr:`baseboard_power_w`).  NIC power sums the per-unit biased
-        draws in unit order, matching :meth:`sample`.
+        ``[len(HOST_STATIC_FIELDS), 2 + len(self.nics)]``, rows in
+        :data:`HOST_STATIC_FIELDS` order, one column per host unit: the
+        CPU (full load is its TDP), the memory, then the NICs in unit
+        order.  Built once per node, like :attr:`gpu_static_state`.
+        Read-only.
         """
-        cpu_w = self.cpu.power_at_utilization_batch(cpu_utilization)
-        memory_w = self.memory.power_at_bandwidth_batch(memory_bandwidth_utilization)
-        nic_w = sum(n.power_at_traffic_batch(nic_utilization) for n in self.nics)
-        return cpu_w, memory_w, np.asarray(nic_w, dtype=float)
+        cpu, memory = self.cpu, self.memory
+        units = [(cpu, cpu.envelope.tdp_w), (memory, memory.envelope.max_w)]
+        units += [(nic, nic.envelope.max_w) for nic in self.nics]
+        rows = [
+            [u.envelope.idle_w, full_w, u.variation.idle_offset_w, u.variation.power_factor]
+            for u, full_w in units
+        ]
+        state = np.array(rows, dtype=float).T.copy()
+        state.setflags(write=False)
+        return state
 
     @functools.cached_property
     def gpu_static_state(self) -> np.ndarray:

@@ -85,11 +85,3 @@ class ManufacturingVariation:
         """
         dynamic = max(0.0, nominal_power_w - idle_w)
         return idle_w + self.idle_offset_w + dynamic * self.power_factor
-
-    def apply_batch(
-        self, nominal_power_w: np.ndarray, idle_w: float | np.ndarray
-    ) -> np.ndarray:
-        """Array version of :meth:`apply` (element-wise, same arithmetic)."""
-        idle = np.asarray(idle_w, dtype=float)
-        dynamic = np.maximum(0.0, np.asarray(nominal_power_w, dtype=float) - idle)
-        return idle + self.idle_offset_w + dynamic * self.power_factor

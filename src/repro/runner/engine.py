@@ -31,7 +31,7 @@ import numpy as np
 
 from repro import obs
 from repro.hardware.gpu import resolve_phase_batch
-from repro.hardware.node import GPU_STATIC_FIELDS, GpuNode
+from repro.hardware.node import GPU_STATIC_FIELDS, HOST_STATIC_FIELDS, GpuNode
 from repro.hardware.variability import unit_rng
 from repro.perfmodel.power import demand_power_batch
 from repro.vasp.phases import MacroPhase, PhaseTable, phase_table
@@ -273,9 +273,10 @@ class PowerEngine:
         ``[nodes, components, phases]`` with components in
         :data:`COMPONENT_KEYS` order.  Each distinct row of the table is
         resolved once, in one batched pass over a ``[rows, nodes, gpus]``
-        grid, and gathered to its phases with ``row_of_phase`` (exact).
-        Its scalar per-node / per-GPU specification is the oracle in
-        ``tests/runner/test_engine_vectorized.py``.
+        grid, and gathered to its phases with ``row_of_phase`` (exact);
+        the host rows of all nodes in one pass over a ``[nodes, units,
+        rows]`` grid.  Its scalar per-node / per-GPU specification is the
+        oracle in ``tests/runner/test_engine_vectorized.py``.
         """
         obs.inc(
             "repro_engine_resolve_total", len(table.row_of_phase), path="vectorized"
@@ -341,25 +342,39 @@ class PowerEngine:
         row_slowdown = np.maximum(slow_terms.max(axis=(1, 2)), 1.0)
         row_slowdown = np.where(duty <= 0.0, 1.0, row_slowdown)
 
-        # Assemble [N, K, R]: GPU rows straight from the grid, host-side
-        # rows per node.  The node total adds GPUs one at a time in index
-        # order, the summation order every rendered digest depends on.
+        # Host units (CPU, memory, NICs) in one [N, units, R] pass; nodes
+        # with fewer NICs (at least one column) are padded with zero-power
+        # ones (x + 0.0 is exact).  The CPU's load u**0.9 is one np.power
+        # on the contiguous table column: SIMD and scalar pow can differ.
+        host = [node.host_static_state for node in nodes]
+        n_units = max(3, *(node_state.shape[1] for node_state in host))
+        units = np.zeros((len(HOST_STATIC_FIELDS), n_nodes, n_units))
+        for node_index, node_state in enumerate(host):
+            units[:, node_index, : node_state.shape[1]] = node_state
+        load = np.empty(units.shape[2:] + (table.n_rows,))
+        load[0] = np.power(table.column("cpu_utilization"), 0.9)
+        load[1] = table.column("mem_bw_utilization")
+        load[2:] = table.column("nic_utilization")
+        idle, full, offset, factor = units[..., None]
+        nominal = idle + (full - idle) * load
+        host_w = (idle + offset) + np.maximum(0.0, nominal - idle) * factor
+        nic_w = host_w[:, 2]
+        for unit in range(3, host_w.shape[1]):
+            nic_w = nic_w + host_w[:, unit]
+
+        # Assemble [N, K, R].  The node total adds GPUs one at a time in
+        # index order, the summation order every rendered digest depends on.
         means = np.empty((n_nodes, len(COMPONENT_KEYS), table.n_rows))
         means[:, _GPU_ROWS, :] = gpu_means.transpose(1, 2, 0)
-        cpu_u = table.column("cpu_utilization")
-        mem_u = table.column("mem_bw_utilization")
-        nic_u = table.column("nic_utilization")
-        for node_index, node in enumerate(nodes):
-            cpu_w, memory_w, nic_w = node.host_power_batch(cpu_u, mem_u, nic_u)
-            gpu_total = 0.0
-            for row in _GPU_ROWS:
-                gpu_total = gpu_total + means[node_index, row]
-            rows = means[node_index]
-            rows[_CPU_ROW] = cpu_w
-            rows[_MEMORY_ROW] = memory_w
-            rows[_NODE_ROW] = (
-                cpu_w + gpu_total + memory_w + nic_w + node.baseboard_power_w
-            )
+        means[:, _CPU_ROW] = host_w[:, 0]
+        means[:, _MEMORY_ROW] = host_w[:, 1]
+        gpu_total = means[:, _GPU_ROWS[0]]
+        for row in _GPU_ROWS[1:]:
+            gpu_total = gpu_total + means[:, row]
+        baseboard_w = np.array([node.baseboard_power_w for node in nodes])[:, None]
+        means[:, _NODE_ROW] = (
+            host_w[:, 0] + gpu_total + host_w[:, 1] + nic_w + baseboard_w
+        )
         phase_rows = table.row_of_phase
         return row_slowdown[phase_rows], means[:, :, phase_rows]
 

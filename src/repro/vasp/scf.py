@@ -565,8 +565,7 @@ class ScfPhaseBuilder:
         phases: list[MacroPhase] = []
         # 1. DFT ground state (Davidson), a reduced NELM.
         gs_iters = max(8, spec.nelm // 2)
-        for _ in range(gs_iters):
-            phases.extend(self._dft_iteration(Algorithm.NORMAL))
+        phases.extend(self._dft_iteration(Algorithm.NORMAL) * gs_iters)
         # 2. Exact diagonalization on the host (not GPU-ported in 6.4.1).
         n_exact = spec.nbandsexact if spec.nbandsexact is not None else spec.nbands * 8
         diag_flops = costs.host_diag_flops_scale * float(n_exact) ** 3
@@ -590,38 +589,36 @@ class ScfPhaseBuilder:
             compute_fraction=0.60,
         )
         per_pair = 5.0 * spec.nplwv * math.log2(max(spec.nplwv, 2))
-        for _ in range(costs.rpa_freq_points):
-            chi_flops = (
-                costs.rpa_pair_scale
-                * spec.n_occupied
-                * float(n_exact)
-                * per_pair
-                / self.ranks_per_kgroup
-            )
-            phases.append(
-                self._gpu_phase(
-                    "rpa_chi0_gemm",
-                    chi_profile,
-                    costs.batch_rpa,
-                    chi_flops,
-                    chi_flops / 40.0,
-                    duty=costs.duty_exchange,
-                    time_efficiency=costs.time_eff_rpa_fft,
-                    cpu_utilization=0.12,
-                )
-            )
-            fft_flops, fft_bytes = self._fft_volume(2.0)
-            phases.append(
-                self._gpu_phase(
-                    "rpa_fft",
-                    KernelCatalogue.FFT_BATCHED,
-                    costs.batch_fft,
-                    fft_flops,
-                    fft_bytes,
-                    time_efficiency=self._fft_time_efficiency(),
-                )
-            )
-            phases.append(self._comm_phase(self._comm_time_per_iter() + 3.0, "rpa_comm"))
+        chi_flops = (
+            costs.rpa_pair_scale
+            * spec.n_occupied
+            * float(n_exact)
+            * per_pair
+            / self.ranks_per_kgroup
+        )
+        fft_flops, fft_bytes = self._fft_volume(2.0)
+        frequency_point = [
+            self._gpu_phase(
+                "rpa_chi0_gemm",
+                chi_profile,
+                costs.batch_rpa,
+                chi_flops,
+                chi_flops / 40.0,
+                duty=costs.duty_exchange,
+                time_efficiency=costs.time_eff_rpa_fft,
+                cpu_utilization=0.12,
+            ),
+            self._gpu_phase(
+                "rpa_fft",
+                KernelCatalogue.FFT_BATCHED,
+                costs.batch_fft,
+                fft_flops,
+                fft_bytes,
+                time_efficiency=self._fft_time_efficiency(),
+            ),
+            self._comm_phase(self._comm_time_per_iter() + 3.0, "rpa_comm"),
+        ]
+        phases.extend(frequency_point * costs.rpa_freq_points)
         return phases
 
     def _vdw_phase(self) -> MacroPhase:
@@ -638,7 +635,13 @@ class ScfPhaseBuilder:
 
     # -- public API ---------------------------------------------------------
     def build(self) -> list[MacroPhase]:
-        """The full phase sequence of the run."""
+        """The full phase sequence of the run.
+
+        Every recipe is a pure function of the builder, so each SCF
+        iteration (and RPA frequency point) is modelled once and its
+        frozen phases repeated, as VASP repeats one kernel mix per
+        iteration.
+        """
         spec = self.spec
         phases: list[MacroPhase] = [
             MacroPhase(
@@ -652,21 +655,17 @@ class ScfPhaseBuilder:
         if spec.algo is Algorithm.ACFDTR:
             phases.extend(self._acfdtr_phases())
         elif spec.functional is Functional.HSE:
-            for _ in range(spec.nelm):
-                phases.extend(self._hse_iteration())
+            phases.extend(self._hse_iteration() * spec.nelm)
         elif spec.algo is Algorithm.FAST:
             # Blocked Davidson for the initial (delay) iterations, then RMM.
-            n_davidson = max(spec.nelmdl, 5)
-            for _ in range(min(n_davidson, spec.nelm)):
-                phases.extend(self._dft_iteration(Algorithm.NORMAL))
-            for _ in range(max(spec.nelm - n_davidson, 0)):
-                phases.extend(self._dft_iteration(Algorithm.VERYFAST))
+            n_davidson = min(max(spec.nelmdl, 5), spec.nelm)
+            phases.extend(self._dft_iteration(Algorithm.NORMAL) * n_davidson)
+            phases.extend(self._dft_iteration(Algorithm.VERYFAST) * (spec.nelm - n_davidson))
         else:
-            for _ in range(spec.nelm):
-                iteration = self._dft_iteration(spec.algo)
-                if spec.functional is Functional.VDW:
-                    iteration.append(self._vdw_phase())
-                phases.extend(iteration)
+            iteration = self._dft_iteration(spec.algo)
+            if spec.functional is Functional.VDW:
+                iteration.append(self._vdw_phase())
+            phases.extend(iteration * spec.nelm)
         phases.append(
             MacroPhase(
                 name="finalize",

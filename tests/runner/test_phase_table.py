@@ -3,11 +3,16 @@
 ``PhaseTable`` lists a phase list's distinct resolve rows once; the
 engine resolves each row once and gathers the results to the phases.
 :func:`resolve_per_phase` below is the per-phase batched resolve the
-engine ran before the table (one grid row per phase); the table path
+engine ran before the table (one grid row per phase), with the host
+rows computed node by node and NIC by NIC (:func:`host_power_per_node`);
+the table path, which computes all nodes' host rows in one array pass,
 must equal it bit for bit, not just within a tolerance.
 """
 
+import functools
+import os
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +62,32 @@ def state_arrays(node):
     }
 
 
+def unit_power(idle_w, full_w, variation, load):
+    """One host unit's biased power over an array of loads: the nominal
+    ``idle + (full - idle) * load``, then the unit's variation."""
+    idle = np.asarray(idle_w, dtype=float)
+    nominal = idle_w + (full_w - idle_w) * load
+    dynamic = np.maximum(0.0, nominal - idle)
+    return idle + variation.idle_offset_w + dynamic * variation.power_factor
+
+
+def host_power_per_node(node, cpu_u, mem_u, nic_u):
+    """``(cpu_w, memory_w, nic_w)`` of one node over per-phase arrays,
+    unit by unit; NIC power sums the NICs in unit order."""
+    cpu, memory = node.cpu, node.memory
+    cpu_w = unit_power(
+        cpu.envelope.idle_w, cpu.envelope.tdp_w, cpu.variation, np.power(cpu_u, 0.9)
+    )
+    memory_w = unit_power(
+        memory.envelope.idle_w, memory.envelope.max_w, memory.variation, mem_u
+    )
+    nic_w = sum(
+        unit_power(nic.envelope.idle_w, nic.envelope.max_w, nic.variation, nic_u)
+        for nic in node.nics
+    )
+    return cpu_w, memory_w, np.asarray(nic_w, dtype=float)
+
+
 def resolve_per_phase(engine, phases):
     """``(slowdown[P], means[N, K, P])`` from one batched grid row per phase."""
     nodes = engine.nodes
@@ -103,14 +134,15 @@ def resolve_per_phase(engine, phases):
     mem_u = np.array([p.mem_bw_utilization for p in phases])
     nic_u = np.array([p.nic_utilization for p in phases])
     for node_index, node in enumerate(nodes):
-        cpu_w, memory_w, nic_w = node.host_power_batch(cpu_u, mem_u, nic_u)
+        cpu_w, memory_w, nic_w = host_power_per_node(node, cpu_u, mem_u, nic_u)
         gpu_total = 0.0
         for row in GPU_ROWS:
             gpu_total = gpu_total + means[node_index, row]
         rows = means[node_index]
         rows[CPU_ROW] = cpu_w
         rows[MEMORY_ROW] = memory_w
-        rows[NODE_ROW] = cpu_w + gpu_total + memory_w + nic_w + node.baseboard_power_w
+        baseboard_w = node.spec.baseboard_w + node.baseboard_variation.idle_offset_w
+        rows[NODE_ROW] = cpu_w + gpu_total + memory_w + nic_w + baseboard_w
     return slowdown, means
 
 
@@ -136,15 +168,20 @@ def repeated_rows(n_iterations=40):
     ]
 
 
+def set_cap(nodes, cap_w):
+    """Cap every node's GPUs at ``cap_w``, clamped to each GPU's range."""
+    for node in nodes:
+        if cap_w is not None:
+            gpu = node.spec.gpu
+            node.set_gpu_power_limit(min(max(cap_w, gpu.cap_min_w), gpu.cap_max_w))
+
+
 def pool(platforms, cap_w=None):
     nodes = [
         GpuNode(f"nid00{7000 + i}", spec=get_platform(platform).node)
         for i, platform in enumerate(platforms)
     ]
-    for node in nodes:
-        if cap_w is not None:
-            gpu = node.spec.gpu
-            node.set_gpu_power_limit(min(max(cap_w, gpu.cap_min_w), gpu.cap_max_w))
+    set_cap(nodes, cap_w)
     return nodes
 
 
@@ -240,6 +277,20 @@ class TestEngineTablePathExact:
         engine = PowerEngine(pool(["a100-40g", "h100-sxm", "a100-40g"], cap_w))
         assert_table_path_exact(engine, repeated_rows())
 
+    @pytest.mark.parametrize("cap_w", [None, 200.0, 120.0])
+    def test_mixed_nic_counts(self, cap_w):
+        """a100-40g nodes have 4 NICs, v100-sxm2 nodes 1: the narrower
+        nodes are padded with zero-power NICs, exactly."""
+        platforms = ["a100-40g", "v100-sxm2", "a100-40g", "v100-sxm2"]
+        nodes = pool(platforms, cap_w)
+        assert [len(node.nics) for node in nodes] == [4, 1, 4, 1]
+        engine = PowerEngine(nodes)
+        assert_table_path_exact(engine, repeated_rows())
+        assert_table_path_exact(engine, cached_phases(benchmark("PdO2").build(), 4))
+        # Alone, a 1-NIC node still gets its one NIC (and the widest
+        # pool sets the padding).
+        assert_table_path_exact(PowerEngine(pool(["v100-sxm2"], cap_w)), repeated_rows())
+
     @pytest.mark.parametrize("name", ["Si256_hse", "GaAsBi-64", "Si128_acfdtr"])
     def test_store_lists(self, name):
         engine = PowerEngine(pool(["a100-40g", "h100-sxm"], 200.0))
@@ -263,3 +314,62 @@ class TestEngineTablePathExact:
         assert via_table.runtime_s == via_list.runtime_s
         for a, b in zip(via_table.traces, via_list.traces):
             assert np.array_equal(a.node_power, b.node_power)
+
+
+HOST_MODULES = tuple(
+    f"repro{os.sep}hardware{os.sep}{name}.py"
+    for name in ("cpu", "memory", "nic", "variability", "node")
+)
+
+
+def hardware_calls(engine, table):
+    """Python calls into the host-unit and node modules while resolving."""
+    calls = []
+
+    def profiler(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.endswith(HOST_MODULES):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        engine._resolve_phases(table)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestHostRowsWork:
+    def test_static_host_state_is_built_once_per_node(self, monkeypatch):
+        builds = []
+        original = GpuNode.host_static_state.func
+
+        def counted(node):
+            builds.append(node.name)
+            return original(node)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(GpuNode, "host_static_state")
+        monkeypatch.setattr(GpuNode, "host_static_state", prop)
+        nodes = pool(["a100-40g", "v100-sxm2", "h100-sxm"])
+        engine = PowerEngine(nodes)
+        for cap_w in (None, 200.0, 150.0):
+            set_cap(nodes, cap_w)
+            engine._resolve_phases(phase_table(repeated_rows(3)))
+        assert sorted(builds) == sorted(node.name for node in nodes)
+
+    def test_a_jobs_host_rows_take_one_array_pass(self):
+        """No per-node or per-NIC helper runs once the nodes' static state
+        exists: the host rows of every node come from one array pass."""
+        engine = PowerEngine(pool(["a100-40g", "v100-sxm2", "a100-40g"], 200.0))
+        table = phase_table(cached_phases(benchmark("CuC_vdw").build(), 3))
+        # The first job builds each node's static state (and nothing else).
+        first = hardware_calls(engine, table)
+        assert first.count("host_static_state") == len(engine.nodes)
+        assert set(first) <= {
+            "host_static_state",
+            "gpu_static_state",
+            "baseboard_power_w",
+            "<listcomp>",
+            "<genexpr>",
+        }
+        assert hardware_calls(engine, table) == []

@@ -64,6 +64,7 @@ BAD_FLEET_FLAGS = [
     (["monitor", "--nodes", "0"], "n_nodes must be >= 1, got 0"),
     (["monitor", "--jobs", "0"], "n_jobs must be >= 1, got 0"),
     (["monitor", "--platform", "bogus"], "unknown platform 'bogus'"),
+    (["fleet", "--scenario", "bogus"], "unknown scenario 'bogus'"),
 ]
 
 
@@ -161,9 +162,21 @@ class TestPlatformCli:
         out = capsys.readouterr().out
         assert "h100-sxm" in out
 
-    def test_run_rejects_unknown_platform(self):
-        with pytest.raises(KeyError, match="registered"):
-            main(["run", "PdO2", "--platform", "dgx-spark"])
+    def test_run_rejects_unknown_platform(self, capsys):
+        assert main(["run", "PdO2", "--platform", "dgx-spark"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: unknown platform 'dgx-spark'")
+        assert "registered: a100-40g" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["cap-sweep", "predict"])
+    def test_single_platform_commands_reject_unknown_platform(self, command, capsys):
+        assert main([command, "PdO2", "--platform", "dgx-spark"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: unknown platform 'dgx-spark'")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_cap_sweep_defaults_scale_with_platform(self, capsys):
         assert main(
