@@ -153,6 +153,18 @@ sed '/^fleet monitor: /,$d' "$SMOKE_DIR/serial-monitor.txt" > "$SMOKE_DIR/serial
 diff "$SMOKE_DIR/serial.txt" "$SMOKE_DIR/serial-monitor-report.txt" \
     || { echo "monitored fleet report diverged from unmonitored"; exit 1; }
 
+echo "== grouped-resolve smoke (batches holding several jobs of one phase table) =="
+# Four jobs rarely put two jobs of one (workload, width) in a batch; at
+# 48 jobs most shard batches resolve a group of two or three jobs in one
+# pass, and the serial run resolves each table once per policy.
+GROUPED_ARGS=(fleet --jobs 48 --nodes 24 --seed 3 --resolution 1.0)
+python -m repro "${GROUPED_ARGS[@]}" > "$SMOKE_DIR/grouped-serial.out"
+python -m repro "${GROUPED_ARGS[@]}" --workers 2 > "$SMOKE_DIR/grouped-sharded.out"
+filter_summaries "$SMOKE_DIR/grouped-serial.out" "$SMOKE_DIR/grouped-serial.txt"
+filter_summaries "$SMOKE_DIR/grouped-sharded.out" "$SMOKE_DIR/grouped-sharded.txt"
+diff "$SMOKE_DIR/grouped-serial.txt" "$SMOKE_DIR/grouped-sharded.txt" \
+    || { echo "sharded grouped-resolve fleet output diverged from serial"; exit 1; }
+
 echo "== heartbeat smoke (sharded run's per-policy heartbeats, read by repro top) =="
 python -m repro "${FLEET_ARGS[@]}" --workers 2 --heartbeat "$SMOKE_DIR/hb.json" > /dev/null
 python -m repro top --once --json --heartbeat "$SMOKE_DIR/hb.json" > "$SMOKE_DIR/top.json"

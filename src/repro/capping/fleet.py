@@ -350,9 +350,10 @@ def simulate_fleet_traced(
     replaying that schedule against a real node pool
     (:class:`PerlmutterSystem` allocations, per-node variability, cap
     state).  Every job is rendered by one routine,
-    :func:`repro.capping.shard.render_task_job` — in-process job by job
-    on the serial path, inside worker processes on the sharded one —
-    into a compact :class:`repro.capping.shard.JobPartial`, and the
+    :func:`repro.capping.shard.render_batch` — in-process over the whole
+    schedule on the serial path, inside worker processes batch by batch
+    on the sharded one; each batch resolves each of its phase tables
+    once — into a compact :class:`repro.capping.shard.JobPartial`, and the
     partials fold in chronological job order into one
     :class:`repro.capping.shard.FleetFold` (accumulator bins, node
     moments, busy intervals) and the monitor — which is why the modes
@@ -553,12 +554,10 @@ def simulate_fleet_traced(
             batch, workers=resolved_workers, fold=on_partial
         )
         if not pooled:
-            for job in batch.jobs:
-                on_partial(
-                    shard.render_task_job(
-                        job, batch, lambda name, _spec: pool.nodes[name]
-                    )
-                )
+            for partial in shard.render_batch(
+                batch, lambda name, _spec: pool.nodes[name]
+            ):
+                on_partial(partial)
     if beat is not None:
         beat.finish(fold.jobs, fold.nodes)
     system = fold.accumulator.finalize()

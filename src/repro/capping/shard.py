@@ -10,8 +10,9 @@ machinery of :mod:`repro.runner.sweep` to the fleet path:
   across shards by per-node render cost (platform-aware, so mixed
   ``node_platforms`` pools split evenly), and each worker process
   rebuilds its jobs' nodes from (name, spec) and renders them through
-  :func:`render_task_job` — the same per-job routine serial runs call
-  in-process.
+  :func:`render_batch` — the same routine serial runs call in-process
+  on the whole schedule.  A batch resolves each of its phase tables
+  once, for all of its jobs of one (workload, width).
 * Workers never ship raw trace chunks.  Each job comes back as a
   compact :class:`JobPartial`: an origin-offset
   :class:`~repro.hardware.system.JobPowerPartial` energy array, one
@@ -37,7 +38,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.config import read
@@ -52,9 +55,11 @@ from repro.hardware.system import (
 from repro.runner.cache import (
     atomic_write_pickle,
     cached_phases,
+    content_key,
     read_pickle,
 )
-from repro.runner.engine import EngineConfig, PowerEngine
+from repro.runner.engine import EngineConfig, PowerEngine, ResolvedRows, resolve_table
+from repro.vasp.phases import PhaseList
 from repro.vasp.workload import VaspWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -160,37 +165,88 @@ def clamped_cap_w(cap_w: float, spec: NodeSpec) -> float:
     return min(max(cap_w, gpu.cap_min_w), gpu.cap_max_w)
 
 
+def resolve_batch(
+    task: ShardTask, nodes: Sequence[list[GpuNode]]
+) -> list[tuple[PhaseList, ResolvedRows]]:
+    """Each job's phase list and resolved rows, one resolve per phase table.
+
+    ``nodes`` holds each job's nodes, in ``task.jobs`` order.  Jobs
+    sharing a store-held table — one (workload, width) — are resolved
+    together in one :func:`~repro.runner.engine.resolve_table` pass.
+    Caps come from :func:`clamped_cap_w` of each job's cap on each of
+    its nodes, not from node state: one node may serve several jobs of a
+    batch at different caps.  A job's rows equal its lone resolve bit
+    for bit.  Returned in ``task.jobs`` order.
+    """
+    groups: dict[tuple[str, int], list[int]] = {}
+    for at, job in enumerate(task.jobs):
+        groups.setdefault((content_key(job.workload), job.n_nodes), []).append(at)
+    rank_imbalance = (task.engine_config or EngineConfig()).rank_imbalance
+    out: list = [None] * len(task.jobs)
+    for members in groups.values():
+        first = task.jobs[members[0]]
+        phases = cached_phases(first.workload, first.n_nodes)
+        cap_w = [
+            [clamped_cap_w(task.jobs[at].cap_w, node.spec)] * len(node.gpus)
+            for at in members
+            for node in nodes[at]
+        ]
+        rows = resolve_table(
+            phases.table, [nodes[at] for at in members], np.array(cap_w), rank_imbalance
+        )
+        for at, job_rows in zip(members, rows):
+            out[at] = (phases, job_rows)
+    return out
+
+
+def render_batch(
+    task: ShardTask,
+    node_for: Callable[[str, NodeSpec], GpuNode],
+) -> Iterator[JobPartial]:
+    """Render a batch's jobs in index order, yielding each job's partial.
+
+    The only way fleet jobs are rendered: serial runs render the whole
+    schedule as one batch and fold each partial as it is yielded, shard
+    workers render their batches — which is what makes the modes
+    bit-identical.  Every phase table of the batch is resolved once, up
+    front (:func:`resolve_batch`).  ``node_for(name, spec)`` supplies
+    the nodes (the pool's lazy map in-process, the per-process memo in
+    workers).
+    """
+    nodes = [
+        [node_for(name, task.specs[i]) for name, i in zip(job.node_names, job.spec_indices)]
+        for job in task.jobs
+    ]
+    resolved = resolve_batch(task, nodes)
+    for job, job_nodes, (phases, rows) in zip(task.jobs, nodes, resolved):
+        yield render_task_job(job, task, job_nodes, phases, rows)
+
+
 def render_task_job(
     job: ShardJobTask,
     task: ShardTask,
-    node_for: Callable[[str, NodeSpec], GpuNode],
+    nodes: list[GpuNode],
+    phases: PhaseList,
+    resolved: ResolvedRows,
 ) -> JobPartial:
     """Render one scheduled job's traces and reduce them to a :class:`JobPartial`.
 
-    The only way a fleet job is rendered: serial runs call it in-process
-    job by job, shard workers call it for every job of a batch — which
-    is what makes the modes bit-identical.  ``node_for(name, spec)``
-    supplies the job's nodes (the pool's lazy map in-process, the
-    per-process memo in workers); a node's only per-job state, its GPU
-    cap, is set here before every render.  Phase lists come from the
-    process's content-keyed phase store
-    (:func:`repro.runner.cache.cached_phases`).  Monitored runs
-    (``task.monitor_config``) observe the stream through a
+    ``nodes``, ``phases`` and ``resolved`` come from :func:`render_batch`.
+    A node's only per-job state, its GPU cap, is set here before the
+    render (clamped per node: a mixed pool may contain GPUs whose
+    supported cap range does not include the policy's cap).  Monitored
+    runs (``task.monitor_config``) observe the stream through a
     :class:`repro.monitor.collector.JobProbe` whose partial rides home
     on the job partial.
     """
-    specs = [task.specs[i] for i in job.spec_indices]
-    nodes = [node_for(name, spec) for name, spec in zip(job.node_names, specs)]
     for node in nodes:
-        # A mixed pool may contain GPUs whose supported cap range does
-        # not include the policy's cap; clamp per node.
         node.set_gpu_power_limit(clamped_cap_w(job.cap_w, node.spec))
-    phases = cached_phases(job.workload, job.n_nodes)
     engine = PowerEngine(nodes, task.engine_config)
     probe = None
     if task.monitor_config is not None:
         from repro.monitor.collector import JobProbe, node_idle_bands
 
+        specs = [task.specs[i] for i in job.spec_indices]
         probe = JobProbe(
             task.monitor_config,
             job_id=job.job_id,
@@ -212,6 +268,7 @@ def render_task_job(
             probe.tap(engine.config.base_interval_s) if probe is not None else None
         ),
         components=probe.COMPONENTS if probe is not None else ("node",),
+        resolved=resolved,
     )
     power = JobPowerPartial(start_s=job.start_s, bin_s=task.bin_s)
     moment_rows: list[tuple] = []
@@ -273,10 +330,7 @@ def _render_shard(task: ShardTask) -> ShardResult:
         with obs.span(
             "shard.render_batch", shard=task.shard_index, jobs=len(task.jobs)
         ):
-            partials = [
-                render_task_job(job, task, _worker_node)
-                for job in task.jobs
-            ]
+            partials = list(render_batch(task, _worker_node))
     finally:
         captured = obs_merge.finish_worker_capture(token)
     return ShardResult(jobs=partials, obs=captured)

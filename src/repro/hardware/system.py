@@ -470,7 +470,8 @@ class PerlmutterSystem:
     platform: "str | Platform | None" = None
     node_platforms: "Sequence[str | Platform | NodeSpec] | None" = None
     nodes: "Mapping[str, GpuNode]" = field(init=False, repr=False, compare=False)
-    _free: set[str] = field(init=False, repr=False, compare=False)
+    #: Free node names as a min-heap: the smallest name is ``_free[0]``.
+    _free: list[str] = field(init=False, repr=False, compare=False)
     _allocations: dict[str, list[str]] = field(init=False, repr=False, compare=False)
     _specs: "list[NodeSpec]" = field(init=False, repr=False, compare=False)
 
@@ -483,7 +484,8 @@ class PerlmutterSystem:
         self._specs = specs
         names = [f"nid{1000 + i:06d}" for i in range(self.n_nodes)]
         self.nodes = _LazyNodeMap(names, specs)
-        self._free = set(names)
+        self._free = list(names)
+        heapq.heapify(self._free)
         self._allocations = {}
         if self.power_budget_w is None:
             # Scale the 1,536-node GPU partition's nominal share of the
@@ -548,9 +550,8 @@ class PerlmutterSystem:
             raise AllocationError(
                 f"job {job_id!r} wants {n_nodes} nodes, only {len(self._free)} free"
             )
-        # n smallest names == sorted(free)[:n], without the full sort.
-        chosen = heapq.nsmallest(n_nodes, self._free)
-        self._free.difference_update(chosen)
+        # n pops of the name heap == sorted(free)[:n], without a scan.
+        chosen = [heapq.heappop(self._free) for _ in range(n_nodes)]
         self._allocations[job_id] = chosen
         return chosen
 
@@ -569,7 +570,7 @@ class PerlmutterSystem:
             node = self.nodes.get_built(name)
             if node is not None:
                 node.reset_gpu_power_limit()
-            self._free.add(name)
+            heapq.heappush(self._free, name)
 
     def allocated_nodes(self, job_id: str) -> list[GpuNode]:
         """The nodes currently held by a job."""
@@ -580,5 +581,7 @@ class PerlmutterSystem:
         return [self.nodes[name] for name in names]
 
     def idle_power_w(self) -> float:
-        """Total idle power of currently free nodes."""
-        return sum(self.nodes[name].idle_sample().node_w for name in self._free)
+        """Total idle power of currently free nodes, summed in name order."""
+        return sum(
+            self.nodes[name].idle_sample().node_w for name in sorted(self._free)
+        )

@@ -10,16 +10,26 @@ For every phase the engine resolves, per GPU:
 then assembles node-level component samples, stretches the phase by the
 cap-imposed slowdown, and renders the schedule to a regular 0.1-second
 grid with AR(1) measurement/activity noise (what makes the KDE analysis
-of Section III meaningful).  Every trace renders through one chunked
-path, :data:`RENDER_CHUNK` samples at a time: :meth:`PowerEngine.run`
-writes the chunks into whole-trace blocks, :meth:`PowerEngine.stream`
-hands them out one by one.
+of Section III meaningful).
+
+The resolve is one pure function, :func:`resolve_table`: a phase
+table's distinct rows on every node slot of every job that runs it, at
+each job's caps, in one pass.  A fleet batch resolves each of its phase
+tables once for all of its jobs that share it
+(:func:`repro.capping.shard.render_batch`); a lone :meth:`PowerEngine.run`
+or :meth:`PowerEngine.stream` is the one-job case.
+
+Every trace renders through one chunked path, :data:`RENDER_CHUNK`
+samples at a time: :meth:`PowerEngine.run` writes the chunks into
+whole-trace blocks, :meth:`PowerEngine.stream` hands them out one by
+one.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib.machinery
+import itertools
 import importlib.util
 import sys
 from collections.abc import Callable, Iterator, Sequence
@@ -230,61 +240,71 @@ def _phase_records(
     ]
 
 
-class PowerEngine:
-    """Runs phase sequences on a fixed set of nodes."""
+def rank_skew(gpu_serial: str, rank_imbalance: float) -> float:
+    """Deterministic per-rank work skew in [0, rank_imbalance]."""
+    if rank_imbalance <= 0.0:
+        return 0.0
+    return float(unit_rng(gpu_serial, "imbalance").uniform(0.0, rank_imbalance))
 
-    def __init__(self, nodes: list[GpuNode], config: EngineConfig | None = None) -> None:
-        if not nodes:
-            raise ValueError("engine needs at least one node")
-        gpu_counts = sorted({len(node.gpus) for node in nodes})
-        if gpu_counts != [len(GPU_KEYS)]:
-            raise ValueError(
-                f"every node needs {len(GPU_KEYS)} GPUs (the trace schema), "
-                f"got GPU counts {gpu_counts}"
-            )
-        self.nodes = nodes
-        self.config = config if config is not None else EngineConfig()
-        # AR(1) filter coefficients: y[t] = a*y[t-1] + e[t].
-        self._ar_b = np.ones(1)
-        self._ar_a = np.array([1.0, -self.config.noise_ar_coeff])
 
-    # ------------------------------------------------------------------
-    def _rank_skew(self, gpu_serial: str) -> float:
-        """Deterministic per-rank work skew in [0, rank_imbalance]."""
-        if self.config.rank_imbalance <= 0.0:
-            return 0.0
-        return float(
-            unit_rng(gpu_serial, "imbalance").uniform(0.0, self.config.rank_imbalance)
+@dataclass(frozen=True)
+class ResolvedRows:
+    """One job's resolved phase table, at row level.
+
+    ``slowdown`` is ``[R]``, ``means`` ``[nodes, components, R]`` with
+    components in :data:`COMPONENT_KEYS` order; :meth:`gather` maps them
+    to the table's phases (exact).
+    """
+
+    slowdown: np.ndarray
+    means: np.ndarray
+
+    def gather(self, table: PhaseTable) -> tuple[np.ndarray, np.ndarray]:
+        """``(slowdown[P], means[nodes, components, P])`` of the table's phases."""
+        rows = table.row_of_phase
+        return self.slowdown[rows], self.means[:, :, rows]
+
+
+def resolve_table(
+    table: PhaseTable,
+    jobs: Sequence[Sequence[GpuNode]],
+    cap_w: np.ndarray,
+    rank_imbalance: float = 0.0,
+) -> list[ResolvedRows]:
+    """Cap-resolve one phase table for every job that runs it, in one pass.
+
+    ``jobs`` lists each job's nodes; ``cap_w`` is ``[M, gpus]``, the
+    per-GPU caps of all ``M`` node slots in job order (one node may
+    serve several jobs at different caps, so caps are an input, not node
+    state).  Each distinct row of the table is resolved once for every
+    slot, in one batched pass over a ``[rows, M, gpus]`` grid, and the
+    host rows of every slot in one pass over an ``[M, units, rows]``
+    grid.  A job's slowdown is the exact ``max`` over its own
+    ``(nodes, gpus)`` block, with its own largest rank skew.  Every
+    element is computed by the same operations whatever the other jobs
+    are, so a job resolved in a group equals it resolved alone bit for
+    bit; a lone :meth:`PowerEngine.run` or :meth:`PowerEngine.stream`
+    is the one-job case.  Returns one :class:`ResolvedRows` per job.
+    """
+    nodes = [node for job_nodes in jobs for node in job_nodes]
+    sizes = [len(job_nodes) for job_nodes in jobs]
+    if min(sizes, default=0) < 1 or cap_w.shape[0] != len(nodes):
+        raise ValueError(
+            f"every job needs nodes and cap_w one row per node slot; got job "
+            f"sizes {sizes} and cap_w of shape {cap_w.shape}"
         )
-
-    def _gpu_skews(self) -> dict[str, float]:
-        """Per-GPU rank skews for every GPU in the pool."""
-        return {
-            gpu.serial: self._rank_skew(gpu.serial)
-            for node in self.nodes
-            for gpu in node.gpus
-        }
-
-    def _resolve_phases(self, table: PhaseTable) -> tuple[np.ndarray, np.ndarray]:
-        """Cap-resolve a phase table on all nodes x GPUs with array ops.
-
-        Returns ``(slowdown, means)``: the per-phase slowdown ``[P]`` and
-        the mean power of every component during every phase,
-        ``[nodes, components, phases]`` with components in
-        :data:`COMPONENT_KEYS` order.  Each distinct row of the table is
-        resolved once, in one batched pass over a ``[rows, nodes, gpus]``
-        grid, and gathered to its phases with ``row_of_phase`` (exact);
-        the host rows of all nodes in one pass over a ``[nodes, units,
-        rows]`` grid.  Its scalar per-node / per-GPU specification is the
-        oracle in ``tests/runner/test_engine_vectorized.py``.
-        """
-        obs.inc(
-            "repro_engine_resolve_total", len(table.row_of_phase), path="vectorized"
-        )
-
-        nodes = self.nodes
-        n_nodes = len(nodes)
-
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    obs.inc(
+        "repro_engine_resolve_total",
+        len(table.row_of_phase) * len(jobs),
+        path="vectorized",
+    )
+    with obs.span(
+        "engine.resolve_phases",
+        phases=len(table.row_of_phase),
+        nodes=len(nodes),
+        jobs=len(jobs),
+    ):
         # Per-row inputs, shape [R] (broadcast against GPUs as [R, 1, 1]).
         duty = table.column("duty_cycle")
         uc = table.column("compute_utilization")
@@ -292,20 +312,24 @@ class PowerEngine:
         cf = table.column("compute_fraction")
         duty_b = duty[:, None, None]
 
-        # Per-GPU model state, shape [N, G]: the static state each node
-        # built once, and the caps this job set.
+        # Per-GPU model state, shape [M, G]: the static state each node
+        # built once.  Rank skews are per GPU; the rank stretch is one
+        # plus the job's largest, spread over its slots as [1, M, 1].
         state = dict(
             zip(
                 GPU_STATIC_FIELDS,
                 np.stack([node.gpu_static_state for node in nodes], axis=1),
             )
         )
-        cap_w = np.array([[g.power_limit_w for g in node.gpus] for node in nodes])
-        skews_by_serial = self._gpu_skews()
-        skews = np.array(
-            [[skews_by_serial[gpu.serial] for gpu in node.gpus] for node in nodes]
-        )
-        max_skew = float(skews.max()) if skews.size else 0.0
+        if rank_imbalance > 0.0:
+            skews = np.array(
+                [[rank_skew(g.serial, rank_imbalance) for g in node.gpus] for node in nodes]
+            )
+            max_skew = np.maximum.reduceat(skews.max(axis=1), starts)
+            stretch = 1.0 + np.repeat(max_skew, sizes)[None, :, None]
+        else:
+            skews = np.zeros(cap_w.shape)
+            stretch = np.ones((1, len(nodes), 1))
 
         demand = demand_power_batch(
             uc[:, None, None],
@@ -333,24 +357,25 @@ class PowerEngine:
         # the phase runs at the most-loaded rank's pace while the others
         # idle-wait, diluting their duty cycle.
         idle_w = state["idle_w"][None]
-        rank_duty = np.minimum(duty_b * (1.0 + skews[None]) / (1.0 + max_skew), 1.0)
+        rank_duty = np.minimum(duty_b * (1.0 + skews[None]) / stretch, 1.0)
         gpu_means = rank_duty * biased + (1.0 - rank_duty) * idle_w
         gpu_means = np.where(duty_b <= 0.0, idle_w, gpu_means)
 
-        # Ranks synchronize: each phase runs at the slowest GPU's pace.
-        slow_terms = (duty_b * slow + (1.0 - duty_b)) * (1.0 + max_skew)
-        row_slowdown = np.maximum(slow_terms.max(axis=(1, 2)), 1.0)
-        row_slowdown = np.where(duty <= 0.0, 1.0, row_slowdown)
+        # Ranks synchronize: each phase runs at its job's slowest GPU's pace.
+        slow_terms = (duty_b * slow + (1.0 - duty_b)) * stretch
+        row_slowdown = np.maximum.reduceat(slow_terms.max(axis=2), starts, axis=1)
+        row_slowdown = np.maximum(row_slowdown, 1.0)
+        row_slowdown = np.where(duty[:, None] <= 0.0, 1.0, row_slowdown)
 
-        # Host units (CPU, memory, NICs) in one [N, units, R] pass; nodes
+        # Host units (CPU, memory, NICs) in one [M, units, R] pass; nodes
         # with fewer NICs (at least one column) are padded with zero-power
         # ones (x + 0.0 is exact).  The CPU's load u**0.9 is one np.power
         # on the contiguous table column: SIMD and scalar pow can differ.
         host = [node.host_static_state for node in nodes]
         n_units = max(3, *(node_state.shape[1] for node_state in host))
-        units = np.zeros((len(HOST_STATIC_FIELDS), n_nodes, n_units))
-        for node_index, node_state in enumerate(host):
-            units[:, node_index, : node_state.shape[1]] = node_state
+        units = np.zeros((len(HOST_STATIC_FIELDS), len(nodes), n_units))
+        for slot, node_state in enumerate(host):
+            units[:, slot, : node_state.shape[1]] = node_state
         load = np.empty(units.shape[2:] + (table.n_rows,))
         load[0] = np.power(table.column("cpu_utilization"), 0.9)
         load[1] = table.column("mem_bw_utilization")
@@ -362,9 +387,9 @@ class PowerEngine:
         for unit in range(3, host_w.shape[1]):
             nic_w = nic_w + host_w[:, unit]
 
-        # Assemble [N, K, R].  The node total adds GPUs one at a time in
+        # Assemble [M, K, R].  The node total adds GPUs one at a time in
         # index order, the summation order every rendered digest depends on.
-        means = np.empty((n_nodes, len(COMPONENT_KEYS), table.n_rows))
+        means = np.empty((len(nodes), len(COMPONENT_KEYS), table.n_rows))
         means[:, _GPU_ROWS, :] = gpu_means.transpose(1, 2, 0)
         means[:, _CPU_ROW] = host_w[:, 0]
         means[:, _MEMORY_ROW] = host_w[:, 1]
@@ -375,8 +400,43 @@ class PowerEngine:
         means[:, _NODE_ROW] = (
             host_w[:, 0] + gpu_total + host_w[:, 1] + nic_w + baseboard_w
         )
-        phase_rows = table.row_of_phase
-        return row_slowdown[phase_rows], means[:, :, phase_rows]
+    return [
+        ResolvedRows(row_slowdown[:, job], means[start : start + size])
+        for job, (start, size) in enumerate(zip(starts, sizes))
+    ]
+
+
+class PowerEngine:
+    """Runs phase sequences on a fixed set of nodes."""
+
+    def __init__(self, nodes: list[GpuNode], config: EngineConfig | None = None) -> None:
+        if not nodes:
+            raise ValueError("engine needs at least one node")
+        gpu_counts = sorted({len(node.gpus) for node in nodes})
+        if gpu_counts != [len(GPU_KEYS)]:
+            raise ValueError(
+                f"every node needs {len(GPU_KEYS)} GPUs (the trace schema), "
+                f"got GPU counts {gpu_counts}"
+            )
+        self.nodes = nodes
+        self.config = config if config is not None else EngineConfig()
+        # AR(1) filter coefficients: y[t] = a*y[t-1] + e[t].
+        self._ar_b = np.ones(1)
+        self._ar_a = np.array([1.0, -self.config.noise_ar_coeff])
+
+    # ------------------------------------------------------------------
+    def _resolve_phases(self, table: PhaseTable) -> tuple[np.ndarray, np.ndarray]:
+        """Cap-resolve a phase table on this engine's nodes at their caps.
+
+        The one-job case of :func:`resolve_table`, with the caps read off
+        the nodes, gathered to phases: ``(slowdown[P], means[nodes,
+        components, P])``.  Its scalar per-node / per-GPU specification
+        is the oracle in ``tests/runner/test_engine_vectorized.py``.
+        """
+        nodes = self.nodes
+        cap_w = np.array([[g.power_limit_w for g in node.gpus] for node in nodes])
+        (rows,) = resolve_table(table, [nodes], cap_w, self.config.rank_imbalance)
+        return rows.gather(table)
 
     def _phase_sample_counts(self, durations: np.ndarray) -> tuple[int, np.ndarray]:
         """(total samples, per-phase sample counts) on the regular grid.
@@ -398,17 +458,21 @@ class PowerEngine:
         return n_samples, counts
 
     def _render(
-        self, phases: list[MacroPhase], seed: int, rows: frozenset[int]
+        self,
+        phases: list[MacroPhase],
+        seed: int,
+        rows: frozenset[int],
+        resolved: ResolvedRows | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, _Chunks]:
         """The one render pipeline behind :meth:`run` and :meth:`stream`.
 
-        Resolves and lays out ``phases`` now and returns ``(slowdown[P],
-        starts[P], ends[P], n_samples, chunks)``.  ``chunks`` renders the
-        component rows in ``rows`` lazily, as
+        Resolves (unless ``resolved``) and lays out ``phases`` now and
+        returns ``(slowdown[P], starts[P], ends[P], n_samples, chunks)``.
+        ``chunks`` renders the component rows in ``rows`` lazily, as
         :meth:`_iter_component_chunks` yields them.
         """
         rng = np.random.default_rng(seed)
-        slowdown, means, starts, ends = self._resolve_and_layout(phases)
+        slowdown, means, starts, ends = self._resolve_and_layout(phases, resolved)
         n_samples, counts = self._phase_sample_counts(ends - starts)
         chunks = self._iter_component_chunks(means, rng, n_samples, counts, rows)
         return slowdown, starts, ends, n_samples, chunks
@@ -528,21 +592,29 @@ class PowerEngine:
             return self._run_instrumented(phases, label, seed)
 
     def _resolve_and_layout(
-        self, phases: list[MacroPhase]
+        self, phases: list[MacroPhase], resolved: ResolvedRows | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Cap-resolve phases and lay them out on the wall clock.
 
         Returns ``(slowdown[P], means[N, K, P], starts[P], ends[P])``.
         The phase table comes with a store-held list and is built now for
-        any other (see :func:`~repro.vasp.phases.phase_table`).
+        any other (see :func:`~repro.vasp.phases.phase_table`).  A given
+        ``resolved`` (this job's rows, resolved with others sharing its
+        table) is gathered instead of resolving the table again.
         Phases run back to back: ``cumsum`` adds the stretched durations
         in order, exactly as a wall clock advanced phase by phase would.
         """
         table = phase_table(phases)
-        with obs.span(
-            "engine.resolve_phases", phases=len(phases), nodes=len(self.nodes)
-        ):
+        if resolved is None:
             slowdown, means = self._resolve_phases(table)
+        else:
+            expected = (len(self.nodes), len(COMPONENT_KEYS), table.n_rows)
+            if resolved.means.shape != expected:
+                raise ValueError(
+                    f"resolved rows of shape {resolved.means.shape} do not fit "
+                    f"{len(self.nodes)} node(s) and a {table.n_rows}-row table"
+                )
+            slowdown, means = resolved.gather(table)
         ends = np.cumsum(table.durations * slowdown)
         starts = np.concatenate(([0.0], ends[:-1]))
         return slowdown, means, starts, ends
@@ -577,6 +649,7 @@ class PowerEngine:
             " | Sequence[Callable[[TraceChunk], None]] | None"
         ) = None,
         components: Sequence[str] = COMPONENT_KEYS,
+        resolved: ResolvedRows | None = None,
     ) -> "StreamedRun":
         """Resolve a schedule and stream its render in :data:`RENDER_CHUNK` chunks.
 
@@ -598,6 +671,11 @@ class PowerEngine:
         consumer does, in the given order.  Taps must not mutate chunk
         arrays — the render is oblivious to them, which is what keeps
         monitored runs bit-identical to unmonitored ones.
+
+        ``resolved`` is this job's rows from :func:`resolve_table`, when
+        a fleet batch resolved every job sharing its phase table in one
+        pass; without it the stream resolves the table now on the nodes'
+        current caps (the one-job case of the same function).
         """
         if not phases:
             raise ValueError("cannot run an empty phase list")
@@ -615,7 +693,7 @@ class PowerEngine:
             taps = tuple(on_chunk)
         obs.inc("repro_engine_streams_total")
         slowdown, starts, ends, n_samples, rendered = self._render(
-            phases, seed, rows
+            phases, seed, rows, resolved
         )
         dt = self.config.base_interval_s
         dtype = trace_dtype()

@@ -9,7 +9,7 @@ reads fails here however fast or slow the host is.
 
 import pytest
 
-from repro.capping import scheduler
+from repro.capping import scheduler, shard
 from repro.hardware.gpu import GpuModel
 from repro.capping.fleet import compare_fleet_policies_traced, job_stream
 from repro.runner import cache
@@ -37,8 +37,9 @@ def counted(monkeypatch):
         "walked": [],
         "builds": [],
         "rendered": 0,
-        # (phases, grid rows the batched resolve saw) per engine stream.
-        "streams": [],
+        "streams": 0,
+        # (jobs, [(grid rows, node slots) per batched resolve]) per batch.
+        "batches": [],
         # (phases, scalar resolves) per admission estimate.
         "estimates": [],
     }
@@ -71,15 +72,23 @@ def counted(monkeypatch):
     real_stream = PowerEngine.stream
 
     def stream(self, phases, *args, **kwargs):
-        counts["streams"].append([phases, 0])
+        counts["streams"] += 1
         return real_stream(self, phases, *args, **kwargs)
 
     monkeypatch.setattr(PowerEngine, "stream", stream)
 
+    real_resolve_batch = shard.resolve_batch
+
+    def resolve_batch(task, nodes):
+        counts["batches"].append((task.jobs, []))
+        return real_resolve_batch(task, nodes)
+
+    monkeypatch.setattr(shard, "resolve_batch", resolve_batch)
+
     real_batch = engine.resolve_phase_batch
 
     def resolve_phase_batch(demand_w, *args, **kwargs):
-        counts["streams"][-1][1] += demand_w.shape[0]
+        counts["batches"][-1][1].append(demand_w.shape[:2])
         return real_batch(demand_w, *args, **kwargs)
 
     monkeypatch.setattr(engine, "resolve_phase_batch", resolve_phase_batch)
@@ -153,13 +162,29 @@ def distinct_rows(phases, active_only=False):
     }
 
 
-def test_each_job_resolves_its_distinct_rows_once(counted):
-    """The batched resolve sees each distinct kernel row of a job once."""
+def test_each_batch_resolves_each_phase_table_once(counted):
+    """A batch makes one batched resolve per distinct (workload, width)
+    among its jobs, on a grid of that table's distinct rows by all the
+    node slots of the jobs sharing it; no stream resolves again."""
     counts, reports = counted
-    streams = counts["streams"]
-    assert len(streams) == sum(r.jobs_completed for r in reports)
-    for phases, rows in streams:
-        assert rows == len(distinct_rows(phases)) < len(phases)
+    jobs_completed = sum(r.jobs_completed for r in reports)
+    assert counts["streams"] == jobs_completed
+    # Serial runs render each policy's schedule as one batch.
+    assert len(counts["batches"]) == len(reports)
+    assert sum(len(jobs) for jobs, _ in counts["batches"]) == jobs_completed
+    for jobs, grids in counts["batches"]:
+        groups: dict = {}
+        for job in jobs:
+            groups.setdefault((content_key(job.workload), job.n_nodes), []).append(job)
+        expected = [
+            (
+                len(distinct_rows(cache.cached_phases(members[0].workload, n_nodes))),
+                sum(job.n_nodes for job in members),
+            )
+            for (_, n_nodes), members in groups.items()
+        ]
+        assert sorted(grids) == sorted(expected)
+        assert len(grids) == len(groups) < len(jobs)
 
 
 def test_each_estimate_resolves_its_active_rows_once(counted):

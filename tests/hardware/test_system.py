@@ -55,6 +55,28 @@ class TestAllocation:
         with pytest.raises(AllocationError):
             system.allocated_nodes("nope")
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_allocations_match_sorted_free_oracle(self, seed):
+        """A seeded allocate/release trace hands out ``sorted(free)[:n]``
+        at every allocation."""
+        rng = np.random.default_rng(seed)
+        system = PerlmutterSystem(n_nodes=40)
+        free = set(system.nodes)
+        held: dict[str, list[str]] = {}
+        for step in range(400):
+            if held and (not free or rng.random() < 0.45):
+                job = sorted(held)[int(rng.integers(len(held)))]
+                system.release(job)
+                free.update(held.pop(job))
+            else:
+                n = int(rng.integers(1, min(len(free), 6) + 1))
+                job = f"job{step}"
+                names = system.allocate_names(job, n)
+                assert names == sorted(free)[:n]
+                free.difference_update(names)
+                held[job] = names
+            assert system.free_node_count == len(free)
+
 
 class TestRunningMoments:
     def test_matches_numpy_single_batch(self):
@@ -158,6 +180,19 @@ class TestBudget:
         system.allocate("job1", 4)
         assert system.idle_power_w() < full
         assert full > 8 * 400.0  # each idle node >= ~410 W
+
+    def test_idle_power_sums_in_name_order(self, system):
+        """The float sum runs over free nodes in name order, whatever order
+        they were released in (so it cannot depend on string hashing)."""
+        for job, n in (("a", 3), ("b", 2), ("c", 2)):
+            system.allocate_names(job, n)
+        for job in ("b", "c", "a"):
+            system.release(job)
+        system.allocate_names("d", 1)
+        expected = 0.0
+        for name in sorted(system.nodes)[1:]:
+            expected += system.nodes[name].idle_sample().node_w
+        assert system.idle_power_w() == expected
 
     def test_rejects_empty_pool(self):
         with pytest.raises(ValueError):

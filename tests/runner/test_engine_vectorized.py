@@ -15,7 +15,7 @@ import pytest
 from repro.hardware.node import GpuNode
 from repro.perfmodel.kernels import KernelCatalogue
 from repro.perfmodel.power import demand_power_w
-from repro.runner.engine import EngineConfig, PowerEngine, _phase_records
+from repro.runner.engine import EngineConfig, PowerEngine, _phase_records, rank_skew
 from repro.runner.trace import COMPONENT_KEYS, GPU_KEYS
 from repro.vasp.phases import MacroPhase, phase_table
 
@@ -56,7 +56,7 @@ def resolve_phase_reference(engine, phase):
     means = np.empty((len(engine.nodes), len(COMPONENT_KEYS)))
     slowdown = 1.0
     skews = {
-        gpu.serial: engine._rank_skew(gpu.serial)
+        gpu.serial: rank_skew(gpu.serial, engine.config.rank_imbalance)
         for node in engine.nodes
         for gpu in node.gpus
     }

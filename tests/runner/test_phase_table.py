@@ -6,7 +6,9 @@ engine resolves each row once and gathers the results to the phases.
 engine ran before the table (one grid row per phase), with the host
 rows computed node by node and NIC by NIC (:func:`host_power_per_node`);
 the table path, which computes all nodes' host rows in one array pass,
-must equal it bit for bit, not just within a tolerance.
+must equal it bit for bit, not just within a tolerance.  Jobs sharing a
+table resolve in one :func:`resolve_table` pass; each job's rows must
+equal that job resolved alone, byte for byte.
 """
 
 import functools
@@ -22,8 +24,9 @@ from repro.hardware.node import GpuNode
 from repro.hardware.platform import get_platform
 from repro.perfmodel.kernels import KernelCatalogue
 from repro.perfmodel.power import demand_power_batch
+from repro.capping.shard import clamped_cap_w
 from repro.runner.cache import cached_phases
-from repro.runner.engine import EngineConfig, PowerEngine
+from repro.runner.engine import EngineConfig, PowerEngine, rank_skew, resolve_table
 from repro.runner.trace import COMPONENT_KEYS, GPU_KEYS
 from repro.vasp.benchmarks import benchmark
 from repro.vasp.phases import (
@@ -98,9 +101,9 @@ def resolve_per_phase(engine, phases):
     duty_b = duty[:, None, None]
     per_node = [state_arrays(node) for node in nodes]
     state = {key: np.stack([arrays[key] for arrays in per_node]) for key in per_node[0]}
-    skews_by_serial = engine._gpu_skews()
+    imbalance = engine.config.rank_imbalance
     skews = np.array(
-        [[skews_by_serial[gpu.serial] for gpu in node.gpus] for node in nodes]
+        [[rank_skew(gpu.serial, imbalance) for gpu in node.gpus] for node in nodes]
     )
     max_skew = float(skews.max())
     demand = demand_power_batch(
@@ -314,6 +317,128 @@ class TestEngineTablePathExact:
         assert via_table.runtime_s == via_list.runtime_s
         for a, b in zip(via_table.traces, via_list.traces):
             assert np.array_equal(a.node_power, b.node_power)
+
+
+def assert_grouped_equals_alone(jobs, phases, config=None):
+    """Resolve ``jobs`` (``(nodes, cap_w)`` pairs) in one pass, then each
+    job alone on a lone engine with its clamped cap set on its nodes:
+    every job's rows, gathered to phases, must be the same bytes."""
+    table = phase_table(phases)
+    rank_imbalance = (config or EngineConfig()).rank_imbalance
+    cap_w = np.array(
+        [
+            [clamped_cap_w(cap, node.spec)] * len(node.gpus)
+            for nodes, cap in jobs
+            for node in nodes
+        ]
+    )
+    # Node state carries other caps while the group resolves: caps are
+    # an input of the grouped resolve, not read off the nodes.
+    for nodes, _ in jobs:
+        for node in nodes:
+            node.reset_gpu_power_limit()
+    grouped = resolve_table(table, [nodes for nodes, _ in jobs], cap_w, rank_imbalance)
+    assert len(grouped) == len(jobs)
+    for (nodes, cap), rows in zip(jobs, grouped):
+        set_cap(nodes, cap)
+        slowdown, means = rows.gather(table)
+        alone_slowdown, alone_means = PowerEngine(nodes, config)._resolve_phases(table)
+        assert means.shape == alone_means.shape == (
+            len(nodes),
+            len(COMPONENT_KEYS),
+            len(phases),
+        )
+        assert slowdown.tobytes() == alone_slowdown.tobytes()
+        assert means.tobytes() == alone_means.tobytes()
+
+
+class TestGroupedResolve:
+    """Jobs sharing a phase table resolve in one pass, bit for bit as alone."""
+
+    def test_repeated_rows_and_shared_nodes(self):
+        nodes = pool(["a100-40g"] * 5)
+        jobs = [
+            (nodes[0:2], 400.0),
+            (nodes[2:3], 250.0),
+            # Nodes serve several jobs of a group, at different caps.
+            (nodes[1:5], 150.0),
+            (nodes[0:1], 100.0),
+        ]
+        assert_grouped_equals_alone(jobs, PhaseList(repeated_rows()))
+
+    def test_hand_made_list(self):
+        nodes = pool(["a100-40g"] * 3)
+        phases = repeated_rows(7)
+        assert not isinstance(phases, PhaseList)
+        assert_grouped_equals_alone([(nodes[:2], 200.0), (nodes[2:], 300.0)], phases)
+
+    def test_rank_imbalance_with_differing_job_skews(self):
+        config = EngineConfig(rank_imbalance=0.25)
+        nodes = pool(["a100-40g"] * 6)
+        jobs = [
+            (nodes[0:2], 400.0),
+            (nodes[2:4], 200.0),
+            (nodes[4:6], 250.0),
+            (nodes[1:3], 150.0),
+        ]
+        job_skews = {
+            max(
+                rank_skew(gpu.serial, config.rank_imbalance)
+                for node in job
+                for gpu in node.gpus
+            )
+            for job, _ in jobs
+        }
+        assert len(job_skews) == len(jobs)
+        assert_grouped_equals_alone(jobs, repeated_rows(), config)
+
+    @pytest.mark.parametrize("caps", [(300.0, 200.0, 120.0), (700.0, 400.0, 100.0)])
+    def test_mixed_a100_h100_pool_at_different_clamped_caps(self, caps):
+        nodes = pool(["a100-40g", "h100-sxm", "a100-40g", "h100-sxm"])
+        jobs = [(nodes[0:2], caps[0]), (nodes[2:4], caps[1]), (nodes[1:3], caps[2])]
+        # One cap clamps differently on the two GPUs of a job.
+        assert any(
+            len({clamped_cap_w(cap, node.spec) for node in job}) > 1 for job, cap in jobs
+        )
+        assert_grouped_equals_alone(jobs, repeated_rows())
+
+    def test_mixed_nic_counts(self):
+        """A 1-NIC job grouped with 4-NIC jobs is padded wider than alone;
+        the zero-power padding leaves its rows unchanged."""
+        nodes = pool(["a100-40g", "v100-sxm2", "a100-40g", "v100-sxm2"])
+        jobs = [(nodes[1::2], 200.0), (nodes[0::2], 120.0), (nodes[0:2], 300.0)]
+        assert_grouped_equals_alone(jobs, repeated_rows())
+        phases = cached_phases(benchmark("PdO2").build(), 2)
+        assert_grouped_equals_alone(jobs, phases)
+
+    @pytest.mark.parametrize("name", ["Si256_hse", "CuC_vdw"])
+    def test_store_lists(self, name):
+        nodes = pool(["a100-40g", "h100-sxm", "a100-40g"])
+        jobs = [(nodes[0:2], 200.0), (nodes[1:3], 250.0), (nodes[0:2], 400.0)]
+        assert_grouped_equals_alone(jobs, cached_phases(benchmark(name).build(), 2))
+
+    def test_stream_renders_given_rows_as_its_own(self):
+        nodes = pool(["a100-40g", "h100-sxm"], 200.0)
+        phases = PhaseList(repeated_rows(5))
+        cap_w = np.array([[node.gpus[0].power_limit_w] * 4 for node in nodes])
+        (rows,) = resolve_table(phases.table, [nodes], cap_w)
+        engine = PowerEngine(nodes)
+        given = engine.stream(phases, seed=3, resolved=rows)
+        own = engine.stream(phases, seed=3)
+        assert given.runtime_s == own.runtime_s
+        for a, b in zip(given.chunks, own.chunks, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_mismatched_inputs_are_rejected(self):
+        nodes = pool(["a100-40g", "a100-40g"], 200.0)
+        table = phase_table(repeated_rows(2))
+        with pytest.raises(ValueError, match="one row per node slot"):
+            resolve_table(table, [nodes], np.full((1, 4), 200.0))
+        with pytest.raises(ValueError, match="every job needs nodes"):
+            resolve_table(table, [nodes, []], np.full((2, 4), 200.0))
+        (rows,) = resolve_table(table, [nodes[:1]], np.full((1, 4), 200.0))
+        with pytest.raises(ValueError, match="do not fit"):
+            PowerEngine(nodes).stream(repeated_rows(2), resolved=rows)
 
 
 HOST_MODULES = tuple(
