@@ -12,8 +12,9 @@ load-bearing for a paper result:
   offsets of Fig 1.
 
 The grid-sweep benches at the bottom time the sweep machinery itself
-(dedupe + run cache vs the naive per-point loop) and are the series
-``scripts/bench_compare.py`` guards against regression.
+(dedupe + run cache vs the naive per-point loop); like every bench,
+their min times are judged against this host's bench history by
+``repro sentinel report --kind bench``.
 """
 
 import time
@@ -161,8 +162,7 @@ def test_grid_sweep_naive(benchmark):
             for s in specs
         ]
 
-    # Guarded bench: extra rounds + warmup tighten the min against host
-    # load (scripts/bench_compare.py fails on guarded regressions).
+    # Extra rounds + warmup tighten the min against host load.
     results = benchmark.pedantic(naive, rounds=5, iterations=1, warmup_rounds=1)
     assert len(results) == len(specs)
 

@@ -10,16 +10,18 @@ Plain and monitored runs are interleaved per round and judged on the
 best per-round paired ratio, so uniform host slowdown cancels out of
 the ratio and a single noisy round cannot fail the gate.
 
-The monitor's up-front idle survey (``attach_pool``) requires the whole
-node pool materialized, so the plain reference materializes a pool of
-the same size itself — otherwise the ratio would re-measure the lazy
-pool's construction savings (gated separately in
-``test_shard_bench.py``) instead of the observation cost.
+Both sides of the ratio run on a pool whose nodes were all built before
+the timer starts: building the 500 nodes takes longer than the fleet
+run, and the monitor's idle survey (``attach_pool``) builds them all
+while a plain run builds only the nodes its jobs touch, so timing the
+build would measure node construction instead of the observation cost.
 """
 
 import gc
 import time
+from unittest import mock
 
+from repro.capping import fleet
 from repro.capping.fleet import FleetRun, job_stream, simulate_fleet_traced
 from repro.hardware.system import PerlmutterSystem
 from repro.monitor import FleetMonitor, MonitorReport
@@ -33,16 +35,21 @@ MONITOR_JOBS = 100
 ENGINE = EngineConfig(base_interval_s=1.0)
 
 
-def _run(monitor=None):
+def _built_pool() -> PerlmutterSystem:
+    """A fresh pool with every node built, as a monitored run surveys it."""
+    pool = PerlmutterSystem(n_nodes=MONITOR_NODES)
+    pool.materialize()
+    return pool
+
+
+def _run(monitor=None, pool=None):
+    """One fleet run; a given *pool* stands in for the one the run builds."""
     jobs = job_stream(n_jobs=MONITOR_JOBS, mean_interarrival_s=60.0, seed=11)
-    if monitor is None:
-        # Pool construction on both sides of the overhead ratio
-        # (monitored runs always materialize for the idle survey).
-        PerlmutterSystem(n_nodes=MONITOR_NODES).materialize()
-    return simulate_fleet_traced(
-        FleetRun(jobs, n_nodes=MONITOR_NODES, engine_config=ENGINE, seed=11),
-        monitor=monitor,
-    )
+    run = FleetRun(jobs, n_nodes=MONITOR_NODES, engine_config=ENGINE, seed=11)
+    if pool is None:
+        return simulate_fleet_traced(run, monitor=monitor)
+    with mock.patch.object(fleet, "PerlmutterSystem", lambda **_: pool):
+        return simulate_fleet_traced(run, monitor=monitor)
 
 
 def measure_monitor_overhead(
@@ -62,15 +69,16 @@ def measure_monitor_overhead(
 
     def run_plain() -> None:
         nonlocal plain
+        pool = _built_pool()
         start = time.perf_counter()
-        plain = _run()
+        plain = _run(pool=pool)
         plain_times.append(time.perf_counter() - start)
 
     def run_monitored() -> None:
         nonlocal watched, report
-        monitor = FleetMonitor()
+        monitor, pool = FleetMonitor(), _built_pool()
         start = time.perf_counter()
-        watched = _run(monitor=monitor)
+        watched = _run(monitor=monitor, pool=pool)
         monitored_times.append(time.perf_counter() - start)
         report = monitor.finalize()
 

@@ -1138,17 +1138,18 @@ def _cmd_sentinel(args: argparse.Namespace) -> int:
                     base.kind,
                     str(base.runs),
                     (
-                        f"{base.wall_median_s:.2f}±{base.wall_sigma_s:.2f}"
+                        f"{base.wall_median_s:.3g}±{base.wall_sigma_s:.2g}"
                         if base.wall_median_s is not None
                         else "-"
                     ),
                     (
-                        f"{row.latest_wall_s:.2f}"
+                        f"{row.latest_wall_s:.3g}"
                         if row.latest_wall_s is not None
                         else "-"
                     ),
                     shift,
                     row.verdict,
+                    base.label[:42],
                 ]
             )
         print(
@@ -1161,14 +1162,16 @@ def _cmd_sentinel(args: argparse.Namespace) -> int:
                     "Latest",
                     "Shift",
                     "Verdict",
+                    "Command",
                 ],
                 rows=table_rows,
                 title=f"sentinel report: {len(rows)} fingerprint(s)",
             )
         )
         for row in rows:
+            name = row.baseline.label or row.baseline.fingerprint[:10]
             for finding in row.findings:
-                print(f"  {row.baseline.fingerprint[:10]}: {finding.message}")
+                print(f"  {name}: {finding.message}")
         return 1 if any(row.findings for row in rows) else 0
     # action == "baseline"
     baselines = [

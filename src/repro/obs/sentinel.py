@@ -293,10 +293,10 @@ def check_target(
                     Finding(
                         "regression",
                         "wall_s",
-                        f"wall time {target.wall_s:.2f} s is "
+                        f"wall time {target.wall_s:.3g} s is "
                         f"{target.wall_s / center - 1.0:+.0%} vs the "
                         f"baseline median of {len(walls)} comparable "
-                        f"run(s) ({center:.2f} s ± {sigma:.2f}; "
+                        f"run(s) ({center:.3g} s ± {sigma:.2g}; "
                         f"tolerance {tolerance:+.0%})",
                     )
                 )

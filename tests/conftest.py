@@ -6,9 +6,18 @@ root, so without redirection every test run would litter (and mutate) a
 real ledger; point it at a session-temporary directory instead.  Tests
 that need their own ledger location simply set ``REPRO_RUNS_DIR``
 themselves (monkeypatch wins over this session-scoped default).
+
+Hypothesis loads the derandomized ``tier1`` profile, so a tier-1 result
+is a function of the commit; ``--hypothesis-profile=fuzz`` (its own
+``scripts/ci.sh`` step) draws new examples.
 """
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("fuzz", derandomize=False)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from benchmarks.conftest import bench_record, missing_sections
 from repro.cli import main
 from repro.obs import ledger
 from repro.obs import sentinel
@@ -304,3 +305,36 @@ class TestSentinelCli:
         assert "no checkable history" in capsys.readouterr().out
         assert main(["sentinel", "baseline"]) == 0
         assert "no baselines" in capsys.readouterr().out
+
+
+class TestBenchHistory:
+    """Bench min times as ``benchmarks/conftest.py`` records them."""
+
+    def seed(self, walls, cpus=2):
+        book = RunLedger()
+        for wall in walls:
+            row = {"name": "test_grid_sweep_executor", "stats": {"min": wall}}
+            book.append(bench_record(row, cpus, "x86_64"))
+
+    def test_twice_as_slow_flags(self, capsys):
+        self.seed((1.0, 1.03, 0.97, 2.0))
+        assert main(["sentinel", "report", "--kind", "bench"]) == 1
+        assert "test_grid_sweep_executor: wall time 2 s" in capsys.readouterr().out
+
+    def test_other_cpu_count_is_not_compared(self, capsys):
+        self.seed((1.0, 1.03, 0.97), cpus=1)
+        self.seed((2.0,), cpus=2)
+        assert main(["sentinel", "report", "--kind", "bench"]) == 0
+        assert "2 fingerprint(s)" in capsys.readouterr().out
+
+    def test_jitter_only_history_stays_green(self):
+        self.seed((1.0, 1.05, 0.95, 1.02, 1.1))
+        assert main(["sentinel", "report", "--kind", "bench"]) == 0
+
+    def test_gate_bench_without_its_section_is_named(self):
+        rows = [
+            {"name": "test_fleet_memory_gate", "extra_info": {}},
+            {"name": "test_monitor_overhead_gate", "extra_info": {"monitor": {}}},
+            {"name": "test_fig01", "extra_info": {}},
+        ]
+        assert missing_sections(rows) == ["test_fleet_memory_gate: memory"]
