@@ -91,14 +91,13 @@ diff <(head -n 7 "$SMOKE_DIR/cap-sweep.out") <(head -n 7 "$SMOKE_DIR/cap-sweep-m
 grep -qE '^ +chunks observed +200$' "$SMOKE_DIR/cap-sweep-monitor.out" \
     || { echo "monitored cap-sweep did not report 200 chunks observed"; exit 1; }
 
-echo "== surrogate smoke (train -> predict -> verified cap search) =="
-# First command trains and persists the store (retraining from scratch
-# over the zoo-expanded corpus); the rest must hit it.  The zoo predict
-# proves non-VASP registry workloads ride the same surrogate end-to-end.
+echo "== predict smoke (analytic estimate vs exact run) and verified surrogate cap search =="
+# `repro predict` answers from the analytic estimator; --exact also runs
+# the engine and prints the estimate's errors.  The zoo predict proves
+# non-VASP registry workloads take the same path.
 export REPRO_SURROGATE_DIR="$SMOKE_DIR/surrogate"
-python -m repro predict Si256_hse --nodes 1 --cap 300
-python -m repro predict milc:small --nodes 1 --cap 300
-python -m repro cap-sweep PdO4 --nodes 1 --surrogate
+python -m repro predict Si256_hse --nodes 1 --cap 300 --exact
+python -m repro predict milc:small --nodes 1 --cap 300 --exact
 python - <<'PY'
 from repro.capping.policy import search_cap_policy
 from repro.prediction import load_or_train
@@ -110,7 +109,7 @@ pairs = [
     (benchmark("GaAsBi-64").build(), 1),
 ]
 caps = [125.0, 200.0, 300.0, 400.0]
-surrogate = load_or_train()  # served from the store the smoke just wrote
+surrogate = load_or_train()  # trains over the zoo-expanded corpus and stores it
 fast = search_cap_policy(pairs, caps, slowdown_limit=1.5, surrogate=surrogate)
 exact = search_cap_policy(pairs, caps, slowdown_limit=1.5)
 assert fast.best_policy.caps_w == exact.best_policy.caps_w, (
@@ -128,11 +127,11 @@ PY
 
 echo "== sharded fleet smoke (bit-identity vs serial, health dashboards included) =="
 FLEET_ARGS=(fleet --jobs 4 --nodes 6 --seed 3 --resolution 1.0)
-# The cache/sweep/surrogate footer lines count work done, which varies
-# with worker count (each worker process has its own caches) and with
+# The cache/sweep footer lines count work done, which varies with
+# worker count (each worker process has its own caches) and with
 # resuming (a resumed run renders fewer jobs); every simulation
 # statistic above them must not.
-filter_summaries() { grep -vE '^ *\[(\w+ cache|sweeps|surrogate): ' "$1" > "$2"; }
+filter_summaries() { grep -vE '^ *\[(\w+ cache|sweeps): ' "$1" > "$2"; }
 python -m repro "${FLEET_ARGS[@]}" > "$SMOKE_DIR/serial.out"
 filter_summaries "$SMOKE_DIR/serial.out" "$SMOKE_DIR/serial.txt"
 # Monitored on both sides: one diff covers the fleet report and the

@@ -396,15 +396,9 @@ def search_cap_policy(
     )
     error = result.verification_error
     if error is not None:
-        # Feed the drift trackers: the in-process surrogate stats and the
-        # run ledger record the sentinel mines verification errors from.
-        from repro.obs import ledger as run_ledger
         from repro.prediction.model import surrogate_stats
 
         surrogate_stats().record_verification(error)
-        run_ledger.annotate_run(
-            metrics={"winner_verification_error": round(error, 4)}
-        )
         logger.debug(
             "cap-policy search winner verified: %.1f%% surrogate error",
             100.0 * error,

@@ -19,7 +19,6 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.config import read
@@ -30,9 +29,6 @@ from repro.perfmodel.power import duty_cycle_power_w
 from repro.runner.cache import RunCache, cached_phases, content_key, process_cache
 from repro.vasp.workload import VaspWorkload
 from repro.capping.policy import CapPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.prediction.model import TwoStageSurrogate
 
 #: Non-GPU node power while a VASP job runs (CPU + DDR + NICs + board at
 #: typical activity) on the default a100-40g platform.  Kept as a module
@@ -192,11 +188,6 @@ class SchedulerConfig:
     policy: CapPolicy = field(default_factory=CapPolicy.half_tdp)
     #: Hardware platform the pool runs on (None = registry default).
     platform: "str | Platform | None" = None
-    #: Learned fast path for admission estimates.  In-envelope
-    #: predictions replace the analytic estimator; out-of-envelope jobs
-    #: (and ``REPRO_SURROGATE=0``) fall back to it, counted in the
-    #: ``repro_surrogate_*`` metrics.  None = analytic only.
-    surrogate: "TwoStageSurrogate | None" = None
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -241,50 +232,6 @@ class PowerAwareScheduler:
 
     def __init__(self, config: SchedulerConfig) -> None:
         self.config = config
-        #: Per-scheduler memo of surrogate admission estimates — cycles
-        #: re-estimate the same (workload, nodes, cap) triples, and the
-        #: analytic path has :func:`cached_estimate_run` for the same
-        #: reason.
-        self._admission_memo: dict[
-            tuple[str, int, float | None], RunEstimate | None
-        ] = {}
-
-    def _admission_estimate(
-        self,
-        workload: VaspWorkload,
-        n_nodes: int,
-        cap_w: float | None,
-        plat: Platform,
-    ) -> RunEstimate:
-        """Admission estimate: surrogate fast path, analytic fallback.
-
-        The surrogate answers from scheduler-visible features in ~0.1 ms;
-        anything out of its training envelope (or an unset/disabled
-        surrogate) uses the exact analytic estimator instead, so admission
-        decisions never rest on an extrapolated prediction.
-        """
-        surrogate = self.config.surrogate
-        if surrogate is not None:
-            if read("REPRO_SURROGATE"):
-                key = (content_key(workload), n_nodes, cap_w)
-                if key not in self._admission_memo:
-                    prediction = surrogate.predict(workload, n_nodes, cap_w, plat.id)
-                    # Out-of-envelope memoizes as None so the fallback
-                    # decision (and its metric) is made once per triple,
-                    # not once per scheduling cycle.
-                    self._admission_memo[key] = (
-                        RunEstimate(
-                            runtime_s=prediction.runtime_s,
-                            mean_node_power_w=prediction.mean_node_power_w,
-                            peak_node_power_w=prediction.hpm_w,
-                        )
-                        if prediction.in_envelope
-                        else None
-                    )
-                estimate = self._admission_memo[key]
-                if estimate is not None:
-                    return estimate
-        return cached_estimate_run(workload, n_nodes, cap_w, plat)
 
     def schedule(self, jobs: list[Job]) -> ScheduleResult:
         """Run the full schedule for a job list.
@@ -347,9 +294,7 @@ class PowerAwareScheduler:
                         f"job {job.job_id} wants {job.n_nodes} nodes; pool has {cfg.n_nodes}"
                     )
                 cap = cfg.policy.cap_for(job.workload)
-                estimate = self._admission_estimate(
-                    job.workload, job.n_nodes, cap, plat
-                )
+                estimate = cached_estimate_run(job.workload, job.n_nodes, cap, plat)
                 idle_after = free_nodes - job.n_nodes
                 projected = (
                     running_power

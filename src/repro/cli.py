@@ -8,8 +8,7 @@ Installed as ``repro`` (also ``python -m repro``)::
     repro run PdO4 --platform h100-sxm # same workload on another platform
     repro survey                       # all seven benchmarks
     repro cap-sweep Si128_acfdtr       # power-cap response of one workload
-    repro cap-sweep PdO4 --surrogate   # surrogate-scored grid, winner verified
-    repro predict Si256_hse --cap 300  # surrogate prediction, no engine run
+    repro predict Si256_hse --cap 300  # analytic estimate, no engine run
     repro reproduce fig12              # regenerate a paper table/figure
     repro reproduce fig05 --json out.json
     repro schedule --watts-per-node 900
@@ -89,6 +88,7 @@ from repro.capping.fleet import (
     simulate_fleet_traced,
 )
 from repro.capping.scenarios import get_scenario, scenario_ids
+from repro.capping.scheduler import cached_estimate_run
 from repro.config import environment, read
 from repro.experiments.common import run_workload
 from repro.hardware.platform import DEFAULT_PLATFORM_ID, get_platform, platform_ids
@@ -99,8 +99,6 @@ from repro.obs import ledger as run_ledger
 from repro.obs import sentinel
 from repro.obs.heartbeat import policy_paths
 from repro.monitor import FleetMonitor, MonitorConfig, render_dashboard
-from repro.prediction.model import surrogate_stats
-from repro.prediction.store import load_or_train
 from repro.runner.cache import fingerprint, process_caches
 from repro.runner.engine import EngineConfig
 from repro.runner.runlog import summarize_run
@@ -137,10 +135,10 @@ ARTIFACTS = {
 
 
 def _efficiency_accounts() -> dict:
-    """This session's cache, sweep and surrogate accounts worth reporting.
+    """This session's cache and sweep accounts worth reporting.
 
-    ``{"cache": {name: CacheStats}, "sweeps": SweepStats, "surrogate":
-    SurrogateStats}``, leaving out an account with nothing to report.
+    ``{"cache": {name: CacheStats}, "sweeps": SweepStats}``, leaving out
+    an account with nothing to report.
     The footer and the run ledger both read this, so they always name
     the same accounts with the same counts — pooled work included, since
     workers ship their counts home.
@@ -152,13 +150,11 @@ def _efficiency_accounts() -> dict:
         accounts["cache"] = looked_up
     if sweep_stats().grids:
         accounts["sweeps"] = sweep_stats()
-    if surrogate_stats().predictions or surrogate_stats().trainings:
-        accounts["surrogate"] = surrogate_stats()
     return accounts
 
 
 def _print_efficiency_summary() -> None:
-    """The cache/dedupe/surrogate effectiveness footer, one line per account."""
+    """The cache/dedupe effectiveness footer, one line per account."""
     accounts = _efficiency_accounts()
     lines = [stats.summary_line() for stats in accounts.pop("cache", {}).values()]
     lines += [stats.summary_line() for stats in accounts.values()]
@@ -202,14 +198,6 @@ def _annotate_efficiency() -> None:
             "executed": sweeps.specs_executed,
             "deduped": sweeps.specs_deduped,
             "dedupe_ratio": round(sweeps.dedupe_ratio, 4),
-        }
-    if "surrogate" in accounts:
-        surro = accounts["surrogate"]
-        fields["surrogate"] = {
-            "predictions": surro.predictions,
-            "hits": surro.hits,
-            "fallbacks": surro.fallbacks,
-            "trainings": surro.trainings,
         }
     if fields:
         run_ledger.annotate_run(**fields)
@@ -321,17 +309,35 @@ def _cmd_workloads(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_workload_arg(ref: str):
-    """Build the workload a CLI reference names (exit politely if unknown)."""
+def _point_inputs(
+    args: argparse.Namespace, caps: "Sequence[float | None]" = ()
+) -> tuple:
+    """(workload, node count, platform) of a single-point command.
+
+    `run`, `cap-sweep` and `predict` name one workload on one platform.
+    No ``--nodes`` means the top of the workload's healthy width range.
+    Flags are strict, as in `repro fleet`: an unknown workload or
+    platform, a node count below 1 or a cap outside the platform GPU's
+    range raises ValueError naming it, for the caller to refuse.
+    """
     try:
-        return resolve_workload(ref)
+        workload = resolve_workload(args.benchmark)
+        plat = get_platform(args.platform)
     except KeyError as err:
-        raise SystemExit(f"repro: {err.args[0]}") from None
-
-
-def _default_nodes(ref: str) -> int:
-    """Default node count for a reference: top of its healthy range."""
-    return max(resolve_widths(ref))
+        raise ValueError(err.args[0]) from None
+    n_nodes = args.nodes
+    if n_nodes is None:
+        n_nodes = max(resolve_widths(args.benchmark))
+    if n_nodes < 1:
+        raise ValueError(f"--nodes must be >= 1, got {n_nodes}")
+    spec = plat.gpu
+    for cap in caps:
+        if cap is not None and not spec.cap_min_w <= cap <= spec.cap_max_w:
+            raise ValueError(
+                f"cap {cap:g} W outside the {plat.id} GPU range "
+                f"[{spec.cap_min_w:.0f}, {spec.cap_max_w:.0f}] W"
+            )
+    return workload, n_nodes, plat
 
 
 def _fleet_fields(
@@ -377,14 +383,13 @@ def _refuse(reason: object) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    workload = _resolve_workload_arg(args.benchmark)
     try:
-        plat = get_platform(args.platform)
-    except KeyError as err:
-        return _refuse(err.args[0])
+        workload, n_nodes, plat = _point_inputs(args, [args.cap])
+    except ValueError as err:
+        return _refuse(err)
     measured = run_workload(
         workload,
-        n_nodes=args.nodes,
+        n_nodes=n_nodes,
         gpu_cap_w=args.cap,
         seed=args.seed,
         platform=args.platform,
@@ -393,7 +398,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     stats = summarize(telem.node_power)
     cap_note = f" (GPU cap {args.cap:.0f} W)" if args.cap else ""
     platform_note = f" [{plat.id}]" if args.platform else ""
-    print(f"{workload.name} on {args.nodes} node(s){cap_note}{platform_note}")
+    print(f"{workload.name} on {n_nodes} node(s){cap_note}{platform_note}")
     print(f"  runtime            : {measured.runtime_s:,.0f} s")
     print(f"  energy to solution : {measured.energy_mj():.2f} MJ")
     print(f"  node power max     : {stats.max_w:.0f} W")
@@ -405,11 +410,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"  ground-truth trace written to {path}")
     run_ledger.annotate_run(
         fingerprint=fingerprint(
-            "cli.run", args.benchmark, args.nodes, args.cap, args.seed, plat.id
+            "cli.run", args.benchmark, n_nodes, args.cap, args.seed, plat.id
         ),
         platforms=[plat.id],
         jobs=1,
-        nodes=args.nodes,
+        nodes=n_nodes,
         energy_j=measured.result.total_energy_j(),
         metrics=summarize_run(measured.result).ledger_fields(),
     )
@@ -452,146 +457,11 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cap_sweep_surrogate(
-    args: argparse.Namespace, workload, n_nodes: int, plat, caps: list[float]
-) -> int:
-    """Surrogate fast path: predict the grid, re-simulate only the winner.
-
-    Every cap is scored through the trained surrogate (out-of-envelope
-    points fall back to the engine); the winner — lowest predicted
-    energy/node within the slowdown limit — is then re-simulated exactly
-    and the surrogate-vs-exact energy error reported alongside it.
-    """
-    with obs.span("cli.cap_sweep_surrogate", benchmark=workload.name):
-        surrogate = load_or_train(workers=args.workers)
-        t0 = time.perf_counter()
-        predictions = []
-        for cap in [None, *caps]:
-            try:
-                predictions.append(
-                    surrogate.predict(
-                        workload, n_nodes=n_nodes, cap_w=cap, platform=plat.id
-                    )
-                )
-            except ValueError:
-                # Cap outside the device's range: not representable in
-                # the feature space, so the engine decides this point.
-                predictions.append(None)
-        predict_s = time.perf_counter() - t0
-    base_runtime = (
-        predictions[0].runtime_s if predictions[0] is not None else None
-    )
-    if base_runtime is None:
-        base_runtime = run_workload(
-            workload, n_nodes=n_nodes, seed=args.seed, platform=args.platform
-        ).runtime_s
-    rows = []
-    # cap -> (runtime_s, energy_per_node_j, slowdown, source)
-    table: dict[float, tuple[float, float, float, str]] = {}
-    for cap, pred in zip(caps, predictions[1:]):
-        if pred is not None and pred.in_envelope:
-            gpu_hpm = pred.tdp_fraction * plat.gpu.tdp_w
-            table[cap] = (pred.runtime_s, pred.energy_per_node_j, pred.slowdown, "surrogate")
-        else:
-            # Outside the trained envelope: run this point exactly.
-            measured = run_workload(
-                workload,
-                n_nodes=n_nodes,
-                gpu_cap_w=cap,
-                seed=args.seed,
-                platform=args.platform,
-            )
-            gpu_hpm = high_power_mode_w(measured.telemetry[0].gpu_power(0))
-            table[cap] = (
-                measured.runtime_s,
-                measured.result.total_energy_j() / n_nodes,
-                measured.runtime_s / base_runtime,
-                "engine",
-            )
-        runtime_s, energy_j, slowdown, source = table[cap]
-        rows.append(
-            [
-                f"{cap:.0f}",
-                runtime_s,
-                1.0 / slowdown if slowdown > 0 else 0.0,
-                gpu_hpm,
-                gpu_hpm / cap,
-                source,
-            ]
-        )
-    print(
-        format_table(
-            headers=["Cap (W)", "Runtime (s)", "Perf", "GPU HPM (W)", "HPM/cap", "Source"],
-            rows=rows,
-            title=(
-                f"{workload.name} cap sweep ({n_nodes} node(s), {plat.id}, "
-                "surrogate)"
-            ),
-        )
-    )
-    # Winner: lowest energy/node within the slowdown limit (least-slow
-    # cap when nothing qualifies), then one exact run to verify it.
-    feasible = [c for c in caps if table[c][2] <= args.slowdown_limit]
-    if feasible:
-        winner = min(feasible, key=lambda c: table[c][1])
-        note = ""
-    else:
-        winner = min(caps, key=lambda c: table[c][2])
-        note = f" (no cap met slowdown <= {args.slowdown_limit:g}; least-slow shown)"
-    runtime_s, energy_j, slowdown, source = table[winner]
-    measured = run_workload(
-        workload,
-        n_nodes=n_nodes,
-        gpu_cap_w=winner,
-        seed=args.seed,
-        platform=args.platform,
-    )
-    exact_energy_j = measured.result.total_energy_j() / n_nodes
-    error = abs(energy_j - exact_energy_j) / exact_energy_j
-    surrogate_stats().record_verification(error)
-    print()
-    print(
-        f"  winner: {winner:.0f} W — predicted {energy_j / 1e6:.3f} MJ/node, "
-        f"slowdown {slowdown:.3f}{note}"
-    )
-    print(
-        f"  exact re-simulation: {exact_energy_j / 1e6:.3f} MJ/node "
-        f"({measured.runtime_s:.0f} s) — surrogate off by {error:.1%}"
-    )
-    print(
-        f"  [{len(predictions)} predictions in "
-        f"{predict_s * 1e3:.1f} ms, 1 verification run]"
-    )
-    run_ledger.annotate_run(
-        fingerprint=fingerprint(
-            "cli.cap_sweep",
-            args.benchmark,
-            n_nodes,
-            caps,
-            args.seed,
-            plat.id,
-            "surrogate",
-        ),
-        platforms=[plat.id],
-        jobs=len(caps),
-        nodes=n_nodes,
-        metrics={
-            "caps_w": [round(cap, 1) for cap in caps],
-            "winner_cap_w": round(winner, 1),
-            "winner_verification_error": round(error, 4),
-        },
-    )
-    _print_efficiency_summary()
-    return 0
-
-
 def _cmd_cap_sweep(args: argparse.Namespace) -> int:
-    workload = _resolve_workload_arg(args.benchmark)
-    n_nodes = args.nodes if args.nodes else _default_nodes(args.benchmark)
     try:
-        plat = get_platform(args.platform)
-    except KeyError as err:
-        return _refuse(err.args[0])
+        workload, n_nodes, plat = _point_inputs(args, args.caps or ())
+    except ValueError as err:
+        return _refuse(err)
     caps = args.caps
     if caps is None:
         # Platform-derived default grid: TDP down to the cap floor
@@ -603,8 +473,6 @@ def _cmd_cap_sweep(args: argparse.Namespace) -> int:
             0.50 * spec.tdp_w,
             max(0.25 * spec.tdp_w, spec.cap_min_w),
         ]
-    if args.surrogate and read("REPRO_SURROGATE"):
-        return _cap_sweep_surrogate(args, workload, n_nodes, plat, caps)
     monitor = None
     if args.monitor or read("REPRO_MONITOR"):
         monitor = FleetMonitor(
@@ -665,51 +533,32 @@ def _cmd_cap_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    """Surrogate prediction for one (benchmark, nodes, cap, platform) point.
+    """Analytic estimate for one (workload, nodes, cap, platform) point.
 
-    Trains (or loads) the two-stage surrogate, prints every predicted
-    target plus the envelope verdict; ``--exact`` also runs the engine
-    and reports the surrogate-vs-exact errors.
+    Prints what :func:`cached_estimate_run` answers without rendering a
+    trace: runtime, slowdown against the uncapped estimate, mean and
+    peak node power and energy per node.  ``--exact`` also runs the
+    engine and reports the estimate's runtime and energy errors plus the
+    measured node HPM.
     """
-    workload = _resolve_workload_arg(args.benchmark)
-    n_nodes = args.nodes if args.nodes else _default_nodes(args.benchmark)
     try:
-        plat = get_platform(args.platform)
-    except KeyError as err:
-        return _refuse(err.args[0])
-    if not read("REPRO_SURROGATE"):
-        print("surrogate fast path disabled (REPRO_SURROGATE=0); unset to enable")
-        return 1
+        workload, n_nodes, plat = _point_inputs(args, [args.cap])
+    except ValueError as err:
+        return _refuse(err)
     with obs.span("cli.predict", benchmark=args.benchmark):
-        surrogate = load_or_train(workers=args.workers)
-        t0 = time.perf_counter()
-        pred = surrogate.predict(
-            workload, n_nodes=n_nodes, cap_w=args.cap, platform=plat.id
-        )
-        latency_us = (time.perf_counter() - t0) * 1.0e6
+        estimate = cached_estimate_run(workload, n_nodes, args.cap, plat)
+        uncapped = cached_estimate_run(workload, n_nodes, None, plat)
+    slowdown = estimate.runtime_s / uncapped.runtime_s
     cap_note = f"{args.cap:.0f} W cap" if args.cap is not None else "uncapped"
     print(f"{workload.name}: {n_nodes} node(s), {plat.id}, {cap_note}")
-    print(
-        f"  profile class    : {pred.class_index}"
-        f" (distance {pred.class_distance:.2f},"
-        f" uncertainty {pred.uncertainty:.3f})"
-    )
-    verdict = "in" if pred.in_envelope else "OUT -- engine recommended"
-    print(f"  envelope         : {verdict}")
-    print(f"  node HPM         : {pred.hpm_w:.0f} W")
-    print(f"  mean node power  : {pred.mean_node_power_w:.0f} W")
-    print(
-        f"  GPU HPM          : {pred.tdp_fraction * plat.gpu.tdp_w:.0f} W"
-        f" ({pred.tdp_fraction:.2f} x TDP)"
-    )
-    print(f"  runtime          : {pred.runtime_s:.0f} s (slowdown {pred.slowdown:.3f})")
-    print(f"  energy/node      : {pred.energy_per_node_j / 1.0e6:.3f} MJ")
-    print(f"  latency          : {latency_us:.0f} us/prediction")
+    print(f"  runtime          : {estimate.runtime_s:.0f} s (slowdown {slowdown:.3f})")
+    print(f"  mean node power  : {estimate.mean_node_power_w:.0f} W")
+    print(f"  peak node power  : {estimate.peak_node_power_w:.0f} W")
+    print(f"  energy/node      : {estimate.energy_per_node_j / 1.0e6:.3f} MJ")
     metrics: dict = {
-        "in_envelope": pred.in_envelope,
-        "hpm_w": round(pred.hpm_w, 1),
-        "runtime_s": round(pred.runtime_s, 1),
-        "energy_per_node_j": round(pred.energy_per_node_j, 1),
+        "runtime_s": round(estimate.runtime_s, 1),
+        "slowdown": round(slowdown, 4),
+        "energy_per_node_j": round(estimate.energy_per_node_j, 1),
     }
     if args.exact:
         measured = run_workload(
@@ -719,19 +568,17 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             seed=args.seed,
             platform=args.platform,
         )
-        exact_hpm = high_power_mode_w(measured.telemetry[0].node_power)
         exact_energy_j = measured.result.total_energy_j() / n_nodes
-        hpm_err = abs(pred.hpm_w - exact_hpm) / exact_hpm
-        rt_err = abs(pred.runtime_s - measured.runtime_s) / measured.runtime_s
-        en_err = abs(pred.energy_per_node_j - exact_energy_j) / exact_energy_j
+        rt_err = abs(estimate.runtime_s - measured.runtime_s) / measured.runtime_s
+        en_err = abs(estimate.energy_per_node_j - exact_energy_j) / exact_energy_j
+        exact_hpm = high_power_mode_w(measured.telemetry[0].node_power)
         print("\nexact run (engine)")
-        print(f"  node HPM         : {exact_hpm:.0f} W ({hpm_err:.1%} error)")
         print(f"  runtime          : {measured.runtime_s:.0f} s ({rt_err:.1%} error)")
         print(
             f"  energy/node      : {exact_energy_j / 1.0e6:.3f} MJ"
             f" ({en_err:.1%} error)"
         )
-        metrics["exact_hpm_error"] = round(hpm_err, 4)
+        print(f"  node HPM         : {exact_hpm:.0f} W")
         metrics["exact_runtime_error"] = round(rt_err, 4)
         metrics["exact_energy_error"] = round(en_err, 4)
     run_ledger.annotate_run(
@@ -1096,7 +943,6 @@ def _cmd_sentinel(args: argparse.Namespace) -> int:
             target,
             tolerance=args.tolerance,
             min_history=args.min_history,
-            drift_gate=args.drift_gate,
         )
         print(
             f"sentinel: {target.run_id} ({target.kind}) vs {history} "
@@ -1115,7 +961,6 @@ def _cmd_sentinel(args: argparse.Namespace) -> int:
             records,
             tolerance=args.tolerance,
             min_history=args.min_history,
-            drift_gate=args.drift_gate,
             kind=args.kind,
         )
         if args.json_out:
@@ -1354,33 +1199,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="replay each sweep point through the fleet health monitor",
     )
-    p_sweep.add_argument(
-        "--surrogate",
-        action="store_true",
-        help=(
-            "fast path: score the cap grid through the trained surrogate, "
-            "re-simulate only the winner exactly"
-        ),
-    )
-    p_sweep.add_argument(
-        "--slowdown-limit",
-        type=float,
-        default=1.25,
-        metavar="FACTOR",
-        help="max acceptable slowdown when picking the winner (--surrogate)",
-    )
-    p_sweep.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="corpus-build workers if the surrogate must train first",
-    )
     add_platform_flag(p_sweep)
     p_sweep.set_defaults(func=_cmd_cap_sweep)
 
     p_predict = sub.add_parser(
         "predict",
-        help="surrogate prediction for a benchmark (no engine run)",
+        help="analytic runtime/power estimate for a workload (no engine run)",
         parents=[obs_flags],
     )
     p_predict.add_argument("benchmark", metavar="workload", help=workload_help)
@@ -1390,15 +1214,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_predict.add_argument("--seed", type=int, default=7)
     p_predict.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="corpus-build workers if the surrogate must train first",
-    )
-    p_predict.add_argument(
         "--exact",
         action="store_true",
-        help="also run the engine and report the surrogate's errors",
+        help="also run the engine and report the estimate's errors",
     )
     add_platform_flag(p_predict)
     p_predict.set_defaults(func=_cmd_predict)
@@ -1553,7 +1371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sentinel = sub.add_parser(
         "sentinel",
-        help="regression sentinel over the run ledger (baselines, drift)",
+        help="regression sentinel over the run ledger (baselines, change points)",
     )
     sentinel_sub = p_sentinel.add_subparsers(
         dest="sentinel_command", required=True
@@ -1579,16 +1397,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=(
                 "comparable runs required before statistical checks judge "
                 f"(default {sentinel.DEFAULT_MIN_HISTORY})"
-            ),
-        )
-        p.add_argument(
-            "--drift-gate",
-            type=float,
-            default=sentinel.DEFAULT_DRIFT_GATE,
-            metavar="MAPE",
-            help=(
-                "surrogate verification-error ceiling "
-                f"(default {sentinel.DEFAULT_DRIFT_GATE:.0%}%)"
             ),
         )
 

@@ -98,8 +98,6 @@ VARIABLES: dict[str, Variable] = {
                  on_path=".repro_cache"),
         Variable("REPRO_SWEEP_WORKERS", "count", None,
                  "worker processes for sweeps and sharded fleets (`1` forces serial)"),
-        Variable("REPRO_SURROGATE", "switch", True,
-                 "surrogate fast path; off falls back to exact simulation"),
         Variable("REPRO_SURROGATE_DIR", "path", ".repro_cache/surrogate",
                  "surrogate store directory"),
         Variable("REPRO_FLEET_CHECKPOINT", "path", None,

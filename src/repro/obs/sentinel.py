@@ -1,32 +1,27 @@
 """Ledger-mining regression sentinel: record -> detect, not just record.
 
 The run ledger (:mod:`repro.obs.ledger`) accumulates per-run outcomes in
-``.repro_runs/`` — wall time, energy, cache effectiveness, surrogate
-verification errors — but until now nothing *analyzed* that history.
-This module closes the loop the way the paper's methodology watches
-power signals over time (LDMS archives, §III): every config fingerprint
-becomes a time series, each series gets a **robust baseline**
-(median/MAD — a single noisy run cannot move it), and the sentinel
-judges new runs against those baselines instead of against the single
-best historical point.
+``.repro_runs/`` — wall time, energy, cache effectiveness — but until
+now nothing *analyzed* that history.  This module closes the loop the
+way the paper's methodology watches power signals over time (LDMS
+archives, §III): every config fingerprint becomes a time series, each
+series gets a **robust baseline** (median/MAD — a single noisy run
+cannot move it), and the sentinel judges new runs against those
+baselines instead of against the single best historical point.
 
-Three analyses, all advisory by default and CI-gateable via exit code:
+Two analyses, both advisory by default and CI-gateable via exit code:
 
-* **regression check** (:func:`check_target`) — is this run slower /
-  less cached / less accurate than its comparable history?  A wall-time
-  (or hit-rate, or drift) excursion must clear *both* a relative
-  tolerance over the median and a ``Z_GATE``-sigma robust z-score, so
-  jitter-only history stays green while a genuine 2x regression flags
-  no matter how quiet the history was.
+* **regression check** (:func:`check_target`) — is this run slower or
+  less cached than its comparable history, or did its energy change
+  under the same config?  A wall-time (or hit-rate) excursion must
+  clear *both* a relative tolerance over the median and a
+  ``Z_GATE``-sigma robust z-score, so jitter-only history stays green
+  while a genuine 2x regression flags no matter how quiet the history
+  was.
 * **change-point detection** (:func:`detect_change_point`) — where in a
   series did the level shift?  Single split-point binary segmentation
   over the robust z-statistic: cheap, deterministic, and enough to say
   "wall time stepped +80 % four runs ago" in ``repro sentinel report``.
-* **surrogate drift** — ``verification_error`` records (the
-  verify-the-winner contract of :mod:`repro.prediction`) are mined
-  across the history; when the recent mean error exceeds the held-out
-  accuracy gate the surrogate has drifted from the engine and needs
-  retraining.
 
 ``repro sentinel check`` is the one regression gate over the ledger.
 Everything here is stdlib + the ledger — no numpy, so the sentinel can
@@ -45,11 +40,6 @@ from repro.obs.ledger import RunRecord
 DEFAULT_TOLERANCE = 0.25
 #: Comparable runs required before the sentinel will judge a series.
 DEFAULT_MIN_HISTORY = 2
-#: Surrogate drift gate: recent mean verification error above this
-#: means the surrogate no longer tracks the engine.  Mirrors the
-#: held-out MAPE ceiling in ``benchmarks/test_surrogate_bench.py``
-#: (``MAPE_CEILING``) — the accuracy the store was admitted at.
-DEFAULT_DRIFT_GATE = 0.25
 #: Relative energy tolerance: the engine is bit-deterministic per
 #: config, so anything beyond float noise is a determinism break.
 ENERGY_REL_TOL = 1e-9
@@ -60,8 +50,6 @@ Z_GATE = 3.0
 CHANGE_Z_GATE = 4.0
 #: MAD -> sigma scale for normally-distributed noise.
 MAD_SIGMA = 1.4826
-#: Verification errors folded into the "recent drift" mean.
-DRIFT_WINDOW = 3
 
 
 # ----------------------------------------------------------------------
@@ -167,21 +155,6 @@ def _cache_hit_rates(record: RunRecord) -> dict[str, float]:
     return rates
 
 
-def verification_error(record: RunRecord) -> float | None:
-    """The surrogate-vs-exact error a run recorded, if any.
-
-    ``cap-sweep --surrogate`` and the cap-policy search annotate
-    ``metrics.winner_verification_error``; ``predict --exact`` annotates
-    ``metrics.exact_energy_error``.  Either one is a drift observation.
-    """
-    metrics = record.metrics or {}
-    for key in ("winner_verification_error", "exact_energy_error"):
-        value = metrics.get(key)
-        if isinstance(value, (int, float)):
-            return float(value)
-    return None
-
-
 def comparable_history(
     records: "list[RunRecord]", target: RunRecord
 ) -> list[RunRecord]:
@@ -205,7 +178,7 @@ def comparable_history(
 class Finding:
     """One sentinel judgement against a run."""
 
-    #: ``regression`` | ``determinism`` | ``drift``
+    #: ``regression`` | ``determinism``
     category: str
     #: Which mined series fired (``wall_s``, ``cache.run.hit_rate``, ...).
     series: str
@@ -243,7 +216,6 @@ def check_target(
     *,
     tolerance: float = DEFAULT_TOLERANCE,
     min_history: int = DEFAULT_MIN_HISTORY,
-    drift_gate: float = DEFAULT_DRIFT_GATE,
     energy_rel_tol: float = ENERGY_REL_TOL,
 ) -> tuple[list[Finding], int]:
     """Judge ``target`` against its comparable ledger history.
@@ -258,9 +230,7 @@ def check_target(
       joules to ``energy_rel_tol`` relative (vs the most recent
       comparable run; needs only one prior run);
     * **cache hit rate** — per-cache rate below the baseline by the
-      same two-sided rule;
-    * **surrogate drift** — the mean of the last ``DRIFT_WINDOW``
-      verification errors (target included) exceeds ``drift_gate``.
+      same two-sided rule.
     """
     history = comparable_history(records, target)
     findings: list[Finding] = []
@@ -321,32 +291,6 @@ def check_target(
                         "regressed",
                     )
                 )
-
-    # Surrogate drift: recent mean verification error vs the held-out
-    # gate the store was admitted at.  Judged whenever the target
-    # carries an error — drift is about the surrogate, not the history
-    # depth.
-    target_error = verification_error(target)
-    if target_error is not None:
-        errors = [
-            e
-            for e in (verification_error(r) for r in history)
-            if e is not None
-        ]
-        recent = (errors + [target_error])[-DRIFT_WINDOW:]
-        mean_recent = sum(recent) / len(recent)
-        if mean_recent > drift_gate:
-            findings.append(
-                Finding(
-                    "drift",
-                    "verification_error",
-                    f"surrogate drift: mean verification error "
-                    f"{mean_recent:.1%} over the last {len(recent)} "
-                    f"verified run(s) exceeds the held-out gate "
-                    f"{drift_gate:.0%} — retrain the surrogate "
-                    "(delete the store or rebuild the corpus)",
-                )
-            )
     return findings, len(history)
 
 
@@ -476,7 +420,6 @@ def build_report(
     *,
     tolerance: float = DEFAULT_TOLERANCE,
     min_history: int = DEFAULT_MIN_HISTORY,
-    drift_gate: float = DEFAULT_DRIFT_GATE,
     kind: str | None = None,
 ) -> list[ReportRow]:
     """Sentinel health of every fingerprint: baseline, shift, verdict.
@@ -496,7 +439,6 @@ def build_report(
             target,
             tolerance=tolerance,
             min_history=min_history,
-            drift_gate=drift_gate,
         )
         walls = [r.wall_s for r in group if r.wall_s]
         rows.append(

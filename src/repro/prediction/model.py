@@ -165,10 +165,8 @@ class SurrogateStats(Account):
         """Track one verify-the-winner outcome.
 
         Every surrogate-scored search re-simulates its winner exactly;
-        the relative error of that check is the ground-truth drift signal
-        the regression sentinel (:mod:`repro.obs.sentinel`) watches, so
-        it is accumulated here and annotated into the run ledger by the
-        callers that compute it.
+        the relative error of that check is the ground truth on how far
+        the surrogate is from the engine.
         """
         self.verifications += 1
         self.last_verification_error = error

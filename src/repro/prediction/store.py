@@ -14,8 +14,7 @@ does not need:
 
 Any unreadable, torn, mismatched or missing store is a *miss*, never an
 error: :func:`load_surrogate` returns None and :func:`load_or_train`
-retrains and rewrites.  Env knobs: ``REPRO_SURROGATE`` turns the fast
-path off (``0``/``off``); ``REPRO_SURROGATE_DIR`` moves the store away
+retrains and rewrites.  ``REPRO_SURROGATE_DIR`` moves the store away
 from the default ``.repro_cache/surrogate/``.
 """
 

@@ -141,9 +141,7 @@ def test_explicit_value_wins(clean_env, tmp_path):
 
 
 @pytest.mark.parametrize("word", ["0", "FALSE", "no", " Off "])
-@pytest.mark.parametrize(
-    "name", ["REPRO_MONITOR", "REPRO_RUNS", "REPRO_SURROGATE", "REPRO_CACHE"]
-)
+@pytest.mark.parametrize("name", ["REPRO_MONITOR", "REPRO_RUNS", "REPRO_CACHE"])
 def test_off_words_switch_every_variable_off(name, word, monkeypatch):
     monkeypatch.setenv(name, word)
     assert read(name) is False

@@ -20,7 +20,6 @@ from repro.obs.sentinel import (
     detect_change_point,
     robust_stats,
     robust_zscore,
-    verification_error,
 )
 
 
@@ -115,15 +114,6 @@ class TestSeriesMining:
         target = record(run_id="t", fingerprint=None)
         assert comparable_history([record(run_id="h"), target], target) == []
 
-    def test_verification_error_mining(self):
-        assert verification_error(record()) is None
-        assert verification_error(
-            record(metrics={"winner_verification_error": 0.07})
-        ) == pytest.approx(0.07)
-        assert verification_error(
-            record(metrics={"exact_energy_error": 0.02})
-        ) == pytest.approx(0.02)
-
 
 class TestCheckTarget:
     def test_regression_flags_on_quiet_history(self):
@@ -172,34 +162,6 @@ class TestCheckTarget:
         target = record(run_id="t", cache={"run": {"hit_rate": 0.2}})
         findings, _ = check_target(history + [target], target)
         assert any(f.series == "cache.run.hit_rate" for f in findings)
-
-    def test_surrogate_drift_alert(self):
-        history = [
-            record(
-                run_id=f"h{i}",
-                metrics={"winner_verification_error": err},
-            )
-            for i, err in enumerate((0.05, 0.30, 0.40))
-        ]
-        target = record(
-            run_id="t", metrics={"winner_verification_error": 0.45}
-        )
-        findings, _ = check_target(history + [target], target)
-        drift = [f for f in findings if f.category == "drift"]
-        assert len(drift) == 1
-        assert "retrain" in drift[0].message
-
-    def test_accurate_surrogate_is_quiet(self):
-        history = [
-            record(
-                run_id=f"h{i}",
-                metrics={"winner_verification_error": 0.05},
-            )
-            for i in range(3)
-        ]
-        target = record(run_id="t", metrics={"winner_verification_error": 0.08})
-        findings, _ = check_target(history + [target], target)
-        assert findings == []
 
     def test_finding_str_is_message(self):
         finding = Finding("regression", "wall_s", "slow")

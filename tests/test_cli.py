@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from repro.capping.scheduler import cached_estimate_run
 from repro.cli import ARTIFACTS, build_parser, main
+from repro.vasp.benchmarks import benchmark
 
 
 def all_parsers(parser):
@@ -29,11 +31,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_rejects_unknown_benchmark(self):
+    def test_rejects_unknown_benchmark(self, capsys):
         # Workload refs are free-form (registry-resolved), so rejection
         # happens at command time with the full known-refs listing.
-        with pytest.raises(SystemExit, match="unknown workload"):
-            main(["run", "NotABenchmark"])
+        assert main(["run", "NotABenchmark"]) == 2
+        assert "unknown workload" in capsys.readouterr().err
 
     def test_rejects_unknown_artifact(self):
         with pytest.raises(SystemExit):
@@ -143,6 +145,28 @@ class TestCommands:
         assert "cap sweep" in out
         assert "HPM/cap" in out
 
+    def test_predict_prints_the_analytic_estimate(self, capsys, tmp_path, monkeypatch):
+        store = tmp_path / "surrogate"
+        store.mkdir()
+        monkeypatch.setenv("REPRO_SURROGATE_DIR", str(store))
+        argv = ["predict", "PdO4", "--nodes", "1", "--cap", "250", "--exact"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        workload = benchmark("PdO4").build()
+        estimate = cached_estimate_run(workload, 1, 250.0)
+        slowdown = estimate.runtime_s / cached_estimate_run(workload, 1).runtime_s
+        for line in (
+            f"runtime          : {estimate.runtime_s:.0f} s (slowdown {slowdown:.3f})",
+            f"mean node power  : {estimate.mean_node_power_w:.0f} W",
+            f"peak node power  : {estimate.peak_node_power_w:.0f} W",
+            f"energy/node      : {estimate.energy_per_node_j / 1.0e6:.3f} MJ",
+        ):
+            assert line in out
+        assert "exact run (engine)" in out
+        assert "node HPM" in out
+        # Nothing trained or loaded a surrogate.
+        assert list(store.iterdir()) == []
+
 
 class TestPlatformCli:
     def test_platforms_command_lists_registry(self, capsys):
@@ -170,11 +194,67 @@ class TestPlatformCli:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
-    @pytest.mark.parametrize("command", ["cap-sweep", "predict"])
-    def test_single_platform_commands_reject_unknown_platform(self, command, capsys):
-        assert main([command, "PdO2", "--platform", "dgx-spark"]) == 2
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["cap-sweep", "PdO2", "--platform", "dgx-spark"],
+                "unknown platform 'dgx-spark'",
+                id="cap-sweep",
+            ),
+            pytest.param(
+                ["predict", "PdO2", "--platform", "dgx-spark"],
+                "unknown platform 'dgx-spark'",
+                id="predict",
+            ),
+            pytest.param(
+                ["run", "bogus"], "unknown workload 'bogus'", id="run-bogus"
+            ),
+            pytest.param(
+                ["run", "PdO2", "--nodes", "0"],
+                "--nodes must be >= 1, got 0",
+                id="run-nodes-0",
+            ),
+            pytest.param(
+                ["run", "PdO2", "--nodes", "-2"],
+                "--nodes must be >= 1, got -2",
+                id="run-nodes-negative",
+            ),
+            pytest.param(
+                ["cap-sweep", "PdO4", "--nodes", "0"],
+                "--nodes must be >= 1, got 0",
+                id="cap-sweep-nodes-0",
+            ),
+            pytest.param(
+                ["cap-sweep", "PdO4", "--nodes", "-1"],
+                "--nodes must be >= 1, got -1",
+                id="cap-sweep-nodes-negative",
+            ),
+            pytest.param(
+                ["run", "PdO2", "--cap", "50"],
+                "cap 50 W outside the a100-40g GPU range [100, 400] W",
+                id="run-cap-below-floor",
+            ),
+            pytest.param(
+                ["cap-sweep", "PdO2", "--caps", "400", "50"],
+                "cap 50 W outside the a100-40g GPU range [100, 400] W",
+                id="cap-sweep-cap-below-floor",
+            ),
+            pytest.param(
+                ["predict", "PdO2", "--cap", "50"],
+                "cap 50 W outside the a100-40g GPU range [100, 400] W",
+                id="predict-cap-below-floor",
+            ),
+        ],
+    )
+    def test_single_platform_commands_reject_unknown_platform(
+        self, argv, message, capsys
+    ):
+        """Unknown workloads, node counts below 1 and caps outside the
+        GPU's range are refused like an unknown platform."""
+        assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("repro: unknown platform 'dgx-spark'")
+        assert captured.err.startswith(f"repro: {message}")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 

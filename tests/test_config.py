@@ -30,7 +30,6 @@ BAD_VALUES = [
     ("REPRO_MONITOR", "maybe"),
     ("REPRO_CACHE", "maybe"),
     ("REPRO_RUNS", "maybe"),
-    ("REPRO_SURROGATE", "maybe"),
     ("REPRO_LOG", "bogus"),
 ]
 

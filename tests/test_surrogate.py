@@ -1,22 +1,16 @@
 """Tests for the two-stage surrogate fast path.
 
-Covers the PR's contracts: the fingerprint-guarded store (round-trip,
-mismatch refusal, torn-write recovery), held-out accuracy gates, the
-out-of-envelope fallback path (model, scheduler admission and counters),
-and exact verification parity — the surrogate-driven cap-policy search
-must land on the same winner as the exhaustive engine search and report
-its surrogate-vs-exact error.
+Covers the fingerprint-guarded store (round-trip, mismatch refusal,
+torn-write recovery), held-out accuracy gates, the out-of-envelope
+fallback counters, and exact verification parity — the surrogate-driven
+cap-policy search must land on the same winner as the exhaustive engine
+search and report its surrogate-vs-exact error.
 """
 
 import numpy as np
 import pytest
 
 from repro.capping.policy import WorkloadClass, search_cap_policy
-from repro.capping.scheduler import (
-    Job,
-    PowerAwareScheduler,
-    SchedulerConfig,
-)
 from repro.prediction import (
     CorpusConfig,
     TwoStageSurrogate,
@@ -187,49 +181,6 @@ class TestFallback:
         assert stats.predictions == 1 and stats.fallbacks == 1
         assert stats.hits == 0
 
-    def test_scheduler_falls_back_to_engine(self, small_corpus):
-        """An always-out-of-envelope surrogate must not change schedules."""
-        strict = fit_surrogate(small_corpus, uncertainty_max=0.0)
-        workload = benchmark("PdO2").build()
-        jobs = [
-            Job(job_id=f"j{i}", workload=workload, n_nodes=1) for i in range(4)
-        ]
-        plain = PowerAwareScheduler(
-            SchedulerConfig(n_nodes=4, power_budget_w=4 * 900.0)
-        ).schedule(list(jobs))
-        fallback = PowerAwareScheduler(
-            SchedulerConfig(n_nodes=4, power_budget_w=4 * 900.0, surrogate=strict)
-        ).schedule(list(jobs))
-        assert fallback.makespan_s == plain.makespan_s
-
-    def test_scheduler_admission_uses_surrogate(self, full_surrogate):
-        reset_surrogate_stats()
-        workload = benchmark("PdO2").build()
-        jobs = [
-            Job(job_id=f"j{i}", workload=workload, n_nodes=1) for i in range(6)
-        ]
-        config = SchedulerConfig(
-            n_nodes=4, power_budget_w=4 * 900.0, surrogate=full_surrogate
-        )
-        result = PowerAwareScheduler(config).schedule(jobs)
-        assert len(result.records) == 6
-        assert result.budget_respected
-        stats = surrogate_stats()
-        assert stats.predictions >= 1
-        # Identical admission points are memoized, not re-predicted.
-        assert stats.predictions <= 2
-
-    def test_disabled_env_bypasses_surrogate(self, full_surrogate, monkeypatch):
-        monkeypatch.setenv("REPRO_SURROGATE", "0")
-        reset_surrogate_stats()
-        workload = benchmark("PdO2").build()
-        jobs = [Job(job_id="j0", workload=workload, n_nodes=1)]
-        config = SchedulerConfig(
-            n_nodes=2, power_budget_w=2 * 2000.0, surrogate=full_surrogate
-        )
-        PowerAwareScheduler(config).schedule(jobs)
-        assert surrogate_stats().predictions == 0
-
 
 class TestSearchParity:
     CAPS = [125.0, 200.0, 300.0, 400.0]
@@ -274,57 +225,6 @@ class TestSearchParity:
     def test_rejects_out_of_range_caps(self, pairs):
         with pytest.raises(ValueError, match="outside"):
             search_cap_policy(pairs, [10.0])
-
-
-class TestCli:
-    @pytest.fixture()
-    def seeded_store(self, small_surrogate, tmp_path, monkeypatch):
-        """A store the CLI's default `load_or_train` call will hit.
-
-        The small surrogate is deliberately filed under the default
-        config's fingerprint so CLI tests skip the big corpus build.
-        """
-        save_surrogate(small_surrogate, training_fingerprint(CorpusConfig()), tmp_path)
-        monkeypatch.setenv("REPRO_SURROGATE_DIR", str(tmp_path))
-        return tmp_path
-
-    def test_predict_command(self, seeded_store, capsys):
-        from repro.cli import main
-
-        reset_surrogate_stats()
-        assert main(["predict", "PdO2", "--nodes", "1", "--cap", "300"]) == 0
-        out = capsys.readouterr().out
-        assert "node HPM" in out and "envelope" in out
-        assert "surrogate: 1 predictions" in out
-
-    def test_cap_sweep_surrogate_command(self, seeded_store, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["cap-sweep", "PdO2", "--nodes", "1", "--surrogate", "--caps",
-             "400", "300", "200"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "winner:" in out
-        assert "exact re-simulation" in out
-        assert "surrogate off by" in out
-
-    def test_cap_sweep_surrogate_disabled_env(
-        self, seeded_store, capsys, monkeypatch
-    ):
-        from repro.cli import main
-
-        monkeypatch.setenv("REPRO_SURROGATE", "0")
-        code = main(
-            ["cap-sweep", "PdO2", "--nodes", "1", "--surrogate", "--caps",
-             "400", "200"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        # Fast path off: the exact sweep ran instead.
-        assert "winner:" not in out
-        assert "Cap (W)" in out
 
 
 class TestPersistedPredictionQuality:
