@@ -137,11 +137,50 @@ filter_summaries "$SMOKE_DIR/serial.out" "$SMOKE_DIR/serial.txt"
 # Monitored on both sides: one diff covers the fleet report and the
 # monitor dashboards, which must match across execution modes too.
 python -m repro "${FLEET_ARGS[@]}" --monitor > "$SMOKE_DIR/serial-monitor.out"
-python -m repro "${FLEET_ARGS[@]}" --monitor --workers 2 > "$SMOKE_DIR/sharded.out"
+REPRO_MONITOR_LOG="$SMOKE_DIR/alerts.jsonl" \
+    python -m repro "${FLEET_ARGS[@]}" --monitor --workers 2 > "$SMOKE_DIR/sharded.out"
 filter_summaries "$SMOKE_DIR/serial-monitor.out" "$SMOKE_DIR/serial-monitor.txt"
 filter_summaries "$SMOKE_DIR/sharded.out" "$SMOKE_DIR/sharded.txt"
 diff "$SMOKE_DIR/serial-monitor.txt" "$SMOKE_DIR/sharded.txt" \
     || { echo "sharded fleet output diverged from serial"; exit 1; }
+# Each policy's monitor streams its own alert log beside the
+# REPRO_MONITOR_LOG base; each log must hold exactly the events its
+# dashboard counts, and `repro top` must read both.  top exits 2 here
+# because this run published no heartbeat.
+code=0
+python -m repro top --once --json --alert-log "$SMOKE_DIR/alerts.jsonl" \
+    > "$SMOKE_DIR/top-alerts.json" || code=$?
+[[ "$code" == 2 ]] || { echo "repro top --once without a heartbeat exited $code, not 2"; exit 1; }
+python - "$SMOKE_DIR" <<'PY'
+import json, re, sys
+from pathlib import Path
+
+smoke = Path(sys.argv[1])
+out = (smoke / "sharded.out").read_text()
+dashboard = r"fleet monitor: (.+?)\n.*?alerts \((\d+) fired, (\d+) resolved\)"
+counts = {
+    label: (int(fired), int(resolved))
+    for label, fired, resolved in re.findall(dashboard, out, re.S)
+}
+assert len(counts) == 2, f"expected two monitor dashboards, got {counts}"
+assert not (smoke / "alerts.jsonl").exists(), "a fleet monitor wrote the base alert log"
+logs = {}
+for label, policy in (("50% TDP policy", "capped"), ("uncapped", "uncapped")):
+    events = [
+        json.loads(line)
+        for line in (smoke / f"alerts.jsonl.{policy}").read_text().splitlines()
+    ]
+    logged = (
+        sum(e["event"] == "firing" for e in events),
+        sum(e["event"] == "resolved" for e in events),
+    )
+    assert logged == counts[label], f"{policy} log holds {logged}, dashboard {counts[label]}"
+    logs[policy] = logged
+top = json.load(open(smoke / "top-alerts.json"))
+policies = {event.get("policy") for event in top["alerts"]}
+assert policies == {"capped", "uncapped"}, f"repro top read {policies}"
+print(f"alert logs ok: (fired, resolved) per policy {logs}, both read by repro top")
+PY
 # An untapped run renders node rows only, a monitored one the node and
 # GPU rows: the fleet report above the monitor dashboards must not tell
 # them apart.

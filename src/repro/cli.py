@@ -97,7 +97,7 @@ from repro.io import result_to_json, save_trace_csv
 from repro.obs import dash as obs_dash
 from repro.obs import ledger as run_ledger
 from repro.obs import sentinel
-from repro.obs.heartbeat import policy_paths
+from repro.obs.heartbeat import policy_path, policy_paths
 from repro.monitor import FleetMonitor, MonitorConfig, render_dashboard
 from repro.runner.cache import fingerprint, process_caches
 from repro.runner.engine import EngineConfig
@@ -701,9 +701,17 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         platforms = list(fields.pop("platforms"))
         monitors = None
         if args.monitor or read("REPRO_MONITOR"):
+            # One alert log per policy, beside the REPRO_MONITOR_LOG base.
+            log_base = read("REPRO_MONITOR_LOG")
             monitors = tuple(
-                FleetMonitor(MonitorConfig(platform=platforms[0]), label=name)
-                for name, _, _ in FLEET_POLICIES.values()
+                FleetMonitor(
+                    MonitorConfig(
+                        platform=platforms[0],
+                        alert_log=policy_path(log_base, suffix),
+                    ),
+                    label=name,
+                )
+                for name, suffix, _ in FLEET_POLICIES.values()
             )
         with obs.span("cli.fleet", jobs=n_jobs, nodes=n_nodes):
             capped, uncapped = compare_fleet_policies_traced(
@@ -1439,7 +1447,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--alert-log",
         default=None,
         metavar="FILE",
-        help="monitor alert JSON-lines log (default: REPRO_MONITOR_LOG)",
+        help=(
+            "monitor alert JSON-lines log base; its .capped/.uncapped "
+            "policy logs are read too (default: REPRO_MONITOR_LOG)"
+        ),
     )
     p_top.add_argument(
         "--metrics-file",

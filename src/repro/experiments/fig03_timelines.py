@@ -73,7 +73,7 @@ def run(seed: int = 7, histogram_bins: int = 40) -> Fig03Result:
         stats = summarize(node_power)
         gpu_fraction = float(np.mean(telem.gpu_total / node_power))
         cpu_mem = float(
-            np.mean((telem.components["cpu"] + telem.components["memory"]) / node_power)
+            np.mean((telem.component("cpu") + telem.component("memory")) / node_power)
         )
         counts, edges = np.histogram(node_power, bins=histogram_bins)
         host_s = measured.result.phase_time_s("exact_diag_host")

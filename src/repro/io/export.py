@@ -25,10 +25,9 @@ def save_trace_csv(trace: PowerTrace, path: str | Path) -> Path:
         writer = csv.writer(fh)
         writer.writerow(["node_name", trace.node_name])
         writer.writerow(["time_s", *COMPONENT_KEYS])
+        series = [trace.component(k) for k in COMPONENT_KEYS]
         for i, t in enumerate(trace.times):
-            writer.writerow(
-                [f"{t:.4f}"] + [f"{trace.components[k][i]:.3f}" for k in COMPONENT_KEYS]
-            )
+            writer.writerow([f"{t:.4f}"] + [f"{s[i]:.3f}" for s in series])
     return path
 
 
@@ -48,10 +47,8 @@ def load_trace_csv(path: str | Path) -> PowerTrace:
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         raise ValueError(f"{path}: trace has no samples")
-    return PowerTrace(
-        node_name=node_name,
-        times=data[:, 0],
-        components={k: data[:, i + 1] for i, k in enumerate(COMPONENT_KEYS)},
+    return PowerTrace.from_components(
+        node_name, data[:, 0], {k: data[:, i + 1] for i, k in enumerate(COMPONENT_KEYS)}
     )
 
 

@@ -15,7 +15,9 @@ The collector is observation-only: monitored runs are bit-identical to
 unmonitored ones.
 
 Environment variables: ``REPRO_MONITOR`` (ambient CLI monitoring) and
-``REPRO_MONITOR_LOG`` (alert-log JSON-lines sink).
+``REPRO_MONITOR_LOG`` (alert-log JSON-lines sink; ``repro fleet
+--monitor`` writes one log per policy, at the ``.capped`` /
+``.uncapped`` suffixes of that path).
 """
 
 from repro.monitor.alerts import (

@@ -161,10 +161,9 @@ class AlertManager:
         This is the live tap ``repro top`` tails mid-run: each firing or
         resolved event is appended with a single ``O_APPEND`` write the
         moment it happens, so an observer process sees alerts while the
-        simulation is still going.  :meth:`write_log` at finalization
-        rewrites the same file from the canonical in-memory log, so the
-        final file is identical whether or not anything tailed it.  The
-        file is truncated now so the stream starts clean.
+        simulation is still going.  Every event is streamed in the order
+        it joins :attr:`events`, so the finished file is the whole log.
+        The file is truncated now so the stream starts clean.
         """
         self._stream_path = Path(path) if path is not None else None
         if self._stream_path is not None:

@@ -283,8 +283,8 @@ class FleetMonitor:
             list(self.config.rules) if self.config.rules is not None else None
         )
         # Live-stream lifecycle events to the configured alert log so an
-        # observer (`repro top`) can tail them mid-run; finalize() still
-        # rewrites the canonical log at the end.
+        # observer (`repro top`) can tail them mid-run; the stream is the
+        # log's one writer.
         stream_path = self.config.resolved_alert_log()
         if stream_path is not None:
             self.alerts.stream_to(stream_path)
@@ -425,7 +425,7 @@ class FleetMonitor:
                 dt = trace.sample_interval_s
                 times = trace.times
                 for component in JobProbe.COMPONENTS:
-                    series = trace.components[component]
+                    series = trace.component(component)
                     for lo in range(0, len(times), OBSERVE_CHUNK):
                         hi = min(lo + OBSERVE_CHUNK, len(times))
                         probe.observe_chunk(
@@ -454,9 +454,6 @@ class FleetMonitor:
             self.alerts.sweep(now + max(
                 (rule.clear_quiet_s for rule in self.alerts.rules), default=0.0
             ))
-            log_path = self.config.resolved_alert_log()
-            if log_path is not None:
-                self.alerts.write_log(log_path)
             obs.gauge_set(
                 "repro_monitor_nodes_watched", float(len(self._last_times))
             )

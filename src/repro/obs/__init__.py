@@ -89,7 +89,6 @@ __all__ = [
     "gauge_set",
     "get_logger",
     "inc",
-    "instant",
     "metrics",
     "name_process",
     "name_thread",
@@ -203,13 +202,6 @@ def span(name: str, category: str = "repro", **args: Any):
     return active.span(name, category, **args)
 
 
-def instant(name: str, category: str = "repro", **args: Any) -> None:
-    """Record an instant event (no-op when tracing is disabled)."""
-    active = _STATE.tracer
-    if active is not None:
-        active.instant(name, category, **args)
-
-
 def name_process(name: str) -> None:
     """Label this process's row in exported traces and profiles."""
     active = _STATE.tracer
@@ -305,7 +297,7 @@ def status() -> dict[str, Any]:
         "profile": {
             "active": profiling,
             "samples": (
-                sum(e.duration_us is not None for e in _STATE.tracer.events)
+                len(_STATE.tracer.events)
                 if profiling
                 else 0
             ),

@@ -4,11 +4,12 @@ A sharded 100k-node run publishes heartbeat snapshots
 (:mod:`repro.obs.heartbeat`), streams alert lifecycle events to the
 monitor's JSON-lines log, and seals a ledger record at exit — but each
 of those is a file you have to go read.  ``repro top`` is the single
-pane of glass: it tails every heartbeat under the configured base path
-(the ``.capped`` / ``.uncapped`` per-policy suffixes the fleet CLI
-writes), the most recent alert events, and — optionally — a metrics
-snapshot, re-rendering a compact text dashboard once per interval until
-the run finishes.  On completion it asks the regression sentinel
+pane of glass: it tails every heartbeat and alert log under the
+configured base paths (and their ``.capped`` / ``.uncapped``
+per-policy suffixes, which the fleet CLI writes) for progress and the
+most recent alert events, and — optionally — a metrics snapshot,
+re-rendering a compact text dashboard once per interval until the run
+finishes.  On completion it asks the regression sentinel
 (:mod:`repro.obs.sentinel`) for a verdict on the freshly-sealed ledger
 record, closing the record → detect → watch loop in one screen.
 
@@ -56,18 +57,39 @@ def _read_json(path: Path) -> dict[str, Any] | None:
 
 
 def tail_alert_events(
-    path: "str | Path | None", limit: int = DEFAULT_ALERT_TAIL
+    base: "str | Path | None", limit: int = DEFAULT_ALERT_TAIL
 ) -> tuple[list[dict[str, Any]], int]:
-    """(last ``limit`` alert events, currently-firing count).
+    """(last ``limit`` events of each alert log, currently-firing count).
+
+    Reads the log at ``base`` and at its per-policy suffixes (a
+    monitored ``repro fleet`` writes one log per policy); events from a
+    per-policy log carry its ``policy`` (``capped`` / ``uncapped``).
+    The firing count is summed over the logs.
+    """
+    if base is None:
+        return [], 0
+    base = Path(base)
+    events: list[dict[str, Any]] = []
+    firing = 0
+    for path in policy_paths(base):
+        tail, count = _tail_alert_log(path, limit)
+        policy = path.name[len(base.name) :].lstrip(".")
+        if policy:
+            for event in tail:
+                event["policy"] = policy
+        events.extend(tail)
+        firing += count
+    return events, firing
+
+
+def _tail_alert_log(path: Path, limit: int) -> tuple[list[dict[str, Any]], int]:
+    """(last ``limit`` events, currently-firing count) of one alert log.
 
     The alert log is JSON lines appended live as alerts fire and
     resolve; a partially-written tail line (we raced the writer) is
     skipped, like the run ledger's reader.  Firing count is replayed
     from the full event stream: fired minus resolved per (rule, node).
     """
-    if path is None:
-        return [], 0
-    path = Path(path)
     if not path.is_file():
         return [], 0
     events: list[dict[str, Any]] = []
@@ -278,6 +300,7 @@ def render_snapshot(snapshot: DashSnapshot) -> str:
                 f" {event.get('rule', '?'):22s}"
                 f" {event.get('node', '?'):12s}"
                 f" t={event.get('time_s', 0)}"
+                + (f"  [{event['policy']}]" if "policy" in event else "")
             )
     if snapshot.metrics:
         interesting = [

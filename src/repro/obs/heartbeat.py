@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.obs.ledger import atomic_write_text, utc_now_iso
+from repro.obs.ledger import utc_now_iso
+from repro.runner.cache import atomic_write_bytes
 
 logger = logging.getLogger(__name__)
 
@@ -207,8 +208,9 @@ class RunHeartbeat:
         )
         if self.path is not None:
             try:
-                atomic_write_text(
-                    self.path, json.dumps(snapshot.to_json(), sort_keys=True) + "\n"
+                atomic_write_bytes(
+                    self.path,
+                    (json.dumps(snapshot.to_json(), sort_keys=True) + "\n").encode(),
                 )
             except OSError as exc:
                 # A broken heartbeat must never take the run down; stop

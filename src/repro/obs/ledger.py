@@ -65,17 +65,6 @@ def new_run_id() -> str:
     return f"{stamp}-{os.urandom(3).hex()}"
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` via temp + ``os.replace`` (crash-safe)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 # ----------------------------------------------------------------------
 # The record
 # ----------------------------------------------------------------------

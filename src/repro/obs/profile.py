@@ -56,16 +56,14 @@ def span_self_times(
     ``(start, -duration)`` puts every parent before its children and a
     stack walk finds each span's parent.  Exact ties break by recording
     order: a span is recorded when it closes, so a child is recorded
-    before its parent.  Instants carry no time and are skipped.  Rows
-    are labelled from ``process_names`` (falling back to ``pid N``);
-    threads of one process share its row.
+    before its parent.  Rows are labelled from ``process_names``
+    (falling back to ``pid N``); threads of one process share its row.
     """
     threads: dict[tuple[int, int], list[tuple[float, float, int, str]]] = {}
     for order, event in enumerate(events):
-        if event.duration_us is not None:
-            threads.setdefault((event.pid, event.tid), []).append(
-                (event.start_us, -event.duration_us, -order, event.name)
-            )
+        threads.setdefault((event.pid, event.tid), []).append(
+            (event.start_us, -event.duration_us, -order, event.name)
+        )
     rows_us: SpanRows = {}
     for (pid, _tid), spans in threads.items():
         row = rows_us.setdefault(process_names.get(pid, f"pid {pid}"), {})

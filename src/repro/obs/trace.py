@@ -40,14 +40,14 @@ from typing import Any, Sequence
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One completed span (Chrome trace-event ``ph: "X"``) or instant."""
+    """One completed span (Chrome trace-event ``ph: "X"``)."""
 
     name: str
     category: str
     #: Microseconds since the tracer's epoch.
     start_us: float
-    #: Span duration in microseconds; None marks an instant event.
-    duration_us: float | None
+    #: Span duration in microseconds.
+    duration_us: float
     pid: int
     tid: int
     args: dict[str, Any] = field(default_factory=dict)
@@ -57,15 +57,12 @@ class TraceEvent:
         event: dict[str, Any] = {
             "name": self.name,
             "cat": self.category,
-            "ph": "X" if self.duration_us is not None else "i",
+            "ph": "X",
             "ts": self.start_us,
             "pid": self.pid,
             "tid": self.tid,
+            "dur": self.duration_us,
         }
-        if self.duration_us is not None:
-            event["dur"] = self.duration_us
-        else:
-            event["s"] = "t"  # instant scope: thread
         if self.args:
             event["args"] = self.args
         return event
@@ -127,7 +124,7 @@ class _LiveSpan:
 
 
 class Tracer:
-    """Collects spans and instants; exports Chrome trace-event JSON.
+    """Collects spans; exports Chrome trace-event JSON.
 
     All public methods are thread-safe.  Timestamps come from
     ``time.perf_counter`` relative to the tracer's construction, so a
@@ -154,20 +151,6 @@ class Tracer:
     def span(self, name: str, category: str = "repro", **args: Any) -> _LiveSpan:
         """A context manager recording one complete ("X") event."""
         return _LiveSpan(self, name, category, args)
-
-    def instant(self, name: str, category: str = "repro", **args: Any) -> None:
-        """Record a zero-duration instant event."""
-        self._record(
-            TraceEvent(
-                name=name,
-                category=category,
-                start_us=self._now_us(),
-                duration_us=None,
-                pid=os.getpid(),
-                tid=threading.get_ident(),
-                args=args,
-            )
-        )
 
     def name_process(self, name: str, pid: int | None = None) -> None:
         """Label a process row in the trace viewer.

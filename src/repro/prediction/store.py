@@ -73,7 +73,6 @@ def save_surrogate(
 ) -> Path:
     """Atomically persist a trained surrogate; returns the store path."""
     path = store_path(directory)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": STORE_VERSION,
         "fingerprint": train_fingerprint,

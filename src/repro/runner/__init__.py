@@ -14,7 +14,7 @@ with five repeats and minimum-runtime selection.
 from repro.runner.trace import PhaseRecord, PowerTrace, RunResult
 from repro.runner.engine import EngineConfig, PowerEngine
 from repro.runner.cache import RunCache, fingerprint
-from repro.runner.sweep import EstimateSpec, RunSpec, SweepExecutor, run_sweep
+from repro.runner.sweep import EstimateSpec, RunSpec, SweepExecutor
 from repro.runner.dgemm import dgemm_phase, numpy_dgemm_gflops
 from repro.runner.stream import numpy_stream_gbs, stream_phase
 from repro.runner.job import JobResult, JobScript, idle_phase
@@ -38,7 +38,6 @@ __all__ = [
     "idle_phase",
     "numpy_dgemm_gflops",
     "numpy_stream_gbs",
-    "run_sweep",
     "stream_phase",
     "summarize_run",
 ]

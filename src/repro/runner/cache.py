@@ -183,13 +183,17 @@ def content_key(obj: Any) -> str:
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Write a file atomically: temp sibling + ``os.replace``.
 
+    The one atomic writer of the package: pickles (cache entries, the
+    surrogate store, fleet checkpoints) and heartbeat snapshots.
     Readers never observe a torn file — they see either the previous
     content or the full new content.  The temp name carries the writer's
     pid, so concurrent shard workers targeting the same path cannot
-    clobber each other's in-flight writes.  On any failure the temp file
-    is removed; the destination is left untouched.
+    clobber each other's in-flight writes.  Missing parent directories
+    are created.  On any failure the temp file is removed; the
+    destination is left untouched.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     try:
         with tmp.open("wb") as fh:
@@ -328,7 +332,6 @@ class RunCache(Account):
         """Store a value under a key in both layers."""
         self._remember(key, value)
         if self.disk_dir is not None:
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
             atomic_write_pickle(self._disk_path(key), value)
 
     def _remember(self, key: Hashable, value: Any) -> None:

@@ -21,8 +21,7 @@ or :meth:`PowerEngine.stream` is the one-job case.
 
 Every trace renders through one chunked path, :data:`RENDER_CHUNK`
 samples at a time: :meth:`PowerEngine.run` writes the chunks into
-whole-trace blocks, :meth:`PowerEngine.stream` hands them out one by
-one.
+whole traces, :meth:`PowerEngine.stream` hands them out one by one.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from repro.runner.trace import (
     PhaseRecord,
     PowerTrace,
     RunResult,
-    TraceBlock,
     trace_dtype,
 )
 
@@ -479,12 +477,12 @@ class PowerEngine:
 
     def _render_traces(self, n_samples: int, chunks: _Chunks) -> list[PowerTrace]:
         """Write a full chunk stream into columnar traces: one
-        ``(n_components, n_samples)`` block per node."""
+        ``(n_components, n_samples)`` matrix per node."""
         dt = self.config.base_interval_s
         dtype = trace_dtype()
         times = (np.arange(n_samples) + 0.5) * dt
-        blocks = [
-            TraceBlock(
+        traces = [
+            PowerTrace(
                 node_name=node.name,
                 times=times,
                 data=np.empty((len(COMPONENT_KEYS), n_samples), dtype=dtype),
@@ -493,8 +491,8 @@ class PowerEngine:
             for node in self.nodes
         ]
         for node_index, row, start, values in chunks:
-            blocks[node_index].data[row, start : start + len(values)] = values
-        return [PowerTrace.from_block(block) for block in blocks]
+            traces[node_index].data[row, start : start + len(values)] = values
+        return traces
 
     def _iter_component_chunks(
         self,

@@ -254,21 +254,20 @@ class SweepExecutor:
         Worker processes; None resolves via ``REPRO_SWEEP_WORKERS`` and the
         host CPU count, 1 (or any grid smaller than
         :data:`MIN_PARALLEL_GRID`) runs serially in-process.
-    dedupe:
-        Fingerprint specs and execute each distinct spec once, fanning the
-        result back out to every duplicate grid point.  This is what makes
-        a shared baseline (e.g. the uncapped run in every cap curve) a
-        single execution.  Specs that cannot be fingerprinted are executed
-        individually.
+
+    Specs are fingerprinted and each distinct spec executes once, its
+    result fanned back out to every duplicate grid point.  This is what
+    makes a shared baseline (e.g. the uncapped run in every cap curve) a
+    single execution.  Specs that cannot be fingerprinted are executed
+    individually.
 
     ``run()`` executes spec objects (anything with ``execute()``);
     ``map()`` applies an arbitrary picklable module-level function, for
     sweeps whose tasks reduce results in the worker (keeping IPC small).
     """
 
-    def __init__(self, workers: int | None = None, dedupe: bool = True) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         self.workers = workers
-        self.dedupe = dedupe
         #: Executions actually performed by the last call (after dedupe).
         self.last_executed = 0
 
@@ -287,12 +286,9 @@ class SweepExecutor:
             return []
 
         # Dedupe by content: execute each distinct spec once.
-        if self.dedupe:
-            try:
-                keys = [fingerprint(spec) for spec in specs]
-            except TypeError:
-                keys = [f"pos:{index}" for index in range(len(specs))]
-        else:
+        try:
+            keys = [fingerprint(spec) for spec in specs]
+        except TypeError:
             keys = [f"pos:{index}" for index in range(len(specs))]
         order: dict[str, int] = {}
         unique: list[SpecT] = []
@@ -358,10 +354,3 @@ class SweepExecutor:
                 obs_merge.absorb_partial(partial)
                 results.append(result)
         return results
-
-
-def run_sweep(
-    specs: Sequence[Any], workers: int | None = None, dedupe: bool = True
-) -> list[Any]:
-    """One-call convenience: ``SweepExecutor(workers, dedupe).run(specs)``."""
-    return SweepExecutor(workers=workers, dedupe=dedupe).run(specs)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.runner.trace import PowerTrace, TraceBlock
+from repro.runner.trace import PowerTrace
 
 
 def downsample_series(
@@ -59,27 +59,24 @@ def downsample_series(
 def downsample_trace(trace: PowerTrace, interval_s: float) -> PowerTrace:
     """Down-sample every component of a node trace.
 
-    Reads the columnar block row by row (zero-copy views) and fills one
-    output block directly — no intermediate per-component dict — carrying
+    Reads the trace row by row (zero-copy views) and fills one output
+    matrix directly — no intermediate per-component dict — carrying
     ``interval_s`` as the result's declared grid spacing so even
     single-window results report a correct sample interval.
     """
-    block = trace.block
     new_times: np.ndarray | None = None
     data: np.ndarray | None = None
-    for row, key in enumerate(block.components):
-        t, v = downsample_series(block.times, block.component(key), interval_s)
+    for row, key in enumerate(trace.components):
+        t, v = downsample_series(trace.times, trace.component(key), interval_s)
         if data is None:
             new_times = t
-            data = np.empty((len(block.components), len(v)), dtype=v.dtype)
+            data = np.empty((len(trace.components), len(v)), dtype=v.dtype)
         data[row] = v
     assert data is not None and new_times is not None
-    return PowerTrace.from_block(
-        TraceBlock(
-            node_name=trace.node_name,
-            times=new_times,
-            data=data,
-            components=block.components,
-            base_interval_s=interval_s,
-        )
+    return PowerTrace(
+        node_name=trace.node_name,
+        times=new_times,
+        data=data,
+        components=trace.components,
+        base_interval_s=interval_s,
     )

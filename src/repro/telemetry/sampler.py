@@ -90,11 +90,9 @@ class LdmsSampler:
         Each nominal-interval report carries the mean power over its
         window; drops remove reports subject to the max-gap bound.
         """
-        if component not in trace.components:
-            raise KeyError(f"unknown component {component!r}")
         cfg = self.config
         times, values = downsample_series(
-            trace.times, trace.components[component], cfg.nominal_interval_s
+            trace.times, trace.component(component), cfg.nominal_interval_s
         )
         if len(times) == 0:
             return SampledSeries(trace.node_name, component, times, values)

@@ -1,6 +1,7 @@
 """CLI surface for monitoring: `repro monitor`, --monitor flags, obs status."""
 
 import json
+import re
 
 import pytest
 
@@ -55,6 +56,37 @@ class TestMonitorFlags:
         out = capsys.readouterr().out
         assert "fleet monitor: 50% TDP policy" in out
         assert "fleet monitor: uncapped" in out
+
+    def test_fleet_monitor_writes_one_alert_log_per_policy(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """Each policy's monitor streams its own log, holding exactly the
+        events its dashboard counts; nothing lands at the base path."""
+        base = tmp_path / "alerts.jsonl"
+        monkeypatch.setenv("REPRO_MONITOR_LOG", str(base))
+        rc = main(
+            ["fleet", "--jobs", "6", "--nodes", "8", "--seed", "3",
+             "--resolution", "1.0", "--monitor"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        counts = dict(
+            re.findall(
+                r"fleet monitor: (.+?)\n.*?alerts \((\d+ fired, \d+ resolved)\)",
+                out,
+                re.S,
+            )
+        )
+        assert not base.exists()
+        for label, suffix in (("50% TDP policy", "capped"), ("uncapped", "uncapped")):
+            events = [
+                json.loads(line)
+                for line in (tmp_path / f"alerts.jsonl.{suffix}").read_text().splitlines()
+            ]
+            fired = sum(e["event"] == "firing" for e in events)
+            resolved = sum(e["event"] == "resolved" for e in events)
+            assert fired > 0
+            assert counts[label] == f"{fired} fired, {resolved} resolved"
 
     def test_cap_sweep_monitor_flag(self, capsys):
         rc = main(

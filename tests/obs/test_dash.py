@@ -158,6 +158,25 @@ class TestAlertTail:
         assert firing == 10
 
 
+    def test_reads_every_policy_log_beside_the_base(self, tmp_path):
+        base = tmp_path / "alerts.jsonl"
+        for suffix, nodes in ((".capped", ["n1", "n2"]), (".uncapped", ["n3"])):
+            (tmp_path / f"alerts.jsonl{suffix}").write_text(
+                "".join(
+                    json.dumps({"event": "firing", "rule": "r", "node": node}) + "\n"
+                    for node in nodes
+                )
+            )
+        tail, firing = tail_alert_events(base)
+        assert [(e["policy"], e["node"]) for e in tail] == [
+            ("capped", "n1"), ("capped", "n2"), ("uncapped", "n3")
+        ]
+        assert firing == 3
+        assert "[uncapped]" in render_snapshot(
+            DashSnapshot(alerts=tail, alerts_firing=firing)
+        )
+
+
 class TestDashSnapshot:
     def test_done_requires_heartbeats(self):
         assert DashSnapshot().done is False

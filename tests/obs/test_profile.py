@@ -30,7 +30,7 @@ def span(name, start_us, duration_us, pid=1, tid=1):
 
 def top_level_seconds(events, pid):
     """Summed durations of ``pid``'s spans that no other span contains."""
-    spans = [e for e in events if e.pid == pid and e.duration_us is not None]
+    spans = [e for e in events if e.pid == pid]
     total_us = 0.0
     for event in spans:
         end = event.start_us + event.duration_us
@@ -53,7 +53,6 @@ class TestSpanSelfTimes:
             span("leaf", 2.0, 3.0),  # inside "child"
             span("child", 1.0, 5.0),  # inside "root", parent of "leaf"
             span("sibling", 7.0, 2.0),  # inside "root", after "child"
-            TraceEvent("mark", "repro", 8.0, None, 1, 1),  # instant: skipped
             # Exact start/duration tie: "inner" closed first, so it nests
             # inside "outer" even though both cover the same interval.
             span("inner", 12.0, 4.0),

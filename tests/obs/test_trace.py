@@ -49,13 +49,6 @@ class TestTracerSpans:
         assert len(tracer) == 1
         assert tracer.events[0].name == "failing"
 
-    def test_instant_event(self):
-        tracer = Tracer()
-        tracer.instant("checkpoint", note="here")
-        (event,) = tracer.events
-        assert event.duration_us is None
-        assert event.args == {"note": "here"}
-
     def test_clear_and_len(self):
         tracer = Tracer()
         with tracer.span("a"):
@@ -101,33 +94,20 @@ class TestChromeExport:
         assert chrome["dur"] == 2.5
         assert "args" not in chrome  # empty args omitted
 
-    def test_to_chrome_instant_event_shape(self):
-        event = TraceEvent(
-            name="n", category="c", start_us=1.0, duration_us=None, pid=1, tid=2,
-            args={"k": "v"},
-        )
-        chrome = event.to_chrome()
-        assert chrome["ph"] == "i"
-        assert chrome["s"] == "t"
-        assert "dur" not in chrome
-        assert chrome["args"] == {"k": "v"}
-
     def test_export_chrome_is_valid_json(self, tmp_path):
         tracer = Tracer()
         with tracer.span("outer", depth=0):
             with tracer.span("inner", depth=1):
                 pass
-        tracer.instant("mark")
         path = tracer.export_chrome(tmp_path / "trace.json")
         data = json.loads(path.read_text())
         assert data["displayTimeUnit"] == "ms"
         events = data["traceEvents"]
-        assert len(events) == 3
+        assert len(events) == 2
         for entry in events:
-            assert entry["ph"] in ("X", "i")
+            assert entry["ph"] == "X"
             assert {"name", "cat", "ts", "pid", "tid"} <= set(entry)
-            if entry["ph"] == "X":
-                assert entry["dur"] >= 0.0
+            assert entry["dur"] >= 0.0
 
 
 class TestDisabledFastPath:
@@ -139,7 +119,6 @@ class TestDisabledFastPath:
     def test_null_span_is_a_harmless_context_manager(self):
         with obs.span("nothing") as span:
             span.annotate(extra=1)  # no-op, must not raise
-        obs.instant("nothing")  # also a no-op
 
     def test_metric_helpers_are_noops_when_disabled(self):
         obs.inc("repro_test_total")

@@ -54,7 +54,7 @@ class TestChunkedRenderBitIdentity:
         set_chunk(monkeypatch, chunk)
         chunked = engine.run(SCHEDULE, seed=11)
         for a, b in zip(whole.traces, chunked.traces):
-            np.testing.assert_array_equal(a.block.data, b.block.data)
+            np.testing.assert_array_equal(a.data, b.data)
             np.testing.assert_array_equal(a.times, b.times)
 
     def test_chunk_boundary_mid_phase(self, engine, monkeypatch):
@@ -67,7 +67,7 @@ class TestChunkedRenderBitIdentity:
         set_chunk(monkeypatch, 13)
         chunked = engine.run(SCHEDULE, seed=5)
         np.testing.assert_array_equal(
-            whole.traces[0].block.data, chunked.traces[0].block.data
+            whole.traces[0].data, chunked.traces[0].data
         )
 
 
@@ -78,7 +78,7 @@ class TestStream:
         set_chunk(monkeypatch, 17)
         streamed = engine.stream(SCHEDULE, seed=9)
         rebuilt = {
-            (i, key): np.empty(streamed.n_samples, dtype=whole.traces[0].block.data.dtype)
+            (i, key): np.empty(streamed.n_samples, dtype=whole.traces[0].data.dtype)
             for i in range(streamed.n_nodes)
             for key in COMPONENT_KEYS
         }
@@ -89,7 +89,7 @@ class TestStream:
         for node_index, trace in enumerate(whole.traces):
             for key in COMPONENT_KEYS:
                 np.testing.assert_array_equal(
-                    trace.components[key], rebuilt[(node_index, key)]
+                    trace.component(key), rebuilt[(node_index, key)]
                 )
 
     def test_stream_metadata_matches_run(self, engine):

@@ -86,7 +86,7 @@ def run_parts():
     for cap_w in CAPS_W:
         result = engine_at(cap_w).run(phase_mix(), seed=SEED)
         series = [
-            trace.components[key] for trace in result.traces for key in COMPONENT_KEYS
+            trace.component(key) for trace in result.traces for key in COMPONENT_KEYS
         ]
         parts.append((schedule_key(result.phases), series))
     return parts

@@ -164,7 +164,7 @@ class TestVectorizedAgainstReference:
             np.testing.assert_allclose(ta.node_power, tb.node_power, rtol=1e-12)
             for key in GPU_KEYS:
                 np.testing.assert_allclose(
-                    ta.components[key], tb.components[key], rtol=1e-12
+                    ta.component(key), tb.component(key), rtol=1e-12
                 )
 
 

@@ -14,7 +14,6 @@ from repro.runner.sweep import (
     available_cpus,
     reset_sweep_stats,
     resolve_workers,
-    run_sweep,
     sweep_stats,
 )
 from repro.vasp.benchmarks import benchmark
@@ -141,12 +140,6 @@ class TestSweepExecutor:
         assert results[0].runtime_s == results[2].runtime_s
         assert results[1].runtime_s == results[3].runtime_s
 
-    def test_dedupe_can_be_disabled(self, workload):
-        specs = [EstimateSpec(workload, n_nodes=1)] * 3
-        executor = SweepExecutor(workers=1, dedupe=False)
-        executor.run(specs)
-        assert executor.last_executed == 3
-
     def test_unfingerprintable_specs_fall_back_to_positional(self):
         executor = SweepExecutor(workers=1)
         # object() cannot be fingerprinted -> positional keys, no dedupe.
@@ -157,10 +150,10 @@ class TestSweepExecutor:
     def test_serial_and_parallel_bit_identical(self, workload):
         from repro.experiments.common import run_cache
 
-        specs = [RunSpec(workload, n_nodes=n, seed=3) for n in (1, 2, 1)]
+        specs = [RunSpec(workload, n_nodes=n, seed=3) for n in (1, 2, 4)]
         serial = SweepExecutor(workers=1).run(specs)
         run_cache().clear()  # force the parallel pass to recompute
-        parallel = SweepExecutor(workers=2, dedupe=False).run(specs)
+        parallel = SweepExecutor(workers=2).run(specs)
         for a, b in zip(serial, parallel):
             assert a.runtime_s == b.runtime_s
             for ta, tb in zip(a.result.traces, b.result.traces):
@@ -170,8 +163,10 @@ class TestSweepExecutor:
     def test_env_worker_override_is_respected(self, workload, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "1")
         specs = [EstimateSpec(workload, n_nodes=n) for n in (1, 2, 4, 8)]
-        results = run_sweep(specs)
+        executor = SweepExecutor()
+        results = executor.run(specs)
         assert len(results) == 4
+        assert executor.last_executed == 4
 
     def test_map_applies_module_level_function(self, workload):
         specs = [EstimateSpec(workload, n_nodes=n) for n in (1, 2)]

@@ -3,35 +3,65 @@
 import numpy as np
 import pytest
 
+from repro.experiments.common import run_workload
+from repro.hardware.node import GpuNode
+from repro.perfmodel.kernels import KernelCatalogue
+from repro.runner.cache import RunCache
+from repro.runner.engine import PowerEngine
 from repro.runner.trace import (
     COMPONENT_KEYS,
     PhaseRecord,
     PowerTrace,
     RunResult,
-    TraceBlock,
     trace_dtype,
 )
+from repro.vasp.benchmarks import benchmark
+from repro.vasp.phases import MacroPhase
 
 
 def make_trace(n=100, dt=0.1, level=1000.0) -> PowerTrace:
     times = (np.arange(n) + 0.5) * dt
     components = {key: np.full(n, 50.0) for key in COMPONENT_KEYS}
     components["node"] = np.full(n, level)
-    return PowerTrace(node_name="nid000001", times=times, components=components)
+    return PowerTrace.from_components("nid000001", times, components)
 
 
 class TestPowerTrace:
     def test_requires_all_components(self):
-        with pytest.raises(ValueError, match="missing component"):
-            PowerTrace(
-                node_name="x", times=np.arange(3.0), components={"cpu": np.zeros(3)}
-            )
+        with pytest.raises(ValueError, match="missing component 'gpu0'"):
+            PowerTrace.from_components("x", np.arange(3.0), {"cpu": np.zeros(3)})
+
+    def test_constructor_requires_all_components(self):
+        keys = tuple(k for k in COMPONENT_KEYS if k != "memory")
+        with pytest.raises(ValueError, match="missing component 'memory'"):
+            PowerTrace("x", np.arange(3.0), np.zeros((len(keys), 3)), keys)
 
     def test_requires_matching_lengths(self):
         components = {key: np.zeros(3) for key in COMPONENT_KEYS}
         components["gpu0"] = np.zeros(2)
         with pytest.raises(ValueError, match="samples"):
-            PowerTrace(node_name="x", times=np.arange(3.0), components=components)
+            PowerTrace.from_components("x", np.arange(3.0), components)
+
+    def test_row_count_must_match_components(self):
+        with pytest.raises(ValueError, match="rows"):
+            PowerTrace("x", np.arange(3.0), np.zeros((len(COMPONENT_KEYS) - 1, 3)))
+
+    def test_sample_count_must_match_times(self):
+        with pytest.raises(ValueError, match="samples, times has 3"):
+            PowerTrace("x", np.arange(3.0), np.zeros((len(COMPONENT_KEYS), 2)))
+
+    def test_data_must_be_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            PowerTrace("x", np.arange(3.0), np.zeros(3))
+
+    def test_interval_must_be_positive(self):
+        data = np.zeros((len(COMPONENT_KEYS), 3))
+        with pytest.raises(ValueError, match="positive"):
+            PowerTrace("x", np.arange(3.0), data, base_interval_s=0.0)
+
+    def test_unknown_component_raises_key_error(self):
+        with pytest.raises(KeyError, match="unknown component 'gpu9'"):
+            make_trace().component("gpu9")
 
     def test_energy(self):
         trace = make_trace(n=100, dt=0.1, level=1000.0)
@@ -41,10 +71,20 @@ class TestPowerTrace:
         trace = make_trace()
         np.testing.assert_allclose(trace.gpu_total, 200.0)
 
+    def test_gpu_total_with_scattered_gpu_rows(self):
+        """Rows in another order than COMPONENT_KEYS still sum the GPUs."""
+        keys = ("gpu3", "cpu", "gpu1", "node", "gpu0", "memory", "gpu2")
+        components = {key: np.full(4, float(i)) for i, key in enumerate(keys)}
+        trace = PowerTrace.from_components("x", np.arange(4.0), components)
+        np.testing.assert_array_equal(trace.gpu_total, np.full(4, 0 + 2 + 4 + 6.0))
+        np.testing.assert_array_equal(trace.gpu_power(1), np.full(4, 2.0))
+        np.testing.assert_array_equal(trace.node_power, np.full(4, 3.0))
+
     def test_window(self):
         trace = make_trace(n=100, dt=0.1)
         window = trace.window(2.0, 5.0)
         assert len(window.times) == 30
+        assert window.n_samples == 30
         assert window.times[0] >= 2.0
         assert window.times[-1] < 5.0
 
@@ -52,25 +92,50 @@ class TestPowerTrace:
         with pytest.raises(ValueError):
             make_trace().window(5.0, 2.0)
 
-
-class TestTraceBlock:
-    def test_window_returns_views(self):
-        """Windows are zero-copy views into the block's storage."""
+    def test_window_shares_memory_with_data(self):
+        """Windows are zero-copy views into the trace's storage."""
         trace = make_trace(n=100, dt=0.1)
         window = trace.window(2.0, 5.0)
-        assert window.block.data.base is not None
-        assert np.shares_memory(window.block.data, trace.block.data)
+        assert np.shares_memory(window.data, trace.data)
         assert np.shares_memory(window.times, trace.times)
+        assert np.shares_memory(window.node_power, trace.data)
 
-    def test_component_rows_are_views(self):
+    def test_component_rows_share_memory_with_data(self):
         trace = make_trace(n=10)
         for key in COMPONENT_KEYS:
-            assert np.shares_memory(trace.components[key], trace.block.data)
+            assert np.shares_memory(trace.component(key), trace.data)
+        assert np.shares_memory(trace.node_power, trace.data)
+        assert np.shares_memory(trace.gpu_power(2), trace.data)
 
-    def test_from_components_preserves_input_dtype(self):
-        """Dict construction (tests, CSV load) stays at the input dtype."""
+    def test_components_tuple_supports_membership_and_iteration(self):
         trace = make_trace(n=10)
-        assert trace.block.data.dtype == np.float64
+        assert trace.components == COMPONENT_KEYS
+        assert "node" in trace.components
+        assert "gpu9" not in trace.components
+
+    def test_from_components_keeps_float64(self):
+        """Dict construction (tests, CSV load) stays at the input dtype."""
+        assert make_trace(n=10).data.dtype == np.float64
+
+    def test_from_components_dtype_override(self):
+        components = {key: np.full(3, 1.5) for key in COMPONENT_KEYS}
+        trace = PowerTrace.from_components(
+            "x", np.arange(3.0), components, dtype=np.float32
+        )
+        assert trace.data.dtype == np.float32
+        assert trace.times.dtype == np.float64
+
+    @pytest.mark.parametrize("stored", ["float32", "float64"])
+    def test_engine_trace_keeps_trace_dtype(self, monkeypatch, stored):
+        monkeypatch.setenv("REPRO_TRACE_DTYPE", stored)
+        engine = PowerEngine([GpuNode("nid006000")])
+        phase = MacroPhase(
+            name="hot", duration_s=1.0, gpu_profile=KernelCatalogue.DGEMM_TEST
+        )
+        (trace,) = engine.run([phase], seed=1).traces
+        assert trace.data.dtype == trace_dtype() == np.dtype(stored)
+        assert trace.data.shape == (len(COMPONENT_KEYS), trace.n_samples)
+        assert trace.base_interval_s == engine.config.base_interval_s
 
     def test_trace_dtype_env_override(self, monkeypatch):
         assert trace_dtype() == np.dtype("float32")
@@ -94,34 +159,46 @@ class TestTraceBlock:
     def test_single_sample_without_interval_raises(self):
         """Undeclared spacing on <2 samples is an error, not silently 0 J."""
         components = {key: np.full(1, 10.0) for key in COMPONENT_KEYS}
-        trace = PowerTrace(
-            node_name="x", times=np.array([0.05]), components=components
-        )
+        trace = PowerTrace.from_components("x", np.array([0.05]), components)
         with pytest.raises(ValueError, match="indeterminate"):
             trace.sample_interval_s
         with pytest.raises(ValueError, match="indeterminate"):
             trace.energy_j()
 
-    def test_empty_block_energy_is_zero(self):
-        block = TraceBlock(
-            node_name="x",
-            times=np.empty(0),
-            data=np.empty((len(COMPONENT_KEYS), 0)),
-            base_interval_s=0.1,
+    def test_empty_trace_energy_is_zero(self):
+        trace = PowerTrace(
+            "x", np.empty(0), np.empty((len(COMPONENT_KEYS), 0)), base_interval_s=0.1
         )
-        assert block.energy_j() == 0.0
-
-    def test_mismatched_data_shape_rejected(self):
-        with pytest.raises(ValueError):
-            TraceBlock(
-                node_name="x",
-                times=np.arange(3.0),
-                data=np.zeros((len(COMPONENT_KEYS), 2)),
-            )
+        assert trace.energy_j() == 0.0
 
     def test_nbytes_reports_storage(self):
         trace = make_trace(n=50)
-        assert trace.block.nbytes >= trace.block.data.nbytes
+        assert trace.nbytes == trace.data.nbytes + trace.times.nbytes
+
+
+class TestMeasuredRunPickle:
+    def test_round_trips_through_disk_cache(self, tmp_path):
+        """A run stored by one cache reads back bit-identical from another."""
+        workload = benchmark("PdO2").build()
+        measured = run_workload(workload, n_nodes=2, seed=3, use_cache=False)
+        RunCache(disk_dir=tmp_path).put("run", measured)
+        fresh = RunCache(disk_dir=tmp_path)
+        loaded = fresh.get("run")
+        assert fresh.disk_hits == 1 and fresh.disk_errors == 0
+        assert loaded.runtime_s == measured.runtime_s
+        assert loaded.result.phases == measured.result.phases
+        pairs = list(zip(loaded.result.traces, measured.result.traces))
+        pairs += list(zip(loaded.telemetry, measured.telemetry))
+        assert len(pairs) == 4
+        for got, want in pairs:
+            assert got.node_name == want.node_name
+            assert got.components == want.components
+            assert got.base_interval_s == want.base_interval_s
+            assert got.data.dtype == want.data.dtype
+            np.testing.assert_array_equal(got.data, want.data)
+            np.testing.assert_array_equal(got.times, want.times)
+            assert got.energy_j() == want.energy_j()
+        assert loaded.result.resident_bytes() == measured.result.resident_bytes()
 
 
 class TestRunResult:

@@ -70,7 +70,7 @@ class TestDownsampleTrace:
         n = 200
         times = (np.arange(n) + 0.5) * 0.1
         components = {k: np.random.default_rng(0).random(n) for k in COMPONENT_KEYS}
-        trace = PowerTrace(node_name="nid1", times=times, components=components)
+        trace = PowerTrace.from_components("nid1", times, components)
         coarse = downsample_trace(trace, 2.0)
         assert len(coarse.times) == 10
         assert set(coarse.components) == set(COMPONENT_KEYS)
@@ -81,6 +81,6 @@ class TestDownsampleTrace:
         times = (np.arange(n) + 0.5) * 0.1
         rng = np.random.default_rng(1)
         components = {k: rng.random(n) * 100 for k in COMPONENT_KEYS}
-        trace = PowerTrace(node_name="nid1", times=times, components=components)
+        trace = PowerTrace.from_components("nid1", times, components)
         coarse = downsample_trace(trace, 2.0)
         assert coarse.energy_j() == pytest.approx(trace.energy_j(), rel=1e-9)

@@ -22,7 +22,7 @@ from repro.telemetry.sampler import LdmsSampler, SamplerConfig
 times = (np.arange(600) + 0.5) * 0.1
 components = {key: 100.0 + 10.0 * np.sin(times) for key in COMPONENT_KEYS}
 components["node"] = 900.0 + 10.0 * np.sin(times)
-trace = PowerTrace(node_name="nid001234", times=times, components=components)
+trace = PowerTrace.from_components("nid001234", times, components)
 sampler = LdmsSampler(SamplerConfig(seed=3))
 series = sampler.sample(trace, "node")
 print(",".join(f"{t:.6f}" for t in series.times))
@@ -33,7 +33,7 @@ def make_trace(node_name="nid001234"):
     times = (np.arange(600) + 0.5) * 0.1
     components = {key: 100.0 + 10.0 * np.sin(times) for key in COMPONENT_KEYS}
     components["node"] = 900.0 + 10.0 * np.sin(times)
-    return PowerTrace(node_name=node_name, times=times, components=components)
+    return PowerTrace.from_components(node_name, times, components)
 
 
 def sample_in_subprocess(hash_seed: str) -> str:

@@ -20,7 +20,7 @@ def make_trace(node_name="nid001234", n=600, dt=0.1):
     times = (np.arange(n) + 0.5) * dt
     components = {key: 100.0 + 10.0 * np.sin(times) for key in COMPONENT_KEYS}
     components["node"] = 900.0 + 10.0 * np.sin(times)
-    return PowerTrace(node_name=node_name, times=times, components=components)
+    return PowerTrace.from_components(node_name, times, components)
 
 
 class TestGapBound:
@@ -58,7 +58,7 @@ class TestGapBound:
         cfg = SamplerConfig(drop_probability=0.9, max_gap_s=1.0, seed=3)
         series = LdmsSampler(cfg).sample(make_trace(), "node")
         dense_times, _ = downsample_series(
-            make_trace().times, make_trace().components["node"], 1.0
+            make_trace().times, make_trace().component("node"), 1.0
         )
         np.testing.assert_array_equal(series.times, dense_times)
 
@@ -71,7 +71,7 @@ class TestGapBound:
         n_dense = len(
             downsample_series(
                 make_trace(n=6000).times,
-                make_trace(n=6000).components["node"],
+                make_trace(n=6000).component("node"),
                 1.0,
             )[0]
         )

@@ -14,7 +14,7 @@ def make_trace(n=2000, dt=0.1, node="nid000001") -> PowerTrace:
     for key in COMPONENT_KEYS:
         components[key] = 100.0 + 10.0 * rng.standard_normal(n)
     components["node"] = 1000.0 + 20.0 * rng.standard_normal(n)
-    return PowerTrace(node_name=node, times=times, components=components)
+    return PowerTrace.from_components(node, times, components)
 
 
 class TestSamplerConfig:

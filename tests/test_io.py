@@ -13,10 +13,10 @@ from repro.runner.trace import COMPONENT_KEYS, PowerTrace
 def trace():
     n = 50
     rng = np.random.default_rng(0)
-    return PowerTrace(
-        node_name="nid001000",
-        times=(np.arange(n) + 0.5) * 0.1,
-        components={k: 100 + rng.random(n) * 50 for k in COMPONENT_KEYS},
+    return PowerTrace.from_components(
+        "nid001000",
+        (np.arange(n) + 0.5) * 0.1,
+        {k: 100 + rng.random(n) * 50 for k in COMPONENT_KEYS},
     )
 
 
@@ -28,7 +28,7 @@ class TestTraceCsv:
         np.testing.assert_allclose(loaded.times, trace.times, atol=1e-4)
         for key in COMPONENT_KEYS:
             np.testing.assert_allclose(
-                loaded.components[key], trace.components[key], atol=1e-3
+                loaded.component(key), trace.component(key), atol=1e-3
             )
 
     def test_rejects_garbage(self, tmp_path):
