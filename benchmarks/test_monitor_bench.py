@@ -1,9 +1,9 @@
 """Monitor overhead gate: watching a fleet must be nearly free.
 
 The telemetry collector rides the streaming fleet path as a pure
-observer (``PowerEngine.stream``'s ``on_chunk`` tap), so a monitored run
-must (a) produce bit-identical fleet statistics and (b) cost at most
-``MONITOR_OVERHEAD_THRESHOLD`` extra wall time.  The ratio and the
+observer (each job's render loop hands every chunk to its probe), so a
+monitored run must (a) produce bit-identical fleet statistics and (b)
+cost at most ``MONITOR_OVERHEAD_THRESHOLD`` extra wall time.  The ratio and the
 seeded collector counts are recorded in ``benchmark.extra_info["monitor"]``.
 
 Plain and monitored runs are interleaved per round and judged on the

@@ -145,12 +145,12 @@ diff "$SMOKE_DIR/serial-monitor.txt" "$SMOKE_DIR/sharded.txt" \
     || { echo "sharded fleet output diverged from serial"; exit 1; }
 # Each policy's monitor streams its own alert log beside the
 # REPRO_MONITOR_LOG base; each log must hold exactly the events its
-# dashboard counts, and `repro top` must read both.  top exits 2 here
-# because this run published no heartbeat.
+# dashboard counts, and `repro top` must read both.  This run published
+# no heartbeat; the alert events alone make top exit 0.
 code=0
 python -m repro top --once --json --alert-log "$SMOKE_DIR/alerts.jsonl" \
     > "$SMOKE_DIR/top-alerts.json" || code=$?
-[[ "$code" == 2 ]] || { echo "repro top --once without a heartbeat exited $code, not 2"; exit 1; }
+[[ "$code" == 0 ]] || { echo "repro top --once with alert events but no heartbeat exited $code, not 0"; exit 1; }
 python - "$SMOKE_DIR" <<'PY'
 import json, re, sys
 from pathlib import Path
@@ -187,6 +187,17 @@ PY
 sed '/^fleet monitor: /,$d' "$SMOKE_DIR/serial-monitor.txt" > "$SMOKE_DIR/serial-monitor-report.txt"
 diff "$SMOKE_DIR/serial.txt" "$SMOKE_DIR/serial-monitor-report.txt" \
     || { echo "monitored fleet report diverged from unmonitored"; exit 1; }
+
+echo "== mixed-platform monitored fleet smoke (per-node idle bands, serial vs sharded) =="
+# An A100/H100 pool: each node's idle samples are judged against its own
+# spec's band, in the coordinator and in the shard workers alike.
+MIXED_ARGS=("${FLEET_ARGS[@]}" --platform a100-40g,h100-sxm --monitor)
+python -m repro "${MIXED_ARGS[@]}" > "$SMOKE_DIR/mixed-serial.out"
+python -m repro "${MIXED_ARGS[@]}" --workers 2 > "$SMOKE_DIR/mixed-sharded.out"
+filter_summaries "$SMOKE_DIR/mixed-serial.out" "$SMOKE_DIR/mixed-serial.txt"
+filter_summaries "$SMOKE_DIR/mixed-sharded.out" "$SMOKE_DIR/mixed-sharded.txt"
+diff "$SMOKE_DIR/mixed-serial.txt" "$SMOKE_DIR/mixed-sharded.txt" \
+    || { echo "mixed-platform monitored fleet diverged between serial and sharded"; exit 1; }
 
 echo "== grouped-resolve smoke (batches holding several jobs of one phase table) =="
 # Four jobs rarely put two jobs of one (workload, width) in a batch; at

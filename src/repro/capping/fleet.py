@@ -383,9 +383,10 @@ def simulate_fleet_traced(
     updates merge into the coordinator's
     (:func:`repro.capping.shard.run_sharded`).
 
-    ``monitor`` attaches a :class:`repro.monitor.FleetMonitor`: each job
-    renders with a :class:`repro.monitor.collector.JobProbe` on its
-    engine stream, and the fold replays the probe's partial in
+    ``monitor`` attaches a :class:`repro.monitor.FleetMonitor`: each job's
+    render loop hands every chunk to a
+    :class:`repro.monitor.collector.JobProbe`, and the fold replays the
+    probe's partial in
     chronological order — the same way in every mode.  It never writes
     back; the fleet report is bit-identical with or without it.  The
     caller finalizes the monitor.
@@ -541,7 +542,7 @@ def simulate_fleet_traced(
         specs=tuple(spec_table),
         engine_config=run.engine_config,
         bin_s=run.bin_s,
-        monitor_config=monitor.config if monitor is not None else None,
+        monitor_platform=monitor.platform if monitor is not None else None,
         jobs=tuple(tasks),
     )
     with obs.span(

@@ -347,20 +347,3 @@ class PowerAwareScheduler:
             peak_power_w=peak_power,
             budget_w=cfg.power_budget_w,
         )
-
-
-def half_tdp_cap_w(platform: "str | Platform | None" = None) -> float:
-    """50 % of the platform GPU's TDP — the paper's recommended cap."""
-    return get_platform(platform).gpu.tdp_w / 2.0
-
-
-def scheduling_cycle_s() -> float:
-    """The paper's quoted scheduling cycle length."""
-    return 30.0
-
-
-def required_cycles(makespan_s: float, cycle_s: float = 30.0) -> int:
-    """Scheduling cycles a makespan spans (utility for reports)."""
-    if makespan_s < 0:
-        raise ValueError("makespan_s must be non-negative")
-    return int(math.ceil(makespan_s / cycle_s))

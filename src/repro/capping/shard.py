@@ -46,7 +46,7 @@ from repro import obs
 from repro.config import read
 from repro.obs import merge as obs_merge
 from repro.hardware.node import GpuNode
-from repro.hardware.platform import NodeSpec
+from repro.hardware.platform import NodeSpec, Platform
 from repro.hardware.system import (
     JobPowerPartial,
     RunningMoments,
@@ -63,7 +63,7 @@ from repro.vasp.phases import PhaseList
 from repro.vasp.workload import VaspWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.monitor.collector import JobMonitorPartial, MonitorConfig
+    from repro.monitor.collector import JobMonitorPartial
 
 logger = logging.getLogger(__name__)
 
@@ -120,7 +120,8 @@ class ShardTask:
     specs: tuple[NodeSpec, ...]
     engine_config: EngineConfig | None
     bin_s: float
-    monitor_config: "MonitorConfig | None"
+    #: The monitor's platform; None renders unmonitored.
+    monitor_platform: Platform | None
     jobs: tuple[ShardJobTask, ...]
     #: (trace, metrics) layers the coordinator is collecting — the
     #: worker's :class:`repro.obs.merge.ObsPartial` carries those and,
@@ -235,38 +236,33 @@ def render_task_job(
     A node's only per-job state, its GPU cap, is set here before the
     render (clamped per node: a mixed pool may contain GPUs whose
     supported cap range does not include the policy's cap).  Monitored
-    runs (``task.monitor_config``) observe the stream through a
+    runs (``task.monitor_platform``) hand every chunk to a
     :class:`repro.monitor.collector.JobProbe` whose partial rides home
-    on the job partial.
+    on the job partial; a node chunk's moment row is computed once, for
+    the fold and the probe.
     """
     for node in nodes:
         node.set_gpu_power_limit(clamped_cap_w(job.cap_w, node.spec))
     engine = PowerEngine(nodes, task.engine_config)
     probe = None
-    if task.monitor_config is not None:
-        from repro.monitor.collector import JobProbe, node_idle_bands
+    if task.monitor_platform is not None:
+        from repro.monitor.collector import JobProbe
 
-        specs = [task.specs[i] for i in job.spec_indices]
         probe = JobProbe(
-            task.monitor_config,
+            task.monitor_platform,
             job_id=job.job_id,
             n_nodes=job.n_nodes,
             cap_w=job.cap_w,
             start_s=job.start_s,
             end_s=job.end_s,
             nominal_runtime_s=job.nominal_runtime_s,
-            node_bands=node_idle_bands(
-                task.monitor_config, zip(job.node_names, specs)
-            ),
+            node_specs={node.name: node.spec for node in nodes},
         )
     # The fold reads node rows only; a probe also reads the GPU rows.
     streamed = engine.stream(
         phases,
         label=job.job_id,
         seed=job.seed,
-        on_chunk=(
-            probe.tap(engine.config.base_interval_s) if probe is not None else None
-        ),
         components=probe.COMPONENTS if probe is not None else ("node",),
         resolved=resolved,
     )
@@ -276,12 +272,17 @@ def render_task_job(
     nbytes = 0
     dt = streamed.base_interval_s
     for chunk in streamed.chunks:
-        if chunk.component != "node":
-            continue
-        power.add_samples(job.start_s, chunk.times, chunk.values, dt)
-        moment_rows.append(RunningMoments.from_batch(chunk.values).state())
-        chunks += 1
-        nbytes += int(chunk.values.nbytes)
+        row = None
+        if chunk.component == "node":
+            row = RunningMoments.from_batch(chunk.values).state()
+            power.add_samples(job.start_s, chunk.times, chunk.values, dt)
+            moment_rows.append(row)
+            chunks += 1
+            nbytes += int(chunk.values.nbytes)
+        if probe is not None:
+            probe.observe_chunk(
+                chunk.node_name, chunk.component, chunk.times, chunk.values, dt, row
+            )
     power.trim()
     return JobPartial(
         index=job.index,

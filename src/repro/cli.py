@@ -98,7 +98,7 @@ from repro.obs import dash as obs_dash
 from repro.obs import ledger as run_ledger
 from repro.obs import sentinel
 from repro.obs.heartbeat import policy_path, policy_paths
-from repro.monitor import FleetMonitor, MonitorConfig, render_dashboard
+from repro.monitor import FleetMonitor, render_dashboard
 from repro.runner.cache import fingerprint, process_caches
 from repro.runner.engine import EngineConfig
 from repro.runner.runlog import summarize_run
@@ -474,11 +474,8 @@ def _cmd_cap_sweep(args: argparse.Namespace) -> int:
             max(0.25 * spec.tdp_w, spec.cap_min_w),
         ]
     monitor = None
-    if args.monitor or read("REPRO_MONITOR"):
-        monitor = FleetMonitor(
-            MonitorConfig(platform=args.platform),
-            label=f"{workload.name} cap sweep",
-        )
+    if args.monitor:
+        monitor = FleetMonitor(args.platform, label=f"{workload.name} cap sweep")
     rows = []
     base = None
     clock = 0.0
@@ -700,16 +697,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         fields = _fleet_fields(args, n_nodes, platform_value)
         platforms = list(fields.pop("platforms"))
         monitors = None
-        if args.monitor or read("REPRO_MONITOR"):
+        if args.monitor:
             # One alert log per policy, beside the REPRO_MONITOR_LOG base.
             log_base = read("REPRO_MONITOR_LOG")
             monitors = tuple(
                 FleetMonitor(
-                    MonitorConfig(
-                        platform=platforms[0],
-                        alert_log=policy_path(log_base, suffix),
-                    ),
-                    label=name,
+                    platforms[0], policy_path(log_base, suffix), label=name
                 )
                 for name, suffix, _ in FLEET_POLICIES.values()
             )
@@ -815,8 +808,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             args.policy,
             **_fleet_fields(args, args.nodes, args.platform),
         )
-        config = MonitorConfig(platform=run.platforms[0], alert_log=args.alert_log)
-        monitor = FleetMonitor(config, label=run.policy_name)
+        monitor = FleetMonitor(
+            run.platforms[0], args.alert_log, label=run.policy_name
+        )
         with obs.span("cli.monitor", jobs=args.jobs, nodes=args.nodes):
             simulate_fleet_traced(run, monitor=monitor)
     except ValueError as err:
@@ -842,8 +836,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     if args.report_json:
         path = report.export_json(args.report_json)
         print(f"\nmonitor report written to {path}")
-    if config.resolved_alert_log() is not None:
-        print(f"alert log written to {config.resolved_alert_log()}")
+    if monitor.alert_log is not None:
+        print(f"alert log written to {monitor.alert_log}")
     return 0
 
 

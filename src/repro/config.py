@@ -87,8 +87,6 @@ VARIABLES: dict[str, Variable] = {
                  "write the trace's span self times at exit (turns tracing on)"),
         Variable("REPRO_LOG", "level", None,
                  "stdlib log level for the `repro` logger (name or number)"),
-        Variable("REPRO_MONITOR", "switch", False,
-                 "attach a fleet monitor to `fleet`/`cap-sweep` without `--monitor`"),
         Variable("REPRO_MONITOR_LOG", "path", None,
                  "stream alert events as JSON lines (same as `--alert-log`)"),
         Variable("REPRO_CACHE", "switch", True,

@@ -59,17 +59,6 @@ class RunningMoments:
         self.minimum = min(self.minimum, float(values.min()))
         self.maximum = max(self.maximum, float(values.max()))
 
-    def update_scalar(self, value: float) -> None:
-        """Fold a single sample into the moments (no array round-trip)."""
-        value = float(value)
-        delta = value - self.mean
-        self.count += 1
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        self.total += value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-
     def merge(self, other: "RunningMoments") -> None:
         """Fold another moment set into this one (Chan et al. merge).
 

@@ -1,12 +1,11 @@
-"""Declarative alert rules over health signals.
+"""Alert rules over health signals.
 
 A raw health signal is a single observation; an *alert* is a judgement
-that the condition is real and persistent.  :class:`AlertRule` declares
-the mapping (which signal kind, how many consecutive observations to
-debounce, how long a quiet period resolves it — the hysteresis that
-stops a flapping node from paging every sample), and
-:class:`AlertManager` runs the firing/resolved lifecycle, keeps a
-JSON-ready event log, and exports the state through ``repro.obs``.
+that the condition is real.  :data:`RULES` maps each signal kind to its
+alerting behaviour (how many signals fire it, how long a quiet period
+resolves it), and :class:`AlertManager` runs the firing/resolved
+lifecycle, keeps a JSON-ready event log, and exports the state through
+``repro.obs``.
 
 Everything is driven by simulation time carried on the signals — never
 the wall clock — so alert sequences are as deterministic as the runs
@@ -17,11 +16,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
-from repro.monitor.health import SIGNAL_KINDS, HealthSignal
+from repro.monitor.health import HealthSignal
 
 #: Severity ordering for report sorting (highest first).
 SEVERITIES = ("critical", "warning", "info")
@@ -29,77 +28,36 @@ SEVERITIES = ("critical", "warning", "info")
 
 @dataclass(frozen=True)
 class AlertRule:
-    """One declarative rule: signal kind -> alerting behaviour.
+    """One rule: signal kind -> alerting behaviour.
 
-    ``min_count`` consecutive signals (per node) are required to fire
-    (debounce); after firing, ``clear_quiet_s`` of silence resolves the
-    alert (hysteresis).  ``min_value`` optionally ignores signals whose
-    measured value is below it — e.g. only alert on z-drift beyond 3.0
-    even though the detector reports at 2.5.
+    The ``min_count``-th signal of the rule's kind on one node fires the
+    alert (debounce).  A :meth:`AlertManager.sweep` at least
+    ``clear_quiet_s`` after a node's last signal resolves a firing alert
+    and forgets an unfired streak.  The fleet monitor sweeps once, at
+    finalize, ``max(clear_quiet_s)`` past the horizon: within a run the
+    streak counts every signal since the start, not consecutive ones,
+    and every firing alert resolves at the end of the run.
     """
 
     name: str
     signal: str
-    severity: str = "warning"
-    min_count: int = 1
-    clear_quiet_s: float = 60.0
-    min_value: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.signal not in SIGNAL_KINDS:
-            raise ValueError(
-                f"rule {self.name!r} watches unknown signal {self.signal!r}; "
-                f"known: {', '.join(SIGNAL_KINDS)}"
-            )
-        if self.severity not in SEVERITIES:
-            raise ValueError(
-                f"rule {self.name!r} has unknown severity {self.severity!r}"
-            )
-        if self.min_count < 1:
-            raise ValueError(f"rule {self.name!r}: min_count must be >= 1")
-        if self.clear_quiet_s <= 0:
-            raise ValueError(f"rule {self.name!r}: clear_quiet_s must be positive")
+    severity: str
+    min_count: int
+    clear_quiet_s: float
 
 
-def default_rules() -> list[AlertRule]:
-    """The standing rule set a facility would run with."""
-    return [
-        AlertRule(
-            name="idle-power-outlier",
-            signal="idle_outlier",
-            severity="warning",
-            min_count=1,
-            clear_quiet_s=300.0,
-        ),
-        AlertRule(
-            name="power-cap-violation",
-            signal="cap_violation",
-            severity="critical",
-            min_count=2,
-            clear_quiet_s=60.0,
-        ),
-        AlertRule(
-            name="heavy-throttling",
-            signal="throttle_residency",
-            severity="info",
-            min_count=1,
-            clear_quiet_s=600.0,
-        ),
-        AlertRule(
-            name="sampler-stale",
-            signal="sampler_staleness",
-            severity="warning",
-            min_count=1,
-            clear_quiet_s=120.0,
-        ),
-        AlertRule(
-            name="node-power-drift",
-            signal="fleet_drift",
-            severity="warning",
-            min_count=1,
-            clear_quiet_s=600.0,
-        ),
-    ]
+#: The standing rule set a facility would run with: one rule per
+#: signal kind.
+RULES: tuple[AlertRule, ...] = (
+    AlertRule("idle-power-outlier", "idle_outlier", "warning", 1, 300.0),
+    AlertRule("power-cap-violation", "cap_violation", "critical", 2, 60.0),
+    AlertRule("heavy-throttling", "throttle_residency", "info", 1, 600.0),
+    AlertRule("sampler-stale", "sampler_staleness", "warning", 1, 120.0),
+    AlertRule("node-power-drift", "fleet_drift", "warning", 1, 600.0),
+)
+
+_RULE_BY_SIGNAL = {rule.signal: rule for rule in RULES}
+_RULE_BY_NAME = {rule.name: rule for rule in RULES}
 
 
 @dataclass
@@ -139,16 +97,9 @@ class AlertEvent:
 
 
 class AlertManager:
-    """Evaluates rules against a signal stream; owns the event log."""
+    """Evaluates :data:`RULES` against a signal stream; owns the event log."""
 
-    def __init__(self, rules: list[AlertRule] | None = None) -> None:
-        self.rules = list(rules) if rules is not None else default_rules()
-        names = [r.name for r in self.rules]
-        if len(names) != len(set(names)):
-            raise ValueError(f"duplicate rule names: {sorted(names)}")
-        self._by_signal: dict[str, list[AlertRule]] = {}
-        for rule in self.rules:
-            self._by_signal.setdefault(rule.signal, []).append(rule)
+    def __init__(self) -> None:
         self._state: dict[tuple[str, str], _AlertState] = {}
         self.events: list[AlertEvent] = []
         self.signals_processed = 0
@@ -194,36 +145,31 @@ class AlertManager:
 
     # ------------------------------------------------------------------
     def process(self, signal: HealthSignal) -> list[AlertEvent]:
-        """Fold one signal through every rule watching its kind."""
+        """Fold one signal through the rule watching its kind."""
         self.signals_processed += 1
-        fired: list[AlertEvent] = []
-        for rule in self._by_signal.get(signal.kind, ()):
-            if rule.min_value is not None and abs(signal.value) < rule.min_value:
-                continue
-            key = (rule.name, signal.node_name)
-            state = self._state.setdefault(key, _AlertState())
-            state.count += 1
-            state.last_signal_s = signal.time_s
-            state.last_value = signal.value
-            if not state.firing and state.count >= rule.min_count:
-                state.firing = True
-                state.fired_s = signal.time_s
-                event = AlertEvent(
-                    event="firing",
-                    rule=rule.name,
-                    severity=rule.severity,
-                    node_name=signal.node_name,
-                    time_s=signal.time_s,
-                    value=signal.value,
-                    detail=signal.detail,
-                )
-                self.events.append(event)
-                fired.append(event)
-                obs.inc("repro_monitor_alerts_total", severity=rule.severity)
-        if fired:
-            obs.gauge_set("repro_monitor_alerts_firing", float(self.firing_count))
-            self._stream(fired)
-        return fired
+        rule = _RULE_BY_SIGNAL[signal.kind]
+        state = self._state.setdefault((rule.name, signal.node_name), _AlertState())
+        state.count += 1
+        state.last_signal_s = signal.time_s
+        state.last_value = signal.value
+        if state.firing or state.count < rule.min_count:
+            return []
+        state.firing = True
+        state.fired_s = signal.time_s
+        event = AlertEvent(
+            event="firing",
+            rule=rule.name,
+            severity=rule.severity,
+            node_name=signal.node_name,
+            time_s=signal.time_s,
+            value=signal.value,
+            detail=signal.detail,
+        )
+        self.events.append(event)
+        obs.inc("repro_monitor_alerts_total", severity=rule.severity)
+        obs.gauge_set("repro_monitor_alerts_firing", float(self.firing_count))
+        self._stream([event])
+        return [event]
 
     def process_all(self, signals: list[HealthSignal]) -> list[AlertEvent]:
         """Process a batch of signals; returns the newly fired events."""
@@ -234,10 +180,9 @@ class AlertManager:
 
     def sweep(self, now_s: float) -> list[AlertEvent]:
         """Resolve alerts whose rule's quiet period has elapsed."""
-        rules = {r.name: r for r in self.rules}
         resolved = []
         for (rule_name, node_name), state in sorted(self._state.items()):
-            rule = rules[rule_name]
+            rule = _RULE_BY_NAME[rule_name]
             if state.firing and now_s - state.last_signal_s >= rule.clear_quiet_s:
                 state.firing = False
                 state.count = 0
@@ -265,23 +210,3 @@ class AlertManager:
     def firing_count(self) -> int:
         """Alerts currently in the firing state."""
         return sum(1 for state in self._state.values() if state.firing)
-
-    def firing(self) -> list[tuple[str, str, AlertRule]]:
-        """(rule name, node, rule) for every currently-firing alert,
-        ordered by severity then name."""
-        rules = {r.name: r for r in self.rules}
-        active = [
-            (rule_name, node_name, rules[rule_name])
-            for (rule_name, node_name), state in self._state.items()
-            if state.firing
-        ]
-        return sorted(
-            active, key=lambda item: (SEVERITIES.index(item[2].severity), item[0], item[1])
-        )
-
-    def write_log(self, path: str | Path) -> Path:
-        """Write the event log as JSON lines; returns the path."""
-        path = Path(path)
-        lines = [json.dumps(event.to_json()) for event in self.events]
-        path.write_text("\n".join(lines) + ("\n" if lines else ""))
-        return path

@@ -2,16 +2,20 @@
 
 :class:`FleetMonitor` is the OMNI/LDMS-style standing pipeline the paper's
 methodology presumes.  Engine chunk streams reach it one way: a per-job
-:class:`JobProbe` observes the chunks — tapped onto
-:meth:`repro.runner.engine.PowerEngine.stream` by
-``simulate_fleet_traced(run, monitor=...)`` (serial or sharded), or
-fed retained traces by :meth:`FleetMonitor.observe_run` — and the
-monitor replays its :class:`JobMonitorPartial` in chronological job
-order.  The monitor keeps incremental
-:class:`~repro.hardware.system.RunningMoments` and derives the health
-signals of :mod:`repro.monitor.health`.  On top sit the declarative
-alert rules (:mod:`repro.monitor.alerts`) and the per-job energy ledger
-(:mod:`repro.monitor.energy`).
+:class:`JobProbe` observes the chunks — handed each chunk by the fleet
+render loop (:func:`repro.capping.shard.render_task_job`, serial or
+sharded) for ``simulate_fleet_traced(run, monitor=...)``, or fed
+retained traces by :meth:`FleetMonitor.observe_run` — and the monitor
+replays its :class:`JobMonitorPartial` in chronological job order.  The
+monitor keeps incremental :class:`~repro.hardware.system.RunningMoments`
+and derives the health signals of :mod:`repro.monitor.health`.  On top
+sit the alert rules (:mod:`repro.monitor.alerts`) and the per-job
+energy ledger (:mod:`repro.monitor.energy`).
+
+What the monitor checks is fixed by the paper (the thresholds are the
+constants of :mod:`repro.monitor.health`); its one input is the
+hardware platform, whose specs supply the idle band and the GPU's
+regulation error.
 
 The collector is strictly an observer: it reads sample values and never
 writes back into the data path, so a monitored run is bit-identical to
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Mapping
 
 import numpy as np
 
@@ -33,9 +37,10 @@ from repro.config import read
 from repro.hardware.node import GpuNode
 from repro.hardware.platform import NodeSpec, Platform, get_platform
 from repro.hardware.system import RunningMoments
-from repro.monitor.alerts import AlertManager, AlertRule
-from repro.monitor.energy import EnergyLedger
+from repro.monitor.alerts import RULES, AlertManager
+from repro.monitor.energy import EnergyLedger, JobEnergyAccount
 from repro.monitor.health import (
+    THROTTLE_RESIDENCY_THRESHOLD,
     CapMonitor,
     CapUsage,
     DriftDetector,
@@ -50,54 +55,6 @@ _GPU_COMPONENTS = frozenset(GPU_KEYS)
 
 #: Samples per slice :meth:`FleetMonitor.observe_run` replays a trace in.
 OBSERVE_CHUNK = 4096
-
-
-def node_idle_bands(
-    config: "MonitorConfig", named_specs: "Iterable[tuple[str, NodeSpec]]"
-) -> dict[str, tuple[float, float]]:
-    """Per-node idle bands from (name, spec) pairs, for mixed pools.
-
-    Empty when the config pins an explicit band: that band then applies
-    to every node.
-    """
-    if config.idle_min_w is not None or config.idle_max_w is not None:
-        return {}
-    return {name: (spec.idle_min_w, spec.idle_max_w) for name, spec in named_specs}
-
-
-@dataclass(frozen=True)
-class MonitorConfig:
-    """Collector tunables; defaults derive from the hardware platform."""
-
-    #: Hardware platform whose spec supplies the idle band and cap
-    #: tolerances; None means the registry default (a100-40g).
-    platform: "str | Platform | None" = None
-    #: Sample-gap bound (§II-B: LDMS gaps never exceeded 5 s).
-    max_gap_s: float = 5.0
-    #: Idle band overrides; None uses the platform node spec's band
-    #: (410-510 W on the paper's a100-40g).
-    idle_min_w: float | None = None
-    idle_max_w: float | None = None
-    #: Relative excess over the GPU cap that counts as a violation; None
-    #: derives it per cap from the platform GPU's regulation-error model
-    #: (floored at 2 %).
-    violation_tolerance: float | None = None
-    #: Relative distance below the cap still counted as throttled.
-    throttle_band: float = 0.05
-    #: Job-level throttle residency that warrants a signal at close.
-    throttle_residency_threshold: float = 0.5
-    #: |z| beyond which a node's mean power counts as fleet drift.
-    drift_z_threshold: float = 2.5
-    #: Minimum samples a node needs before drift is judged.
-    drift_min_samples: int = 16
-    #: Alert-rule overrides; None installs :func:`default_rules`.
-    rules: tuple[AlertRule, ...] | None = None
-    #: JSON-lines alert log path; None reads ``REPRO_MONITOR_LOG``.
-    alert_log: str | Path | None = None
-
-    def resolved_alert_log(self) -> Path | None:
-        """The effective alert-log sink path."""
-        return read("REPRO_MONITOR_LOG", self.alert_log)
 
 
 @dataclass
@@ -143,8 +100,9 @@ class JobProbe:
     to replay.  Detectors that are stateless within a job (cap, idle)
     run here; detectors whose state spans jobs (staleness, drift,
     alerts) are summarized per chunk and resolved by the monitor.
-    ``node_bands`` holds per-node idle bands (see
-    :func:`node_idle_bands`); nodes without one use the platform band.
+    ``platform`` supplies the GPU spec cap checks judge against;
+    ``node_specs`` each node's idle band, with the platform's band for a
+    node it does not name.
     """
 
     #: The rows a probe reads, in the order retained traces replay them;
@@ -153,27 +111,17 @@ class JobProbe:
 
     def __init__(
         self,
-        config: MonitorConfig,
+        platform: Platform,
         job_id: str,
         n_nodes: int,
         cap_w: float,
         start_s: float,
         end_s: float,
         nominal_runtime_s: float | None,
-        node_bands: dict[str, tuple[float, float]],
+        node_specs: Mapping[str, NodeSpec],
     ) -> None:
-        platform = get_platform(config.platform)
-        self._idle = IdleOutlierDetector(
-            idle_min_w=config.idle_min_w,
-            idle_max_w=config.idle_max_w,
-            node_spec=platform.node,
-        )
-        self._caps = CapMonitor(
-            violation_tolerance=config.violation_tolerance,
-            throttle_band=config.throttle_band,
-            gpu_spec=platform.gpu,
-        )
-        self._node_bands = node_bands
+        self._idle = IdleOutlierDetector(platform.node, node_specs)
+        self._caps = CapMonitor(platform.gpu)
         self.partial = JobMonitorPartial(
             job_id=job_id,
             n_nodes=n_nodes,
@@ -190,8 +138,14 @@ class JobProbe:
         times: np.ndarray,
         values: np.ndarray,
         interval_s: float,
+        moment_row: tuple | None = None,
     ) -> None:
-        """Fold one streamed chunk into the job partial."""
+        """Fold one streamed chunk into the job partial.
+
+        ``moment_row`` is a node chunk's
+        ``RunningMoments.from_batch(values).state()`` when the caller
+        already computed it; the probe computes it otherwise.
+        """
         if component not in self.COMPONENTS or values.size == 0:
             return
         is_gpu = component in _GPU_COMPONENTS
@@ -223,6 +177,8 @@ class JobProbe:
             intra_gap_s, intra_gap_time_s = float(gaps[idx]), float(absolute[idx + 1])
         else:
             intra_gap_s, intra_gap_time_s = -np.inf, float(absolute[0])
+        if moment_row is None:
+            moment_row = RunningMoments.from_batch(values).state()
         partial.events.append(
             (
                 "node",
@@ -231,63 +187,44 @@ class JobProbe:
                 float(absolute[-1]),
                 intra_gap_s,
                 intra_gap_time_s,
-                RunningMoments.from_batch(values).state(),
+                moment_row,
             )
         )
-        band = self._node_bands.get(node_name)
-        for signal in self._idle.check_samples(
-            node_name,
-            absolute,
-            values,
-            idle_min_w=band[0] if band is not None else None,
-            idle_max_w=band[1] if band is not None else None,
-        ):
+        for signal in self._idle.check_samples(node_name, absolute, values):
             partial.events.append(("sig", signal))
-
-    def tap(self, interval_s: float):
-        """A :meth:`PowerEngine.stream` ``on_chunk`` callback."""
-
-        def _on_chunk(chunk) -> None:
-            self.observe_chunk(
-                chunk.node_name,
-                chunk.component,
-                chunk.times,
-                chunk.values,
-                interval_s,
-            )
-
-        return _on_chunk
 
 
 class FleetMonitor:
-    """Streaming health monitor over a fleet's power telemetry."""
+    """Streaming health monitor over a fleet's power telemetry.
 
-    def __init__(self, config: MonitorConfig | None = None, label: str = "fleet") -> None:
-        self.config = config if config is not None else MonitorConfig()
+    ``platform`` (a registry id, a :class:`Platform`, or None for the
+    registry default) supplies the GPU spec cap checks judge against and
+    the idle band of nodes the monitor has not seen in
+    :meth:`attach_pool`.  ``alert_log`` is the JSON-lines alert-log
+    path; None reads ``REPRO_MONITOR_LOG``.
+    """
+
+    def __init__(
+        self,
+        platform: "str | Platform | None" = None,
+        alert_log: "str | Path | None" = None,
+        label: str = "fleet",
+    ) -> None:
+        self.platform = get_platform(platform)
         self.label = label
-        platform = get_platform(self.config.platform)
-        self._idle = IdleOutlierDetector(
-            idle_min_w=self.config.idle_min_w,
-            idle_max_w=self.config.idle_max_w,
-            node_spec=platform.node,
-        )
-        #: Per-node idle bands learned from the attached pool (mixed
-        #: pools); empty when the config pins an explicit band.
-        self._node_bands: dict[str, tuple[float, float]] = {}
-        self._staleness = StalenessDetector(max_gap_s=self.config.max_gap_s)
-        self._drift = DriftDetector(
-            z_threshold=self.config.drift_z_threshold,
-            min_samples=self.config.drift_min_samples,
-        )
-        self.alerts = AlertManager(
-            list(self.config.rules) if self.config.rules is not None else None
-        )
-        # Live-stream lifecycle events to the configured alert log so an
-        # observer (`repro top`) can tail them mid-run; the stream is the
-        # log's one writer.
-        stream_path = self.config.resolved_alert_log()
-        if stream_path is not None:
-            self.alerts.stream_to(stream_path)
+        #: Node -> spec, learned from the attached pool, so a node of a
+        #: mixed pool is judged against its own idle band.
+        self._node_specs: dict[str, NodeSpec] = {}
+        self._staleness = StalenessDetector()
+        self._drift = DriftDetector()
+        self.alerts = AlertManager()
+        #: The effective alert-log path (None: no log).
+        self.alert_log: Path | None = read("REPRO_MONITOR_LOG", alert_log)
+        # Live-stream lifecycle events to the alert log so an observer
+        # (`repro top`) can tail them mid-run; the stream is the log's
+        # one writer.
+        if self.alert_log is not None:
+            self.alerts.stream_to(self.alert_log)
         self.ledger = EnergyLedger()
         #: Node -> time of its most recent sample; maintained by partial
         #: replay and store ingest.
@@ -319,48 +256,45 @@ class FleetMonitor:
     def attach_pool(self, nodes: list[GpuNode], time_s: float = 0.0) -> None:
         """Run the idle-band survey over a node pool (§III-B as a check).
 
-        Also learns each node's own idle band from its platform spec, so
-        later streaming idle checks in a mixed-platform pool judge every
-        node against the right envelope (an explicit config band wins).
+        Also learns each node's spec, so later idle checks of
+        :meth:`observe_run` in a mixed-platform pool judge every node
+        against its own band.
         """
-        self._node_bands.update(
-            node_idle_bands(self.config, ((node.name, node.spec) for node in nodes))
-        )
+        self._node_specs.update((node.name, node.spec) for node in nodes)
         with obs.span("monitor.attach_pool", nodes=len(nodes)):
-            self._emit(self._idle.scan_pool(nodes, time_s=time_s))
+            self._emit(IdleOutlierDetector().scan_pool(nodes, time_s=time_s))
 
     def absorb_job_partial(self, partial: JobMonitorPartial) -> None:
         """Replay one job's :class:`JobProbe` partial into this monitor.
 
-        Opens the job's energy account, replays its events, then closes
-        the account and judges throttle residency.  Must be called in
-        chronological job order, so detectors whose state spans jobs
-        (staleness ``_last_seen``, alert debounce/hysteresis, the drift
-        moments) evolve through one sequence whichever process rendered
-        the job — a sharded monitored run finalizes to the same report
-        as a serial one.
+        Enters the job's energy account, replays its events, then judges
+        throttle residency.  Must be called in chronological job order,
+        so detectors whose state spans jobs (staleness ``_last_seen``,
+        alert debounce/hysteresis, the drift moments) evolve through one
+        sequence whichever process rendered the job — a sharded
+        monitored run finalizes to the same report as a serial one.
         """
-        job_id = partial.job_id
-        self.ledger.open_job(
-            job_id,
+        usage = partial.usage
+        account = JobEnergyAccount(
+            job_id=partial.job_id,
             n_nodes=partial.n_nodes,
             cap_w=partial.cap_w,
             start_s=partial.start_s,
             end_s=partial.end_s,
             nominal_runtime_s=partial.nominal_runtime_s,
+            energy_j=partial.energy_j,
+            samples=partial.energy_samples,
+            gpu_seconds=usage.gpu_seconds,
+            cap_limited_s=usage.cap_limited_s,
+            peak_node_w=partial.peak_node_w,
         )
+        self.ledger.add(account)
         self.chunks_observed += partial.chunks_observed
         self.samples_observed += partial.samples_observed
         if partial.chunks_observed:
             obs.inc("repro_monitor_chunks_total", partial.chunks_observed)
         if partial.horizon_s > self._horizon_s:
             self._horizon_s = partial.horizon_s
-        # Job-level ledger scalars accumulate from zero in the probe, so
-        # adding the totals to the fresh account once is fold-exact.
-        account = self.ledger.account(job_id)
-        account.energy_j += partial.energy_j
-        account.samples += partial.energy_samples
-        account.peak_node_w = max(account.peak_node_w, partial.peak_node_w)
         for event in partial.events:
             if event[0] == "sig":
                 self._emit([event[1]])
@@ -373,19 +307,16 @@ class FleetMonitor:
                     )
                 )
                 self._last_times[name] = last_s
-        usage = partial.usage
-        self.ledger.add_gpu_time(job_id, usage.gpu_seconds, usage.cap_limited_s)
-        account = self.ledger.close_job(job_id)
         residency = usage.throttle_residency
-        if residency >= self.config.throttle_residency_threshold:
+        if residency >= THROTTLE_RESIDENCY_THRESHOLD:
             self._emit(
                 [
                     HealthSignal(
                         kind="throttle_residency",
-                        node_name=job_id,
+                        node_name=account.job_id,
                         time_s=account.end_s,
                         value=residency,
-                        threshold=self.config.throttle_residency_threshold,
+                        threshold=THROTTLE_RESIDENCY_THRESHOLD,
                         detail=(
                             f"{residency:.0%} of GPU time at cap "
                             f"{partial.cap_w:.0f} W "
@@ -411,14 +342,14 @@ class FleetMonitor:
         """
         label = job_id if job_id is not None else result.label
         probe = JobProbe(
-            self.config,
+            self.platform,
             job_id=label,
             n_nodes=result.n_nodes,
             cap_w=result.gpu_power_cap_w,
             start_s=start_s,
             end_s=start_s + result.runtime_s,
             nominal_runtime_s=nominal_runtime_s,
-            node_bands=self._node_bands,
+            node_specs=self._node_specs,
         )
         with obs.span("monitor.observe_run", job=label, nodes=result.n_nodes):
             for trace in result.traces:
@@ -451,9 +382,7 @@ class FleetMonitor:
         with obs.span("monitor.finalize", label=self.label):
             self._emit(self._staleness.sweep(now))
             self._emit(self._drift.finalize(now))
-            self.alerts.sweep(now + max(
-                (rule.clear_quiet_s for rule in self.alerts.rules), default=0.0
-            ))
+            self.alerts.sweep(now + max(rule.clear_quiet_s for rule in RULES))
             obs.gauge_set(
                 "repro_monitor_nodes_watched", float(len(self._last_times))
             )

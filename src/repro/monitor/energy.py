@@ -3,10 +3,11 @@
 The paper reports energy-to-solution per workload (Figs 7, 8) and the
 scheduling study's payoff rests on knowing what each job *costs* the
 facility.  This module is the accounting layer a production OMNI
-deployment would run: every streamed node-power chunk deposits joules
-and node-seconds against the owning job, GPU chunks accumulate
-cap-limited residency, and the closed ledger renders as a text or JSON
-"power report" plus ``repro.obs`` metrics.
+deployment would run: each job's monitor probe sums the joules of its
+streamed node-power chunks and the cap-limited residency of its GPU
+chunks, the monitor turns that into one :class:`JobEnergyAccount` per
+job, and the ledger of accounts renders as a text or JSON "power
+report" plus ``repro.obs`` metrics.
 
 Cap-induced slowdown is estimated by comparing the job's scheduled
 runtime against the analytic uncapped estimate
@@ -17,18 +18,14 @@ attribution is consistent with the admission decisions.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro import obs
 
 
-@dataclass
+@dataclass(frozen=True)
 class JobEnergyAccount:
-    """Accumulating energy/throttle attribution for one job."""
+    """Energy and throttle attribution for one finished job."""
 
     job_id: str
     n_nodes: int
@@ -42,7 +39,6 @@ class JobEnergyAccount:
     gpu_seconds: float = 0.0
     cap_limited_s: float = 0.0
     peak_node_w: float = 0.0
-    closed: bool = False
 
     @property
     def runtime_s(self) -> float:
@@ -97,70 +93,20 @@ class JobEnergyAccount:
 
 
 class EnergyLedger:
-    """Open/deposit/close accounting across a fleet's jobs."""
+    """The job accounts of one monitored fleet."""
 
     def __init__(self) -> None:
         self._accounts: dict[str, JobEnergyAccount] = {}
 
-    def __len__(self) -> int:
-        return len(self._accounts)
-
-    def open_job(
-        self,
-        job_id: str,
-        n_nodes: int,
-        cap_w: float,
-        start_s: float,
-        end_s: float,
-        nominal_runtime_s: float | None = None,
-    ) -> JobEnergyAccount:
-        """Open an account for a scheduled job."""
-        if job_id in self._accounts:
-            raise ValueError(f"job {job_id!r} already has an account")
-        account = JobEnergyAccount(
-            job_id=job_id,
-            n_nodes=n_nodes,
-            cap_w=cap_w,
-            start_s=start_s,
-            end_s=end_s,
-            nominal_runtime_s=nominal_runtime_s,
-        )
-        self._accounts[job_id] = account
-        return account
-
-    def account(self, job_id: str) -> JobEnergyAccount:
-        """The account for a job (KeyError if never opened)."""
-        return self._accounts[job_id]
-
-    def add_node_samples(
-        self, job_id: str, values: np.ndarray, interval_s: float
-    ) -> None:
-        """Deposit one node-power chunk's energy against a job."""
-        if values.size == 0:
-            return
-        account = self._accounts[job_id]
-        account.energy_j += float(np.sum(values, dtype=np.float64)) * interval_s
-        account.samples += int(values.size)
-        account.peak_node_w = max(account.peak_node_w, float(values.max()))
-
-    def add_gpu_time(
-        self, job_id: str, gpu_seconds: float, cap_limited_s: float
-    ) -> None:
-        """Deposit GPU time and cap-limited residency against a job."""
-        account = self._accounts[job_id]
-        account.gpu_seconds += gpu_seconds
-        account.cap_limited_s += cap_limited_s
-
-    def close_job(self, job_id: str) -> JobEnergyAccount:
-        """Close a job's account and export its totals as obs metrics."""
-        account = self._accounts[job_id]
-        if not account.closed:
-            account.closed = True
-            obs.inc("repro_monitor_energy_joules_total", account.energy_j)
-            obs.inc("repro_monitor_node_seconds_total", account.node_seconds)
-            obs.inc("repro_monitor_cap_limited_seconds_total", account.cap_limited_s)
-            obs.inc("repro_monitor_jobs_closed_total")
-        return account
+    def add(self, account: JobEnergyAccount) -> None:
+        """Enter a finished job's account and export it as obs metrics."""
+        if account.job_id in self._accounts:
+            raise ValueError(f"job {account.job_id!r} already has an account")
+        self._accounts[account.job_id] = account
+        obs.inc("repro_monitor_energy_joules_total", account.energy_j)
+        obs.inc("repro_monitor_node_seconds_total", account.node_seconds)
+        obs.inc("repro_monitor_cap_limited_seconds_total", account.cap_limited_s)
+        obs.inc("repro_monitor_jobs_closed_total")
 
     def accounts(self) -> list[JobEnergyAccount]:
         """All accounts, ordered by start time then job id."""
@@ -204,23 +150,14 @@ class EnergyLedger:
             },
         }
 
-    def export_json(self, path: str | Path) -> Path:
-        """Write the JSON power report; returns the path."""
-        path = Path(path)
-        path.write_text(json.dumps(self.to_json(), indent=2) + "\n")
-        return path
-
-    def render_text(self, top: int | None = None) -> str:
+    def render_text(self) -> str:
         """The per-job power report as an aligned text table."""
-        accounts = self.accounts()
-        if top is not None:
-            accounts = sorted(accounts, key=lambda a: -a.energy_j)[:top]
         header = (
             f"{'job':<22} {'nodes':>5} {'cap(W)':>7} {'runtime(s)':>11} "
             f"{'energy(MJ)':>11} {'mean(W)':>8} {'cap-res':>8} {'slowdown':>9}"
         )
         lines = [header, "-" * len(header)]
-        for a in accounts:
+        for a in self.accounts():
             lines.append(
                 f"{a.job_id:<22} {a.n_nodes:>5d} {a.cap_w:>7.0f} "
                 f"{a.runtime_s:>11.0f} {a.energy_j / 1e6:>11.3f} "

@@ -25,6 +25,7 @@ runs stay bit-identical to unmonitored ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -36,6 +37,23 @@ from repro.hardware.platform import (
     default_node_spec,
 )
 from repro.hardware.system import RunningMoments
+
+#: §II-B: LDMS sample gaps "did not exceed five seconds".
+MAX_GAP_S = 5.0
+#: Relative distance below a GPU cap still counted as pinned at it: a
+#: capped GPU regulates to just under its limit (§V, Fig 11).
+THROTTLE_BAND = 0.05
+#: Share of a job's GPU time pinned at the cap that warrants a
+#: throttle signal: past half, the cap sets the pace (Fig 12).
+THROTTLE_RESIDENCY_THRESHOLD = 0.5
+#: |z| of a node's mean power beyond which it has walked away from the
+#: fleet's node-to-node spread (§III-B).
+DRIFT_Z_THRESHOLD = 2.5
+#: Samples a node needs before its drift is judged.
+DRIFT_MIN_SAMPLES = 16
+#: Floor of the cap-violation tolerance; the GPU's regulation error
+#: widens it at deep caps (§V, Fig 10).
+MIN_VIOLATION_TOLERANCE = 0.02
 
 #: The four signal kinds every collector derives (plus throttle
 #: residency, reported per job at close).
@@ -74,44 +92,39 @@ class HealthSignal:
 
 
 class IdleOutlierDetector:
-    """Flags nodes whose idle power falls outside the §III-B band.
+    """Flags nodes whose idle power falls outside their own spec's band.
 
-    The default band comes from ``node_spec`` (or, when omitted, the
-    registry's default platform — the paper's 410-510 W window).  An
-    explicitly passed band always wins; otherwise :meth:`scan_pool`
-    judges each node against *its own* spec, so a mixed-platform pool
-    raises no spurious outliers.
+    §III-B observed idle node power across 410-510 W on the paper's
+    a100-40g; every platform's node spec carries its own band.
+    :meth:`scan_pool` judges each node against its own spec;
+    :meth:`check_samples` looks a node's spec up in ``node_specs`` and
+    judges a node it does not name against ``node_spec`` (the monitor
+    platform's; by default the registry default).
     """
 
     def __init__(
         self,
-        idle_min_w: float | None = None,
-        idle_max_w: float | None = None,
         node_spec: NodeSpec | None = None,
+        node_specs: Mapping[str, NodeSpec] | None = None,
     ) -> None:
-        spec = node_spec if node_spec is not None else default_node_spec()
-        self._explicit = idle_min_w is not None or idle_max_w is not None
-        self.idle_min_w = idle_min_w if idle_min_w is not None else spec.idle_min_w
-        self.idle_max_w = idle_max_w if idle_max_w is not None else spec.idle_max_w
-        if self.idle_max_w <= self.idle_min_w:
-            raise ValueError(
-                f"idle band empty: [{self.idle_min_w}, {self.idle_max_w}] W"
-            )
+        self.node_spec = node_spec if node_spec is not None else default_node_spec()
+        self.node_specs = node_specs if node_specs is not None else {}
+
+    def band(self, node_name: str) -> tuple[float, float]:
+        """The (min, max) idle watts a node is judged against."""
+        spec = self.node_specs.get(node_name, self.node_spec)
+        return spec.idle_min_w, spec.idle_max_w
 
     def scan_pool(self, nodes: list[GpuNode], time_s: float = 0.0) -> list[HealthSignal]:
         """Check every node's deterministic idle draw against the band.
 
         This is the §III-B survey as a health check: instead of reporting
-        the spread, flag the nodes outside the expected envelope.  Unless
-        the detector was built with an explicit band, each node is judged
-        against its own platform spec's band.
+        the spread, flag the nodes outside the expected envelope.  Each
+        node is judged against its own platform spec's band.
         """
         signals = []
         for node in nodes:
-            if self._explicit:
-                lo, hi = self.idle_min_w, self.idle_max_w
-            else:
-                lo, hi = node.spec.idle_min_w, node.spec.idle_max_w
+            lo, hi = node.spec.idle_min_w, node.spec.idle_max_w
             idle_w = node.idle_sample().node_w
             if not (lo <= idle_w <= hi):
                 bound = lo if idle_w < lo else hi
@@ -135,8 +148,6 @@ class IdleOutlierDetector:
         node_name: str,
         times: np.ndarray,
         values: np.ndarray,
-        idle_min_w: float | None = None,
-        idle_max_w: float | None = None,
     ) -> list[HealthSignal]:
         """Flag idle-like samples that sit outside the band.
 
@@ -144,14 +155,12 @@ class IdleOutlierDetector:
         margin (a busy node legitimately draws far more); idle-like
         samples below the band floor indicate a dead component or sensor
         under-read.  At most one signal per batch (the worst offender) —
-        the alert engine handles persistence.  ``idle_min_w`` /
-        ``idle_max_w`` override the detector band per call (the collector
-        passes the node's own band in mixed-platform pools).
+        the alert engine handles persistence.  The band is the node's
+        own (:meth:`band`).
         """
         if values.size == 0:
             return []
-        lo = idle_min_w if idle_min_w is not None else self.idle_min_w
-        hi = idle_max_w if idle_max_w is not None else self.idle_max_w
+        lo, hi = self.band(node_name)
         # Batch min at or above the band floor: no sample can qualify
         # (low requires < the floor) — the busy-node common case.
         if float(values.min()) >= lo:
@@ -194,43 +203,29 @@ class CapUsage:
 class CapMonitor:
     """Tracks GPU draw against the applied ``nvidia-smi`` cap.
 
-    ``violation_tolerance`` is the relative excess over the cap that
-    counts as a violation; ``throttle_band`` the relative distance below
-    the cap still counted as "pinned at the cap".  When
-    ``violation_tolerance`` is None the tolerance is derived per cap from
-    the GPU spec's regulation-error model (floored at 2 %) — deep caps
-    legitimately overshoot more (Fig 10: ~8 % at the A100's 100 W
-    floor), and the floor varies by platform.
+    Draw within :data:`THROTTLE_BAND` below the cap counts as pinned at
+    it; draw above the cap by more than :meth:`tolerance_for` is a
+    violation.  ``gpu_spec`` (by default the registry default's GPU)
+    supplies the regulation-error model the tolerance derives from.
     """
 
-    def __init__(
-        self,
-        violation_tolerance: float | None = None,
-        throttle_band: float = 0.05,
-        gpu_spec: GpuSpec | None = None,
-    ) -> None:
-        if violation_tolerance is not None and violation_tolerance < 0:
-            raise ValueError("violation_tolerance must be >= 0")
-        if not 0.0 <= throttle_band < 1.0:
-            raise ValueError("throttle_band must be in [0, 1)")
-        self.violation_tolerance = violation_tolerance
-        self.throttle_band = throttle_band
+    def __init__(self, gpu_spec: GpuSpec | None = None) -> None:
         self.gpu_spec = gpu_spec if gpu_spec is not None else default_gpu_spec()
 
     def tolerance_for(self, cap_w: float) -> float:
-        """Effective violation tolerance at a cap.
+        """Relative excess over ``cap_w`` that counts as a violation.
 
-        A fixed ``violation_tolerance`` wins; otherwise the spec's
-        regulation error at this cap depth, floored at 2 %.
+        The spec's regulation error at this cap depth, floored at
+        :data:`MIN_VIOLATION_TOLERANCE`: deep caps legitimately
+        overshoot more (Fig 10: ~8 % at the A100's 100 W floor), and the
+        error model varies by platform.
         """
-        if self.violation_tolerance is not None:
-            return self.violation_tolerance
         spec = self.gpu_spec
         span = spec.cap_max_w - spec.cap_min_w
         depth = (spec.cap_max_w - cap_w) / span if span > 0 else 0.0
         depth = min(max(depth, 0.0), 1.0)
         regulation = spec.regulation_error_max * depth**spec.regulation_error_exponent
-        return max(0.02, regulation)
+        return max(MIN_VIOLATION_TOLERANCE, regulation)
 
     def check_chunk(
         self,
@@ -255,9 +250,9 @@ class CapMonitor:
             usage.peak_w = vmax
         # Chunk max below the throttle band: nothing pinned, nothing
         # over — skip the mask work entirely (the streaming common case).
-        if vmax < cap_w * (1.0 - self.throttle_band):
+        if vmax < cap_w * (1.0 - THROTTLE_BAND):
             return []
-        pinned = values >= cap_w * (1.0 - self.throttle_band)
+        pinned = values >= cap_w * (1.0 - THROTTLE_BAND)
         usage.cap_limited_s += float(pinned.sum()) * interval_s
         tolerance = self.tolerance_for(cap_w)
         limit = cap_w * (1.0 + tolerance)
@@ -286,15 +281,16 @@ class StalenessDetector:
     """Flags streams whose sample gaps exceed the LDMS bound.
 
     §II-B: nominal 1 s cadence degrades to ~2 s effective with gaps that
-    "did not exceed five seconds".  A gap beyond ``max_gap_s`` within a
-    stream — or silence longer than that at the end of the run — means
-    the sampler (or the node) stopped reporting.
+    "did not exceed five seconds".  A gap beyond :data:`MAX_GAP_S`
+    within a stream — or silence longer than that at the end of the run
+    — means the sampler (or the node) stopped reporting.  The end-of-run
+    :meth:`sweep` cannot tell a stopped sampler from a node that simply
+    finished its jobs and sat unallocated: in a fleet run every node
+    whose last job ended more than :data:`MAX_GAP_S` before the horizon
+    is flagged.
     """
 
-    def __init__(self, max_gap_s: float = 5.0) -> None:
-        if max_gap_s <= 0:
-            raise ValueError(f"max_gap_s must be positive, got {max_gap_s}")
-        self.max_gap_s = max_gap_s
+    def __init__(self) -> None:
         #: Stream key -> time of the last sample seen.
         self._last_seen: dict[str, float] = {}
 
@@ -305,7 +301,6 @@ class StalenessDetector:
         last_s: float,
         intra_gap_s: float = -np.inf,
         intra_gap_time_s: float = 0.0,
-        node_name: str | None = None,
     ) -> list[HealthSignal]:
         """Fold one batch of a stream's samples; emit a gap signal.
 
@@ -317,7 +312,6 @@ class StalenessDetector:
         the previous batch here.  At most one signal per batch, for the
         largest offending gap.
         """
-        name = node_name if node_name is not None else key
         last = self._last_seen.get(key)
         worst_gap = 0.0
         worst_time = first_s
@@ -330,16 +324,16 @@ class StalenessDetector:
         self._last_seen[key] = last_s
         # Relative tolerance: timestamps are accumulated floats, so a
         # nominal exactly-at-bound gap can land epsilon above it.
-        if worst_gap <= self.max_gap_s * (1.0 + 1e-9):
+        if worst_gap <= MAX_GAP_S * (1.0 + 1e-9):
             return []
         return [
             HealthSignal(
                 kind="sampler_staleness",
-                node_name=name,
+                node_name=key,
                 time_s=worst_time,
                 value=worst_gap,
-                threshold=self.max_gap_s,
-                detail=f"sample gap {worst_gap:.1f} s > {self.max_gap_s:.1f} s",
+                threshold=MAX_GAP_S,
+                detail=f"sample gap {worst_gap:.1f} s > {MAX_GAP_S:.1f} s",
             )
         ]
 
@@ -348,14 +342,14 @@ class StalenessDetector:
         signals = []
         for key, last in sorted(self._last_seen.items()):
             age = now_s - last
-            if age > self.max_gap_s:
+            if age > MAX_GAP_S:
                 signals.append(
                     HealthSignal(
                         kind="sampler_staleness",
                         node_name=key,
                         time_s=now_s,
                         value=age,
-                        threshold=self.max_gap_s,
+                        threshold=MAX_GAP_S,
                         detail=f"no samples for {age:.1f} s",
                     )
                 )
@@ -368,12 +362,11 @@ class DriftDetector:
 
     Each node's busy-power samples stream into its own
     :class:`RunningMoments`; at finalize the fleet distribution is the
-    set of per-node means, and any node whose mean sits more than
-    ``z_threshold`` standard deviations from it is drifting.
+    set of per-node means, and any node with at least
+    :data:`DRIFT_MIN_SAMPLES` samples whose mean sits more than
+    :data:`DRIFT_Z_THRESHOLD` standard deviations from it is drifting.
     """
 
-    z_threshold: float = 2.5
-    min_samples: int = 16
     per_node: dict[str, RunningMoments] = field(default_factory=dict)
 
     def update(self, node_name: str, values: np.ndarray) -> None:
@@ -400,7 +393,7 @@ class DriftDetector:
         eligible = {
             name: moments
             for name, moments in self.per_node.items()
-            if moments.count >= self.min_samples
+            if moments.count >= DRIFT_MIN_SAMPLES
         }
         if len(eligible) < 3:
             return []  # no meaningful fleet distribution
@@ -409,14 +402,14 @@ class DriftDetector:
         signals = []
         for name in sorted(eligible):
             z = fleet.zscore(eligible[name].mean)
-            if abs(z) > self.z_threshold:
+            if abs(z) > DRIFT_Z_THRESHOLD:
                 signals.append(
                     HealthSignal(
                         kind="fleet_drift",
                         node_name=name,
                         time_s=now_s,
                         value=z,
-                        threshold=self.z_threshold,
+                        threshold=DRIFT_Z_THRESHOLD,
                         detail=(
                             f"node mean {eligible[name].mean:.0f} W, fleet "
                             f"{fleet.mean:.0f} ± {fleet.std:.0f} W (z={z:+.2f})"

@@ -347,7 +347,7 @@ def run_dashboard(
     every ``interval_s`` seconds until every heartbeat reports done (or
     ``duration_s`` elapses), then leaves the final frame — with the
     sentinel verdict — on screen.  Returns 0, or 2 when a single-shot
-    render found no heartbeat at all.
+    render found neither a heartbeat nor an alert event.
     """
     out = stream if stream is not None else sys.stdout
     deadline = (
@@ -367,7 +367,7 @@ def run_dashboard(
             out.write(clear + render_snapshot(snapshot))
         out.flush()
         if once:
-            return 0 if snapshot.heartbeats else 2
+            return 0 if snapshot.heartbeats or snapshot.alerts else 2
         if snapshot.done:
             return 0
         if deadline is not None and time.monotonic() >= deadline:

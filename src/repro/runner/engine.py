@@ -642,10 +642,6 @@ class PowerEngine:
         phases: list[MacroPhase],
         label: str = "run",
         seed: int = 0,
-        on_chunk: (
-            "Callable[[TraceChunk], None]"
-            " | Sequence[Callable[[TraceChunk], None]] | None"
-        ) = None,
         components: Sequence[str] = COMPONENT_KEYS,
         resolved: ResolvedRows | None = None,
     ) -> "StreamedRun":
@@ -663,13 +659,6 @@ class PowerEngine:
         row only advances the RNG, which keeps the rendered rows
         bit-identical to a full render.
 
-        ``on_chunk`` is an observer tap — one callable or a sequence of
-        callables (shard workers stack a monitor probe on top of their
-        partial builder): each sees every rendered chunk before the
-        consumer does, in the given order.  Taps must not mutate chunk
-        arrays — the render is oblivious to them, which is what keeps
-        monitored runs bit-identical to unmonitored ones.
-
         ``resolved`` is this job's rows from :func:`resolve_table`, when
         a fleet batch resolved every job sharing its phase table in one
         pass; without it the stream resolves the table now on the nodes'
@@ -683,12 +672,6 @@ class PowerEngine:
                 f"unknown components {unknown}; known: {', '.join(COMPONENT_KEYS)}"
             )
         rows = frozenset(COMPONENT_KEYS.index(key) for key in components)
-        if on_chunk is None:
-            taps: tuple = ()
-        elif callable(on_chunk):
-            taps = (on_chunk,)
-        else:
-            taps = tuple(on_chunk)
         obs.inc("repro_engine_streams_total")
         slowdown, starts, ends, n_samples, rendered = self._render(
             phases, seed, rows, resolved
@@ -700,7 +683,7 @@ class PowerEngine:
             for node_index, row, start, values in rendered:
                 obs.inc("repro_engine_chunks_total")
                 stop = start + len(values)
-                chunk = TraceChunk(
+                yield TraceChunk(
                     node_name=self.nodes[node_index].name,
                     node_index=node_index,
                     component=COMPONENT_KEYS[row],
@@ -708,9 +691,6 @@ class PowerEngine:
                     times=(np.arange(start, stop) + 0.5) * dt,
                     values=values.astype(dtype),
                 )
-                for tap in taps:
-                    tap(chunk)
-                yield chunk
 
         return StreamedRun(
             label=label,

@@ -16,10 +16,9 @@ from repro.capping.policy import CapPolicy, WorkloadClass
 from repro.capping.scheduler import (
     cached_estimate_run,
     estimate_run,
-    half_tdp_cap_w,
 )
 from repro.hardware.platform import get_platform
-from repro.monitor.collector import FleetMonitor, MonitorConfig
+from repro.monitor.collector import FleetMonitor
 from repro.runner.engine import EngineConfig
 from repro.vasp.benchmarks import benchmark
 
@@ -51,9 +50,8 @@ class TestEstimatorIsolation:
         assert estimate_run(pdo2, 1) == estimate_run(pdo2, 1, platform="a100-40g")
 
     def test_half_tdp_scales_with_platform(self):
-        assert half_tdp_cap_w() == 200.0
-        assert half_tdp_cap_w("h100-sxm") == 350.0
-        assert half_tdp_cap_w("v100-sxm2") == 150.0
+        for platform, cap_w in ((None, 200.0), ("h100-sxm", 350.0), ("v100-sxm2", 150.0)):
+            assert set(CapPolicy.half_tdp(platform).caps_w.values()) == {cap_w}
 
 
 class TestPolicyPlatform:
@@ -92,7 +90,7 @@ class TestFleetPlatforms:
         assert report.jobs_completed == len(jobs)
 
     def test_traced_fleet_completes_on_h100(self, jobs):
-        monitor = FleetMonitor(MonitorConfig(platform="h100-sxm"))
+        monitor = FleetMonitor("h100-sxm")
         report = simulate_fleet_traced(
             FleetRun(
                 jobs,
@@ -118,7 +116,7 @@ class TestFleetPlatforms:
     def test_mixed_pool_clamps_caps_per_node(self, jobs):
         """An A100/H100 pool completes under a 200 W A100 policy: the cap
         is clamped into each node's own range before being applied."""
-        monitor = FleetMonitor(MonitorConfig())
+        monitor = FleetMonitor()
         report = simulate_fleet_traced(
             FleetRun(
                 jobs,

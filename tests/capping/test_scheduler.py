@@ -8,9 +8,6 @@ from repro.capping.scheduler import (
     PowerAwareScheduler,
     SchedulerConfig,
     estimate_run,
-    half_tdp_cap_w,
-    required_cycles,
-    scheduling_cycle_s,
 )
 from repro.vasp.benchmarks import benchmark
 
@@ -117,16 +114,7 @@ class TestSchedulerBasics:
 
 class TestHelpers:
     def test_half_tdp(self):
-        assert half_tdp_cap_w() == 200.0
-
-    def test_cycle_length(self):
-        assert scheduling_cycle_s() == 30.0
-
-    def test_required_cycles(self):
-        assert required_cycles(0.0) == 0
-        assert required_cycles(45.0) == 2
-        with pytest.raises(ValueError):
-            required_cycles(-1.0)
+        assert set(CapPolicy.half_tdp().caps_w.values()) == {200.0}
 
     def test_job_validation(self, pdo2):
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from repro.capping.fleet import (
     simulate_fleet_traced,
 )
 from repro.hardware.platform import get_platform
-from repro.monitor import FleetMonitor, MonitorConfig
+from repro.monitor import FleetMonitor
 from repro.runner import cache
 from repro.runner import engine as engine_module
 from repro.runner.cache import RunCache, atomic_write_pickle
@@ -108,7 +108,7 @@ class TestShardedBitIdentity:
         _assert_identical(serial, sharded)
 
     def test_monitored_sharded_matches_monitored_serial(self):
-        live, replayed = FleetMonitor(MonitorConfig()), FleetMonitor(MonitorConfig())
+        live, replayed = FleetMonitor(), FleetMonitor()
         serial = _run(monitor=live)
         sharded = _run(monitor=replayed, workers=2)
         _assert_identical(serial, sharded)
@@ -116,7 +116,7 @@ class TestShardedBitIdentity:
 
     def test_monitored_report_unaffected_by_monitor(self):
         bare = _run(workers=2)
-        monitored = _run(monitor=FleetMonitor(MonitorConfig()), workers=2)
+        monitored = _run(monitor=FleetMonitor(), workers=2)
         _assert_identical(bare, monitored)
 
 
@@ -333,7 +333,7 @@ class TestCheckpointResume:
 class TestGuardRails:
     def test_checkpoint_rejects_monitor(self, tmp_path):
         with pytest.raises(ValueError, match="monitor"):
-            _run(monitor=FleetMonitor(MonitorConfig()), checkpoint=tmp_path / "c.ckpt")
+            _run(monitor=FleetMonitor(), checkpoint=tmp_path / "c.ckpt")
 
     def test_resume_requires_checkpoint(self):
         with pytest.raises(ValueError, match="resume"):

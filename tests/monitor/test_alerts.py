@@ -1,16 +1,11 @@
-"""Alert-rule lifecycle: debounce, hysteresis, log sink, obs export."""
-
-import json
-
-import pytest
+"""Alert-rule lifecycle: debounce, hysteresis, obs export."""
 
 from repro import obs
 from repro.monitor import (
+    RULES,
     SIGNAL_KINDS,
     AlertManager,
-    AlertRule,
     HealthSignal,
-    default_rules,
 )
 
 
@@ -21,107 +16,65 @@ def signal(kind="cap_violation", node="nid1", t=0.0, value=210.0):
 
 
 class TestAlertRule:
-    def test_rejects_unknown_signal(self):
-        with pytest.raises(ValueError, match="unknown signal"):
-            AlertRule(name="bad", signal="nope")
-
-    def test_rejects_unknown_severity(self):
-        with pytest.raises(ValueError, match="severity"):
-            AlertRule(name="bad", signal="cap_violation", severity="meh")
-
-    def test_rejects_bad_debounce(self):
-        with pytest.raises(ValueError, match="min_count"):
-            AlertRule(name="bad", signal="cap_violation", min_count=0)
-        with pytest.raises(ValueError, match="clear_quiet_s"):
-            AlertRule(name="bad", signal="cap_violation", clear_quiet_s=0.0)
-
     def test_default_rules_cover_every_kind(self):
-        covered = {rule.signal for rule in default_rules()}
-        assert covered == set(SIGNAL_KINDS)
+        assert [rule.signal for rule in RULES] == list(SIGNAL_KINDS)
 
 
 class TestAlertManager:
     def test_debounce_needs_consecutive_signals(self):
-        rule = AlertRule(name="r", signal="cap_violation", min_count=3)
-        mgr = AlertManager([rule])
+        """A cap violation fires on its node's second signal."""
+        mgr = AlertManager()
         assert mgr.process(signal(t=0.0)) == []
-        assert mgr.process(signal(t=1.0)) == []
-        fired = mgr.process(signal(t=2.0))
+        fired = mgr.process(signal(t=1.0))
         assert len(fired) == 1
         assert fired[0].event == "firing"
-        assert fired[0].time_s == 2.0
+        assert fired[0].rule == "power-cap-violation"
+        assert fired[0].time_s == 1.0
         assert mgr.firing_count == 1
         # Already firing: further signals emit no duplicate event.
-        assert mgr.process(signal(t=3.0)) == []
+        assert mgr.process(signal(t=2.0)) == []
+
+    def test_streak_is_not_reset_between_sweeps(self):
+        """Signals far apart still count toward one streak: only a sweep
+        forgets it, and the fleet monitor sweeps once, at finalize."""
+        mgr = AlertManager()
+        assert mgr.process(signal(t=0.0)) == []
+        assert len(mgr.process(signal(t=10_000.0))) == 1
 
     def test_per_node_state(self):
-        rule = AlertRule(name="r", signal="cap_violation", min_count=2)
-        mgr = AlertManager([rule])
+        mgr = AlertManager()
         mgr.process(signal(node="a", t=0.0))
         assert mgr.process(signal(node="b", t=0.5)) == []  # separate streak
         fired = mgr.process(signal(node="a", t=1.0))
         assert [e.node_name for e in fired] == ["a"]
 
     def test_hysteresis_resolves_after_quiet(self):
-        rule = AlertRule(name="r", signal="cap_violation", clear_quiet_s=10.0)
-        mgr = AlertManager([rule])
-        mgr.process(signal(t=0.0))
+        """An idle outlier fires at once and resolves after 300 s quiet."""
+        mgr = AlertManager()
+        mgr.process(signal(kind="idle_outlier", t=0.0, value=380.0))
         assert mgr.firing_count == 1
-        assert mgr.sweep(now_s=5.0) == []  # not quiet long enough
-        resolved = mgr.sweep(now_s=10.0)
+        assert mgr.sweep(now_s=299.0) == []  # not quiet long enough
+        resolved = mgr.sweep(now_s=300.0)
         assert len(resolved) == 1
         assert resolved[0].event == "resolved"
+        assert resolved[0].rule == "idle-power-outlier"
         assert mgr.firing_count == 0
         # A fresh signal starts a new lifecycle.
-        fired = mgr.process(signal(t=20.0))
+        fired = mgr.process(signal(kind="idle_outlier", t=400.0, value=380.0))
         assert len(fired) == 1
 
     def test_sweep_expires_unfired_streaks(self):
-        rule = AlertRule(name="r", signal="cap_violation", min_count=2, clear_quiet_s=5.0)
-        mgr = AlertManager([rule])
+        mgr = AlertManager()
         mgr.process(signal(t=0.0))
-        mgr.sweep(now_s=100.0)  # streak forgotten
+        mgr.sweep(now_s=100.0)  # 60 s quiet: streak forgotten
         assert mgr.process(signal(t=101.0)) == []  # needs 2 again
         assert len(mgr.process(signal(t=102.0))) == 1
 
-    def test_min_value_filters(self):
-        rule = AlertRule(name="r", signal="fleet_drift", min_value=3.0)
-        mgr = AlertManager([rule])
-        assert mgr.process(signal(kind="fleet_drift", value=2.5)) == []
-        assert len(mgr.process(signal(kind="fleet_drift", value=-3.5))) == 1
-
-    def test_firing_sorted_by_severity(self):
-        rules = [
-            AlertRule(name="warn", signal="sampler_staleness", severity="warning"),
-            AlertRule(name="crit", signal="cap_violation", severity="critical"),
-        ]
-        mgr = AlertManager(rules)
-        mgr.process(signal(kind="sampler_staleness", node="a"))
-        mgr.process(signal(kind="cap_violation", node="b"))
-        active = mgr.firing()
-        assert [name for name, _, _ in active] == ["crit", "warn"]
-
-    def test_rejects_duplicate_rule_names(self):
-        rule = AlertRule(name="r", signal="cap_violation")
-        with pytest.raises(ValueError, match="duplicate"):
-            AlertManager([rule, rule])
-
-    def test_write_log_json_lines(self, tmp_path):
-        mgr = AlertManager([AlertRule(name="r", signal="cap_violation")])
-        mgr.process(signal(t=1.0))
-        mgr.sweep(now_s=100.0)
-        path = mgr.write_log(tmp_path / "alerts.jsonl")
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        events = [json.loads(line) for line in lines]
-        assert [e["event"] for e in events] == ["firing", "resolved"]
-        assert events[0]["rule"] == "r"
-        assert events[0]["node"] == "nid1"
-
     def test_exports_obs_metrics(self):
         obs.enable(metrics=True)
-        mgr = AlertManager([AlertRule(name="r", signal="cap_violation", severity="critical")])
+        mgr = AlertManager()
         mgr.process(signal(t=0.0))
+        mgr.process(signal(t=1.0))
         registry = obs.metrics()
         assert registry.get("repro_monitor_alerts_total").value(severity="critical") == 1.0
         assert registry.get("repro_monitor_alerts_firing").value() == 1.0

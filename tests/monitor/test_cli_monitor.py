@@ -99,14 +99,6 @@ class TestMonitorFlags:
         assert "fleet monitor: PdO2 cap sweep" in out
         assert "energy accounting" in out
 
-    def test_monitor_env_opt_in(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_MONITOR", "1")
-        rc = main(
-            ["cap-sweep", "PdO2", "--caps", "400", "--nodes", "1"]
-        )
-        assert rc == 0
-        assert "fleet monitor" in capsys.readouterr().out
-
 
 class TestMonitorCheckpoint:
     """Monitor state is not checkpointable: no run may mix the two."""
@@ -141,7 +133,6 @@ class TestObsStatus:
     def test_obs_status_reports_monitor_state(self, capsys):
         assert main(["obs"]) == 0
         out = capsys.readouterr().out
-        # The monitor's process-wide settings; a fresh `repro obs`
+        # The monitor's one process-wide setting; a fresh `repro obs`
         # process has no live collectors to count.
-        assert "REPRO_MONITOR " in out
         assert "REPRO_MONITOR_LOG" in out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hardware.node import GpuNode
+from repro.hardware.platform import NodeSpec, get_platform
 from repro.monitor import (
     CapMonitor,
     CapUsage,
@@ -16,27 +17,25 @@ from repro.units.constants import PERLMUTTER_GPU_NODE
 
 class TestIdleOutlierDetector:
     def test_defaults_to_paper_band(self):
-        det = IdleOutlierDetector()
-        assert det.idle_min_w == PERLMUTTER_GPU_NODE.idle_min_w == 410.0
-        assert det.idle_max_w == PERLMUTTER_GPU_NODE.idle_max_w == 510.0
-
-    def test_rejects_empty_band(self):
-        with pytest.raises(ValueError):
-            IdleOutlierDetector(idle_min_w=500.0, idle_max_w=450.0)
+        band = IdleOutlierDetector().band("nid1")
+        assert band == (PERLMUTTER_GPU_NODE.idle_min_w, PERLMUTTER_GPU_NODE.idle_max_w)
+        assert band == (410.0, 510.0)
 
     def test_pool_scan_within_band_is_quiet(self):
         nodes = [GpuNode(name=f"nid{i:06d}") for i in range(8)]
         assert IdleOutlierDetector().scan_pool(nodes) == []
 
     def test_pool_scan_flags_narrowed_band(self):
-        nodes = [GpuNode(name=f"nid{i:06d}") for i in range(8)]
-        idles = [node.idle_sample().node_w for node in nodes]
-        # Narrow the ceiling below the hottest idler: it must be flagged.
-        det = IdleOutlierDetector(idle_max_w=max(idles) - 0.1)
-        signals = det.scan_pool(nodes, time_s=5.0)
-        assert signals
-        worst = max(idles)
-        assert any(s.value == pytest.approx(worst) for s in signals)
+        """A node whose baseboard draws 150 W extra (a stuck fan) idles
+        above its spec's band and is the one node flagged."""
+        spec = get_platform().node
+        hot = NodeSpec.from_spec(spec, baseboard_w=spec.baseboard_w + 150.0)
+        nodes = [GpuNode(name=f"nid{i:06d}") for i in range(7)]
+        nodes.append(GpuNode(name="nid000007", spec=hot))
+        signals = IdleOutlierDetector().scan_pool(nodes, time_s=5.0)
+        assert [s.node_name for s in signals] == ["nid000007"]
+        assert signals[0].value == pytest.approx(nodes[-1].idle_sample().node_w)
+        assert signals[0].threshold == spec.idle_max_w
         assert all(s.kind == "idle_outlier" and s.time_s == 5.0 for s in signals)
 
     def test_check_samples_flags_low_idle(self):
@@ -57,7 +56,7 @@ class TestIdleOutlierDetector:
 
 class TestCapMonitor:
     def test_accumulates_residency_and_violations(self):
-        mon = CapMonitor(violation_tolerance=0.02, throttle_band=0.05)
+        mon = CapMonitor()  # 2 % tolerance at 200 W, 5 % throttle band
         usage = CapUsage()
         times = np.arange(5.0)
         values = np.array([100.0, 195.0, 200.0, 210.0, 150.0])
@@ -81,23 +80,17 @@ class TestCapMonitor:
         assert mon.check_chunk("n", 400.0, np.arange(10.0), values, 1.0, usage) == []
         assert usage.cap_limited_s == 0.0
 
-    def test_rejects_bad_tolerances(self):
-        with pytest.raises(ValueError):
-            CapMonitor(violation_tolerance=-0.1)
-        with pytest.raises(ValueError):
-            CapMonitor(throttle_band=1.0)
-
 
 class TestStalenessDetector:
     """Batches arrive as (first, last, worst intra-batch gap, its time)."""
 
     def test_regular_stream_is_fresh(self):
-        det = StalenessDetector(max_gap_s=5.0)
+        det = StalenessDetector()
         assert det.observe_summary("a", 0.0, 8.0, 2.0, 2.0) == []
         assert det.observe_summary("a", 10.0, 18.0, 2.0, 12.0) == []
 
     def test_intra_batch_gap_fires(self):
-        det = StalenessDetector(max_gap_s=5.0)
+        det = StalenessDetector()
         signals = det.observe_summary("a", 0.0, 11.0, 7.0, 9.0)
         assert len(signals) == 1
         assert signals[0].kind == "sampler_staleness"
@@ -105,50 +98,51 @@ class TestStalenessDetector:
         assert signals[0].time_s == 9.0
 
     def test_boundary_gap_fires(self):
-        det = StalenessDetector(max_gap_s=5.0)
+        det = StalenessDetector()
         det.observe_summary("a", 0.0, 1.0, 1.0, 1.0)
         signals = det.observe_summary("a", 20.0, 21.0, 1.0, 21.0)
         assert len(signals) == 1
         assert signals[0].value == 19.0
 
     def test_sweep_flags_silent_streams(self):
-        det = StalenessDetector(max_gap_s=5.0)
+        det = StalenessDetector()
         det.observe_summary("quiet", 0.0, 1.0, 1.0, 1.0)
         det.observe_summary("fresh", 0.0, 98.0, 98.0, 98.0)
         signals = det.sweep(now_s=100.0)
         assert [s.node_name for s in signals] == ["quiet"]
         assert signals[0].value == 99.0
 
-    def test_rejects_bad_gap(self):
-        with pytest.raises(ValueError):
-            StalenessDetector(max_gap_s=0.0)
+
+#: Nine nodes near 900 W and one at 1400 W: with population moments,
+#: one outlier among ten sits at z = 3, past the 2.5 threshold.
+DRIFT_LEVELS = {f"n{i}": 900.0 + i for i in range(9)} | {"hot": 1400.0}
 
 
 class TestDriftDetector:
     def test_needs_three_eligible_nodes(self):
-        det = DriftDetector(min_samples=2)
-        det.update("a", np.full(4, 900.0))
-        det.update("b", np.full(4, 910.0))
+        det = DriftDetector()
+        det.update("a", np.full(16, 900.0))
+        det.update("b", np.full(16, 1400.0))
         assert det.finalize(now_s=10.0) == []
 
     def test_flags_walked_off_node(self):
-        det = DriftDetector(z_threshold=1.5, min_samples=4)
-        for name, level in (("a", 900.0), ("b", 905.0), ("c", 895.0), ("d", 1400.0)):
+        det = DriftDetector()
+        for name, level in DRIFT_LEVELS.items():
             det.update(name, np.full(16, level))
         signals = det.finalize(now_s=50.0)
-        assert [s.node_name for s in signals] == ["d"]
+        assert [s.node_name for s in signals] == ["hot"]
         assert signals[0].kind == "fleet_drift"
-        assert signals[0].value > 1.4
+        assert signals[0].value > 2.5
         assert signals[0].time_s == 50.0
 
     def test_min_samples_excludes_thin_nodes(self):
-        det = DriftDetector(z_threshold=1.5, min_samples=32)
-        for name, level in (("a", 900.0), ("b", 905.0), ("c", 895.0), ("d", 1400.0)):
-            det.update(name, np.full(4, level))  # all below min_samples
+        det = DriftDetector()
+        for name, level in DRIFT_LEVELS.items():
+            det.update(name, np.full(15, level))  # all below 16 samples
         assert det.finalize(now_s=1.0) == []
 
     def test_homogeneous_fleet_is_quiet(self):
-        det = DriftDetector(min_samples=4)
+        det = DriftDetector()
         for name in "abcd":
-            det.update(name, np.full(8, 900.0))
+            det.update(name, np.full(16, 900.0))
         assert det.finalize(now_s=1.0) == []

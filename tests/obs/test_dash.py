@@ -375,3 +375,14 @@ class TestRunDashboard:
         missing = tmp_path / "nope.json"
         assert main(["top", "--heartbeat", str(missing), "--once"]) == 2
         capsys.readouterr()
+
+    def test_cli_once_alert_log_without_heartbeat(self, tmp_path, capsys):
+        """Alert events alone are something to show: exit 0, not 2."""
+        log = tmp_path / "alerts.jsonl"
+        log.write_text(
+            json.dumps({"event": "firing", "rule": "sampler-stale", "node": "n1"})
+            + "\n"
+        )
+        argv = ["top", "--once", "--json", "--alert-log", str(log)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["alerts"][0]["node"] == "n1"

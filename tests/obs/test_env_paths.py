@@ -17,7 +17,7 @@ import pytest
 from repro import obs
 from repro.capping.fleet import compare_fleet_policies_traced
 from repro.config import read
-from repro.monitor import FleetMonitor, MonitorConfig
+from repro.monitor import FleetMonitor
 from repro.obs import ledger
 from repro.prediction.store import save_surrogate
 from repro.runner.cache import RunCache
@@ -41,7 +41,7 @@ def _tiny_fleet():
 
 
 def _monitor_finalize():
-    FleetMonitor(MonitorConfig(), label="env").finalize()
+    FleetMonitor(label="env").finalize()
 
 
 def _run_cache_put():
@@ -141,7 +141,7 @@ def test_explicit_value_wins(clean_env, tmp_path):
 
 
 @pytest.mark.parametrize("word", ["0", "FALSE", "no", " Off "])
-@pytest.mark.parametrize("name", ["REPRO_MONITOR", "REPRO_RUNS", "REPRO_CACHE"])
+@pytest.mark.parametrize("name", ["REPRO_RUNS", "REPRO_CACHE"])
 def test_off_words_switch_every_variable_off(name, word, monkeypatch):
     monkeypatch.setenv(name, word)
     assert read(name) is False

@@ -113,22 +113,27 @@ def gap_summary(times):
 
 class TestStalenessAgreement:
     def test_sampled_grid_never_trips_matching_detector(self):
-        """A series honouring max_gap_s is fresh for the same bound."""
+        """A series honouring the sampler's default bound is fresh for the
+        monitor, whose bound is the same §II-B 5 s."""
         from repro.monitor import StalenessDetector
+        from repro.monitor.health import MAX_GAP_S
 
         cfg = SamplerConfig(drop_probability=0.9, seed=4)
+        assert cfg.max_gap_s == MAX_GAP_S
         series = LdmsSampler(cfg).sample(make_trace(n=3000), "node")
-        detector = StalenessDetector(max_gap_s=cfg.max_gap_s)
+        detector = StalenessDetector()
         batch = gap_summary(series.times)
         assert detector.observe_summary("nid001234:node", *batch) == []
 
     def test_tighter_detector_flags_the_same_grid(self):
+        """A sampler allowed 12 s gaps leaves gaps the 5 s monitor flags."""
         from repro.monitor import StalenessDetector
+        from repro.monitor.health import MAX_GAP_S
 
-        cfg = SamplerConfig(drop_probability=0.9, seed=4)
+        cfg = SamplerConfig(drop_probability=0.9, max_gap_s=12.0, seed=4)
         series = LdmsSampler(cfg).sample(make_trace(n=3000), "node")
-        assert series.max_gap_s > 2.0  # the drops do create real gaps
-        detector = StalenessDetector(max_gap_s=2.0)
+        assert series.max_gap_s > MAX_GAP_S  # the drops do create real gaps
+        detector = StalenessDetector()
         batch = gap_summary(series.times)
         signals = detector.observe_summary("nid001234:node", *batch)
         assert signals
