@@ -20,16 +20,14 @@ def test_fig12(experiment):
         assert result.row(name).at(100.0) > 0.90
 
 
-def test_fig12_dedupe_and_cache(benchmark, monkeypatch):
+def test_fig12_dedupe_and_cache(benchmark):
     """Record how much work the executor avoids on the Fig 12 grid.
 
     Runs the estimator sweep twice against cleared caches: the first
     pass measures within-grid dedupe (the shared 400 W baseline), the
     second the cache hit path.  Both are content-keyed and seedless, and
-    the sweep is held in-process (a worker pool would count its cache
-    hits in the workers), so the recorded counts are machine-independent.
+    sweeps run in process, so the recorded counts are machine-independent.
     """
-    monkeypatch.setenv("REPRO_SWEEP_WORKERS", "1")
 
     def run_twice():
         estimate_cache().clear()

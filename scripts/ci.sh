@@ -323,10 +323,11 @@ print(f"accounts ok: ledger cache field == metrics dump ({', '.join(sorted(dumpe
 PY
 python -m repro sentinel check
 
-echo "== pooled sweep footer (worker cache counts ship home) =="
-REPRO_SWEEP_WORKERS=2 python -m repro reproduce fig12 > "$SMOKE_DIR/fig12-pooled.out"
-grep -q '\[estimate cache:' "$SMOKE_DIR/fig12-pooled.out" \
-    || { echo "pooled fig12 footer lost the estimate-cache line"; exit 1; }
+echo "== sweeps ignore the shard worker count (fig12 byte-identical, footer too) =="
+REPRO_SWEEP_WORKERS=1 python -m repro reproduce fig12 > "$SMOKE_DIR/fig12-w1.out"
+REPRO_SWEEP_WORKERS=2 python -m repro reproduce fig12 > "$SMOKE_DIR/fig12-w2.out"
+cmp "$SMOKE_DIR/fig12-w1.out" "$SMOKE_DIR/fig12-w2.out" \
+    || { echo "REPRO_SWEEP_WORKERS changed the fig12 sweep output"; exit 1; }
 
 echo "== profiler smoke (sharded --profile merges to one speedscope) =="
 # The profile is the trace's span self times: the merged document must

@@ -188,7 +188,6 @@ def _exact_table(
     caps: Sequence[float],
     platform: "str | Platform | None",
     seed: int,
-    workers: int | None,
 ) -> dict[tuple[str, int, float | None], tuple[float, float]]:
     """Engine truth for every (workload, nodes) x (caps + uncapped) point.
 
@@ -211,7 +210,7 @@ def _exact_table(
         for workload, n_nodes in pairs
         for cap_w in cap_grid
     ]
-    results = SweepExecutor(workers=workers).run(specs)
+    results = SweepExecutor().run(specs)
     table: dict[tuple[str, int, float | None], tuple[float, float]] = {}
     measured = {}
     index = 0
@@ -237,7 +236,6 @@ def search_cap_policy(
     slowdown_limit: float = 1.25,
     surrogate: "TwoStageSurrogate | None" = None,
     seed: int = 7,
-    workers: int | None = None,
 ) -> CapPolicySearchResult:
     """Search per-class cap assignments for the lowest-energy policy.
 
@@ -292,7 +290,7 @@ def search_cap_policy(
     ):
         # Per-point measurements for every candidate cap (plus uncapped).
         if surrogate is None:
-            table = _exact_table(pairs, caps, plat, seed, workers)
+            table = _exact_table(pairs, caps, plat, seed)
         else:
             table = {}
             exact_pairs: list[tuple[VaspWorkload, int]] = []
@@ -317,9 +315,7 @@ def search_cap_policy(
                 notes.append(
                     f"{fallbacks} out-of-envelope point(s) re-simulated exactly"
                 )
-                exact = _exact_table(
-                    exact_pairs, sorted(exact_caps), plat, seed, workers
-                )
+                exact = _exact_table(exact_pairs, sorted(exact_caps), plat, seed)
                 for key, value in exact.items():
                     if key[2] is not None:
                         table[key] = value
@@ -368,7 +364,7 @@ def search_cap_policy(
         exact_worst: float | None = None
         if surrogate is not None:
             winner_caps = sorted({best.cap_higher_w, best.cap_dft_w})
-            exact = _exact_table(pairs, winner_caps, plat, seed, workers)
+            exact = _exact_table(pairs, winner_caps, plat, seed)
             exact_energy = 0.0
             exact_worst = 1.0
             for workload, n_nodes in pairs:

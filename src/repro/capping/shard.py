@@ -74,9 +74,10 @@ CHECKPOINT_VERSION = 4
 def resolve_fleet_workers(n_jobs: int, workers: int | None = None) -> int:
     """Fleet worker count: explicit arg > ``REPRO_SWEEP_WORKERS`` > serial.
 
-    Unlike grid sweeps (which size themselves to the host), the fleet
-    stays serial unless parallelism is asked for — the serial path *is*
-    the reference output, and small fleets don't amortize pool startup.
+    ``REPRO_SWEEP_WORKERS`` sizes only this pool: grid sweeps always run
+    in the calling process.  The fleet stays serial unless parallelism
+    is asked for — the serial path *is* the reference output, and small
+    fleets don't amortize pool startup.
     """
     workers = read("REPRO_SWEEP_WORKERS", workers)
     if workers is None:

@@ -140,8 +140,8 @@ def _efficiency_accounts() -> dict:
     ``{"cache": {name: CacheStats}, "sweeps": SweepStats}``, leaving out
     an account with nothing to report.
     The footer and the run ledger both read this, so they always name
-    the same accounts with the same counts — pooled work included, since
-    workers ship their counts home.
+    the same accounts with the same counts — sharded fleet work included,
+    since shard workers ship their counts home.
     """
     accounts: dict = {}
     caches = [cache.stats() for cache in process_caches()]

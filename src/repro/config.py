@@ -95,7 +95,8 @@ VARIABLES: dict[str, Variable] = {
                  "on-disk run-cache layer (`1` selects `.repro_cache`)",
                  on_path=".repro_cache"),
         Variable("REPRO_SWEEP_WORKERS", "count", None,
-                 "worker processes for sweeps and sharded fleets (`1` forces serial)"),
+                 "worker processes for fleet shards only (`1` forces serial); "
+                 "sweeps always run in process"),
         Variable("REPRO_SURROGATE_DIR", "path", ".repro_cache/surrogate",
                  "surrogate store directory"),
         Variable("REPRO_FLEET_CHECKPOINT", "path", None,

@@ -11,8 +11,8 @@ has three parts:
 * :mod:`repro.obs.logconf` — stdlib logging wiring (``REPRO_LOG``);
 * :mod:`repro.obs.merge` — cross-process capture: workers record into a
   fresh tracer/registry and ship an ``ObsPartial`` back with their
-  results, folded into the coordinator's state (sharded fleet runs and
-  parallel sweeps stay fully observable);
+  results, folded into the coordinator's state (sharded fleet runs stay
+  fully observable);
 * :func:`register_stats` — cache, sweep and surrogate counts, kept once
   in their stats objects and rendered as counters by every export;
 * :mod:`repro.obs.ledger` — durable JSON-lines run ledger

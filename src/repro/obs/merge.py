@@ -1,10 +1,10 @@
 """Cross-process observability: capture in workers, fold at the coordinator.
 
-Sharded fleet rendering and parallel sweeps execute in worker processes,
-and a per-process tracer/registry dies with its worker.  Every worker
-task therefore runs under one capture and ships what it recorded home
-the way the simulation itself crosses the pool boundary: in a compact,
-picklable partial.
+Sharded fleet rendering executes in worker processes (sweeps always run
+in the calling process), and a per-process tracer/registry dies with its
+worker.  Every shard task therefore runs under one capture and ships
+what it recorded home the way the simulation itself crosses the pool
+boundary: in a compact, picklable partial.
 
 * :func:`begin_worker_capture` swaps a **fresh, in-memory** tracer and
   registry (for the layers the coordinator has on) into the worker's
@@ -76,7 +76,6 @@ def begin_worker_capture(
     trace: bool = True,
     metrics: bool = True,
     process_label: str | None = None,
-    thread_label: str = "render",
 ):
     """Install fresh in-memory obs state in this (worker) process.
 
@@ -95,7 +94,7 @@ def begin_worker_capture(
     if trace:
         fresh.tracer = Tracer()
         fresh.tracer.name_process(label)
-        fresh.tracer.name_thread(thread_label)
+        fresh.tracer.name_thread("render")
     if metrics:
         fresh.registry = MetricsRegistry()
     obs._STATE = fresh

@@ -3,10 +3,10 @@
 The two-stage surrogate trains on a grid of engine runs spanning
 workloads × node counts × power caps × platforms.  Each grid point is a
 :class:`CorpusSpec` — a content-addressed spec in the
-:mod:`repro.runner.sweep` sense, so corpus generation gets dedupe,
-``REPRO_SWEEP_WORKERS`` process-pool parallelism and run-cache reuse for
-free, and a worker ships back only the compact :class:`CorpusSample`
-(features plus scalar targets), never a full ``MeasuredRun``.
+:mod:`repro.runner.sweep` sense, so corpus generation gets dedupe and
+run-cache reuse for free, and each point reduces to a compact
+:class:`CorpusSample` (features plus scalar targets), never a full
+``MeasuredRun``.
 
 Cap grids are expressed as *fractions of the platform GPU's TDP* (clamped
 to the platform's cap floor), not absolute watts: 200 W is half-TDP on an
@@ -15,8 +15,8 @@ are fractional for the same reason.
 
 The cap-induced slowdown target needs an uncapped baseline, which is why
 every (workload, nodes, platform) group always includes the ``cap=None``
-point: the coordinator fills ``slowdown`` in after the sweep by dividing
-each runtime by its group's baseline runtime.
+point: :func:`build_corpus` fills ``slowdown`` in after the sweep by
+dividing each runtime by its group's baseline runtime.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class CorpusSample:
 
     ``slowdown`` is relative to the same (workload, nodes, platform)
     group's uncapped run and is filled in by :func:`build_corpus` after
-    the sweep (a worker cannot see its sibling grid points).
+    the sweep (a spec cannot see its sibling grid points).
     """
 
     workload_name: str
@@ -78,9 +78,8 @@ class CorpusSpec:
     seed: int = 13
 
     def execute(self) -> CorpusSample:
-        """Run the point through the full pipeline, reduce in-worker."""
-        # Imported lazily: experiments.common sits above the runner layer,
-        # and workers re-import on their side of the pool.
+        """Run the point through the full pipeline and reduce it to a sample."""
+        # Imported lazily: experiments.common sits above the runner layer.
         from repro.analysis.modes import high_power_mode_w
         from repro.experiments.common import run_workload
         from repro.hardware.platform import get_platform
@@ -230,19 +229,17 @@ class CorpusConfig:
                     )
 
 
-def build_corpus(
-    config: CorpusConfig | None = None, workers: int | None = None
-) -> list[CorpusSample]:
+def build_corpus(config: CorpusConfig | None = None) -> list[CorpusSample]:
     """Measure the training grid and fill in the slowdown target.
 
-    Runs through :class:`SweepExecutor` (dedupe + ``REPRO_SWEEP_WORKERS``
-    parallelism + run-cache reuse), then divides each sample's runtime by
-    its (workload, nodes, platform) group's uncapped runtime.
+    Runs through :class:`SweepExecutor` (dedupe + run-cache reuse), then
+    divides each sample's runtime by its (workload, nodes, platform)
+    group's uncapped runtime.
     """
     config = config or CorpusConfig()
     specs = list(config.specs())
     with obs.span("surrogate.build_corpus", specs=len(specs)):
-        samples: list[CorpusSample] = SweepExecutor(workers=workers).run(specs)
+        samples: list[CorpusSample] = SweepExecutor().run(specs)
     baseline: dict[tuple[str, int, str], float] = {
         (s.workload_name, s.n_nodes, s.platform_id): s.runtime_s
         for s in samples

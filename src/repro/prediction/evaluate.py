@@ -38,22 +38,16 @@ from repro.vasp.workload import VaspWorkload
 
 
 def _spec_hpm(spec: RunSpec) -> float:
-    """Worker-side reduction: run one spec, keep only the node HPM.
-
-    Module-level so process pools can pickle it; returning the scalar
-    (not the full ``MeasuredRun``) keeps pool IPC tiny.
-    """
+    """Run one spec and keep only its node HPM."""
     measured = spec.execute()
     return high_power_mode_w(measured.telemetry[0].node_power)
 
 
-def training_corpus(
-    seed: int = 13, workers: int | None = None
-) -> list[TrainingSample]:
+def training_corpus(seed: int = 13) -> list[TrainingSample]:
     """A diverse corpus: silicon sweeps plus the benchmark suite.
 
     The grid (and its order) is the seed repository's; execution now goes
-    through the sweep executor for dedupe and process-pool parallelism.
+    through the sweep executor for dedupe and run-cache reuse.
     """
     grid: list[tuple[VaspWorkload, int]] = []
     # Silicon sizes x two methods, single node.
@@ -74,7 +68,7 @@ def training_corpus(
         RunSpec(workload=workload, n_nodes=n_nodes, seed=seed)
         for workload, n_nodes in grid
     ]
-    hpms = SweepExecutor(workers=workers).map(_spec_hpm, specs)
+    hpms = SweepExecutor().map(_spec_hpm, specs)
     return [
         TrainingSample.from_run(workload, n_nodes, hpm)
         for (workload, n_nodes), hpm in zip(grid, hpms)
@@ -190,7 +184,6 @@ def evaluate_surrogate(
     k: int = DEFAULT_K,
     ridge_lambda: float = 1.0e-3,
     seed: int = 0,
-    workers: int | None = None,
 ) -> SurrogateEvaluation:
     """Held-out workload × cap evaluation of the two-stage surrogate.
 
@@ -200,7 +193,7 @@ def evaluate_surrogate(
     training — it anchors the slowdown target).
     """
     if samples is None:
-        samples = build_corpus(config, workers=workers)
+        samples = build_corpus(config)
     names = sorted({s.workload_name for s in samples})
     per_workload: dict[str, float] = {}
     target_apes: dict[str, list[float]] = {name: [] for name in _APE_TARGETS}

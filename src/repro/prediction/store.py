@@ -124,7 +124,6 @@ def load_surrogate(
 def load_or_train(
     config: CorpusConfig | None = None,
     directory: str | Path | None = None,
-    workers: int | None = None,
     k: int = DEFAULT_K,
     ridge_lambda: float = 1.0e-3,
     seed: int = 0,
@@ -140,7 +139,7 @@ def load_or_train(
     cached = load_surrogate(train_fp, directory)
     if cached is not None:
         return cached
-    samples = build_corpus(config, workers=workers)
+    samples = build_corpus(config)
     surrogate = fit_surrogate(samples, k=k, ridge_lambda=ridge_lambda, seed=seed)
     save_surrogate(surrogate, train_fp, directory)
     return surrogate

@@ -9,8 +9,7 @@ workload fingerprint, node configuration, cap, seed and engine config.
 :class:`RunCache` memoizes any computation keyed that way, with an
 in-memory LRU layer and an optional on-disk layer (a directory of pickle
 files, by default ``.repro_cache/`` when enabled).  The disk layer is what
-lets separate sweep workers — and separate processes entirely — share
-results.
+lets separate processes (repeated CLI runs, say) share results.
 
 Every on-disk pickle in the package — cache entries, the surrogate store,
 fleet checkpoints — is written by :func:`atomic_write_pickle` with a

@@ -1,4 +1,4 @@
-"""Parallel, cached execution of run-spec grids.
+"""Cached, deduplicated execution of run-spec grids.
 
 Every paper artifact is a sweep: Table I iterates the seven benchmarks,
 Figs 4/5/8/13 sweep node counts, Figs 10/12 sweep power caps, and the
@@ -8,25 +8,15 @@ into a first-class object:
 
 * :class:`RunSpec` / :class:`EstimateSpec` describe one grid point by
   *content* (workload, node count, cap, seed, engine config) — never by
-  execution context — so a spec executes to the same bits no matter which
-  worker runs it, and fingerprints as a cache key.
-* :class:`SweepExecutor` executes a grid through
-  :mod:`concurrent.futures` (process pool), deduplicating identical specs
-  first and always returning results in the original grid order.  A
-  serial fallback covers single-CPU hosts, pools that fail to start, and
-  ``REPRO_SWEEP_WORKERS=1``.
+  execution context — so a spec executes to the same bits wherever it
+  runs, and fingerprints as a cache key.
+* :class:`SweepExecutor` deduplicates identical specs, executes each
+  distinct spec once in the calling process and returns results in the
+  original grid order.  Every execution goes through the process's run
+  caches, so a re-swept grid is all cache hits.
 
-Determinism contract: parallel execution is bit-identical to serial
-execution.  Seeds are part of the spec, engine inputs are rebuilt from
-the spec inside the worker, and nothing about worker identity enters the
-computation.
-
-Observability composes with the pool: each worker wraps its specs in a
-fresh per-process capture (:mod:`repro.obs.merge`) and ships back with
-the result its account deltas (cache, sweep and surrogate counts) plus
-the spans and metric state of the layers the coordinator collects — the
-merged trace shows every ``sweep.spec`` span under its worker's pid
-row, and merged counts equal a serial run's exactly.
+Sweeps always run in process: the only process pool is the fleet shard
+pool (:mod:`repro.capping.shard`), which ``REPRO_SWEEP_WORKERS`` sizes.
 """
 
 from __future__ import annotations
@@ -34,22 +24,15 @@ from __future__ import annotations
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence, TypeVar
 
 from repro import obs
-from repro.config import read
-from repro.obs import merge as obs_merge
 from repro.runner.cache import Account, fingerprint
 from repro.runner.engine import EngineConfig
 from repro.vasp.workload import VaspWorkload
 
 logger = logging.getLogger(__name__)
-
-#: Grids smaller than this run serially unless workers are set
-#: explicitly — pool startup would cost more than it saves.
-MIN_PARALLEL_GRID = 4
 
 SpecT = TypeVar("SpecT")
 ResultT = TypeVar("ResultT")
@@ -120,7 +103,7 @@ class RunSpec:
 
     Executes to the :class:`~repro.experiments.common.MeasuredRun` that
     ``run_workload`` produces for the same arguments.  Nodes are derived
-    from ``n_nodes`` inside the worker, so the result depends only on this
+    from ``n_nodes`` at execution, so the result depends only on this
     spec's content.
     """
 
@@ -180,13 +163,8 @@ class EstimateSpec:
         )
 
 
-def execute_spec(spec: Any) -> Any:
-    """Module-level task entry point (picklable for process pools)."""
-    return spec.execute()
-
-
 def _run_spec(fn: Callable[[SpecT], ResultT], task: SpecT, index: int) -> ResultT:
-    """One grid point, in-process or in a worker: span plus latency metric."""
+    """One grid point: span plus latency metric."""
     start = time.perf_counter()
     with obs.span("sweep.spec", index=index, spec=type(task).__name__):
         result = fn(task)
@@ -198,35 +176,12 @@ def _run_spec(fn: Callable[[SpecT], ResultT], task: SpecT, index: int) -> Result
     return result
 
 
-def _call_captured(payload: tuple) -> tuple:
-    """Worker-side: run one spec under a fresh observability capture.
-
-    The spec runs through :func:`_run_spec`, exactly as in-process, and
-    the capture ships the spans and metrics of the layers the coordinator
-    collects plus the worker's account deltas (cache, nested sweep and
-    surrogate counts).  Returns ``(result, ObsPartial | None)``.
-    """
-    fn, task, index, (trace_on, metrics_on) = payload
-    token = obs_merge.begin_worker_capture(
-        trace_on,
-        metrics_on,
-        process_label=f"repro sweep worker {os.getpid()}",
-        thread_label="sweep",
-    )
-    try:
-        result = _run_spec(fn, task, index)
-    finally:
-        partial = obs_merge.finish_worker_capture(token)
-    return result, partial
-
-
 def available_cpus() -> int:
     """CPUs this process may actually run on (affinity-aware).
 
     ``os.cpu_count()`` reports the host's cores even when a cgroup or
-    ``taskset`` pins the process to fewer — sizing a pool that way
-    oversubscribes containerized CI.  ``sched_getaffinity`` reflects the
-    real allowance where the platform supports it.
+    ``taskset`` pins the process to fewer.  ``sched_getaffinity``
+    reflects the real allowance where the platform supports it.
     """
     try:
         return len(os.sched_getaffinity(0)) or 1
@@ -234,26 +189,8 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def resolve_workers(n_tasks: int, workers: int | None = None) -> int:
-    """Worker count for a grid: explicit arg > ``REPRO_SWEEP_WORKERS`` >
-    host size (``REPRO_SWEEP_WORKERS=1`` forces serial execution)."""
-    workers = read("REPRO_SWEEP_WORKERS", workers)
-    if workers is not None:
-        return max(min(workers, n_tasks), 1)
-    if n_tasks < MIN_PARALLEL_GRID:
-        return 1
-    return max(min(available_cpus(), n_tasks), 1)
-
-
 class SweepExecutor:
-    """Executes grids of specs with dedupe, a process pool and grid order.
-
-    Parameters
-    ----------
-    workers:
-        Worker processes; None resolves via ``REPRO_SWEEP_WORKERS`` and the
-        host CPU count, 1 (or any grid smaller than
-        :data:`MIN_PARALLEL_GRID`) runs serially in-process.
+    """Executes grids of specs in process, with dedupe and grid order.
 
     Specs are fingerprinted and each distinct spec executes once, its
     result fanned back out to every duplicate grid point.  This is what
@@ -262,19 +199,18 @@ class SweepExecutor:
     individually.
 
     ``run()`` executes spec objects (anything with ``execute()``);
-    ``map()`` applies an arbitrary picklable module-level function, for
-    sweeps whose tasks reduce results in the worker (keeping IPC small).
+    ``map()`` applies an arbitrary function, for sweeps that keep only a
+    reduction of each result.
     """
 
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = workers
+    def __init__(self) -> None:
         #: Executions actually performed by the last call (after dedupe).
         self.last_executed = 0
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[Any]) -> list[Any]:
         """Execute a grid of specs, returning results in grid order."""
-        return self.map(execute_spec, specs)
+        return self.map(lambda spec: spec.execute(), specs)
 
     def map(
         self, fn: Callable[[SpecT], ResultT], specs: Sequence[SpecT]
@@ -297,60 +233,22 @@ class SweepExecutor:
                 order[key] = len(unique)
                 unique.append(spec)
 
-        workers = resolve_workers(len(unique), self.workers)
         _STATS.grids += 1
         _STATS.specs_submitted += len(specs)
         _STATS.specs_executed += len(unique)
-        obs.gauge_set("repro_sweep_workers", workers)
         logger.debug(
-            "sweep grid: %d specs, %d unique after dedupe, %d worker(s)",
+            "sweep grid: %d specs, %d unique after dedupe",
             len(specs),
             len(unique),
-            workers,
         )
         with obs.span(
             "sweep.map",
             specs=len(specs),
             unique=len(unique),
             deduped=len(specs) - len(unique),
-            workers=workers,
         ):
-            results = self._execute(fn, unique, workers)
+            results = [
+                _run_spec(fn, task, index) for index, task in enumerate(unique)
+            ]
         self.last_executed = len(unique)
         return [results[order[key]] for key in keys]
-
-    def _execute(
-        self, fn: Callable[[SpecT], ResultT], tasks: list[SpecT], workers: int
-    ) -> list[ResultT]:
-        if workers > 1 and len(tasks) > 1:
-            try:
-                return self._execute_pooled(fn, tasks, workers)
-            except (OSError, PermissionError, ImportError) as exc:
-                # Pools need fork/spawn and pipes; restricted hosts fall
-                # back to serial execution (identical results, by
-                # construction).
-                logger.warning(
-                    "process pool unavailable (%s: %s); falling back to serial "
-                    "execution of %d specs",
-                    type(exc).__name__,
-                    exc,
-                    len(tasks),
-                )
-        return [_run_spec(fn, task, index) for index, task in enumerate(tasks)]
-
-    @staticmethod
-    def _execute_pooled(
-        fn: Callable[[SpecT], ResultT], tasks: list[SpecT], workers: int
-    ) -> list[ResultT]:
-        """Run every spec in a worker capture, folding each partial home."""
-        capture = obs_merge.capture_flags()
-        payloads = [(fn, task, index, capture) for index, task in enumerate(tasks)]
-        chunksize = max(len(tasks) // (workers * 4), 1)
-        results: list[ResultT] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result, partial in pool.map(
-                _call_captured, payloads, chunksize=chunksize
-            ):
-                obs_merge.absorb_partial(partial)
-                results.append(result)
-        return results

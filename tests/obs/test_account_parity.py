@@ -1,10 +1,10 @@
-"""One account per fact: footer, ledger and metrics agree, serial or pooled.
+"""One account per fact: footer, ledger and metrics agree, serial or sharded.
 
 Cache and sweep counts live only in their stats objects.  The
 CLI footer, the run ledger record and the ``--metrics`` dump all read
-them, and worker processes ship their counts home with each task — so
+them, and fleet shard workers ship their counts home with each task — so
 for every run below the three views report the same numbers, whether the
-work ran in-process or in two workers.
+fleet ran in-process or in two workers.
 """
 
 import json
@@ -94,10 +94,8 @@ def _three_views(argv, tmp_path, capsys) -> tuple[dict, dict, dict]:
     return _footer(out), _ledger(), _metrics(metrics_path)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 class TestAccountParity:
-    def test_reproduce_fig12(self, workers, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", str(workers))
+    def test_reproduce_fig12(self, tmp_path, capsys):
         footer, ledger, metrics = _three_views(
             ["reproduce", "fig12"], tmp_path, capsys
         )
@@ -105,6 +103,7 @@ class TestAccountParity:
         assert {"estimate", "phases"} <= footer["cache"].keys()
         assert footer["sweeps"][0] > 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_fleet(self, workers, tmp_path, capsys):
         footer, ledger, metrics = _three_views(
             ["fleet", "--jobs", "4", "--nodes", "6", "--seed", "3",
@@ -115,10 +114,8 @@ class TestAccountParity:
         assert footer == ledger == metrics
         assert {"estimate", "phases"} <= footer["cache"].keys()
 
-    def test_reproduce_fig10(self, workers, tmp_path, capsys, monkeypatch):
-        # Every sweep point is an engine run: the run cache's counts are
-        # made in the workers and shipped home.
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", str(workers))
+    def test_reproduce_fig10(self, tmp_path, capsys):
+        # Every sweep point is an engine run, counted by the run cache.
         footer, ledger, metrics = _three_views(
             ["reproduce", "fig10"], tmp_path, capsys
         )
