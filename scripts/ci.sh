@@ -211,6 +211,17 @@ filter_summaries "$SMOKE_DIR/grouped-sharded.out" "$SMOKE_DIR/grouped-sharded.tx
 diff "$SMOKE_DIR/grouped-serial.txt" "$SMOKE_DIR/grouped-sharded.txt" \
     || { echo "sharded grouped-resolve fleet output diverged from serial"; exit 1; }
 
+echo "== long-series smoke (series split into render chunks, serial vs sharded) =="
+# At 0.1 s the longest job of this fleet runs 2,007 s: its 20,070-sample
+# series render in two RENDER_CHUNK pieces, at the default chunk size.
+LONG_ARGS=(fleet --jobs 8 --nodes 16 --seed 3 --resolution 0.1)
+python -m repro "${LONG_ARGS[@]}" > "$SMOKE_DIR/long-serial.out"
+python -m repro "${LONG_ARGS[@]}" --workers 2 > "$SMOKE_DIR/long-sharded.out"
+filter_summaries "$SMOKE_DIR/long-serial.out" "$SMOKE_DIR/long-serial.txt"
+filter_summaries "$SMOKE_DIR/long-sharded.out" "$SMOKE_DIR/long-sharded.txt"
+diff "$SMOKE_DIR/long-serial.txt" "$SMOKE_DIR/long-sharded.txt" \
+    || { echo "sharded long-series fleet output diverged from serial"; exit 1; }
+
 echo "== heartbeat smoke (sharded run's per-policy heartbeats, read by repro top) =="
 python -m repro "${FLEET_ARGS[@]}" --workers 2 --heartbeat "$SMOKE_DIR/hb.json" > /dev/null
 python -m repro top --once --json --heartbeat "$SMOKE_DIR/hb.json" > "$SMOKE_DIR/top.json"

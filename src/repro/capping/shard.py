@@ -58,7 +58,15 @@ from repro.runner.cache import (
     content_key,
     read_pickle,
 )
-from repro.runner.engine import EngineConfig, PowerEngine, ResolvedRows, resolve_table
+from repro.runner.engine import (
+    EngineConfig,
+    Layout,
+    ResolvedRows,
+    lay_out,
+    render_blocks,
+    resolve_table,
+)
+from repro.runner.trace import COMPONENT_KEYS, trace_dtype
 from repro.vasp.phases import PhaseList
 from repro.vasp.workload import VaspWorkload
 
@@ -169,35 +177,49 @@ def clamped_cap_w(cap_w: float, spec: NodeSpec) -> float:
 
 def resolve_batch(
     task: ShardTask, nodes: Sequence[list[GpuNode]]
-) -> list[tuple[PhaseList, ResolvedRows]]:
-    """Each job's phase list and resolved rows, one resolve per phase table.
+) -> list[tuple[PhaseList, ResolvedRows, Layout]]:
+    """Each job's phase list, resolved rows and layout, one pass per phase table.
 
     ``nodes`` holds each job's nodes, in ``task.jobs`` order.  Jobs
     sharing a store-held table — one (workload, width) — are resolved
-    together in one :func:`~repro.runner.engine.resolve_table` pass.
+    together in one :func:`~repro.runner.engine.resolve_table` pass and
+    laid out together in one :func:`~repro.runner.engine.lay_out` call,
+    which lays out each distinct slowdown once (jobs sharing one share
+    their :class:`~repro.runner.engine.Layout`).
     Caps come from :func:`clamped_cap_w` of each job's cap on each of
     its nodes, not from node state: one node may serve several jobs of a
-    batch at different caps.  A job's rows equal its lone resolve bit
-    for bit.  Returned in ``task.jobs`` order.
+    batch at different caps.  A job's rows and layout equal its lone
+    resolve and layout bit for bit.  Returned in ``task.jobs`` order.
     """
     groups: dict[tuple[str, int], list[int]] = {}
     for at, job in enumerate(task.jobs):
         groups.setdefault((content_key(job.workload), job.n_nodes), []).append(at)
-    rank_imbalance = (task.engine_config or EngineConfig()).rank_imbalance
+    config = task.engine_config or EngineConfig()
     out: list = [None] * len(task.jobs)
     for members in groups.values():
         first = task.jobs[members[0]]
         phases = cached_phases(first.workload, first.n_nodes)
+        table = phases.table
         cap_w = [
             [clamped_cap_w(task.jobs[at].cap_w, node.spec)] * len(node.gpus)
             for at in members
             for node in nodes[at]
         ]
         rows = resolve_table(
-            phases.table, [nodes[at] for at in members], np.array(cap_w), rank_imbalance
+            table, [nodes[at] for at in members], np.array(cap_w), config.rank_imbalance
         )
-        for at, job_rows in zip(members, rows):
-            out[at] = (phases, job_rows)
+        # Jobs of a group at one cap mostly share their slowdowns, and
+        # equal slowdowns lay out equally: each distinct one once.
+        distinct, which = np.unique(
+            np.stack([job_rows.slowdown for job_rows in rows]),
+            axis=0,
+            return_inverse=True,
+        )
+        layouts = lay_out(
+            table.durations, distinct[:, table.row_of_phase], config.base_interval_s
+        )
+        for at, job_rows, index in zip(members, rows, which.tolist()):
+            out[at] = (phases, job_rows, layouts[index])
     return out
 
 
@@ -210,18 +232,23 @@ def render_batch(
     The only way fleet jobs are rendered: serial runs render the whole
     schedule as one batch and fold each partial as it is yielded, shard
     workers render their batches — which is what makes the modes
-    bit-identical.  Every phase table of the batch is resolved once, up
-    front (:func:`resolve_batch`).  ``node_for(name, spec)`` supplies
-    the nodes (the pool's lazy map in-process, the per-process memo in
-    workers).
+    bit-identical.  Every phase table of the batch is resolved and laid
+    out once, up front (:func:`resolve_batch`).  ``node_for(name, spec)``
+    supplies the nodes (the pool's lazy map in-process, the per-process
+    memo in workers).
     """
     nodes = [
         [node_for(name, task.specs[i]) for name, i in zip(job.node_names, job.spec_indices)]
         for job in task.jobs
     ]
     resolved = resolve_batch(task, nodes)
-    for job, job_nodes, (phases, rows) in zip(task.jobs, nodes, resolved):
-        yield render_task_job(job, task, job_nodes, phases, rows)
+    dtype = trace_dtype()
+    for job, job_nodes, (phases, rows, layout) in zip(task.jobs, nodes, resolved):
+        yield render_task_job(job, task, job_nodes, phases, rows, layout, dtype)
+
+
+#: Row of the node total in a job's rendered ``[nodes, components]`` series.
+_NODE_ROW = COMPONENT_KEYS.index("node")
 
 
 def render_task_job(
@@ -230,21 +257,31 @@ def render_task_job(
     nodes: list[GpuNode],
     phases: PhaseList,
     resolved: ResolvedRows,
+    layout: Layout,
+    dtype: np.dtype,
 ) -> JobPartial:
     """Render one scheduled job's traces and reduce them to a :class:`JobPartial`.
 
-    ``nodes``, ``phases`` and ``resolved`` come from :func:`render_batch`.
-    A node's only per-job state, its GPU cap, is set here before the
-    render (clamped per node: a mixed pool may contain GPUs whose
-    supported cap range does not include the policy's cap).  Monitored
-    runs (``task.monitor_platform``) hand every chunk to a
-    :class:`repro.monitor.collector.JobProbe` whose partial rides home
-    on the job partial; a node chunk's moment row is computed once, for
-    the fold and the probe.
+    ``nodes``, ``phases``, ``resolved`` and ``layout`` come from
+    :func:`render_batch`; the caps are in ``resolved``, so no node state
+    is set.  Samples are stored as ``dtype``
+    (:func:`~repro.runner.trace.trace_dtype`) before they are folded.
+    The job renders as :func:`~repro.runner.engine.render_blocks` blocks
+    of its node rows (a monitored run also renders the GPU rows), and
+    each block is folded as it comes:
+
+    * its node rows deposit into the :class:`JobPowerPartial` in one
+      ``np.add.at`` over their samples, concatenated in stream order — so
+      every bin adds the same samples in the same order as one deposit
+      per series chunk;
+    * each node row gives one :class:`RunningMoments` row per series
+      chunk (:meth:`RunningMoments.block_states`), which keeps the chunk
+      counts and every digest as a chunk-at-a-time fold gives them;
+    * a monitored run (``task.monitor_platform``) hands every series
+      chunk to a :class:`repro.monitor.collector.JobProbe`, in (node,
+      component, time) order, with the node chunk's moment row.
     """
-    for node in nodes:
-        node.set_gpu_power_limit(clamped_cap_w(job.cap_w, node.spec))
-    engine = PowerEngine(nodes, task.engine_config)
+    config = task.engine_config or EngineConfig()
     probe = None
     if task.monitor_platform is not None:
         from repro.monitor.collector import JobProbe
@@ -260,37 +297,46 @@ def render_task_job(
             node_specs={node.name: node.spec for node in nodes},
         )
     # The fold reads node rows only; a probe also reads the GPU rows.
-    streamed = engine.stream(
-        phases,
-        label=job.job_id,
-        seed=job.seed,
-        components=probe.COMPONENTS if probe is not None else ("node",),
-        resolved=resolved,
-    )
+    components = probe.COMPONENTS if probe is not None else ("node",)
+    rows = frozenset(COMPONENT_KEYS.index(key) for key in components)
+    _, means = resolved.gather(phases.table)
+    dt = config.base_interval_s
+    times = (np.arange(layout.n_samples) + 0.5) * dt
     power = JobPowerPartial(start_s=job.start_s, bin_s=task.bin_s)
     moment_rows: list[tuple] = []
     chunks = 0
     nbytes = 0
-    dt = streamed.base_interval_s
-    for chunk in streamed.chunks:
-        row = None
-        if chunk.component == "node":
-            row = RunningMoments.from_batch(chunk.values).state()
-            power.add_samples(job.start_s, chunk.times, chunk.values, dt)
-            moment_rows.append(row)
-            chunks += 1
-            nbytes += int(chunk.values.nbytes)
+    for block in render_blocks(means, layout, rows, job.seed, config):
+        obs.inc("repro_engine_chunks_total", len(block.series))
+        values = block.values.astype(dtype, copy=False)
+        block_times = times[block.start : block.start + values.shape[1]]
+        at_node = [i for i, (_, row) in enumerate(block.series) if row == _NODE_ROW]
+        states: list[tuple] = []
+        if at_node:
+            node_values = values if len(at_node) == len(values) else values[at_node]
+            states = RunningMoments.block_states(node_values)
+            power.add_samples(job.start_s, block_times, node_values, dt)
+            moment_rows.extend(states)
+            chunks += len(at_node)
+            nbytes += int(node_values.nbytes)
         if probe is not None:
-            probe.observe_chunk(
-                chunk.node_name, chunk.component, chunk.times, chunk.values, dt, row
-            )
+            node_states = iter(states)
+            for (node_index, row), series in zip(block.series, values):
+                probe.observe_chunk(
+                    nodes[node_index].name,
+                    COMPONENT_KEYS[row],
+                    block_times,
+                    series,
+                    dt,
+                    next(node_states) if row == _NODE_ROW else None,
+                )
     power.trim()
     return JobPartial(
         index=job.index,
         job_id=job.job_id,
         start_s=job.start_s,
         n_nodes=job.n_nodes,
-        runtime_s=streamed.runtime_s,
+        runtime_s=layout.runtime_s,
         power=power,
         moment_rows=moment_rows,
         chunks=chunks,

@@ -99,6 +99,36 @@ class RunningMoments:
         moments.update(values)
         return moments
 
+    @staticmethod
+    def block_states(
+        block: np.ndarray,
+    ) -> "list[tuple[int, float, float, float, float, float]]":
+        """The :meth:`state` of :meth:`from_batch` of each row of a ``[rows, m]`` block.
+
+        Each row is reduced along the block's last axis, the float
+        operations its own 1-D batch performs (pairwise sums over a
+        contiguous row), and the one-batch Welford update is applied
+        elementwise, so every row equals its ``from_batch`` bit for bit.
+        """
+        values = np.asarray(block, dtype=float)
+        n = values.shape[1]
+        # np.mean is the same add.reduce, then a division by n.
+        total = np.add.reduce(values, axis=1)
+        batch_mean = total / n
+        batch_m2 = np.add.reduce((values - batch_mean[:, None]) ** 2, axis=1)
+        # update() on empty moments: mean = 0 + delta*n/n, m2 = 0 + m2.
+        mean = 0.0 + batch_mean * n / n
+        return [
+            (n, *row)
+            for row in zip(
+                mean.tolist(),
+                (0.0 + batch_m2).tolist(),
+                (0.0 + total).tolist(),
+                np.minimum.reduce(values, axis=1).tolist(),
+                np.maximum.reduce(values, axis=1).tolist(),
+            )
+        ]
+
     def state(self) -> tuple[int, float, float, float, float, float]:
         """Compact picklable snapshot (count, mean, m2, total, min, max)."""
         return (
@@ -208,8 +238,15 @@ class JobPowerPartial:
         powers: np.ndarray,
         interval_s: float,
     ) -> None:
-        """Deposit one chunk of node-power samples (job-relative times)."""
-        if len(times) == 0:
+        """Deposit node-power samples at job-relative ``times``.
+
+        ``powers`` is one series' samples or a ``[rows, m]`` block of
+        series sharing ``times``.  A block deposits in one ``np.add.at``
+        over its rows concatenated, which adds into every bin in the
+        same order as one deposit per row.
+        """
+        powers = np.asarray(powers, dtype=float)
+        if len(times) == 0 or powers.size == 0:
             return
         absolute = start_s + np.asarray(times, dtype=float)
         index = np.floor(absolute / self.bin_s).astype(np.intp)
@@ -218,11 +255,14 @@ class JobPowerPartial:
         # Chunk times are increasing, so the last sample holds the top bin.
         top = int(local[-1]) + 1
         self._ensure(top)
-        energy = np.asarray(powers, dtype=float) * interval_s
-        np.add.at(self.energy_j, local, energy)
+        energy = powers * interval_s
+        rows = energy.size // len(times)
+        np.add.at(
+            self.energy_j, local[None].repeat(rows, axis=0).ravel(), energy.ravel()
+        )
         self.used_bins = max(self.used_bins, top)
         self.horizon_s = max(self.horizon_s, float(absolute[-1]) + interval_s / 2.0)
-        self.samples += len(times)
+        self.samples += energy.size
 
     def trim(self) -> "JobPowerPartial":
         """Shrink the bin array to its used extent (before crossing IPC)."""

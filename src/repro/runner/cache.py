@@ -20,12 +20,15 @@ magic header and a sha256 of its payload, and read back by
 containers, numpy arrays and scalars.  Floats hash by their exact bit
 pattern, so any change to a workload parameter or an
 :class:`~repro.runner.engine.EngineConfig` field invalidates the key.
+A frozen workload enters a fingerprint as its memoized
+:func:`content_key`, so it is walked once per instance.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import logging
 import os
@@ -118,14 +121,9 @@ def _canonical(obj: Any) -> Any:
     if isinstance(obj, enum.Enum):
         return ("enum", type(obj).__qualname__, obj.name)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return (
-            type(obj).__module__,
-            type(obj).__qualname__,
-            tuple(
-                (f.name, _canonical(getattr(obj, f.name)))
-                for f in dataclasses.fields(obj)
-            ),
-        )
+        if _is_frozen_workload(type(obj)):
+            return ("content_key", content_key(obj))
+        return _dataclass_fields(obj)
     if isinstance(obj, np.ndarray):
         return ("ndarray", obj.dtype.str, obj.shape, obj.tobytes())
     if isinstance(obj, np.generic):
@@ -139,6 +137,32 @@ def _canonical(obj: Any) -> Any:
     raise TypeError(
         f"cannot fingerprint {type(obj).__name__!r}: add a dataclass or "
         f"container representation"
+    )
+
+
+def _dataclass_fields(obj: Any) -> tuple:
+    """A dataclass instance's type and canonical fields."""
+    return (
+        type(obj).__module__,
+        type(obj).__qualname__,
+        tuple(
+            (f.name, _canonical(getattr(obj, f.name))) for f in dataclasses.fields(obj)
+        ),
+    )
+
+
+@functools.cache
+def _is_frozen_workload(cls: type) -> bool:
+    """Whether a dataclass type is a frozen workload, keyed by :func:`content_key`.
+
+    A workload exposes the engine contract (``phases`` and
+    ``uncapped_runtime_s``).  The answer depends on the type alone, so
+    an instance keys the same whether or not its key was memoized yet.
+    """
+    return (
+        cls.__dataclass_params__.frozen
+        and callable(getattr(cls, "phases", None))
+        and callable(getattr(cls, "uncapped_runtime_s", None))
     )
 
 
@@ -161,7 +185,9 @@ def content_key(obj: Any) -> str:
     never enters ``_canonical``, ``__eq__`` or ``repr``, and
     ``dataclasses.replace`` builds a fresh, unkeyed instance.  Anything
     else is fingerprinted on every call, so a mutable ad-hoc workload
-    keys by its current content.
+    keys by its current content.  ``fingerprint`` keys a frozen workload
+    nested in anything (a ``RunSpec``, a fleet job) by this key, so a
+    workload's fields are walked once however often it is keyed.
     """
     memo = getattr(obj, "__dict__", None)
     if memo is not None and _CONTENT_KEY in memo:
@@ -169,7 +195,14 @@ def content_key(obj: Any) -> str:
     # Imported here: the workload registry's package imports the runner.
     from repro.workloads.registry import workload_model_id
 
-    key = fingerprint(workload_model_id(obj), obj)
+    fields = (
+        _dataclass_fields(obj)
+        if dataclasses.is_dataclass(obj) and not isinstance(obj, type)
+        else _canonical(obj)
+    )
+    key = hashlib.sha256(
+        repr((workload_model_id(obj), fields)).encode("utf-8")
+    ).hexdigest()
     if (
         memo is not None
         and dataclasses.is_dataclass(obj)

@@ -19,9 +19,15 @@ tables once for all of its jobs that share it
 (:func:`repro.capping.shard.render_batch`); a lone :meth:`PowerEngine.run`
 or :meth:`PowerEngine.stream` is the one-job case.
 
-Every trace renders through one chunked path, :data:`RENDER_CHUNK`
-samples at a time: :meth:`PowerEngine.run` writes the chunks into
-whole traces, :meth:`PowerEngine.stream` hands them out one by one.
+Every trace renders through one block renderer, :func:`render_blocks`.
+A block holds whole consecutive series in stream order, as many as fit
+in :data:`RENDER_CHUNK` samples, and gets one normal draw, one AR(1)
+filter call over its read rows and one clip; a longer series renders in
+:data:`RENDER_CHUNK`-sample pieces with its filter state carried.
+:meth:`PowerEngine.run` writes the blocks into whole traces,
+:meth:`PowerEngine.stream` hands them out one series chunk at a time,
+and the traced fleet (:func:`repro.capping.shard.render_task_job`)
+folds them as they come.
 """
 
 from __future__ import annotations
@@ -31,10 +37,11 @@ import importlib.machinery
 import itertools
 import importlib.util
 import sys
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import ModuleType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,13 +60,14 @@ from repro.runner.trace import (
     trace_dtype,
 )
 
-#: Samples per rendered chunk, for every trace.  Peak render working
-#: memory is O(chunk), not O(schedule); a typical fleet job (hundreds to
-#: a few thousand samples per series) fits in one chunk.
+#: Samples per render block, for every trace.  A block holds
+#: ``max(1, RENDER_CHUNK // n)`` whole series of ``n`` samples; a series
+#: longer than this renders in pieces of this many samples, one block
+#: each.  Peak render working memory is O(chunk), not O(schedule); a
+#: typical fleet job (hundreds to a few thousand samples per series)
+#: renders several node series per block.  A stream's chunk is one
+#: series' share of one block.
 RENDER_CHUNK = 16_384
-
-#: ``(node_index, row, start, values)`` chunks of rendered component rows.
-_Chunks = Iterator[tuple[int, int, int, np.ndarray]]
 
 #: Rows of the components in a resolved ``means[N, K, P]``.
 _GPU_ROWS = [COMPONENT_KEYS.index(key) for key in GPU_KEYS]
@@ -171,7 +179,8 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class TraceChunk:
-    """One fixed-size slice of one node component's rendered series."""
+    """One node component's share of a render block: its whole series, or
+    one :data:`RENDER_CHUNK`-sample piece of a longer one."""
 
     node_name: str
     node_index: int
@@ -260,7 +269,7 @@ class ResolvedRows:
     def gather(self, table: PhaseTable) -> tuple[np.ndarray, np.ndarray]:
         """``(slowdown[P], means[nodes, components, P])`` of the table's phases."""
         rows = table.row_of_phase
-        return self.slowdown[rows], self.means[:, :, rows]
+        return self.slowdown[rows], np.take(self.means, rows, axis=2)
 
 
 def resolve_table(
@@ -404,6 +413,174 @@ def resolve_table(
     ]
 
 
+@dataclass(frozen=True)
+class Layout:
+    """One job's phases on the wall clock and on the regular sample grid.
+
+    ``slowdown``, ``starts``, ``ends`` and ``counts`` are ``[P]``; phase
+    ``p`` covers ``counts[p]`` samples, and the counts sum to
+    ``n_samples``.
+    """
+
+    slowdown: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    n_samples: int
+    counts: np.ndarray
+
+    @property
+    def runtime_s(self) -> float:
+        """Wall-clock end of the last phase."""
+        return float(self.ends[-1])
+
+
+def _phase_sample_counts(
+    durations: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per job, (total samples ``[J]``, per-phase sample counts ``[J, P]``).
+
+    ``durations`` are ``[jobs, phases]`` laid-out phase durations
+    (``end - start``).  Phase ``i`` ends at sample
+    ``rint(sum(durations[:i+1]) / dt)``; the running sum must be
+    sequential (``cumsum``, as the wall clock advances), never pairwise.
+    ``cumsum`` along a row is sequential, so every row equals its one-job
+    layout.
+    """
+    t_acc = np.cumsum(durations, axis=1)
+    n_samples = np.maximum(np.rint(t_acc[:, -1] / dt).astype(np.int64), 1)
+    upto = np.minimum(np.rint(t_acc / dt).astype(np.int64), n_samples[:, None])
+    counts = np.diff(upto, axis=1, prepend=0)
+    # Rounding drift: park the remainder on the final phase so the
+    # per-phase counts always sum to n_samples.
+    counts[:, -1] += n_samples - upto[:, -1]
+    return n_samples, counts
+
+
+def lay_out(durations: np.ndarray, slowdown: np.ndarray, dt: float) -> list[Layout]:
+    """Lay out every job of a resolve group on the wall clock and the grid.
+
+    ``durations`` are the table's nominal ``[P]`` phase durations,
+    ``slowdown`` each job's ``[jobs, P]`` phase slowdowns.  Phases run
+    back to back: ``cumsum`` along a job's row adds its stretched
+    durations in order, exactly as a wall clock advanced phase by phase
+    would, so a job laid out in a group equals it laid out alone.
+    """
+    ends = np.cumsum(durations * slowdown, axis=1)
+    starts = np.zeros_like(ends)
+    starts[:, 1:] = ends[:, :-1]
+    n_samples, counts = _phase_sample_counts(ends - starts, dt)
+    return [
+        Layout(slowdown[job], starts[job], ends[job], int(n_samples[job]), counts[job])
+        for job in range(len(ends))
+    ]
+
+
+class RenderBlock(NamedTuple):
+    """Rendered samples ``[start, start + width)`` of some series.
+
+    ``values`` is ``[len(series), width]``, float64; row ``i`` belongs to
+    ``series[i]``, a ``(node_index, row)`` pair whose ``row`` indexes
+    :data:`COMPONENT_KEYS`.  Whole-series blocks start at 0.
+    """
+
+    series: list[tuple[int, int]]
+    start: int
+    values: np.ndarray
+
+
+def _series_pieces(
+    counts: np.ndarray, n_samples: int
+) -> list[tuple[int, int, slice, np.ndarray]]:
+    """``(start, stop, phases, phase_counts)`` of each piece of one series.
+
+    One piece covering every phase when the series fits in
+    :data:`RENDER_CHUNK`; else :data:`RENDER_CHUNK`-sample pieces, each
+    with the phase segments overlapping it.
+    """
+    chunk = RENDER_CHUNK
+    if n_samples <= chunk:
+        return [(0, n_samples, slice(None), counts)]
+    edges = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+    pieces = []
+    for start in range(0, n_samples, chunk):
+        stop = min(start + chunk, n_samples)
+        i0 = int(np.searchsorted(edges, start, side="right")) - 1
+        i1 = int(np.searchsorted(edges, stop, side="left"))
+        seg_counts = np.minimum(edges[i0 + 1 : i1 + 1], stop) - np.maximum(
+            edges[i0:i1], start
+        )
+        pieces.append((start, stop, slice(i0, i1), seg_counts))
+    return pieces
+
+
+@functools.cache
+def _ar_filter(coeff: float) -> tuple[np.ndarray, np.ndarray, np.float64]:
+    """AR(1) filter ``(b, a, scale)``: ``y[t] = coeff*y[t-1] + e[t]``,
+    then ``y * scale`` has the variance of ``e``.  Read-only: every
+    render shares them."""
+    b, a = np.ones(1), np.array([1.0, -coeff])
+    b.setflags(write=False)
+    a.setflags(write=False)
+    return b, a, np.sqrt(1.0 - coeff**2)
+
+
+def render_blocks(
+    means: np.ndarray,
+    layout: Layout,
+    rows: Collection[int],
+    seed: int,
+    config: EngineConfig,
+) -> Iterator[RenderBlock]:
+    """Render one job's component series as :class:`RenderBlock` records.
+
+    ``means`` is ``[nodes, components, P]``; the series are its
+    ``(node, component)`` pairs in stream order, node-major, and only
+    components whose row is in ``rows`` are rendered.  A block holds
+    ``max(1, RENDER_CHUNK // n_samples)`` consecutive series and gets one
+    ``standard_normal`` call for all of them, read or not, then one AR(1)
+    filter call over its read rows (a ``zi`` per row) and one clip.  A
+    series longer than :data:`RENDER_CHUNK` is drawn and filtered in
+    pieces with its filter state carried, one block per piece.
+
+    The RNG is consumed in stream order, and a draw of ``a + b`` normals
+    equals draws of ``a`` then ``b``, so every series is the same sample
+    for sample at any chunk size and whichever rows are read.  With
+    noise off nothing is drawn.
+    """
+    rng = np.random.default_rng(seed)
+    n_nodes, n_rows = means.shape[:2]
+    n_series = n_nodes * n_rows
+    levels_of = means.reshape(n_series, -1)
+    n_samples = layout.n_samples
+    per_block = max(1, RENDER_CHUNK // n_samples)
+    pieces = _series_pieces(layout.counts, n_samples)
+    noisy = config.noise_rel_sigma != 0.0
+    ar_b, ar_a, ar_scale = _ar_filter(config.noise_ar_coeff)
+    for first in range(0, n_series, per_block):
+        size = min(per_block, n_series - first)
+        picked = [s for s in range(first, first + size) if s % n_rows in rows]
+        series = [divmod(s, n_rows) for s in picked]
+        zi = np.zeros((len(picked), 1))
+        for start, stop, phases, phase_counts in pieces:
+            width = stop - start
+            if noisy:
+                normals = rng.standard_normal(size * width).reshape(size, width)
+            if not picked:
+                continue
+            levels = np.repeat(levels_of[picked, phases], phase_counts, axis=1)
+            if noisy:
+                if len(picked) < size:
+                    normals = normals[[s - first for s in picked]]
+                sigma = config.noise_rel_sigma * levels + config.noise_floor_w
+                # AR(1) filter, then normalize the stationary variance.
+                ar, zi = _linear_filter()(ar_b, ar_a, normals * sigma, -1, zi)
+                ar *= ar_scale
+                values = np.maximum(levels + ar, 0.0)
+            else:
+                values = levels
+            yield RenderBlock(series, start, values)
+
+
 class PowerEngine:
     """Runs phase sequences on a fixed set of nodes."""
 
@@ -418,9 +595,6 @@ class PowerEngine:
             )
         self.nodes = nodes
         self.config = config if config is not None else EngineConfig()
-        # AR(1) filter coefficients: y[t] = a*y[t-1] + e[t].
-        self._ar_b = np.ones(1)
-        self._ar_a = np.array([1.0, -self.config.noise_ar_coeff])
 
     # ------------------------------------------------------------------
     def _resolve_phases(self, table: PhaseTable) -> tuple[np.ndarray, np.ndarray]:
@@ -436,137 +610,32 @@ class PowerEngine:
         (rows,) = resolve_table(table, [nodes], cap_w, self.config.rank_imbalance)
         return rows.gather(table)
 
-    def _phase_sample_counts(self, durations: np.ndarray) -> tuple[int, np.ndarray]:
-        """(total samples, per-phase sample counts) on the regular grid.
+    def _resolve_and_layout(
+        self, phases: list[MacroPhase], resolved: ResolvedRows | None = None
+    ) -> tuple[Layout, np.ndarray]:
+        """Cap-resolve phases and lay them out: ``(layout, means[N, K, P])``.
 
-        ``durations`` are the laid-out phase durations (``end - start``).
-        Phase ``i`` ends at sample ``rint(sum(durations[:i+1]) / dt)``;
-        the running sum must be sequential (``cumsum``, as the wall clock
-        advances), never pairwise.
+        The phase table comes with a store-held list and is built now for
+        any other (see :func:`~repro.vasp.phases.phase_table`).  A given
+        ``resolved`` (this job's rows, resolved with others sharing its
+        table) is gathered instead of resolving the table again.  The
+        layout is the one-job case of :func:`lay_out`.
         """
-        dt = self.config.base_interval_s
-        t_acc = np.cumsum(durations)
-        n_samples = max(int(np.rint(t_acc[-1] / dt)), 1)
-        upto = np.minimum(np.rint(t_acc / dt).astype(np.int64), n_samples)
-        counts = np.diff(upto, prepend=0)
-        if upto[-1] < n_samples:
-            # Rounding drift: park the remainder on the final phase so the
-            # per-phase counts always sum to n_samples.
-            counts[-1] += n_samples - upto[-1]
-        return n_samples, counts
-
-    def _render(
-        self,
-        phases: list[MacroPhase],
-        seed: int,
-        rows: frozenset[int],
-        resolved: ResolvedRows | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, _Chunks]:
-        """The one render pipeline behind :meth:`run` and :meth:`stream`.
-
-        Resolves (unless ``resolved``) and lays out ``phases`` now and
-        returns ``(slowdown[P], starts[P], ends[P], n_samples, chunks)``.
-        ``chunks`` renders the component rows in ``rows`` lazily, as
-        :meth:`_iter_component_chunks` yields them.
-        """
-        rng = np.random.default_rng(seed)
-        slowdown, means, starts, ends = self._resolve_and_layout(phases, resolved)
-        n_samples, counts = self._phase_sample_counts(ends - starts)
-        chunks = self._iter_component_chunks(means, rng, n_samples, counts, rows)
-        return slowdown, starts, ends, n_samples, chunks
-
-    def _render_traces(self, n_samples: int, chunks: _Chunks) -> list[PowerTrace]:
-        """Write a full chunk stream into columnar traces: one
-        ``(n_components, n_samples)`` matrix per node."""
-        dt = self.config.base_interval_s
-        dtype = trace_dtype()
-        times = (np.arange(n_samples) + 0.5) * dt
-        traces = [
-            PowerTrace(
-                node_name=node.name,
-                times=times,
-                data=np.empty((len(COMPONENT_KEYS), n_samples), dtype=dtype),
-                base_interval_s=dt,
-            )
-            for node in self.nodes
-        ]
-        for node_index, row, start, values in chunks:
-            traces[node_index].data[row, start : start + len(values)] = values
-        return traces
-
-    def _iter_component_chunks(
-        self,
-        means: np.ndarray,
-        rng: np.random.Generator,
-        n_samples: int,
-        counts: np.ndarray,
-        rows: frozenset[int],
-    ) -> _Chunks:
-        """Yield ``(node_index, row, start, values)`` chunks of
-        :data:`RENDER_CHUNK` samples (the last of a series may be shorter).
-
-        ``row`` indexes :data:`COMPONENT_KEYS` (and ``means[node_index]``);
-        only the rows in ``rows`` are rendered.
-
-        Chunks come in (node, component, time) order, the order the RNG
-        stream is consumed in, and the AR(1) filter state is carried
-        across chunk boundaries via the filter's ``zi``/``zf``, so a series
-        is the same sample for sample at any chunk size.  A row outside
-        ``rows`` only advances the RNG by the normals its render would
-        draw (none when noise is off) — a series' draws consume the
-        stream the same in one piece or many — and gets no filter, clip
-        or chunk.
-        """
-        chunk = RENDER_CHUNK
-        edges = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-        # Every series splits at the same offsets: per chunk [start, stop),
-        # its size and the phase segments overlapping it, found once.
-        spans = []
-        for start in range(0, n_samples, chunk):
-            stop = min(start + chunk, n_samples)
-            i0 = int(np.searchsorted(edges, start, side="right")) - 1
-            i1 = int(np.searchsorted(edges, stop, side="left"))
-            seg_counts = np.minimum(edges[i0 + 1 : i1 + 1], stop) - np.maximum(
-                edges[i0:i1], start
-            )
-            spans.append((start, stop - start, slice(i0, i1), seg_counts))
-        noisy = self.config.noise_rel_sigma != 0.0
-        for node_index in range(len(self.nodes)):
-            for row in range(len(COMPONENT_KEYS)):
-                if row not in rows:
-                    if noisy:
-                        for _, size, _, _ in spans:
-                            rng.standard_normal(size)
-                    continue
-                levels = means[node_index, row]
-                zi = np.zeros(1)
-                for start, _, segments, seg_counts in spans:
-                    values, zi = self._add_noise_chunk(
-                        np.repeat(levels[segments], seg_counts), rng, zi
-                    )
-                    yield node_index, row, start, values
-
-    def _add_noise_chunk(
-        self, means: np.ndarray, rng: np.random.Generator, zi: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One noise chunk plus the AR(1) filter state to carry forward.
-
-        ``zi`` is the direct-form filter state from the previous chunk of
-        the same series (zeros at series start); threading it through
-        the filter makes chunked rendering bit-identical to filtering the
-        whole series at once.  The noise is proportional to the signal's
-        dynamic range.  The filter is scipy's compiled ``lfilter`` kernel
-        (see :func:`_linear_filter`).
-        """
-        cfg = self.config
-        if cfg.noise_rel_sigma == 0.0:
-            return means.astype(float), zi
-        sigma = cfg.noise_rel_sigma * means + cfg.noise_floor_w
-        white = rng.standard_normal(len(means)) * sigma
-        # AR(1) filter, then normalize the stationary variance.
-        ar, zf = _linear_filter()(self._ar_b, self._ar_a, white, -1, zi)
-        ar *= np.sqrt(1.0 - cfg.noise_ar_coeff**2)
-        return np.maximum(means + ar, 0.0), zf
+        table = phase_table(phases)
+        if resolved is None:
+            slowdown, means = self._resolve_phases(table)
+        else:
+            expected = (len(self.nodes), len(COMPONENT_KEYS), table.n_rows)
+            if resolved.means.shape != expected:
+                raise ValueError(
+                    f"resolved rows of shape {resolved.means.shape} do not fit "
+                    f"{len(self.nodes)} node(s) and a {table.n_rows}-row table"
+                )
+            slowdown, means = resolved.gather(table)
+        (layout,) = lay_out(
+            table.durations, slowdown[None], self.config.base_interval_s
+        )
+        return layout, means
 
     # ------------------------------------------------------------------
     def run(
@@ -589,50 +658,38 @@ class PowerEngine:
         ):
             return self._run_instrumented(phases, label, seed)
 
-    def _resolve_and_layout(
-        self, phases: list[MacroPhase], resolved: ResolvedRows | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cap-resolve phases and lay them out on the wall clock.
-
-        Returns ``(slowdown[P], means[N, K, P], starts[P], ends[P])``.
-        The phase table comes with a store-held list and is built now for
-        any other (see :func:`~repro.vasp.phases.phase_table`).  A given
-        ``resolved`` (this job's rows, resolved with others sharing its
-        table) is gathered instead of resolving the table again.
-        Phases run back to back: ``cumsum`` adds the stretched durations
-        in order, exactly as a wall clock advanced phase by phase would.
-        """
-        table = phase_table(phases)
-        if resolved is None:
-            slowdown, means = self._resolve_phases(table)
-        else:
-            expected = (len(self.nodes), len(COMPONENT_KEYS), table.n_rows)
-            if resolved.means.shape != expected:
-                raise ValueError(
-                    f"resolved rows of shape {resolved.means.shape} do not fit "
-                    f"{len(self.nodes)} node(s) and a {table.n_rows}-row table"
-                )
-            slowdown, means = resolved.gather(table)
-        ends = np.cumsum(table.durations * slowdown)
-        starts = np.concatenate(([0.0], ends[:-1]))
-        return slowdown, means, starts, ends
-
     def _run_instrumented(
         self, phases: list[MacroPhase], label: str, seed: int
     ) -> RunResult:
-        slowdown, starts, ends, n_samples, chunks = self._render(
-            phases, seed, _ALL_ROWS
-        )
+        layout, means = self._resolve_and_layout(phases)
+        n_samples = layout.n_samples
         with obs.span(
             "engine.render_traces", phases=len(phases), nodes=len(self.nodes)
         ) as render_span:
-            traces = self._render_traces(n_samples, chunks)
+            dt = self.config.base_interval_s
+            times = (np.arange(n_samples) + 0.5) * dt
+            dtype = trace_dtype()
+            traces = [
+                PowerTrace(
+                    node_name=node.name,
+                    times=times,
+                    data=np.empty((len(COMPONENT_KEYS), n_samples), dtype=dtype),
+                    base_interval_s=dt,
+                )
+                for node in self.nodes
+            ]
+            for block in render_blocks(means, layout, _ALL_ROWS, seed, self.config):
+                stop = block.start + block.values.shape[1]
+                for (node_index, row), values in zip(block.series, block.values):
+                    traces[node_index].data[row, block.start : stop] = values
             render_span.annotate(samples=n_samples)
         return RunResult(
             label=label,
             traces=traces,
-            phases=_phase_records(phases, slowdown, starts, ends),
-            runtime_s=float(ends[-1]),
+            phases=_phase_records(
+                phases, layout.slowdown, layout.starts, layout.ends
+            ),
+            runtime_s=layout.runtime_s,
             gpu_power_cap_w=self.nodes[0].gpu_power_limit_w,
         )
 
@@ -645,14 +702,17 @@ class PowerEngine:
         components: Sequence[str] = COMPONENT_KEYS,
         resolved: ResolvedRows | None = None,
     ) -> "StreamedRun":
-        """Resolve a schedule and stream its render in :data:`RENDER_CHUNK` chunks.
+        """Resolve a schedule and stream its render one series chunk at a time.
 
         Returns a :class:`StreamedRun` whose ``chunks`` iterator yields
-        :class:`TraceChunk` records in (node, component, time) order; the
-        concatenation of one series' chunks is bit-identical to the trace
-        :meth:`run` renders for the same seed.  Nothing is retained
-        between chunks, which is what lets fleet-scale consumers
-        aggregate thousands of node traces in bounded memory.
+        :class:`TraceChunk` records in (node, component, time) order, one
+        per series per :func:`render_blocks` block: a whole series when
+        it fits in :data:`RENDER_CHUNK` samples, else one
+        :data:`RENDER_CHUNK`-sample piece.  The concatenation of one
+        series' chunks is bit-identical to the trace :meth:`run` renders
+        for the same seed.  Only the current block is held, which is what
+        lets consumers aggregate thousands of node traces in bounded
+        memory.
 
         ``components`` names the rows the consumer reads (default: all
         of :data:`COMPONENT_KEYS`).  Only they are rendered; every other
@@ -660,8 +720,8 @@ class PowerEngine:
         bit-identical to a full render.
 
         ``resolved`` is this job's rows from :func:`resolve_table`, when
-        a fleet batch resolved every job sharing its phase table in one
-        pass; without it the stream resolves the table now on the nodes'
+        they were resolved with other jobs sharing its phase table;
+        without it the stream resolves the table now on the nodes'
         current caps (the one-job case of the same function).
         """
         if not phases:
@@ -673,34 +733,35 @@ class PowerEngine:
             )
         rows = frozenset(COMPONENT_KEYS.index(key) for key in components)
         obs.inc("repro_engine_streams_total")
-        slowdown, starts, ends, n_samples, rendered = self._render(
-            phases, seed, rows, resolved
-        )
+        layout, means = self._resolve_and_layout(phases, resolved)
+        blocks = render_blocks(means, layout, rows, seed, self.config)
         dt = self.config.base_interval_s
         dtype = trace_dtype()
 
         def generate() -> Iterator[TraceChunk]:
-            for node_index, row, start, values in rendered:
-                obs.inc("repro_engine_chunks_total")
-                stop = start + len(values)
-                yield TraceChunk(
-                    node_name=self.nodes[node_index].name,
-                    node_index=node_index,
-                    component=COMPONENT_KEYS[row],
-                    start_index=start,
-                    times=(np.arange(start, stop) + 0.5) * dt,
-                    values=values.astype(dtype),
-                )
+            for block in blocks:
+                stop = block.start + block.values.shape[1]
+                times = (np.arange(block.start, stop) + 0.5) * dt
+                for (node_index, row), values in zip(block.series, block.values):
+                    obs.inc("repro_engine_chunks_total")
+                    yield TraceChunk(
+                        node_name=self.nodes[node_index].name,
+                        node_index=node_index,
+                        component=COMPONENT_KEYS[row],
+                        start_index=block.start,
+                        times=times,
+                        values=values.astype(dtype),
+                    )
 
         return StreamedRun(
             label=label,
-            runtime_s=float(ends[-1]),
+            runtime_s=layout.runtime_s,
             gpu_power_cap_w=self.nodes[0].gpu_power_limit_w,
             n_nodes=len(self.nodes),
-            n_samples=n_samples,
+            n_samples=layout.n_samples,
             base_interval_s=dt,
             chunks=generate(),
             build_phases=functools.partial(
-                _phase_records, phases, slowdown, starts, ends
+                _phase_records, phases, layout.slowdown, layout.starts, layout.ends
             ),
         )

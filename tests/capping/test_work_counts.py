@@ -15,7 +15,7 @@ from repro.capping.fleet import compare_fleet_policies_traced, job_stream
 from repro.runner import cache
 from repro.runner.cache import RunCache, content_key
 from repro.runner import engine
-from repro.runner.engine import EngineConfig, PowerEngine
+from repro.runner.engine import EngineConfig
 from repro.workloads import get_workload_model, workload_model_ids
 
 N_JOBS = 24
@@ -36,22 +36,23 @@ def counted(monkeypatch):
     counts = {
         "walked": [],
         "builds": [],
+        # Series chunks rendered, and job renders.
         "rendered": 0,
-        "streams": 0,
+        "renders": 0,
         # (jobs, [(grid rows, node slots) per batched resolve]) per batch.
         "batches": [],
         # (phases, scalar resolves) per admission estimate.
         "estimates": [],
     }
 
-    real_canonical = cache._canonical
+    real_fields = cache._dataclass_fields
 
-    def canonical(obj):
+    def dataclass_fields(obj):
         if isinstance(obj, WORKLOAD_TYPES):
             counts["walked"].append(obj)
-        return real_canonical(obj)
+        return real_fields(obj)
 
-    monkeypatch.setattr(cache, "_canonical", canonical)
+    monkeypatch.setattr(cache, "_dataclass_fields", dataclass_fields)
 
     real_layout_for = cache.layout_for
 
@@ -61,21 +62,15 @@ def counted(monkeypatch):
 
     monkeypatch.setattr(cache, "layout_for", layout_for)
 
-    real_add_noise_chunk = PowerEngine._add_noise_chunk
+    real_render_blocks = shard.render_blocks
 
-    def add_noise_chunk(self, means, rng, zi):
-        counts["rendered"] += 1
-        return real_add_noise_chunk(self, means, rng, zi)
+    def render_blocks(*args, **kwargs):
+        counts["renders"] += 1
+        for block in real_render_blocks(*args, **kwargs):
+            counts["rendered"] += len(block.series)
+            yield block
 
-    monkeypatch.setattr(PowerEngine, "_add_noise_chunk", add_noise_chunk)
-
-    real_stream = PowerEngine.stream
-
-    def stream(self, phases, *args, **kwargs):
-        counts["streams"] += 1
-        return real_stream(self, phases, *args, **kwargs)
-
-    monkeypatch.setattr(PowerEngine, "stream", stream)
+    monkeypatch.setattr(shard, "render_blocks", render_blocks)
 
     real_resolve_batch = shard.resolve_batch
 
@@ -165,10 +160,10 @@ def distinct_rows(phases, active_only=False):
 def test_each_batch_resolves_each_phase_table_once(counted):
     """A batch makes one batched resolve per distinct (workload, width)
     among its jobs, on a grid of that table's distinct rows by all the
-    node slots of the jobs sharing it; no stream resolves again."""
+    node slots of the jobs sharing it; no job render resolves again."""
     counts, reports = counted
     jobs_completed = sum(r.jobs_completed for r in reports)
-    assert counts["streams"] == jobs_completed
+    assert counts["renders"] == jobs_completed
     # Serial runs render each policy's schedule as one batch.
     assert len(counts["batches"]) == len(reports)
     assert sum(len(jobs) for jobs, _ in counts["batches"]) == jobs_completed

@@ -1,6 +1,7 @@
 """Unit tests for content-keyed run caching."""
 
 import dataclasses
+import hashlib
 import pickle
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.runner.cache import (
     read_pickle,
 )
 from repro.runner.engine import EngineConfig
+from repro.runner.sweep import RunSpec
 from repro.vasp.benchmarks import benchmark
 from repro.workloads import get_workload_model, workload_model_ids
 
@@ -84,25 +86,44 @@ class TestContentKey:
             workload.name = "renamed"
 
     def test_key_is_model_id_and_content(self):
+        from repro.runner import cache
+
         workload = benchmark("PdO2").build()
-        assert content_key(workload) == fingerprint("vasp", workload)
+        walked = repr(("vasp", cache._dataclass_fields(workload)))
+        assert content_key(workload) == hashlib.sha256(walked.encode()).hexdigest()
 
     def test_walked_once_per_instance(self, monkeypatch):
+        """Keyed directly or nested in a fingerprinted spec, a workload's
+        fields are walked once."""
         from repro.runner import cache
 
         workload = benchmark("PdO2").build()
         walks = []
-        real_canonical = cache._canonical
+        real_fields = cache._dataclass_fields
 
-        def canonical(obj):
+        def dataclass_fields(obj):
             if obj is workload:
                 walks.append(obj)
-            return real_canonical(obj)
+            return real_fields(obj)
 
-        monkeypatch.setattr(cache, "_canonical", canonical)
+        monkeypatch.setattr(cache, "_dataclass_fields", dataclass_fields)
         keys = {content_key(workload) for _ in range(5)}
+        specs = {fingerprint(RunSpec(workload, n_nodes=n)) for n in (1, 2, 1)}
         assert len(keys) == 1
+        assert len(specs) == 2
         assert len(walks) == 1
+
+    def test_fingerprint_does_not_depend_on_keying_history(self):
+        """A spec keys the same whether its workload was keyed before."""
+        unkeyed = RunSpec(benchmark("PdO2").build(), n_nodes=2)
+        keyed = RunSpec(benchmark("PdO2").build(), n_nodes=2)
+        content_key(keyed.workload)
+        first = fingerprint(unkeyed)
+        assert fingerprint(keyed) == first
+        content_key(unkeyed.workload)
+        assert fingerprint(unkeyed) == first
+        renamed = dataclasses.replace(unkeyed.workload, name="PdO2-renamed")
+        assert fingerprint(dataclasses.replace(unkeyed, workload=renamed)) != first
 
     def test_memo_is_not_content(self):
         workload = benchmark("PdO2").build()
@@ -132,7 +153,9 @@ class TestContentKey:
     @pytest.mark.parametrize("keyed_first", [False, True])
     def test_pickled_round_trip_keys_the_same(self, keyed_first):
         workload = benchmark("PdO4").build()
-        key = content_key(workload) if keyed_first else fingerprint("vasp", workload)
+        # Unkeyed first: the pickle carries no memo, and the key is
+        # computed from an equal instance.
+        key = content_key(workload if keyed_first else benchmark("PdO4").build())
         shipped = pickle.loads(pickle.dumps(workload))
         assert shipped is not workload
         assert content_key(shipped) == key

@@ -3,9 +3,9 @@
 Serial == sharded == resumed tests compare execution modes against each
 other, so a change that shifts every mode alike passes them all.  These
 digests pin the output itself: ``run``, ``stream`` at an odd chunk size
-and a small traced fleet comparison.  A digest changes only when
-the engine's numbers change; a pure refactor or speed-up must leave all
-three as they are.
+and a small traced fleet comparison at two resolutions.  A digest
+changes only when the engine's numbers change; a pure refactor or
+speed-up must leave all four as they are.
 """
 
 import hashlib
@@ -27,6 +27,10 @@ RUN_DIGEST = "cd6b09b2b1b9066c12876655b9656b4c3eda1e3af08e797f83fc11fbdc4318ef"
 #: 24 jobs on 48 nodes, capped and uncapped: the report fields the e2e
 #: benchmark's ``fleet_digest`` hashes.
 FLEET_DIGEST = "5d8a940daeeefc7c4fe42946c00c108027fd424f20d4a578a0f8ed9b185dedcb"
+#: The same fleet at 0.1 s, where the longest series (33,615 samples)
+#: spans three :data:`~repro.runner.engine.RENDER_CHUNK` pieces; at
+#: 1.0 s every series fits in one.
+FLEET_LONG_DIGEST = "846cfda89731cfaa3126c2a9f41ade3bb46f33297a21c033ffe880a079eaf34a"
 
 CAPS_W = (None, 200.0)
 SEED = 11
@@ -119,12 +123,12 @@ def test_stream_at_odd_chunk_equals_run_digest(monkeypatch):
     assert digest(stream_parts()) == RUN_DIGEST
 
 
-def test_fleet_digest():
+def fleet_digest(base_interval_s: float) -> str:
     reports = compare_fleet_policies_traced(
         n_jobs=24,
         n_nodes=48,
         seed=0,
-        engine_config=EngineConfig(base_interval_s=1.0),
+        engine_config=EngineConfig(base_interval_s=base_interval_s),
         workers=1,
     )
     parts = []
@@ -152,4 +156,12 @@ def test_fleet_digest():
                 ),
             )
         )
-    assert hashlib.sha256(repr(parts).encode()).hexdigest() == FLEET_DIGEST
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def test_fleet_digest():
+    assert fleet_digest(1.0) == FLEET_DIGEST
+
+
+def test_fleet_digest_with_series_longer_than_a_chunk():
+    assert fleet_digest(0.1) == FLEET_LONG_DIGEST

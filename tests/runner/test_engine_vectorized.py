@@ -15,7 +15,13 @@ import pytest
 from repro.hardware.node import GpuNode
 from repro.perfmodel.kernels import KernelCatalogue
 from repro.perfmodel.power import demand_power_w
-from repro.runner.engine import EngineConfig, PowerEngine, _phase_records, rank_skew
+from repro.runner.engine import (
+    EngineConfig,
+    PowerEngine,
+    _phase_records,
+    _phase_sample_counts,
+    rank_skew,
+)
 from repro.runner.trace import COMPONENT_KEYS, GPU_KEYS
 from repro.vasp.phases import MacroPhase, phase_table
 
@@ -246,10 +252,12 @@ class TestArrayLayout:
     """Array layout and sample counts equal the scalar loops exactly."""
 
     def assert_counts_match(self, engine, durations):
-        n_samples, counts = engine._phase_sample_counts(np.asarray(durations))
+        n_samples, counts = _phase_sample_counts(
+            np.asarray(durations)[None], engine.config.base_interval_s
+        )
         expected = scalar_sample_counts(list(durations), engine.config.base_interval_s)
-        assert (n_samples, counts.tolist()) == expected
-        return counts.tolist()
+        assert (int(n_samples[0]), counts[0].tolist()) == expected
+        return counts[0].tolist()
 
     @pytest.mark.parametrize("cap_w", [None, 150.0])
     def test_layout_equals_wall_clock_loop(self, cap_w):
@@ -258,7 +266,8 @@ class TestArrayLayout:
             node.set_gpu_power_limit(cap_w)
         engine = PowerEngine([node])
         phases = tiny_phases(3000)
-        slowdown, _means, starts, ends = engine._resolve_and_layout(phases)
+        layout, _means = engine._resolve_and_layout(phases)
+        slowdown, starts, ends = layout.slowdown, layout.starts, layout.ends
         spans = scalar_layout(phases, slowdown.tolist())
         assert list(zip(starts.tolist(), ends.tolist())) == spans
         records = _phase_records(phases, slowdown, starts, ends)

@@ -19,7 +19,7 @@ from scipy.signal import lfilter
 import repro
 from repro.hardware.node import GpuNode
 from repro.runner import engine as engine_module
-from repro.runner.engine import EngineConfig, PowerEngine
+from repro.runner.engine import EngineConfig, Layout, PowerEngine, render_blocks
 
 SRC = Path(repro.__file__).resolve().parent.parent
 
@@ -73,21 +73,47 @@ def test_state_carried_across_uneven_chunks(n, coeff):
 
 
 @pytest.mark.parametrize("coeff", COEFFS)
-def test_engine_noise_equals_lfilter_reference(coeff):
-    """``_add_noise_chunk`` is the lfilter formula, sample for sample."""
-    config = EngineConfig(noise_ar_coeff=coeff)
-    engine = PowerEngine([GpuNode("nid000001")], config)
-    means = np.repeat([80.0, 310.0, 120.0], [200, 347, 200])
-    zi = np.array([1.25])
-    got, got_zf = engine._add_noise_chunk(means, np.random.default_rng(3), zi)
+@pytest.mark.parametrize("n", LENGTHS)
+def test_block_rows_filter_as_their_own_series(n, coeff):
+    """One call over a ``[rows, n]`` block, a ``zi`` per row, filters each
+    row as its own 1-D call does."""
+    b, a = _coefficients(coeff)
+    white = _white(3 * n, seed=n).reshape(3, n)
+    zi = np.array([[0.0], [1.25], [-3.5]])
+    block, block_zf = engine_module._linear_filter()(b, a, white, -1, zi)
+    for row in range(3):
+        want, want_zf = engine_module._linear_filter()(b, a, white[row], -1, zi[row])
+        assert block[row].tobytes() == want.tobytes()
+        assert block_zf[row].tobytes() == want_zf.tobytes()
 
+
+@pytest.mark.parametrize("coeff", COEFFS)
+def test_engine_noise_equals_lfilter_reference(coeff, monkeypatch):
+    """A rendered series is the lfilter formula, sample for sample, in
+    one block or (at a 300-sample chunk) in pieces with the filter state
+    carried."""
+    config = EngineConfig(noise_ar_coeff=coeff)
+    levels = np.array([80.0, 310.0, 120.0])
+    counts = np.array([200, 347, 200])
+    layout = Layout(
+        slowdown=np.ones(3),
+        starts=np.array([0.0, 20.0, 54.7]),
+        ends=np.array([20.0, 54.7, 74.7]),
+        n_samples=747,
+        counts=counts,
+    )
+    means = np.repeat(levels, counts)
     rng = np.random.default_rng(3)
     sigma = config.noise_rel_sigma * means + config.noise_floor_w
     white = rng.standard_normal(len(means)) * sigma
-    ar, want_zf = lfilter([1.0], [1.0, -coeff], white, zi=zi)
+    ar, _ = lfilter([1.0], [1.0, -coeff], white, zi=np.zeros(1))
     ar *= np.sqrt(1.0 - coeff**2)
-    assert got.tobytes() == np.maximum(means + ar, 0.0).tobytes()
-    assert got_zf.tobytes() == want_zf.tobytes()
+    want = np.maximum(means + ar, 0.0)
+    for chunk in (engine_module.RENDER_CHUNK, 300):
+        monkeypatch.setattr(engine_module, "RENDER_CHUNK", chunk)
+        blocks = render_blocks(levels[None, None], layout, {0}, 3, config)
+        got = np.concatenate([block.values[0] for block in blocks])
+        assert got.tobytes() == want.tobytes()
 
 
 _PROBE = """
