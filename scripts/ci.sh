@@ -190,14 +190,20 @@ diff "$SMOKE_DIR/serial.txt" "$SMOKE_DIR/serial-monitor-report.txt" \
 
 echo "== mixed-platform monitored fleet smoke (per-node idle bands, serial vs sharded) =="
 # An A100/H100 pool: each node's idle samples are judged against its own
-# spec's band, in the coordinator and in the shard workers alike.
+# spec's band, in the coordinator and in the shard workers alike.  At
+# --workers 3 the 4 jobs are 4 one-job batches on 3 workers, so they can
+# complete out of order and the chronological fold must reorder them.
 MIXED_ARGS=("${FLEET_ARGS[@]}" --platform a100-40g,h100-sxm --monitor)
 python -m repro "${MIXED_ARGS[@]}" > "$SMOKE_DIR/mixed-serial.out"
-python -m repro "${MIXED_ARGS[@]}" --workers 2 > "$SMOKE_DIR/mixed-sharded.out"
 filter_summaries "$SMOKE_DIR/mixed-serial.out" "$SMOKE_DIR/mixed-serial.txt"
-filter_summaries "$SMOKE_DIR/mixed-sharded.out" "$SMOKE_DIR/mixed-sharded.txt"
-diff "$SMOKE_DIR/mixed-serial.txt" "$SMOKE_DIR/mixed-sharded.txt" \
-    || { echo "mixed-platform monitored fleet diverged between serial and sharded"; exit 1; }
+for mixed_workers in 2 3; do
+    python -m repro "${MIXED_ARGS[@]}" --workers "$mixed_workers" \
+        > "$SMOKE_DIR/mixed-sharded-$mixed_workers.out"
+    filter_summaries "$SMOKE_DIR/mixed-sharded-$mixed_workers.out" \
+        "$SMOKE_DIR/mixed-sharded-$mixed_workers.txt"
+    diff "$SMOKE_DIR/mixed-serial.txt" "$SMOKE_DIR/mixed-sharded-$mixed_workers.txt" \
+        || { echo "mixed-platform monitored fleet diverged between serial and --workers $mixed_workers"; exit 1; }
+done
 
 echo "== grouped-resolve smoke (batches holding several jobs of one phase table) =="
 # Four jobs rarely put two jobs of one (workload, width) in a batch; at

@@ -348,8 +348,8 @@ def simulate_fleet_traced(
     The schedule comes from the same analytic pass as
     :func:`simulate_fleet`; the report's power statistics come from
     replaying that schedule against a real node pool
-    (:class:`PerlmutterSystem` allocations, per-node variability, cap
-    state).  Every job is rendered by one routine,
+    (:class:`PerlmutterSystem` allocations, per-node variability, each
+    job's cap).  Every job is rendered by one routine,
     :func:`repro.capping.shard.render_batch` — in-process over the whole
     schedule on the serial path, inside worker processes batch by batch
     on the sharded one; each batch resolves each of its phase tables
@@ -361,9 +361,10 @@ def simulate_fleet_traced(
 
     ``workers`` > 1 (or ``REPRO_SWEEP_WORKERS``) shards the schedule
     across worker processes (:func:`repro.capping.shard.run_sharded`):
-    jobs are balanced by platform-aware render cost, workers rebuild
-    their nodes from (name, spec) and ship partials back — raw trace
-    chunks never cross IPC.  Peak memory at the coordinator stays
+    contiguous chronological batches go to one process pool, whose free
+    workers take the next batch; workers rebuild their nodes from
+    (name, spec) and ship partials back — raw trace chunks never cross
+    IPC.  Peak memory at the coordinator stays
     O(chunk) + O(makespan / bin_s) regardless of fleet size.
 
     ``checkpoint`` atomically snapshots the fold every
@@ -391,10 +392,11 @@ def simulate_fleet_traced(
     back; the fleet report is bit-identical with or without it.  The
     caller finalizes the monitor.
 
-    In a mixed pool (several ``run.platforms``) each node's cap is
-    clamped to its own GPU's supported range before being applied (a
-    clamped-up cap can surface as a ``cap_violation`` health signal —
-    the node genuinely cannot honour the policy's cap).
+    In a mixed pool (several ``run.platforms``) each job's cap is
+    clamped to each node's own GPU cap range when the job's phase table
+    is resolved (:func:`repro.capping.shard.clamped_cap_w`; a clamped-up
+    cap can surface as a ``cap_violation`` health signal — the node
+    genuinely cannot honour the policy's cap).
 
     The node pool is lazy: only nodes that jobs actually touch are
     constructed (a 100k-node pool with a handful of jobs builds a
@@ -538,7 +540,6 @@ def simulate_fleet_traced(
             beat.update(fold.jobs, fold.nodes)
 
     batch = shard.ShardTask(
-        shard_index=0,
         specs=tuple(spec_table),
         engine_config=run.engine_config,
         bin_s=run.bin_s,

@@ -2,17 +2,19 @@
 
 A 100k-node fleet cannot be rendered by one Python process in useful
 time, and a week-long-horizon simulation should not restart from zero
-after an interruption.  This layer extends the ``REPRO_SWEEP_WORKERS``
-machinery of :mod:`repro.runner.sweep` to the fleet path:
+after an interruption.  This layer renders the fleet on a process pool
+(sized by ``REPRO_SWEEP_WORKERS``, which sizes no other pool) and
+checkpoints its fold:
 
 * The coordinator plans the whole schedule (allocation replay binds each
-  job to node *names* — no node objects are built), balances the jobs
-  across shards by per-node render cost (platform-aware, so mixed
-  ``node_platforms`` pools split evenly), and each worker process
-  rebuilds its jobs' nodes from (name, spec) and renders them through
-  :func:`render_batch` — the same routine serial runs call in-process
-  on the whole schedule.  A batch resolves each of its phase tables
-  once, for all of its jobs of one (workload, width).
+  job to node *names* — no node objects are built) and cuts it into
+  contiguous chronological batches, which one process pool takes in
+  order: any free worker takes the next batch, so the pool balances the
+  work as it runs.  Each worker process rebuilds its jobs' nodes from
+  (name, spec) and renders them through :func:`render_batch` — the same
+  routine serial runs call in-process on the whole schedule.  A batch
+  resolves each of its phase tables once, for all of its jobs of one
+  (workload, width).
 * Workers never ship raw trace chunks.  Each job comes back as a
   compact :class:`JobPartial`: an origin-offset
   :class:`~repro.hardware.system.JobPowerPartial` energy array, one
@@ -108,7 +110,7 @@ class ShardJobTask:
     cap_w: float
     n_nodes: int
     node_names: tuple[str, ...]
-    #: Per-node indices into the shard's spec table.
+    #: Per-node indices into the schedule's spec table.
     spec_indices: tuple[int, ...]
     workload: VaspWorkload
     #: Content-derived render seed (crc32 of the job id ^ run seed).
@@ -125,7 +127,6 @@ class ShardTask:
     serial path, which renders it in-process job by job.
     """
 
-    shard_index: int
     specs: tuple[NodeSpec, ...]
     engine_config: EngineConfig | None
     bin_s: float
@@ -376,7 +377,7 @@ def _render_shard(task: ShardTask) -> ShardResult:
     )
     try:
         with obs.span(
-            "shard.render_batch", shard=task.shard_index, jobs=len(task.jobs)
+            "shard.render_batch", first_job=task.jobs[0].index, jobs=len(task.jobs)
         ):
             partials = list(render_batch(task, _worker_node))
     finally:
@@ -385,57 +386,13 @@ def _render_shard(task: ShardTask) -> ShardResult:
 
 
 # ----------------------------------------------------------------------
-# Shard planning and dispatch
+# Dispatch
 # ----------------------------------------------------------------------
-def estimate_task_cost(task: ShardJobTask, specs: Sequence[NodeSpec]) -> float:
-    """Relative render cost of one job (for shard balancing).
-
-    Samples scale with scheduled duration; streams per node with the
-    node's component count (cpu + memory + node + its GPUs), which is
-    what makes mixed-platform pools balance by real work, not job count.
-    """
-    duration = max(task.end_s - task.start_s, 1.0)
-    streams = sum(3 + specs[i].gpus_per_node for i in task.spec_indices)
-    return duration * streams
-
-
-def plan_shards(
-    tasks: Sequence[ShardJobTask],
-    specs: Sequence[NodeSpec],
-    n_shards: int,
-) -> list[list[ShardJobTask]]:
-    """Balance jobs across shards (LPT greedy on estimated render cost).
-
-    Deterministic: ties break on chronological index, and each shard's
-    slice is returned in chronological order.  Empty shards are dropped.
-    """
-    n_shards = max(min(n_shards, len(tasks)), 1)
-    costs = [estimate_task_cost(task, specs) for task in tasks]
-    order = sorted(range(len(tasks)), key=lambda i: (-costs[i], i))
-    loads = [0.0] * n_shards
-    members: list[list[ShardJobTask]] = [[] for _ in range(n_shards)]
-    for i in order:
-        target = min(range(n_shards), key=lambda s: (loads[s], s))
-        loads[target] += costs[i]
-        members[target].append(tasks[i])
-    for slice_ in members:
-        slice_.sort(key=lambda task: task.index)
-    return [slice_ for slice_ in members if slice_]
-
-
-def default_batch_jobs(
-    n_tasks: int, n_shards: int, target_batches: int = 4
-) -> int:
-    """Jobs per submitted batch (aim ``target_batches`` per shard).
-
-    Batching trades a little IPC overhead for steady coordinator-side
-    progress: with whole-shard futures the chronological fold — and with
-    it checkpoints and the heartbeat — only advances when an entire
-    shard completes.  A handful of batches per shard keeps partials
-    arriving throughout the run without flooding the pool with
-    single-job tasks.
-    """
-    return max(1, math.ceil(n_tasks / max(n_shards * target_batches, 1)))
+#: Batches submitted per pool worker.  A handful keeps partials arriving
+#: (and the chronological fold, its checkpoints and the heartbeat
+#: advancing) throughout the run without flooding the pool with
+#: single-job tasks.
+BATCHES_PER_WORKER = 4
 
 
 def run_sharded(
@@ -443,18 +400,19 @@ def run_sharded(
     *,
     workers: int,
     fold: Callable[[JobPartial], None],
-    batch_jobs: int | None = None,
 ) -> bool:
     """Render a schedule's jobs across worker processes, folding chronologically.
 
     ``schedule`` is the whole-schedule :class:`ShardTask` the serial path
-    renders in-process; every worker batch copies its render parameters.
-    ``fold`` is invoked in chronological (schedule) order as soon as the
-    prefix is complete — a checkpoint written mid-run therefore always
-    covers an exact chronological prefix.  Each shard's slice is
-    submitted as several chronological batches (``batch_jobs`` jobs
-    each), interleaved round-robin across shards, so early-schedule
-    partials arrive early and the fold advances steadily.
+    renders in-process; it is cut into contiguous chronological batches
+    of ``ceil(jobs / (BATCHES_PER_WORKER * workers))`` jobs, each a copy
+    of its render parameters, submitted in order to a pool of
+    ``min(workers, batches)`` processes.
+    All batches share the pool's call queue and any free worker takes
+    the next one, so the pool balances the work as it runs.  Batches can
+    finish out of order; ``fold`` is invoked in chronological (schedule)
+    order as soon as the prefix is complete — a checkpoint written
+    mid-run therefore always covers an exact chronological prefix.
 
     Every batch comes back with an :class:`repro.obs.merge.ObsPartial`
     that is absorbed into the coordinator — the worker's account deltas
@@ -469,47 +427,28 @@ def run_sharded(
     tasks = schedule.jobs
     if not tasks:
         return True
-    shards = plan_shards(tasks, schedule.specs, workers)
     capture = obs_merge.capture_flags()
-    if batch_jobs is None:
-        batch_jobs = default_batch_jobs(len(tasks), len(shards))
-    per_shard_batches: list[list[ShardTask]] = []
-    for i, slice_ in enumerate(shards):
-        per_shard_batches.append(
-            [
-                replace(
-                    schedule,
-                    shard_index=i,
-                    jobs=tuple(slice_[at : at + batch_jobs]),
-                    obs_capture=capture,
-                )
-                for at in range(0, len(slice_), batch_jobs)
-            ]
-        )
-    # Round-robin across shards: every shard's chronologically-earliest
-    # batch is in flight first, so the fold's prefix completes early.
-    rounds = max(len(batches) for batches in per_shard_batches)
-    ordered = [
-        batches[round_index]
-        for round_index in range(rounds)
-        for batches in per_shard_batches
-        if round_index < len(batches)
+    size = math.ceil(len(tasks) / (BATCHES_PER_WORKER * workers))
+    batches = [
+        replace(schedule, jobs=tasks[at : at + size], obs_capture=capture)
+        for at in range(0, len(tasks), size)
     ]
-    obs.gauge_set("repro_fleet_shard_workers", len(shards))
-    expected = sorted(task.index for task in tasks)
+    width = min(workers, len(batches))
+    obs.gauge_set("repro_fleet_shard_workers", width)
+    order = [task.index for task in tasks]
     pending: dict[int, JobPartial] = {}
     folded = 0
     try:
         try:
-            with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-                futures = [pool.submit(_render_shard, st) for st in ordered]
+            with ProcessPoolExecutor(max_workers=width) as pool:
+                futures = [pool.submit(_render_shard, batch) for batch in batches]
                 for future in as_completed(futures):
                     result = future.result()
                     obs_merge.absorb_partial(result.obs)
                     for partial in result.jobs:
                         pending[partial.index] = partial
-                    while folded < len(expected) and expected[folded] in pending:
-                        fold(pending.pop(expected[folded]))
+                    while folded < len(order) and order[folded] in pending:
+                        fold(pending.pop(order[folded]))
                         folded += 1
         except (OSError, PermissionError, ImportError) as exc:
             # Pools need fork/spawn and pipes; restricted hosts fall back

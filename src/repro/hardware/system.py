@@ -1,9 +1,10 @@
 """System-level view: a pool of GPU nodes with allocation bookkeeping.
 
 ``PerlmutterSystem`` stands in for the machine as the batch system sees it:
-a set of named nodes, a facility power envelope, and allocate/release
-primitives the power-aware scheduler (``repro.capping.scheduler``) builds
-on.  :class:`RunningMoments` and :class:`SystemPowerAccumulator` are the
+a set of named nodes, each built from its platform's spec, and the
+allocate/release replay the traced fleet simulation
+(``repro.capping.fleet``) binds scheduled jobs to node names with.
+:class:`RunningMoments` and :class:`SystemPowerAccumulator` are the
 incremental aggregation primitives the fleet simulation streams node
 traces through — system power statistics in bounded memory, without
 retaining any job's full trace.
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.units.constants import PERLMUTTER_SYSTEM_TDP_W
 from repro.hardware.node import GpuNode
 from repro.hardware.platform import NodeSpec, Platform, get_platform
 
@@ -462,10 +462,6 @@ class _LazyNodeMap(Mapping):
     def __len__(self) -> int:
         return len(self._specs_by_name)
 
-    def get_built(self, name: str) -> GpuNode | None:
-        """The node if it has been materialized, else None (no build)."""
-        return self._built.get(name)
-
     @property
     def built_count(self) -> int:
         """How many nodes have been materialized so far."""
@@ -474,29 +470,21 @@ class _LazyNodeMap(Mapping):
 
 @dataclass
 class PerlmutterSystem:
-    """A pool of GPU nodes plus a facility power budget.
+    """A pool of named GPU nodes.
 
     Parameters
     ----------
     n_nodes:
         Number of GPU nodes in the pool (the real machine has 1,536
         40 GB nodes; tests use far fewer).
-    power_budget_w:
-        Facility budget available to this pool.  Defaults to the GPU
-        partition's share of the 6.9 MW system TDP, scaled by pool size.
-    platform:
-        Platform id / :class:`~repro.hardware.platform.Platform` every
-        node is built from (None = the registry default, a100-40g).
     node_platforms:
-        Per-node override for heterogeneous pools: a sequence of
-        platform ids / Platforms / :class:`NodeSpec` instances, cycled
+        Platform ids / Platforms / :class:`NodeSpec` instances cycled
         over the pool (e.g. ``["a100-40g", "h100-sxm"]`` alternates the
-        two).  Overrides ``platform``.
+        two); None builds every node from the registry default,
+        a100-40g.
     """
 
     n_nodes: int = 16
-    power_budget_w: float | None = None
-    platform: "str | Platform | None" = None
     node_platforms: "Sequence[str | Platform | NodeSpec] | None" = None
     nodes: "Mapping[str, GpuNode]" = field(init=False, repr=False, compare=False)
     #: Free node names as a min-heap: the smallest name is ``_free[0]``.
@@ -516,20 +504,11 @@ class PerlmutterSystem:
         self._free = list(names)
         heapq.heapify(self._free)
         self._allocations = {}
-        if self.power_budget_w is None:
-            # Scale the 1,536-node GPU partition's nominal share of the
-            # facility TDP down to this pool (node TDP from the spec).
-            mean_node_tdp = sum(spec.tdp_w for spec in specs) / len(specs)
-            full_partition_w = 1536 * mean_node_tdp
-            self.power_budget_w = min(PERLMUTTER_SYSTEM_TDP_W, full_partition_w) * (
-                self.n_nodes / 1536
-            )
 
     def _node_specs(self) -> "list[NodeSpec]":
         """The resolved per-node spec list (length ``n_nodes``)."""
         if self.node_platforms is None:
-            spec = get_platform(self.platform).node
-            return [spec] * self.n_nodes
+            return [get_platform().node] * self.n_nodes
         resolved = [
             entry if isinstance(entry, NodeSpec) else get_platform(entry).node
             for entry in self.node_platforms
@@ -553,11 +532,6 @@ class PerlmutterSystem:
         the nodes jobs actually touch.
         """
         return [self.nodes[name] for name in self.nodes]
-
-    @property
-    def free_node_count(self) -> int:
-        """Number of currently unallocated nodes."""
-        return len(self._free)
 
     def allocate_names(self, job_id: str, n_nodes: int) -> list[str]:
         """Allocate ``n_nodes`` node *names* to a job (no node construction).
@@ -584,33 +558,11 @@ class PerlmutterSystem:
         self._allocations[job_id] = chosen
         return chosen
 
-    def allocate(self, job_id: str, n_nodes: int) -> list[GpuNode]:
-        """Allocate ``n_nodes`` nodes to a job (see :meth:`allocate_names`)."""
-        return [self.nodes[name] for name in self.allocate_names(job_id, n_nodes)]
-
     def release(self, job_id: str) -> None:
-        """Release a job's nodes back to the pool and reset their caps."""
+        """Release a job's nodes back to the pool."""
         try:
             names = self._allocations.pop(job_id)
         except KeyError:
             raise AllocationError(f"job {job_id!r} holds no allocation") from None
         for name in names:
-            # Only materialized nodes can carry a cap to reset.
-            node = self.nodes.get_built(name)
-            if node is not None:
-                node.reset_gpu_power_limit()
             heapq.heappush(self._free, name)
-
-    def allocated_nodes(self, job_id: str) -> list[GpuNode]:
-        """The nodes currently held by a job."""
-        try:
-            names = self._allocations[job_id]
-        except KeyError:
-            raise AllocationError(f"job {job_id!r} holds no allocation") from None
-        return [self.nodes[name] for name in names]
-
-    def idle_power_w(self) -> float:
-        """Total idle power of currently free nodes, summed in name order."""
-        return sum(
-            self.nodes[name].idle_sample().node_w for name in sorted(self._free)
-        )

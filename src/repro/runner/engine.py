@@ -610,28 +610,15 @@ class PowerEngine:
         (rows,) = resolve_table(table, [nodes], cap_w, self.config.rank_imbalance)
         return rows.gather(table)
 
-    def _resolve_and_layout(
-        self, phases: list[MacroPhase], resolved: ResolvedRows | None = None
-    ) -> tuple[Layout, np.ndarray]:
+    def _resolve_and_layout(self, phases: list[MacroPhase]) -> tuple[Layout, np.ndarray]:
         """Cap-resolve phases and lay them out: ``(layout, means[N, K, P])``.
 
         The phase table comes with a store-held list and is built now for
-        any other (see :func:`~repro.vasp.phases.phase_table`).  A given
-        ``resolved`` (this job's rows, resolved with others sharing its
-        table) is gathered instead of resolving the table again.  The
+        any other (see :func:`~repro.vasp.phases.phase_table`).  The
         layout is the one-job case of :func:`lay_out`.
         """
         table = phase_table(phases)
-        if resolved is None:
-            slowdown, means = self._resolve_phases(table)
-        else:
-            expected = (len(self.nodes), len(COMPONENT_KEYS), table.n_rows)
-            if resolved.means.shape != expected:
-                raise ValueError(
-                    f"resolved rows of shape {resolved.means.shape} do not fit "
-                    f"{len(self.nodes)} node(s) and a {table.n_rows}-row table"
-                )
-            slowdown, means = resolved.gather(table)
+        slowdown, means = self._resolve_phases(table)
         (layout,) = lay_out(
             table.durations, slowdown[None], self.config.base_interval_s
         )
@@ -700,7 +687,6 @@ class PowerEngine:
         label: str = "run",
         seed: int = 0,
         components: Sequence[str] = COMPONENT_KEYS,
-        resolved: ResolvedRows | None = None,
     ) -> "StreamedRun":
         """Resolve a schedule and stream its render one series chunk at a time.
 
@@ -718,11 +704,6 @@ class PowerEngine:
         of :data:`COMPONENT_KEYS`).  Only they are rendered; every other
         row only advances the RNG, which keeps the rendered rows
         bit-identical to a full render.
-
-        ``resolved`` is this job's rows from :func:`resolve_table`, when
-        they were resolved with other jobs sharing its phase table;
-        without it the stream resolves the table now on the nodes'
-        current caps (the one-job case of the same function).
         """
         if not phases:
             raise ValueError("cannot run an empty phase list")
@@ -733,7 +714,7 @@ class PowerEngine:
             )
         rows = frozenset(COMPONENT_KEYS.index(key) for key in components)
         obs.inc("repro_engine_streams_total")
-        layout, means = self._resolve_and_layout(phases, resolved)
+        layout, means = self._resolve_and_layout(phases)
         blocks = render_blocks(means, layout, rows, seed, self.config)
         dt = self.config.base_interval_s
         dtype = trace_dtype()

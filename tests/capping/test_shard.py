@@ -8,6 +8,7 @@ the same chronological order.
 """
 
 import dataclasses
+import math
 from concurrent.futures import Future
 
 import pytest
@@ -16,7 +17,6 @@ from repro.capping import shard
 from repro.capping import fleet
 from repro.capping.fleet import (
     FleetRun,
-    _job_seed,
     compare_fleet_policies_traced,
     job_stream,
     simulate_fleet_traced,
@@ -120,69 +120,162 @@ class TestShardedBitIdentity:
         _assert_identical(bare, monitored)
 
 
-class TestShardPlanning:
-    def _tasks(self):
-        jobs = _jobs()
-        spec = get_platform(None).node
-        tasks = [
-            shard.ShardJobTask(
-                index=i,
-                job_id=job.job_id,
-                start_s=float(i) * 100.0,
-                end_s=float(i) * 100.0 + 500.0 * (i + 1),
-                cap_w=400.0,
-                n_nodes=job.n_nodes,
-                node_names=tuple(f"nid{n:06d}" for n in range(job.n_nodes)),
-                spec_indices=(0,) * job.n_nodes,
-                workload=job.workload,
-                seed=_job_seed(job.job_id, 7),
-            )
-            for i, job in enumerate(jobs)
-        ]
-        return tasks, [spec]
+class _InlinePool:
+    """A ``ProcessPoolExecutor`` stand-in that runs batches in-process."""
 
-    def test_every_task_lands_on_exactly_one_shard(self):
-        tasks, specs = self._tasks()
-        for n_shards in (1, 2, 4, 100):
-            shards = shard.plan_shards(tasks, specs, n_shards)
-            seen = [t.index for s in shards for t in s]
-            assert sorted(seen) == [t.index for t in tasks]
+    def __init__(self, max_workers=None):
+        pass
 
-    def test_shards_are_chronological_and_deterministic(self):
-        jobs = _jobs()
-        spec = get_platform(None).node
-        tasks = [
-            shard.ShardJobTask(
-                index=i,
-                job_id=job.job_id,
-                start_s=i * 50.0,
-                end_s=i * 50.0 + 900.0 + 37.0 * i,
-                cap_w=400.0,
-                n_nodes=job.n_nodes,
-                node_names=tuple(f"nid{n:06d}" for n in range(job.n_nodes)),
-                spec_indices=(0,) * job.n_nodes,
-                workload=job.workload,
-                seed=_job_seed(job.job_id, 7),
-            )
-            for i, job in enumerate(jobs)
-        ]
-        first = shard.plan_shards(tasks, [spec], 2)
-        second = shard.plan_shards(tasks, [spec], 2)
-        assert [[t.index for t in s] for s in first] == [
-            [t.index for t in s] for s in second
-        ]
-        for slice_ in first:
-            assert [t.index for t in slice_] == sorted(t.index for t in slice_)
-        assert sorted(t.index for s in first for t in s) == list(range(len(tasks)))
+    def __enter__(self):
+        return self
 
-    def test_cost_scales_with_duration_and_gpus(self):
-        tasks, specs = self._tasks()
-        task = tasks[1]
-        assert shard.estimate_task_cost(task, specs) == pytest.approx(
-            max(task.end_s - task.start_s, 1.0)
-            * task.n_nodes
-            * (3 + specs[0].gpus_per_node)
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+#: A minimal partial for the stub renderer below (only ``index`` is read).
+_PARTIAL = shard.JobPartial(
+    index=0,
+    job_id="",
+    start_s=0.0,
+    n_nodes=1,
+    runtime_s=0.0,
+    power=None,
+    moment_rows=[],
+    chunks=0,
+    nbytes=0,
+)
+
+
+def _job_tasks(n_jobs):
+    """``n_jobs`` chronological render tasks (dispatch never reads their
+    render inputs)."""
+    return tuple(
+        shard.ShardJobTask(
+            index=i,
+            job_id=f"job{i}",
+            start_s=float(i),
+            end_s=float(i) + 1.0,
+            cap_w=400.0,
+            n_nodes=1,
+            node_names=("nid001000",),
+            spec_indices=(0,),
+            workload=None,
+            seed=i,
         )
+        for i in range(n_jobs)
+    )
+
+
+class TestBatchSplit:
+    """Dispatch cuts the chronological jobs into contiguous batches and
+    sizes the pool to them; any free worker takes the next batch."""
+
+    @pytest.fixture
+    def dispatch(self, monkeypatch):
+        """Run :func:`shard.run_sharded` with a recording in-process pool and
+        a stub renderer: ``(pool width, batches' job indices, folded indices)``."""
+        seen = {}
+
+        class RecordingPool(_InlinePool):
+            def __init__(self, max_workers=None):
+                seen["width"] = max_workers
+                seen["batches"] = []
+
+            def submit(self, fn, task):
+                seen["batches"].append([job.index for job in task.jobs])
+                return super().submit(fn, task)
+
+        def stub_render(task):
+            return shard.ShardResult(
+                jobs=[dataclasses.replace(_PARTIAL, index=j.index) for j in task.jobs]
+            )
+
+        monkeypatch.setattr(shard, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(shard, "_render_shard", stub_render)
+
+        def run(jobs, workers):
+            folded = []
+            schedule = shard.ShardTask(
+                specs=(get_platform(None).node,),
+                engine_config=ENGINE,
+                bin_s=2.0,
+                monitor_platform=None,
+                jobs=jobs,
+            )
+            assert shard.run_sharded(
+                schedule, workers=workers, fold=lambda p: folded.append(p.index)
+            )
+            return seen["width"], seen["batches"], folded
+
+        return run
+
+    @pytest.mark.parametrize("resumed_at", [0, 7])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 100])
+    def test_contiguous_batches_on_a_pool_sized_to_them(
+        self, dispatch, workers, resumed_at
+    ):
+        jobs = _job_tasks(23)[resumed_at:]
+        width, batches, folded = dispatch(jobs, workers)
+        indices = [job.index for job in jobs]
+        # Every job lands in exactly one batch; batches are contiguous and
+        # ascending, submitted in schedule order.
+        assert [i for batch in batches for i in batch] == indices
+        for batch in batches:
+            assert batch == list(range(batch[0], batch[0] + len(batch)))
+        size = math.ceil(len(jobs) / (shard.BATCHES_PER_WORKER * workers))
+        assert [len(batch) for batch in batches[:-1]] == [size] * (len(batches) - 1)
+        assert width == min(workers, len(batches))
+        assert folded == indices
+
+    def test_batch_count_follows_the_module_constant(self, dispatch, monkeypatch):
+        monkeypatch.setattr(shard, "BATCHES_PER_WORKER", 1)
+        _, batches, _ = dispatch(_job_tasks(6), 2)
+        assert batches == [[0, 1, 2], [3, 4, 5]]
+
+
+class TestOutOfOrderFold:
+    def test_reversed_completion_folds_chronologically(self, monkeypatch):
+        """One-job batches completing last-first still fold in schedule
+        order, to the serial report's bits."""
+        serial = _run()
+        arrived, folded, batch_sizes = [], [], []
+
+        def reversed_completion(futures):
+            for future in reversed(list(futures)):
+                arrived.extend(p.index for p in future.result().jobs)
+                yield future
+
+        real_run_sharded = shard.run_sharded
+
+        def recording_run_sharded(schedule, *, workers, fold):
+            def recorded(partial):
+                folded.append(partial.index)
+                fold(partial)
+
+            return real_run_sharded(schedule, workers=workers, fold=recorded)
+
+        class SizingPool(_InlinePool):
+            def submit(self, fn, task):
+                batch_sizes.append(len(task.jobs))
+                return super().submit(fn, task)
+
+        monkeypatch.setattr(shard, "ProcessPoolExecutor", SizingPool)
+        monkeypatch.setattr(shard, "_WORKER_NODES", {})
+        monkeypatch.setattr(shard, "BATCHES_PER_WORKER", 100)
+        monkeypatch.setattr(shard, "as_completed", reversed_completion)
+        monkeypatch.setattr(shard, "run_sharded", recording_run_sharded)
+        sharded = _run(workers=2)
+        chronological = list(range(serial.jobs_completed))
+        assert batch_sizes == [1] * len(chronological)
+        assert arrived == chronological[::-1]
+        assert folded == chronological
+        _assert_identical(serial, sharded)
 
 
 class TestWorkerResolution:
@@ -363,24 +456,6 @@ class TestLazyPool:
             a, b = lazy.nodes[name], eager.nodes[name]
             assert a.name == b.name
             assert a.gpus == b.gpus
-
-
-class _InlinePool:
-    """A ``ProcessPoolExecutor`` stand-in that runs batches in-process."""
-
-    def __init__(self, max_workers=None):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
 
 
 class TestNodeReuse:

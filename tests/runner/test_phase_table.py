@@ -417,18 +417,6 @@ class TestGroupedResolve:
         jobs = [(nodes[0:2], 200.0), (nodes[1:3], 250.0), (nodes[0:2], 400.0)]
         assert_grouped_equals_alone(jobs, cached_phases(benchmark(name).build(), 2))
 
-    def test_stream_renders_given_rows_as_its_own(self):
-        nodes = pool(["a100-40g", "h100-sxm"], 200.0)
-        phases = PhaseList(repeated_rows(5))
-        cap_w = np.array([[node.gpus[0].power_limit_w] * 4 for node in nodes])
-        (rows,) = resolve_table(phases.table, [nodes], cap_w)
-        engine = PowerEngine(nodes)
-        given = engine.stream(phases, seed=3, resolved=rows)
-        own = engine.stream(phases, seed=3)
-        assert given.runtime_s == own.runtime_s
-        for a, b in zip(given.chunks, own.chunks, strict=True):
-            assert a.values.tobytes() == b.values.tobytes()
-
     def test_mismatched_inputs_are_rejected(self):
         nodes = pool(["a100-40g", "a100-40g"], 200.0)
         table = phase_table(repeated_rows(2))
@@ -436,9 +424,6 @@ class TestGroupedResolve:
             resolve_table(table, [nodes], np.full((1, 4), 200.0))
         with pytest.raises(ValueError, match="every job needs nodes"):
             resolve_table(table, [nodes, []], np.full((2, 4), 200.0))
-        (rows,) = resolve_table(table, [nodes[:1]], np.full((1, 4), 200.0))
-        with pytest.raises(ValueError, match="do not fit"):
-            PowerEngine(nodes).stream(repeated_rows(2), resolved=rows)
 
 
 HOST_MODULES = tuple(
