@@ -19,6 +19,8 @@ their min times are judged against this host's bench history by
 
 import time
 
+import pytest
+
 from repro.analysis.modes import high_power_mode_w
 from repro.experiments.common import make_nodes, run_cache, run_workload
 from repro.hardware.node import GpuNode
@@ -151,16 +153,14 @@ def test_grid_sweep_naive(benchmark):
     specs = _sweep_grid()
 
     def naive():
-        return [
-            run_workload(
-                s.workload,
-                n_nodes=s.n_nodes,
-                gpu_cap_w=s.gpu_cap_w,
-                seed=s.seed,
-                use_cache=False,
-            )
-            for s in specs
-        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_CACHE", "0")
+            return [
+                run_workload(
+                    s.workload, n_nodes=s.n_nodes, gpu_cap_w=s.gpu_cap_w, seed=s.seed
+                )
+                for s in specs
+            ]
 
     # Extra rounds + warmup tighten the min against host load.
     results = benchmark.pedantic(naive, rounds=5, iterations=1, warmup_rounds=1)
@@ -199,16 +199,14 @@ def test_grid_sweep_speedup(benchmark):
     specs = _sweep_grid()
 
     def naive_once() -> float:
-        t0 = time.perf_counter()
-        for s in specs:
-            run_workload(
-                s.workload,
-                n_nodes=s.n_nodes,
-                gpu_cap_w=s.gpu_cap_w,
-                seed=s.seed,
-                use_cache=False,
-            )
-        return time.perf_counter() - t0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_CACHE", "0")
+            t0 = time.perf_counter()
+            for s in specs:
+                run_workload(
+                    s.workload, n_nodes=s.n_nodes, gpu_cap_w=s.gpu_cap_w, seed=s.seed
+                )
+            return time.perf_counter() - t0
 
     def swept_once() -> float:
         run_cache().clear()

@@ -87,14 +87,15 @@ def _run_dense(jobs) -> FleetTraceReport:
         names = pool.allocate_names(record.job_id, record.n_nodes)
         heapq.heappush(releases, (record.end_s, record.job_id))
         nodes = [pool.nodes[name] for name in names]
-        for node in nodes:
-            node.set_gpu_power_limit(record.cap_w)
         workload = workloads[record.job_id]
         key = (id(workload), record.n_nodes)
         if key not in phases:
             phases[key] = workload.phases(layout_for(workload, record.n_nodes))
         result = PowerEngine(nodes, ENGINE).run(
-            phases[key], label=record.job_id, seed=_job_seed(record.job_id, 11)
+            phases[key],
+            label=record.job_id,
+            seed=_job_seed(record.job_id, 11),
+            cap_w=record.cap_w,
         )
         retained.append((record, result))
 

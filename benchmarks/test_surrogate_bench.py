@@ -10,6 +10,8 @@ this bench asserts on are recorded in ``benchmark.extra_info["surrogate"]``.
 import time
 from functools import lru_cache
 
+import pytest
+
 from repro.experiments.common import run_workload
 from repro.prediction import build_corpus, evaluate_surrogate, fit_surrogate
 from repro.vasp.benchmarks import benchmark as get_benchmark
@@ -50,9 +52,11 @@ def exact_run_s(workload) -> float:
     Cache-bypassed so the reference is a real simulation of the same
     point, never a run-cache lookup.
     """
-    t0 = time.perf_counter()
-    run_workload(workload, n_nodes=1, gpu_cap_w=PROBE_CAP_W, use_cache=False)
-    return time.perf_counter() - t0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE", "0")
+        t0 = time.perf_counter()
+        run_workload(workload, n_nodes=1, gpu_cap_w=PROBE_CAP_W)
+        return time.perf_counter() - t0
 
 
 def measure_surrogate():

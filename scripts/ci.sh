@@ -44,17 +44,21 @@ if grep -E '\| +scipy(\.|$)' <<< "$IMPORTS"; then
 fi
 echo "import gate ok: no scipy module among $(wc -l <<< "$IMPORTS") imports"
 
-echo "== EXPERIMENTS.md bit-identity (regenerated == committed) =="
+echo "== EXPERIMENTS.md bit-identity (regenerated == committed, cached and uncached) =="
 # The determinism contract: every experiment module rerun from scratch
-# writes EXPERIMENTS.md byte for byte as committed.
+# writes EXPERIMENTS.md byte for byte as committed, and the run cache
+# never changes a byte of it (REPRO_CACHE=0 executes every run).
 REPO_ROOT="$PWD"
-mkdir "$SMOKE_DIR/experiments"
-(
-    cd "$SMOKE_DIR/experiments"
-    PYTHONPATH="$REPO_ROOT/src" python "$REPO_ROOT/scripts/make_experiments_md.py"
-)
-cmp "$SMOKE_DIR/experiments/EXPERIMENTS.md" EXPERIMENTS.md \
-    || { echo "regenerated EXPERIMENTS.md differs from the committed one"; exit 1; }
+for cache in 1 0; do
+    mkdir "$SMOKE_DIR/experiments-cache$cache"
+    (
+        cd "$SMOKE_DIR/experiments-cache$cache"
+        REPRO_CACHE=$cache PYTHONPATH="$REPO_ROOT/src" \
+            python "$REPO_ROOT/scripts/make_experiments_md.py"
+    )
+    cmp "$SMOKE_DIR/experiments-cache$cache/EXPERIMENTS.md" EXPERIMENTS.md \
+        || { echo "EXPERIMENTS.md regenerated with REPRO_CACHE=$cache differs from the committed one"; exit 1; }
+done
 
 echo "== examples smoke (every examples/*.py exits 0) =="
 # Run from a scratch directory so the examples' .repro_cache and

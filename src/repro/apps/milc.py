@@ -232,9 +232,8 @@ def milc_cap_slowdown(
     from repro.runner.cache import cached_phases
 
     gpu = GpuModel(serial="MILC", variation=ManufacturingVariation.nominal())
-    gpu.set_power_limit(cap_w)
     table = cached_phases(workload, n_nodes).table
-    stretch = [row.stretch for row in gpu.resolve_rows(table)]
+    stretch = [row.stretch for row in gpu.resolve_rows(table, cap_w)]
     base = 0.0
     capped = 0.0
     for index, nominal_s in table.per_phase():

@@ -80,8 +80,8 @@ def run_with_capping(
 ) -> ControlOutcome:
     """Per-phase adaptive control: the board's power-capping loop."""
     gpu, table = _nominal_gpu_table(workload, n_nodes, platform)
-    gpu.set_power_limit(target_w)
-    return _accumulate("capping", target_w, gpu, table, gpu.resolve_rows(table))
+    rows = gpu.resolve_rows(table, target_w)
+    return _accumulate("capping", target_w, gpu, table, rows)
 
 
 def run_with_static_dvfs(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.config import read
-from repro.hardware.gpu import GpuModel
+from repro.hardware.gpu import GpuModel, applied_cap_w
 from repro.hardware.platform import Platform, get_platform
 from repro.hardware.variability import ManufacturingVariation
 from repro.perfmodel.power import duty_cycle_power_w
@@ -82,15 +82,13 @@ def estimate_run(
         spec=node_spec.gpu,
         variation=ManufacturingVariation.nominal(),
     )
-    if cap_w is not None:
-        gpu.set_power_limit(cap_w)
     table = cached_phases(workload, n_nodes).table
     gpus_per_node = node_spec.gpus_per_node
     idle_w = gpu.idle_power_w
     # Per distinct row: (stretch, node power).
     per_row = []
     duties = table.column("duty_cycle").tolist()
-    for duty, row in zip(duties, gpu.resolve_rows(table)):
+    for duty, row in zip(duties, gpu.resolve_rows(table, cap_w)):
         if duty <= 0.0:
             gpu_w = idle_w
         else:
@@ -133,13 +131,14 @@ def cached_estimate_run(
 
     The estimator is deterministic (nominal GPU, no sampling), so the
     result is fully identified by the workload's content key, node
-    count, cap and platform id — estimates for different platforms never
-    collide.  ``REPRO_CACHE=0`` bypasses the cache.
+    count, the cap applied (None keys as the platform GPU's TDP) and
+    platform id — estimates for different platforms never collide.
+    ``REPRO_CACHE=0`` bypasses the cache.
     """
     if not read("REPRO_CACHE"):
         return estimate_run(workload, n_nodes, cap_w, platform)
     plat = get_platform(platform)
-    key = (content_key(workload), n_nodes, cap_w, plat.id)
+    key = (content_key(workload), n_nodes, applied_cap_w(plat.gpu, cap_w), plat.id)
     return _ESTIMATE_CACHE.get_or_compute(
         key, lambda: estimate_run(workload, n_nodes, cap_w, plat)
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from repro import obs
 from repro.config import read
 from repro.analysis.stats import DistributionSummary, summarize
+from repro.hardware.gpu import applied_cap_w
 from repro.hardware.node import GpuNode
 from repro.hardware.platform import Platform, get_platform
 from repro.runner.cache import RunCache, cached_phases, fingerprint, process_cache
@@ -87,51 +88,42 @@ def run_workload(
     gpu_cap_w: float | None = None,
     seed: int = 7,
     engine_config: EngineConfig | None = None,
-    nodes: list[GpuNode] | None = None,
-    use_cache: bool = True,
     platform: "str | Platform | None" = None,
 ) -> MeasuredRun:
     """Run a workload through the full pipeline.
 
-    ``gpu_cap_w`` applies an ``nvidia-smi -pl``-style cap to every GPU
-    before launch (None = default TDP limit).  ``platform`` selects the
-    hardware the run executes on (None = registry default); it is part
-    of the cache key, so runs on different platforms never share a
+    ``gpu_cap_w`` is the ``nvidia-smi -pl``-style cap of every GPU (None
+    = the TDP); an out-of-range cap raises
+    :class:`~repro.hardware.gpu.PowerLimitError`.  ``platform`` selects
+    the hardware the run executes on (None = registry default); it is
+    part of the cache key, so runs on different platforms never share a
     cache entry.
 
-    Results are memoized in :func:`run_cache` keyed by content — the
-    pipeline is deterministic, so a repeated grid point is a lookup, not a
-    re-run.  Caching only applies when ``nodes`` is None (caller-supplied
-    node pools carry external state); treat cached results as immutable.
-    Set ``use_cache=False`` (or ``REPRO_CACHE=0``) to force execution.
+    Results are memoized in :func:`run_cache` keyed by content and by
+    the cap applied, so "uncapped" and "capped at the TDP" share one
+    entry — the pipeline is deterministic, so a repeated grid point is a
+    lookup, not a re-run.  Treat cached results as immutable.
+    ``REPRO_CACHE=0`` forces execution.
     """
-    if nodes is None:
-        plat = get_platform(platform)
-        if use_cache and read("REPRO_CACHE"):
-            key = fingerprint(
-                "run_workload",
-                workload_model_id(workload),
-                workload,
-                n_nodes,
-                gpu_cap_w,
-                seed,
-                engine_config,
-                TELEMETRY_INTERVAL_S,
-                read("REPRO_TRACE_DTYPE"),
-                plat.id,
-            )
-            return _RUN_CACHE.get_or_compute(
-                key,
-                lambda: _execute_run(
-                    workload, n_nodes, gpu_cap_w, seed, engine_config, platform=plat
-                ),
-            )
-        return _execute_run(
-            workload, n_nodes, gpu_cap_w, seed, engine_config, platform=plat
-        )
-    if len(nodes) != n_nodes:
-        raise ValueError(f"got {len(nodes)} nodes for n_nodes={n_nodes}")
-    return _execute_run(workload, n_nodes, gpu_cap_w, seed, engine_config, nodes)
+    plat = get_platform(platform)
+    if not read("REPRO_CACHE"):
+        return _execute_run(workload, n_nodes, gpu_cap_w, seed, engine_config, plat)
+    key = fingerprint(
+        "run_workload",
+        workload_model_id(workload),
+        workload,
+        n_nodes,
+        applied_cap_w(plat.gpu, gpu_cap_w),
+        seed,
+        engine_config,
+        TELEMETRY_INTERVAL_S,
+        read("REPRO_TRACE_DTYPE"),
+        plat.id,
+    )
+    return _RUN_CACHE.get_or_compute(
+        key,
+        lambda: _execute_run(workload, n_nodes, gpu_cap_w, seed, engine_config, plat),
+    )
 
 
 def _execute_run(
@@ -140,8 +132,7 @@ def _execute_run(
     gpu_cap_w: float | None,
     seed: int,
     engine_config: EngineConfig | None,
-    nodes: list[GpuNode] | None = None,
-    platform: "str | Platform | None" = None,
+    platform: Platform,
 ) -> MeasuredRun:
     """The uncached pipeline body behind :func:`run_workload`."""
     obs.inc("repro_pipeline_runs_total")
@@ -159,16 +150,12 @@ def _execute_run(
         cap_w=gpu_cap_w,
         seed=seed,
     ):
-        if nodes is None:
-            nodes = make_nodes(n_nodes, platform=platform)
-        for node in nodes:
-            if gpu_cap_w is None:
-                node.reset_gpu_power_limit()
-            else:
-                node.set_gpu_power_limit(gpu_cap_w)
-        engine = PowerEngine(nodes, engine_config)
+        engine = PowerEngine(make_nodes(n_nodes, platform=platform), engine_config)
         result = engine.run(
-            cached_phases(workload, n_nodes), label=workload.name, seed=seed
+            cached_phases(workload, n_nodes),
+            label=workload.name,
+            seed=seed,
+            cap_w=gpu_cap_w,
         )
         with obs.span("experiments.downsample", traces=len(result.traces)):
             telemetry = [

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.modes import Density
-from repro.experiments.common import make_nodes, run_workload
+from repro.experiments.common import run_workload
 from repro.experiments.report import format_table
 from repro.telemetry.downsample import downsample_series
 from repro.vasp.benchmarks import BENCHMARKS
@@ -55,7 +55,7 @@ class Fig02Result:
 def run(seed: int = 7, min_prominence: float = 0.04) -> Fig02Result:
     """Run Si256_hse on one node and analyze GPU 0 at each rate."""
     workload = BENCHMARKS["Si256_hse"].build()
-    measured = run_workload(workload, n_nodes=1, seed=seed, nodes=make_nodes(1))
+    measured = run_workload(workload, n_nodes=1, seed=seed)
     base = measured.result.traces[0]
     times = base.times
     series = base.gpu_power(0)

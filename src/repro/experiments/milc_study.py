@@ -16,12 +16,9 @@ import numpy as np
 
 from repro.analysis.stats import DistributionSummary, summarize
 from repro.apps.milc import MilcWorkload, milc_benchmark, milc_cap_slowdown
-from repro.experiments.common import TELEMETRY_INTERVAL_S, make_nodes
+from repro.experiments.common import run_workload
 from repro.experiments.report import format_table
-from repro.runner.cache import cached_phases
-from repro.runner.engine import PowerEngine
 from repro.runner.sweep import SweepExecutor
-from repro.telemetry.downsample import downsample_trace
 
 #: Caps applied, matching the VASP study.
 POWER_CAPS_W: tuple[float, ...] = (400.0, 300.0, 200.0, 100.0)
@@ -31,14 +28,12 @@ def _profile_preset(task: tuple[str, tuple[float, ...], int]) -> "MilcProfile":
     """Worker-side task: profile one MILC preset on one node."""
     size, caps_w, seed = task
     workload: MilcWorkload = milc_benchmark(size)
-    nodes = make_nodes(1)
-    engine = PowerEngine(nodes)
-    result = engine.run(cached_phases(workload, 1), seed=seed)
-    telem = downsample_trace(result.traces[0], TELEMETRY_INTERVAL_S)
+    measured = run_workload(workload, n_nodes=1, seed=seed)
+    telem = measured.telemetry[0]
     return MilcProfile(
         name=workload.name,
         stats=summarize(telem.node_power),
-        runtime_s=result.runtime_s,
+        runtime_s=measured.runtime_s,
         gpu_fraction=float(np.mean(telem.gpu_total / telem.node_power)),
         cap_slowdown={cap: milc_cap_slowdown(workload, cap) for cap in caps_w},
     )

@@ -14,12 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.milc import milc_benchmark
-from repro.experiments.common import TELEMETRY_INTERVAL_S, make_nodes, run_workload
+from repro.experiments.common import run_workload
 from repro.experiments.report import format_table
 from repro.prediction.clustering import classify_profiles, profile_features
-from repro.runner.cache import cached_phases
-from repro.runner.engine import PowerEngine
-from repro.telemetry.downsample import downsample_trace
 from repro.vasp.benchmarks import BENCHMARKS
 
 #: Ground-truth classes from the bottom-up (application-knowledge) route.
@@ -54,18 +51,12 @@ class TopDownResult:
 
 def run(k: int = 2, seed: int = 7) -> TopDownResult:
     """Profile the job population and cluster it by power alone."""
+    workloads = [case.build() for case in BENCHMARKS.values()]
+    workloads += [milc_benchmark(size) for size in ("small", "medium")]
     series = {}
-    for name, case in BENCHMARKS.items():
-        measured = run_workload(case.build(), n_nodes=1, seed=seed)
-        series[name] = measured.telemetry[0].node_power
-    for size in ("small", "medium"):
-        workload = milc_benchmark(size)
-        result = PowerEngine(make_nodes(1)).run(
-            cached_phases(workload, 1), seed=seed
-        )
-        series[workload.name] = downsample_trace(
-            result.traces[0], TELEMETRY_INTERVAL_S
-        ).node_power
+    for workload in workloads:
+        measured = run_workload(workload, n_nodes=1, seed=seed)
+        series[workload.name] = measured.telemetry[0].node_power
     features = {name: profile_features(values) for name, values in series.items()}
     assigned = classify_profiles(features, k=k, seed=seed)
     return TopDownResult(

@@ -75,9 +75,28 @@ class PowerLimitError(ValueError):
     """Raised when a requested power limit is outside the supported range."""
 
 
+def applied_cap_w(spec: GpuSpec, cap_w: float | None) -> float:
+    """The cap a GPU of ``spec`` runs at: its TDP when ``cap_w`` is None,
+    else ``cap_w`` as a float, checked like ``nvidia-smi -pl`` checks it.
+
+    Raises
+    ------
+    PowerLimitError
+        If ``cap_w`` is outside the board's supported cap range.
+    """
+    if cap_w is None:
+        return spec.tdp_w
+    if not (spec.cap_min_w <= cap_w <= spec.cap_max_w):
+        raise PowerLimitError(
+            f"{spec.name}: power limit {cap_w:.0f} W outside supported "
+            f"range [{spec.cap_min_w:.0f}, {spec.cap_max_w:.0f}] W"
+        )
+    return float(cap_w)
+
+
 @dataclass
 class GpuModel:
-    """One GPU board with a settable power limit.
+    """One GPU board; the power cap is an argument of each resolve.
 
     Parameters
     ----------
@@ -97,7 +116,6 @@ class GpuModel:
     serial: str = "GPU-000000"
     spec: GpuSpec = field(default_factory=default_gpu_spec)
     variation: ManufacturingVariation | None = None
-    _power_limit_w: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.spec, GpuSpec):
@@ -110,39 +128,11 @@ class GpuModel:
                 rel_sigma=self.spec.power_rel_sigma,
                 idle_sigma_w=self.spec.idle_sigma_w,
             )
-        self._power_limit_w = self.spec.tdp_w
 
     @property
     def envelope(self) -> GpuSpec:
         """The device spec (a :class:`GPUEnvelope` subtype); legacy name."""
         return self.spec
-
-    # ------------------------------------------------------------------
-    # nvidia-smi -pl semantics
-    # ------------------------------------------------------------------
-    @property
-    def power_limit_w(self) -> float:
-        """Current software power limit (default: TDP)."""
-        return self._power_limit_w
-
-    def set_power_limit(self, watts: float) -> None:
-        """Set the power limit, mirroring ``nvidia-smi -pl``.
-
-        Raises
-        ------
-        PowerLimitError
-            If ``watts`` is outside the board's supported cap range.
-        """
-        if not (self.spec.cap_min_w <= watts <= self.spec.cap_max_w):
-            raise PowerLimitError(
-                f"{self.spec.name}: power limit {watts:.0f} W outside supported "
-                f"range [{self.spec.cap_min_w:.0f}, {self.spec.cap_max_w:.0f}] W"
-            )
-        self._power_limit_w = float(watts)
-
-    def reset_power_limit(self) -> None:
-        """Restore the default power limit (the TDP)."""
-        self._power_limit_w = self.spec.tdp_w
 
     # ------------------------------------------------------------------
     # DVFS power/performance model
@@ -161,7 +151,7 @@ class GpuModel:
         ``P(f) = static + (demand - static) * f**3`` and clamp at the
         hardware's minimum clock (``spec.min_clock_fraction``).
         """
-        cap = self._power_limit_w if cap_w is None else cap_w
+        cap = self.spec.tdp_w if cap_w is None else cap_w
         spec = self.spec
         static = spec.static_w
         # The controller clocks against an effective target: a margin
@@ -188,7 +178,7 @@ class GpuModel:
         negligible in the upper cap range, ``spec.regulation_error_max``
         at the floor.
         """
-        cap = self._power_limit_w if cap_w is None else cap_w
+        cap = self.spec.tdp_w if cap_w is None else cap_w
         spec = self.spec
         span = spec.cap_max_w - spec.cap_min_w
         depth = float(np.clip((spec.cap_max_w - cap) / span, 0.0, 1.0))
@@ -210,7 +200,7 @@ class GpuModel:
             Fraction of the phase's time that scales with core clock
             (compute-bound part).  Memory-bound time is clock-insensitive.
         cap_w:
-            Override the GPU's current power limit (for what-if queries).
+            The GPU power limit (None = the TDP).
 
         Returns
         -------
@@ -220,7 +210,7 @@ class GpuModel:
         """
         if not 0.0 <= compute_fraction <= 1.0:
             raise ValueError(f"compute_fraction must be in [0, 1], got {compute_fraction}")
-        cap = self._power_limit_w if cap_w is None else cap_w
+        cap = self.spec.tdp_w if cap_w is None else cap_w
         spec = self.spec
         static = spec.static_w
         frac = self.clock_fraction(demand_w, cap)
@@ -247,14 +237,18 @@ class GpuModel:
         """Power sample for an idle GPU."""
         return GpuPowerSample(power_w=self.idle_power_w, clock_fraction=1.0, slowdown=1.0)
 
-    def resolve_rows(self, table: "PhaseTable") -> list[RowResolve]:
-        """Resolve each distinct row of a phase table once, at the current cap.
+    def resolve_rows(
+        self, table: "PhaseTable", cap_w: float | None = None
+    ) -> list[RowResolve]:
+        """Resolve each distinct row of a phase table once, at ``cap_w``.
 
         The scalar path (:meth:`resolve_phase`, Python floats), one call
         per GPU-active row; an idle row (duty cycle <= 0) draws idle power
         and is not stretched.  Per-phase quantities follow by indexing
-        the result with ``table.row_of_phase``.
+        the result with ``table.row_of_phase``.  The cap is
+        :func:`applied_cap_w`'s (None = the TDP).
         """
+        cap = applied_cap_w(self.spec, cap_w)
         rows = []
         for duty, uc, um, cf in zip(
             table.column("duty_cycle").tolist(),
@@ -266,7 +260,7 @@ class GpuModel:
                 rows.append(RowResolve(0.0, self.idle_power_w, 1.0))
                 continue
             demand = demand_power_at(uc, um, self.spec)
-            sample = self.resolve_phase(demand, cf)
+            sample = self.resolve_phase(demand, cf, cap)
             rows.append(
                 RowResolve(
                     demand, sample.power_w, duty * sample.slowdown + (1.0 - duty)

@@ -121,27 +121,6 @@ class GpuNode:
         return self.spec
 
     # ------------------------------------------------------------------
-    # Power limits (applied to all GPUs, as in the paper's experiments)
-    # ------------------------------------------------------------------
-    def set_gpu_power_limit(self, watts: float) -> None:
-        """Apply the same power cap to every GPU on the node."""
-        for gpu in self.gpus:
-            gpu.set_power_limit(watts)
-
-    def reset_gpu_power_limit(self) -> None:
-        """Restore the default (TDP) power limit on every GPU."""
-        for gpu in self.gpus:
-            gpu.reset_power_limit()
-
-    @property
-    def gpu_power_limit_w(self) -> float:
-        """The common GPU power limit (asserts all GPUs agree)."""
-        limits = {gpu.power_limit_w for gpu in self.gpus}
-        if len(limits) != 1:
-            raise RuntimeError(f"GPUs on {self.name} have mixed power limits: {sorted(limits)}")
-        return limits.pop()
-
-    # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
     @functools.cached_property
@@ -212,8 +191,7 @@ class GpuNode:
         manufacturing variation.  Carrying the spec per GPU is what lets
         the engine resolve mixed-platform pools in one pass.  The GPUs'
         specs and variations are fixed at construction, so this is built
-        once per node; only the power limits change between jobs.
-        Read-only.
+        once per node; the caps are a resolve input.  Read-only.
         """
         gpus = self.gpus
         assert all(g.variation is not None for g in gpus)

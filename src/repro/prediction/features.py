@@ -192,7 +192,7 @@ def surrogate_feature_vector(
       ceiling, host power over node TDP) so one model spans platforms.
 
     ``cap_w`` is validated against the platform's cap range the same way
-    the hardware layer validates ``set_power_limit``.
+    the hardware layer validates a cap (``applied_cap_w``).
     """
     spec = get_platform(platform).node
     gpu = spec.gpu

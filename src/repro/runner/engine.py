@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro import obs
-from repro.hardware.gpu import resolve_phase_batch
+from repro.hardware.gpu import applied_cap_w, resolve_phase_batch
 from repro.hardware.node import GPU_STATIC_FIELDS, HOST_STATIC_FIELDS, GpuNode
 from repro.hardware.variability import unit_rng
 from repro.perfmodel.power import demand_power_batch
@@ -597,20 +597,27 @@ class PowerEngine:
         self.config = config if config is not None else EngineConfig()
 
     # ------------------------------------------------------------------
-    def _resolve_phases(self, table: PhaseTable) -> tuple[np.ndarray, np.ndarray]:
-        """Cap-resolve a phase table on this engine's nodes at their caps.
+    def _resolve_phases(
+        self, table: PhaseTable, cap_w: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Cap-resolve a phase table on this engine's nodes at ``cap_w``.
 
-        The one-job case of :func:`resolve_table`, with the caps read off
-        the nodes, gathered to phases: ``(slowdown[P], means[nodes,
-        components, P])``.  Its scalar per-node / per-GPU specification
-        is the oracle in ``tests/runner/test_engine_vectorized.py``.
+        The one-job case of :func:`resolve_table`, every GPU at its
+        :func:`~repro.hardware.gpu.applied_cap_w` (None = its own TDP;
+        each GPU checks ``cap_w`` against its own range, so a mixed pool
+        rejects a cap any of its platforms cannot apply), gathered to
+        phases: ``(slowdown[P], means[nodes, components, P])``.  Its
+        scalar per-node / per-GPU specification is the oracle in
+        ``tests/runner/test_engine_vectorized.py``.
         """
         nodes = self.nodes
-        cap_w = np.array([[g.power_limit_w for g in node.gpus] for node in nodes])
-        (rows,) = resolve_table(table, [nodes], cap_w, self.config.rank_imbalance)
+        caps = np.array([[applied_cap_w(g.spec, cap_w) for g in node.gpus] for node in nodes])
+        (rows,) = resolve_table(table, [nodes], caps, self.config.rank_imbalance)
         return rows.gather(table)
 
-    def _resolve_and_layout(self, phases: list[MacroPhase]) -> tuple[Layout, np.ndarray]:
+    def _resolve_and_layout(
+        self, phases: list[MacroPhase], cap_w: float | None = None
+    ) -> tuple[Layout, np.ndarray]:
         """Cap-resolve phases and lay them out: ``(layout, means[N, K, P])``.
 
         The phase table comes with a store-held list and is built now for
@@ -618,7 +625,7 @@ class PowerEngine:
         layout is the one-job case of :func:`lay_out`.
         """
         table = phase_table(phases)
-        slowdown, means = self._resolve_phases(table)
+        slowdown, means = self._resolve_phases(table, cap_w)
         (layout,) = lay_out(
             table.durations, slowdown[None], self.config.base_interval_s
         )
@@ -630,12 +637,13 @@ class PowerEngine:
         phases: list[MacroPhase],
         label: str = "run",
         seed: int = 0,
+        cap_w: float | None = None,
     ) -> RunResult:
         """Execute a phase sequence and return traces plus the schedule.
 
-        GPU power caps are whatever is currently set on the engine's nodes
-        (``GpuNode.set_gpu_power_limit``), mirroring how the paper applied
-        ``nvidia-smi -pl`` before launching jobs.
+        ``cap_w`` is the power limit of every GPU (None = the TDP), as
+        the paper applied ``nvidia-smi -pl`` before launching jobs; an
+        out-of-range cap raises :class:`~repro.hardware.gpu.PowerLimitError`.
         """
         if not phases:
             raise ValueError("cannot run an empty phase list")
@@ -643,12 +651,12 @@ class PowerEngine:
         with obs.span(
             "engine.run", label=label, phases=len(phases), nodes=len(self.nodes)
         ):
-            return self._run_instrumented(phases, label, seed)
+            return self._run_instrumented(phases, label, seed, cap_w)
 
     def _run_instrumented(
-        self, phases: list[MacroPhase], label: str, seed: int
+        self, phases: list[MacroPhase], label: str, seed: int, cap_w: float | None
     ) -> RunResult:
-        layout, means = self._resolve_and_layout(phases)
+        layout, means = self._resolve_and_layout(phases, cap_w)
         n_samples = layout.n_samples
         with obs.span(
             "engine.render_traces", phases=len(phases), nodes=len(self.nodes)
@@ -677,7 +685,7 @@ class PowerEngine:
                 phases, layout.slowdown, layout.starts, layout.ends
             ),
             runtime_s=layout.runtime_s,
-            gpu_power_cap_w=self.nodes[0].gpu_power_limit_w,
+            gpu_power_cap_w=applied_cap_w(self.nodes[0].gpus[0].spec, cap_w),
         )
 
     # ------------------------------------------------------------------
@@ -687,6 +695,7 @@ class PowerEngine:
         label: str = "run",
         seed: int = 0,
         components: Sequence[str] = COMPONENT_KEYS,
+        cap_w: float | None = None,
     ) -> "StreamedRun":
         """Resolve a schedule and stream its render one series chunk at a time.
 
@@ -703,7 +712,7 @@ class PowerEngine:
         ``components`` names the rows the consumer reads (default: all
         of :data:`COMPONENT_KEYS`).  Only they are rendered; every other
         row only advances the RNG, which keeps the rendered rows
-        bit-identical to a full render.
+        bit-identical to a full render.  ``cap_w`` is as in :meth:`run`.
         """
         if not phases:
             raise ValueError("cannot run an empty phase list")
@@ -714,7 +723,7 @@ class PowerEngine:
             )
         rows = frozenset(COMPONENT_KEYS.index(key) for key in components)
         obs.inc("repro_engine_streams_total")
-        layout, means = self._resolve_and_layout(phases)
+        layout, means = self._resolve_and_layout(phases, cap_w)
         blocks = render_blocks(means, layout, rows, seed, self.config)
         dt = self.config.base_interval_s
         dtype = trace_dtype()
@@ -737,7 +746,7 @@ class PowerEngine:
         return StreamedRun(
             label=label,
             runtime_s=layout.runtime_s,
-            gpu_power_cap_w=self.nodes[0].gpu_power_limit_w,
+            gpu_power_cap_w=applied_cap_w(self.nodes[0].gpus[0].spec, cap_w),
             n_nodes=len(self.nodes),
             n_samples=layout.n_samples,
             base_interval_s=dt,

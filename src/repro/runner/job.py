@@ -67,7 +67,7 @@ class JobScript:
     workload:
         The VASP workload to run.
     nodes:
-        Allocated nodes; their current GPU power limits apply.
+        Allocated nodes; their GPUs run uncapped, at the TDP limit.
     include_prologue:
         Run the STREAM / DGEMM / idle segments first (Fig 1's layout).
     n_repeats:

@@ -32,15 +32,15 @@ TABLE1_ENERGY_BOUND = 0.08
 def grid():
     """(ref, nodes, cap, estimate, uncached engine run) for every point."""
     points = []
-    for ref in workload_refs():
-        workload = resolve_workload(ref)
-        for n_nodes in resolve_widths(ref)[:2]:
-            for cap_w in GRID_CAPS_W:
-                estimate = estimate_run(workload, n_nodes, cap_w)
-                measured = run_workload(
-                    workload, n_nodes=n_nodes, gpu_cap_w=cap_w, use_cache=False
-                )
-                points.append((ref, n_nodes, cap_w, estimate, measured))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE", "0")
+        for ref in workload_refs():
+            workload = resolve_workload(ref)
+            for n_nodes in resolve_widths(ref)[:2]:
+                for cap_w in GRID_CAPS_W:
+                    estimate = estimate_run(workload, n_nodes, cap_w)
+                    measured = run_workload(workload, n_nodes=n_nodes, gpu_cap_w=cap_w)
+                    points.append((ref, n_nodes, cap_w, estimate, measured))
     return points
 
 

@@ -39,8 +39,6 @@ def estimate_run_per_phase(workload, n_nodes, cap_w=None, platform=None):
     gpu = GpuModel(
         serial="NOMINAL", spec=node_spec.gpu, variation=ManufacturingVariation.nominal()
     )
-    if cap_w is not None:
-        gpu.set_power_limit(cap_w)
     phases = cached_phases(workload, n_nodes)
     total_time = 0.0
     total_energy = 0.0
@@ -53,7 +51,7 @@ def estimate_run_per_phase(workload, n_nodes, cap_w=None, platform=None):
             duration = phase.duration_s
         else:
             demand = demand_power_w(profile, gpu.envelope)
-            sample = gpu.resolve_phase(demand, profile.compute_fraction)
+            sample = gpu.resolve_phase(demand, profile.compute_fraction, cap_w)
             gpu_w = duty_cycle_power_w(
                 sample.power_w, profile.duty_cycle, gpu.idle_power_w
             )
@@ -73,7 +71,6 @@ def estimate_run_per_phase(workload, n_nodes, cap_w=None, platform=None):
 def milc_cap_slowdown_per_phase(workload, cap_w, n_nodes=1):
     """The MILC cap slowdown as one scalar resolve per phase."""
     gpu = GpuModel(serial="MILC", variation=ManufacturingVariation.nominal())
-    gpu.set_power_limit(cap_w)
     base = 0.0
     capped = 0.0
     for phase in cached_phases(workload, n_nodes):
@@ -83,7 +80,7 @@ def milc_cap_slowdown_per_phase(workload, cap_w, n_nodes=1):
             capped += phase.duration_s
             continue
         demand = demand_power_w(profile, gpu.envelope)
-        sample = gpu.resolve_phase(demand, profile.compute_fraction)
+        sample = gpu.resolve_phase(demand, profile.compute_fraction, cap_w)
         capped += phase.duration_s * (
             profile.duty_cycle * sample.slowdown + (1.0 - profile.duty_cycle)
         )
@@ -105,9 +102,7 @@ def control_outcome_per_phase(
     phases = cached_phases(workload, n_nodes)
     static = gpu.envelope.static_w
     clock = None
-    if provision_for is None:
-        gpu.set_power_limit(target_w)
-    else:
+    if provision_for is not None:
         active = [p for p in phases if p.gpu_profile.duty_cycle > 0]
         demands = [demand_power_w(p.gpu_profile, gpu.envelope) for p in active]
         if provision_for == "worst":
@@ -129,7 +124,7 @@ def control_outcome_per_phase(
             active_power = gpu.envelope.idle_w
             slowdown = 1.0
         elif clock is None:
-            sample = gpu.resolve_phase(demand, profile.compute_fraction)
+            sample = gpu.resolve_phase(demand, profile.compute_fraction, target_w)
             active_power = sample.power_w
             slowdown = duty * sample.slowdown + (1.0 - duty)
         else:
@@ -190,6 +185,9 @@ def test_milc_cap_slowdown_equals_per_phase_loop(size):
             assert milc_cap_slowdown(workload, cap_w, n_nodes) == (
                 milc_cap_slowdown_per_phase(workload, cap_w, n_nodes)
             )
+    for cap_w in (99.0, 401.0):
+        with pytest.raises(PowerLimitError):
+            milc_cap_slowdown(workload, cap_w)
 
 
 @pytest.mark.parametrize("name", ["Si256_hse", "Si128_acfdtr", "GaAsBi-64", "PdO2"])
@@ -199,6 +197,9 @@ def test_control_study_equals_per_phase_loop(name, provision_for):
     for platform in ("a100-40g", "h100-sxm"):
         for target_w in CAPS[1:]:
             if not in_range(target_w, platform):
+                if provision_for is None:
+                    with pytest.raises(PowerLimitError):
+                        run_with_capping(workload, target_w, 1, platform)
                 continue
             if provision_for is None:
                 outcome = run_with_capping(workload, target_w, 1, platform)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.experiments.common import MeasuredRun, make_nodes, run_workload
+from repro.experiments.common import MeasuredRun, make_nodes, run_cache, run_workload
 from repro.experiments.report import format_table, sparkline
+from repro.hardware.gpu import PowerLimitError
 from repro.vasp.benchmarks import benchmark
 
 
@@ -62,16 +63,23 @@ class TestRunWorkloadPlumbing:
         assert telem.sample_interval_s == pytest.approx(2.0, rel=0.01)
 
     def test_cap_applied_and_reset_semantics(self):
-        nodes = make_nodes(1)
-        run_workload(benchmark("PdO2").build(), n_nodes=1, gpu_cap_w=200.0, nodes=nodes)
-        assert nodes[0].gpu_power_limit_w == 200.0
-        # A subsequent uncapped run on the same nodes resets the limit.
-        run_workload(benchmark("PdO2").build(), n_nodes=1, nodes=nodes)
-        assert nodes[0].gpu_power_limit_w == 400.0
+        """A capped run leaves nothing behind: the next uncapped run is at the TDP."""
+        workload = benchmark("PdO2").build()
+        capped = run_workload(workload, n_nodes=1, gpu_cap_w=100.0)
+        uncapped = run_workload(workload, n_nodes=1)
+        assert capped.result.gpu_power_cap_w == 100.0
+        assert uncapped.result.gpu_power_cap_w == 400.0
+        assert capped.runtime_s > uncapped.runtime_s
+        assert capped.gpu_summary().max_w < uncapped.gpu_summary().max_w
 
-    def test_node_count_mismatch(self):
-        with pytest.raises(ValueError):
-            run_workload(benchmark("PdO2").build(), n_nodes=2, nodes=make_nodes(1))
+    @pytest.mark.parametrize("cache", ["1", "0"])
+    @pytest.mark.parametrize("cap_w", [99.0, 401.0])
+    def test_out_of_range_cap_raises(self, monkeypatch, cache, cap_w):
+        monkeypatch.setenv("REPRO_CACHE", cache)
+        run_cache().clear()
+        with pytest.raises(PowerLimitError, match=r"\[100, 400\] W"):
+            run_workload(benchmark("PdO2").build(), gpu_cap_w=cap_w)
+        assert len(run_cache()) == 0
 
     def test_measured_run_accessors(self):
         measured: MeasuredRun = run_workload(benchmark("PdO2").build(), seed=1)
@@ -114,10 +122,9 @@ class TestPlatformCacheIsolation:
         explicit = run_workload(wl, seed=11, engine_config=coarse, platform="a100-40g")
         assert implicit.result.total_energy_j() == explicit.result.total_energy_j()
 
-    def test_platform_nodes_flow_through_run(self, coarse):
+    def test_platform_nodes_flow_through_run(self, coarse, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "0")
         wl = benchmark("PdO2").build()
-        measured = run_workload(
-            wl, seed=11, engine_config=coarse, platform="v100-sxm2", use_cache=False
-        )
+        measured = run_workload(wl, seed=11, engine_config=coarse, platform="v100-sxm2")
         # V100 nodes peak far below an A100 node's ~2.3 kW ceiling.
         assert measured.node_summary().mean_w < 1700.0

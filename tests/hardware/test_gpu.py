@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.hardware.gpu import GpuModel, PowerLimitError, MIN_CLOCK_FRACTION
+from repro.hardware.gpu import (
+    GpuModel,
+    PowerLimitError,
+    MIN_CLOCK_FRACTION,
+    applied_cap_w,
+)
 from repro.hardware.variability import ManufacturingVariation
+from repro.perfmodel.kernels import KernelCatalogue
+from repro.vasp.phases import MacroPhase, phase_table
 
 
 @pytest.fixture
@@ -12,25 +19,42 @@ def gpu() -> GpuModel:
     return GpuModel(serial="TEST", variation=ManufacturingVariation.nominal())
 
 
+def hot_table():
+    """A two-row phase table: one compute-bound row, one idle row."""
+    return phase_table(
+        [
+            MacroPhase("dgemm", 2.0, KernelCatalogue.DGEMM_TEST),
+            MacroPhase("host", 1.0, KernelCatalogue.HOST_SECTION),
+        ]
+    )
+
+
 class TestPowerLimit:
     def test_default_limit_is_tdp(self, gpu):
-        assert gpu.power_limit_w == 400.0
+        assert applied_cap_w(gpu.spec, None) == 400.0
+        assert gpu.resolve_phase(380.0, 0.6) == gpu.resolve_phase(380.0, 0.6, 400.0)
+        assert gpu.regulation_error() == gpu.regulation_error(400.0)
+        assert gpu.resolve_rows(hot_table()) == gpu.resolve_rows(hot_table(), 400.0)
 
-    def test_set_and_reset(self, gpu):
-        gpu.set_power_limit(250.0)
-        assert gpu.power_limit_w == 250.0
-        gpu.reset_power_limit()
-        assert gpu.power_limit_w == 400.0
+    def test_resolve_rows_applies_the_cap(self, gpu):
+        uncapped = gpu.resolve_rows(hot_table())
+        capped = gpu.resolve_rows(hot_table(), 200.0)
+        assert capped[0].stretch > uncapped[0].stretch
+        assert capped[0].power_w < uncapped[0].power_w
+        assert capped[1] == uncapped[1]  # an idle row ignores the cap
 
     @pytest.mark.parametrize("bad", [99.9, 401.0, 0.0, -100.0])
     def test_rejects_out_of_range(self, gpu, bad):
+        with pytest.raises(PowerLimitError, match=r"outside supported range \[100, 400\] W"):
+            applied_cap_w(gpu.spec, bad)
         with pytest.raises(PowerLimitError):
-            gpu.set_power_limit(bad)
+            gpu.resolve_rows(hot_table(), bad)
 
     @pytest.mark.parametrize("ok", [100.0, 200.0, 300.0, 400.0])
     def test_accepts_paper_caps(self, gpu, ok):
-        gpu.set_power_limit(ok)
-        assert gpu.power_limit_w == ok
+        assert applied_cap_w(gpu.spec, ok) == ok
+        checked = applied_cap_w(gpu.spec, int(ok))
+        assert checked == ok and isinstance(checked, float)
 
 
 class TestClockFraction:
@@ -79,26 +103,22 @@ class TestResolvePhase:
         assert sample.slowdown == 1.0
 
     def test_capped_power_below_cap_in_authority_range(self, gpu):
-        gpu.set_power_limit(200.0)
-        sample = gpu.resolve_phase(380.0, compute_fraction=0.6)
+        sample = gpu.resolve_phase(380.0, compute_fraction=0.6, cap_w=200.0)
         assert sample.power_w <= 200.0
         assert sample.slowdown > 1.0
 
     def test_floor_cap_overshoots(self, gpu):
-        gpu.set_power_limit(100.0)
-        sample = gpu.resolve_phase(380.0, compute_fraction=0.6)
+        sample = gpu.resolve_phase(380.0, compute_fraction=0.6, cap_w=100.0)
         assert sample.power_w > 100.0  # Fig 10's 100 W error
         assert sample.power_w < 120.0
 
     def test_memory_bound_phase_barely_slows(self, gpu):
-        gpu.set_power_limit(200.0)
-        sample = gpu.resolve_phase(380.0, compute_fraction=0.1)
+        sample = gpu.resolve_phase(380.0, compute_fraction=0.1, cap_w=200.0)
         assert sample.slowdown < 1.08
 
     def test_compute_bound_phase_slows_more(self, gpu):
-        gpu.set_power_limit(200.0)
-        memory = gpu.resolve_phase(380.0, compute_fraction=0.1)
-        compute = gpu.resolve_phase(380.0, compute_fraction=0.9)
+        memory = gpu.resolve_phase(380.0, compute_fraction=0.1, cap_w=200.0)
+        compute = gpu.resolve_phase(380.0, compute_fraction=0.9, cap_w=200.0)
         assert compute.slowdown > memory.slowdown
 
     def test_rejects_bad_compute_fraction(self, gpu):

@@ -1,8 +1,15 @@
 """Unit tests for node-level aggregation."""
 
+import numpy as np
 import pytest
 
 from repro.hardware.node import GpuNode
+from repro.perfmodel.kernels import KernelCatalogue
+from repro.runner.engine import PowerEngine
+from repro.runner.trace import GPU_KEYS
+from repro.vasp.phases import MacroPhase
+
+HOT = [MacroPhase("dgemm", 5.0, KernelCatalogue.DGEMM_TEST)]
 
 
 @pytest.fixture
@@ -27,20 +34,22 @@ class TestGpuNodeStructure:
 
 
 class TestPowerLimits:
+    """A cap is a run argument: it applies to every GPU of the node and
+    leaves no state on it."""
+
     def test_set_applies_to_all_gpus(self, node):
-        node.set_gpu_power_limit(250.0)
-        assert all(g.power_limit_w == 250.0 for g in node.gpus)
-        assert node.gpu_power_limit_w == 250.0
+        engine = PowerEngine([node])
+        uncapped = engine.run(HOT, seed=1).traces[0]
+        capped = engine.run(HOT, seed=1, cap_w=250.0).traces[0]
+        for key in GPU_KEYS:
+            assert capped.component(key).mean() < uncapped.component(key).mean()
 
     def test_reset(self, node):
-        node.set_gpu_power_limit(150.0)
-        node.reset_gpu_power_limit()
-        assert node.gpu_power_limit_w == 400.0
-
-    def test_mixed_limits_detected(self, node):
-        node.gpus[0].set_power_limit(200.0)
-        with pytest.raises(RuntimeError):
-            _ = node.gpu_power_limit_w
+        PowerEngine([node]).run(HOT, seed=1, cap_w=150.0)
+        after = PowerEngine([node]).run(HOT, seed=1)
+        fresh = PowerEngine([GpuNode(name=node.name)]).run(HOT, seed=1)
+        assert after.gpu_power_cap_w == 400.0
+        assert np.array_equal(after.traces[0].data, fresh.traces[0].data)
 
 
 class TestSampling:

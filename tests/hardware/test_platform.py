@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.hardware.gpu import GpuModel, PowerLimitError
+from repro.hardware.gpu import GpuModel, PowerLimitError, applied_cap_w
 from repro.hardware.node import GPU_STATIC_FIELDS, GpuNode
 from repro.hardware.platform import (
     DEFAULT_PLATFORM_ID,
@@ -119,21 +119,18 @@ class TestSpecBehaviour:
         # inherit the A100's 0.15.
         spec = GpuSpec.from_envelope(A100_40GB, min_clock_fraction=0.5)
         gpu = GpuModel(serial="FLOOR", spec=spec)
-        gpu.set_power_limit(spec.cap_min_w)
-        assert gpu.clock_fraction(demand_w=spec.tdp_w) == 0.5
+        assert gpu.clock_fraction(demand_w=spec.tdp_w, cap_w=spec.cap_min_w) == 0.5
 
     def test_h100_uses_its_own_floor_and_margin(self):
         gpu = GpuModel(serial="H100", spec=get_platform("h100-sxm").gpu)
-        gpu.set_power_limit(200.0)
-        assert gpu.clock_fraction(demand_w=700.0) >= 0.11
+        assert gpu.clock_fraction(demand_w=700.0, cap_w=200.0) >= 0.11
         a100 = GpuModel(serial="A100")
-        a100.set_power_limit(200.0)
-        assert gpu.resolve_phase(650.0, 0.8) != a100.resolve_phase(650.0, 0.8)
+        assert gpu.resolve_phase(650.0, 0.8, 200.0) != a100.resolve_phase(650.0, 0.8, 200.0)
 
     def test_power_limit_error_names_platform_and_range(self):
         gpu = GpuModel(serial="H100", spec=get_platform("h100-sxm").gpu)
         with pytest.raises(PowerLimitError) as err:
-            gpu.set_power_limit(100.0)
+            applied_cap_w(gpu.spec, 100.0)
         message = str(err.value)
         assert "NVIDIA H100-SXM5-80GB" in message
         assert "[200, 700]" in message

@@ -399,14 +399,16 @@ class TestRunWorkloadCaching:
             base.result.traces[0].node_power, other.result.traces[0].node_power
         )
 
-    def test_use_cache_false_bypasses(self):
+    def test_use_cache_false_bypasses(self, monkeypatch):
+        """``REPRO_CACHE=0`` bypasses the cache: each call is a fresh, equal run."""
         from repro.experiments.common import run_cache, run_workload
 
+        monkeypatch.setenv("REPRO_CACHE", "0")
         workload = benchmark("PdO2").build()
         cache = run_cache()
         cache.clear()
-        first = run_workload(workload, n_nodes=1, use_cache=False)
-        second = run_workload(workload, n_nodes=1, use_cache=False)
+        first = run_workload(workload, n_nodes=1)
+        second = run_workload(workload, n_nodes=1)
         assert cache.hits == 0 and cache.misses == 0
         assert second is not first
         np.testing.assert_array_equal(
@@ -423,14 +425,33 @@ class TestRunWorkloadCaching:
         run_workload(workload, n_nodes=1)
         assert cache.hits == 0 and cache.misses == 0
 
-    def test_caller_supplied_nodes_never_cached(self):
-        from repro.experiments.common import make_nodes, run_cache, run_workload
+    @pytest.mark.parametrize("platform", [None, "h100-sxm"])
+    def test_uncapped_and_tdp_cap_share_one_entry(self, platform):
+        """Keys hold the cap applied: None is the platform GPU's TDP."""
+        from repro.experiments.common import run_cache, run_workload
+        from repro.hardware.platform import get_platform
 
         workload = benchmark("PdO2").build()
+        tdp_w = get_platform(platform).gpu.tdp_w
         cache = run_cache()
         cache.clear()
-        run_workload(workload, n_nodes=1, nodes=make_nodes(1))
-        assert cache.hits == 0 and cache.misses == 0
+        uncapped = run_workload(workload, gpu_cap_w=None, platform=platform)
+        at_tdp = run_workload(workload, gpu_cap_w=tdp_w, platform=platform)
+        as_int = run_workload(workload, gpu_cap_w=int(tdp_w), platform=platform)
+        assert cache.misses == 1 and cache.hits == 2
+        assert at_tdp is uncapped and as_int is uncapped
+        assert uncapped.result.gpu_power_cap_w == tdp_w
+
+    def test_uncapped_and_tdp_cap_share_one_estimate(self):
+        from repro.capping.scheduler import cached_estimate_run, estimate_cache
+
+        workload = benchmark("PdO2").build()
+        cache = estimate_cache()
+        cache.clear()
+        uncapped = cached_estimate_run(workload, 2, None)
+        at_tdp = cached_estimate_run(workload, 2, 400.0)
+        assert cache.misses == 1 and cache.hits == 1
+        assert at_tdp is uncapped
 
     def test_estimate_cache_invalidates_on_cap(self):
         from repro.capping.scheduler import cached_estimate_run, estimate_cache

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.hardware.gpu import PowerLimitError
 from repro.hardware.node import GpuNode
+from repro.hardware.platform import get_platform
 from repro.perfmodel.kernels import KernelCatalogue
 from repro.runner.engine import EngineConfig, PowerEngine
 from repro.vasp.phases import MacroPhase
@@ -90,14 +92,43 @@ class TestPowerLevels:
 
 class TestCapping:
     def test_cap_reduces_power_and_lengthens_run(self):
-        node = GpuNode("nid005001")
-        engine = PowerEngine([node])
+        engine = PowerEngine([GpuNode("nid005001")])
         base = engine.run([hot_phase(20.0)], seed=0)
-        node.set_gpu_power_limit(200.0)
-        capped = engine.run([hot_phase(20.0)], seed=0)
+        capped = engine.run([hot_phase(20.0)], seed=0, cap_w=200.0)
         assert capped.runtime_s > base.runtime_s
         assert capped.traces[0].gpu_total.mean() < base.traces[0].gpu_total.mean()
         assert capped.gpu_power_cap_w == 200.0
+        assert base.gpu_power_cap_w == 400.0
+
+    def test_uncapped_is_the_tdp_cap(self):
+        engine = PowerEngine([GpuNode("nid005001")])
+        uncapped = engine.run([hot_phase(20.0)], seed=3)
+        at_tdp = engine.run([hot_phase(20.0)], seed=3, cap_w=400)
+        assert at_tdp.gpu_power_cap_w == 400.0
+        assert np.array_equal(uncapped.traces[0].data, at_tdp.traces[0].data)
+
+    @pytest.mark.parametrize("cap_w", [99.0, 401.0])
+    def test_out_of_range_cap_raises_from_run_and_stream(self, cap_w):
+        engine = PowerEngine([GpuNode("nid005001")])
+        match = r"A100.*outside supported range \[100, 400\] W"
+        with pytest.raises(PowerLimitError, match=match):
+            engine.run([hot_phase()], cap_w=cap_w)
+        with pytest.raises(PowerLimitError, match=match):
+            engine.stream([hot_phase()], cap_w=cap_w)
+
+    def test_mixed_pool_checks_each_node_against_its_own_spec(self):
+        nodes = [
+            GpuNode("nid005000", spec=get_platform("a100-40g").node),
+            GpuNode("nid005001", spec=get_platform("h100-sxm").node),
+        ]
+        engine = PowerEngine(nodes)
+        # 150 W is inside the A100's range but under the H100's floor.
+        with pytest.raises(PowerLimitError, match=r"H100.*\[200, 700\] W"):
+            engine.run([hot_phase()], cap_w=150.0)
+        # 500 W is inside the H100's range but over the A100's ceiling.
+        with pytest.raises(PowerLimitError, match=r"A100.*\[100, 400\] W"):
+            engine.run([hot_phase()], cap_w=500.0)
+        assert engine.run([hot_phase()], cap_w=200.0).gpu_power_cap_w == 200.0
 
     def test_memory_bound_phase_unslowed_by_cap(self):
         node = GpuNode("nid005002")
@@ -106,8 +137,7 @@ class TestCapping:
             name="stream", duration_s=20.0, gpu_profile=KernelCatalogue.STREAM_TEST
         )
         base = engine.run([stream], seed=0)
-        node.set_gpu_power_limit(200.0)
-        capped = engine.run([stream], seed=0)
+        capped = engine.run([stream], seed=0, cap_w=200.0)
         assert capped.runtime_s < base.runtime_s * 1.05
 
 

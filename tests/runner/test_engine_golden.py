@@ -55,12 +55,8 @@ def phase_mix():
     ]
 
 
-def engine_at(cap_w):
-    nodes = [GpuNode("nid005000"), GpuNode("nid005001")]
-    if cap_w is not None:
-        for node in nodes:
-            node.set_gpu_power_limit(cap_w)
-    return PowerEngine(nodes)
+def golden_engine():
+    return PowerEngine([GpuNode("nid005000"), GpuNode("nid005001")])
 
 
 def schedule_key(records):
@@ -88,7 +84,7 @@ def full_width_traces(monkeypatch):
 def run_parts():
     parts = []
     for cap_w in CAPS_W:
-        result = engine_at(cap_w).run(phase_mix(), seed=SEED)
+        result = golden_engine().run(phase_mix(), seed=SEED, cap_w=cap_w)
         series = [
             trace.component(key) for trace in result.traces for key in COMPONENT_KEYS
         ]
@@ -99,7 +95,7 @@ def run_parts():
 def stream_parts():
     parts = []
     for cap_w in CAPS_W:
-        streamed = engine_at(cap_w).stream(phase_mix(), seed=SEED)
+        streamed = golden_engine().stream(phase_mix(), seed=SEED, cap_w=cap_w)
         series: dict[tuple[int, str], list[np.ndarray]] = {}
         for chunk in streamed.chunks:
             series.setdefault((chunk.node_index, chunk.component), []).append(

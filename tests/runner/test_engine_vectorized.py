@@ -51,7 +51,7 @@ MEMORY_ROW = COMPONENT_KEYS.index("memory")
 NODE_ROW = COMPONENT_KEYS.index("node")
 
 
-def resolve_phase_reference(engine, phase):
+def resolve_phase_reference(engine, phase, cap_w=None):
     """Cap-resolve one phase on every node: ``(slowdown, means[N, K])``.
 
     The scalar specification of ``engine._resolve_phases``, whose
@@ -74,7 +74,7 @@ def resolve_phase_reference(engine, phase):
                 gpu_means.append(gpu.idle_power_w)
                 continue
             demand = demand_power_w(profile, gpu.envelope)
-            sample = gpu.resolve_phase(demand, profile.compute_fraction)
+            sample = gpu.resolve_phase(demand, profile.compute_fraction, cap_w)
             # Load imbalance: rank i holds (1 + skew_i) of the nominal
             # work; the phase runs at the most-loaded rank's pace while
             # the others idle-wait, diluting their duty cycle.
@@ -101,17 +101,17 @@ def resolve_phase_reference(engine, phase):
     return slowdown, means
 
 
-def resolve_by_reference(engine, phases):
+def resolve_by_reference(engine, phases, cap_w=None):
     """``_resolve_phases``' ``(slowdown[P], means[N, K, P])`` from the spec."""
-    reference = [resolve_phase_reference(engine, p) for p in phases]
+    reference = [resolve_phase_reference(engine, p, cap_w) for p in phases]
     slowdown = np.array([ref_slowdown for ref_slowdown, _ in reference])
     means = np.stack([ref_means for _, ref_means in reference], axis=-1)
     return slowdown, means
 
 
-def assert_resolution_matches(engine, phases):
-    slowdown, means = engine._resolve_phases(phase_table(phases))
-    ref_slowdown, ref_means = resolve_by_reference(engine, phases)
+def assert_resolution_matches(engine, phases, cap_w=None):
+    slowdown, means = engine._resolve_phases(phase_table(phases), cap_w)
+    ref_slowdown, ref_means = resolve_by_reference(engine, phases, cap_w)
     assert means.shape == (len(engine.nodes), len(COMPONENT_KEYS), len(phases))
     np.testing.assert_allclose(slowdown, ref_slowdown, rtol=1e-12)
     np.testing.assert_allclose(means, ref_means, rtol=1e-12)
@@ -120,12 +120,8 @@ def assert_resolution_matches(engine, phases):
 class TestVectorizedAgainstReference:
     @pytest.mark.parametrize("cap_w", [None, 300.0, 200.0, 100.0])
     def test_caps(self, cap_w):
-        nodes = [GpuNode("nid005000"), GpuNode("nid005001")]
-        for node in nodes:
-            if cap_w is not None:
-                node.set_gpu_power_limit(cap_w)
-        engine = PowerEngine(nodes)
-        assert_resolution_matches(engine, phase_mix())
+        engine = PowerEngine([GpuNode("nid005000"), GpuNode("nid005001")])
+        assert_resolution_matches(engine, phase_mix(), cap_w)
 
     @pytest.mark.parametrize("imbalance", [0.0, 0.25])
     def test_rank_imbalance(self, imbalance):
@@ -151,20 +147,17 @@ class TestVectorizedAgainstReference:
 
     def test_end_to_end_traces_identical(self):
         phases = phase_mix()
-        nodes_a = [GpuNode("nid005000")]
-        nodes_a[0].set_gpu_power_limit(200.0)
-        engine = PowerEngine(nodes_a)
-        via_vector = engine.run(phases, seed=9)
+        engine = PowerEngine([GpuNode("nid005000")])
+        via_vector = engine.run(phases, seed=9, cap_w=200.0)
 
         # Monkey-style: force the reference resolver through the same run.
         engine_ref = PowerEngine(
             [GpuNode("nid005000")], engine.config
         )
-        engine_ref.nodes[0].set_gpu_power_limit(200.0)
-        engine_ref._resolve_phases = lambda _table: resolve_by_reference(
-            engine_ref, phases
+        engine_ref._resolve_phases = lambda _table, cap_w: resolve_by_reference(
+            engine_ref, phases, cap_w
         )
-        via_reference = engine_ref.run(phases, seed=9)
+        via_reference = engine_ref.run(phases, seed=9, cap_w=200.0)
 
         for ta, tb in zip(via_vector.traces, via_reference.traces):
             np.testing.assert_allclose(ta.node_power, tb.node_power, rtol=1e-12)
@@ -261,12 +254,9 @@ class TestArrayLayout:
 
     @pytest.mark.parametrize("cap_w", [None, 150.0])
     def test_layout_equals_wall_clock_loop(self, cap_w):
-        node = GpuNode("nid005000")
-        if cap_w is not None:
-            node.set_gpu_power_limit(cap_w)
-        engine = PowerEngine([node])
+        engine = PowerEngine([GpuNode("nid005000")])
         phases = tiny_phases(3000)
-        layout, _means = engine._resolve_and_layout(phases)
+        layout, _means = engine._resolve_and_layout(phases, cap_w)
         slowdown, starts, ends = layout.slowdown, layout.starts, layout.ends
         spans = scalar_layout(phases, slowdown.tolist())
         assert list(zip(starts.tolist(), ends.tolist())) == spans

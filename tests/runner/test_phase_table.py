@@ -43,11 +43,12 @@ MEMORY_ROW = COMPONENT_KEYS.index("memory")
 NODE_ROW = COMPONENT_KEYS.index("node")
 
 
-def state_arrays(node):
-    """A node's per-GPU model state, read off its GPU objects."""
+def state_arrays(node, cap_w=None):
+    """A node's per-GPU model state, read off its GPU objects, at ``cap_w``
+    (None = each GPU's TDP)."""
     gpus = node.gpus
     return {
-        "cap_w": np.array([g.power_limit_w for g in gpus]),
+        "cap_w": np.array([g.spec.tdp_w if cap_w is None else cap_w for g in gpus]),
         "static_w": np.array([g.spec.static_w for g in gpus]),
         "idle_env_w": np.array([g.spec.idle_w for g in gpus]),
         "cap_min_w": np.array([g.spec.cap_min_w for g in gpus]),
@@ -91,7 +92,7 @@ def host_power_per_node(node, cpu_u, mem_u, nic_u):
     return cpu_w, memory_w, np.asarray(nic_w, dtype=float)
 
 
-def resolve_per_phase(engine, phases):
+def resolve_per_phase(engine, phases, cap_w=None):
     """``(slowdown[P], means[N, K, P])`` from one batched grid row per phase."""
     nodes = engine.nodes
     duty = np.array([p.gpu_profile.duty_cycle for p in phases])
@@ -99,7 +100,7 @@ def resolve_per_phase(engine, phases):
     um = np.array([p.gpu_profile.memory_utilization for p in phases])
     cf = np.array([p.gpu_profile.compute_fraction for p in phases])
     duty_b = duty[:, None, None]
-    per_node = [state_arrays(node) for node in nodes]
+    per_node = [state_arrays(node, cap_w) for node in nodes]
     state = {key: np.stack([arrays[key] for arrays in per_node]) for key in per_node[0]}
     imbalance = engine.config.rank_imbalance
     skews = np.array(
@@ -171,26 +172,16 @@ def repeated_rows(n_iterations=40):
     ]
 
 
-def set_cap(nodes, cap_w):
-    """Cap every node's GPUs at ``cap_w``, clamped to each GPU's range."""
-    for node in nodes:
-        if cap_w is not None:
-            gpu = node.spec.gpu
-            node.set_gpu_power_limit(min(max(cap_w, gpu.cap_min_w), gpu.cap_max_w))
-
-
-def pool(platforms, cap_w=None):
-    nodes = [
+def pool(platforms):
+    return [
         GpuNode(f"nid00{7000 + i}", spec=get_platform(platform).node)
         for i, platform in enumerate(platforms)
     ]
-    set_cap(nodes, cap_w)
-    return nodes
 
 
-def assert_table_path_exact(engine, phases):
-    slowdown, means = engine._resolve_phases(phase_table(phases))
-    ref_slowdown, ref_means = resolve_per_phase(engine, phases)
+def assert_table_path_exact(engine, phases, cap_w=None):
+    slowdown, means = engine._resolve_phases(phase_table(phases), cap_w)
+    ref_slowdown, ref_means = resolve_per_phase(engine, phases, cap_w)
     assert np.array_equal(slowdown, ref_slowdown)
     assert np.array_equal(means, ref_means)
 
@@ -259,61 +250,65 @@ class TestEngineTablePathExact:
 
     @pytest.mark.parametrize("cap_w", [None, 250.0, 150.0, 100.0])
     def test_repeated_rows(self, cap_w):
-        engine = PowerEngine(pool(["a100-40g", "a100-40g"], cap_w))
-        assert_table_path_exact(engine, PhaseList(repeated_rows()))
+        engine = PowerEngine(pool(["a100-40g", "a100-40g"]))
+        assert_table_path_exact(engine, PhaseList(repeated_rows()), cap_w)
 
     def test_hand_made_list(self):
-        engine = PowerEngine(pool(["a100-40g"], 200.0))
+        engine = PowerEngine(pool(["a100-40g"]))
         phases = repeated_rows(7)
         assert not isinstance(phases, PhaseList)
-        assert_table_path_exact(engine, phases)
+        assert_table_path_exact(engine, phases, 200.0)
 
     @pytest.mark.parametrize("cap_w", [None, 200.0])
     def test_rank_imbalance(self, cap_w):
         engine = PowerEngine(
-            pool(["a100-40g", "a100-40g"], cap_w), EngineConfig(rank_imbalance=0.25)
+            pool(["a100-40g", "a100-40g"]), EngineConfig(rank_imbalance=0.25)
         )
-        assert_table_path_exact(engine, repeated_rows())
+        assert_table_path_exact(engine, repeated_rows(), cap_w)
 
     @pytest.mark.parametrize("cap_w", [None, 300.0, 200.0])
     def test_mixed_a100_h100_pool(self, cap_w):
-        engine = PowerEngine(pool(["a100-40g", "h100-sxm", "a100-40g"], cap_w))
-        assert_table_path_exact(engine, repeated_rows())
+        engine = PowerEngine(pool(["a100-40g", "h100-sxm", "a100-40g"]))
+        assert_table_path_exact(engine, repeated_rows(), cap_w)
 
-    @pytest.mark.parametrize("cap_w", [None, 200.0, 120.0])
+    @pytest.mark.parametrize("cap_w", [None, 200.0, 150.0])
     def test_mixed_nic_counts(self, cap_w):
         """a100-40g nodes have 4 NICs, v100-sxm2 nodes 1: the narrower
         nodes are padded with zero-power NICs, exactly."""
         platforms = ["a100-40g", "v100-sxm2", "a100-40g", "v100-sxm2"]
-        nodes = pool(platforms, cap_w)
+        nodes = pool(platforms)
         assert [len(node.nics) for node in nodes] == [4, 1, 4, 1]
         engine = PowerEngine(nodes)
-        assert_table_path_exact(engine, repeated_rows())
-        assert_table_path_exact(engine, cached_phases(benchmark("PdO2").build(), 4))
+        assert_table_path_exact(engine, repeated_rows(), cap_w)
+        assert_table_path_exact(
+            engine, cached_phases(benchmark("PdO2").build(), 4), cap_w
+        )
         # Alone, a 1-NIC node still gets its one NIC (and the widest
         # pool sets the padding).
-        assert_table_path_exact(PowerEngine(pool(["v100-sxm2"], cap_w)), repeated_rows())
+        assert_table_path_exact(
+            PowerEngine(pool(["v100-sxm2"])), repeated_rows(), cap_w
+        )
 
     @pytest.mark.parametrize("name", ["Si256_hse", "GaAsBi-64", "Si128_acfdtr"])
     def test_store_lists(self, name):
-        engine = PowerEngine(pool(["a100-40g", "h100-sxm"], 200.0))
-        assert_table_path_exact(engine, cached_phases(benchmark(name).build(), 2))
+        engine = PowerEngine(pool(["a100-40g", "h100-sxm"]))
+        assert_table_path_exact(
+            engine, cached_phases(benchmark(name).build(), 2), 200.0
+        )
 
     def test_static_gpu_state_follows_the_cap(self):
-        nodes = pool(["a100-40g"])
-        engine = PowerEngine(nodes)
+        engine = PowerEngine(pool(["a100-40g"]))
         phases = PhaseList(repeated_rows(3))
         uncapped = engine._resolve_phases(phases.table)
-        nodes[0].set_gpu_power_limit(100.0)
-        capped = engine._resolve_phases(phases.table)
+        capped = engine._resolve_phases(phases.table, 100.0)
         assert not np.array_equal(uncapped[1], capped[1])
-        assert_table_path_exact(engine, phases)
+        assert_table_path_exact(engine, phases, 100.0)
 
     def test_run_renders_identically_from_a_plain_list(self):
-        engine = PowerEngine(pool(["a100-40g"], 200.0))
+        engine = PowerEngine(pool(["a100-40g"]))
         phases = PhaseList(repeated_rows(5))
-        via_table = engine.run(phases, seed=4)
-        via_list = engine.run(list(phases), seed=4)
+        via_table = engine.run(phases, seed=4, cap_w=200.0)
+        via_list = engine.run(list(phases), seed=4, cap_w=200.0)
         assert via_table.runtime_s == via_list.runtime_s
         for a, b in zip(via_table.traces, via_list.traces):
             assert np.array_equal(a.node_power, b.node_power)
@@ -321,35 +316,34 @@ class TestEngineTablePathExact:
 
 def assert_grouped_equals_alone(jobs, phases, config=None):
     """Resolve ``jobs`` (``(nodes, cap_w)`` pairs) in one pass, then each
-    job alone on a lone engine with its clamped cap set on its nodes:
-    every job's rows, gathered to phases, must be the same bytes."""
+    job alone at its caps clamped to each node's range: every job's rows,
+    gathered to phases, must be the same bytes.  A job whose caps clamp
+    to one value is also resolved on a lone engine at that cap."""
     table = phase_table(phases)
     rank_imbalance = (config or EngineConfig()).rank_imbalance
-    cap_w = np.array(
-        [
-            [clamped_cap_w(cap, node.spec)] * len(node.gpus)
-            for nodes, cap in jobs
-            for node in nodes
-        ]
+    job_caps = [
+        np.array([[clamped_cap_w(cap, node.spec)] * len(node.gpus) for node in nodes])
+        for nodes, cap in jobs
+    ]
+    grouped = resolve_table(
+        table, [nodes for nodes, _ in jobs], np.concatenate(job_caps), rank_imbalance
     )
-    # Node state carries other caps while the group resolves: caps are
-    # an input of the grouped resolve, not read off the nodes.
-    for nodes, _ in jobs:
-        for node in nodes:
-            node.reset_gpu_power_limit()
-    grouped = resolve_table(table, [nodes for nodes, _ in jobs], cap_w, rank_imbalance)
     assert len(grouped) == len(jobs)
-    for (nodes, cap), rows in zip(jobs, grouped):
-        set_cap(nodes, cap)
+    for (nodes, _), caps, rows in zip(jobs, job_caps, grouped):
         slowdown, means = rows.gather(table)
-        alone_slowdown, alone_means = PowerEngine(nodes, config)._resolve_phases(table)
-        assert means.shape == alone_means.shape == (
-            len(nodes),
-            len(COMPONENT_KEYS),
-            len(phases),
-        )
-        assert slowdown.tobytes() == alone_slowdown.tobytes()
-        assert means.tobytes() == alone_means.tobytes()
+        (alone,) = resolve_table(table, [nodes], caps, rank_imbalance)
+        references = [alone.gather(table)]
+        if len(set(caps.flat)) == 1:
+            engine = PowerEngine(nodes, config)
+            references.append(engine._resolve_phases(table, float(caps[0, 0])))
+        for alone_slowdown, alone_means in references:
+            assert means.shape == alone_means.shape == (
+                len(nodes),
+                len(COMPONENT_KEYS),
+                len(phases),
+            )
+            assert slowdown.tobytes() == alone_slowdown.tobytes()
+            assert means.tobytes() == alone_means.tobytes()
 
 
 class TestGroupedResolve:
@@ -418,7 +412,7 @@ class TestGroupedResolve:
         assert_grouped_equals_alone(jobs, cached_phases(benchmark(name).build(), 2))
 
     def test_mismatched_inputs_are_rejected(self):
-        nodes = pool(["a100-40g", "a100-40g"], 200.0)
+        nodes = pool(["a100-40g", "a100-40g"])
         table = phase_table(repeated_rows(2))
         with pytest.raises(ValueError, match="one row per node slot"):
             resolve_table(table, [nodes], np.full((1, 4), 200.0))
@@ -432,7 +426,7 @@ HOST_MODULES = tuple(
 )
 
 
-def hardware_calls(engine, table):
+def hardware_calls(engine, table, cap_w=200.0):
     """Python calls into the host-unit and node modules while resolving."""
     calls = []
 
@@ -442,7 +436,7 @@ def hardware_calls(engine, table):
 
     sys.setprofile(profiler)
     try:
-        engine._resolve_phases(table)
+        engine._resolve_phases(table, cap_w)
     finally:
         sys.setprofile(None)
     return calls
@@ -462,15 +456,14 @@ class TestHostRowsWork:
         monkeypatch.setattr(GpuNode, "host_static_state", prop)
         nodes = pool(["a100-40g", "v100-sxm2", "h100-sxm"])
         engine = PowerEngine(nodes)
-        for cap_w in (None, 200.0, 150.0):
-            set_cap(nodes, cap_w)
-            engine._resolve_phases(phase_table(repeated_rows(3)))
+        for cap_w in (None, 250.0, 200.0):
+            engine._resolve_phases(phase_table(repeated_rows(3)), cap_w)
         assert sorted(builds) == sorted(node.name for node in nodes)
 
     def test_a_jobs_host_rows_take_one_array_pass(self):
         """No per-node or per-NIC helper runs once the nodes' static state
         exists: the host rows of every node come from one array pass."""
-        engine = PowerEngine(pool(["a100-40g", "v100-sxm2", "a100-40g"], 200.0))
+        engine = PowerEngine(pool(["a100-40g", "v100-sxm2", "a100-40g"]))
         table = phase_table(cached_phases(benchmark("CuC_vdw").build(), 3))
         # The first job builds each node's static state (and nothing else).
         first = hardware_calls(engine, table)

@@ -177,10 +177,11 @@ class TestPowerTrace:
 
 
 class TestMeasuredRunPickle:
-    def test_round_trips_through_disk_cache(self, tmp_path):
+    def test_round_trips_through_disk_cache(self, tmp_path, monkeypatch):
         """A run stored by one cache reads back bit-identical from another."""
+        monkeypatch.setenv("REPRO_CACHE", "0")
         workload = benchmark("PdO2").build()
-        measured = run_workload(workload, n_nodes=2, seed=3, use_cache=False)
+        measured = run_workload(workload, n_nodes=2, seed=3)
         RunCache(disk_dir=tmp_path).put("run", measured)
         fresh = RunCache(disk_dir=tmp_path)
         loaded = fresh.get("run")

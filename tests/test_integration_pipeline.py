@@ -26,11 +26,9 @@ class TestPolicyToAnalysisPipeline:
         nodes = make_nodes(1)
         # The scheduler-side policy decides the cap from the workload.
         cap = CapPolicy.half_tdp().cap_for(workload)
-        for node in nodes:
-            node.set_gpu_power_limit(cap)
 
         engine = PowerEngine(nodes)
-        result = engine.run(workload.phases(ParallelConfig(1)), seed=11)
+        result = engine.run(workload.phases(ParallelConfig(1)), seed=11, cap_w=cap)
         assert result.gpu_power_cap_w == cap
 
         # Telemetry -> analysis, as NERSC's LDMS stack feeds it.
@@ -56,8 +54,7 @@ class TestCapConsistencyAcrossPaths:
         engine = PowerEngine(nodes)
         phases = workload.phases(ParallelConfig(1))
         base = engine.run(phases, seed=5).runtime_s
-        nodes[0].set_gpu_power_limit(cap)
-        capped = engine.run(phases, seed=5).runtime_s
+        capped = engine.run(phases, seed=5, cap_w=cap).runtime_s
 
         assert capped / base == pytest.approx(est_capped / est_base, rel=0.02)
 
