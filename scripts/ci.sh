@@ -279,18 +279,26 @@ if compgen -G "$SMOKE_DIR/mf.ckpt*" > /dev/null; then
     echo "a refused monitored fleet wrote a checkpoint"; exit 1
 fi
 
-echo "== rejected inputs (exit 2, exactly one repro: line on stderr) =="
-for refused in "run PdO2 --platform bogus" "fleet --scenario bogus"; do
+echo "== rejected inputs (exit 2, one repro: line on stderr, no stdout, no record) =="
+REFUSED_RUNS="$SMOKE_DIR/refused-runs"
+for refused in "run PdO2 --platform bogus" "fleet --scenario bogus" \
+    "survey --nodes 0" "fleet --jobs 2 --nodes 4 --resolution inf" \
+    "schedule --copies 0" "run PdO2 --seed -1" "fleet --jobs abc" \
+    "runs show zzz"; do
     code=0
     # $refused is split into its words on purpose.
-    python -m repro $refused > /dev/null 2> "$SMOKE_DIR/refused.err" || code=$?
+    REPRO_RUNS_DIR="$REFUSED_RUNS" python -m repro $refused \
+        > "$SMOKE_DIR/refused.out" 2> "$SMOKE_DIR/refused.err" || code=$?
     [[ "$code" == 2 ]] || { echo "repro $refused exited $code, not 2"; exit 1; }
     if [[ "$(wc -l < "$SMOKE_DIR/refused.err")" != 1 ]] \
-        || ! grep -q '^repro: ' "$SMOKE_DIR/refused.err"; then
-        echo "repro $refused: stderr is not one repro: line:"
-        cat "$SMOKE_DIR/refused.err"; exit 1
+        || ! grep -q '^repro: ' "$SMOKE_DIR/refused.err" \
+        || [[ -s "$SMOKE_DIR/refused.out" ]]; then
+        echo "repro $refused: output is not one repro: line on stderr:"
+        cat "$SMOKE_DIR/refused.out" "$SMOKE_DIR/refused.err"; exit 1
     fi
 done
+[[ "$(REPRO_RUNS_DIR="$REFUSED_RUNS" python -m repro runs list --json)" == "[]" ]] \
+    || { echo "a refused command left a run-ledger record"; exit 1; }
 
 echo "== observability smoke (merged trace + run ledger round-trip) =="
 python -m repro "${FLEET_ARGS[@]}" --workers 2 \

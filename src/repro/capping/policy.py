@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro import obs
-from repro.hardware.platform import Platform, get_platform
+from repro.hardware.platform import Platform, applied_cap_w, get_platform
 from repro.vasp.incar import Incar
 from repro.vasp.workload import VaspWorkload
 
@@ -91,12 +91,8 @@ class CapPolicy:
         spec = get_platform(self.platform).gpu
         if self.caps_w is None:
             self.caps_w = _default_caps(self.platform)
-        for cls, cap in self.caps_w.items():
-            if not (spec.cap_min_w <= cap <= spec.cap_max_w):
-                raise ValueError(
-                    f"cap for {cls.value} ({cap:.0f} W) outside {spec.name} "
-                    f"range [{spec.cap_min_w:.0f}, {spec.cap_max_w:.0f}] W"
-                )
+        for cap in self.caps_w.values():
+            applied_cap_w(spec, cap)
 
     def cap_for(self, source: "Incar | object") -> float:
         """The GPU power limit this policy applies to a job.
@@ -265,13 +261,8 @@ def search_cap_policy(
     if not caps:
         raise ValueError("need at least one candidate cap")
     plat = get_platform(platform)
-    spec = plat.gpu
     for cap in caps:
-        if not (spec.cap_min_w <= cap <= spec.cap_max_w):
-            raise ValueError(
-                f"candidate cap {cap:.0f} W outside {spec.name} range "
-                f"[{spec.cap_min_w:.0f}, {spec.cap_max_w:.0f}] W"
-            )
+        applied_cap_w(plat.gpu, cap)
 
     classes = {
         _pair_key(workload, n_nodes): classify_workload(workload)

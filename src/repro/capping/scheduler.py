@@ -321,6 +321,12 @@ class PowerAwareScheduler:
                 else:
                     still_pending.append(job)
             pending = still_pending
+            if pending and not running and arrived == len(queue):
+                # No later cycle differs from this one: it would wait forever.
+                raise ValueError(
+                    f"job {pending[0].job_id} cannot start within the "
+                    f"{cfg.power_budget_w:.0f} W budget even on an idle pool"
+                )
             system_power = running_power + free_nodes * idle_node_w
             power_timeline.append((now, system_power))
             peak_power = max(peak_power, system_power)

@@ -52,10 +52,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shlex
 import sys
 import time
 from collections.abc import Sequence
+from typing import NoReturn
 
 from repro import obs
 from repro.analysis.modes import high_power_mode_w
@@ -91,7 +93,12 @@ from repro.capping.scenarios import get_scenario, scenario_ids
 from repro.capping.scheduler import cached_estimate_run
 from repro.config import environment, read
 from repro.experiments.common import run_workload
-from repro.hardware.platform import DEFAULT_PLATFORM_ID, get_platform, platform_ids
+from repro.hardware.platform import (
+    DEFAULT_PLATFORM_ID,
+    applied_cap_w,
+    get_platform,
+    platform_ids,
+)
 from repro.experiments.report import format_table, sparkline
 from repro.io import result_to_json, save_trace_csv
 from repro.obs import dash as obs_dash
@@ -316,27 +323,13 @@ def _point_inputs(
 
     `run`, `cap-sweep` and `predict` name one workload on one platform.
     No ``--nodes`` means the top of the workload's healthy width range.
-    Flags are strict, as in `repro fleet`: an unknown workload or
-    platform, a node count below 1 or a cap outside the platform GPU's
-    range raises ValueError naming it, for the caller to refuse.
+    Every cap is checked before anything runs.
     """
-    try:
-        workload = resolve_workload(args.benchmark)
-        plat = get_platform(args.platform)
-    except KeyError as err:
-        raise ValueError(err.args[0]) from None
-    n_nodes = args.nodes
-    if n_nodes is None:
-        n_nodes = max(resolve_widths(args.benchmark))
-    if n_nodes < 1:
-        raise ValueError(f"--nodes must be >= 1, got {n_nodes}")
-    spec = plat.gpu
+    workload = resolve_workload(args.benchmark)
+    plat = get_platform(args.platform)
     for cap in caps:
-        if cap is not None and not spec.cap_min_w <= cap <= spec.cap_max_w:
-            raise ValueError(
-                f"cap {cap:g} W outside the {plat.id} GPU range "
-                f"[{spec.cap_min_w:.0f}, {spec.cap_max_w:.0f}] W"
-            )
+        applied_cap_w(plat.gpu, cap)
+    n_nodes = args.nodes or max(resolve_widths(args.benchmark))
     return workload, n_nodes, plat
 
 
@@ -346,27 +339,12 @@ def _fleet_fields(
     """The :class:`FleetRun` fields the flags `repro fleet` and `repro monitor`
     share set: all but the jobs and the policy.
 
-    A comma-separated ``platform_value`` is a mixed pool.  Flags are
-    strict: a value that would silently mean another raises ValueError,
-    and so does an unknown platform (`repro fleet` builds its monitors
-    from it before the spec exists); the spec checks the rest.
+    A comma-separated ``platform_value`` is a mixed pool; the spec checks it.
     """
-    for flag, value in (
-        ("--resolution", args.resolution),
-        ("--watts-per-node", args.watts_per_node),
-        ("--workers", getattr(args, "workers", None)),
-    ):
-        if value is not None and not value > 0:
-            raise ValueError(f"{flag} must be positive, got {value:g}")
     parts = [part.strip() for part in (platform_value or "").split(",")]
-    platforms = tuple(part for part in parts if part) or (DEFAULT_PLATFORM_ID,)
-    for platform in platforms:
-        if platform not in platform_ids():
-            known = ", ".join(platform_ids())
-            raise ValueError(f"unknown platform {platform!r}; registered: {known}")
     return dict(
         n_nodes=n_nodes,
-        platforms=platforms,
+        platforms=tuple(part for part in parts if part) or (DEFAULT_PLATFORM_ID,),
         power_budget_w=(
             args.watts_per_node * n_nodes if args.watts_per_node is not None else None
         ),
@@ -376,17 +354,8 @@ def _fleet_fields(
     )
 
 
-def _refuse(reason: object) -> int:
-    """Report a rejected input as one `repro:` line; exit status 2."""
-    print(f"repro: {reason}", file=sys.stderr)
-    return 2
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        workload, n_nodes, plat = _point_inputs(args, [args.cap])
-    except ValueError as err:
-        return _refuse(err)
+    workload, n_nodes, plat = _point_inputs(args, [args.cap])
     measured = run_workload(
         workload,
         n_nodes=n_nodes,
@@ -458,10 +427,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 
 
 def _cmd_cap_sweep(args: argparse.Namespace) -> int:
-    try:
-        workload, n_nodes, plat = _point_inputs(args, args.caps or ())
-    except ValueError as err:
-        return _refuse(err)
+    workload, n_nodes, plat = _point_inputs(args, args.caps or ())
     caps = args.caps
     if caps is None:
         # Platform-derived default grid: TDP down to the cap floor
@@ -538,10 +504,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     engine and reports the estimate's runtime and energy errors plus the
     measured node HPM.
     """
-    try:
-        workload, n_nodes, plat = _point_inputs(args, [args.cap])
-    except ValueError as err:
-        return _refuse(err)
+    workload, n_nodes, plat = _point_inputs(args, [args.cap])
     with obs.span("cli.predict", benchmark=args.benchmark):
         estimate = cached_estimate_run(workload, n_nodes, args.cap, plat)
         uncapped = cached_estimate_run(workload, n_nodes, None, plat)
@@ -673,10 +636,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     scenario = None
     if args.scenario is not None:
-        try:
-            scenario = get_scenario(args.scenario)
-        except KeyError as err:
-            return _refuse(err.args[0])
+        scenario = get_scenario(args.scenario)
         if args.jobs is not None:
             print(
                 f"--scenario {scenario.id} fixes its own job count "
@@ -693,33 +653,28 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     platform_value = args.platform
     if platform_value is None and scenario is not None and scenario.platforms:
         platform_value = ",".join(scenario.platforms)
-    try:
-        fields = _fleet_fields(args, n_nodes, platform_value)
-        platforms = list(fields.pop("platforms"))
-        monitors = None
-        if args.monitor:
-            # One alert log per policy, beside the REPRO_MONITOR_LOG base.
-            log_base = read("REPRO_MONITOR_LOG")
-            monitors = tuple(
-                FleetMonitor(
-                    platforms[0], policy_path(log_base, suffix), label=name
-                )
-                for name, suffix, _ in FLEET_POLICIES.values()
-            )
-        with obs.span("cli.fleet", jobs=n_jobs, nodes=n_nodes):
-            capped, uncapped = compare_fleet_policies_traced(
-                n_jobs=n_jobs,
-                monitors=monitors,
-                node_platforms=platforms,
-                workers=args.workers,
-                checkpoint=args.checkpoint,
-                resume=args.resume,
-                heartbeat=args.heartbeat,
-                scenario=scenario,
-                **fields,
-            )
-    except ValueError as err:
-        return _refuse(err)
+    fields = _fleet_fields(args, n_nodes, platform_value)
+    platforms = list(fields.pop("platforms"))
+    monitors = None
+    if args.monitor:
+        # One alert log per policy, beside the REPRO_MONITOR_LOG base.
+        log_base = read("REPRO_MONITOR_LOG")
+        monitors = tuple(
+            FleetMonitor(platforms[0], policy_path(log_base, suffix), label=name)
+            for name, suffix, _ in FLEET_POLICIES.values()
+        )
+    with obs.span("cli.fleet", jobs=n_jobs, nodes=n_nodes):
+        capped, uncapped = compare_fleet_policies_traced(
+            n_jobs=n_jobs,
+            monitors=monitors,
+            node_platforms=platforms,
+            workers=args.workers,
+            checkpoint=args.checkpoint,
+            resume=args.resume,
+            heartbeat=args.heartbeat,
+            scenario=scenario,
+            **fields,
+        )
     budget = fields["power_budget_w"]
     run_ledger.annotate_run(
         # Execution mode (workers, live capture) is part of the
@@ -802,19 +757,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
     """One monitored fleet run: health dashboard plus power report."""
-    try:
-        run = FleetRun(
-            job_stream(n_jobs=args.jobs, seed=args.seed),
-            args.policy,
-            **_fleet_fields(args, args.nodes, args.platform),
-        )
-        monitor = FleetMonitor(
-            run.platforms[0], args.alert_log, label=run.policy_name
-        )
-        with obs.span("cli.monitor", jobs=args.jobs, nodes=args.nodes):
-            simulate_fleet_traced(run, monitor=monitor)
-    except ValueError as err:
-        return _refuse(err)
+    run = FleetRun(
+        job_stream(n_jobs=args.jobs, seed=args.seed),
+        args.policy,
+        **_fleet_fields(args, args.nodes, args.platform),
+    )
+    monitor = FleetMonitor(run.platforms[0], args.alert_log, label=run.policy_name)
+    with obs.span("cli.monitor", jobs=args.jobs, nodes=args.nodes):
+        simulate_fleet_traced(run, monitor=monitor)
     report = monitor.finalize()
     totals = report.energy.get("totals", {}) if report.energy else {}
     run_ledger.annotate_run(
@@ -899,21 +849,12 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         )
         return 0
     if action in {"show", "last"}:
-        ref = "last" if action == "last" else args.ref
-        try:
-            record = ledger.find(ref)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}")
-            return 2
+        record = ledger.find("last" if action == "last" else args.ref)
         print(json.dumps(record.to_json(), indent=2, sort_keys=True))
         return 0
     # action == "diff"
-    try:
-        record_a = ledger.find(args.ref_a)
-        record_b = ledger.find(args.ref_b)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}")
-        return 2
+    record_a = ledger.find(args.ref_a)
+    record_b = ledger.find(args.ref_b)
     changed = run_ledger.diff_records(record_a, record_b)
     print(f"diff {record_a.run_id} -> {record_b.run_id}")
     if not changed:
@@ -930,11 +871,7 @@ def _cmd_sentinel(args: argparse.Namespace) -> int:
     records = ledger.records()
     action = args.sentinel_command
     if action == "check":
-        try:
-            target = ledger.find(args.ref)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}")
-            return 2
+        target = ledger.find(args.ref)
         if target.fingerprint is None:
             print(
                 f"run {target.run_id} has no config fingerprint; nothing to check"
@@ -1073,9 +1010,52 @@ def _cmd_top(args: argparse.Namespace) -> int:
     )
 
 
+#: The ``--resolution`` range in seconds.  It holds the paper's 0.1 s
+#: and the 1.0 s default; a finer interval makes a job's sample grid too
+#: large to allocate, and a coarser one is longer than most phases.
+MIN_RESOLUTION_S = 0.01
+MAX_RESOLUTION_S = 60.0
+
+
+def _value_kind(parse, accepts, expected: str):
+    """An argparse type: the ``parse``d text, refused unless it ``accepts``."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not accepts(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return convert
+
+
+#: The value kinds of every numeric flag: one rule each.
+_count = _value_kind(int, lambda v: v >= 1, "a positive integer")
+_seed = _value_kind(int, lambda v: v >= 0, "a non-negative integer")
+_positive = _value_kind(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_fraction = _value_kind(
+    float, lambda v: 0 <= v < math.inf, "a non-negative finite fraction"
+)
+_resolution = _value_kind(
+    float,
+    lambda v: MIN_RESOLUTION_S <= v <= MAX_RESOLUTION_S,
+    f"seconds in [{MIN_RESOLUTION_S:g}, {MAX_RESOLUTION_S:g}]",
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises each complaint for `main` to refuse; subparsers share the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Reproduction toolkit for 'Understanding VASP Power "
         "Profiles on NVIDIA A100 GPUs' (SC 2024).",
@@ -1083,7 +1063,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Observability flags shared by the executing subcommands.
-    obs_flags = argparse.ArgumentParser(add_help=False)
+    obs_flags = _Parser(add_help=False)
     obs_group = obs_flags.add_argument_group("observability")
     obs_group.add_argument(
         "--trace",
@@ -1115,20 +1095,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     # Stream and pool flags shared by the fleet-simulating subcommands.
-    fleet_flags = argparse.ArgumentParser(add_help=False)
-    fleet_flags.add_argument("--seed", type=int, default=0)
+    fleet_flags = _Parser(add_help=False)
+    fleet_flags.add_argument("--seed", type=_seed, default=0)
     fleet_flags.add_argument(
         "--watts-per-node",
-        type=float,
+        type=_positive,
         default=None,
         help="facility power budget per node (default: unbounded)",
     )
     fleet_flags.add_argument(
         "--resolution",
-        type=float,
+        type=_resolution,
         default=1.0,
         metavar="SECONDS",
-        help="trace sample interval (coarser = faster; 0.1 matches the paper)",
+        help=(
+            f"trace sample interval, MIN_RESOLUTION_S ({MIN_RESOLUTION_S:g}) to "
+            f"MAX_RESOLUTION_S ({MAX_RESOLUTION_S:g}); 0.1 matches the paper"
+        ),
     )
 
     sub.add_parser("list", help="list benchmarks and artifacts").set_defaults(
@@ -1169,9 +1152,9 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one benchmark and print power stats", parents=[obs_flags]
     )
     p_run.add_argument("benchmark", metavar="workload", help=workload_help)
-    p_run.add_argument("--nodes", type=int, default=1)
-    p_run.add_argument("--cap", type=float, default=None, help="GPU power cap in W")
-    p_run.add_argument("--seed", type=int, default=7)
+    p_run.add_argument("--nodes", type=_count, default=1)
+    p_run.add_argument("--cap", type=_positive, default=None, help="GPU power cap in W")
+    p_run.add_argument("--seed", type=_seed, default=7)
     p_run.add_argument("--export-trace", default=None, help="write ground truth CSV")
     add_platform_flag(p_run)
     p_run.set_defaults(func=_cmd_run)
@@ -1179,23 +1162,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_survey = sub.add_parser(
         "survey", help="profile all seven benchmarks", parents=[obs_flags]
     )
-    p_survey.add_argument("--nodes", type=int, default=1)
-    p_survey.add_argument("--seed", type=int, default=7)
+    p_survey.add_argument("--nodes", type=_count, default=1)
+    p_survey.add_argument("--seed", type=_seed, default=7)
     p_survey.set_defaults(func=_cmd_survey)
 
     p_sweep = sub.add_parser(
         "cap-sweep", help="power-cap response of a benchmark", parents=[obs_flags]
     )
     p_sweep.add_argument("benchmark", metavar="workload", help=workload_help)
-    p_sweep.add_argument("--nodes", type=int, default=None)
+    p_sweep.add_argument("--nodes", type=_count, default=None)
     p_sweep.add_argument(
         "--caps",
-        type=float,
+        type=_positive,
         nargs="+",
         default=None,
         help="cap grid in W (default: platform TDP down to its cap floor)",
     )
-    p_sweep.add_argument("--seed", type=int, default=7)
+    p_sweep.add_argument("--seed", type=_seed, default=7)
     p_sweep.add_argument(
         "--monitor",
         action="store_true",
@@ -1210,11 +1193,11 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[obs_flags],
     )
     p_predict.add_argument("benchmark", metavar="workload", help=workload_help)
-    p_predict.add_argument("--nodes", type=int, default=None)
+    p_predict.add_argument("--nodes", type=_count, default=None)
     p_predict.add_argument(
-        "--cap", type=float, default=None, help="GPU power cap in W"
+        "--cap", type=_positive, default=None, help="GPU power cap in W"
     )
-    p_predict.add_argument("--seed", type=int, default=7)
+    p_predict.add_argument("--seed", type=_seed, default=7)
     p_predict.add_argument(
         "--exact",
         action="store_true",
@@ -1237,13 +1220,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fleet.add_argument(
         "--jobs",
-        type=int,
+        type=_count,
         default=None,
         help="jobs in the stream (default: 24, or the scenario's count)",
     )
     p_fleet.add_argument(
         "--nodes",
-        type=int,
+        type=_count,
         default=None,
         help="node pool size (default: 16, or the scenario's pool)",
     )
@@ -1258,7 +1241,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_fleet.add_argument(
-        "--bin-s", type=float, default=1.0, help="system power bin width in s"
+        "--bin-s", type=_positive, default=1.0, help="system power bin width in s"
     )
     p_fleet.add_argument(
         "--monitor",
@@ -1267,7 +1250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fleet.add_argument(
         "--workers",
-        type=int,
+        type=_count,
         default=None,
         metavar="N",
         help=(
@@ -1307,8 +1290,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="monitored fleet run: health signals, alerts, energy report",
         parents=[obs_flags, fleet_flags],
     )
-    p_monitor.add_argument("--jobs", type=int, default=24, help="jobs in the stream")
-    p_monitor.add_argument("--nodes", type=int, default=16, help="node pool size")
+    p_monitor.add_argument("--jobs", type=_count, default=24, help="jobs in the stream")
+    p_monitor.add_argument("--nodes", type=_count, default=16, help="node pool size")
     p_monitor.add_argument(
         "--policy",
         choices=tuple(FLEET_POLICIES),
@@ -1331,9 +1314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_monitor.set_defaults(func=_cmd_monitor)
 
     p_sched = sub.add_parser("schedule", help="run the power-aware scheduling study")
-    p_sched.add_argument("--nodes", type=int, default=16)
-    p_sched.add_argument("--watts-per-node", type=float, default=900.0)
-    p_sched.add_argument("--copies", type=int, default=2)
+    p_sched.add_argument("--nodes", type=_count, default=16)
+    p_sched.add_argument("--watts-per-node", type=_positive, default=900.0)
+    p_sched.add_argument("--copies", type=_count, default=2)
     p_sched.set_defaults(func=_cmd_schedule)
 
     p_obs = sub.add_parser(
@@ -1351,7 +1334,7 @@ def build_parser() -> argparse.ArgumentParser:
     r_list = runs_sub.add_parser("list", help="list recorded runs, newest first")
     r_list.add_argument("--kind", default=None, help="filter by command kind")
     r_list.add_argument(
-        "--limit", type=int, default=20, help="show at most N records (default 20)"
+        "--limit", type=_count, default=20, help="show at most N records (default 20)"
     )
     r_list.add_argument(
         "--json", dest="json_out", action="store_true", help="emit JSON records"
@@ -1383,7 +1366,7 @@ def build_parser() -> argparse.ArgumentParser:
         # Help strings are %-formatted by argparse: a literal % is %%.
         p.add_argument(
             "--tolerance",
-            type=float,
+            type=_fraction,
             default=sentinel.DEFAULT_TOLERANCE,
             metavar="FRACTION",
             help=(
@@ -1393,7 +1376,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--min-history",
-            type=int,
+            type=_count,
             default=sentinel.DEFAULT_MIN_HISTORY,
             metavar="N",
             help=(
@@ -1454,14 +1437,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_top.add_argument(
         "--interval",
-        type=float,
+        type=_positive,
         default=1.0,
         metavar="SECONDS",
         help="refresh period (default 1.0)",
     )
     p_top.add_argument(
         "--duration",
-        type=float,
+        type=_positive,
         default=None,
         metavar="SECONDS",
         help="stop after this long even if the run is still going",
@@ -1481,29 +1464,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # Activate observability: env vars first, explicit flags on top.
-    obs.configure_from_env()
-    obs.enable(
-        trace=getattr(args, "trace", None) or False,
-        metrics=getattr(args, "metrics", None) or False,
-        profile=getattr(args, "profile", None) or False,
-        log_level=getattr(args, "log_level", None),
-    )
-    # Label the viewer rows in exported Chrome traces.
-    obs.name_process(f"repro {args.command}")
-    obs.name_thread("main")
-    # Executing commands leave one durable record in the run ledger.
-    # Recording is silent (the record is queried via `repro runs`, not
-    # printed) so command output stays byte-stable run to run.
-    if args.command in _RECORDED_COMMANDS:
-        run_ledger.begin_run(
-            args.command,
-            shlex.join(list(argv) if argv is not None else sys.argv[1:]),
-        )
+    """CLI entry point.
+
+    The one refusal path: a parse error and every ValueError or KeyError a
+    command raises (a bad value, an unknown name, an out-of-range cap, a
+    spec the run refuses) print one ``repro:`` line on stderr and exit 2,
+    with no ledger record.
+    """
     try:
+        args = build_parser().parse_args(argv)
+        # Activate observability: env vars first, explicit flags on top.
+        obs.configure_from_env()
+        obs.enable(
+            trace=getattr(args, "trace", None) or False,
+            metrics=getattr(args, "metrics", None) or False,
+            profile=getattr(args, "profile", None) or False,
+            log_level=getattr(args, "log_level", None),
+        )
+        # Label the viewer rows in exported Chrome traces.
+        obs.name_process(f"repro {args.command}")
+        obs.name_thread("main")
+        # Executing commands leave one durable record in the run ledger.
+        # Recording is silent (the record is queried via `repro runs`, not
+        # printed) so command output stays byte-stable run to run.
+        if args.command in _RECORDED_COMMANDS:
+            run_ledger.begin_run(
+                args.command,
+                shlex.join(list(argv) if argv is not None else sys.argv[1:]),
+            )
         code = args.func(args)
         for path, kind in obs.flush().items():
             print(f"{kind} written to {path}")
@@ -1518,6 +1506,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         except OSError:
             pass
         return 0
+    except (KeyError, ValueError) as err:
+        run_ledger.discard_run()
+        reason = err.args[0] if isinstance(err, KeyError) and err.args else err
+        print(f"repro: {reason}", file=sys.stderr)
+        return 2
     except Exception:
         run_ledger.finish_run("error")
         raise

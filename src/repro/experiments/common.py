@@ -94,7 +94,7 @@ def run_workload(
 
     ``gpu_cap_w`` is the ``nvidia-smi -pl``-style cap of every GPU (None
     = the TDP); an out-of-range cap raises
-    :class:`~repro.hardware.gpu.PowerLimitError`.  ``platform`` selects
+    :class:`~repro.hardware.platform.PowerLimitError`.  ``platform`` selects
     the hardware the run executes on (None = registry default); it is
     part of the cache key, so runs on different platforms never share a
     cache entry.

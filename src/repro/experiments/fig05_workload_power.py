@@ -17,11 +17,7 @@ from repro.vasp.benchmarks import BENCHMARKS
 
 
 def _node_hpm(spec: RunSpec) -> float:
-    """Worker-side reduction: run a spec, return only the node HPM.
-
-    Module-level so process-pool sweeps pickle the function and ship a
-    float back instead of a full :class:`MeasuredRun`.
-    """
+    """Sweep reduction: run a spec, return only the node HPM."""
     measured = spec.execute()
     return high_power_mode_w(measured.telemetry[0].node_power)
 

@@ -20,7 +20,7 @@ NODE_COUNTS: tuple[int, ...] = (1, 2, 4, 8, 16)
 
 
 def _measure(spec: RunSpec) -> tuple[float, float, float]:
-    """Worker-side reduction: (node HPM, runtime, energy) for one spec."""
+    """Sweep reduction: (node HPM, runtime, energy) for one spec."""
     measured = spec.execute()
     return (
         high_power_mode_w(measured.telemetry[0].node_power),

@@ -21,7 +21,7 @@ POWER_CAPS_W: tuple[float, ...] = (400.0, 300.0, 200.0, 100.0)
 
 
 def _gpu_hpm(spec: RunSpec) -> float:
-    """Worker-side reduction: run a spec, return GPU 0's HPM."""
+    """Sweep reduction: run a spec, return GPU 0's HPM."""
     measured = spec.execute()
     return high_power_mode_w(measured.telemetry[0].gpu_power(0))
 

@@ -25,7 +25,7 @@ POWER_CAPS_W: tuple[float, ...] = (400.0, 300.0, 200.0, 100.0)
 
 
 def _profile_preset(task: tuple[str, tuple[float, ...], int]) -> "MilcProfile":
-    """Worker-side task: profile one MILC preset on one node."""
+    """Sweep task: profile one MILC preset on one node."""
     size, caps_w, seed = task
     workload: MilcWorkload = milc_benchmark(size)
     measured = run_workload(workload, n_nodes=1, seed=seed)

@@ -34,7 +34,8 @@ import numpy as np
 
 from repro.perfmodel.power import demand_power_at
 from repro.units.constants import GPUEnvelope
-from repro.hardware.platform import GpuSpec, default_gpu_spec
+from repro.hardware.platform import GpuSpec, applied_cap_w, default_gpu_spec
+from repro.hardware.platform import PowerLimitError  # noqa: F401  (re-exported)
 from repro.hardware.variability import ManufacturingVariation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,29 +70,6 @@ class RowResolve:
     power_w: float
     #: Phase time multiplier, ``duty * slowdown + (1 - duty)``.
     stretch: float
-
-
-class PowerLimitError(ValueError):
-    """Raised when a requested power limit is outside the supported range."""
-
-
-def applied_cap_w(spec: GpuSpec, cap_w: float | None) -> float:
-    """The cap a GPU of ``spec`` runs at: its TDP when ``cap_w`` is None,
-    else ``cap_w`` as a float, checked like ``nvidia-smi -pl`` checks it.
-
-    Raises
-    ------
-    PowerLimitError
-        If ``cap_w`` is outside the board's supported cap range.
-    """
-    if cap_w is None:
-        return spec.tdp_w
-    if not (spec.cap_min_w <= cap_w <= spec.cap_max_w):
-        raise PowerLimitError(
-            f"{spec.name}: power limit {cap_w:.0f} W outside supported "
-            f"range [{spec.cap_min_w:.0f}, {spec.cap_max_w:.0f}] W"
-        )
-    return float(cap_w)
 
 
 @dataclass

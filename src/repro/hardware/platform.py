@@ -166,6 +166,29 @@ class Platform:
 _REGISTRY: dict[str, Platform] = {}
 
 
+class PowerLimitError(ValueError):
+    """Raised when a requested power limit is outside the supported range."""
+
+
+def applied_cap_w(spec: GpuSpec, cap_w: float | None) -> float:
+    """The cap a GPU of ``spec`` runs at: its TDP when ``cap_w`` is None,
+    else ``cap_w`` as a float, checked like ``nvidia-smi -pl`` checks it.
+
+    Raises
+    ------
+    PowerLimitError
+        If ``cap_w`` is outside the board's supported cap range.
+    """
+    if cap_w is None:
+        return spec.tdp_w
+    if not (spec.cap_min_w <= cap_w <= spec.cap_max_w):
+        raise PowerLimitError(
+            f"{spec.name}: power limit {cap_w:.0f} W outside supported "
+            f"range [{spec.cap_min_w:.0f}, {spec.cap_max_w:.0f}] W"
+        )
+    return float(cap_w)
+
+
 def register_platform(platform: Platform, replace: bool = False) -> Platform:
     """Validate and add a platform to the registry.
 
@@ -182,11 +205,7 @@ def register_platform(platform: Platform, replace: bool = False) -> Platform:
         raise ValueError(
             f"{platform.id}: cap range [{gpu.cap_min_w}, {gpu.cap_max_w}] W is empty"
         )
-    if not (gpu.cap_min_w <= gpu.tdp_w <= gpu.cap_max_w):
-        raise ValueError(
-            f"{platform.id}: TDP {gpu.tdp_w} W outside cap range "
-            f"[{gpu.cap_min_w}, {gpu.cap_max_w}] W"
-        )
+    applied_cap_w(gpu, gpu.tdp_w)  # an uncapped run applies the TDP
     if not (0.0 < gpu.min_clock_fraction <= 1.0):
         raise ValueError(
             f"{platform.id}: min_clock_fraction must be in (0, 1], "

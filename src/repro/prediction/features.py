@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from repro.hardware.platform import Platform, get_platform
+from repro.hardware.platform import Platform, applied_cap_w, get_platform
 from repro.runner.cache import RunCache, cached_phases, content_key
 from repro.vasp.methods import Functional
 from repro.vasp.parallel import layout_for
@@ -191,20 +191,11 @@ def surrogate_feature_vector(
     * platform spec terms (log GPU TDP, log HBM bandwidth, log FP64
       ceiling, host power over node TDP) so one model spans platforms.
 
-    ``cap_w`` is validated against the platform's cap range the same way
-    the hardware layer validates a cap (``applied_cap_w``).
+    ``cap_w`` is checked by ``applied_cap_w``, the one cap-range rule.
     """
     spec = get_platform(platform).node
     gpu = spec.gpu
-    if cap_w is None:
-        cap = gpu.tdp_w
-    else:
-        if not (gpu.cap_min_w <= cap_w <= gpu.cap_max_w):
-            raise ValueError(
-                f"cap {cap_w:.0f} W outside {gpu.name} range "
-                f"[{gpu.cap_min_w:.0f}, {gpu.cap_max_w:.0f}] W"
-            )
-        cap = cap_w
+    cap = applied_cap_w(gpu, cap_w)
     depth = (gpu.cap_max_w - cap) / (gpu.cap_max_w - gpu.cap_min_w)
     base, volume_terms, cap_sensitivity = _workload_features(workload, n_nodes)
     return np.concatenate(

@@ -603,7 +603,7 @@ class PowerEngine:
         """Cap-resolve a phase table on this engine's nodes at ``cap_w``.
 
         The one-job case of :func:`resolve_table`, every GPU at its
-        :func:`~repro.hardware.gpu.applied_cap_w` (None = its own TDP;
+        :func:`~repro.hardware.platform.applied_cap_w` (None = its own TDP;
         each GPU checks ``cap_w`` against its own range, so a mixed pool
         rejects a cap any of its platforms cannot apply), gathered to
         phases: ``(slowdown[P], means[nodes, components, P])``.  Its
@@ -643,7 +643,7 @@ class PowerEngine:
 
         ``cap_w`` is the power limit of every GPU (None = the TDP), as
         the paper applied ``nvidia-smi -pl`` before launching jobs; an
-        out-of-range cap raises :class:`~repro.hardware.gpu.PowerLimitError`.
+        out-of-range cap raises :class:`~repro.hardware.platform.PowerLimitError`.
         """
         if not phases:
             raise ValueError("cannot run an empty phase list")

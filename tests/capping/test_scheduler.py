@@ -88,6 +88,15 @@ class TestSchedulerBasics:
                 [Job(job_id="big", workload=pdo2, n_nodes=4)]
             )
 
+    def test_job_over_the_whole_budget_rejected(self, pdo2):
+        """An idle pool that still cannot fit a job is refused at once,
+        not waited on."""
+        config = SchedulerConfig(n_nodes=2, power_budget_w=1.0)
+        with pytest.raises(ValueError, match="cannot start within the 1 W budget"):
+            PowerAwareScheduler(config).schedule(
+                [Job(job_id="hot", workload=pdo2, n_nodes=1)]
+            )
+
     def test_policy_caps_recorded(self, hse):
         config = SchedulerConfig(
             n_nodes=4, power_budget_w=1e6, policy=CapPolicy.half_tdp()

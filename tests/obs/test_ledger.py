@@ -330,7 +330,27 @@ class TestRunsCli:
         self.run_schedule()
         capsys.readouterr()
         assert main(["runs", "show", "nope"]) == 2
-        assert "error" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.err == "repro: no run matches 'nope'\n"
+        assert captured.out == ""
+
+    def test_refused_command_leaves_no_record(self, capsys):
+        assert main(["run", "PdO2", "--platform", "bogus"]) == 2
+        assert main(["schedule", "--copies", "0"]) == 2
+        capsys.readouterr()
+        assert RunLedger().records() == []
+
+    def test_failed_command_still_records_its_status(self, capsys, monkeypatch):
+        def broken(**_kwargs):
+            raise RuntimeError("scheduler broke")
+
+        monkeypatch.setattr("repro.cli.scheduling.run", broken)
+        with pytest.raises(RuntimeError):
+            main(["schedule"])
+        monkeypatch.setattr("repro.cli._cmd_schedule", lambda _args: 3)
+        assert main(["schedule"]) == 3
+        capsys.readouterr()
+        assert [rec.status for rec in RunLedger().records()] == ["error", "exit-3"]
 
     def test_unrecorded_commands_stay_silent(self, capsys):
         assert main(["list"]) == 0

@@ -230,7 +230,9 @@ class TestSentinelCli:
     def test_check_unknown_ref(self, capsys):
         self.seed((1.0,))
         assert main(["sentinel", "check", "nope"]) == 2
-        assert "error" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.err == "repro: no run matches 'nope'\n"
+        assert captured.out == ""
 
     def test_check_tolerance_flag(self, capsys):
         self.seed((1.0, 1.02, 0.98, 1.4))

@@ -6,7 +6,14 @@ import json
 import pytest
 
 from repro.capping.scheduler import cached_estimate_run
-from repro.cli import ARTIFACTS, build_parser, main
+from repro.cli import (
+    ARTIFACTS,
+    MAX_RESOLUTION_S,
+    MIN_RESOLUTION_S,
+    build_parser,
+    main,
+)
+from repro.obs.ledger import RunLedger
 from repro.vasp.benchmarks import benchmark
 
 
@@ -27,8 +34,23 @@ class TestParser:
         for parser in parsers:
             assert parser.format_help()
 
+    def test_no_flag_parses_with_a_bare_int_or_float(self):
+        """Every numeric flag, added now or later, uses a value kind."""
+        bare = [
+            f"{parser.prog} {action.option_strings or action.dest}"
+            for parser in all_parsers(build_parser())
+            for action in parser._actions
+            if action.type in (int, float)
+        ]
+        assert bare == []
+
+    def test_resolution_admits_the_values_in_use(self):
+        for value in ("1.0", "0.1", str(MIN_RESOLUTION_S), str(MAX_RESOLUTION_S)):
+            args = build_parser().parse_args(["fleet", "--resolution", value])
+            assert args.resolution == float(value)
+
     def test_requires_command(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="required: command"):
             build_parser().parse_args([])
 
     def test_rejects_unknown_benchmark(self, capsys):
@@ -38,7 +60,7 @@ class TestParser:
         assert "unknown workload" in capsys.readouterr().err
 
     def test_rejects_unknown_artifact(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="invalid choice: 'fig99'"):
             build_parser().parse_args(["reproduce", "fig99"])
 
     def test_artifact_registry_complete(self):
@@ -48,40 +70,157 @@ class TestParser:
         assert set(ARTIFACTS) == expected
 
 
-#: (subcommand and flags, the one-line complaint): each value would
-#: otherwise run with another meaning or end in a traceback.
-BAD_FLEET_FLAGS = [
-    (["fleet", "--resolution", "0"], "--resolution must be positive, got 0"),
-    (["fleet", "--watts-per-node", "0"], "--watts-per-node must be positive"),
-    (["fleet", "--workers", "0"], "--workers must be positive, got 0"),
-    (["fleet", "--nodes", "0"], "n_nodes must be >= 1, got 0"),
-    (["fleet", "--jobs", "0"], "n_jobs must be >= 1, got 0"),
-    (["fleet", "--bin-s", "0"], "bin_s must be positive"),
-    (["fleet", "--resume"], "resume needs a checkpoint"),
-    (["fleet", "--platform", "bogus"], "unknown platform 'bogus'"),
-    (["fleet", "--platform", "a100-40g,bogus"], "unknown platform 'bogus'"),
-    (["fleet", "--monitor", "--platform", "bogus"], "unknown platform 'bogus'"),
-    (["monitor", "--resolution", "-1"], "--resolution must be positive"),
-    (["monitor", "--watts-per-node", "0"], "--watts-per-node must be positive"),
-    (["monitor", "--nodes", "0"], "n_nodes must be >= 1, got 0"),
-    (["monitor", "--jobs", "0"], "n_jobs must be >= 1, got 0"),
-    (["monitor", "--platform", "bogus"], "unknown platform 'bogus'"),
-    (["fleet", "--scenario", "bogus"], "unknown scenario 'bogus'"),
+#: Each value kind: what its complaint expects, and the values it
+#: refuses among 0, -1, nan and inf (and 1e300, past the resolution range).
+POSITIVE_INT = ("a positive integer", ("0", "-1", "nan", "inf"))
+SEED = ("a non-negative integer", ("-1", "nan", "inf"))
+POSITIVE = ("a positive finite number", ("0", "-1", "nan", "inf"))
+FRACTION = ("a non-negative finite fraction", ("-1", "nan", "inf"))
+RESOLUTION = ("seconds in [0.01, 60]", ("0", "-1", "nan", "inf", "1e300"))
+
+#: (command line before the flag, flag, kind): every numeric flag of
+#: every subcommand.  Tiny resolutions such as 1e-9 stay out, because
+#: older code allocated their sample grid before failing.
+NUMERIC_FLAGS = [
+    (["run", "PdO2"], "--nodes", POSITIVE_INT),
+    (["run", "PdO2"], "--cap", POSITIVE),
+    (["run", "PdO2"], "--seed", SEED),
+    (["survey"], "--nodes", POSITIVE_INT),
+    (["survey"], "--seed", SEED),
+    (["cap-sweep", "PdO2"], "--nodes", POSITIVE_INT),
+    (["cap-sweep", "PdO2"], "--caps", POSITIVE),
+    (["cap-sweep", "PdO2"], "--seed", SEED),
+    (["predict", "PdO2"], "--nodes", POSITIVE_INT),
+    (["predict", "PdO2"], "--cap", POSITIVE),
+    (["predict", "PdO2"], "--seed", SEED),
+    (["fleet"], "--jobs", POSITIVE_INT),
+    (["fleet"], "--nodes", POSITIVE_INT),
+    (["fleet"], "--workers", POSITIVE_INT),
+    (["fleet"], "--bin-s", POSITIVE),
+    (["fleet"], "--watts-per-node", POSITIVE),
+    (["fleet"], "--resolution", RESOLUTION),
+    (["fleet"], "--seed", SEED),
+    (["monitor"], "--jobs", POSITIVE_INT),
+    (["monitor"], "--nodes", POSITIVE_INT),
+    (["monitor"], "--watts-per-node", POSITIVE),
+    (["monitor"], "--resolution", RESOLUTION),
+    (["monitor"], "--seed", SEED),
+    (["schedule"], "--nodes", POSITIVE_INT),
+    (["schedule"], "--watts-per-node", POSITIVE),
+    (["schedule"], "--copies", POSITIVE_INT),
+    (["runs", "list"], "--limit", POSITIVE_INT),
+    (["sentinel", "check"], "--tolerance", FRACTION),
+    (["sentinel", "check"], "--min-history", POSITIVE_INT),
+    (["sentinel", "report"], "--tolerance", FRACTION),
+    (["sentinel", "report"], "--min-history", POSITIVE_INT),
+    (["top"], "--interval", POSITIVE),
+    (["top"], "--duration", POSITIVE),
+]
+
+#: Test ids that single-point rows carried before one table held them all.
+LEGACY_IDS = {
+    "run PdO2 --nodes 0": "run-nodes-0",
+    "run PdO2 --nodes -1": "run-nodes-negative",
+    "cap-sweep PdO2 --nodes 0": "cap-sweep-nodes-0",
+    "cap-sweep PdO2 --nodes -1": "cap-sweep-nodes-negative",
+    "cap-sweep PdO2 --platform dgx-spark": "cap-sweep",
+    "predict PdO2 --platform dgx-spark": "predict",
+    "run bogus": "run-bogus",
+    "run PdO2 --cap 50": "run-cap-below-floor",
+    "cap-sweep PdO2 --caps 400 50": "cap-sweep-cap-below-floor",
+    "predict PdO2 --cap 50": "predict-cap-below-floor",
+}
+
+
+def _row(argv, message):
+    text = " ".join(argv)
+    return pytest.param(argv, message, id=LEGACY_IDS.get(text, text or "no command"))
+
+
+#: Every refused input, one row each: the command line and the heart of
+#: its one-line complaint.
+REFUSED = [
+    *[
+        _row(
+            [*before, flag, value],
+            f"argument {flag}: expected {expected}, got {value!r}",
+        )
+        for before, flag, (expected, values) in NUMERIC_FLAGS
+        for value in values
+    ],
+    _row(["fleet", "--jobs", "abc"], "expected a positive integer, got 'abc'"),
+    _row(["fleet", "--resume"], "resume needs a checkpoint"),
+    _row(["fleet", "--platform", "bogus"], "unknown platform 'bogus'"),
+    _row(["fleet", "--platform", "a100-40g,bogus"], "unknown platform 'bogus'"),
+    _row(["fleet", "--monitor", "--platform", "bogus"], "unknown platform 'bogus'"),
+    _row(["monitor", "--platform", "bogus"], "unknown platform 'bogus'"),
+    _row(["fleet", "--scenario", "bogus"], "unknown scenario 'bogus'"),
+    _row(["run", "bogus"], "unknown workload 'bogus'"),
+    _row(["cap-sweep", "PdO2", "--platform", "dgx-spark"], "unknown platform"),
+    _row(["predict", "PdO2", "--platform", "dgx-spark"], "unknown platform"),
+    _row(
+        ["run", "PdO2", "--cap", "50"],
+        "NVIDIA A100-SXM4-40GB: power limit 50 W outside supported range "
+        "[100, 400] W",
+    ),
+    _row(["cap-sweep", "PdO2", "--caps", "400", "50"], "power limit 50 W outside"),
+    _row(["predict", "PdO2", "--cap", "50"], "power limit 50 W outside"),
+    _row(["runs", "show", "zzz"], "run ledger is empty"),
+    _row(["sentinel", "check", "zzz"], "run ledger is empty"),
+    _row([], "the following arguments are required: command"),
+    _row(["reproduce", "fig99"], "invalid choice: 'fig99'"),
+    _row(["survey", "--bogus"], "unrecognized arguments: --bogus"),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, message", BAD_FLEET_FLAGS, ids=[" ".join(a) for a, _ in BAD_FLEET_FLAGS]
-)
-def test_bad_fleet_flag_exits_2_with_one_line(argv, message, capsys):
-    """A small valid run, then the flag under test (the last value wins)."""
-    command, *flag = argv
-    assert main([command, "--jobs", "2", "--nodes", "4", *flag]) == 2
+def _rows(*commands):
+    return [row for row in REFUSED if row.values[0][:1] in [[c] for c in commands]]
+
+
+#: The table runs as three tests only so that rows keep their old ids.
+FLEET_ROWS = _rows("fleet", "monitor")
+POINT_ROWS = _rows("run", "cap-sweep", "predict")
+OTHER_ROWS = [row for row in REFUSED if row not in FLEET_ROWS + POINT_ROWS]
+
+
+def assert_refused(argv, message, capsys, monkeypatch, tmp_path):
+    """``argv`` exits 2 with one `repro:` line on stderr, prints nothing
+    on stdout and leaves no ledger record.  `fleet` and `monitor` start
+    from a small valid run (the last value of a flag wins)."""
+    monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+    if argv[:1] in (["fleet"], ["monitor"]):
+        argv = [argv[0], "--jobs", "2", "--nodes", "4", *argv[1:]]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("repro: ")
     assert message in captured.err
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+    assert RunLedger().records() == []
+
+
+@pytest.mark.parametrize("argv, message", FLEET_ROWS)
+def test_bad_fleet_flag_exits_2_with_one_line(
+    argv, message, capsys, monkeypatch, tmp_path
+):
+    assert_refused(argv, message, capsys, monkeypatch, tmp_path)
+
+
+@pytest.mark.parametrize("argv, message", OTHER_ROWS)
+def test_refused_input_exits_2_with_one_line(
+    argv, message, capsys, monkeypatch, tmp_path
+):
+    assert_refused(argv, message, capsys, monkeypatch, tmp_path)
+
+
+def test_cap_sweep_checks_every_cap_before_the_first_run(
+    capsys, monkeypatch, tmp_path
+):
+    runs = []
+    monkeypatch.setattr("repro.cli.run_workload", lambda *a, **k: runs.append(a))
+    argv = ["cap-sweep", "PdO2", "--caps", "400", "50"]
+    assert_refused(argv, "power limit 50 W", capsys, monkeypatch, tmp_path)
+    assert runs == []
 
 
 class TestCommands:
@@ -194,69 +333,13 @@ class TestPlatformCli:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            pytest.param(
-                ["cap-sweep", "PdO2", "--platform", "dgx-spark"],
-                "unknown platform 'dgx-spark'",
-                id="cap-sweep",
-            ),
-            pytest.param(
-                ["predict", "PdO2", "--platform", "dgx-spark"],
-                "unknown platform 'dgx-spark'",
-                id="predict",
-            ),
-            pytest.param(
-                ["run", "bogus"], "unknown workload 'bogus'", id="run-bogus"
-            ),
-            pytest.param(
-                ["run", "PdO2", "--nodes", "0"],
-                "--nodes must be >= 1, got 0",
-                id="run-nodes-0",
-            ),
-            pytest.param(
-                ["run", "PdO2", "--nodes", "-2"],
-                "--nodes must be >= 1, got -2",
-                id="run-nodes-negative",
-            ),
-            pytest.param(
-                ["cap-sweep", "PdO4", "--nodes", "0"],
-                "--nodes must be >= 1, got 0",
-                id="cap-sweep-nodes-0",
-            ),
-            pytest.param(
-                ["cap-sweep", "PdO4", "--nodes", "-1"],
-                "--nodes must be >= 1, got -1",
-                id="cap-sweep-nodes-negative",
-            ),
-            pytest.param(
-                ["run", "PdO2", "--cap", "50"],
-                "cap 50 W outside the a100-40g GPU range [100, 400] W",
-                id="run-cap-below-floor",
-            ),
-            pytest.param(
-                ["cap-sweep", "PdO2", "--caps", "400", "50"],
-                "cap 50 W outside the a100-40g GPU range [100, 400] W",
-                id="cap-sweep-cap-below-floor",
-            ),
-            pytest.param(
-                ["predict", "PdO2", "--cap", "50"],
-                "cap 50 W outside the a100-40g GPU range [100, 400] W",
-                id="predict-cap-below-floor",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("argv, message", POINT_ROWS)
     def test_single_platform_commands_reject_unknown_platform(
-        self, argv, message, capsys
+        self, argv, message, capsys, monkeypatch, tmp_path
     ):
-        """Unknown workloads, node counts below 1 and caps outside the
-        GPU's range are refused like an unknown platform."""
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"repro: {message}")
-        assert captured.err.count("\n") == 1
-        assert captured.out == ""
+        """Unknown workloads and platforms, bad flag values and caps
+        outside the GPU's range are refused alike."""
+        assert_refused(argv, message, capsys, monkeypatch, tmp_path)
 
     def test_cap_sweep_defaults_scale_with_platform(self, capsys):
         assert main(
